@@ -35,7 +35,9 @@ def bowtie_family(bowtie):
     return LaminarFamily(bowtie.n, [TRIANGLE_LEFT, TRIANGLE_RIGHT])
 
 
+SIX_CYCLE_EDGES = [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 1, 1)]
+
+
 @pytest.fixture
 def six_cycle():
-    edges = [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 1, 1)]
-    return make_graph(6, edges)
+    return make_graph(6, SIX_CYCLE_EDGES)
