@@ -17,7 +17,7 @@ from .errors import (
     SchemaMismatch,
     StructureViolation,
 )
-from .driver import SOLVER_CHOICES, run
+from .driver import SOLVER_CHOICES, encode_trace, run, trace_header
 from .graph import parse_instance, write_instance
 from .oracle import random_instance, verify_trace
 from .rational import format_rat
@@ -52,21 +52,9 @@ def cmd_solve(args) -> int:
         print(f"structure violation: {exc}", file=sys.stderr)
         records = getattr(exc, "trace_records", None)
         if args.trace and records is not None:
-            import json
-
-            header = {
-                "schema": "cpmatch-trace-1",
-                "n": g.n,
-                "m": g.m,
-                "edges": [[u, v] for u, v, _c in g.edges],
-                "base_costs": [int(c) for _u, _v, c in g.edges],
-                "scale_log2": g.m,
-                "aborted": str(exc),
-            }
+            header = dict(trace_header(g), aborted=str(exc))
             with open(args.trace, "w") as fh:
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                for rec in records:
-                    fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+                fh.write("\n".join(encode_trace(header, records)) + "\n")
         return EXIT_STRUCTURE
 
     for e in result.matching:

@@ -131,6 +131,46 @@ def is_factor_critical(g, costs, s, fam_sets, dual) -> bool:
     )
 
 
+def fill_inside(g: Graph, z: list, s, finder: CriticalMatchingFinder) -> None:
+    """Rematch z inside the odd set s, in place, to agree with its boundary.
+
+    The edges inside s are cleared and refilled from critical matchings of
+    s: the full matching missing u when one 1-edge, or two half-edges, enter
+    s at u; half of each of the two matchings when two half-edges enter at
+    different nodes.  A set with an empty boundary stays empty.  Raises
+    StructureViolation on any other boundary pattern or a missing critical
+    matching.
+    """
+    ins = []
+    for e in g.delta(s):
+        if z[e] != ZERO:
+            a, b, _c = g.edges[e]
+            ins.append((a if a in s else b, z[e]))
+    for e in g.inside(s):
+        z[e] = ZERO
+    if not ins:
+        return
+    if len(ins) == 1 and ins[0][1] == ONE:
+        picks = [(ins[0][0], ONE)]
+    elif len(ins) == 2 and all(v == HALF for _u, v in ins):
+        if ins[0][0] == ins[1][0]:
+            picks = [(ins[0][0], ONE)]
+        else:
+            picks = [(ins[0][0], HALF), (ins[1][0], HALF)]
+    else:
+        raise StructureViolation(
+            f"unexpected boundary pattern {ins} at {sorted(s)}", witness=sorted(s)
+        )
+    for u, weight in picks:
+        m = finder.critical_matching(s, u)
+        if isinstance(m, NotCritical):
+            raise StructureViolation(
+                f"no critical matching for {u} in {sorted(s)}", witness=sorted(s)
+            )
+        for e in m:
+            z[e] += weight
+
+
 # ---------------------------------------------------------------------------
 # Consistency of duals
 
@@ -475,7 +515,6 @@ def run_half_integral_procedure(
     costs,
     cfg: ValidConfiguration,
     allow_exposed_nodes: bool = False,
-    skip_validation: bool = False,
     revalidate_each_iteration: bool = False,
 ) -> tuple:
     """Drive a valid configuration to an optimum of the pinned-cut relaxation.
@@ -490,8 +529,7 @@ def run_half_integral_procedure(
     InvalidConfiguration on a bad input and StalledNoEpsilon when the dual
     adjustment is unbounded (the pinned relaxation is infeasible).
     """
-    if not skip_validation:
-        validate_configuration(g, costs, cfg, allow_exposed_nodes=allow_exposed_nodes)
+    validate_configuration(g, costs, cfg, allow_exposed_nodes=allow_exposed_nodes)
     state = cfg.copy()
     lam_sets = [frozenset(s) for s in state.laminar]
     kay_sets = [frozenset(s) for s in state.disjoint]
@@ -513,51 +551,6 @@ def run_half_integral_procedure(
             finder_cache["built_at"] = finder_cache["epoch"]
         return finder_cache["finder"]
 
-    def repair_inside(s: frozenset):
-        """Rematch z inside a contracted set to agree with its boundary."""
-        boundary = [(e, z[e]) for e in g.delta(s) if z[e] != ZERO]
-        for e in g.inside(s):
-            z[e] = ZERO
-        ins = []
-        for e, val in boundary:
-            a, b, _c = g.edges[e]
-            ins.append((a if a in s else b, val))
-        if not ins:
-            return
-        if len(ins) == 1 and ins[0][1] == ONE:
-            m = finder().critical_matching(s, ins[0][0])
-            if isinstance(m, NotCritical):
-                raise StructureViolation(
-                    f"no critical matching for {ins[0][0]} in {sorted(s)}"
-                )
-            for e in m:
-                z[e] = ONE
-        elif len(ins) == 2 and all(v == HALF for _u, v in ins):
-            u1, u2 = ins[0][0], ins[1][0]
-            if u1 == u2:
-                m = finder().critical_matching(s, u1)
-                if isinstance(m, NotCritical):
-                    raise StructureViolation(
-                        f"no critical matching for {u1} in {sorted(s)}"
-                    )
-                for e in m:
-                    z[e] = ONE
-            else:
-                m1 = finder().critical_matching(s, u1)
-                m2 = finder().critical_matching(s, u2)
-                if isinstance(m1, NotCritical) or isinstance(m2, NotCritical):
-                    raise StructureViolation(
-                        f"missing critical matching in {sorted(s)}"
-                    )
-                for e in m1:
-                    z[e] += HALF
-                for e in m2:
-                    z[e] += HALF
-        else:
-            raise StructureViolation(
-                f"unexpected boundary pattern {ins} at {sorted(s)}"
-            )
-
     def apply_edge_values(ws: _Workspace, changes: dict):
         touched_nodes = set()
         for e_star, val in changes.items():
@@ -566,7 +559,7 @@ def run_half_integral_procedure(
         for node in sorted(touched_nodes):
             s = ws.key_of(node)
             if s is not None:
-                repair_inside(s)
+                fill_inside(g, z, s, finder())
 
     hard_cap = 16 * (g.n + len(lam_sets) + len(kay_sets) + 4) * (g.n + 4)
     first = True
@@ -637,7 +630,8 @@ def run_half_integral_procedure(
                 # Case I(c): even path to a blossom; open it to a half-cycle.
                 stats.case_counts["Ic"] += 1
                 i, j = blossom
-                assert i % 2 == 0 and (j - i) % 2 == 1, "malformed blossom walk"
+                if i % 2 != 0 or (j - i) % 2 != 1:
+                    raise StructureViolation("malformed blossom walk", witness=nodes)
                 stats.events.append(
                     {"case": "I(c)", "walk": nodes, "blossom": nodes[i : j + 1]}
                 )

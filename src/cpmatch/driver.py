@@ -27,15 +27,15 @@ from .graph import (
 )
 from .combinatorial import (
     CriticalMatchingFinder,
-    NotCritical,
     ProcedureStats,
     ValidConfiguration,
+    fill_inside,
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
 )
 from .laminar import LaminarFamily, contract_with_dual, sorted_sets
 from .lp import DualSolution, solve_extremal_dual, solve_primal
-from .rational import HALF, ONE, PerturbedCosts, Rat, ZERO, format_rat, perturb
+from .rational import ONE, PerturbedCosts, Rat, ZERO, format_rat, perturb
 
 TRACE_SCHEMA = "cpmatch-trace-1"
 
@@ -104,6 +104,25 @@ class DriverState:
     new_cut_info: list = field(default_factory=list)
 
 
+def trace_header(g: Graph) -> dict:
+    """The first line of every trace: schema tag and the instance it solves."""
+    return {
+        "schema": TRACE_SCHEMA,
+        "n": g.n,
+        "m": g.m,
+        "edges": [[u, v] for u, v, _c in g.edges],
+        "base_costs": [int(c) for _u, _v, c in g.edges],
+        "scale_log2": g.m,
+    }
+
+
+def encode_trace(header: dict, records) -> list:
+    """JSONL lines of a trace: the header, then one line per record."""
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(json.dumps(r.to_json(), sort_keys=True) for r in records)
+    return lines
+
+
 @dataclass
 class RunResult:
     matching: list
@@ -115,19 +134,7 @@ class RunResult:
     perturbed: PerturbedCosts
 
     def trace_lines(self) -> list:
-        header = {
-            "schema": TRACE_SCHEMA,
-            "n": self.graph.n,
-            "m": self.graph.m,
-            "edges": [[u, v] for u, v, _c in self.graph.edges],
-            "base_costs": [int(c) for _u, _v, c in self.graph.edges],
-            "scale_log2": self.graph.m,
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(r.to_json(), sort_keys=True) for r in self.records
-        )
-        return lines
+        return encode_trace(trace_header(self.graph), self.records)
 
     def write_trace(self, path) -> None:
         with open(path, "w") as fh:
@@ -178,27 +185,20 @@ def select_new_cuts(
     return out
 
 
-def _candidate_kept_subsets(count: int):
-    """Deterministic candidate order: everything first, then subsets by
-    decreasing size, lexicographic within a size."""
-    import itertools
-
-    indices = list(range(count))
-    yield tuple(indices)
-    for size in range(count - 1, -1, -1):
-        for combo in itertools.combinations(indices, size):
-            yield combo
-
-
 def _solve_primal_combinatorial(
     g: Graph, costs, fam: LaminarFamily, state: DriverState
 ) -> tuple:
     """Next relaxation optimum via the half-integral matching procedure.
 
-    Tries pinning every new cut first, then smaller subsets; a candidate is
-    accepted when its lifted output is feasible for the current family and
-    the extremal-dual program for it is feasible (which certifies optimality
-    by complementary slackness and uniqueness).  Returns (x, psi, stats).
+    The first solve runs the procedure from the empty vector.  Every later
+    solve runs it once, from the previous optimum: the retained sets that a
+    new cut absorbed are contracted, the other retained cuts stay
+    inequalities, and every new cut is pinned to equality with the zero dual
+    `step` gave it.  The lifted output is accepted when it is feasible for
+    the current family and the extremal-dual program for it is feasible,
+    which certifies optimality by complementary slackness and uniqueness.
+    Returns (x, psi, stats); raises StructureViolation, with the new cuts as
+    witness, when that single attempt is not certified.
     """
     if state.x is None:
         out, stats = solve_bipartite_via_procedure(g, costs)
@@ -206,95 +206,55 @@ def _solve_primal_combinatorial(
         return out.z, psi, stats
 
     gamma = state.gamma
-    hp_sets = state.hp_sets
-    info = state.new_cut_info
-    attempts = 0
-    for kept in _candidate_kept_subsets(len(info)):
-        attempts += 1
-        if attempts > 4096:
-            break
-        contract_list = []
-        for idx in kept:
-            contract_list.extend(info[idx][1])
-        wg, cmap = contract_with_dual(g, costs, contract_list, gamma)
+    hats = [hat for _cycle, _absorbed, hat in state.new_cut_info]
+    witness = [sorted(hat) for hat in hats]
+    contract_list = [s for _cycle, absorbed, _hat in state.new_cut_info for s in absorbed]
+    wg, cmap = contract_with_dual(g, costs, contract_list, gamma)
 
-        def image_set(s):
-            return frozenset(cmap.node_image[u] for u in s)
+    def image_set(s):
+        return frozenset(cmap.node_image[u] for u in s)
 
-        lam_w = []
-        dual_w = DualSolution()
-        contracted = set(map(frozenset, contract_list))
-        for s in hp_sets:
-            if s in contracted or any(s < t for t in contracted):
-                continue
-            img = image_set(s)
-            lam_w.append(img)
-            dual_w[img] = gamma.of_set(s)
-        kay_w = [image_set(info[idx][2]) for idx in kept]
-        for u in range(1, g.n + 1):
-            img = cmap.node_image[u]
-            key_set = next((s for s in contracted if u in s), None)
-            if key_set is None:
-                dual_w[img] = gamma.node(u)
-            else:
-                dual_w[img] = gamma.of_set(key_set)
-        z_w = [state.x[cmap.edge_preimage[e]] for e in range(wg.m)]
-        cfg = ValidConfiguration(laminar=lam_w, disjoint=kay_w, z=z_w, dual=dual_w)
-        try:
-            out, stats = run_half_integral_procedure(wg, wg.costs(), cfg)
-        except StalledNoEpsilon:
-            if len(kept) == 0:
-                raise
+    lam_w = []
+    dual_w = DualSolution()
+    contracted = set(map(frozenset, contract_list))
+    for s in state.hp_sets:
+        if s in contracted or any(s < t for t in contracted):
             continue
-
-        z_full = cmap.lift_vector(out.z, g.m)
-        if contract_list:
-            finder = CriticalMatchingFinder(g, costs, fam.sets, gamma)
-            ok = _fill_contracted_insides(g, z_full, contract_list, finder)
-            if not ok:
-                continue
-        if not is_proper_half_integral(z_full, g):
-            continue
-        if not check_degree_and_cut_feasibility(z_full, g, fam.sets):
-            continue
-        try:
-            psi = solve_extremal_dual(g, costs, fam, z_full, gamma)
-        except LPInfeasible:
-            continue
-        return z_full, psi, stats
-    # Exceptional path: either the relaxation itself is infeasible (no
-    # perfect matching survives the cuts) or a coupling invariant broke.
-    solve_primal(g, costs, fam)  # raises LPInfeasible when no matching exists
-    raise StructureViolation(
-        "no pinned-cut candidate reproduced the relaxation optimum"
+        img = image_set(s)
+        lam_w.append(img)
+        dual_w[img] = gamma.of_set(s)
+    for u in range(1, g.n + 1):
+        key_set = next((s for s in contracted if u in s), None)
+        dual_w[cmap.node_image[u]] = gamma.node(u) if key_set is None else gamma.of_set(key_set)
+    z_w = [state.x[cmap.edge_preimage[e]] for e in range(wg.m)]
+    cfg = ValidConfiguration(
+        laminar=lam_w, disjoint=[image_set(hat) for hat in hats], z=z_w, dual=dual_w
     )
+    try:
+        out, stats = run_half_integral_procedure(wg, wg.costs(), cfg)
+    except StalledNoEpsilon:
+        # Either no perfect matching survives the cuts or a coupling
+        # invariant broke.
+        solve_primal(g, costs, fam)  # raises LPInfeasible when no matching exists
+        raise StructureViolation(
+            "pinned-cut procedure stalled on a feasible relaxation", witness=witness
+        )
 
-
-def _fill_contracted_insides(g, z, contracted_sets, finder) -> bool:
-    for s in sorted_sets(frozenset(t) for t in contracted_sets):
-        ins = []
-        for e in g.delta(s):
-            if z[e] != ZERO:
-                a, b, _c = g.edges[e]
-                ins.append((a if a in s else b, z[e]))
-        for e in g.inside(s):
-            z[e] = ZERO
-        if len(ins) == 1 and ins[0][1] == ONE:
-            picks = [(ins[0][0], ONE)]
-        elif len(ins) == 2 and all(v == HALF for _u, v in ins):
-            if ins[0][0] == ins[1][0]:
-                picks = [(ins[0][0], ONE)]
-            else:
-                picks = [(ins[0][0], HALF), (ins[1][0], HALF)]
-        else:
-            return False
-        for u, weight in picks:
-            m = finder.critical_matching(s, u)
-            if isinstance(m, NotCritical):
-                return False
-            for e in m:
-                z[e] += weight
-    return True
+    z = cmap.lift_vector(out.z, g.m)
+    finder = CriticalMatchingFinder(g, costs, fam.sets, gamma)
+    for s in sorted_sets(contracted):
+        fill_inside(g, z, s, finder)
+    if not check_degree_and_cut_feasibility(z, g, fam.sets):
+        raise StructureViolation(
+            "pinned-cut optimum is infeasible for the relaxation", witness=witness
+        )
+    try:
+        psi = solve_extremal_dual(g, costs, fam, z, gamma)
+    except LPInfeasible as exc:
+        raise StructureViolation(
+            "pinned-cut optimum is not optimal for the relaxation", witness=witness
+        ) from exc
+    return z, psi, stats
 
 
 def _record_dual(psi: DualSolution, g: Graph) -> tuple:

@@ -132,9 +132,6 @@ class SupportDecomposition:
     def o(self) -> int:
         return len(self.odd_cycles)
 
-    def cycle_node_sets(self) -> list:
-        return [frozenset(c) for c in self.odd_cycles]
-
 
 def _half_adjacency(x: Sequence, g: Graph):
     adj = {}
@@ -237,10 +234,6 @@ def reassemble(dec: SupportDecomposition, g: Graph) -> list:
                 raise ValueError(f"no free edge between {u} and {v}")
             x[min(cands)] = HALF
     return x
-
-
-def solution_degree(x: Sequence, g: Graph, u: int):
-    return sum((x[e] for e in g.incident(u)), ZERO)
 
 
 def check_degree_and_cut_feasibility(x: Sequence, g: Graph, cut_sets) -> bool:

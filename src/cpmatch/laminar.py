@@ -92,10 +92,6 @@ class LaminarFamily:
         nodes = frozenset(nodes)
         return [s for s in self.maximal_sets() if s & nodes]
 
-    def sets_inside(self, s) -> list:
-        s = frozenset(s)
-        return sorted_sets(t for t in self._sets if t < s)
-
 
 def dual_inside(dual: Mapping, s: frozenset, u: int):
     """Total dual contribution of sets strictly inside s that contain u.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import LPInfeasible, LPUnbounded
+from .errors import LPInfeasible, LPUnbounded, StructureViolation
 from .graph import Graph
 from .laminar import LaminarFamily, sorted_sets
 from .rational import ONE, Rat, ZERO
@@ -179,7 +179,8 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
                 rc1 = [a - v for a, v in zip(rc1, rows[r])]
         allowed = [j for j in range(ncols) if j not in artificials]
         bounded = _bland_loop(rows, rhs, rc1, basis, allowed, pivots_box)
-        assert bounded, "phase-1 objective cannot be unbounded"
+        if not bounded:
+            raise StructureViolation("phase-1 objective cannot be unbounded")
         phase1_obj = sum((rhs[r] for r, b in enumerate(basis) if b in artificials), ZERO)
         if phase1_obj != ZERO:
             raise LPInfeasible("phase-1 optimum positive")
@@ -244,12 +245,6 @@ class DualSolution(dict):
     def slack(self, g: Graph, costs, e: int):
         return Rat(costs[e]) - self.edge_load(g, e)
 
-    def is_tight(self, g: Graph, costs, e: int) -> bool:
-        return self.slack(g, costs, e) == ZERO
-
-    def tight_edges(self, g: Graph, costs) -> list:
-        return [e for e in range(g.m) if self.is_tight(g, costs, e)]
-
     def is_feasible(self, g: Graph, costs, nonneg_sets) -> bool:
         if any(self.of_set(s) < ZERO for s in nonneg_sets):
             return False
@@ -295,14 +290,18 @@ def solve_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
     dual = DualSolution()
     for key, y in zip(row_keys, res.duals):
         dual[key] = y
-    assert dual.objective() == res.objective, "strong duality violated"
+    if dual.objective() != res.objective:
+        raise StructureViolation("strong duality violated")
     for e, val in enumerate(res.x):
-        if val != ZERO:
-            assert dual.slack(g, costs, e) == ZERO, f"support edge {e} not tight"
+        if val != ZERO and dual.slack(g, costs, e) != ZERO:
+            raise StructureViolation(f"support edge {e} not tight", witness=e)
     for s in fam.sets:
         if dual.of_set(s) > ZERO:
             tot = sum((res.x[e] for e in g.delta(s)), ZERO)
-            assert tot == ONE, "positive cut dual on slack cut"
+            if tot != ONE:
+                raise StructureViolation(
+                    "positive cut dual on slack cut", witness=sorted(s)
+                )
     return res.x, dual, res.objective
 
 
@@ -366,8 +365,13 @@ def solve_extremal_dual(
             psi[frozenset(s)] = ZERO
 
     primal_obj = sum((Rat(costs[e]) * x[e] for e in range(g.m)), ZERO)
-    assert psi.objective() == primal_obj, "extremal dual is not a dual optimum"
-    assert all(psi.of_set(s) >= ZERO for s in fam.sets)
+    if psi.objective() != primal_obj:
+        raise StructureViolation("extremal dual is not a dual optimum")
+    for s in fam.sets:
+        if psi.of_set(s) < ZERO:
+            raise StructureViolation(
+                "extremal dual is negative on a cut", witness=sorted(s)
+            )
     return psi
 
 

@@ -209,6 +209,7 @@ class VerifyReport:
     """Outcome of each replay check, with a minimal witness on failure."""
 
     checks: dict = field(default_factory=dict)
+    skipped: dict = field(default_factory=dict)  # name -> reason it did not run
 
     def record(self, name: str, ok: bool, witness=None):
         if name in self.checks and not self.checks[name][0]:
@@ -216,6 +217,10 @@ class VerifyReport:
         if name in self.checks and ok:
             return
         self.checks[name] = (ok, witness)
+
+    def skip(self, name: str, reason: str):
+        """Mark a check as not run: it prints SKIP and leaves all_ok as is."""
+        self.skipped[name] = reason
 
     def ok(self, name: str) -> bool:
         return self.checks.get(name, (False, "missing"))[0]
@@ -228,7 +233,9 @@ class VerifyReport:
         out = []
         for name in sorted(self.checks):
             ok, witness = self.checks[name]
-            if ok:
+            if name in self.skipped:
+                out.append(f"SKIP {name} reason={self.skipped[name]}")
+            elif ok:
                 out.append(f"PASS {name}")
             else:
                 out.append(f"FAIL {name} witness={witness}")
@@ -406,6 +413,8 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
                         report.record("final_matching_oracle", False, {"cost": got, "optimum": str(best_cost)})
                 except NoPerfectMatching:
                     report.record("final_matching_oracle", False, {"reason": "oracle found no matching"})
+            else:
+                report.skip("final_matching_oracle", f"n>{node_limit}")
         else:
             report.record("final_matching_oracle", False, {"reason": "final solution not integral"})
     else:

@@ -28,6 +28,16 @@ def telescope(stages=3, gadgets=2, bridge=100):
     return make_graph(per * gadgets, edges)
 
 
+def four_triangles():
+    """Four disjoint triangles (n = 12): a fractional perfect matching but no
+    perfect matching.  Triangle t costs (t, 0, 1)."""
+    edges = []
+    for t in range(4):
+        a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
+        edges += [(a, b, t), (b, c, 0), (a, c, 1)]
+    return make_graph(12, edges)
+
+
 # Random instances with at least three relaxation solves, found by search
 # and pinned: (n, density, cost_hi, seed).
 MULTI_ROUND_RANDOM = [

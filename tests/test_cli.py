@@ -106,8 +106,10 @@ class TestStructureViolationPath:
 
         import cpmatch.cli as cli_mod
         import cpmatch.driver as drv_mod
+        from cpmatch import parse_instance
         from cpmatch.errors import StructureViolation
 
+        finished = drv_mod.run(parse_instance(BOWTIE_TEXT)).trace_lines()
         real_step = drv_mod.step
 
         def sabotaged(state, g, pc, solver="simplex", verifier=None):
@@ -121,7 +123,10 @@ class TestStructureViolationPath:
         assert code == 4
         lines = trace.read_text().splitlines()
         header = json.loads(lines[0])
-        assert "aborted" in header
+        # the header of a finished run, plus the abort reason
+        expected = json.loads(finished[0])
+        expected["aborted"] = "simplex and combinatorial optima differ"
+        assert header == expected
         assert len(lines) == 2  # header plus the one completed iteration
         assert json.loads(lines[1])["iteration"] == 0
 

@@ -206,12 +206,11 @@ class TestStep:
         assert s_a.fam == s_b.fam
 
 
-class TestCombinatorialFallback:
-    def test_candidate_subsets_tried_until_certificate_accepts(self, bowtie):
+class TestSinglePinnedAttempt:
+    def test_uncertified_attempt_raises_with_witness(self, bowtie):
         # synthetic state that pins the two support cycles as equality cuts
-        # even though the family imposes nothing: every pinned candidate's
-        # output fails the optimality certificate, so the loop must fall
-        # through to the empty candidate and return the relaxation optimum
+        # even though the family imposes nothing: the pinned output fails
+        # the optimality certificate, and no other candidate is tried
         from cpmatch.driver import _solve_primal_combinatorial
         from cpmatch import solve_extremal_dual
         from cpmatch.rational import HALF
@@ -234,9 +233,25 @@ class TestCombinatorialFallback:
                 (TRIANGLE_RIGHT, [], TRIANGLE_RIGHT),
             ],
         )
-        x, psi, _stats = _solve_primal_combinatorial(bowtie, pc.scaled, fam, state)
-        assert x == x_prev  # only the empty candidate reproduces the optimum
-        assert psi.objective() == rat(63)
+        with pytest.raises(StructureViolation) as info:
+            _solve_primal_combinatorial(bowtie, pc.scaled, fam, state)
+        assert info.value.witness == [sorted(TRIANGLE_LEFT), sorted(TRIANGLE_RIGHT)]
+
+    def test_infeasible_relaxation_runs_procedure_once(self, monkeypatch):
+        import cpmatch.driver as drv_mod
+        from instances import four_triangles
+
+        calls = []
+        real = drv_mod.run_half_integral_procedure
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drv_mod, "run_half_integral_procedure", counting)
+        with pytest.raises(NoPerfectMatching, match="^phase-1 optimum positive$"):
+            run(four_triangles(), solver="combinatorial")
+        assert len(calls) == 1
 
 
 class TestTrace:

@@ -56,7 +56,7 @@ def test_golden_output(name, solver, tmp_path):
 
 def _golden_instances() -> dict:
     from conftest import BOWTIE_EDGES, SIX_CYCLE_EDGES
-    from instances import MULTI_ROUND_RANDOM, telescope
+    from instances import MULTI_ROUND_RANDOM, four_triangles, telescope
 
     from cpmatch import make_graph, random_instance
 
@@ -68,12 +68,7 @@ def _golden_instances() -> dict:
     }
     for n, p, hi, seed in MULTI_ROUND_RANDOM[:3]:
         graphs[f"random_n{n}_seed{seed}"] = random_instance(n, p, (0, hi), seed)
-    # four disjoint triangles: a fractional perfect matching, no perfect one
-    triangles = []
-    for t in range(4):
-        a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
-        triangles += [(a, b, t), (b, c, 0), (a, c, 1)]
-    graphs["four_triangles"] = make_graph(12, triangles)
+    graphs["four_triangles"] = four_triangles()
     return graphs
 
 

@@ -155,6 +155,32 @@ class TestSolvePrimal:
         with pytest.raises(LPInfeasible):
             solve_primal(g2, g2.costs(), fam)
 
+    def test_corrupted_dual_raises_under_optimize_flag(self):
+        # python -O strips asserts; the duality check must still fire
+        import subprocess
+        import sys
+
+        script = (
+            "import cpmatch.lp as lp\n"
+            "from cpmatch import LaminarFamily, StructureViolation, make_graph\n"
+            "real = lp.simplex_solve\n"
+            "def corrupt(prog):\n"
+            "    res = real(prog)\n"
+            "    res.duals[0] += 1\n"
+            "    return res\n"
+            "lp.simplex_solve = corrupt\n"
+            "g = make_graph(2, [(1, 2, 5)])\n"
+            "try:\n"
+            "    lp.solve_primal(g, g.costs(), LaminarFamily(2))\n"
+            "except StructureViolation as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised strong duality violated\n"
+
 
 class TestExtremalDual:
     def test_no_cuts_reduces_to_node_dual(self, bowtie, bowtie_perturbed):

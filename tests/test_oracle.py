@@ -162,6 +162,16 @@ class TestVerifyTrace:
         report = verify_trace(bowtie, lines)
         assert not report.ok("cut_persistence")
 
+    def test_oracle_skipped_above_node_limit(self):
+        from instances import telescope
+
+        g = telescope(stages=3, gadgets=4)  # n = 28
+        report = verify_trace(g, self._trace(g))
+        lines = report.lines()
+        assert "SKIP final_matching_oracle reason=n>16" in lines
+        assert "PASS final_matching_oracle" not in lines
+        assert report.all_ok
+
     def test_final_cost_checked_against_oracle(self, bowtie):
         lines = self._trace(bowtie)
         # doctor the final record to claim a different matching
