@@ -37,6 +37,11 @@ def _read_instance(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_lines(path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def cmd_solve(args) -> int:
     try:
         g = _read_instance(args.instance)
@@ -53,8 +58,7 @@ def cmd_solve(args) -> int:
         records = getattr(exc, "trace_records", None)
         if args.trace and records is not None:
             header = dict(trace_header(g), aborted=str(exc))
-            with open(args.trace, "w") as fh:
-                fh.write("\n".join(encode_trace(header, records)) + "\n")
+            _write_lines(args.trace, encode_trace(header, records))
         return EXIT_STRUCTURE
 
     for e in result.matching:
@@ -63,10 +67,11 @@ def cmd_solve(args) -> int:
     print(f"cost {result.base_cost}")
     print(f"perturbed_cost {format_rat(result.perturbed_cost)}")
     print(f"lp_solves {result.lp_solves}")
+    lines = result.trace_lines() if args.trace or args.verify else []
     if args.trace:
-        result.write_trace(args.trace)
+        _write_lines(args.trace, lines)
     if args.verify:
-        report = verify_trace(g, result.trace_lines())
+        report = verify_trace(g, lines)
         for line in report.lines():
             print(line)
         if not report.all_ok:

@@ -40,26 +40,33 @@ NOT_CRITICAL = NotCritical()
 
 class CriticalMatchingFinder:
     """Finds matchings on tight edges inside odd sets, respecting family
-    budgets.  Results are memoized per (set, node) for a fixed dual."""
+    budgets.
+
+    The tight edges inside each set, and the answer for each (set, node), are
+    memoised on first use.  The memo for a set s stays valid while the duals
+    of its nodes and of the family sets strictly inside it do not change and
+    no family set strictly inside it is added or removed: those are the only
+    inputs of the slack of an edge inside s and of the crossing budgets.
+    """
 
     def __init__(self, g: Graph, costs, fam_sets: Iterable, dual: DualSolution):
         self.g = g
         self.costs = costs
         self.fam_sets = sorted_sets(frozenset(s) for s in fam_sets)
         self.dual = dual
-        self._tight_cache = None
+        self._tight = {}
         self._memo = {}
 
     def _tight_inside(self, s: frozenset) -> list:
-        if self._tight_cache is None:
-            self._tight_cache = {
-                e for e in range(self.g.m) if self.dual.slack(self.g, self.costs, e) == ZERO
-            }
-        return [
-            e
-            for e in self.g.inside(s)
-            if e in self._tight_cache
-        ]
+        edges = self._tight.get(s)
+        if edges is None:
+            edges = [
+                e
+                for e in self.g.inside(s)
+                if self.dual.slack(self.g, self.costs, e) == ZERO
+            ]
+            self._tight[s] = edges
+        return edges
 
     def critical_matching(self, s, u: int):
         """An F-matching on tight edges covering s minus {u}, crossing each
@@ -539,17 +546,13 @@ def run_half_integral_procedure(
     stats = ProcedureStats(
         input_laminar=len(lam_sets), input_pinned=len(kay_sets)
     )
-    # Critical matchings stay valid while the dual and family are unchanged;
-    # Case II bumps the epoch to force a rebuild.
-    finder_cache = {"epoch": 0, "built_at": -1, "finder": None}
-
-    def finder():
-        if finder_cache["built_at"] != finder_cache["epoch"]:
-            finder_cache["finder"] = CriticalMatchingFinder(
-                g, costs, lam_sets + kay_sets, dual
-            )
-            finder_cache["built_at"] = finder_cache["epoch"]
-        return finder_cache["finder"]
+    # One finder serves the whole run.  It is asked only about top sets (by
+    # fill_inside).  Case II changes only the duals of top-level workspace
+    # keys, top sets and plain nodes, and none of those crosses an edge
+    # inside a top set.  Unshrinking removes only a top set, whose children
+    # become top sets with their insides untouched.  So every memoised
+    # critical matching stays valid until the run ends.
+    finder = CriticalMatchingFinder(g, costs, lam_sets + kay_sets, dual)
 
     def apply_edge_values(ws: _Workspace, changes: dict):
         touched_nodes = set()
@@ -559,7 +562,7 @@ def run_half_integral_procedure(
         for node in sorted(touched_nodes):
             s = ws.key_of(node)
             if s is not None:
-                fill_inside(g, z, s, finder())
+                fill_inside(g, z, s, finder)
 
     hard_cap = 16 * (g.n + len(lam_sets) + len(kay_sets) + 4) * (g.n + 4)
     first = True
@@ -696,7 +699,6 @@ def run_half_integral_procedure(
         for node in b_minus:
             key = ws.dual_key(node)
             dual[key] = dual.get(key, ZERO) - bound
-        finder_cache["epoch"] += 1
         for s in list(lam_sets):
             if dual.of_set(s) == ZERO:
                 lam_sets.remove(s)

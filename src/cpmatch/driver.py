@@ -30,6 +30,7 @@ from .combinatorial import (
     ProcedureStats,
     ValidConfiguration,
     fill_inside,
+    is_factor_critical,
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
 )
@@ -135,10 +136,6 @@ class RunResult:
 
     def trace_lines(self) -> list:
         return encode_trace(trace_header(self.graph), self.records)
-
-    def write_trace(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.trace_lines()) + "\n")
 
 
 def select_old_cuts(fam: LaminarFamily, pi: DualSolution) -> LaminarFamily:
@@ -263,54 +260,33 @@ def _record_dual(psi: DualSolution, g: Graph) -> tuple:
     return nodes, sets
 
 
-class _Verifier:
-    """Optional per-iteration invariant hooks (driver --verify)."""
-
-    def __init__(self, g, costs, enabled: bool):
-        self.g = g
-        self.costs = costs
-        self.enabled = enabled
-
-    def check_extremal(self, fam, psi, x):
-        if not self.enabled:
-            return
-        for s in fam.sets:
-            if psi.of_set(s) > ZERO:
-                from .combinatorial import is_factor_critical
-
-                if not is_factor_critical(self.g, self.costs, s, fam.sets, psi):
-                    raise StructureViolation(
-                        "positive-dual set is not factor-critical",
-                        witness=sorted(s),
-                    )
-
-
 def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simplex",
-         verifier: _Verifier | None = None) -> tuple:
-    """One driver iteration; returns (next_state, record)."""
+         verify: bool = False) -> tuple:
+    """One driver iteration; returns (next_state, record).
+
+    With `verify`, every positive-dual set of a non-terminal extremal dual is
+    checked to be factor-critical.
+    """
     if state.terminal:
         return state, None
     costs = pc.scaled
     fam = state.fam
 
     stats = None
+    basis_dual = psi = None
     if solver == "simplex":
         x, basis_dual, objective = solve_primal(g, costs, fam)
-        cross_checked = False
     elif solver == "combinatorial":
-        x, psi_ready, stats = _solve_primal_combinatorial(g, costs, fam, state)
+        x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
         objective = sum((Rat(c) * v for c, v in zip(costs, x)), ZERO)
-        basis_dual = None
-        cross_checked = False
     elif solver == "cross-check":
         x_s, basis_dual, objective = solve_primal(g, costs, fam)
-        x, psi_ready, stats = _solve_primal_combinatorial(g, costs, fam, state)
+        x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
         if x != x_s:
             diff = [e for e in range(g.m) if x[e] != x_s[e]]
             raise StructureViolation(
                 "simplex and combinatorial optima differ", witness=diff
             )
-        cross_checked = True
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
@@ -327,70 +303,48 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     if len(fam) > g.n // 2:
         raise StructureViolation("family exceeds n/2 members")
 
-    integral = all(v == ZERO or v == ONE for v in x)
-    if integral:
-        dual = basis_dual
-        kind = "basis"
-        if dual is None:
-            dual = solve_extremal_dual(g, costs, fam, x, state.gamma)
-            kind = "extremal"
-        nodes, sets = _record_dual(dual, g)
-        record = IterationRecord(
-            iteration=state.iteration,
-            cuts_imposed=[sorted(s) for s in fam.sets],
-            primal=[format_rat(v) for v in x],
-            dual_nodes=nodes,
-            dual_sets=sets,
-            dual_kind=kind,
-            odd_cycle_count=dec.o,
-            cuts_retained=[],
-            cuts_added=[],
-            objective_scaled=format_rat(objective),
-            terminal=True,
-            cross_checked=cross_checked,
-            procedure=_stats_json(stats),
-        )
-        next_state = DriverState(
-            iteration=state.iteration + 1,
-            fam=fam,
-            gamma=state.gamma,
-            x=x,
-            o=dec.o,
-            terminal=True,
-        )
-        return next_state, record
-
-    if solver == "simplex":
-        psi = solve_extremal_dual(g, costs, fam, x, state.gamma)
+    # A terminal iteration records the basis dual when the simplex gave one;
+    # every other iteration records the extremal dual.
+    terminal = all(v == ZERO or v == ONE for v in x)
+    if terminal and basis_dual is not None:
+        dual, kind = basis_dual, "basis"
     else:
-        psi = psi_ready
-    if verifier is not None:
-        verifier.check_extremal(fam, psi, x)
+        if psi is None:
+            psi = solve_extremal_dual(g, costs, fam, x, state.gamma)
+        dual, kind = psi, "extremal"
 
-    hp = select_old_cuts(fam, psi)
-    new_info = select_new_cuts(dec, hp)
-    next_fam = LaminarFamily(g.n, hp.sets)
-    for _cycle, _absorbed, hat in new_info:
-        next_fam = next_fam.insert_checked(hat)
+    hp_sets, new_info = [], []
+    next_fam, gamma_next = fam, state.gamma
+    if not terminal:
+        if verify:
+            for s in fam.sets:
+                if psi.of_set(s) > ZERO and not is_factor_critical(g, costs, s, fam.sets, psi):
+                    raise StructureViolation(
+                        "positive-dual set is not factor-critical", witness=sorted(s)
+                    )
+        hp = select_old_cuts(fam, psi)
+        hp_sets = hp.sets
+        new_info = select_new_cuts(dec, hp)
+        next_fam = hp
+        gamma_next = DualSolution(psi)
+        for _cycle, _absorbed, hat in new_info:
+            next_fam = next_fam.insert_checked(hat)
+            gamma_next[hat] = ZERO
 
-    gamma_next = DualSolution(psi)
-    for _cycle, _absorbed, hat in new_info:
-        gamma_next[hat] = ZERO
-
-    nodes, sets = _record_dual(psi, g)
+    nodes, sets = _record_dual(dual, g)
     record = IterationRecord(
         iteration=state.iteration,
         cuts_imposed=[sorted(s) for s in fam.sets],
         primal=[format_rat(v) for v in x],
         dual_nodes=nodes,
         dual_sets=sets,
-        dual_kind="extremal",
+        dual_kind=kind,
         odd_cycle_count=dec.o,
-        cuts_retained=[sorted(s) for s in hp.sets],
+        cuts_retained=[sorted(s) for s in hp_sets],
         cuts_added=[sorted(hat) for _c, _a, hat in new_info],
         objective_scaled=format_rat(objective),
-        terminal=False,
-        cross_checked=cross_checked,
+        terminal=terminal,
+        cross_checked=solver == "cross-check",
         procedure=_stats_json(stats),
     )
     next_state = DriverState(
@@ -399,7 +353,8 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         gamma=gamma_next,
         x=x,
         o=dec.o,
-        hp_sets=hp.sets,
+        terminal=terminal,
+        hp_sets=hp_sets,
         new_cut_info=new_info,
     )
     return next_state, record
@@ -437,7 +392,6 @@ def run(g: Graph, solver: str = "simplex", verify: bool = False) -> RunResult:
         raise NoPerfectMatching("graph has no edges")
 
     pc = perturb([c for _u, _v, c in g.edges])
-    verifier = _Verifier(g, pc.scaled, verify)
     state = DriverState(iteration=0, fam=LaminarFamily(g.n), gamma=DualSolution.zeros(g))
     records = []
     bound = iteration_bound(g.n)
@@ -445,7 +399,7 @@ def run(g: Graph, solver: str = "simplex", verify: bool = False) -> RunResult:
         while not state.terminal:
             if state.iteration >= bound:
                 raise StructureViolation(f"iteration bound {bound} exceeded")
-            state, record = step(state, g, pc, solver=solver, verifier=verifier)
+            state, record = step(state, g, pc, solver=solver, verify=verify)
             if record is not None:
                 records.append(record)
     except LPInfeasible as exc:

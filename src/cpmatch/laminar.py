@@ -114,10 +114,8 @@ class ContractionMap:
     """
 
     node_image: dict
-    contracted_sets: list
     edge_preimage: list
     cost_image: list
-    new_n: int
 
     def image_of_nodes(self, nodes) -> frozenset:
         return frozenset(self.node_image[u] for u in nodes)
@@ -195,10 +193,8 @@ def contract_with_dual(
     new_g = Graph(n=len(reps), edges=tuple(new_edges))
     cmap = ContractionMap(
         node_image=node_image,
-        contracted_sets=chosen,
         edge_preimage=preimage,
         cost_image=cost_image,
-        new_n=len(reps),
     )
     return new_g, cmap
 

@@ -16,6 +16,9 @@ from .graph import Graph
 from .laminar import LaminarFamily, sorted_sets
 from .rational import ONE, Rat, ZERO
 
+# Pivots one simplex_solve may make before it gives up.
+PIVOT_LIMIT = 100_000
+
 
 @dataclass
 class LinearProgram:
@@ -75,7 +78,7 @@ def _pivot(rows, rhs, rc, basis, r, c):
     basis[r] = c
 
 
-def _bland_loop(rows, rhs, rc, basis, allowed, pivots_box, limit=100_000):
+def _bland_loop(rows, rhs, rc, basis, allowed, pivots_box):
     nrows = len(rows)
     while True:
         enter = -1
@@ -98,8 +101,8 @@ def _bland_loop(rows, rhs, rc, basis, allowed, pivots_box, limit=100_000):
             return False  # unbounded in the entering direction
         _pivot(rows, rhs, rc, basis, best[1], enter)
         pivots_box[0] += 1
-        if pivots_box[0] > limit:
-            raise RuntimeError("pivot limit exceeded")
+        if pivots_box[0] > PIVOT_LIMIT:
+            raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
 
 
 def format_lp(lp: LinearProgram) -> str:
@@ -237,9 +240,9 @@ class DualSolution(dict):
         """Sum of dual values over all sets cut by edge e."""
         u, v, _c = g.edges[e]
         total = self.node(u) + self.node(v)
-        for s in self.set_keys():
-            if (u in s) != (v in s):
-                total += self[s]
+        for key, val in self.items():
+            if isinstance(key, frozenset) and (u in key) != (v in key):
+                total += val
         return total
 
     def slack(self, g: Graph, costs, e: int):

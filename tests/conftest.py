@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import cpmatch
 from cpmatch import LaminarFamily, make_graph
 from cpmatch.rational import perturb
+
+# Subprocesses the tests start (`python -m cpmatch`, `python -O`) import
+# cpmatch from the same place as this session, installed or not.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(cpmatch.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+)
 
 # Canonical instance used across the suite: two zero-cost triangles joined
 # by a cost-10 bridge.  Unique perfect matching {(1,2),(5,6),(3,4)}, base

@@ -112,10 +112,10 @@ class TestStructureViolationPath:
         finished = drv_mod.run(parse_instance(BOWTIE_TEXT)).trace_lines()
         real_step = drv_mod.step
 
-        def sabotaged(state, g, pc, solver="simplex", verifier=None):
+        def sabotaged(state, g, pc, **kwargs):
             if state.iteration >= 1:
                 raise StructureViolation("simplex and combinatorial optima differ")
-            return real_step(state, g, pc, solver=solver, verifier=verifier)
+            return real_step(state, g, pc, **kwargs)
 
         monkeypatch.setattr(drv_mod, "step", sabotaged)
         trace = tmp_path / "t.jsonl"
@@ -129,6 +129,17 @@ class TestStructureViolationPath:
         assert header == expected
         assert len(lines) == 2  # header plus the one completed iteration
         assert json.loads(lines[1])["iteration"] == 0
+
+    @pytest.mark.parametrize("solver", ["simplex", "combinatorial"])
+    def test_pivot_limit_exits_4(self, bowtie_file, monkeypatch, capsys, solver):
+        import cpmatch.cli as cli_mod
+        import cpmatch.lp as lp_mod
+
+        monkeypatch.setattr(lp_mod, "PIVOT_LIMIT", 1)
+        code = cli_mod.main(["solve", str(bowtie_file), "--solver", solver])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "structure violation: simplex pivot limit 1 exceeded\n"
 
 
 class TestVerify:

@@ -304,3 +304,115 @@ class TestProcedure:
         x, _dual, obj = solve_primal(g, pc.scaled, LaminarFamily(g.n))
         assert out.z == x
         assert sum((Rat(c) * v for c, v in zip(pc.scaled, out.z)), ZERO) == obj
+
+
+class TestSharedFinder:
+    """One CriticalMatchingFinder serves a whole procedure run."""
+
+    @pytest.fixture
+    def procedure_runs(self, monkeypatch):
+        """Wrap every procedure run; returns the list of runs, each a dict
+        with its pinned sets, the finders it built and its ProcedureStats."""
+        import sys
+
+        import cpmatch.combinatorial as comb
+        import cpmatch.driver as drv_mod
+
+        runs = []
+        real_run = comb.run_half_integral_procedure
+        real_finder = comb.CriticalMatchingFinder
+
+        class CountingFinder(real_finder):
+            def __init__(self, *args):
+                # is_factor_critical builds its own throwaway finder for
+                # validation; count only the finders the run keeps
+                if runs and sys._getframe(1).f_code.co_name != "is_factor_critical":
+                    runs[-1]["built"].append(self)
+                super().__init__(*args)
+
+        def wrapped(g, costs, cfg, **kwargs):
+            runs.append({"built": [], "pinned": {frozenset(s) for s in cfg.disjoint}})
+            out, stats = real_run(g, costs, cfg, **kwargs)
+            runs[-1]["stats"] = stats
+            return out, stats
+
+        monkeypatch.setattr(comb, "CriticalMatchingFinder", CountingFinder)
+        monkeypatch.setattr(comb, "run_half_integral_procedure", wrapped)
+        monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
+        return runs
+
+    @pytest.fixture
+    def checked_fills(self, procedure_runs, monkeypatch):
+        """Compare the shared finder, at every repair inside a run, with a
+        fresh one built from a copy of the current dual and the current
+        family: the pinned sets plus the laminar sets not yet unshrunk.
+        Returns the list of repaired sets."""
+        import cpmatch.combinatorial as comb
+
+        checked = []
+        real_fill = comb.fill_inside
+
+        def fill(g, z, s, finder):
+            dual = DualSolution(finder.dual)
+            pinned = procedure_runs[-1]["pinned"]
+            family = [t for t in finder.fam_sets if t in pinned or dual.of_set(t) > ZERO]
+            fresh = comb.CriticalMatchingFinder(g, finder.costs, family, dual)
+            for u in sorted(s):
+                assert finder.critical_matching(s, u) == fresh.critical_matching(s, u)
+            checked.append(s)
+            return real_fill(g, z, s, finder)
+
+        monkeypatch.setattr(comb, "fill_inside", fill)
+        return checked
+
+    def test_one_finder_per_run(self, procedure_runs):
+        from cpmatch import run
+        from instances import telescope
+
+        run(telescope(stages=4, gadgets=2), solver="combinatorial")
+        stepped = [r for r in procedure_runs if r["stats"].case_counts["II"] > 0]
+        assert stepped
+        assert all(len(r["built"]) == 1 for r in stepped)
+
+    @pytest.mark.parametrize(
+        "instance",
+        ["telescope"] + [f"random{i}" for i in range(14)],
+    )
+    def test_memo_matches_fresh_finder(self, checked_fills, instance):
+        from cpmatch import random_instance, run
+        from instances import MULTI_ROUND_RANDOM, telescope
+
+        if instance == "telescope":
+            g = telescope(stages=4, gadgets=2)
+        else:
+            n, density, cost_hi, seed = MULTI_ROUND_RANDOM[int(instance[len("random"):])]
+            g = random_instance(n, density, (0, cost_hi), seed)
+        run(g, solver="combinatorial")
+        assert checked_fills
+
+    def test_memo_survives_unshrink(self, checked_fills):
+        # C = {1,2,3} nests in T = {1..5}; nodes 6 and 8 are exposed.  The
+        # first dual step lowers T to zero and unshrinks it, the second makes
+        # the bridge 7-8 tight, and the augmentation 6-1-...-7-8 repairs C
+        # with the finder built before the unshrink.
+        import cpmatch.combinatorial as comb
+
+        c, t = frozenset({1, 2, 3}), frozenset({1, 2, 3, 4, 5})
+        g = make_graph(8, [
+            (1, 2, 0), (2, 3, 0), (1, 3, 0),        # C, tight
+            (3, 4, 5), (4, 5, 0), (5, 1, 5),        # T around C, tight
+            (6, 1, 6), (5, 7, 1), (7, 8, 10),       # 7-8 has slack 10
+        ])
+        dual = zero_dual(8)
+        dual[c] = rat(5)
+        dual[t] = rat(1)
+        z = [ONE, ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE, ZERO]
+        cfg = ValidConfiguration(laminar=[c, t], disjoint=[], z=z, dual=dual)
+        out, stats = comb.run_half_integral_procedure(
+            g, g.costs(), cfg, allow_exposed_nodes=True, revalidate_each_iteration=True
+        )
+        assert [ev["case"] for ev in stats.events] == ["II", "II", "I(a)"]
+        assert stats.unshrinks == 1
+        assert out.laminar == [c]
+        assert out.z == [ZERO, ONE, ZERO, ZERO, ONE, ZERO, ONE, ZERO, ONE]
+        assert checked_fills == [c]

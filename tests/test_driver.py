@@ -283,3 +283,24 @@ class TestIterationBound:
             g = random_instance(12, 0.3, (0, 1), 77_000 + seed)
             res = run(g)
             assert res.lp_solves <= iteration_bound(12)
+
+
+class TestExtremalDualCount:
+    @pytest.mark.parametrize("solver", ["simplex", "combinatorial"])
+    def test_one_extremal_dual_per_relaxation(self, monkeypatch, solver):
+        # the terminal combinatorial iteration reuses the extremal dual its
+        # solve already certified; the simplex route computes none for it
+        import cpmatch.driver as drv_mod
+        from instances import telescope
+
+        calls = []
+        real = drv_mod.solve_extremal_dual
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drv_mod, "solve_extremal_dual", counting)
+        res = run(telescope(stages=3, gadgets=2), solver=solver)
+        expected = res.lp_solves if solver == "combinatorial" else res.lp_solves - 1
+        assert len(calls) == expected
