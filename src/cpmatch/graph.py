@@ -8,10 +8,11 @@ self-loops are not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .rational import HALF, ONE, Rat, ZERO
+from .rational import HALF, ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,15 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def incidence(self) -> tuple:
+        """incidence[u]: ids of the edges at node u, ascending; built on first use."""
+        incidence = [[] for _ in range(self.n + 1)]
+        for e, (u, v, _c) in enumerate(self.edges):
+            incidence[u].append(e)
+            incidence[v].append(e)
+        return tuple(map(tuple, incidence))
+
     def costs(self) -> list:
         return [c for _u, _v, c in self.edges]
 
@@ -46,21 +56,23 @@ class Graph:
         return u, v
 
     def incident(self, u: int) -> list:
-        return [e for e, (a, b, _c) in enumerate(self.edges) if a == u or b == u]
+        return list(self.incidence[u])
 
     def delta(self, nodes) -> list:
-        """Edge ids with exactly one endpoint in `nodes`."""
+        """Edge ids with exactly one endpoint in `nodes`, ascending."""
         s = set(nodes)
-        return [
-            e
-            for e, (a, b, _c) in enumerate(self.edges)
-            if (a in s) != (b in s)
-        ]
+        edges, incidence = self.edges, self.incidence
+        return sorted(
+            e for u in s for e in incidence[u] if (edges[e][0] in s) != (edges[e][1] in s)
+        )
 
     def inside(self, nodes) -> list:
-        """Edge ids with both endpoints in `nodes`."""
+        """Edge ids with both endpoints in `nodes`, ascending."""
         s = set(nodes)
-        return [e for e, (a, b, _c) in enumerate(self.edges) if a in s and b in s]
+        edges, incidence = self.edges, self.incidence
+        return sorted(
+            {e for u in s for e in incidence[u] if edges[e][0] in s and edges[e][1] in s}
+        )
 
 
 def make_graph(n: int, edges: Iterable) -> Graph:
@@ -216,26 +228,6 @@ def is_proper_half_integral(x: Sequence, g: Graph) -> bool:
     return True
 
 
-def reassemble(dec: SupportDecomposition, g: Graph) -> list:
-    """Inverse of decompose_support (cycle edges picked lowest-id first)."""
-    x = [ZERO] * g.m
-    for e in dec.matched_edges:
-        x[e] = ONE
-    for cycle in dec.odd_cycles:
-        k = len(cycle)
-        for i in range(k):
-            u, v = cycle[i], cycle[(i + 1) % k]
-            cands = [
-                e
-                for e, (a, b, _c) in enumerate(g.edges)
-                if {a, b} == {u, v} and x[e] == ZERO
-            ]
-            if not cands:
-                raise ValueError(f"no free edge between {u} and {v}")
-            x[min(cands)] = HALF
-    return x
-
-
 def check_degree_and_cut_feasibility(x: Sequence, g: Graph, cut_sets) -> bool:
     """x >= 0, x(delta(u)) = 1 for all nodes, x(delta(S)) >= 1 for all cuts."""
     if any(val < ZERO for val in x):
@@ -251,7 +243,3 @@ def check_degree_and_cut_feasibility(x: Sequence, g: Graph, cut_sets) -> bool:
         if sum((x[e] for e in g.delta(s)), ZERO) < ONE:
             return False
     return True
-
-
-def solution_cost(x: Sequence, costs: Sequence):
-    return sum((Rat(c) * val for c, val in zip(costs, x)), ZERO)

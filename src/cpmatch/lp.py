@@ -1,13 +1,21 @@
-"""Exact rational simplex plus builders for the matching LPs.
+"""Exact simplex plus builders for the matching LPs.
 
 The solver is a dense two-phase tableau simplex with Bland's least-index
-anti-cycling rule, run entirely over exact rationals.  Duals are read off the
-final reduced costs of the identity-forming columns, so strong duality and
+anti-cycling rule.  The tableau is integer-preserving (fraction-free): the
+rows are scaled by one common denominator L and the objective by another, M,
+and every stored entry, right-hand side and reduced cost equals D times its
+true value, where D = |det B| > 0 for the current basis B.  A pivot on p is
+then `row = (p*row - f*row_r) // D` with exact division, after which D = p.
+Bland's rule reads only signs and ratio comparisons, which the common factor
+D does not change, so the pivots are those of the rational tableau.  Values
+become rationals only at the end: x = rhs/D and each dual is the reduced cost
+of its identity-forming column times L/(M*D), so strong duality and
 complementary slackness hold exactly on every solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,65 +61,89 @@ class SimplexResult:
     pivots: int
 
 
-def _pivot(rows, rhs, rc, basis, r, c):
-    piv = rows[r][c]
-    if piv != ONE:
-        inv = ONE / piv
-        rows[r] = [a * inv for a in rows[r]]
-        rhs[r] = rhs[r] * inv
-    row_r = rows[r]
-    rhs_r = rhs[r]
-    for k in range(len(rows)):
-        if k == r:
-            continue
-        f = rows[k][c]
-        if f == ZERO:
-            continue
-        row_k = rows[k]
-        rows[k] = [a - f * b if b else a for a, b in zip(row_k, row_r)]
-        rhs[k] -= f * rhs_r
-    f = rc[c]
-    if f != ZERO:
-        for j, b in enumerate(row_r):
-            if b:
-                rc[j] -= f * b
-    basis[r] = c
+class _Tableau:
+    """Dense integer tableau of a basis B: every row entry, right-hand side
+    and reduced cost is stored as `det` times its true value, det = |det B|.
+
+    The starting basis (slack and artificial columns) is the identity, so
+    det starts at 1.  A pivot multiplies det B by the true pivot value, which
+    keeps every stored number an integer (Bareiss 1968, Edmonds 1967).
+    """
+
+    def __init__(self, rows, rhs, basis):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = basis
+        self.det = 1
+        self.pivots = 0
+
+    def pivot(self, r, c, rc):
+        """Make column c basic in row r; rc is updated along with the rows."""
+        rows, rhs, d = self.rows, self.rhs, self.det
+        row_r = rows[r]
+        p = row_r[c]
+        if p < 0:  # keep det > 0: the new det is |p|
+            row_r = rows[r] = [-a for a in row_r]
+            rhs[r] = -rhs[r]
+            p = -p
+        rhs_r = rhs[r]
+        # Sylvester's identity: (p*a - f*b) is an exact multiple of d.
+        for k, row_k in enumerate(rows):
+            if k == r:
+                continue
+            f = row_k[c]
+            if f:
+                if p == d:  # most pivots: entries where row_r is 0 stay put
+                    rows[k] = [a - f * b // d if b else a for a, b in zip(row_k, row_r)]
+                else:
+                    rows[k] = [(p * a - f * b) // d for a, b in zip(row_k, row_r)]
+                rhs[k] = (p * rhs[k] - f * rhs_r) // d
+            elif p != d:
+                rows[k] = [p * a // d for a in row_k]
+                rhs[k] = p * rhs[k] // d
+        f = rc[c]
+        if f:
+            rc[:] = [(p * a - f * b) // d for a, b in zip(rc, row_r)]
+        elif p != d:
+            rc[:] = [p * a // d for a in rc]
+        self.det = p
+        self.basis[r] = c
 
 
-def _bland_loop(rows, rhs, rc, basis, allowed, pivots_box):
-    nrows = len(rows)
+def _bland_loop(t: _Tableau, rc, nallowed):
+    """Bland's rule over columns 0..nallowed-1; False when unbounded.
+
+    Signs and ratio comparisons do not depend on the common factor det, so
+    these are the pivots the rational tableau would make.
+    """
+    rows, rhs, basis = t.rows, t.rhs, t.basis
     while True:
-        enter = -1
-        for j in allowed:
-            if rc[j] < ZERO:
-                enter = j
+        for enter in range(nallowed):
+            if rc[enter] < 0:
                 break
-        if enter < 0:
+        else:
             return True  # optimal
-        best = None
-        for r in range(nrows):
-            a = rows[r][enter]
-            if a > ZERO:
-                ratio = rhs[r] / a
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[r] < basis[best[1]]
-                ):
-                    best = (ratio, r)
-        if best is None:
+        best = -1
+        for r, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if best < 0:
+                    best, best_a, best_rhs = r, a, rhs[r]
+                    continue
+                lhs, rhs_best = rhs[r] * best_a, best_rhs * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[r] < basis[best]):
+                    best, best_a, best_rhs = r, a, rhs[r]
+        if best < 0:
             return False  # unbounded in the entering direction
-        _pivot(rows, rhs, rc, basis, best[1], enter)
-        pivots_box[0] += 1
-        if pivots_box[0] > PIVOT_LIMIT:
+        t.pivot(best, enter, rc)
+        t.pivots += 1
+        if t.pivots > PIVOT_LIMIT:
             raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
 
 
-def format_lp(lp: LinearProgram) -> str:
-    """Debug text form of a program: objective row, then one row per line."""
-    lines = ["min " + " ".join(str(c) for c in lp.objective)]
-    for coefs, rel, rhs in lp.rows:
-        dense = [str(coefs.get(j, ZERO)) for j in range(lp.num_vars)]
-        lines.append(" ".join(dense) + f" {rel} {rhs}")
-    return "\n".join(lines)
+def _scaled(v, scale: int) -> int:
+    """v * scale as an int; scale is a multiple of v's denominator."""
+    return int(v.numerator) * (scale // int(v.denominator))
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
@@ -133,12 +165,22 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             flip.append(1)
         norm.append((coefs, rel, rhs))
 
+    # One scale for all rows and one for the objective make the data
+    # integral.  A per-row scale would reweight the phase-1 artificials
+    # against each other and could change Bland's path.
+    row_scale = math.lcm(
+        *(int(v.denominator) for coefs, _rel, rhs in norm for v in (rhs, *coefs.values()))
+    )
+    cost_scale = math.lcm(*(int(c.denominator) for c in lp.objective))
+    cost = [_scaled(c, cost_scale) for c in lp.objective]
+
     aux_col = {}
     ncols = nstruct
     for i, (_c, rel, _r) in enumerate(norm):
         if rel in ("<=", ">="):
             aux_col[i] = ncols
             ncols += 1
+    first_art = ncols
     art_col = {}
     for i, (_c, rel, _r) in enumerate(norm):
         if rel in (">=", "="):
@@ -147,78 +189,64 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
 
     rows = []
     rhs = []
-    basis = []
     ident_col = []
     for i, (coefs, rel, r) in enumerate(norm):
-        row = [ZERO] * ncols
+        row = [0] * ncols
         for k, v in coefs.items():
-            row[k] = v
+            row[k] = _scaled(v, row_scale)
         if rel == "<=":
-            row[aux_col[i]] = ONE
-            basis.append(aux_col[i])
+            row[aux_col[i]] = 1
             ident_col.append(aux_col[i])
-        elif rel == ">=":
-            row[aux_col[i]] = -ONE
-            row[art_col[i]] = ONE
-            basis.append(art_col[i])
-            ident_col.append(art_col[i])
         else:
-            row[art_col[i]] = ONE
-            basis.append(art_col[i])
+            if rel == ">=":
+                row[aux_col[i]] = -1
+            row[art_col[i]] = 1
             ident_col.append(art_col[i])
         rows.append(row)
-        rhs.append(r)
+        rhs.append(_scaled(r, row_scale))
+    basis = list(ident_col)
+    t = _Tableau(rows, rhs, basis)
 
-    pivots_box = [0]
-    artificials = set(art_col.values())
-
-    # Phase 1: drive the artificial variables to zero.
-    if artificials:
-        rc1 = [ZERO] * ncols
-        for j in artificials:
-            rc1[j] = ONE
+    # Phase 1: drive the artificial variables (columns first_art..) to zero.
+    if art_col:
+        rc1 = [0] * first_art + [1] * (ncols - first_art)
         for r, b in enumerate(basis):
-            if b in artificials:
+            if b >= first_art:
                 rc1 = [a - v for a, v in zip(rc1, rows[r])]
-        allowed = [j for j in range(ncols) if j not in artificials]
-        bounded = _bland_loop(rows, rhs, rc1, basis, allowed, pivots_box)
-        if not bounded:
+        if not _bland_loop(t, rc1, first_art):
             raise StructureViolation("phase-1 objective cannot be unbounded")
-        phase1_obj = sum((rhs[r] for r, b in enumerate(basis) if b in artificials), ZERO)
-        if phase1_obj != ZERO:
+        if sum(rhs[r] for r, b in enumerate(basis) if b >= first_art) != 0:
             raise LPInfeasible("phase-1 optimum positive")
         # Pivot basic artificials out where possible; all-zero rows are
         # redundant and keep their artificial pinned at zero (dual 0).
         for r in range(nrows):
-            if basis[r] in artificials:
-                for j in range(ncols):
-                    if j not in artificials and rows[r][j] != ZERO:
-                        _pivot(rows, rhs, rc1, basis, r, j)
-                        pivots_box[0] += 1
+            if basis[r] >= first_art:
+                row = rows[r]
+                for j in range(first_art):
+                    if row[j]:
+                        t.pivot(r, j, rc1)
+                        t.pivots += 1
                         break
 
-    # Phase 2: original objective.
-    rc = [ZERO] * ncols
-    obj = ZERO
-    for j in range(nstruct):
-        rc[j] = lp.objective[j]
+    # Phase 2: original objective, reduced costs D*c - sum of c_b * row_b.
+    rc = [t.det * c for c in cost] + [0] * (ncols - nstruct)
     for r, b in enumerate(basis):
-        cb = lp.objective[b] if b < nstruct else ZERO
-        if cb != ZERO:
-            row = rows[r]
-            rc = [a - cb * v for a, v in zip(rc, row)]
-            obj += cb * rhs[r]
-    allowed = [j for j in range(ncols) if j not in artificials]
-    if not _bland_loop(rows, rhs, rc, basis, allowed, pivots_box):
+        if b < nstruct and cost[b]:
+            cb = cost[b]
+            rc = [a - cb * v for a, v in zip(rc, rows[r])]
+    if not _bland_loop(t, rc, first_art):
         raise LPUnbounded("objective unbounded below")
 
+    d = t.det
     x = [ZERO] * nstruct
     for r, b in enumerate(basis):
         if b < nstruct:
-            x[b] = rhs[r]
+            x[b] = Rat(rhs[r], d)
     objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), ZERO)
-    duals = [flip[i] * -rc[ident_col[i]] for i in range(nrows)]
-    return SimplexResult(x=x, duals=duals, objective=objective, pivots=pivots_box[0])
+    duals = [
+        Rat(-flip[i] * rc[ident_col[i]] * row_scale, cost_scale * d) for i in range(nrows)
+    ]
+    return SimplexResult(x=x, duals=duals, objective=objective, pivots=t.pivots)
 
 
 class DualSolution(dict):
@@ -321,11 +349,14 @@ def solve_extremal_dual(
     Gamma, keyed in the order: singletons by node id, then tight family sets
     by (size, min element).
     """
-    tight_sets = [
-        s
-        for s in _family_rows(fam)
-        if sum((x[e] for e in g.delta(s)), ZERO) == ONE
-    ]
+    tight_sets = []
+    crossed = [[] for _ in range(g.m)]  # tight sets each edge crosses, in key order
+    for s in _family_rows(fam):
+        cut = g.delta(s)
+        if sum((x[e] for e in cut), ZERO) == ONE:
+            tight_sets.append(s)
+            for e in cut:
+                crossed[e].append(s)
     keys = list(range(1, g.n + 1)) + tight_sets
 
     lp = LinearProgram()
@@ -341,16 +372,13 @@ def solve_extremal_dual(
     for key in keys:
         gamma_restricted[key] = gamma.get(key, ZERO) if isinstance(key, int) else gamma.of_set(key)
 
-    for e in range(g.m):
-        u, v, _c = g.edges[e]
+    for e, (u, v, _c) in enumerate(g.edges):
         coefs = {}
         load = ZERO
-        for key in keys:
-            crosses = key in (u, v) if isinstance(key, int) else (u in key) != (v in key)
-            if crosses:
-                coefs[up[key]] = coefs.get(up[key], ZERO) + ONE
-                coefs[down[key]] = coefs.get(down[key], ZERO) - ONE
-                load += gamma_restricted[key]
+        for key in (min(u, v), max(u, v), *crossed[e]):
+            coefs[up[key]] = ONE
+            coefs[down[key]] = -ONE
+            load += gamma_restricted[key]
         rel = "=" if x[e] != ZERO else "<="
         lp.add_row(coefs, rel, Rat(costs[e]) - load)
 
@@ -376,14 +404,3 @@ def solve_extremal_dual(
                 "extremal dual is negative on a cut", witness=sorted(s)
             )
     return psi
-
-
-def extremal_distance(psi: DualSolution, gamma: DualSolution, keys) -> object:
-    """h(Psi, Gamma) over the given keys."""
-    total = ZERO
-    for key in keys:
-        size = 1 if isinstance(key, int) else len(key)
-        a = psi.get(key, ZERO) if isinstance(key, int) else psi.of_set(key)
-        b = gamma.get(key, ZERO) if isinstance(key, int) else gamma.of_set(key)
-        total += abs(a - b) / size
-    return total

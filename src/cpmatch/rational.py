@@ -1,8 +1,10 @@
 """Exact rational scalars and the deterministic cost perturbation.
 
 All arithmetic in this package is exact.  `Rat` is an arbitrary-precision
-rational kept in lowest terms with a positive denominator; gmpy2 provides a
-fast implementation, with `fractions.Fraction` as a drop-in fallback.
+rational kept in lowest terms with a positive denominator: gmpy2's `mpq` when
+the optional `gmpy2` extra is installed, otherwise `fractions.Fraction`; both
+give the same values.  The simplex tableau in `lp` does not use `Rat` at all:
+it works over Python ints and converts only its results.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Sequence
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is normally installed
+except ImportError:  # gmpy2 is an optional extra
     from fractions import Fraction as Rat
 
 ZERO = Rat(0)

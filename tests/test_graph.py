@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpmatch import (
     ParseError,
@@ -9,10 +11,33 @@ from cpmatch import (
     parse_instance,
     write_instance,
 )
-from cpmatch.graph import reassemble, solution_cost
-from cpmatch.rational import HALF, ONE, ZERO, rat
+from cpmatch.rational import HALF, ONE, Rat, ZERO, rat
 
 from conftest import BOWTIE_EDGES, TRIANGLE_LEFT, TRIANGLE_RIGHT
+
+
+def reassemble(dec, g):
+    """Inverse of decompose_support (cycle edges picked lowest-id first)."""
+    x = [ZERO] * g.m
+    for e in dec.matched_edges:
+        x[e] = ONE
+    for cycle in dec.odd_cycles:
+        k = len(cycle)
+        for i in range(k):
+            u, v = cycle[i], cycle[(i + 1) % k]
+            cands = [
+                e
+                for e, (a, b, _c) in enumerate(g.edges)
+                if {a, b} == {u, v} and x[e] == ZERO
+            ]
+            if not cands:
+                raise ValueError(f"no free edge between {u} and {v}")
+            x[min(cands)] = HALF
+    return x
+
+
+def solution_cost(x, costs):
+    return sum((Rat(c) * val for c, val in zip(costs, x)), ZERO)
 
 
 def vec(g, assignments):
@@ -34,6 +59,24 @@ class TestGraphBasics:
     def test_parallel_edges_allowed(self):
         g = make_graph(2, [(1, 2, 5), (1, 2, 7)])
         assert g.m == 2
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_incidence_queries_match_an_edge_scan(self, data):
+        # incident/delta/inside read per-node incidence lists; they must
+        # return what a scan of every edge returns, in ascending edge id
+        n = data.draw(st.integers(2, 7))
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        g = make_graph(n, [(u, v, 0) for u, v in data.draw(st.lists(pair, max_size=14))])
+        nodes = data.draw(st.sets(st.integers(1, n)))
+        assert g.delta(nodes) == [
+            e for e, (a, b, _c) in enumerate(g.edges) if (a in nodes) != (b in nodes)
+        ]
+        assert g.inside(nodes) == [
+            e for e, (a, b, _c) in enumerate(g.edges) if a in nodes and b in nodes
+        ]
+        for u in range(1, n + 1):
+            assert g.incident(u) == [e for e, (a, b, _c) in enumerate(g.edges) if u in (a, b)]
 
     def test_delta_and_inside(self, bowtie):
         assert bowtie.delta(TRIANGLE_LEFT) == [6]

@@ -14,10 +14,29 @@ from cpmatch import (
     solve_primal,
 )
 from cpmatch.errors import LPUnbounded
-from cpmatch.lp import extremal_distance
 from cpmatch.rational import HALF, ONE, ZERO, perturb, rat
 
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT
+
+
+def format_lp(lp: LinearProgram) -> str:
+    """Debug text form of a program: objective row, then one row per line."""
+    lines = ["min " + " ".join(str(c) for c in lp.objective)]
+    for coefs, rel, rhs in lp.rows:
+        dense = [str(coefs.get(j, ZERO)) for j in range(lp.num_vars)]
+        lines.append(" ".join(dense) + f" {rel} {rhs}")
+    return "\n".join(lines)
+
+
+def extremal_distance(psi: DualSolution, gamma: DualSolution, keys):
+    """h(Psi, Gamma) over the given keys."""
+    total = ZERO
+    for key in keys:
+        size = 1 if isinstance(key, int) else len(key)
+        a = psi.get(key, ZERO) if isinstance(key, int) else psi.of_set(key)
+        b = gamma.get(key, ZERO) if isinstance(key, int) else gamma.of_set(key)
+        total += abs(a - b) / size
+    return total
 
 
 class TestSimplexCore:
@@ -107,8 +126,6 @@ class TestBuildPrimal:
         assert all(rel == "=" for _c, rel, _r in lp.rows)
 
     def test_debug_dump(self, bowtie, bowtie_perturbed):
-        from cpmatch.lp import format_lp
-
         lp, _keys = build_primal(bowtie, bowtie_perturbed.scaled, LaminarFamily(6))
         text = format_lp(lp)
         assert text.startswith("min 64 32 16 8 4 2 1281")
@@ -237,3 +254,32 @@ class TestExtremalDual:
         psi = solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
         assert psi.objective() == obj
         assert psi.is_feasible(bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
+
+    def test_edge_rows_list_every_crossing_key_in_key_order(
+        self, bowtie, bowtie_perturbed, bowtie_family, monkeypatch
+    ):
+        import cpmatch.lp as lp_mod
+
+        built = []
+        real = lp_mod.simplex_solve
+
+        def capture(lp):
+            built.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(lp_mod, "simplex_solve", capture)
+        x, _dual, _obj = solve_primal(bowtie, bowtie_perturbed.scaled, bowtie_family)
+        gamma = DualSolution.zeros(bowtie)
+        solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
+        lp = built[-1]
+        # keys: nodes, then the tight sets; key i owns variables 2i (up), 2i+1 (down)
+        keys = list(range(1, 7)) + [TRIANGLE_LEFT, TRIANGLE_RIGHT]
+        for e, (u, v, _c) in enumerate(bowtie.edges):
+            want = {}
+            for i, key in enumerate(keys):
+                if key in (u, v) if isinstance(key, int) else (u in key) != (v in key):
+                    want[2 * i] = ONE
+                    want[2 * i + 1] = -ONE
+            coefs, _rel, _rhs = lp.rows[e]
+            assert list(coefs.items()) == list(want.items())
+        assert len(lp.rows[6][0]) == 8  # the bridge crosses both triangles

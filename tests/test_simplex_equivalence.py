@@ -1,0 +1,108 @@
+"""The integer-preserving `simplex_solve` against the rational reference.
+
+Both kernels run Bland's rule, so on every program they must make the same
+pivots: equal x, duals, objective and pivot count, or the same error.  The
+programs are random small LPs and every LP the solver itself builds for the
+golden instances.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_simplex
+from cpmatch import lp as lp_mod
+from cpmatch import parse_instance, run
+from cpmatch.driver import SOLVER_CHOICES
+from cpmatch.errors import LPInfeasible, LPUnbounded, NoPerfectMatching, StructureViolation
+from cpmatch.lp import LinearProgram, simplex_solve
+from cpmatch.rational import ZERO, rat
+from test_golden import EXPECTED, GOLDEN
+
+RELATIONS = ("<=", ">=", "=")
+
+
+def outcome(solve, lp, *args):
+    try:
+        res = solve(lp, *args)
+    except (LPInfeasible, LPUnbounded, StructureViolation) as exc:
+        return (type(exc).__name__, str(exc))
+    return ("optimal", res.x, res.duals, res.objective, res.pivots)
+
+
+def random_lp(draw) -> LinearProgram:
+    """A small LP with rational data of both signs and all three relations,
+    built from `draw(lo, hi)`, an integer in [lo, hi].  Some programs end
+    with an equality row and a nonzero multiple of it, which is redundant
+    and leaves an artificial basic at zero after phase 1."""
+
+    def q():
+        return rat(draw(-4, 4), draw(1, 3))
+
+    lp = LinearProgram()
+    nvars = draw(1, 4)
+    for _ in range(nvars):
+        lp.add_var(q())
+    for _ in range(draw(1, 4)):
+        coefs = {j: q() for j in range(nvars) if draw(0, 2)}
+        lp.add_row(coefs, RELATIONS[draw(0, 2)], q())
+    if draw(0, 2) == 0:
+        coefs = {j: q() for j in range(nvars)}
+        rhs = q()
+        k = rat(draw(1, 3), draw(1, 3)) * (-1) ** draw(0, 1)
+        lp.add_row(coefs, "=", rhs)
+        lp.add_row({j: k * v for j, v in coefs.items()}, "=", k * rhs)
+    return lp
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_random_lps_match_reference(data):
+    lp = random_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
+
+
+def test_seeded_sweep_covers_every_case():
+    rng = random.Random(20240)
+    seen = Counter()
+    for _ in range(1500):
+        lp = random_lp(rng.randint)
+        got = outcome(simplex_solve, lp)
+        assert got == outcome(reference_simplex.simplex_solve, lp, seen)
+        seen[got[0]] += 1
+        for coefs, rel, rhs in lp.rows:
+            seen[rel] += 1
+            seen["negative_rhs"] += rhs < ZERO
+            seen["fractional_data"] += any(
+                v.denominator != 1 for v in (rhs, *coefs.values())
+            )
+    for case in (
+        "optimal", "LPInfeasible", "LPUnbounded", *RELATIONS, "negative_rhs",
+        "fractional_data", "artificial_left_basic", "negative_cleanup_pivot",
+    ):
+        assert seen[case] > 0, case
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_solver_lps_match_reference(name, monkeypatch):
+    """Every LP solve_primal and solve_extremal_dual build on a golden
+    instance, on all three solvers."""
+    compared = Counter()
+
+    def checked(lp):
+        want = outcome(reference_simplex.simplex_solve, lp)
+        assert outcome(simplex_solve, lp) == want
+        compared[want[0]] += 1
+        return simplex_solve(lp)
+
+    monkeypatch.setattr(lp_mod, "simplex_solve", checked)
+    g = parse_instance((GOLDEN / f"{name}.txt").read_text())
+    for solver in SOLVER_CHOICES:
+        try:
+            run(g, solver=solver)
+        except NoPerfectMatching:
+            pass
+    assert compared["optimal"] > 0
