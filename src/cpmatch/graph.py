@@ -58,20 +58,35 @@ class Graph:
     def incident(self, u: int) -> list:
         return list(self.incidence[u])
 
+    def _incidences(self, s):
+        """Incidence lists of the members of s that are nodes of this graph;
+        other members (a set read from an outside trace may hold any number)
+        meet no edge."""
+        incidence, n = self.incidence, self.n
+        return [incidence[u] for u in s if 1 <= u <= n]
+
     def delta(self, nodes) -> list:
         """Edge ids with exactly one endpoint in `nodes`, ascending."""
         s = set(nodes)
-        edges, incidence = self.edges, self.incidence
+        edges = self.edges
         return sorted(
-            e for u in s for e in incidence[u] if (edges[e][0] in s) != (edges[e][1] in s)
+            e
+            for at_u in self._incidences(s)
+            for e in at_u
+            if (edges[e][0] in s) != (edges[e][1] in s)
         )
 
     def inside(self, nodes) -> list:
         """Edge ids with both endpoints in `nodes`, ascending."""
         s = set(nodes)
-        edges, incidence = self.edges, self.incidence
+        edges = self.edges
         return sorted(
-            {e for u in s for e in incidence[u] if edges[e][0] in s and edges[e][1] in s}
+            {
+                e
+                for at_u in self._incidences(s)
+                for e in at_u
+                if edges[e][0] in s and edges[e][1] in s
+            }
         )
 
 

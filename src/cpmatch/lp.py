@@ -68,6 +68,7 @@ class _Tableau:
     The starting basis (slack and artificial columns) is the identity, so
     det starts at 1.  A pivot multiplies det B by the true pivot value, which
     keeps every stored number an integer (Bareiss 1968, Edmonds 1967).
+    `pivots` counts the pivots made.
     """
 
     def __init__(self, rows, rhs, basis):
@@ -93,10 +94,7 @@ class _Tableau:
                 continue
             f = row_k[c]
             if f:
-                if p == d:  # most pivots: entries where row_r is 0 stay put
-                    rows[k] = [a - f * b // d if b else a for a, b in zip(row_k, row_r)]
-                else:
-                    rows[k] = [(p * a - f * b) // d for a, b in zip(row_k, row_r)]
+                rows[k] = [(p * a - f * b) // d for a, b in zip(row_k, row_r)]
                 rhs[k] = (p * rhs[k] - f * rhs_r) // d
             elif p != d:
                 rows[k] = [p * a // d for a in row_k]
@@ -108,6 +106,7 @@ class _Tableau:
             rc[:] = [p * a // d for a in rc]
         self.det = p
         self.basis[r] = c
+        self.pivots += 1
 
 
 def _bland_loop(t: _Tableau, rc, nallowed):
@@ -136,7 +135,6 @@ def _bland_loop(t: _Tableau, rc, nallowed):
         if best < 0:
             return False  # unbounded in the entering direction
         t.pivot(best, enter, rc)
-        t.pivots += 1
         if t.pivots > PIVOT_LIMIT:
             raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
 
@@ -225,7 +223,6 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
                 for j in range(first_art):
                     if row[j]:
                         t.pivot(r, j, rc1)
-                        t.pivots += 1
                         break
 
     # Phase 2: original objective, reduced costs D*c - sum of c_b * row_b.

@@ -64,11 +64,12 @@ class TestGraphBasics:
     @settings(max_examples=100, deadline=None)
     def test_incidence_queries_match_an_edge_scan(self, data):
         # incident/delta/inside read per-node incidence lists; they must
-        # return what a scan of every edge returns, in ascending edge id
+        # return what a scan of every edge returns, in ascending edge id,
+        # also for sets naming numbers that are not nodes (-2..0, n+1, n+2)
         n = data.draw(st.integers(2, 7))
         pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
         g = make_graph(n, [(u, v, 0) for u, v in data.draw(st.lists(pair, max_size=14))])
-        nodes = data.draw(st.sets(st.integers(1, n)))
+        nodes = data.draw(st.sets(st.integers(-2, n + 2)))
         assert g.delta(nodes) == [
             e for e, (a, b, _c) in enumerate(g.edges) if (a in nodes) != (b in nodes)
         ]

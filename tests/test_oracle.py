@@ -162,6 +162,19 @@ class TestVerifyTrace:
         report = verify_trace(bowtie, lines)
         assert not report.ok("cut_persistence")
 
+    def test_out_of_range_cut_fails_checks(self, bowtie):
+        # A cut naming node n + 1 with a positive dual fails laminarity and
+        # the cut checks; verify reports it instead of raising.
+        lines = self._trace(bowtie)
+        rec = json.loads(lines[1])
+        rec["cuts_imposed"] = [[1, 2, 7]]
+        rec["dual_sets"] = [[[1, 2, 7], "1"]]
+        lines[1] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(bowtie, lines)
+        assert not report.ok("laminarity")
+        assert not report.ok("complementary_slackness")
+        assert not report.all_ok
+
     def test_oracle_skipped_above_node_limit(self):
         from instances import telescope
 
