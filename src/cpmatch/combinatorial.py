@@ -342,8 +342,9 @@ def validate_configuration(
     for s in lam_sets:
         if cfg.dual.of_set(s) <= ZERO:
             raise InvalidConfiguration(f"nonpositive dual on {sorted(s)}")
+    slacks = cfg.dual.slacks(g, costs)
     for e in range(g.m):
-        if cfg.dual.slack(g, costs, e) < ZERO:
+        if slacks[e] < ZERO:
             raise InvalidConfiguration(f"dual infeasible on edge {e}")
     for s in every:
         if not is_factor_critical(g, costs, s, every, cfg.dual):
@@ -390,7 +391,7 @@ def validate_configuration(
         if _cut_value(cfg.z, g, s) != ONE:
             raise InvalidConfiguration(f"cut of {sorted(s)} not equal to one")
     for e, val in enumerate(cfg.z):
-        if val != ZERO and cfg.dual.slack(g, costs, e) != ZERO:
+        if val != ZERO and slacks[e] != ZERO:
             raise InvalidConfiguration(f"support edge {e} not tight")
 
 
@@ -413,12 +414,18 @@ class ProcedureStats:
 
 
 class _Workspace:
-    """Contracted tight-edge view of the current configuration."""
+    """Contracted tight-edge view of the current configuration.
+
+    The procedure builds one per run, and a new one only after an unshrink,
+    the one step that changes the top sets.  In between the workspace is kept
+    up to date, and these invariants hold after every step: for each
+    contracted edge e, `slack[e]` equals `dual.slack` of its preimage edge,
+    `tight[e]` says whether that slack is zero, and `z_star[e]` equals z on
+    the preimage; for each workspace node, `_deg2` holds twice its support
+    degree and `_halves` the number of half-edges at it.
+    """
 
     def __init__(self, g, costs, lam_sets, kay_sets, z, dual):
-        self.g = g
-        self.costs = costs
-        self.dual = dual
         tops = []
         every = lam_sets + kay_sets
         for s in every:
@@ -435,21 +442,53 @@ class _Workspace:
         for u, img in self.cmap.node_image.items():
             if img not in contracted_nodes:
                 self._plain[img] = u
-        self.z_star = [z[self.cmap.edge_preimage[e]] for e in range(self.wg.m)]
-        self.tight = [
-            self.dual.slack(g, costs, self.cmap.edge_preimage[e]) == ZERO
-            for e in range(self.wg.m)
-        ]
-        deg = {v: ZERO for v in range(1, self.wg.n + 1)}
-        for e, val in enumerate(self.z_star):
-            a, b, _c = self.wg.edges[e]
-            deg[a] += val
-            deg[b] += val
-        self.exposed = sorted(v for v, d in deg.items() if d == ZERO)
-        self.half_nodes = set()
-        for e, val in enumerate(self.z_star):
-            if val == HALF:
-                self.half_nodes.update(self.wg.endpoints(e))
+        slacks = dual.slacks(g, costs)
+        self.slack = [slacks[e] for e in self.cmap.edge_preimage]
+        self.tight = [s == ZERO for s in self.slack]
+        self.z_star = [ZERO] * self.wg.m
+        self._deg2 = [0] * (self.wg.n + 1)
+        self._halves = [0] * (self.wg.n + 1)
+        for e_star, e in enumerate(self.cmap.edge_preimage):
+            self.set_value(e_star, z[e])
+
+    def set_value(self, e_star: int, val) -> None:
+        """z_star[e_star] = val (0, 1/2 or 1), keeping the node counts."""
+        old = self.z_star[e_star]
+        self.z_star[e_star] = val
+        d2 = _twice(val) - _twice(old)
+        dh = (val == HALF) - (old == HALF)
+        for v in self.wg.endpoints(e_star):
+            self._deg2[v] += d2
+            self._halves[v] += dh
+
+    def shift_duals(self, raised, lowered, eps) -> None:
+        """Update slack and tight after the dual keys of the `raised` nodes
+        went up by eps and those of the `lowered` nodes down by eps.
+
+        Each workspace edge joins two distinct workspace nodes, so its slack
+        moves by exactly the net change at its two ends, counted here in
+        units of eps; a node in both lists nets to zero, and so does an edge
+        from a raised to a lowered node.
+        """
+        net = dict.fromkeys(raised, 1)
+        for v in lowered:
+            net[v] = net.get(v, 0) - 1
+        step = {k: k * eps for k in (-2, -1, 1, 2)}
+        incidence = self.wg.incidence
+        for e in {e for v in net for e in incidence[v]}:
+            a, b = self.wg.endpoints(e)
+            k = net.get(a, 0) + net.get(b, 0)
+            if k:
+                self.slack[e] -= step[k]
+                self.tight[e] = self.slack[e] == ZERO
+
+    @property
+    def exposed(self) -> list:
+        return [v for v in range(1, self.wg.n + 1) if self._deg2[v] == 0]
+
+    @property
+    def half_nodes(self) -> set:
+        return {v for v in range(1, self.wg.n + 1) if self._halves[v]}
 
     def key_of(self, node: int):
         return self.kind.get(node, None)
@@ -458,6 +497,10 @@ class _Workspace:
         """Dual key adjusted when this workspace node moves in the forest."""
         s = self.kind.get(node)
         return s if s is not None else self._plain[node]
+
+
+def _twice(val) -> int:
+    return 2 if val == ONE else 1 if val == HALF else 0
 
 
 def _alternating_search(ws: _Workspace):
@@ -558,6 +601,7 @@ def run_half_integral_procedure(
         touched_nodes = set()
         for e_star, val in changes.items():
             z[ws.cmap.edge_preimage[e_star]] = val
+            ws.set_value(e_star, val)
             touched_nodes.update(ws.wg.endpoints(e_star))
         for node in sorted(touched_nodes):
             s = ws.key_of(node)
@@ -569,8 +613,8 @@ def run_half_integral_procedure(
     phase_iters = 0
     prev_potential = None
 
+    ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual)
     while True:
-        ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual)
         dec_star = decompose_support(ws.z_star, ws.wg)
         potential = len(ws.exposed) + dec_star.o
         if first:
@@ -669,8 +713,7 @@ def run_half_integral_procedure(
                 ONE if b in plus else -ONE if b in minus else ZERO
             )
             if d > ZERO:
-                slack = dual.slack(g, costs, ws.cmap.edge_preimage[e_star])
-                cand = slack / d
+                cand = ws.slack[e_star] / d
                 if bound is None or cand < bound:
                     bound = cand
         for node in b_minus:
@@ -699,10 +742,13 @@ def run_half_integral_procedure(
         for node in b_minus:
             key = ws.dual_key(node)
             dual[key] = dual.get(key, ZERO) - bound
-        for s in list(lam_sets):
-            if dual.of_set(s) == ZERO:
-                lam_sets.remove(s)
-                stats.unshrinks += 1
+        ws.shift_duals(b_plus, b_minus, bound)
+        unshrunk = [s for s in lam_sets if dual.of_set(s) == ZERO]
+        for s in unshrunk:
+            lam_sets.remove(s)
+        stats.unshrinks += len(unshrunk)
+        if unshrunk:
+            ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual)
         if revalidate_each_iteration:
             validate_configuration(
                 g,
@@ -736,8 +782,8 @@ def _cycle_edges(ws: _Workspace, ordered_nodes: list) -> list:
         a, b = ordered_nodes[t], ordered_nodes[(t + 1) % k]
         cands = [
             e
-            for e, (x, y, _c) in enumerate(ws.wg.edges)
-            if ws.z_star[e] == HALF and {x, y} == {a, b} and e not in used
+            for e in ws.wg.incidence[a]
+            if ws.z_star[e] == HALF and set(ws.wg.endpoints(e)) == {a, b} and e not in used
         ]
         if not cands:
             raise StructureViolation(f"no half-edge between {a} and {b}")

@@ -273,6 +273,19 @@ class DualSolution(dict):
     def slack(self, g: Graph, costs, e: int):
         return Rat(costs[e]) - self.edge_load(g, e)
 
+    def slacks(self, g: Graph, costs) -> list:
+        """[slack(g, costs, e) for every edge e], with one g.delta pass per
+        nonzero set key instead of a walk over every key for each edge."""
+        out = [
+            Rat(costs[e]) - self.node(u) - self.node(v)
+            for e, (u, v, _c) in enumerate(g.edges)
+        ]
+        for key, val in self.items():
+            if isinstance(key, frozenset) and val != ZERO:
+                for e in g.delta(key):
+                    out[e] -= val
+        return out
+
     def is_feasible(self, g: Graph, costs, nonneg_sets) -> bool:
         if any(self.of_set(s) < ZERO for s in nonneg_sets):
             return False

@@ -306,6 +306,38 @@ class TestProcedure:
         assert sum((Rat(c) * v for c, v in zip(pc.scaled, out.z)), ZERO) == obj
 
 
+UNSHRINK_C, UNSHRINK_T = frozenset({1, 2, 3}), frozenset({1, 2, 3, 4, 5})
+
+
+def unshrink_instance():
+    """A procedure input whose run unshrinks a set: C = {1,2,3} nests in
+    T = {1..5} and nodes 6 and 8 are exposed.  The first dual step lowers T
+    to zero and unshrinks it, the second makes the bridge 7-8 tight, and the
+    augmentation 6-1-...-7-8 repairs C.  Returns (graph, configuration)."""
+    c, t = UNSHRINK_C, UNSHRINK_T
+    g = make_graph(8, [
+        (1, 2, 0), (2, 3, 0), (1, 3, 0),        # C, tight
+        (3, 4, 5), (4, 5, 0), (5, 1, 5),        # T around C, tight
+        (6, 1, 6), (5, 7, 1), (7, 8, 10),       # 7-8 has slack 10
+    ])
+    dual = zero_dual(8)
+    dual[c] = rat(5)
+    dual[t] = rat(1)
+    z = [ONE, ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE, ZERO]
+    return g, ValidConfiguration(laminar=[c, t], disjoint=[], z=z, dual=dual)
+
+
+def instance_graph(instance):
+    """telescope(4, 2), or "random<i>" for MULTI_ROUND_RANDOM[i]."""
+    from cpmatch import random_instance
+    from instances import MULTI_ROUND_RANDOM, telescope
+
+    if instance == "telescope":
+        return telescope(stages=4, gadgets=2)
+    n, density, cost_hi, seed = MULTI_ROUND_RANDOM[int(instance[len("random"):])]
+    return random_instance(n, density, (0, cost_hi), seed)
+
+
 class TestSharedFinder:
     """One CriticalMatchingFinder serves a whole procedure run."""
 
@@ -379,35 +411,17 @@ class TestSharedFinder:
         ["telescope"] + [f"random{i}" for i in range(14)],
     )
     def test_memo_matches_fresh_finder(self, checked_fills, instance):
-        from cpmatch import random_instance, run
-        from instances import MULTI_ROUND_RANDOM, telescope
+        from cpmatch import run
 
-        if instance == "telescope":
-            g = telescope(stages=4, gadgets=2)
-        else:
-            n, density, cost_hi, seed = MULTI_ROUND_RANDOM[int(instance[len("random"):])]
-            g = random_instance(n, density, (0, cost_hi), seed)
-        run(g, solver="combinatorial")
+        run(instance_graph(instance), solver="combinatorial")
         assert checked_fills
 
     def test_memo_survives_unshrink(self, checked_fills):
-        # C = {1,2,3} nests in T = {1..5}; nodes 6 and 8 are exposed.  The
-        # first dual step lowers T to zero and unshrinks it, the second makes
-        # the bridge 7-8 tight, and the augmentation 6-1-...-7-8 repairs C
-        # with the finder built before the unshrink.
+        # the augmentation repairs C with the finder built before the unshrink
         import cpmatch.combinatorial as comb
 
-        c, t = frozenset({1, 2, 3}), frozenset({1, 2, 3, 4, 5})
-        g = make_graph(8, [
-            (1, 2, 0), (2, 3, 0), (1, 3, 0),        # C, tight
-            (3, 4, 5), (4, 5, 0), (5, 1, 5),        # T around C, tight
-            (6, 1, 6), (5, 7, 1), (7, 8, 10),       # 7-8 has slack 10
-        ])
-        dual = zero_dual(8)
-        dual[c] = rat(5)
-        dual[t] = rat(1)
-        z = [ONE, ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE, ZERO]
-        cfg = ValidConfiguration(laminar=[c, t], disjoint=[], z=z, dual=dual)
+        g, cfg = unshrink_instance()
+        c = UNSHRINK_C
         out, stats = comb.run_half_integral_procedure(
             g, g.costs(), cfg, allow_exposed_nodes=True, revalidate_each_iteration=True
         )
@@ -416,3 +430,99 @@ class TestSharedFinder:
         assert out.laminar == [c]
         assert out.z == [ZERO, ONE, ZERO, ZERO, ONE, ZERO, ONE, ZERO, ONE]
         assert checked_fills == [c]
+
+
+class TestCarriedWorkspace:
+    """One procedure workspace per run, rebuilt only after an unshrink, with
+    slacks and node counts carried from step to step."""
+
+    @pytest.fixture
+    def checked_workspaces(self, monkeypatch):
+        """Compare the workspace every alternating search receives with one
+        built from scratch from the run's current state, and its slacks and
+        node counts with values recomputed directly.  Returns the list of
+        checked workspaces."""
+        import cpmatch.combinatorial as comb
+
+        real_ws, real_search = comb._Workspace, comb._alternating_search
+        checked = []
+
+        class Recording(real_ws):
+            def __init__(self, *state):
+                super().__init__(*state)
+                # g, costs, lam_sets, kay_sets, z, dual: the run mutates the
+                # last four in place, so this is always its current state
+                self.state = state
+
+        def search(ws):
+            g, costs, _lam, _kay, _z, dual = ws.state
+            fresh = real_ws(*ws.state)
+            assert ws.tops == fresh.tops
+            assert ws.wg == fresh.wg
+            assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
+            assert ws.z_star == fresh.z_star
+            assert ws.slack == [dual.slack(g, costs, e) for e in ws.cmap.edge_preimage]
+            assert ws.tight == [s == ZERO for s in ws.slack]
+            deg = {v: ZERO for v in range(1, ws.wg.n + 1)}
+            half = set()
+            for e, val in enumerate(ws.z_star):
+                for v in ws.wg.endpoints(e):
+                    deg[v] += val
+                    if val == HALF:
+                        half.add(v)
+            assert ws.exposed == [v for v in sorted(deg) if deg[v] == ZERO]
+            assert ws.half_nodes == half
+            checked.append(ws)
+            return real_search(ws)
+
+        monkeypatch.setattr(comb, "_Workspace", Recording)
+        monkeypatch.setattr(comb, "_alternating_search", search)
+        return checked
+
+    @pytest.mark.parametrize(
+        "instance",
+        ["telescope"] + [f"random{i}" for i in range(14)],
+    )
+    def test_carried_workspace_matches_fresh(self, checked_workspaces, instance):
+        from cpmatch import run
+
+        run(instance_graph(instance), solver="combinatorial")
+        assert checked_workspaces
+
+    def test_rebuilt_after_unshrink(self, checked_workspaces):
+        g, cfg = unshrink_instance()
+        _out, stats = run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert stats.unshrinks == 1
+        assert UNSHRINK_T in checked_workspaces[0].tops
+        assert UNSHRINK_T not in checked_workspaces[-1].tops
+
+    def test_contracts_once_per_run_plus_once_per_unshrink(self, monkeypatch):
+        import cpmatch.combinatorial as comb
+        import cpmatch.driver as drv_mod
+        from cpmatch import run
+        from instances import telescope
+
+        calls = []
+        runs = []
+        real_contract = comb.contract_with_dual
+        real_run = comb.run_half_integral_procedure
+
+        def contract(*args):
+            calls.append(args)
+            return real_contract(*args)
+
+        def wrapped(g, costs, cfg, **kwargs):
+            before = len(calls)
+            out, stats = real_run(g, costs, cfg, **kwargs)
+            runs.append((len(calls) - before, stats))
+            return out, stats
+
+        monkeypatch.setattr(comb, "contract_with_dual", contract)
+        monkeypatch.setattr(comb, "run_half_integral_procedure", wrapped)
+        monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
+        run(telescope(stages=4, gadgets=2), solver="combinatorial")
+        g, cfg = unshrink_instance()
+        wrapped(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert any(stats.iterations > 1 for _count, stats in runs)
+        assert runs[-1][1].unshrinks == 1
+        assert [count for count, _stats in runs] == [1 + stats.unshrinks for _c, stats in runs]

@@ -118,6 +118,29 @@ def test_simplex_random_duality(nvars, nrows, data):
             assert activity == rhs
 
 
+class TestDualSlacks:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_slacks_match_per_edge_slack(self, data):
+        # multigraphs with parallel edges; set keys drawn like the incidence
+        # test's sets (numbers -2..n+2), with zero, negative and fractional
+        # values; nodes may have no key at all
+        n = data.draw(st.integers(2, 7))
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        edges = [(u, v, c) for (u, v), c in data.draw(
+            st.lists(st.tuples(pair, st.integers(-5, 20)), max_size=14)
+        )]
+        g = make_graph(n, edges)
+        value = st.builds(rat, st.integers(-6, 6), st.integers(1, 3))
+        dual = DualSolution(data.draw(st.dictionaries(st.integers(1, n), value)))
+        for s, val in data.draw(st.lists(
+            st.tuples(st.frozensets(st.integers(-2, n + 2)), value), max_size=5
+        )):
+            dual[s] = val
+        costs = g.costs()
+        assert dual.slacks(g, costs) == [dual.slack(g, costs, e) for e in range(g.m)]
+
+
 class TestBuildPrimal:
     def test_bowtie_no_cuts(self, bowtie, bowtie_perturbed):
         lp, keys = build_primal(bowtie, bowtie_perturbed.scaled, LaminarFamily(6))
