@@ -45,7 +45,6 @@ from .combinatorial import (
     NotCritical,
     ValidConfiguration,
     consistency_delta,
-    critical_matching,
     is_consistent,
     is_factor_critical,
     is_positively_critical,

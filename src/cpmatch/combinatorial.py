@@ -42,29 +42,24 @@ class CriticalMatchingFinder:
     """Finds matchings on tight edges inside odd sets, respecting family
     budgets.
 
-    The tight edges inside each set, and the answer for each (set, node), are
-    memoised on first use.  The memo for a set s stays valid while the duals
-    of its nodes and of the family sets strictly inside it do not change and
-    no family set strictly inside it is added or removed: those are the only
-    inputs of the slack of an edge inside s and of the crossing budgets.
+    `slacks` is `DualSolution.slacks` of the dual the edges must be tight
+    for.  The tight edges inside each set, and the answer for each (set,
+    node), are memoised on first use.  The memo for a set s stays valid while
+    the slacks of the edges inside s do not change and no family set strictly
+    inside it is added or removed: those are its only inputs.
     """
 
-    def __init__(self, g: Graph, costs, fam_sets: Iterable, dual: DualSolution):
+    def __init__(self, g: Graph, fam_sets: Iterable, slacks: Sequence):
         self.g = g
-        self.costs = costs
         self.fam_sets = sorted_sets(frozenset(s) for s in fam_sets)
-        self.dual = dual
+        self.slacks = slacks
         self._tight = {}
         self._memo = {}
 
     def _tight_inside(self, s: frozenset) -> list:
         edges = self._tight.get(s)
         if edges is None:
-            edges = [
-                e
-                for e in self.g.inside(s)
-                if self.dual.slack(self.g, self.costs, e) == ZERO
-            ]
+            edges = [e for e in self.g.inside(s) if self.slacks[e] == ZERO]
             self._tight[s] = edges
         return edges
 
@@ -125,13 +120,8 @@ class CriticalMatchingFinder:
         return result
 
 
-def critical_matching(g, costs, s, fam_sets, dual, u):
-    return CriticalMatchingFinder(g, costs, fam_sets, dual).critical_matching(s, u)
-
-
-def is_factor_critical(g, costs, s, fam_sets, dual) -> bool:
+def is_factor_critical(finder: CriticalMatchingFinder, s) -> bool:
     """True iff every node of s admits a critical matching of s minus it."""
-    finder = CriticalMatchingFinder(g, costs, fam_sets, dual)
     return all(
         not isinstance(finder.critical_matching(s, u), NotCritical)
         for u in sorted(s)
@@ -279,8 +269,9 @@ def make_positively_critical(
 
 def is_positively_critical(g, costs, fam, dual: DualSolution) -> bool:
     fam_sets = fam.sets if hasattr(fam, "sets") else sorted_sets(fam)
+    finder = CriticalMatchingFinder(g, fam_sets, dual.slacks(g, costs))
     return all(
-        is_factor_critical(g, costs, s, fam_sets, dual)
+        is_factor_critical(finder, s)
         for s in fam_sets
         if dual.of_set(s) > ZERO
     )
@@ -319,8 +310,12 @@ def _cut_value(z, g, s):
 
 def validate_configuration(
     g: Graph, costs, cfg: ValidConfiguration, allow_exposed_nodes=False
-) -> None:
-    """Raise InvalidConfiguration unless (A), (B), (C) hold."""
+) -> CriticalMatchingFinder:
+    """Raise InvalidConfiguration unless (A), (B), (C) hold.
+
+    Returns the finder that checked every set of the configuration: it holds
+    their tight edges and critical matchings under cfg.dual.
+    """
     lam_sets = [frozenset(s) for s in cfg.laminar]
     kay_sets = [frozenset(s) for s in cfg.disjoint]
     every = lam_sets + kay_sets
@@ -346,8 +341,9 @@ def validate_configuration(
     for e in range(g.m):
         if slacks[e] < ZERO:
             raise InvalidConfiguration(f"dual infeasible on edge {e}")
+    finder = CriticalMatchingFinder(g, every, slacks)
     for s in every:
-        if not is_factor_critical(g, costs, s, every, cfg.dual):
+        if not is_factor_critical(finder, s):
             raise InvalidConfiguration(f"{sorted(s)} is not factor-critical")
 
     if not is_proper_half_integral(cfg.z, g):
@@ -393,6 +389,7 @@ def validate_configuration(
     for e, val in enumerate(cfg.z):
         if val != ZERO and slacks[e] != ZERO:
             raise InvalidConfiguration(f"support edge {e} not tight")
+    return finder
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +416,11 @@ class _Workspace:
     The procedure builds one per run, and a new one only after an unshrink,
     the one step that changes the top sets.  In between the workspace is kept
     up to date, and these invariants hold after every step: for each
-    contracted edge e, `slack[e]` equals `dual.slack` of its preimage edge,
-    `tight[e]` says whether that slack is zero, and `z_star[e]` equals z on
-    the preimage; for each workspace node, `_deg2` holds twice its support
-    degree and `_halves` the number of half-edges at it.
+    contracted edge e, `slack[e]` equals the `dual.slacks` entry of its
+    preimage edge, `tight[e]` says whether that slack is zero, and
+    `z_star[e]` equals z on the preimage; for each workspace node, `_deg2`
+    holds twice its support degree and `_halves` the number of half-edges
+    at it.
     """
 
     def __init__(self, g, costs, lam_sets, kay_sets, z, dual):
@@ -579,7 +577,9 @@ def run_half_integral_procedure(
     InvalidConfiguration on a bad input and StalledNoEpsilon when the dual
     adjustment is unbounded (the pinned relaxation is infeasible).
     """
-    validate_configuration(g, costs, cfg, allow_exposed_nodes=allow_exposed_nodes)
+    finder = validate_configuration(
+        g, costs, cfg, allow_exposed_nodes=allow_exposed_nodes
+    )
     state = cfg.copy()
     lam_sets = [frozenset(s) for s in state.laminar]
     kay_sets = [frozenset(s) for s in state.disjoint]
@@ -589,13 +589,13 @@ def run_half_integral_procedure(
     stats = ProcedureStats(
         input_laminar=len(lam_sets), input_pinned=len(kay_sets)
     )
-    # One finder serves the whole run.  It is asked only about top sets (by
-    # fill_inside).  Case II changes only the duals of top-level workspace
-    # keys, top sets and plain nodes, and none of those crosses an edge
-    # inside a top set.  Unshrinking removes only a top set, whose children
-    # become top sets with their insides untouched.  So every memoised
-    # critical matching stays valid until the run ends.
-    finder = CriticalMatchingFinder(g, costs, lam_sets + kay_sets, dual)
+    # The finder that validated the input serves the whole run, its memo
+    # already filled from the input dual.  It is asked only about top sets
+    # (by fill_inside).  Case II changes only the duals of top-level
+    # workspace keys, top sets and plain nodes, and none of those crosses an
+    # edge inside a top set.  Unshrinking removes only a top set, whose
+    # children become top sets with their insides untouched.  So the slacks
+    # inside every top set stay as validated, and so does the memo.
 
     def apply_edge_values(ws: _Workspace, changes: dict):
         touched_nodes = set()

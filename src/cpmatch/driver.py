@@ -238,7 +238,7 @@ def _solve_primal_combinatorial(
         )
 
     z = cmap.lift_vector(out.z, g.m)
-    finder = CriticalMatchingFinder(g, costs, fam.sets, gamma)
+    finder = CriticalMatchingFinder(g, fam.sets, gamma.slacks(g, costs))
     for s in sorted_sets(contracted):
         fill_inside(g, z, s, finder)
     if not check_degree_and_cut_feasibility(z, g, fam.sets):
@@ -317,8 +317,9 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     next_fam, gamma_next = fam, state.gamma
     if not terminal:
         if verify:
+            finder = CriticalMatchingFinder(g, fam.sets, psi.slacks(g, costs))
             for s in fam.sets:
-                if psi.of_set(s) > ZERO and not is_factor_critical(g, costs, s, fam.sets, psi):
+                if psi.of_set(s) > ZERO and not is_factor_critical(finder, s):
                     raise StructureViolation(
                         "positive-dual set is not factor-critical", witness=sorted(s)
                     )

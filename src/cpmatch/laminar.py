@@ -115,7 +115,6 @@ class ContractionMap:
 
     node_image: dict
     edge_preimage: list
-    cost_image: list
 
     def image_of_nodes(self, nodes) -> frozenset:
         return frozenset(self.node_image[u] for u in nodes)
@@ -141,7 +140,7 @@ def contract_with_dual(
 
     An edge uv with u inside contracted S gets cost c(uv) - D_S(u), where
     D_S(u) sums dual values of sets strictly inside S containing u.  Returns
-    (Graph, ContractionMap); the new graph's edge costs equal cost_image.
+    (Graph, ContractionMap).
     """
     chosen = sorted_sets(frozenset(s) for s in sets_to_contract)
     for i, s in enumerate(chosen):
@@ -176,7 +175,6 @@ def contract_with_dual(
 
     new_edges = []
     preimage = []
-    cost_image = []
     for e, (u, v, c) in enumerate(g.edges):
         su, sv = in_set.get(u), in_set.get(v)
         if su is not None and su == sv:
@@ -188,15 +186,9 @@ def contract_with_dual(
             new_c -= dual_inside(dual, sv, v)
         new_edges.append((node_image[u], node_image[v], new_c))
         preimage.append(e)
-        cost_image.append(new_c)
 
     new_g = Graph(n=len(reps), edges=tuple(new_edges))
-    cmap = ContractionMap(
-        node_image=node_image,
-        edge_preimage=preimage,
-        cost_image=cost_image,
-    )
-    return new_g, cmap
+    return new_g, ContractionMap(node_image=node_image, edge_preimage=preimage)
 
 
 def contract_maximal(

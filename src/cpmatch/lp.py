@@ -261,21 +261,11 @@ class DualSolution(dict):
     def objective(self):
         return sum(self.values(), ZERO)
 
-    def edge_load(self, g: Graph, e: int):
-        """Sum of dual values over all sets cut by edge e."""
-        u, v, _c = g.edges[e]
-        total = self.node(u) + self.node(v)
-        for key, val in self.items():
-            if isinstance(key, frozenset) and (u in key) != (v in key):
-                total += val
-        return total
-
-    def slack(self, g: Graph, costs, e: int):
-        return Rat(costs[e]) - self.edge_load(g, e)
-
     def slacks(self, g: Graph, costs) -> list:
-        """[slack(g, costs, e) for every edge e], with one g.delta pass per
-        nonzero set key instead of a walk over every key for each edge."""
+        """The slack of every edge e = uv: costs[e] minus the duals of u and
+        v and of every set key that e crosses.  This is the definition of
+        slack in this package; it takes one g.delta pass per nonzero set
+        key."""
         out = [
             Rat(costs[e]) - self.node(u) - self.node(v)
             for e, (u, v, _c) in enumerate(g.edges)
@@ -285,11 +275,6 @@ class DualSolution(dict):
                 for e in g.delta(key):
                     out[e] -= val
         return out
-
-    def is_feasible(self, g: Graph, costs, nonneg_sets) -> bool:
-        if any(self.of_set(s) < ZERO for s in nonneg_sets):
-            return False
-        return all(self.slack(g, costs, e) >= ZERO for e in range(g.m))
 
     @classmethod
     def zeros(cls, g: Graph) -> "DualSolution":
@@ -333,8 +318,8 @@ def solve_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
         dual[key] = y
     if dual.objective() != res.objective:
         raise StructureViolation("strong duality violated")
-    for e, val in enumerate(res.x):
-        if val != ZERO and dual.slack(g, costs, e) != ZERO:
+    for e, (val, slack) in enumerate(zip(res.x, dual.slacks(g, costs))):
+        if val != ZERO and slack != ZERO:
             raise StructureViolation(f"support edge {e} not tight", witness=e)
     for s in fam.sets:
         if dual.of_set(s) > ZERO:

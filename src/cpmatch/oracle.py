@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
 from .graph import Graph, decompose_support, is_proper_half_integral, make_graph
-from .combinatorial import is_factor_critical
+from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
 from .lp import DualSolution
 from .driver import TRACE_SCHEMA, iteration_bound
@@ -246,7 +246,6 @@ CHECK_NAMES = [
     "half_integrality",
     "laminarity",
     "family_size",
-    "lp_rows",
     "cycle_monotonicity",
     "cut_persistence",
     "complementary_slackness",
@@ -301,6 +300,7 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
         report.record(name, True)
 
     prev_o = None
+    critical_skip = "no extremal dual"  # why positively_critical has not run yet
     history = []  # (iteration, o, imposed_sets, added_sets)
     for rec in records:
         it = rec["iteration"]
@@ -323,10 +323,9 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
         except Exception as exc:
             report.record("laminarity", False, {"iteration": it, "error": str(exc)})
             fam = None
+        # |F| <= n/2 is also the bound of n + |F| <= 3n/2 LP rows
         if len(imposed) > g.n // 2:
             report.record("family_size", False, {"iteration": it, "size": len(imposed)})
-        if g.n + len(imposed) > 3 * g.n // 2:
-            report.record("lp_rows", False, {"iteration": it, "rows": g.n + len(imposed)})
 
         dual = DualSolution()
         for u_str, val in rec["dual_nodes"].items():
@@ -341,8 +340,8 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
             report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
         if dual.objective() != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "weak duality gap"})
-        for e in range(g.m):
-            slack = dual.slack(g, costs, e)
+        slacks = dual.slacks(g, costs)
+        for e, slack in enumerate(slacks):
             if slack < ZERO:
                 report.record("complementary_slackness", False, {"iteration": it, "edge": e, "reason": "dual infeasible"})
                 break
@@ -356,10 +355,15 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
                 if sum((x[e] for e in g.delta(s)), ZERO) != ONE:
                     report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
 
-        if rec.get("dual_kind", "extremal") == "extremal" and fam is not None:
-            for s in imposed:
-                if dual.of_set(s) > ZERO and not is_factor_critical(g, costs, s, imposed, dual):
-                    report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
+        if rec.get("dual_kind", "extremal") == "extremal":
+            if fam is None:
+                critical_skip = critical_skip and "cut family not laminar"
+            else:
+                critical_skip = None
+                finder = CriticalMatchingFinder(g, imposed, slacks)
+                for s in imposed:
+                    if dual.of_set(s) > ZERO and not is_factor_critical(finder, s):
+                        report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
 
         history.append(
             (it, dec.o, set(imposed), [frozenset(s) for s in rec["cuts_added"]])
@@ -396,6 +400,9 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
                     False,
                     {"window": [history[a][0], history[b][0]], "set": sorted(missing[0])},
                 )
+
+    if critical_skip:
+        report.skip("positively_critical", critical_skip)
 
     if len(records) > iteration_bound(g.n):
         report.record("iteration_bound", False, {"lp_solves": len(records)})

@@ -29,10 +29,6 @@ def rat(p, q=1):
     return Rat(p, q)
 
 
-def is_integral(x) -> bool:
-    return Rat(x).denominator == 1
-
-
 def format_rat(x) -> str:
     """Render as "p" or "p/q"; the inverse of parse_rat."""
     x = Rat(x)
@@ -60,10 +56,6 @@ class PerturbedCosts:
     base: tuple
     scale: int
     scaled: tuple
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.base)
 
     def perturbed(self, i: int):
         """Exact perturbed cost of edge i as a rational."""

@@ -51,3 +51,24 @@ SIX_CYCLE_EDGES = [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 1,
 @pytest.fixture
 def six_cycle():
     return make_graph(6, SIX_CYCLE_EDGES)
+
+
+def per_edge_slacks(dual, g, costs):
+    """Reference for `DualSolution.slacks`: for each edge, its cost minus the
+    duals of its ends and of every set key it crosses, found by walking every
+    key of the dual."""
+    out = []
+    for e, (u, v, _c) in enumerate(g.edges):
+        load = dual.node(u) + dual.node(v)
+        for key, val in dual.items():
+            if isinstance(key, frozenset) and (u in key) != (v in key):
+                load += val
+        out.append(costs[e] - load)
+    return out
+
+
+def dual_feasible(dual, g, costs, nonneg_sets):
+    """No edge has negative slack and no set of nonneg_sets a negative dual."""
+    return all(dual.of_set(s) >= 0 for s in nonneg_sets) and all(
+        slack >= 0 for slack in dual.slacks(g, costs)
+    )

@@ -164,6 +164,21 @@ class TestVerify:
         assert proc.returncode == 1
         assert "FAIL complementary_slackness" in proc.stdout
 
+    def test_verify_oversized_family_fails(self, bowtie_file, tmp_path):
+        # four cuts on six nodes exceed |F| <= n/2
+        import json
+
+        trace = tmp_path / "t.jsonl"
+        cli("solve", str(bowtie_file), "--trace", str(trace))
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["cuts_imposed"] = [[1, 2, 3], [4, 5, 6], [1, 2, 4], [3, 5, 6]]
+        lines[2] = json.dumps(rec, sort_keys=True)
+        trace.write_text("\n".join(lines) + "\n")
+        proc = cli("verify", "--instance", str(bowtie_file), "--trace", str(trace))
+        assert proc.returncode == 1
+        assert "FAIL family_size witness={'iteration': 1, 'size': 4}" in proc.stdout.splitlines()
+
     def test_verify_garbage_trace_exits_3(self, bowtie_file, tmp_path):
         trace = tmp_path / "t.jsonl"
         trace.write_text("not json\n")

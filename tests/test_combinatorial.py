@@ -1,13 +1,13 @@
 import pytest
 
 from cpmatch import (
+    CriticalMatchingFinder,
     DualSolution,
     InvalidConfiguration,
     LaminarFamily,
     NotCritical,
     ValidConfiguration,
     consistency_delta,
-    critical_matching,
     is_consistent,
     is_factor_critical,
     is_positively_critical,
@@ -20,31 +20,35 @@ from cpmatch import (
 from cpmatch.errors import PreconditionBroken
 from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
-from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT
+from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
 
 
 def zero_dual(n):
     return DualSolution({u: ZERO for u in range(1, n + 1)})
 
 
+def finder_for(g, fam_sets, dual):
+    """A finder for tight edges of g under dual, with g's own costs."""
+    return CriticalMatchingFinder(g, fam_sets, dual.slacks(g, g.costs()))
+
+
 class TestCriticalMatching:
     def test_tight_triangle_gives_opposite_edge(self):
         g = make_graph(3, [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
         s = frozenset({1, 2, 3})
-        m = critical_matching(g, g.costs(), s, [s], zero_dual(3), 1)
-        assert m == [1]  # edge (2,3)
-        m = critical_matching(g, g.costs(), s, [s], zero_dual(3), 2)
-        assert m == [2]  # edge (1,3)
+        finder = finder_for(g, [s], zero_dual(3))
+        assert finder.critical_matching(s, 1) == [1]  # edge (2,3)
+        assert finder.critical_matching(s, 2) == [2]  # edge (1,3)
 
     def test_even_set_rejected(self):
         g = make_graph(4, [(1, 2, 0), (3, 4, 0)])
         with pytest.raises(ValueError):
-            critical_matching(g, g.costs(), frozenset({1, 2, 3, 4}), [], zero_dual(4), 1)
+            finder_for(g, [], zero_dual(4)).critical_matching(frozenset({1, 2, 3, 4}), 1)
 
     def test_non_tight_edges_unusable(self):
         g = make_graph(3, [(1, 2, 0), (2, 3, 5), (1, 3, 0)])
         s = frozenset({1, 2, 3})
-        m = critical_matching(g, g.costs(), s, [s], zero_dual(3), 1)
+        m = finder_for(g, [s], zero_dual(3)).critical_matching(s, 1)
         assert isinstance(m, NotCritical)  # (2,3) has slack 5
 
 
@@ -52,12 +56,12 @@ class TestFactorCritical:
     def test_tight_triangle(self):
         g = make_graph(3, [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
         s = frozenset({1, 2, 3})
-        assert is_factor_critical(g, g.costs(), s, [s], zero_dual(3))
+        assert is_factor_critical(finder_for(g, [s], zero_dual(3)), s)
 
     def test_path_of_three_fails(self):
         g = make_graph(3, [(1, 2, 0), (2, 3, 0)])
         s = frozenset({1, 2, 3})
-        assert not is_factor_critical(g, g.costs(), s, [s], zero_dual(3))
+        assert not is_factor_critical(finder_for(g, [s], zero_dual(3)), s)
 
     def test_nested_set_inherits_criticality(self):
         # seven-node odd cycle with a chord closing the inner triangle
@@ -67,8 +71,9 @@ class TestFactorCritical:
         s = frozenset(range(1, 8))
         fam = [t, s]
         dual = zero_dual(7)
-        assert is_factor_critical(g, g.costs(), s, fam, dual)
-        assert is_factor_critical(g, g.costs(), t, fam, dual)
+        finder = finder_for(g, fam, dual)
+        assert is_factor_critical(finder, s)
+        assert is_factor_critical(finder, t)
 
     def test_bridge_edge_separates_plain_from_family_criticality(self):
         # without the (4,5) edge, covering {1,2,3,4,5} minus a triangle node
@@ -79,11 +84,11 @@ class TestFactorCritical:
         s = frozenset({1, 2, 3, 4, 5})
 
         g_without = make_graph(5, base)
-        assert is_factor_critical(g_without, g_without.costs(), s, [], zero_dual(5))
-        assert not is_factor_critical(g_without, g_without.costs(), s, [t], zero_dual(5))
+        assert is_factor_critical(finder_for(g_without, [], zero_dual(5)), s)
+        assert not is_factor_critical(finder_for(g_without, [t], zero_dual(5)), s)
 
         g_with = make_graph(5, base + [(4, 5, 0)])
-        assert is_factor_critical(g_with, g_with.costs(), s, [t], zero_dual(5))
+        assert is_factor_critical(finder_for(g_with, [t], zero_dual(5)), s)
 
 
 class TestConsistency:
@@ -158,7 +163,7 @@ class TestPositivelyCritical:
              TRIANGLE_LEFT: rat(1285), TRIANGLE_RIGHT: rat(1)}
         )
         assert psi.objective() == obj
-        assert psi.is_feasible(bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
+        assert dual_feasible(psi, bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
         out, iters = make_positively_critical(
             bowtie, bowtie_perturbed.scaled, bowtie_family, gamma, psi, optimal_value=obj
         )
@@ -179,7 +184,7 @@ class TestPositivelyCritical:
              TRIANGLE_LEFT: rat(1285), TRIANGLE_RIGHT: rat(1)}
         )
         assert psi.objective() == obj
-        assert psi.is_feasible(bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
+        assert dual_feasible(psi, bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
         out, iters = make_positively_critical(
             bowtie, bowtie_perturbed.scaled, bowtie_family, gamma, psi, optimal_value=obj
         )
@@ -339,72 +344,85 @@ def instance_graph(instance):
 
 
 class TestSharedFinder:
-    """One CriticalMatchingFinder serves a whole procedure run."""
+    """The finder that validates a procedure run's input serves the run."""
 
     @pytest.fixture
     def procedure_runs(self, monkeypatch):
         """Wrap every procedure run; returns the list of runs, each a dict
-        with its pinned sets, the finders it built and its ProcedureStats."""
-        import sys
-
+        with the finders built while it ran, the (set, finder) of each
+        repair, its workspaces and its ProcedureStats."""
         import cpmatch.combinatorial as comb
         import cpmatch.driver as drv_mod
 
         runs = []
-        real_run = comb.run_half_integral_procedure
-        real_finder = comb.CriticalMatchingFinder
+        real_run, real_fill = comb.run_half_integral_procedure, comb.fill_inside
 
-        class CountingFinder(real_finder):
+        class CountingFinder(CriticalMatchingFinder):
             def __init__(self, *args):
-                # is_factor_critical builds its own throwaway finder for
-                # validation; count only the finders the run keeps
-                if runs and sys._getframe(1).f_code.co_name != "is_factor_critical":
-                    runs[-1]["built"].append(self)
                 super().__init__(*args)
+                if runs:
+                    runs[-1]["built"].append(self)
+
+        class Recording(comb._Workspace):
+            def __init__(self, *state):
+                super().__init__(*state)
+                # g, costs, lam_sets, kay_sets, z, dual: the run mutates the
+                # last four in place, so this is always its current state
+                self.state = state
+                runs[-1]["workspaces"].append(self)
+
+        def fill(g, z, s, finder):
+            runs[-1]["fills"].append((s, finder))
+            return real_fill(g, z, s, finder)
 
         def wrapped(g, costs, cfg, **kwargs):
-            runs.append({"built": [], "pinned": {frozenset(s) for s in cfg.disjoint}})
+            runs.append({"built": [], "fills": [], "workspaces": []})
             out, stats = real_run(g, costs, cfg, **kwargs)
             runs[-1]["stats"] = stats
             return out, stats
 
         monkeypatch.setattr(comb, "CriticalMatchingFinder", CountingFinder)
+        monkeypatch.setattr(comb, "_Workspace", Recording)
+        monkeypatch.setattr(comb, "fill_inside", fill)
         monkeypatch.setattr(comb, "run_half_integral_procedure", wrapped)
         monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
         return runs
 
     @pytest.fixture
     def checked_fills(self, procedure_runs, monkeypatch):
-        """Compare the shared finder, at every repair inside a run, with a
-        fresh one built from a copy of the current dual and the current
-        family: the pinned sets plus the laminar sets not yet unshrunk.
-        Returns the list of repaired sets."""
+        """Compare the run's finder, at every repair, with a fresh one built
+        from the slacks of the run's live dual and its live family: the
+        pinned sets plus the laminar sets not yet unshrunk.  Returns the
+        list of repaired sets."""
         import cpmatch.combinatorial as comb
 
         checked = []
-        real_fill = comb.fill_inside
+        recorded_fill = comb.fill_inside
 
         def fill(g, z, s, finder):
-            dual = DualSolution(finder.dual)
-            pinned = procedure_runs[-1]["pinned"]
-            family = [t for t in finder.fam_sets if t in pinned or dual.of_set(t) > ZERO]
-            fresh = comb.CriticalMatchingFinder(g, finder.costs, family, dual)
+            assert finder is procedure_runs[-1]["built"][0]
+            _g, costs, lam_sets, kay_sets, _z, dual = procedure_runs[-1]["workspaces"][-1].state
+            fresh = CriticalMatchingFinder(g, lam_sets + kay_sets, dual.slacks(g, costs))
             for u in sorted(s):
                 assert finder.critical_matching(s, u) == fresh.critical_matching(s, u)
             checked.append(s)
-            return real_fill(g, z, s, finder)
+            return recorded_fill(g, z, s, finder)
 
         monkeypatch.setattr(comb, "fill_inside", fill)
         return checked
 
     def test_one_finder_per_run(self, procedure_runs):
+        # two finders per stepped run: the one that validates the input
+        # serves every repair, the other validates the output
         from cpmatch import run
         from instances import telescope
 
         run(telescope(stages=4, gadgets=2), solver="combinatorial")
         stepped = [r for r in procedure_runs if r["stats"].case_counts["II"] > 0]
-        assert stepped
-        assert all(len(r["built"]) == 1 for r in stepped)
+        assert any(r["fills"] for r in stepped)
+        for r in stepped:
+            assert len(r["built"]) == 2
+            assert all(finder is r["built"][0] for _s, finder in r["fills"])
 
     @pytest.mark.parametrize(
         "instance",
@@ -461,7 +479,8 @@ class TestCarriedWorkspace:
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
             assert ws.z_star == fresh.z_star
-            assert ws.slack == [dual.slack(g, costs, e) for e in ws.cmap.edge_preimage]
+            slacks = per_edge_slacks(dual, g, costs)
+            assert ws.slack == [slacks[e] for e in ws.cmap.edge_preimage]
             assert ws.tight == [s == ZERO for s in ws.slack]
             deg = {v: ZERO for v in range(1, ws.wg.n + 1)}
             half = set()

@@ -90,7 +90,7 @@ class TestContraction:
         )
         assert new_g.n == 2 and new_g.m == 1
         # boundary cost drops by the inner duals at both endpoints
-        assert cmap.cost_image[0] == 1281 - rat(-8) - rat(5)
+        assert new_g.edges[0][2] == 1281 - rat(-8) - rat(5)
         assert cmap.edge_preimage == [6]
 
     def test_contract_nothing_is_identity(self, bowtie, bowtie_perturbed):

@@ -16,7 +16,7 @@ from cpmatch import (
 from cpmatch.errors import LPUnbounded
 from cpmatch.rational import HALF, ONE, ZERO, perturb, rat
 
-from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT
+from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
 
 
 def format_lp(lp: LinearProgram) -> str:
@@ -138,7 +138,7 @@ class TestDualSlacks:
         )):
             dual[s] = val
         costs = g.costs()
-        assert dual.slacks(g, costs) == [dual.slack(g, costs, e) for e in range(g.m)]
+        assert dual.slacks(g, costs) == per_edge_slacks(dual, g, costs)
 
 
 class TestBuildPrimal:
@@ -276,7 +276,7 @@ class TestExtremalDual:
         gamma[TRIANGLE_RIGHT] = ZERO
         psi = solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
         assert psi.objective() == obj
-        assert psi.is_feasible(bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
+        assert dual_feasible(psi, bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
 
     def test_edge_rows_list_every_crossing_key_in_key_order(
         self, bowtie, bowtie_perturbed, bowtie_family, monkeypatch

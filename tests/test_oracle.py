@@ -112,6 +112,29 @@ class TestVerifyTrace:
     def test_clean_run_passes_all_checks(self, bowtie):
         report = verify_trace(bowtie, self._trace(bowtie))
         assert report.all_ok
+        assert "PASS positively_critical" in report.lines()
+
+    def test_positively_critical_skipped_without_extremal_dual(self, six_cycle):
+        # the simplex route solves the six-cycle in one terminal iteration,
+        # whose record carries the basis dual: there is nothing to check
+        lines = self._trace(six_cycle)
+        assert [json.loads(line)["dual_kind"] for line in lines[1:]] == ["basis"]
+        report = verify_trace(six_cycle, lines)
+        assert "SKIP positively_critical reason=no extremal dual" in report.lines()
+        assert "PASS positively_critical" not in report.lines()
+        assert report.all_ok
+
+    def test_positively_critical_skipped_on_crossing_family(self, bowtie):
+        # the one extremal record imposes crossing cuts, so no laminar
+        # family is there to check its dual against
+        lines = self._trace(bowtie)
+        assert [json.loads(line)["dual_kind"] for line in lines[1:]] == ["extremal", "basis"]
+        rec = json.loads(lines[1])
+        rec["cuts_imposed"] = [[1, 2, 3], [3, 4, 5]]
+        lines[1] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(bowtie, lines)
+        assert not report.ok("laminarity")
+        assert "SKIP positively_critical reason=cut family not laminar" in report.lines()
 
     def test_corrupted_dual_fails_slackness_with_witness(self, bowtie):
         lines = self._trace(bowtie)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from cpmatch.rational import (
     format_rat,
-    is_integral,
     parse_rat,
     perturb,
     rat,
@@ -35,10 +34,6 @@ class TestRat:
     def test_format_parse_roundtrip(self):
         for p, q in [(0, 1), (5, 1), (-3, 7), (1347, 128)]:
             assert parse_rat(format_rat(rat(p, q))) == rat(p, q)
-
-    def test_is_integral(self):
-        assert is_integral(rat(4, 2))
-        assert not is_integral(rat(1, 2))
 
 
 @given(
