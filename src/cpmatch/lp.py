@@ -2,15 +2,19 @@
 
 The solver is a dense two-phase tableau simplex with Bland's least-index
 anti-cycling rule.  The tableau is integer-preserving (fraction-free): the
-rows are scaled by one common denominator L and the objective by another, M,
-and every stored entry, right-hand side and reduced cost equals D times its
-true value, where D = |det B| > 0 for the current basis B.  A pivot on p is
-then `row = (p*row - f*row_r) // D` with exact division, after which D = p.
-Bland's rule reads only signs and ratio comparisons, which the common factor
-D does not change, so the pivots are those of the rational tableau.  Values
-become rationals only at the end: x = rhs/D and each dual is the reduced cost
-of its identity-forming column times L/(M*D), so strong duality and
-complementary slackness hold exactly on every solve.
+rows are scaled by one common denominator L and the objective by another, M.
+Row i stores scale_i times its true values (entries and right-hand side), and
+the reduced-cost row stores rc_scale times its own; each scale is |det B| of
+the basis B at which that row was last written.  A pivot on column c of row
+r brings row r up to the current D = |det B| (`D*a // scale_r`, exact), sets
+`row_k = (p*row_k - f*row_r) // scale_k` for every row with f = row_k[c] != 0
+(exact by Sylvester's identity), and leaves rows with f = 0 as they are; then
+D = p and every rewritten row has scale p.  Bland's rule reads only signs and
+the ratios rhs_r/row_r[c] of entries within one row, which a positive row
+scale does not change, so the pivots are those of the rational tableau.
+Values become rationals only at the end: x_b = rhs_r/scale_r and each dual
+is the reduced cost of its identity-forming column times L/(M*rc_scale), so
+strong duality and complementary slackness hold exactly on every solve.
 """
 
 from __future__ import annotations
@@ -62,60 +66,76 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Dense integer tableau of a basis B: every row entry, right-hand side
-    and reduced cost is stored as `det` times its true value, det = |det B|.
+    """Dense integer tableau of a basis B with a lazy scale per row.
 
-    The starting basis (slack and artificial columns) is the identity, so
-    det starts at 1.  A pivot multiplies det B by the true pivot value, which
-    keeps every stored number an integer (Bareiss 1968, Edmonds 1967).
-    `pivots` counts the pivots made.
+    Row i (entries and rhs[i]) stores scale[i] times its true values, and
+    the reduced-cost row `rc` stores rc_scale times its own.  Each scale is
+    the determinant |det B'| of the basis B' current when that row was last
+    written; `det` is |det B| now.  The starting basis (slack and artificial
+    columns) is the identity, so every scale starts at 1.  A pivot multiplies
+    det B by the true pivot value and rewrites only the rows with a nonzero
+    entry in the pivot column, each with an exact integer division
+    (Bareiss 1968, Edmonds 1967).  `pivots` counts the pivots made.
     """
 
     def __init__(self, rows, rhs, basis):
         self.rows = rows
         self.rhs = rhs
         self.basis = basis
+        self.scale = [1] * len(rows)
         self.det = 1
+        self.rc = []
+        self.rc_scale = 1
         self.pivots = 0
 
-    def pivot(self, r, c, rc):
-        """Make column c basic in row r; rc is updated along with the rows."""
-        rows, rhs, d = self.rows, self.rhs, self.det
-        row_r = rows[r]
-        p = row_r[c]
-        if p < 0:  # keep det > 0: the new det is |p|
-            row_r = rows[r] = [-a for a in row_r]
+    def synced(self, r):
+        """Row r, first rewritten at the current det if it is not there.
+
+        d*a // s is exact: a is s times a true value, and d times any true
+        value of the current tableau is an integer (a minor of [B | A])."""
+        s, d = self.scale[r], self.det
+        if s != d:
+            self.rows[r] = [d * a // s for a in self.rows[r]]
+            self.rhs[r] = d * self.rhs[r] // s
+            self.scale[r] = d
+        return self.rows[r]
+
+    def pivot(self, r, c):
+        """Make column c basic in row r; `rc` is updated along with the rows."""
+        rows, rhs, scale = self.rows, self.rhs, self.scale
+        if rows[r][c] < 0:  # keep det > 0: the new det is |p|
+            rows[r] = [-a for a in rows[r]]
             rhs[r] = -rhs[r]
-            p = -p
+        row_r = self.synced(r)
         rhs_r = rhs[r]
-        # Sylvester's identity: (p*a - f*b) is an exact multiple of d.
+        p = row_r[c]
+        # Sylvester's identity: (p*a - f*b) is an exact multiple of scale_k.
         for k, row_k in enumerate(rows):
-            if k == r:
-                continue
             f = row_k[c]
-            if f:
-                rows[k] = [(p * a - f * b) // d for a, b in zip(row_k, row_r)]
-                rhs[k] = (p * rhs[k] - f * rhs_r) // d
-            elif p != d:
-                rows[k] = [p * a // d for a in row_k]
-                rhs[k] = p * rhs[k] // d
+            if f and k != r:
+                s = scale[k]
+                rows[k] = [(p * a - f * b) // s for a, b in zip(row_k, row_r)]
+                rhs[k] = (p * rhs[k] - f * rhs_r) // s
+                scale[k] = p
+        rc = self.rc
         f = rc[c]
         if f:
-            rc[:] = [(p * a - f * b) // d for a, b in zip(rc, row_r)]
-        elif p != d:
-            rc[:] = [p * a // d for a in rc]
+            s = self.rc_scale
+            rc[:] = [(p * a - f * b) // s for a, b in zip(rc, row_r)]
+            self.rc_scale = p
+        scale[r] = p
         self.det = p
         self.basis[r] = c
         self.pivots += 1
 
 
-def _bland_loop(t: _Tableau, rc, nallowed):
-    """Bland's rule over columns 0..nallowed-1; False when unbounded.
+def _bland_loop(t: _Tableau, nallowed):
+    """Bland's rule on t.rc over columns 0..nallowed-1; False when unbounded.
 
-    Signs and ratio comparisons do not depend on the common factor det, so
-    these are the pivots the rational tableau would make.
+    Signs and the ratio rhs[r]/row[r][enter] do not depend on a row's
+    positive scale, so these are the pivots the rational tableau would make.
     """
-    rows, rhs, basis = t.rows, t.rhs, t.basis
+    rows, rhs, basis, rc = t.rows, t.rhs, t.basis, t.rc
     while True:
         for enter in range(nallowed):
             if rc[enter] < 0:
@@ -134,7 +154,7 @@ def _bland_loop(t: _Tableau, rc, nallowed):
                     best, best_a, best_rhs = r, a, rhs[r]
         if best < 0:
             return False  # unbounded in the entering direction
-        t.pivot(best, enter, rc)
+        t.pivot(best, enter)
         if t.pivots > PIVOT_LIMIT:
             raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
 
@@ -207,12 +227,14 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
 
     # Phase 1: drive the artificial variables (columns first_art..) to zero.
     if art_col:
-        rc1 = [0] * first_art + [1] * (ncols - first_art)
+        t.rc = [0] * first_art + [1] * (ncols - first_art)
         for r, b in enumerate(basis):
             if b >= first_art:
-                rc1 = [a - v for a, v in zip(rc1, rows[r])]
-        if not _bland_loop(t, rc1, first_art):
+                t.rc = [a - v for a, v in zip(t.rc, rows[r])]
+        if not _bland_loop(t, first_art):
             raise StructureViolation("phase-1 objective cannot be unbounded")
+        # Every stored rhs is >= 0 at any scale, so the sum is 0 exactly
+        # when each artificial is.
         if sum(rhs[r] for r, b in enumerate(basis) if b >= first_art) != 0:
             raise LPInfeasible("phase-1 optimum positive")
         # Pivot basic artificials out where possible; all-zero rows are
@@ -222,26 +244,29 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
                 row = rows[r]
                 for j in range(first_art):
                     if row[j]:
-                        t.pivot(r, j, rc1)
+                        t.pivot(r, j)
                         break
 
-    # Phase 2: original objective, reduced costs D*c - sum of c_b * row_b.
-    rc = [t.det * c for c in cost] + [0] * (ncols - nstruct)
+    # Phase 2: original objective, reduced costs D*c - sum of c_b * row_b
+    # with each row read at the current D.
+    d = t.det
+    rc = [d * c for c in cost] + [0] * (ncols - nstruct)
     for r, b in enumerate(basis):
         if b < nstruct and cost[b]:
             cb = cost[b]
-            rc = [a - cb * v for a, v in zip(rc, rows[r])]
-    if not _bland_loop(t, rc, first_art):
+            rc = [a - cb * v for a, v in zip(rc, t.synced(r))]
+    t.rc, t.rc_scale = rc, d
+    if not _bland_loop(t, first_art):
         raise LPUnbounded("objective unbounded below")
 
-    d = t.det
     x = [ZERO] * nstruct
     for r, b in enumerate(basis):
         if b < nstruct:
-            x[b] = Rat(rhs[r], d)
+            x[b] = Rat(rhs[r], t.scale[r])
     objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), ZERO)
     duals = [
-        Rat(-flip[i] * rc[ident_col[i]] * row_scale, cost_scale * d) for i in range(nrows)
+        Rat(-flip[i] * rc[ident_col[i]] * row_scale, cost_scale * t.rc_scale)
+        for i in range(nrows)
     ]
     return SimplexResult(x=x, duals=duals, objective=objective, pivots=t.pivots)
 

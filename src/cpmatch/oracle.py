@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
-from .graph import Graph, decompose_support, is_proper_half_integral, make_graph
+from .graph import Graph, decompose_support, make_graph
 from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
 from .lp import DualSolution
@@ -230,15 +230,17 @@ class VerifyReport:
         return all(ok for ok, _w in self.checks.values())
 
     def lines(self) -> list:
+        """One line per check: a failure found anywhere prints FAIL, even
+        when the check could not run on some other record."""
         out = []
         for name in sorted(self.checks):
             ok, witness = self.checks[name]
-            if name in self.skipped:
-                out.append(f"SKIP {name} reason={self.skipped[name]}")
-            elif ok:
-                out.append(f"PASS {name}")
-            else:
+            if not ok:
                 out.append(f"FAIL {name} witness={witness}")
+            elif name in self.skipped:
+                out.append(f"SKIP {name} reason={self.skipped[name]}")
+            else:
+                out.append(f"PASS {name}")
         return out
 
 
@@ -285,6 +287,32 @@ def parse_trace(lines) -> tuple:
     return header, records
 
 
+def _number(text, it, field: str):
+    """A record's "p" or "p/q" string as a Rat; SchemaMismatch otherwise."""
+    if isinstance(text, str):
+        try:
+            return parse_rat(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaMismatch(f"iteration {it}: {field} is not a rational: {text!r}")
+
+
+def _node(text: str, it) -> int:
+    """A dual_nodes key as a node id; SchemaMismatch otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaMismatch(f"iteration {it}: dual_nodes key is not a node: {text!r}") from None
+
+
+def _cut(nodes, it, field: str) -> frozenset:
+    """A record's node list as a set; SchemaMismatch unless a list of ints.
+    Range and parity are left to the laminarity check."""
+    if isinstance(nodes, list) and all(type(u) is int for u in nodes):
+        return frozenset(nodes)
+    raise SchemaMismatch(f"iteration {it}: {field} has a set that is not a list of nodes: {nodes!r}")
+
+
 def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) -> VerifyReport:
     """Replay a trace against its instance and re-check every invariant."""
     header, records = parse_trace(trace_lines)
@@ -301,40 +329,53 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
 
     prev_o = None
     critical_skip = "no extremal dual"  # why positively_critical has not run yet
-    history = []  # (iteration, o, imposed_sets, added_sets)
+    undecomposed = None  # first iteration whose support could not be decomposed
+    history = []  # (iteration, o or None, imposed_sets, added_sets)
+    want = None  # the family the next record must impose
     for rec in records:
         it = rec["iteration"]
-        x = [parse_rat(s) for s in rec["primal"]]
+        x = [_number(s, it, "primal") for s in rec["primal"]]
         if len(x) != g.m:
             raise SchemaMismatch(f"iteration {it}: primal length {len(x)}")
-        if not is_proper_half_integral(x, g):
-            report.record("half_integrality", False, {"iteration": it})
-            continue
-        dec = decompose_support(x, g)
-        if dec.o != rec["odd_cycle_count"]:
-            report.record("cycle_monotonicity", False, {"iteration": it, "reason": "o mismatch"})
-        if prev_o is not None and dec.o > prev_o:
-            report.record("cycle_monotonicity", False, {"iteration": it, "o": dec.o, "prev": prev_o})
-        prev_o = dec.o
+        dual = DualSolution()
+        for u_str, val in rec["dual_nodes"].items():
+            dual[_node(u_str, it)] = _number(val, it, "dual_nodes")
+        for entry in rec["dual_sets"]:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise SchemaMismatch(f"iteration {it}: dual_sets entry is not [nodes, value]: {entry!r}")
+            dual[_cut(entry[0], it, "dual_sets")] = _number(entry[1], it, "dual_sets")
+        imposed, retained, added = (
+            [_cut(s, it, field) for s in rec[field]]
+            for field in ("cuts_imposed", "cuts_retained", "cuts_added")
+        )
+        objective = _number(rec["objective_scaled"], it, "objective_scaled")
 
-        imposed = [frozenset(s) for s in rec["cuts_imposed"]]
+        # Every check below runs on each record, except the ones that need
+        # the support decomposition of a half-integral x.
+        try:
+            dec = decompose_support(x, g)
+        except ValueError:
+            dec = None
+            report.record("half_integrality", False, {"iteration": it})
+            if undecomposed is None:
+                undecomposed = it
+        if dec is not None:
+            if dec.o != rec["odd_cycle_count"]:
+                report.record("cycle_monotonicity", False, {"iteration": it, "reason": "o mismatch"})
+            if prev_o is not None and dec.o > prev_o:
+                report.record("cycle_monotonicity", False, {"iteration": it, "o": dec.o, "prev": prev_o})
+            prev_o = dec.o
+
         try:
             fam = LaminarFamily(g.n, imposed)
-        except Exception as exc:
+        except ValueError as exc:  # LaminarityViolation or a bad odd set
             report.record("laminarity", False, {"iteration": it, "error": str(exc)})
             fam = None
         # |F| <= n/2 is also the bound of n + |F| <= 3n/2 LP rows
         if len(imposed) > g.n // 2:
             report.record("family_size", False, {"iteration": it, "size": len(imposed)})
 
-        dual = DualSolution()
-        for u_str, val in rec["dual_nodes"].items():
-            dual[int(u_str)] = parse_rat(val)
-        for nodes, val in rec["dual_sets"]:
-            dual[frozenset(nodes)] = parse_rat(val)
-
         # complementary slackness and strong duality, exactly
-        objective = parse_rat(rec["objective_scaled"])
         x_cost = sum((Rat(c) * v for c, v in zip(costs, x)), ZERO)
         if x_cost != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
@@ -365,26 +406,22 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
                     if dual.of_set(s) > ZERO and not is_factor_critical(finder, s):
                         report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
 
-        history.append(
-            (it, dec.o, set(imposed), [frozenset(s) for s in rec["cuts_added"]])
-        )
-
         # the family must be exactly the previous record's retained + added
-        rec_index = len(history) - 1
-        if rec_index > 0:
-            prev = records[rec_index - 1]
-            want = {frozenset(s) for s in prev["cuts_retained"]}
-            want.update(frozenset(s) for s in prev["cuts_added"])
-            if set(imposed) != want:
-                report.record(
-                    "cut_persistence",
-                    False,
-                    {"iteration": it, "reason": "family is not retained+added of previous record"},
-                )
+        if want is not None and set(imposed) != want:
+            report.record(
+                "cut_persistence",
+                False,
+                {"iteration": it, "reason": "family is not retained+added of previous record"},
+            )
+        want = set(retained) | set(added)
+        history.append((it, None if dec is None else dec.o, set(imposed), added))
 
     # Persistence: if o is level from iteration a to b, every cut added in
     # records a..b-1 must appear in the family imposed at record b+1.
+    # A record without o ends every window.
     for a in range(len(history)):
+        if history[a][1] is None:
+            continue
         for b in range(a + 1, len(history)):
             if history[b][1] != history[a][1]:
                 break
@@ -403,13 +440,14 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
 
     if critical_skip:
         report.skip("positively_critical", critical_skip)
+    if undecomposed is not None:
+        for name in ("cycle_monotonicity", "cut_persistence"):
+            report.skip(name, f"half_integrality failed at iteration {undecomposed}")
 
     if len(records) > iteration_bound(g.n):
         report.record("iteration_bound", False, {"lp_solves": len(records)})
 
-    if records:
-        last = records[-1]
-        x = [parse_rat(s) for s in last["primal"]]
+    if records:  # x is the last record's primal
         if all(v in (ZERO, ONE) for v in x):
             matched = [e for e, v in enumerate(x) if v == ONE]
             if g.n <= node_limit:

@@ -184,3 +184,38 @@ class TestVerify:
         trace.write_text("not json\n")
         proc = cli("verify", "--instance", str(bowtie_file), "--trace", str(trace))
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: rec["primal"].__setitem__(0, "1/0"),
+             "iteration 0: primal is not a rational: '1/0'"),
+            (lambda rec: rec["primal"].__setitem__(0, "abc"),
+             "iteration 0: primal is not a rational: 'abc'"),
+            (lambda rec: rec["dual_nodes"].__setitem__("abc", "0"),
+             "iteration 0: dual_nodes key is not a node: 'abc'"),
+            (lambda rec: rec["dual_nodes"].__setitem__("1", "1/0"),
+             "iteration 0: dual_nodes is not a rational: '1/0'"),
+            (lambda rec: rec["cuts_imposed"].append([1, None, 3]),
+             "iteration 0: cuts_imposed has a set that is not a list of nodes: [1, None, 3]"),
+            (lambda rec: rec["dual_sets"].append(["1"]),
+             "iteration 0: dual_sets entry is not [nodes, value]: ['1']"),
+        ],
+        ids=["zero-denominator", "not-a-number", "bad-node-key", "bad-dual", "bad-cut",
+             "bad-dual-set"],
+    )
+    def test_malformed_record_exits_3(self, bowtie_file, tmp_path, capsys, edit, message):
+        import json
+
+        import cpmatch.cli as cli_mod
+        from cpmatch import parse_instance, run
+
+        lines = run(parse_instance(BOWTIE_TEXT)).trace_lines()
+        rec = json.loads(lines[1])
+        edit(rec)
+        lines[1] = json.dumps(rec, sort_keys=True)
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        code = cli_mod.main(["verify", "--instance", str(bowtie_file), "--trace", str(trace)])
+        assert code == 3
+        assert capsys.readouterr().err == f"schema mismatch: {message}\n"

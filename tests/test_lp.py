@@ -13,9 +13,11 @@ from cpmatch import (
     solve_extremal_dual,
     solve_primal,
 )
+from cpmatch import lp as lp_mod
 from cpmatch.errors import LPUnbounded
 from cpmatch.rational import HALF, ONE, ZERO, perturb, rat
 
+import reference_simplex
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
 
 
@@ -116,6 +118,96 @@ def test_simplex_random_duality(nvars, nrows, data):
         assert y <= ZERO  # <= rows in a min problem
         if y != ZERO:
             assert activity == rhs
+
+
+class TestLazyRowScale:
+    """Each tableau row keeps the det at which it was last written."""
+
+    @staticmethod
+    def true_rows(t):
+        return [
+            [rat(a, s) for a in row + [b]] for row, b, s in zip(t.rows, t.rhs, t.scale)
+        ]
+
+    def test_pivot_leaves_rows_with_zero_pivot_entry_untouched(self):
+        # basis = slack columns 2, 3, 4; the first pivot (row 0, column 0)
+        # has p = 2 != det = 1, and row 1 has a zero in column 0
+        rows = [[2, 1, 1, 0, 0], [0, 3, 0, 1, 0], [1, 1, 0, 0, 1]]
+        rhs = [4, 6, 3]
+        t = lp_mod._Tableau([list(r) for r in rows], list(rhs), [2, 3, 4])
+        t.rc = [-1, -1, 0, 0, 0]
+        ref_rows = [[rat(a) for a in r] for r in rows]
+        ref_rhs = [rat(b) for b in rhs]
+        ref_rc = [rat(a) for a in t.rc]
+        ref_basis = [2, 3, 4]
+        untouched = t.rows[1]
+        t.pivot(0, 0)
+        assert t.rows[1] is untouched and untouched == [0, 3, 0, 1, 0]
+        assert t.rhs[1] == 6
+        assert (t.det, t.scale, t.rc_scale) == (2, [2, 1, 2], 2)
+        reference_simplex._pivot(ref_rows, ref_rhs, ref_rc, ref_basis, 0, 0)
+        # the next pivot is on the stale row 1 (scale 1, det 2)
+        t.pivot(1, 1)
+        reference_simplex._pivot(ref_rows, ref_rhs, ref_rc, ref_basis, 1, 1)
+        assert t.det == 6 and t.basis == ref_basis
+        assert self.true_rows(t) == [r + [b] for r, b in zip(ref_rows, ref_rhs)]
+        assert [rat(a, t.rc_scale) for a in t.rc] == ref_rc
+
+    def test_stale_rows_at_every_reading_point(self, monkeypatch):
+        # min -2a - b/3 + 2c - 4d  st  b = 2/3,  4b >= -1/2,
+        # 2a + 2c/3 + 3d = 0 and its negation: a redundant pair that leaves
+        # an artificial basic at zero after phase 1
+        lp = LinearProgram()
+        for c in (-2, rat(-1, 3), 2, -4):
+            lp.add_var(c)
+        lp.add_row({1: 1}, "=", rat(2, 3))
+        lp.add_row({1: 4}, ">=", rat(-1, 2))
+        lp.add_row({0: 2, 2: rat(2, 3), 3: 3}, "=", 0)
+        lp.add_row({0: -2, 2: rat(-2, 3), 3: -3}, "=", 0)
+
+        def stale(t, rows=None):
+            return [
+                r for r in (range(len(t.rows)) if rows is None else rows)
+                if t.scale[r] != t.det
+            ]
+
+        seen = []
+        bland_loop, pivot = lp_mod._bland_loop, lp_mod._Tableau.pivot
+        in_loop = [False]
+
+        def traced_loop(t, nallowed):
+            if seen:  # every call after the first is phase 2
+                seen.append(("phase 2 start", stale(t)))
+            in_loop[0] = True
+            done = bland_loop(t, nallowed)
+            in_loop[0] = False
+            # the phase-1 check sums the rhs of the rows with an artificial
+            # basic (columns 5..); the read-out divides each structural row
+            # (columns 0..3) by its own scale
+            if not seen:
+                seen.append(("phase 1 check", stale(t, [r for r, b in enumerate(t.basis) if b >= 5])))
+            else:
+                seen.append(("read-out", stale(t, [r for r, b in enumerate(t.basis) if b < 4])))
+            return done
+
+        def traced_pivot(t, r, c):
+            if not in_loop[0]:
+                seen.append(("clean-up pivot row", stale(t, [r])))
+            pivot(t, r, c)
+
+        monkeypatch.setattr(lp_mod, "_bland_loop", traced_loop)
+        monkeypatch.setattr(lp_mod._Tableau, "pivot", traced_pivot)
+        res = simplex_solve(lp)
+        monkeypatch.undo()
+        labels = [label for label, _rows in seen]
+        assert labels == [
+            "phase 1 check", "clean-up pivot row", "phase 2 start", "read-out",
+        ]
+        assert all(rows for _label, rows in seen), seen
+        ref = reference_simplex.simplex_solve(lp)
+        assert (res.x, res.duals, res.objective, res.pivots) == (
+            ref.x, ref.duals, ref.objective, ref.pivots,
+        )
 
 
 class TestDualSlacks:

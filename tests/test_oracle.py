@@ -145,6 +145,42 @@ class TestVerifyTrace:
         ok, witness = report.checks["complementary_slackness"]
         assert not ok and witness["iteration"] == 0
 
+    def test_half_integrality_failure_leaves_other_checks_running(self, bowtie):
+        # record 0 is not half-integral and carries a corrupted extremal
+        # dual: the checks that need no support decomposition still run on
+        # it, and the two that do print SKIP
+        lines = self._trace(bowtie)
+        rec = json.loads(lines[1])
+        assert rec["dual_kind"] == "extremal"
+        rec["primal"][0] = "1/3"
+        rec["dual_nodes"]["1"] = "999"
+        lines[1] = json.dumps(rec, sort_keys=True)
+        out = verify_trace(bowtie, lines).lines()
+        assert "FAIL half_integrality witness={'iteration': 0}" in out
+        assert any(line.startswith("FAIL complementary_slackness") for line in out)
+        assert "SKIP positively_critical reason=no extremal dual" not in out
+        assert "PASS positively_critical" in out
+        for name in ("cycle_monotonicity", "cut_persistence"):
+            assert f"SKIP {name} reason=half_integrality failed at iteration 0" in out
+        assert "PASS laminarity" in out and "PASS family_size" in out
+
+    def test_fail_wins_over_skip(self, bowtie):
+        # cut_persistence cannot run its windows on record 0, but record 1's
+        # family is not record 0's retained + added: that failure prints
+        lines = self._trace(bowtie)
+        rec = json.loads(lines[1])
+        rec["primal"][0] = "1/3"
+        lines[1] = json.dumps(rec, sort_keys=True)
+        rec = json.loads(lines[2])
+        rec["cuts_imposed"] = [[1, 2, 3]]
+        lines[2] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(bowtie, lines)
+        assert report.skipped["cut_persistence"] == "half_integrality failed at iteration 0"
+        out = report.lines()
+        assert any(line.startswith("FAIL cut_persistence ") for line in out)
+        assert not any(line.startswith("SKIP cut_persistence ") for line in out)
+        assert "SKIP cycle_monotonicity reason=half_integrality failed at iteration 0" in out
+
     def test_reordered_iterations_fail_monotonicity(self, bowtie):
         lines = self._trace(bowtie)
         lines[1], lines[2] = lines[2], lines[1]
