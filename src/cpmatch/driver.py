@@ -23,7 +23,6 @@ from .graph import (
     SupportDecomposition,
     check_degree_and_cut_feasibility,
     decompose_support,
-    is_proper_half_integral,
 )
 from .combinatorial import (
     CriticalMatchingFinder,
@@ -290,12 +289,13 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    if not is_proper_half_integral(x, g):
+    try:
+        dec = decompose_support(x, g)
+    except ValueError:
         raise StructureViolation(
             "intermediate optimum is not proper-half-integral",
             witness=[format_rat(v) for v in x],
-        )
-    dec = decompose_support(x, g)
+        ) from None
     if state.o is not None and dec.o > state.o:
         raise StructureViolation(
             f"odd cycle count increased from {state.o} to {dec.o}"

@@ -1,20 +1,27 @@
 """Exact simplex plus builders for the matching LPs.
 
-The solver is a dense two-phase tableau simplex with Bland's least-index
+The solver is a two-phase tableau simplex with Bland's least-index
 anti-cycling rule.  The tableau is integer-preserving (fraction-free): the
 rows are scaled by one common denominator L and the objective by another, M.
-Row i stores scale_i times its true values (entries and right-hand side), and
-the reduced-cost row stores rc_scale times its own; each scale is |det B| of
-the basis B at which that row was last written.  A pivot on column c of row
-r brings row r up to the current D = |det B| (`D*a // scale_r`, exact), sets
-`row_k = (p*row_k - f*row_r) // scale_k` for every row with f = row_k[c] != 0
-(exact by Sylvester's identity), and leaves rows with f = 0 as they are; then
-D = p and every rewritten row has scale p.  Bland's rule reads only signs and
-the ratios rhs_r/row_r[c] of entries within one row, which a positive row
-scale does not change, so the pivots are those of the rational tableau.
-Values become rationals only at the end: x_b = rhs_r/scale_r and each dual
-is the reduced cost of its identity-forming column times L/(M*rc_scale), so
-strong duality and complementary slackness hold exactly on every solve.
+Each row is sparse, a dict {column: int} that stores no zero; the dense
+reduced-cost row is a list, because Bland's entering scan reads it in column
+order.  Row i stores scale_i times its true values (entries and right-hand
+side), and the reduced-cost row stores rc_scale times its own; each scale is
+|det B| of the basis B at which that row was last written.  A pivot on
+column c of row r brings row r up to the current D = |det B| (`D*a //
+scale_r`, exact), sets `row_k = (p*row_k - f*row_r) // scale_k` for every
+row with f = row_k[c] != 0 (exact by Sylvester's identity), drops the
+entries that cancel to 0, and leaves rows with no entry in column c as they
+are; then D = p and every rewritten row has scale p.  A row whose scale is
+already p is updated in place, `row_k[j] -= f*b // p` for each entry b of
+row r: p*a and p*a - f*b are both multiples of p, so f*b is one too, and
+the columns where row r has no entry keep their values.  Bland's rule reads
+only signs and the ratios rhs_r/row_r[c] of entries within one row, which
+neither a positive row scale nor the storage format changes, so the pivots
+are those of the rational tableau.  Values become rationals only at the
+end: x_b = rhs_r/scale_r and each dual is the reduced cost of its
+identity-forming column times L/(M*rc_scale), so strong duality and
+complementary slackness hold exactly on every solve.
 """
 
 from __future__ import annotations
@@ -66,16 +73,19 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Dense integer tableau of a basis B with a lazy scale per row.
+    """Sparse integer tableau of a basis B with a lazy scale per row.
 
-    Row i (entries and rhs[i]) stores scale[i] times its true values, and
-    the reduced-cost row `rc` stores rc_scale times its own.  Each scale is
+    Row i is a dict {column: int} with no stored zero: the true value of
+    entry (i, j) is rows[i].get(j, 0) / scale[i], and of its right-hand side
+    rhs[i] / scale[i].  The reduced-cost row `rc` is a dense list that holds
+    rc_scale times its true values.  Each scale is
     the determinant |det B'| of the basis B' current when that row was last
     written; `det` is |det B| now.  The starting basis (slack and artificial
     columns) is the identity, so every scale starts at 1.  A pivot multiplies
     det B by the true pivot value and rewrites only the rows with a nonzero
     entry in the pivot column, each with an exact integer division
-    (Bareiss 1968, Edmonds 1967).  `pivots` counts the pivots made.
+    (Bareiss 1968, Edmonds 1967), and deletes every entry that cancels to 0.
+    `pivots` counts the pivots made.
     """
 
     def __init__(self, rows, rhs, basis):
@@ -91,38 +101,66 @@ class _Tableau:
     def synced(self, r):
         """Row r, first rewritten at the current det if it is not there.
 
-        d*a // s is exact: a is s times a true value, and d times any true
-        value of the current tableau is an integer (a minor of [B | A])."""
+        d*a // s is exact and nonzero: a is s times a nonzero true value, and
+        d times any true value of the current tableau is an integer (a minor
+        of [B | A])."""
         s, d = self.scale[r], self.det
         if s != d:
-            self.rows[r] = [d * a // s for a in self.rows[r]]
+            self.rows[r] = {j: d * a // s for j, a in self.rows[r].items()}
             self.rhs[r] = d * self.rhs[r] // s
             self.scale[r] = d
         return self.rows[r]
 
     def pivot(self, r, c):
-        """Make column c basic in row r; `rc` is updated along with the rows."""
+        """Make column c basic in row r; `rc` is updated along with the rows.
+
+        Row k with f = row_k[c] != 0 becomes (p*row_k - f*row_r) // scale_k
+        (Sylvester's identity: exact).  When scale_k is already p, p*a is a
+        multiple of p, so f*b is one too and row_k[j] -= f*b // p touches
+        only the columns j where row r has an entry b."""
         rows, rhs, scale = self.rows, self.rhs, self.scale
         if rows[r][c] < 0:  # keep det > 0: the new det is |p|
-            rows[r] = [-a for a in rows[r]]
+            rows[r] = {j: -a for j, a in rows[r].items()}
             rhs[r] = -rhs[r]
         row_r = self.synced(r)
         rhs_r = rhs[r]
         p = row_r[c]
-        # Sylvester's identity: (p*a - f*b) is an exact multiple of scale_k.
+        items_r = row_r.items()
         for k, row_k in enumerate(rows):
-            f = row_k[c]
-            if f and k != r:
-                s = scale[k]
-                rows[k] = [(p * a - f * b) // s for a, b in zip(row_k, row_r)]
+            f = row_k.get(c)
+            if f is None or k == r:
+                continue
+            s, get = scale[k], row_k.get
+            if s == p:
+                for j, b in items_r:
+                    a = get(j, 0) - f * b // p
+                    if a:
+                        row_k[j] = a
+                    else:
+                        del row_k[j]
+                rhs[k] -= f * rhs_r // p
+            else:
+                new = {j: p * a // s for j, a in row_k.items() if j not in row_r}
+                for j, b in items_r:
+                    a = p * get(j, 0) - f * b
+                    if a:
+                        new[j] = a // s
+                rows[k] = new
                 rhs[k] = (p * rhs[k] - f * rhs_r) // s
                 scale[k] = p
         rc = self.rc
         f = rc[c]
         if f:
             s = self.rc_scale
-            rc[:] = [(p * a - f * b) // s for a, b in zip(rc, row_r)]
-            self.rc_scale = p
+            if s == p:
+                for j, b in items_r:
+                    rc[j] -= f * b // p
+            else:
+                scaled = [p * a for a in rc]
+                for j, b in items_r:
+                    scaled[j] -= f * b
+                rc[:] = [a // s for a in scaled]
+                self.rc_scale = p
         scale[r] = p
         self.det = p
         self.basis[r] = c
@@ -144,7 +182,7 @@ def _bland_loop(t: _Tableau, nallowed):
             return True  # optimal
         best = -1
         for r, row in enumerate(rows):
-            a = row[enter]
+            a = row.get(enter, 0)
             if a > 0:
                 if best < 0:
                     best, best_a, best_rhs = r, a, rhs[r]
@@ -209,9 +247,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     rhs = []
     ident_col = []
     for i, (coefs, rel, r) in enumerate(norm):
-        row = [0] * ncols
-        for k, v in coefs.items():
-            row[k] = _scaled(v, row_scale)
+        row = {k: _scaled(v, row_scale) for k, v in coefs.items() if v}
         if rel == "<=":
             row[aux_col[i]] = 1
             ident_col.append(aux_col[i])
@@ -230,7 +266,8 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         t.rc = [0] * first_art + [1] * (ncols - first_art)
         for r, b in enumerate(basis):
             if b >= first_art:
-                t.rc = [a - v for a, v in zip(t.rc, rows[r])]
+                for j, v in rows[r].items():
+                    t.rc[j] -= v
         if not _bland_loop(t, first_art):
             raise StructureViolation("phase-1 objective cannot be unbounded")
         # Every stored rhs is >= 0 at any scale, so the sum is 0 exactly
@@ -241,11 +278,9 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         # redundant and keep their artificial pinned at zero (dual 0).
         for r in range(nrows):
             if basis[r] >= first_art:
-                row = rows[r]
-                for j in range(first_art):
-                    if row[j]:
-                        t.pivot(r, j)
-                        break
+                cols = [j for j in rows[r] if j < first_art]
+                if cols:
+                    t.pivot(r, min(cols))
 
     # Phase 2: original objective, reduced costs D*c - sum of c_b * row_b
     # with each row read at the current D.
@@ -254,7 +289,8 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     for r, b in enumerate(basis):
         if b < nstruct and cost[b]:
             cb = cost[b]
-            rc = [a - cb * v for a, v in zip(rc, t.synced(r))]
+            for j, v in t.synced(r).items():
+                rc[j] -= cb * v
     t.rc, t.rc_scale = rc, d
     if not _bland_loop(t, first_art):
         raise LPUnbounded("objective unbounded below")

@@ -257,6 +257,20 @@ CHECK_NAMES = [
 ]
 
 
+# The JSON type of every required record field, as verify_trace reads it.
+RECORD_FIELDS = {
+    "iteration": int,
+    "cuts_imposed": list,
+    "primal": list,
+    "dual_nodes": dict,
+    "dual_sets": list,
+    "odd_cycle_count": int,
+    "cuts_retained": list,
+    "cuts_added": list,
+    "objective_scaled": str,
+}
+
+
 def parse_trace(lines) -> tuple:
     """(header, records) from JSONL; SchemaMismatch on malformed input."""
     lines = [ln for ln in lines if ln.strip()]
@@ -267,23 +281,22 @@ def parse_trace(lines) -> tuple:
         records = [json.loads(ln) for ln in lines[1:]]
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"bad JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SchemaMismatch(f"header is not an object: {header!r}")
     if header.get("schema") != TRACE_SCHEMA:
         raise SchemaMismatch(f"unknown schema {header.get('schema')!r}")
-    required = {
-        "iteration",
-        "cuts_imposed",
-        "primal",
-        "dual_nodes",
-        "dual_sets",
-        "odd_cycle_count",
-        "cuts_retained",
-        "cuts_added",
-        "objective_scaled",
-    }
-    for rec in records:
-        missing = required - set(rec)
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise SchemaMismatch(f"record {i} is not an object: {rec!r}")
+        missing = RECORD_FIELDS.keys() - rec.keys()
         if missing:
             raise SchemaMismatch(f"record missing fields {sorted(missing)}")
+        for name, kind in RECORD_FIELDS.items():
+            # exact type: JSON true/false decode to bool, a subclass of int
+            if type(rec[name]) is not kind:
+                raise SchemaMismatch(
+                    f"record {i}: {name} is not of type {kind.__name__}: {rec[name]!r}"
+                )
     return header, records
 
 

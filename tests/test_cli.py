@@ -200,20 +200,50 @@ class TestVerify:
              "iteration 0: cuts_imposed has a set that is not a list of nodes: [1, None, 3]"),
             (lambda rec: rec["dual_sets"].append(["1"]),
              "iteration 0: dual_sets entry is not [nodes, value]: ['1']"),
+            (lambda rec: rec.__setitem__("dual_nodes", []),
+             "record 0: dual_nodes is not of type dict: []"),
+            (lambda rec: rec.__setitem__("cuts_imposed", 5),
+             "record 0: cuts_imposed is not of type list: 5"),
+            (lambda rec: rec.__setitem__("primal", None),
+             "record 0: primal is not of type list: None"),
+            (lambda rec: rec.__setitem__("dual_sets", {}),
+             "record 0: dual_sets is not of type list: {}"),
+            (lambda rec: rec.__setitem__("odd_cycle_count", True),
+             "record 0: odd_cycle_count is not of type int: True"),
         ],
         ids=["zero-denominator", "not-a-number", "bad-node-key", "bad-dual", "bad-cut",
-             "bad-dual-set"],
+             "bad-dual-set", "dual-nodes-list", "cuts-imposed-int", "primal-null",
+             "dual-sets-dict", "odd-cycle-count-bool"],
     )
     def test_malformed_record_exits_3(self, bowtie_file, tmp_path, capsys, edit, message):
         import json
 
-        import cpmatch.cli as cli_mod
         from cpmatch import parse_instance, run
 
         lines = run(parse_instance(BOWTIE_TEXT)).trace_lines()
         rec = json.loads(lines[1])
         edit(rec)
         lines[1] = json.dumps(rec, sort_keys=True)
+        self.assert_schema_mismatch(bowtie_file, tmp_path, capsys, lines, message)
+
+    @pytest.mark.parametrize(
+        "index, text, message",
+        [(0, "[]", "header is not an object: []"), (1, "5", "record 0 is not an object: 5")],
+        ids=["header", "record"],
+    )
+    def test_line_that_is_not_an_object_exits_3(
+        self, bowtie_file, tmp_path, capsys, index, text, message
+    ):
+        from cpmatch import parse_instance, run
+
+        lines = run(parse_instance(BOWTIE_TEXT)).trace_lines()
+        lines[index] = text
+        self.assert_schema_mismatch(bowtie_file, tmp_path, capsys, lines, message)
+
+    @staticmethod
+    def assert_schema_mismatch(bowtie_file, tmp_path, capsys, lines, message):
+        import cpmatch.cli as cli_mod
+
         trace = tmp_path / "t.jsonl"
         trace.write_text("\n".join(lines) + "\n")
         code = cli_mod.main(["verify", "--instance", str(bowtie_file), "--trace", str(trace)])

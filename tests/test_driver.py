@@ -205,6 +205,36 @@ class TestStep:
         assert r_a.primal == r_b.primal
         assert s_a.fam == s_b.fam
 
+    def test_one_support_decomposition_per_step(self, monkeypatch):
+        import cpmatch.driver as drv_mod
+        import cpmatch.graph as graph_mod
+        from instances import telescope
+
+        calls = []
+        real = graph_mod.decompose_support
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for mod in (graph_mod, drv_mod):
+            monkeypatch.setattr(mod, "decompose_support", counting)
+        res = run(telescope(stages=3, gadgets=2))
+        assert len(calls) == res.lp_solves == 4
+
+    def test_optimum_that_is_not_half_integral_raises(self, bowtie, monkeypatch):
+        import cpmatch.driver as drv_mod
+
+        def third(g, costs, fam):
+            return [rat(1, 3)] * g.m, DualSolution.zeros(g), ZERO
+
+        monkeypatch.setattr(drv_mod, "solve_primal", third)
+        pc = perturb([c for _u, _v, c in bowtie.edges])
+        with pytest.raises(StructureViolation) as info:
+            step(self._initial_state(bowtie), bowtie, pc)
+        assert str(info.value) == "intermediate optimum is not proper-half-integral"
+        assert info.value.witness == ["1/3"] * bowtie.m
+
 
 class TestSinglePinnedAttempt:
     def test_uncertified_attempt_raises_with_witness(self, bowtie):

@@ -121,37 +121,88 @@ def test_simplex_random_duality(nvars, nrows, data):
 
 
 class TestLazyRowScale:
-    """Each tableau row keeps the det at which it was last written."""
+    """Each sparse tableau row keeps the det at which it was last written
+    and stores no zero."""
 
     @staticmethod
-    def true_rows(t):
-        return [
-            [rat(a, s) for a in row + [b]] for row, b, s in zip(t.rows, t.rhs, t.scale)
-        ]
+    def start(rows, rhs, basis, rc):
+        """A tableau over sparse copies of dense `rows`, and its rational
+        reference state (rows, rhs, rc, basis)."""
+        t = lp_mod._Tableau(
+            [{j: a for j, a in enumerate(r) if a} for r in rows], list(rhs), list(basis)
+        )
+        t.rc = list(rc)
+        ref = ([[rat(a) for a in r] for r in rows], [rat(b) for b in rhs],
+               [rat(a) for a in rc], list(basis))
+        return t, ref
+
+    def assert_matches(self, t, ref):
+        ref_rows, ref_rhs, ref_rc, ref_basis = ref
+        assert t.basis == ref_basis
+        assert [
+            [rat(row.get(j, 0), s) for j in range(len(ref_rc))] + [rat(b, s)]
+            for row, b, s in zip(t.rows, t.rhs, t.scale)
+        ] == [r + [b] for r, b in zip(ref_rows, ref_rhs)]
+        assert [rat(a, t.rc_scale) for a in t.rc] == ref_rc
+        # the sparse-row invariant: no stored zero
+        assert all(a for row in t.rows for a in row.values())
 
     def test_pivot_leaves_rows_with_zero_pivot_entry_untouched(self):
         # basis = slack columns 2, 3, 4; the first pivot (row 0, column 0)
-        # has p = 2 != det = 1, and row 1 has a zero in column 0
-        rows = [[2, 1, 1, 0, 0], [0, 3, 0, 1, 0], [1, 1, 0, 0, 1]]
-        rhs = [4, 6, 3]
-        t = lp_mod._Tableau([list(r) for r in rows], list(rhs), [2, 3, 4])
-        t.rc = [-1, -1, 0, 0, 0]
-        ref_rows = [[rat(a) for a in r] for r in rows]
-        ref_rhs = [rat(b) for b in rhs]
-        ref_rc = [rat(a) for a in t.rc]
-        ref_basis = [2, 3, 4]
+        # has p = 2 != det = 1, and row 1 has no entry in column 0
+        t, ref = self.start(
+            [[2, 1, 1, 0, 0], [0, 3, 0, 1, 0], [1, 1, 0, 0, 1]], [4, 6, 3], [2, 3, 4],
+            [-1, -1, 0, 0, 0],
+        )
         untouched = t.rows[1]
         t.pivot(0, 0)
-        assert t.rows[1] is untouched and untouched == [0, 3, 0, 1, 0]
+        assert t.rows[1] is untouched and untouched == {1: 3, 3: 1}
         assert t.rhs[1] == 6
         assert (t.det, t.scale, t.rc_scale) == (2, [2, 1, 2], 2)
-        reference_simplex._pivot(ref_rows, ref_rhs, ref_rc, ref_basis, 0, 0)
+        reference_simplex._pivot(*ref, 0, 0)
+        self.assert_matches(t, ref)
         # the next pivot is on the stale row 1 (scale 1, det 2)
         t.pivot(1, 1)
-        reference_simplex._pivot(ref_rows, ref_rhs, ref_rc, ref_basis, 1, 1)
-        assert t.det == 6 and t.basis == ref_basis
-        assert self.true_rows(t) == [r + [b] for r, b in zip(ref_rows, ref_rhs)]
-        assert [rat(a, t.rc_scale) for a in t.rc] == ref_rc
+        reference_simplex._pivot(*ref, 1, 1)
+        assert t.det == 6
+        self.assert_matches(t, ref)
+
+    # Columns 0, 1 structural, 2..5 slack.  Pivot (0, 0) has p = 2 and every
+    # row it updates has scale 1: the rewrite branch.  Pivot (1, 1) has true
+    # value 1, so p stays 2 and rows 2, 3 and rc, last written at scale 2,
+    # take the in-place branch.  Column 2 cancels in row 3 on the first
+    # pivot and in row 2 on the second.
+    BRANCHES = (
+        [[2, 0, 1, 0, 0, 0], [1, 1, 0, 1, 0, 0], [1, 1, 0, 0, 1, 0], [2, 1, 1, 0, 0, 1]],
+        [2, 3, 5, 6],
+        [2, 3, 4, 5],
+        [-1, -1, 0, 0, 0, 0],
+    )
+
+    def test_in_place_and_rewrite_branches_match_reference(self):
+        t, ref = self.start(*self.BRANCHES)
+        before = list(t.rows)
+        t.pivot(0, 0)
+        reference_simplex._pivot(*ref, 0, 0)
+        assert t.det == 2 and t.scale == [2, 2, 2, 2] and t.rc_scale == 2
+        assert [t.rows[k] is before[k] for k in (1, 2, 3)] == [False] * 3  # rewritten
+        self.assert_matches(t, ref)
+        before = list(t.rows)
+        t.pivot(1, 1)
+        reference_simplex._pivot(*ref, 1, 1)
+        assert t.det == 2 and t.scale == [2, 2, 2, 2] and t.rc_scale == 2
+        assert t.rows[2] is before[2] and t.rows[3] is before[3]  # updated in place
+        self.assert_matches(t, ref)
+
+    def test_cancelled_entries_are_not_stored(self):
+        t, _ref = self.start(*self.BRANCHES)
+        t.pivot(0, 0)  # rewrite: 2*row3 - 2*row0 cancels columns 0 and 2
+        assert t.rows[3] == {1: 2, 5: 2}
+        t.pivot(1, 1)  # in place: row2 - row1 cancels columns 1 and 2
+        assert t.rows[2] == {3: -2, 4: 2}
+        assert t.rows[3] == {2: 1, 3: -2, 5: 2}
+        assert all(a for row in t.rows for a in row.values())
+        assert t.rc == [0, 0, 0, 2, 0, 0]
 
     def test_stale_rows_at_every_reading_point(self, monkeypatch):
         # min -2a - b/3 + 2c - 4d  st  b = 2/3,  4b >= -1/2,

@@ -65,6 +65,30 @@ def test_random_lps_match_reference(data):
     assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
 
 
+def dense_lp(draw) -> LinearProgram:
+    """Up to 6 x 6 with about five in six coefficients nonzero, so pivots
+    fill rows in and updates cancel entries of the sparse rows."""
+
+    def q():
+        return rat(draw(1, 4) * (-1) ** draw(0, 1), draw(1, 3))
+
+    lp = LinearProgram()
+    nvars = draw(1, 6)
+    for _ in range(nvars):  # mostly positive costs keep most programs bounded
+        lp.add_var(rat(draw(-1, 4), draw(1, 3)))
+    for _ in range(draw(1, 6)):
+        coefs = {j: q() for j in range(nvars) if draw(0, 5)}
+        lp.add_row(coefs, RELATIONS[draw(0, 2)], rat(draw(-4, 4), draw(1, 3)))
+    return lp
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_dense_lps_match_reference(data):
+    lp = dense_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
+
+
 def test_seeded_sweep_covers_every_case():
     rng = random.Random(20240)
     seen = Counter()
