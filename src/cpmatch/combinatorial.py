@@ -18,7 +18,7 @@ from .errors import (
     StalledNoEpsilon,
     StructureViolation,
 )
-from .graph import Graph, decompose_support, is_proper_half_integral
+from .graph import Graph, decompose_support
 from .laminar import contract_with_dual, dual_inside, sorted_sets
 from .lp import DualSolution
 from .rational import HALF, ONE, Rat, ZERO, format_rat
@@ -310,11 +310,12 @@ def _cut_value(z, g, s):
 
 def validate_configuration(
     g: Graph, costs, cfg: ValidConfiguration, allow_exposed_nodes=False
-) -> CriticalMatchingFinder:
+) -> tuple:
     """Raise InvalidConfiguration unless (A), (B), (C) hold.
 
-    Returns the finder that checked every set of the configuration: it holds
-    their tight edges and critical matchings under cfg.dual.
+    Returns (finder, o).  The finder checked every set of the configuration:
+    it holds their tight edges and critical matchings under cfg.dual.  o is
+    the number of odd cycles in the support of cfg.z.
     """
     lam_sets = [frozenset(s) for s in cfg.laminar]
     kay_sets = [frozenset(s) for s in cfg.disjoint]
@@ -346,24 +347,18 @@ def validate_configuration(
         if not is_factor_critical(finder, s):
             raise InvalidConfiguration(f"{sorted(s)} is not factor-critical")
 
-    if not is_proper_half_integral(cfg.z, g):
-        raise InvalidConfiguration("z is not proper-half-integral")
-    deg = {u: ZERO for u in range(1, g.n + 1)}
-    for e, val in enumerate(cfg.z):
-        u, v, _c = g.edges[e]
-        deg[u] += val
-        deg[v] += val
-    for u, d in deg.items():
-        if d == ONE:
-            continue
-        if d == ZERO:
-            if allow_exposed_nodes:
+    try:
+        dec = decompose_support(cfg.z, g)
+    except ValueError:
+        raise InvalidConfiguration("z is not proper-half-integral") from None
+    if not allow_exposed_nodes:
+        covered = dec.covered(g)
+        for u in range(1, g.n + 1):
+            if u in covered:
                 continue
             owner = next((s for s in kay_sets if u in s), None)
             if owner is None or _cut_value(cfg.z, g, owner) != ZERO:
                 raise InvalidConfiguration(f"node {u} exposed outside an exposed equality set")
-        else:
-            raise InvalidConfiguration(f"node {u} has degree {d}")
     for s in kay_sets:
         cut = _cut_value(cfg.z, g, s)
         if cut not in (ZERO, ONE):
@@ -389,7 +384,7 @@ def validate_configuration(
     for e, val in enumerate(cfg.z):
         if val != ZERO and slacks[e] != ZERO:
             raise InvalidConfiguration(f"support edge {e} not tight")
-    return finder
+    return finder, dec.o
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +410,20 @@ class _Workspace:
 
     The procedure builds one per run, and a new one only after an unshrink,
     the one step that changes the top sets.  In between the workspace is kept
-    up to date, and these invariants hold after every step: for each
-    contracted edge e, `slack[e]` equals the `dual.slacks` entry of its
-    preimage edge, `tight[e]` says whether that slack is zero, and
-    `z_star[e]` equals z on the preimage; for each workspace node, `_deg2`
-    holds twice its support degree and `_halves` the number of half-edges
-    at it.
+    up to date, and these invariants hold after every step:
+    - for each contracted edge e, `slack[e]` equals the `dual.slacks` entry
+      of its preimage edge, `tight[e]` says whether that slack is zero, and
+      `z2[e]` is twice the value of z on the preimage, an int 0, 1 or 2;
+    - for each workspace node v, `deg2[v]` holds twice its support degree,
+      `halves[v]` the number of half-edges at it, and `nbrs[v]` the pair
+      (other end, edge) of each edge at v, sorted, fixed at build time;
+    - `o` is the number of odd cycles in the workspace support.  The build
+      takes it from one decomposition; after that, Case I(b) folds one
+      cycle and Case I(c) opens one, and the procedure counts them.
+
+    After each step, `check_nodes` checks every node the step touched: no
+    half-edge or two, support degree at most one, and no 1-edge beside
+    half-edges.  A node that fails raises StructureViolation.
     """
 
     def __init__(self, g, costs, lam_sets, kay_sets, z, dual):
@@ -443,21 +446,46 @@ class _Workspace:
         slacks = dual.slacks(g, costs)
         self.slack = [slacks[e] for e in self.cmap.edge_preimage]
         self.tight = [s == ZERO for s in self.slack]
-        self.z_star = [ZERO] * self.wg.m
-        self._deg2 = [0] * (self.wg.n + 1)
-        self._halves = [0] * (self.wg.n + 1)
-        for e_star, e in enumerate(self.cmap.edge_preimage):
-            self.set_value(e_star, z[e])
+        values = [z[e] for e in self.cmap.edge_preimage]
+        try:
+            self.o = decompose_support(values, self.wg).o
+        except ValueError as exc:
+            raise StructureViolation(f"workspace support: {exc}") from None
+        self.z2 = [0] * self.wg.m
+        self.deg2 = [0] * (self.wg.n + 1)
+        self.halves = [0] * (self.wg.n + 1)
+        for e_star, val in enumerate(values):
+            if val != ZERO:
+                self.set_value(e_star, _twice(val))
+        edges = self.wg.edges
+        self.nbrs = [
+            sorted(
+                (edges[e][1] if edges[e][0] == v else edges[e][0], e)
+                for e in at_v
+            )
+            for v, at_v in enumerate(self.wg.incidence)
+        ]
 
-    def set_value(self, e_star: int, val) -> None:
-        """z_star[e_star] = val (0, 1/2 or 1), keeping the node counts."""
-        old = self.z_star[e_star]
-        self.z_star[e_star] = val
-        d2 = _twice(val) - _twice(old)
-        dh = (val == HALF) - (old == HALF)
+    def set_value(self, e_star: int, v2: int) -> None:
+        """z2[e_star] = v2 (0, 1 or 2), keeping the node counts."""
+        old = self.z2[e_star]
+        self.z2[e_star] = v2
+        d2 = v2 - old
+        dh = (v2 == 1) - (old == 1)
         for v in self.wg.endpoints(e_star):
-            self._deg2[v] += d2
-            self._halves[v] += dh
+            self.deg2[v] += d2
+            self.halves[v] += dh
+
+    def check_nodes(self, nodes) -> None:
+        """Raise StructureViolation unless each node has no half-edge or two,
+        support degree at most one, and no 1-edge if it has half-edges."""
+        for v in nodes:
+            halves, d2 = self.halves[v], self.deg2[v]
+            if halves not in (0, 2) or d2 > 2 or (halves and d2 != 2):
+                raise StructureViolation(
+                    f"workspace node {v} has {halves} half-edges and twice-degree {d2}",
+                    witness=v,
+                )
 
     def shift_duals(self, raised, lowered, eps) -> None:
         """Update slack and tight after the dual keys of the `raised` nodes
@@ -482,11 +510,7 @@ class _Workspace:
 
     @property
     def exposed(self) -> list:
-        return [v for v in range(1, self.wg.n + 1) if self._deg2[v] == 0]
-
-    @property
-    def half_nodes(self) -> set:
-        return {v for v in range(1, self.wg.n + 1) if self._halves[v]}
+        return [v for v in range(1, self.wg.n + 1) if self.deg2[v] == 0]
 
     def key_of(self, node: int):
         return self.kind.get(node, None)
@@ -501,48 +525,40 @@ def _twice(val) -> int:
     return 2 if val == ONE else 1 if val == HALF else 0
 
 
+# z values by twice their value, as the workspace holds them
+_VALUE_OF_TWICE = (ZERO, HALF, ONE)
+
+
 def _alternating_search(ws: _Workspace):
     """BFS over (node, parity) states on tight 0/1-edges.
 
-    Returns ("walk", [(node, edge_to_node), ...]) for the first discovered
-    shortest alternating walk from an exposed node to R, or
-    ("frontier", b_plus, b_minus) when no such walk exists.
+    A state of parity 0 leaves on 0-edges, one of parity 1 on 1-edges, each
+    in `ws.nbrs` order.  Returns ("walk", [(node, edge_to_node), ...]) for
+    the first discovered shortest alternating walk from an exposed node to
+    an exposed or half-cycle node, or ("frontier", b_plus, b_minus) when no
+    such walk exists.
     """
-    adj0 = {}
-    adj1 = {}
-    for e in range(ws.wg.m):
-        if not ws.tight[e]:
-            continue
-        val = ws.z_star[e]
-        if val == HALF:
-            continue
-        a, b, _c = ws.wg.edges[e]
-        target = adj1 if val == ONE else adj0
-        target.setdefault(a, []).append((b, e))
-        target.setdefault(b, []).append((a, e))
-    for d in (adj0, adj1):
-        for v in d:
-            d[v].sort()
-
-    targets = set(ws.exposed) | ws.half_nodes
+    tight, z2, nbrs = ws.tight, ws.z2, ws.nbrs
+    deg2, halves = ws.deg2, ws.halves
     parent = {}
     queue = []
     for t in ws.exposed:
         state = (t, 0)
-        if state not in parent:
-            parent[state] = None
-            queue.append(state)
+        parent[state] = None
+        queue.append(state)
     qi = 0
     while qi < len(queue):
         node, parity = queue[qi]
         qi += 1
-        nbrs = adj0.get(node, ()) if parity == 0 else adj1.get(node, ())
-        for w, e in nbrs:
+        want = 2 * parity
+        for w, e in nbrs[node]:
+            if z2[e] != want or not tight[e]:
+                continue
             nstate = (w, 1 - parity)
             if nstate in parent:
                 continue
             parent[nstate] = ((node, parity), e)
-            if parity == 0 and w in targets:
+            if parity == 0 and (deg2[w] == 0 or halves[w]):
                 walk = [(w, e)]
                 cur = (node, parity)
                 while parent[cur] is not None:
@@ -556,6 +572,54 @@ def _alternating_search(ws: _Workspace):
     b_plus = sorted({v for (v, p) in parent if p == 0})
     b_minus = sorted({v for (v, p) in parent if p == 1})
     return ("frontier", b_plus, b_minus)
+
+
+def _half_cycle(ws: _Workspace, start: int) -> tuple:
+    """(nodes, edges) of the half-cycle through workspace node `start`.
+
+    The edges run in walking order from start.  The nodes are listed as
+    `decompose_support` lists a cycle: minimum node first, then toward its
+    smaller-id neighbour.
+    """
+    nodes, edges = [start], []
+    cur, prev = start, None
+    while True:
+        e = next(f for f in ws.wg.incidence[cur] if ws.z2[f] == 1 and f != prev)
+        edges.append(e)
+        a, b = ws.wg.endpoints(e)
+        cur, prev = (b if a == cur else a), e
+        if cur == start:
+            break
+        nodes.append(cur)
+    i = nodes.index(min(nodes))
+    nodes = nodes[i:] + nodes[:i]
+    if nodes[-1] < nodes[1]:
+        nodes = nodes[:1] + nodes[:0:-1]
+    return nodes, edges
+
+
+def _edge_bound(ws: _Workspace, b_plus: list, b_minus: list):
+    """The largest Case II step the workspace edges allow, or None.
+
+    Raising B+ and lowering B- by eps lowers the slack of an edge by d*eps,
+    d its ends in B+ less its ends in B-.  The bound is the least slack/d
+    over the non-tight edges with d > 0.  Such an edge has an end in B+, so
+    only the edges at B+ nodes are read.
+    """
+    plus = set(b_plus)
+    minus = set(b_minus)
+    bound = None
+    for node in b_plus:
+        for e_star in ws.wg.incidence[node]:
+            if ws.tight[e_star]:
+                continue
+            a, b = ws.wg.endpoints(e_star)
+            d = (a in plus) - (a in minus) + (b in plus) - (b in minus)
+            if d > 0:
+                cand = ws.slack[e_star] / d
+                if bound is None or cand < bound:
+                    bound = cand
+    return bound
 
 
 def run_half_integral_procedure(
@@ -577,7 +641,7 @@ def run_half_integral_procedure(
     InvalidConfiguration on a bad input and StalledNoEpsilon when the dual
     adjustment is unbounded (the pinned relaxation is infeasible).
     """
-    finder = validate_configuration(
+    finder, o_in = validate_configuration(
         g, costs, cfg, allow_exposed_nodes=allow_exposed_nodes
     )
     state = cfg.copy()
@@ -598,12 +662,17 @@ def run_half_integral_procedure(
     # inside every top set stay as validated, and so does the memo.
 
     def apply_edge_values(ws: _Workspace, changes: dict):
+        """Set each workspace edge of `changes` to twice-value v2, and z on
+        its preimage to match; check the touched nodes and repair the
+        contracted ones."""
         touched_nodes = set()
-        for e_star, val in changes.items():
-            z[ws.cmap.edge_preimage[e_star]] = val
-            ws.set_value(e_star, val)
+        for e_star, v2 in changes.items():
+            z[ws.cmap.edge_preimage[e_star]] = _VALUE_OF_TWICE[v2]
+            ws.set_value(e_star, v2)
             touched_nodes.update(ws.wg.endpoints(e_star))
-        for node in sorted(touched_nodes):
+        touched_nodes = sorted(touched_nodes)
+        ws.check_nodes(touched_nodes)
+        for node in touched_nodes:
             s = ws.key_of(node)
             if s is not None:
                 fill_inside(g, z, s, finder)
@@ -615,11 +684,11 @@ def run_half_integral_procedure(
 
     ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual)
     while True:
-        dec_star = decompose_support(ws.z_star, ws.wg)
-        potential = len(ws.exposed) + dec_star.o
+        exposed = ws.exposed
+        potential = len(exposed) + ws.o
         if first:
             stats.initial_potential = potential
-            stats.initial_exposed = len(ws.exposed)
+            stats.initial_exposed = len(exposed)
             stats.workspace_nodes = ws.wg.n
             prev_potential = potential
             first = False
@@ -627,7 +696,7 @@ def run_half_integral_procedure(
             stats.phase_lengths.append(phase_iters)
             phase_iters = 0
         prev_potential = potential
-        if not ws.exposed:
+        if not exposed:
             break
         if stats.iterations >= hard_cap:
             raise StructureViolation("half-integral procedure exceeded hard cap")
@@ -649,30 +718,21 @@ def run_half_integral_procedure(
 
             if blossom is None:
                 end = nodes[-1]
-                if end in ws.exposed:
+                changes = {e: 2 - ws.z2[e] for _node, e in walk[1:]}
+                if ws.deg2[end] == 0:
                     # Case I(a): augment between two exposed nodes.
                     stats.case_counts["Ia"] += 1
                     stats.events.append({"case": "I(a)", "walk": nodes})
-                    changes = {}
-                    for node, e in walk[1:]:
-                        changes[e] = ONE - ws.z_star[e]
                     apply_edge_values(ws, changes)
                 else:
                     # Case I(b): augment to a half-cycle, fold it to a blossom.
                     stats.case_counts["Ib"] += 1
-                    changes = {}
-                    for node, e in walk[1:]:
-                        changes[e] = ONE - ws.z_star[e]
-                    cycle = next(
-                        c for c in dec_star.odd_cycles if end in c
-                    )
+                    cycle, cyc_edges = _half_cycle(ws, end)
                     stats.events.append({"case": "I(b)", "walk": nodes, "cycle": cycle})
-                    idx = cycle.index(end)
-                    ordered = cycle[idx:] + cycle[:idx]
-                    cyc_edges = _cycle_edges(ws, ordered)
                     for t, e in enumerate(cyc_edges, start=1):
-                        changes[e] = ONE if t % 2 == 0 else ZERO
+                        changes[e] = 2 if t % 2 == 0 else 0
                     apply_edge_values(ws, changes)
+                    ws.o -= 1
             else:
                 # Case I(c): even path to a blossom; open it to a half-cycle.
                 stats.case_counts["Ic"] += 1
@@ -684,10 +744,11 @@ def run_half_integral_procedure(
                 )
                 changes = {}
                 for node, e in walk[1 : i + 1]:
-                    changes[e] = ONE - ws.z_star[e]
+                    changes[e] = 2 - ws.z2[e]
                 for node, e in walk[i + 1 : j + 1]:
-                    changes[e] = HALF
+                    changes[e] = 1
                 apply_edge_values(ws, changes)
+                ws.o += 1
             if revalidate_each_iteration:
                 validate_configuration(
                     g,
@@ -702,20 +763,7 @@ def run_half_integral_procedure(
         stats.case_counts["II"] += 1
         if len(b_plus) < len(b_minus):
             raise StructureViolation("dual objective would decrease in Case II")
-        plus = set(b_plus)
-        minus = set(b_minus)
-        bound = None
-        for e_star in range(ws.wg.m):
-            if ws.tight[e_star]:
-                continue
-            a, b, _c = ws.wg.edges[e_star]
-            d = (ONE if a in plus else -ONE if a in minus else ZERO) + (
-                ONE if b in plus else -ONE if b in minus else ZERO
-            )
-            if d > ZERO:
-                cand = ws.slack[e_star] / d
-                if bound is None or cand < bound:
-                    bound = cand
+        bound = _edge_bound(ws, b_plus, b_minus)
         for node in b_minus:
             s = ws.key_of(node)
             if s is not None and s in lam_sets:
@@ -761,35 +809,11 @@ def run_half_integral_procedure(
     out = ValidConfiguration(
         laminar=list(lam_sets), disjoint=list(kay_sets), z=z, dual=dual
     )
-    validate_configuration(g, costs, out, allow_exposed_nodes=False)
-    if not allow_exposed_nodes:
-        # from-scratch runs start with an empty support, so cycles may appear
-        o_in = decompose_support(cfg.z, g).o
-        o_out = decompose_support(z, g).o
-        if o_out > o_in:
-            raise StructureViolation(
-                f"odd cycle count increased: {o_in} -> {o_out}"
-            )
+    _finder, o_out = validate_configuration(g, costs, out, allow_exposed_nodes=False)
+    # from-scratch runs start with an empty support, so cycles may appear
+    if not allow_exposed_nodes and o_out > o_in:
+        raise StructureViolation(f"odd cycle count increased: {o_in} -> {o_out}")
     return out, stats
-
-
-def _cycle_edges(ws: _Workspace, ordered_nodes: list) -> list:
-    """Half-edge ids around a support cycle given its node order."""
-    edges = []
-    used = set()
-    k = len(ordered_nodes)
-    for t in range(k):
-        a, b = ordered_nodes[t], ordered_nodes[(t + 1) % k]
-        cands = [
-            e
-            for e in ws.wg.incidence[a]
-            if ws.z_star[e] == HALF and set(ws.wg.endpoints(e)) == {a, b} and e not in used
-        ]
-        if not cands:
-            raise StructureViolation(f"no half-edge between {a} and {b}")
-        edges.append(cands[0])
-        used.add(cands[0])
-    return edges
 
 
 def solve_bipartite_via_procedure(g: Graph, costs) -> tuple:

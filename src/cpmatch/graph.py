@@ -7,6 +7,7 @@ self-loops are not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -159,6 +160,13 @@ class SupportDecomposition:
     def o(self) -> int:
         return len(self.odd_cycles)
 
+    def covered(self, g: "Graph") -> set:
+        """Nodes the support covers.  Each is covered exactly once, by one
+        1-edge or one cycle, so x(delta(u)) = 1 exactly at these nodes."""
+        nodes = {u for e in self.matched_edges for u in g.endpoints(e)}
+        nodes.update(u for cycle in self.odd_cycles for u in cycle)
+        return nodes
+
 
 def _half_adjacency(x: Sequence, g: Graph):
     adj = {}
@@ -243,18 +251,34 @@ def is_proper_half_integral(x: Sequence, g: Graph) -> bool:
     return True
 
 
+def feasibility_violation(x: Sequence, g: Graph, cut_sets):
+    """The first breach of x >= 0, x(delta(u)) = 1 for all nodes and
+    x(delta(S)) >= 1 for all cuts, as a witness dict; None if x is feasible.
+
+    Only the nonzero entries are read.  The sums are exact in ints: each
+    value is counted in units of 1/scale, scale the least common denominator
+    of the nonzero values, so a sum reaches one at `scale`.
+    """
+    support = [(e, val) for e, val in enumerate(x) if val]
+    scale = math.lcm(*(val.denominator for _e, val in support))
+    units = {}
+    deg = [0] * (g.n + 1)
+    for e, val in support:
+        if val.numerator < 0:
+            return {"edge": e, "reason": "negative"}
+        k = units[e] = val.numerator * (scale // val.denominator)
+        u, v, _c = g.edges[e]
+        deg[u] += k
+        deg[v] += k
+    node = next((u for u in range(1, g.n + 1) if deg[u] != scale), None)
+    if node is not None:
+        return {"node": node, "reason": "degree"}
+    for s in cut_sets:
+        if sum(units.get(e, 0) for e in g.delta(s)) < scale:
+            return {"set": sorted(s), "reason": "cut below one"}
+    return None
+
+
 def check_degree_and_cut_feasibility(x: Sequence, g: Graph, cut_sets) -> bool:
     """x >= 0, x(delta(u)) = 1 for all nodes, x(delta(S)) >= 1 for all cuts."""
-    if any(val < ZERO for val in x):
-        return False
-    deg = {u: ZERO for u in range(1, g.n + 1)}
-    for e, val in enumerate(x):
-        u, v, _c = g.edges[e]
-        deg[u] += val
-        deg[v] += val
-    if any(d != ONE for d in deg.values()):
-        return False
-    for s in cut_sets:
-        if sum((x[e] for e in g.delta(s)), ZERO) < ONE:
-            return False
-    return True
+    return feasibility_violation(x, g, cut_sets) is None

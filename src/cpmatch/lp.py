@@ -39,6 +39,11 @@ from .rational import ONE, Rat, ZERO
 PIVOT_LIMIT = 100_000
 
 
+def _as_rat(value):
+    """value as a Rat; a Rat is kept as it is (Rat values are immutable)."""
+    return value if type(value) is Rat else Rat(value)
+
+
 @dataclass
 class LinearProgram:
     """Minimization LP: one variable per add_var, rows are <=, >= or =."""
@@ -47,13 +52,13 @@ class LinearProgram:
     rows: list = field(default_factory=list)  # (coefs: dict[var, Rat], rel, rhs)
 
     def add_var(self, obj_coef) -> int:
-        self.objective.append(Rat(obj_coef))
+        self.objective.append(_as_rat(obj_coef))
         return len(self.objective) - 1
 
     def add_row(self, coefs: dict, rel: str, rhs):
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        self.rows.append(({k: Rat(v) for k, v in coefs.items()}, rel, Rat(rhs)))
+        self.rows.append(({k: _as_rat(v) for k, v in coefs.items()}, rel, _as_rat(rhs)))
 
     @property
     def num_vars(self) -> int:

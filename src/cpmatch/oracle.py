@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
-from .graph import Graph, decompose_support, make_graph
+from .graph import Graph, decompose_support, feasibility_violation, make_graph
 from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
 from .lp import DualSolution
@@ -246,6 +246,7 @@ class VerifyReport:
 
 CHECK_NAMES = [
     "half_integrality",
+    "primal_feasibility",
     "laminarity",
     "family_size",
     "cycle_monotonicity",
@@ -379,6 +380,10 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
                 report.record("cycle_monotonicity", False, {"iteration": it, "o": dec.o, "prev": prev_o})
             prev_o = dec.o
 
+        violation = feasibility_violation(x, g, imposed)
+        if violation is not None:
+            report.record("primal_feasibility", False, {"iteration": it, **violation})
+
         try:
             fam = LaminarFamily(g.n, imposed)
         except ValueError as exc:  # LaminarityViolation or a bad odd set
@@ -389,7 +394,7 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
             report.record("family_size", False, {"iteration": it, "size": len(imposed)})
 
         # complementary slackness and strong duality, exactly
-        x_cost = sum((Rat(c) * v for c, v in zip(costs, x)), ZERO)
+        x_cost = sum((Rat(c) * v for c, v in zip(costs, x) if v), ZERO)
         if x_cost != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
         if dual.objective() != objective:
@@ -406,7 +411,7 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
             if dual.of_set(s) < ZERO:
                 report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "negative cut dual"})
             elif dual.of_set(s) > ZERO:
-                if sum((x[e] for e in g.delta(s)), ZERO) != ONE:
+                if sum((x[e] for e in g.delta(s) if x[e]), ZERO) != ONE:
                     report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
 
         if rec.get("dual_kind", "extremal") == "extremal":
@@ -463,7 +468,9 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
     if records:  # x is the last record's primal
         if all(v in (ZERO, ONE) for v in x):
             matched = [e for e, v in enumerate(x) if v == ONE]
-            if g.n <= node_limit:
+            if feasibility_violation(x, g, ()) is not None:
+                report.record("final_matching_oracle", False, {"reason": "final solution not a perfect matching"})
+            elif g.n <= node_limit:
                 try:
                     _edges, best_cost = brute_force_mcpm(g, node_limit=node_limit)
                     got = sum(int(g.edges[e][2]) for e in matched)

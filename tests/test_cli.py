@@ -179,6 +179,41 @@ class TestVerify:
         assert proc.returncode == 1
         assert "FAIL family_size witness={'iteration': 1, 'size': 4}" in proc.stdout.splitlines()
 
+    @pytest.mark.parametrize("instance", ["two-edges", "telescope-3x4"])
+    def test_zero_primal_fails_feasibility(self, tmp_path, capsys, instance):
+        # one record whose primal is all zero: it costs 0, meets zero duals
+        # with no slack and no gap, and covers no node
+        import json
+
+        import cpmatch.cli as cli_mod
+        from cpmatch import parse_instance, write_instance
+        from cpmatch.driver import trace_header
+        from instances import telescope
+
+        if instance == "two-edges":
+            g = parse_instance("p edge 4 2\ne 1 2 0\ne 3 4 0\n")
+        else:
+            g = telescope(stages=3, gadgets=4)
+        record = {
+            "iteration": 0,
+            "cuts_imposed": [],
+            "primal": ["0"] * g.m,
+            "dual_nodes": {str(u): "0" for u in range(1, g.n + 1)},
+            "dual_sets": [],
+            "odd_cycle_count": 0,
+            "cuts_retained": [],
+            "cuts_added": [],
+            "objective_scaled": "0",
+        }
+        instance_file, trace = tmp_path / "g.txt", tmp_path / "t.jsonl"
+        instance_file.write_text(write_instance(g))
+        trace.write_text(json.dumps(trace_header(g)) + "\n" + json.dumps(record) + "\n")
+        code = cli_mod.main(["verify", "--instance", str(instance_file), "--trace", str(trace)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "FAIL primal_feasibility witness={'iteration': 0, 'node': 1, 'reason': 'degree'}" in out
+        assert any(line.startswith("FAIL final_matching_oracle") for line in out)
+
     def test_verify_garbage_trace_exits_3(self, bowtie_file, tmp_path):
         trace = tmp_path / "t.jsonl"
         trace.write_text("not json\n")

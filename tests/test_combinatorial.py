@@ -280,6 +280,8 @@ class TestProcedure:
         assert decompose_support(z, g).o == 2
         out, stats = run_half_integral_procedure(g, g.costs(), cfg)
         assert stats.case_counts["Ib"] == 1
+        # the folded cycle as decompose_support lists it, in workspace nodes
+        assert [ev.get("cycle") for ev in stats.events] == [[4, 5, 6, 7, 8]]
         assert decompose_support(out.z, g).o == 0
 
     def test_invalid_configuration_rejected(self, bowtie):
@@ -457,9 +459,10 @@ class TestCarriedWorkspace:
     @pytest.fixture
     def checked_workspaces(self, monkeypatch):
         """Compare the workspace every alternating search receives with one
-        built from scratch from the run's current state, and its slacks and
-        node counts with values recomputed directly.  Returns the list of
-        checked workspaces."""
+        built from scratch from the run's current state, and its slacks,
+        twice-values, node counts, neighbour lists and odd-cycle count with
+        values recomputed directly.  Returns the list of checked
+        workspaces."""
         import cpmatch.combinatorial as comb
 
         real_ws, real_search = comb._Workspace, comb._alternating_search
@@ -473,24 +476,33 @@ class TestCarriedWorkspace:
                 self.state = state
 
         def search(ws):
-            g, costs, _lam, _kay, _z, dual = ws.state
+            from cpmatch.graph import decompose_support
+
+            g, costs, _lam, _kay, z, dual = ws.state
             fresh = real_ws(*ws.state)
             assert ws.tops == fresh.tops
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
-            assert ws.z_star == fresh.z_star
+            assert ws.z2 == fresh.z2
+            assert ws.nbrs == fresh.nbrs
+            values = [z[e] for e in ws.cmap.edge_preimage]
+            assert ws.z2 == [int(2 * val) for val in values]
+            assert ws.o == decompose_support(values, fresh.wg).o
             slacks = per_edge_slacks(dual, g, costs)
             assert ws.slack == [slacks[e] for e in ws.cmap.edge_preimage]
             assert ws.tight == [s == ZERO for s in ws.slack]
-            deg = {v: ZERO for v in range(1, ws.wg.n + 1)}
-            half = set()
-            for e, val in enumerate(ws.z_star):
+            deg2 = [0] * (ws.wg.n + 1)
+            halves = [0] * (ws.wg.n + 1)
+            for e, val in enumerate(values):
                 for v in ws.wg.endpoints(e):
-                    deg[v] += val
-                    if val == HALF:
-                        half.add(v)
-            assert ws.exposed == [v for v in sorted(deg) if deg[v] == ZERO]
-            assert ws.half_nodes == half
+                    deg2[v] += int(2 * val)
+                    halves[v] += val == HALF
+            assert ws.deg2 == deg2
+            assert ws.halves == halves
+            assert ws.exposed == [v for v in range(1, ws.wg.n + 1) if deg2[v] == 0]
+            for v in range(1, ws.wg.n + 1):
+                at_v = [(b if a == v else a, e) for e, (a, b, _c) in enumerate(ws.wg.edges) if v in (a, b)]
+                assert ws.nbrs[v] == sorted(at_v)
             checked.append(ws)
             return real_search(ws)
 
@@ -545,3 +557,119 @@ class TestCarriedWorkspace:
         assert any(stats.iterations > 1 for _count, stats in runs)
         assert runs[-1][1].unshrinks == 1
         assert [count for count, _stats in runs] == [1 + stats.unshrinks for _c, stats in runs]
+
+    @pytest.mark.parametrize(
+        "instance",
+        ["telescope"] + [f"random{i}" for i in range(14)],
+    )
+    def test_case_ii_edge_bound_matches_full_scan(self, monkeypatch, instance):
+        # the bound read from the edges at B+ nodes equals the one from a
+        # scan of every workspace edge
+        import cpmatch.combinatorial as comb
+        from cpmatch import run
+
+        real_bound = comb._edge_bound
+        steps = []
+
+        def bound(ws, b_plus, b_minus):
+            got = real_bound(ws, b_plus, b_minus)
+            want = None
+            for e, (a, b, _c) in enumerate(ws.wg.edges):
+                d = sum((v in b_plus) - (v in b_minus) for v in (a, b))
+                if d > 0 and not ws.tight[e]:
+                    cand = ws.slack[e] / d
+                    want = cand if want is None else min(want, cand)
+            assert got == want
+            steps.append(got)
+            return got
+
+        monkeypatch.setattr(comb, "_edge_bound", bound)
+        run(instance_graph(instance), solver="combinatorial")
+        assert steps
+
+    def test_three_decompositions_per_run_plus_one_per_unshrink(self, monkeypatch):
+        # validating the input, building the workspace and validating the
+        # output decompose a support once each; a rebuild after an unshrink
+        # decomposes its own
+        import cpmatch.combinatorial as comb
+        import cpmatch.driver as drv_mod
+        from cpmatch import run
+        from instances import telescope
+
+        calls = []
+        runs = []
+        real_decompose = comb.decompose_support
+        real_run = comb.run_half_integral_procedure
+
+        def decompose(*args):
+            calls.append(args)
+            return real_decompose(*args)
+
+        def wrapped(g, costs, cfg, **kwargs):
+            before = len(calls)
+            out, stats = real_run(g, costs, cfg, **kwargs)
+            runs.append((len(calls) - before, stats))
+            return out, stats
+
+        monkeypatch.setattr(comb, "decompose_support", decompose)
+        monkeypatch.setattr(comb, "run_half_integral_procedure", wrapped)
+        monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
+        run(telescope(stages=4, gadgets=2), solver="combinatorial")
+        g, cfg = unshrink_instance()
+        wrapped(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert any(stats.iterations > 1 for _count, stats in runs)
+        assert runs[-1][1].unshrinks == 1
+        assert [count for count, _stats in runs] == [3 + stats.unshrinks for _c, stats in runs]
+
+    def test_third_half_edge_raises_structure_violation(self, monkeypatch):
+        # a set_value that also puts half on the pendant edge 3-4 leaves node
+        # 3 with three half-edges when the triangle opens; the check after
+        # the step reports it as a structure violation
+        import cpmatch.combinatorial as comb
+        from cpmatch.errors import StructureViolation
+
+        real_set = comb._Workspace.set_value
+
+        def sabotaged(ws, e_star, v2):
+            real_set(ws, e_star, v2)
+            if v2 == 1:
+                real_set(ws, ws.cmap.edge_preimage.index(3), 1)
+
+        # a tight triangle with a pendant edge: the run opens the triangle
+        g = make_graph(4, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 10)])
+        _out, stats = solve_bipartite_via_procedure(g, g.costs())
+        assert stats.case_counts["Ic"] == 1
+        monkeypatch.setattr(comb._Workspace, "set_value", sabotaged)
+        with pytest.raises(StructureViolation, match="3 half-edges"):
+            solve_bipartite_via_procedure(g, g.costs())
+
+    def test_half_cycle_listed_as_decompose_support_lists_it(self):
+        # from every start node, the walked cycle comes out in the node order
+        # of the decomposition, and its edges close a walk from the start
+        from types import SimpleNamespace
+
+        from cpmatch.combinatorial import _half_cycle
+        from cpmatch.graph import decompose_support
+
+        g = make_graph(10, [
+            (9, 3, 0), (3, 7, 0), (7, 1, 0), (1, 5, 0), (5, 9, 0),   # five-cycle
+            (8, 2, 0), (2, 10, 0), (10, 8, 0),                       # triangle
+            (4, 6, 0), (3, 6, 0), (2, 5, 0), (8, 2, 0),              # 1-edge, 0-edges
+        ])
+        x = [HALF] * 8 + [ONE, ZERO, ZERO, ZERO]
+        ws = SimpleNamespace(wg=g, z2=[int(2 * v) for v in x])
+        cycles = decompose_support(x, g).odd_cycles
+        assert cycles == [[1, 5, 9, 3, 7], [2, 8, 10]]
+        for cycle in cycles:
+            for start in cycle:
+                nodes, edges = _half_cycle(ws, start)
+                assert nodes == cycle
+                assert sorted(edges) == sorted(
+                    e for e in range(g.m) if x[e] == HALF and g.endpoints(e)[0] in cycle
+                )
+                cur = start
+                for e in edges:
+                    a, b = g.endpoints(e)
+                    assert cur in (a, b)
+                    cur = b if a == cur else a
+                assert cur == start

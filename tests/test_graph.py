@@ -11,6 +11,7 @@ from cpmatch import (
     parse_instance,
     write_instance,
 )
+from cpmatch.graph import feasibility_violation
 from cpmatch.rational import HALF, ONE, Rat, ZERO, rat
 
 from conftest import BOWTIE_EDGES, TRIANGLE_LEFT, TRIANGLE_RIGHT
@@ -201,6 +202,34 @@ class TestFeasibility:
     def test_negative_value_rejected(self, bowtie):
         x = vec(bowtie, {0: -ONE})
         assert not check_degree_and_cut_feasibility(x, bowtie, [])
+
+    def test_violation_names_the_first_breach(self, bowtie):
+        assert feasibility_violation(vec(bowtie, {0: ONE, 3: -ONE}), bowtie, []) == {
+            "edge": 3,
+            "reason": "negative",
+        }
+        assert feasibility_violation(vec(bowtie, {0: ONE}), bowtie, []) == {
+            "node": 3,
+            "reason": "degree",
+        }
+        x = vec(bowtie, {e: HALF for e in range(6)})
+        assert feasibility_violation(x, bowtie, [TRIANGLE_RIGHT, TRIANGLE_LEFT]) == {
+            "set": [4, 5, 6],
+            "reason": "cut below one",
+        }
+
+    def test_thirds_summed_exactly(self, six_cycle):
+        third, two_thirds = rat(1, 3), rat(2, 3)
+        x = [third, two_thirds] * 3
+        assert feasibility_violation(x, six_cycle, []) is None
+        assert feasibility_violation([third] * 6, six_cycle, []) == {
+            "node": 1,
+            "reason": "degree",
+        }
+
+    def test_covered_nodes_of_a_decomposition(self, bowtie):
+        dec = decompose_support(vec(bowtie, {0: HALF, 1: HALF, 2: HALF, 3: ONE}), bowtie)
+        assert dec.covered(bowtie) == {1, 2, 3, 4, 5}
 
     def test_solution_cost(self, bowtie):
         x = vec(bowtie, {0: ONE, 5: ONE, 6: ONE})

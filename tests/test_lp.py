@@ -51,6 +51,19 @@ class TestSimplexCore:
         res = simplex_solve(lp)
         assert res.objective == -1
 
+    def test_rat_values_kept_others_wrapped(self):
+        # a Rat coefficient is stored as given; an int becomes a Rat
+        from cpmatch.rational import Rat
+
+        lp = LinearProgram()
+        x = lp.add_var(HALF)
+        y = lp.add_var(3)
+        lp.add_row({x: HALF, y: 2}, ">=", ONE)
+        coefs, _rel, rhs = lp.rows[0]
+        assert lp.objective[x] is HALF and coefs[x] is HALF and rhs is ONE
+        assert type(lp.objective[y]) is Rat and lp.objective[y] == 3
+        assert type(coefs[y]) is Rat and coefs[y] == 2
+
     def test_infeasible(self):
         lp = LinearProgram()
         x = lp.add_var(1)

@@ -164,6 +164,27 @@ class TestVerifyTrace:
             assert f"SKIP {name} reason=half_integrality failed at iteration 0" in out
         assert "PASS laminarity" in out and "PASS family_size" in out
 
+    @pytest.mark.parametrize(
+        "edit, witness",
+        [
+            (lambda rec: rec["primal"].__setitem__(0, "1/3"),
+             {"iteration": 0, "node": 1, "reason": "degree"}),
+            (lambda rec: rec["primal"].__setitem__(6, "-1"),
+             {"iteration": 0, "edge": 6, "reason": "negative"}),
+            (lambda rec: rec.__setitem__("cuts_imposed", [[1, 2, 3]]),
+             {"iteration": 0, "set": [1, 2, 3], "reason": "cut below one"}),
+        ],
+        ids=["degree-undecomposed", "negative", "cut"],
+    )
+    def test_infeasible_primal_fails_feasibility(self, bowtie, edit, witness):
+        # record 0 holds both triangles at one half, the bridge at zero
+        lines = self._trace(bowtie)
+        rec = json.loads(lines[1])
+        edit(rec)
+        lines[1] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(bowtie, lines)
+        assert report.checks["primal_feasibility"] == (False, witness)
+
     def test_fail_wins_over_skip(self, bowtie):
         # cut_persistence cannot run its windows on record 0, but record 1's
         # family is not record 0's retained + added: that failure prints
