@@ -2,7 +2,8 @@
 
 All output is deterministic: exact rationals print as p/q, base costs as
 plain integers, never floating point.  Exit codes: 0 success, 1 verification
-failure, 2 no perfect matching, 3 parse error, 4 structure violation.
+failure, 2 no perfect matching, 3 parse or I/O error, 4 structure
+violation.
 """
 
 from __future__ import annotations
@@ -37,9 +38,20 @@ def _read_instance(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(path, text) -> bool:
+    """Write text to path.  On an OSError print one error line on stderr
+    and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _write_lines(path, lines) -> bool:
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -68,8 +80,8 @@ def cmd_solve(args) -> int:
     print(f"perturbed_cost {format_rat(result.perturbed_cost)}")
     print(f"lp_solves {result.lp_solves}")
     lines = result.trace_lines() if args.trace or args.verify else []
-    if args.trace:
-        _write_lines(args.trace, lines)
+    if args.trace and not _write_lines(args.trace, lines):
+        return EXIT_PARSE
     if args.verify:
         report = verify_trace(g, lines)
         for line in report.lines():
@@ -88,9 +100,8 @@ def cmd_gen(args) -> int:
     text = write_instance(g)
     if args.out == "-":
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    elif not _write(args.out, text):
+        return EXIT_PARSE
     return EXIT_OK
 
 

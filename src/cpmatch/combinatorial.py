@@ -424,9 +424,12 @@ class _Workspace:
     After each step, `check_nodes` checks every node the step touched: no
     half-edge or two, support degree at most one, and no 1-edge beside
     half-edges.  A node that fails raises StructureViolation.
+
+    `slacks` is `dual.slacks(g, costs)`, which the caller has at hand: the
+    first build takes the list that validated the run's input.
     """
 
-    def __init__(self, g, costs, lam_sets, kay_sets, z, dual):
+    def __init__(self, g, costs, lam_sets, kay_sets, z, dual, slacks):
         tops = []
         every = lam_sets + kay_sets
         for s in every:
@@ -443,7 +446,6 @@ class _Workspace:
         for u, img in self.cmap.node_image.items():
             if img not in contracted_nodes:
                 self._plain[img] = u
-        slacks = dual.slacks(g, costs)
         self.slack = [slacks[e] for e in self.cmap.edge_preimage]
         self.tight = [s == ZERO for s in self.slack]
         values = [z[e] for e in self.cmap.edge_preimage]
@@ -682,7 +684,7 @@ def run_half_integral_procedure(
     phase_iters = 0
     prev_potential = None
 
-    ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual)
+    ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual, finder.slacks)
     while True:
         exposed = ws.exposed
         potential = len(exposed) + ws.o
@@ -796,7 +798,7 @@ def run_half_integral_procedure(
             lam_sets.remove(s)
         stats.unshrinks += len(unshrunk)
         if unshrunk:
-            ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual)
+            ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
         if revalidate_each_iteration:
             validate_configuration(
                 g,

@@ -277,7 +277,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         x, basis_dual, objective = solve_primal(g, costs, fam)
     elif solver == "combinatorial":
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
-        objective = sum((Rat(c) * v for c, v in zip(costs, x)), ZERO)
+        objective = sum((c * v for c, v in zip(costs, x) if v), ZERO)
     elif solver == "cross-check":
         x_s, basis_dual, objective = solve_primal(g, costs, fam)
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)

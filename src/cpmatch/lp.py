@@ -22,6 +22,17 @@ are those of the rational tableau.  Values become rationals only at the
 end: x_b = rhs_r/scale_r and each dual is the reduced cost of its
 identity-forming column times L/(M*rc_scale), so strong duality and
 complementary slackness hold exactly on every solve.
+
+LP values cross the boundary as ints wherever they are integral.  A
+`LinearProgram` stores an int or a `Rat` as given, the builders pass their
+0/+-1 coefficients, unit right-hand sides and int costs as ints, and
+`simplex_solve` takes L and M from the denominators of the non-int values
+alone.  A `Rat` is built only for a value a caller reads: one per basic
+structural column with a nonzero right-hand side (every other x_j is the
+shared ZERO), one per nonzero dual, one per edge row's right-hand side in
+the extremal-dual program, and one per nonzero entry of
+`DualSolution.slacks`, which sums each slack as an int over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -39,26 +50,32 @@ from .rational import ONE, Rat, ZERO
 PIVOT_LIMIT = 100_000
 
 
-def _as_rat(value):
-    """value as a Rat; a Rat is kept as it is (Rat values are immutable)."""
-    return value if type(value) is Rat else Rat(value)
+_EXACT = (int, Rat)
+
+
+def _exact(value):
+    """value as an exact LP number: an int or a Rat is kept as it is (both
+    are immutable), anything else becomes a Rat."""
+    return value if type(value) in _EXACT else Rat(value)
 
 
 @dataclass
 class LinearProgram:
-    """Minimization LP: one variable per add_var, rows are <=, >= or =."""
+    """Minimization LP: one variable per add_var, rows are <=, >= or =.
+
+    Every value is an int or a Rat (see `_exact`)."""
 
     objective: list = field(default_factory=list)
-    rows: list = field(default_factory=list)  # (coefs: dict[var, Rat], rel, rhs)
+    rows: list = field(default_factory=list)  # (coefs: dict[var, int | Rat], rel, rhs)
 
     def add_var(self, obj_coef) -> int:
-        self.objective.append(_as_rat(obj_coef))
+        self.objective.append(_exact(obj_coef))
         return len(self.objective) - 1
 
     def add_row(self, coefs: dict, rel: str, rhs):
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        self.rows.append(({k: _as_rat(v) for k, v in coefs.items()}, rel, _as_rat(rhs)))
+        self.rows.append(({k: _exact(v) for k, v in coefs.items()}, rel, _exact(rhs)))
 
     @property
     def num_vars(self) -> int:
@@ -203,8 +220,16 @@ def _bland_loop(t: _Tableau, nallowed):
 
 
 def _scaled(v, scale: int) -> int:
-    """v * scale as an int; scale is a multiple of v's denominator."""
+    """v * scale as an int; v is an int or a Rat whose denominator divides
+    scale."""
+    if type(v) is int:
+        return v * scale
     return int(v.numerator) * (scale // int(v.denominator))
+
+
+def _denominators(values):
+    """The denominators of the values that are not ints, as ints."""
+    return (int(v.denominator) for v in values if type(v) is not int)
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
@@ -217,7 +242,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     norm = []
     flip = []
     for coefs, rel, rhs in lp.rows:
-        if rhs < ZERO:
+        if rhs < 0:
             coefs = {k: -v for k, v in coefs.items()}
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
@@ -230,9 +255,9 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     # integral.  A per-row scale would reweight the phase-1 artificials
     # against each other and could change Bland's path.
     row_scale = math.lcm(
-        *(int(v.denominator) for coefs, _rel, rhs in norm for v in (rhs, *coefs.values()))
+        *_denominators(v for coefs, _rel, rhs in norm for v in (rhs, *coefs.values()))
     )
-    cost_scale = math.lcm(*(int(c.denominator) for c in lp.objective))
+    cost_scale = math.lcm(*_denominators(lp.objective))
     cost = [_scaled(c, cost_scale) for c in lp.objective]
 
     aux_col = {}
@@ -300,14 +325,18 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     if not _bland_loop(t, first_art):
         raise LPUnbounded("objective unbounded below")
 
+    # Only a basic structural column with a nonzero right-hand side gets a
+    # Rat of its own; the objective sums those columns alone.
     x = [ZERO] * nstruct
+    objective = ZERO
     for r, b in enumerate(basis):
-        if b < nstruct:
-            x[b] = Rat(rhs[r], t.scale[r])
-    objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), ZERO)
+        if b < nstruct and rhs[r]:
+            x[b] = xb = Rat(rhs[r], t.scale[r])
+            objective += lp.objective[b] * xb
+    dual_scale = cost_scale * t.rc_scale
     duals = [
-        Rat(-flip[i] * rc[ident_col[i]] * row_scale, cost_scale * t.rc_scale)
-        for i in range(nrows)
+        Rat(-flip[i] * rc[j] * row_scale, dual_scale) if rc[j] else ZERO
+        for i, j in enumerate(ident_col)
     ]
     return SimplexResult(x=x, duals=duals, objective=objective, pivots=t.pivots)
 
@@ -329,18 +358,25 @@ class DualSolution(dict):
 
     def slacks(self, g: Graph, costs) -> list:
         """The slack of every edge e = uv: costs[e] minus the duals of u and
-        v and of every set key that e crosses.  This is the definition of
-        slack in this package; it takes one g.delta pass per nonzero set
-        key."""
+        v and of every set key that e crosses, each a Rat.  This is the
+        definition of slack in this package.
+
+        The pass runs over ints: every value is counted in units of 1/d, d
+        the lcm of the denominators of the dual values and of the costs that
+        are not ints, with one g.delta pass per nonzero set key.  A nonzero
+        slack then becomes one Rat, and a zero slack is the shared ZERO."""
+        d = math.lcm(*_denominators(self.values()), *_denominators(costs))
+        units = {key: _scaled(val, d) for key, val in self.items() if val}
+        node = units.get
         out = [
-            Rat(costs[e]) - self.node(u) - self.node(v)
+            _scaled(costs[e], d) - node(u, 0) - node(v, 0)
             for e, (u, v, _c) in enumerate(g.edges)
         ]
-        for key, val in self.items():
-            if isinstance(key, frozenset) and val != ZERO:
+        for key, k in units.items():
+            if isinstance(key, frozenset):
                 for e in g.delta(key):
-                    out[e] -= val
-        return out
+                    out[e] -= k
+        return [Rat(a, d) if a else ZERO for a in out]
 
     @classmethod
     def zeros(cls, g: Graph) -> "DualSolution":
@@ -361,11 +397,12 @@ def build_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
     for e in range(g.m):
         lp.add_var(costs[e])
     row_keys = []
+    incidence = g.incidence
     for u in range(1, g.n + 1):
-        lp.add_row({e: ONE for e in g.incident(u)}, "=", ONE)
+        lp.add_row({e: 1 for e in incidence[u]}, "=", 1)
         row_keys.append(u)
     for s in _family_rows(fam):
-        lp.add_row({e: ONE for e in g.delta(s)}, ">=", ONE)
+        lp.add_row({e: 1 for e in g.delta(s)}, ">=", 1)
         row_keys.append(s)
     return lp, row_keys
 
@@ -389,7 +426,7 @@ def solve_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
             raise StructureViolation(f"support edge {e} not tight", witness=e)
     for s in fam.sets:
         if dual.of_set(s) > ZERO:
-            tot = sum((res.x[e] for e in g.delta(s)), ZERO)
+            tot = sum((res.x[e] for e in g.delta(s) if res.x[e]), ZERO)
             if tot != ONE:
                 raise StructureViolation(
                     "positive cut dual on slack cut", witness=sorted(s)
@@ -414,7 +451,7 @@ def solve_extremal_dual(
     crossed = [[] for _ in range(g.m)]  # tight sets each edge crosses, in key order
     for s in _family_rows(fam):
         cut = g.delta(s)
-        if sum((x[e] for e in cut), ZERO) == ONE:
+        if sum((x[e] for e in cut if x[e]), ZERO) == ONE:
             tight_sets.append(s)
             for e in cut:
                 crossed[e].append(s)
@@ -424,8 +461,7 @@ def solve_extremal_dual(
     up = {}
     down = {}
     for key in keys:
-        size = 1 if isinstance(key, int) else len(key)
-        w = Rat(1, size)
+        w = 1 if isinstance(key, int) else Rat(1, len(key))
         up[key] = lp.add_var(w)
         down[key] = lp.add_var(w)
 
@@ -433,30 +469,39 @@ def solve_extremal_dual(
     for key in keys:
         gamma_restricted[key] = gamma.get(key, ZERO) if isinstance(key, int) else gamma.of_set(key)
 
+    # Each edge row's right-hand side costs[e] - Gamma(keys at e) is summed
+    # in units of 1/d and becomes one Rat.
+    d = math.lcm(*_denominators(gamma_restricted.values()), *_denominators(costs))
+    units = {key: _scaled(val, d) for key, val in gamma_restricted.items()}
     for e, (u, v, _c) in enumerate(g.edges):
         coefs = {}
-        load = ZERO
+        load = 0
         for key in (min(u, v), max(u, v), *crossed[e]):
-            coefs[up[key]] = ONE
-            coefs[down[key]] = -ONE
-            load += gamma_restricted[key]
-        rel = "=" if x[e] != ZERO else "<="
-        lp.add_row(coefs, rel, Rat(costs[e]) - load)
+            coefs[up[key]] = 1
+            coefs[down[key]] = -1
+            load += units[key]
+        rel = "=" if x[e] else "<="
+        lp.add_row(coefs, rel, Rat(_scaled(costs[e], d) - load, d))
 
     for s in tight_sets:
         # Psi(S) = Gamma(S) + up - down must stay nonnegative
-        lp.add_row({down[s]: ONE, up[s]: -ONE}, "<=", gamma_restricted[s])
+        lp.add_row({down[s]: 1, up[s]: -1}, "<=", gamma_restricted[s])
 
     res = simplex_solve(lp)
 
     psi = DualSolution()
     for key in keys:
-        psi[key] = gamma_restricted[key] + res.x[up[key]] - res.x[down[key]]
+        val, raised, lowered = gamma_restricted[key], res.x[up[key]], res.x[down[key]]
+        if raised:
+            val += raised
+        if lowered:
+            val -= lowered
+        psi[key] = val
     for s in fam.sets:
         if frozenset(s) not in psi:
             psi[frozenset(s)] = ZERO
 
-    primal_obj = sum((Rat(costs[e]) * x[e] for e in range(g.m)), ZERO)
+    primal_obj = sum((costs[e] * x[e] for e in range(g.m) if x[e]), ZERO)
     if psi.objective() != primal_obj:
         raise StructureViolation("extremal dual is not a dual optimum")
     for s in fam.sets:

@@ -380,7 +380,13 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
                 report.record("cycle_monotonicity", False, {"iteration": it, "o": dec.o, "prev": prev_o})
             prev_o = dec.o
 
-        violation = feasibility_violation(x, g, imposed)
+        # x(delta(S)) of each imposed set, read once for the feasibility and
+        # the complementary-slackness test
+        cut_value = {s: sum((x[e] for e in g.delta(s) if x[e]), ZERO) for s in imposed}
+        violation = feasibility_violation(x, g, ()) or next(
+            ({"set": sorted(s), "reason": "cut below one"} for s in imposed if cut_value[s] < ONE),
+            None,
+        )
         if violation is not None:
             report.record("primal_feasibility", False, {"iteration": it, **violation})
 
@@ -394,7 +400,7 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
             report.record("family_size", False, {"iteration": it, "size": len(imposed)})
 
         # complementary slackness and strong duality, exactly
-        x_cost = sum((Rat(c) * v for c, v in zip(costs, x) if v), ZERO)
+        x_cost = sum((c * v for c, v in zip(costs, x) if v), ZERO)
         if x_cost != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
         if dual.objective() != objective:
@@ -410,9 +416,8 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
         for s in imposed:
             if dual.of_set(s) < ZERO:
                 report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "negative cut dual"})
-            elif dual.of_set(s) > ZERO:
-                if sum((x[e] for e in g.delta(s) if x[e]), ZERO) != ONE:
-                    report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
+            elif dual.of_set(s) > ZERO and cut_value[s] != ONE:
+                report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
 
         if rec.get("dual_kind", "extremal") == "extremal":
             if fam is None:

@@ -142,6 +142,52 @@ class TestStructureViolationPath:
         assert err == "structure violation: simplex pivot limit 1 exceeded\n"
 
 
+class TestUnwritableOutput:
+    """A write that fails prints one `error: cannot write <path>: ...` line
+    and no traceback: exit 3, or 4 when the trace dump of a structure
+    violation fails."""
+
+    def test_solve_trace_exits_3(self, bowtie_file, tmp_path, capsys):
+        import cpmatch.cli as cli_mod
+
+        trace = tmp_path / "no" / "t.jsonl"
+        assert cli_mod.main(["solve", str(bowtie_file), "--trace", str(trace)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {trace}: ") and err.count("\n") == 1
+
+    def test_gen_out_exits_3(self, tmp_path, capsys):
+        import cpmatch.cli as cli_mod
+
+        out = tmp_path / "no" / "x.txt"
+        argv = ["gen", "--n", "6", "--density", "0.8", "--seed", "1", "--out", str(out)]
+        assert cli_mod.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_structure_violation_dump_keeps_exit_4(
+        self, bowtie_file, tmp_path, capsys, monkeypatch
+    ):
+        import cpmatch.cli as cli_mod
+        import cpmatch.driver as drv_mod
+        from cpmatch.errors import StructureViolation
+
+        real_step = drv_mod.step
+
+        def sabotaged(state, g, pc, **kwargs):
+            if state.iteration >= 1:
+                raise StructureViolation("simplex and combinatorial optima differ")
+            return real_step(state, g, pc, **kwargs)
+
+        monkeypatch.setattr(drv_mod, "step", sabotaged)
+        trace = tmp_path / "no" / "t.jsonl"
+        assert cli_mod.main(["solve", str(bowtie_file), "--trace", str(trace)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "structure violation: simplex and combinatorial optima differ"
+        assert err[1].startswith(f"error: cannot write {trace}: ") and len(err) == 2
+
+
 class TestVerify:
     def test_verify_good_trace(self, bowtie_file, tmp_path):
         trace = tmp_path / "t.jsonl"

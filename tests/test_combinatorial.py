@@ -366,11 +366,12 @@ class TestSharedFinder:
                     runs[-1]["built"].append(self)
 
         class Recording(comb._Workspace):
-            def __init__(self, *state):
-                super().__init__(*state)
+            def __init__(self, *args):
+                super().__init__(*args)
                 # g, costs, lam_sets, kay_sets, z, dual: the run mutates the
                 # last four in place, so this is always its current state
-                self.state = state
+                # (args[6], the slacks, are those of the dual at build time)
+                self.state = args[:6]
                 runs[-1]["workspaces"].append(self)
 
         def fill(g, z, s, finder):
@@ -469,17 +470,19 @@ class TestCarriedWorkspace:
         checked = []
 
         class Recording(real_ws):
-            def __init__(self, *state):
-                super().__init__(*state)
+            def __init__(self, *args):
+                super().__init__(*args)
                 # g, costs, lam_sets, kay_sets, z, dual: the run mutates the
                 # last four in place, so this is always its current state
-                self.state = state
+                # (args[6], the slacks, are those of the dual at build time)
+                self.state = args[:6]
 
         def search(ws):
             from cpmatch.graph import decompose_support
 
             g, costs, _lam, _kay, z, dual = ws.state
-            fresh = real_ws(*ws.state)
+            slacks = per_edge_slacks(dual, g, costs)
+            fresh = real_ws(*ws.state, slacks)
             assert ws.tops == fresh.tops
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
@@ -488,7 +491,6 @@ class TestCarriedWorkspace:
             values = [z[e] for e in ws.cmap.edge_preimage]
             assert ws.z2 == [int(2 * val) for val in values]
             assert ws.o == decompose_support(values, fresh.wg).o
-            slacks = per_edge_slacks(dual, g, costs)
             assert ws.slack == [slacks[e] for e in ws.cmap.edge_preimage]
             assert ws.tight == [s == ZERO for s in ws.slack]
             deg2 = [0] * (ws.wg.n + 1)
@@ -620,6 +622,40 @@ class TestCarriedWorkspace:
         assert any(stats.iterations > 1 for _count, stats in runs)
         assert runs[-1][1].unshrinks == 1
         assert [count for count, _stats in runs] == [3 + stats.unshrinks for _c, stats in runs]
+
+    def test_two_slack_passes_per_run_plus_one_per_unshrink(self, monkeypatch):
+        # validating the input and validating the output compute the slacks
+        # once each; the first workspace takes the validated list, and a
+        # rebuild after an unshrink computes its own
+        import cpmatch.combinatorial as comb
+        import cpmatch.driver as drv_mod
+        from cpmatch import run
+        from instances import telescope
+
+        calls = []
+        runs = []
+        real_slacks = DualSolution.slacks
+        real_run = comb.run_half_integral_procedure
+
+        def slacks(dual, g, costs):
+            calls.append(dual)
+            return real_slacks(dual, g, costs)
+
+        def wrapped(g, costs, cfg, **kwargs):
+            before = len(calls)
+            out, stats = real_run(g, costs, cfg, **kwargs)
+            runs.append((len(calls) - before, stats))
+            return out, stats
+
+        monkeypatch.setattr(DualSolution, "slacks", slacks)
+        monkeypatch.setattr(comb, "run_half_integral_procedure", wrapped)
+        monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
+        run(telescope(stages=4, gadgets=2), solver="combinatorial")
+        g, cfg = unshrink_instance()
+        wrapped(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert any(stats.case_counts["II"] > 0 for _count, stats in runs)
+        assert runs[-1][1].unshrinks == 1
+        assert [count for count, _stats in runs] == [2 + stats.unshrinks for _c, stats in runs]
 
     def test_third_half_edge_raises_structure_violation(self, monkeypatch):
         # a set_value that also puts half on the pendant edge 3-4 leaves node

@@ -15,7 +15,7 @@ from cpmatch import (
 )
 from cpmatch import lp as lp_mod
 from cpmatch.errors import LPUnbounded
-from cpmatch.rational import HALF, ONE, ZERO, perturb, rat
+from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
 import reference_simplex
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
@@ -52,17 +52,22 @@ class TestSimplexCore:
         assert res.objective == -1
 
     def test_rat_values_kept_others_wrapped(self):
-        # a Rat coefficient is stored as given; an int becomes a Rat
-        from cpmatch.rational import Rat
-
+        # a Rat or an int is stored as given; any other value becomes a Rat
+        big = 3 << 70
         lp = LinearProgram()
         x = lp.add_var(HALF)
-        y = lp.add_var(3)
-        lp.add_row({x: HALF, y: 2}, ">=", ONE)
+        y = lp.add_var(big)
+        z = lp.add_var(0.25)
+        lp.add_row({x: HALF, y: big, z: 0.75}, ">=", ONE)
+        lp.add_row({x: 1}, "<=", 2.5)
         coefs, _rel, rhs = lp.rows[0]
         assert lp.objective[x] is HALF and coefs[x] is HALF and rhs is ONE
-        assert type(lp.objective[y]) is Rat and lp.objective[y] == 3
-        assert type(coefs[y]) is Rat and coefs[y] == 2
+        assert lp.objective[y] is big and coefs[y] is big
+        assert type(lp.objective[z]) is Rat and lp.objective[z] == rat(1, 4)
+        assert type(coefs[z]) is Rat and coefs[z] == rat(3, 4)
+        coefs, _rel, rhs = lp.rows[1]
+        assert type(coefs[x]) is int and coefs[x] == 1
+        assert type(rhs) is Rat and rhs == rat(5, 2)
 
     def test_infeasible(self):
         lp = LinearProgram()
@@ -279,22 +284,29 @@ class TestDualSlacks:
     @settings(max_examples=150, deadline=None)
     def test_slacks_match_per_edge_slack(self, data):
         # multigraphs with parallel edges; set keys drawn like the incidence
-        # test's sets (numbers -2..n+2), with zero, negative and fractional
-        # values; nodes may have no key at all
+        # test's sets (numbers -2..n+2), with zero, negative, int-valued and
+        # fractional values; nodes may have no key at all.  Costs are the
+        # graph's ints or, as in a contracted graph, Rats.
         n = data.draw(st.integers(2, 7))
         pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
         edges = [(u, v, c) for (u, v), c in data.draw(
             st.lists(st.tuples(pair, st.integers(-5, 20)), max_size=14)
         )]
         g = make_graph(n, edges)
-        value = st.builds(rat, st.integers(-6, 6), st.integers(1, 3))
+        value = st.one_of(
+            st.integers(-6, 6), st.builds(rat, st.integers(-6, 6), st.integers(1, 3))
+        )
         dual = DualSolution(data.draw(st.dictionaries(st.integers(1, n), value)))
         for s, val in data.draw(st.lists(
             st.tuples(st.frozensets(st.integers(-2, n + 2)), value), max_size=5
         )):
             dual[s] = val
         costs = g.costs()
-        assert dual.slacks(g, costs) == per_edge_slacks(dual, g, costs)
+        if data.draw(st.booleans(), label="rat costs"):
+            costs = [rat(c, data.draw(st.integers(1, 4))) for c in costs]
+        got = dual.slacks(g, costs)
+        assert got == per_edge_slacks(dual, g, costs)
+        assert all(type(slack) is Rat for slack in got)
 
 
 class TestBuildPrimal:

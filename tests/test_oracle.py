@@ -185,6 +185,44 @@ class TestVerifyTrace:
         report = verify_trace(bowtie, lines)
         assert report.checks["primal_feasibility"] == (False, witness)
 
+    @staticmethod
+    def _quarter_record(lines, quarters, set_dual):
+        """Record 0 of a zero-cost K6 trace with x given in quarters by edge
+        (u, v), the one imposed cut {1, 2, 3} with dual set_dual, and every
+        other dual and the objective zero."""
+        rec = json.loads(lines[1])
+        edges = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+        rec["primal"] = [f"{quarters.get(uv, 0)}/4" for uv in edges]
+        rec["dual_nodes"] = {str(u): "0" for u in range(1, 7)}
+        rec["dual_sets"] = [[[1, 2, 3], set_dual]]
+        rec["cuts_imposed"] = [[1, 2, 3]]
+        rec["objective_scaled"] = "0"
+        return json.dumps(rec, sort_keys=True)
+
+    def test_positive_dual_on_cut_above_one_fails_slackness_only(self):
+        # x(delta({1,2,3})) = 3/2: the cut is feasible, so primal_feasibility
+        # passes, but a positive dual on it breaks complementary slackness
+        k6 = make_graph(6, [(u, v, 0) for u in range(1, 7) for v in range(u + 1, 7)])
+        quarters = {(1, 2): 1, (1, 3): 1, (2, 3): 1, (4, 5): 1, (4, 6): 1, (5, 6): 1,
+                    (1, 4): 2, (2, 5): 2, (3, 6): 2}
+        lines = self._trace(k6)
+        lines[1] = self._quarter_record(lines, quarters, "1")
+        report = verify_trace(k6, lines)
+        assert report.ok("primal_feasibility")
+        assert not report.ok("complementary_slackness")
+
+    def test_cut_of_one_half_fails_feasibility(self):
+        # degrees are one everywhere, but x(delta({1,2,3})) = 1/2
+        k6 = make_graph(6, [(u, v, 0) for u in range(1, 7) for v in range(u + 1, 7)])
+        quarters = {(1, 2): 2, (1, 3): 2, (2, 3): 1, (4, 5): 2, (4, 6): 2, (5, 6): 1,
+                    (2, 5): 1, (3, 6): 1}
+        lines = self._trace(k6)
+        lines[1] = self._quarter_record(lines, quarters, "0")
+        report = verify_trace(k6, lines)
+        assert report.checks["primal_feasibility"] == (
+            False, {"iteration": 0, "set": [1, 2, 3], "reason": "cut below one"},
+        )
+
     def test_fail_wins_over_skip(self, bowtie):
         # cut_persistence cannot run its windows on record 0, but record 1's
         # family is not record 0's retained + added: that failure prints

@@ -19,7 +19,7 @@ from cpmatch import parse_instance, run
 from cpmatch.driver import SOLVER_CHOICES
 from cpmatch.errors import LPInfeasible, LPUnbounded, NoPerfectMatching, StructureViolation
 from cpmatch.lp import LinearProgram, simplex_solve
-from cpmatch.rational import ZERO, rat
+from cpmatch.rational import Rat, ZERO, rat
 from test_golden import EXPECTED, GOLDEN
 
 RELATIONS = ("<=", ">=", "=")
@@ -63,6 +63,46 @@ def random_lp(draw) -> LinearProgram:
 def test_random_lps_match_reference(data):
     lp = random_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
     assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
+
+
+def int_and_rat_lps(draw) -> tuple:
+    """The same small LP twice: every value an int, then every value that
+    int as a Rat.  Relations, signs and the redundant-equality case are as
+    in `random_lp`."""
+    nvars = draw(1, 4)
+    objective = [draw(-4, 4) for _ in range(nvars)]
+    rows = []
+    for _ in range(draw(1, 4)):
+        coefs = {j: draw(-4, 4) for j in range(nvars) if draw(0, 2)}
+        rows.append((coefs, RELATIONS[draw(0, 2)], draw(-4, 4)))
+    if draw(0, 2) == 0:
+        coefs = {j: draw(-4, 4) for j in range(nvars)}
+        rhs, k = draw(-4, 4), draw(1, 3) * (-1) ** draw(0, 1)
+        rows.append((coefs, "=", rhs))
+        rows.append(({j: k * v for j, v in coefs.items()}, "=", k * rhs))
+    built = []
+    for wrap in (int, Rat):
+        lp = LinearProgram()
+        for c in objective:
+            lp.add_var(wrap(c))
+        for coefs, rel, rhs in rows:
+            lp.add_row({j: wrap(v) for j, v in coefs.items()}, rel, wrap(rhs))
+        built.append(lp)
+    return tuple(built)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_int_and_rat_values_give_one_outcome(data):
+    # ints enter the tableau as they are and Rats through their
+    # denominators; both must give the reference's outcome, every value a Rat
+    int_lp, rat_lp = int_and_rat_lps(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert all(type(c) is int for c in int_lp.objective)
+    got = outcome(simplex_solve, int_lp)
+    assert got == outcome(simplex_solve, rat_lp) == outcome(reference_simplex.simplex_solve, rat_lp)
+    if got[0] == "optimal":
+        _tag, x, duals, objective, _pivots = got
+        assert all(type(v) is Rat for v in (*x, *duals, objective))
 
 
 def dense_lp(draw) -> LinearProgram:
