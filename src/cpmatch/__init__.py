@@ -16,7 +16,6 @@ from .errors import (
     LPUnbounded,
     NoPerfectMatching,
     ParseError,
-    PreconditionBroken,
     SchemaMismatch,
     StalledNoEpsilon,
     StructureViolation,
@@ -31,7 +30,7 @@ from .graph import (
     parse_instance,
     write_instance,
 )
-from .laminar import ContractionMap, LaminarFamily, contract_maximal, odd_set
+from .laminar import ContractionMap, LaminarFamily, odd_set
 from .lp import (
     DualSolution,
     LinearProgram,
@@ -42,13 +41,8 @@ from .lp import (
 )
 from .combinatorial import (
     CriticalMatchingFinder,
-    NotCritical,
     ValidConfiguration,
-    consistency_delta,
-    is_consistent,
     is_factor_critical,
-    is_positively_critical,
-    make_positively_critical,
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
 )
@@ -64,9 +58,7 @@ from .driver import (
 )
 from .oracle import (
     VerifyReport,
-    brute_force_fractional_opt,
     brute_force_mcpm,
-    enumerate_perfect_matchings,
     random_instance,
     verify_trace,
 )

@@ -61,7 +61,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        result = run(g, solver=args.solver, verify=args.verify)
+        result = run(g, solver=args.solver)
     except NoPerfectMatching as exc:
         print(f"no perfect matching: {exc}", file=sys.stderr)
         return EXIT_NO_MATCHING
@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
 def cmd_gen(args) -> int:
     try:
         g = random_instance(args.n, args.density, (0, args.cost_max), args.seed)
-    except (ValueError, GenerationFailed) as exc:
+    except (ValueError, GenerationFailed, StructureViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE if isinstance(exc, ValueError) else EXIT_STRUCTURE
     text = write_instance(g)

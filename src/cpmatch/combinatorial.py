@@ -1,10 +1,12 @@
-"""Factor-criticality machinery and the half-integral matching procedure.
+"""Critical matchings and the half-integral matching procedure.
 
 This module provides the combinatorial side of the solver: critical
-matchings inside odd sets, the transformation of a dual optimum into a
-positively-critical one, consistency measurements between duals, and the
-primal-dual half-integral matching procedure that solves the constrained
-relaxations without a simplex.
+matchings on tight edges inside odd sets, which test factor-criticality and
+rematch the inside of a contracted set, and the primal-dual half-integral
+matching procedure that solves the constrained relaxations without a
+simplex.  The paper's proof devices, the positively-critical transform and
+the consistency measure, do not run in the loop; they are test oracles in
+`tests/paper_oracles.py`.
 """
 
 from __future__ import annotations
@@ -12,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import (
-    InvalidConfiguration,
-    PreconditionBroken,
-    StalledNoEpsilon,
-    StructureViolation,
-)
+from .errors import InvalidConfiguration, StalledNoEpsilon, StructureViolation
 from .graph import Graph, decompose_support
-from .laminar import contract_with_dual, dual_inside, sorted_sets
+from .laminar import contract_with_dual, sorted_sets
 from .lp import DualSolution
 from .rational import HALF, ONE, Rat, ZERO, format_rat
 
@@ -28,44 +25,27 @@ from .rational import HALF, ONE, Rat, ZERO, format_rat
 # Critical matchings and factor-criticality
 
 
-class NotCritical:
-    """Sentinel: no critical matching exists for the queried node."""
-
-    def __repr__(self):
-        return "NotCritical"
-
-
-NOT_CRITICAL = NotCritical()
-
-
 class CriticalMatchingFinder:
     """Finds matchings on tight edges inside odd sets, respecting family
     budgets.
 
     `slacks` is `DualSolution.slacks` of the dual the edges must be tight
-    for.  The tight edges inside each set, and the answer for each (set,
-    node), are memoised on first use.  The memo for a set s stays valid while
-    the slacks of the edges inside s do not change and no family set strictly
-    inside it is added or removed: those are its only inputs.
+    for.  The answer for each (set, node) is memoised on first use.  The memo
+    for a set s stays valid while the slacks of the edges inside s do not
+    change and no family set strictly inside it is added or removed: those
+    are its only inputs.
     """
 
     def __init__(self, g: Graph, fam_sets: Iterable, slacks: Sequence):
         self.g = g
         self.fam_sets = sorted_sets(frozenset(s) for s in fam_sets)
         self.slacks = slacks
-        self._tight = {}
         self._memo = {}
-
-    def _tight_inside(self, s: frozenset) -> list:
-        edges = self._tight.get(s)
-        if edges is None:
-            edges = [e for e in self.g.inside(s) if self.slacks[e] == ZERO]
-            self._tight[s] = edges
-        return edges
 
     def critical_matching(self, s, u: int):
         """An F-matching on tight edges covering s minus {u}, crossing each
-        family subset of s at most once; NOT_CRITICAL if none exists."""
+        family subset of s at most once, as sorted edge ids; None if none
+        exists."""
         s = frozenset(s)
         if len(s) % 2 == 0:
             raise ValueError(f"critical matchings are defined on odd sets: {sorted(s)}")
@@ -76,29 +56,22 @@ class CriticalMatchingFinder:
             return self._memo[key]
 
         inner = [t for t in self.fam_sets if t < s]
-        edges = self._tight_inside(s)
-        adj = {}
-        for e in edges:
-            a, b, _c = self.g.edges[e]
-            adj.setdefault(a, []).append((b, e))
-            adj.setdefault(b, []).append((a, e))
-        for a in adj:
-            adj[a].sort()
-
-        target = sorted(s - {u})
+        neighbours, slacks = self.g.neighbours, self.slacks
         budgets = {t: 1 for t in inner}
 
         def crossing_sets(e):
             a, b, _c = self.g.edges[e]
             return [t for t in inner if (a in t) != (b in t)]
 
+        # Every node left to cover lies in s minus {u}, so an edge to one
+        # stays inside s.
         def search(uncovered, chosen):
             if not uncovered:
                 return list(chosen)
             v = uncovered[0]
             rest = uncovered[1:]
-            for w, e in adj.get(v, ()):
-                if w == u or w not in uncovered or w == v:
+            for w, e in neighbours[v]:
+                if w not in rest or slacks[e] != ZERO:
                     continue
                 crossed = crossing_sets(e)
                 if any(budgets[t] == 0 for t in crossed):
@@ -114,18 +87,15 @@ class CriticalMatchingFinder:
                     budgets[t] += 1
             return None
 
-        found = search(target, [])
-        result = NOT_CRITICAL if found is None else sorted(found)
+        found = search(sorted(s - {u}), [])
+        result = None if found is None else sorted(found)
         self._memo[key] = result
         return result
 
 
 def is_factor_critical(finder: CriticalMatchingFinder, s) -> bool:
     """True iff every node of s admits a critical matching of s minus it."""
-    return all(
-        not isinstance(finder.critical_matching(s, u), NotCritical)
-        for u in sorted(s)
-    )
+    return all(finder.critical_matching(s, u) is not None for u in sorted(s))
 
 
 def fill_inside(g: Graph, z: list, s, finder: CriticalMatchingFinder) -> None:
@@ -160,121 +130,12 @@ def fill_inside(g: Graph, z: list, s, finder: CriticalMatchingFinder) -> None:
         )
     for u, weight in picks:
         m = finder.critical_matching(s, u)
-        if isinstance(m, NotCritical):
+        if m is None:
             raise StructureViolation(
                 f"no critical matching for {u} in {sorted(s)}", witness=sorted(s)
             )
         for e in m:
             z[e] += weight
-
-
-# ---------------------------------------------------------------------------
-# Consistency of duals
-
-
-def consistency_delta(pi: DualSolution, psi: DualSolution, s) -> object:
-    """max over u in s of (pi_S(u) - psi_S(u)), the inner-dual gap."""
-    s = frozenset(s)
-    return max(dual_inside(pi, s, u) - dual_inside(psi, s, u) for u in sorted(s))
-
-
-def is_consistent(
-    pi: DualSolution, psi: DualSolution, s, x: Sequence, g: Graph
-) -> bool:
-    """psi is consistent with pi inside s when every support edge leaving s
-    is incident to a node realizing the maximal inner gap."""
-    s = frozenset(s)
-    delta = consistency_delta(pi, psi, s)
-    for e in g.delta(s):
-        if x[e] == ZERO:
-            continue
-        a, b, _c = g.edges[e]
-        u = a if a in s else b
-        if dual_inside(pi, s, u) - dual_inside(psi, s, u) != delta:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Positively-critical dual transformation
-
-
-def make_positively_critical(
-    g: Graph,
-    costs,
-    fam,
-    pi_fc: DualSolution,
-    psi: DualSolution,
-    optimal_value=None,
-) -> tuple:
-    """Rewrite a dual optimum so every set with positive value is
-    factor-critical, moving it toward the factor-critical dual pi_fc.
-
-    Processes a maximal eligible set per step: blends the inner values toward
-    pi_fc by lambda = min(1, psi(S)/Delta) and lowers psi(S) by
-    Delta*lambda, which preserves the dual objective.  Terminates within |F|
-    steps.  Returns (psi', iterations).
-    """
-    fam_sets = sorted_sets(fam.sets if hasattr(fam, "sets") else fam)
-    psi = DualSolution(psi)
-    if optimal_value is not None and psi.objective() != optimal_value:
-        raise PreconditionBroken(
-            f"dual objective {psi.objective()} != optimum {optimal_value}"
-        )
-
-    def identical_inside(s):
-        for u in s:
-            if psi.get(u, ZERO) != pi_fc.get(u, ZERO):
-                return False
-        for t in fam_sets:
-            if t < s and psi.of_set(t) != pi_fc.of_set(t):
-                return False
-        return True
-
-    iterations = 0
-    limit = len(fam_sets)
-    while True:
-        eligible = [
-            s
-            for s in fam_sets
-            if psi.of_set(s) > ZERO and not identical_inside(s)
-        ]
-        if not eligible:
-            break
-        maximal = [s for s in eligible if not any(s < t for t in eligible)]
-        s = max(maximal, key=lambda t: (len(t), sorted(t)))
-        before = psi.objective()
-
-        delta = consistency_delta(pi_fc, psi, s)
-        lam = ONE if delta <= ZERO else min(ONE, psi.of_set(s) / delta)
-        for u in sorted(s):
-            psi[u] = (ONE - lam) * psi.get(u, ZERO) + lam * pi_fc.get(u, ZERO)
-        for t in fam_sets:
-            if t < s:
-                psi[t] = (ONE - lam) * psi.of_set(t) + lam * pi_fc.of_set(t)
-        psi[s] = psi.of_set(s) - delta * lam
-
-        iterations += 1
-        if psi.objective() != before:
-            raise StructureViolation(
-                "dual objective changed during positively-critical step",
-                witness=sorted(s),
-            )
-        if iterations > limit:
-            raise StructureViolation(
-                "positively-critical transformation exceeded |F| iterations"
-            )
-    return psi, iterations
-
-
-def is_positively_critical(g, costs, fam, dual: DualSolution) -> bool:
-    fam_sets = fam.sets if hasattr(fam, "sets") else sorted_sets(fam)
-    finder = CriticalMatchingFinder(g, fam_sets, dual.slacks(g, costs))
-    return all(
-        is_factor_critical(finder, s)
-        for s in fam_sets
-        if dual.of_set(s) > ZERO
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +184,8 @@ def validate_configuration(
     for s in every:
         if len(s) % 2 == 0 or len(s) < 3:
             raise InvalidConfiguration(f"set {sorted(s)} not odd of size >= 3")
+        if not all(1 <= u <= g.n for u in s):
+            raise InvalidConfiguration(f"set {sorted(s)} has a node outside 1..{g.n}")
     for i, s in enumerate(every):
         for t in every[i + 1 :]:
             if s & t and not (s <= t or t <= s):
@@ -366,15 +229,10 @@ def validate_configuration(
                 f"equality set {sorted(s)} has boundary value {cut}"
             )
         if cut == ZERO:
-            inside = [e for e in g.inside(s) if cfg.z[e] != ZERO]
-            if any(cfg.z[e] != HALF for e in inside):
-                raise InvalidConfiguration(
-                    f"exposed set {sorted(s)} must hold a half-cycle"
-                )
-            nodes = set()
-            for e in inside:
-                nodes.update(g.endpoints(e))
-            if nodes != set(s) or len(inside) != len(s):
+            # no support edge leaves s, so each support cycle at a node of s
+            # lies in s
+            cycles = [c for c in dec.odd_cycles if c[0] in s]
+            if len(cycles) != 1 or set(cycles[0]) != s:
                 raise InvalidConfiguration(
                     f"support inside {sorted(s)} is not a spanning odd cycle"
                 )
@@ -414,9 +272,8 @@ class _Workspace:
     - for each contracted edge e, `slack[e]` equals the `dual.slacks` entry
       of its preimage edge, `tight[e]` says whether that slack is zero, and
       `z2[e]` is twice the value of z on the preimage, an int 0, 1 or 2;
-    - for each workspace node v, `deg2[v]` holds twice its support degree,
-      `halves[v]` the number of half-edges at it, and `nbrs[v]` the pair
-      (other end, edge) of each edge at v, sorted, fixed at build time;
+    - for each workspace node v, `deg2[v]` holds twice its support degree
+      and `halves[v]` the number of half-edges at it;
     - `o` is the number of odd cycles in the workspace support.  The build
       takes it from one decomposition; after that, Case I(b) folds one
       cycle and Case I(c) opens one, and the procedure counts them.
@@ -459,14 +316,6 @@ class _Workspace:
         for e_star, val in enumerate(values):
             if val != ZERO:
                 self.set_value(e_star, _twice(val))
-        edges = self.wg.edges
-        self.nbrs = [
-            sorted(
-                (edges[e][1] if edges[e][0] == v else edges[e][0], e)
-                for e in at_v
-            )
-            for v, at_v in enumerate(self.wg.incidence)
-        ]
 
     def set_value(self, e_star: int, v2: int) -> None:
         """z2[e_star] = v2 (0, 1 or 2), keeping the node counts."""
@@ -535,12 +384,12 @@ def _alternating_search(ws: _Workspace):
     """BFS over (node, parity) states on tight 0/1-edges.
 
     A state of parity 0 leaves on 0-edges, one of parity 1 on 1-edges, each
-    in `ws.nbrs` order.  Returns ("walk", [(node, edge_to_node), ...]) for
-    the first discovered shortest alternating walk from an exposed node to
-    an exposed or half-cycle node, or ("frontier", b_plus, b_minus) when no
-    such walk exists.
+    in `ws.wg.neighbours` order.  Returns ("walk", [(node, edge_to_node),
+    ...]) for the first discovered shortest alternating walk from an exposed
+    node to an exposed or half-cycle node, or ("frontier", b_plus, b_minus)
+    when no such walk exists.
     """
-    tight, z2, nbrs = ws.tight, ws.z2, ws.nbrs
+    tight, z2, nbrs = ws.tight, ws.z2, ws.wg.neighbours
     deg2, halves = ws.deg2, ws.halves
     parent = {}
     queue = []
@@ -629,7 +478,6 @@ def run_half_integral_procedure(
     costs,
     cfg: ValidConfiguration,
     allow_exposed_nodes: bool = False,
-    revalidate_each_iteration: bool = False,
 ) -> tuple:
     """Drive a valid configuration to an optimum of the pinned-cut relaxation.
 
@@ -751,13 +599,6 @@ def run_half_integral_procedure(
                     changes[e] = 1
                 apply_edge_values(ws, changes)
                 ws.o += 1
-            if revalidate_each_iteration:
-                validate_configuration(
-                    g,
-                    costs,
-                    ValidConfiguration(lam_sets, kay_sets, z, dual),
-                    allow_exposed_nodes=allow_exposed_nodes,
-                )
             continue
 
         # Case II: dual adjustment.
@@ -799,13 +640,6 @@ def run_half_integral_procedure(
         stats.unshrinks += len(unshrunk)
         if unshrunk:
             ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
-        if revalidate_each_iteration:
-            validate_configuration(
-                g,
-                costs,
-                ValidConfiguration(lam_sets, kay_sets, z, dual),
-                allow_exposed_nodes=allow_exposed_nodes,
-            )
 
     stats.phase_lengths.append(phase_iters)
     out = ValidConfiguration(

@@ -29,7 +29,6 @@ from .combinatorial import (
     ProcedureStats,
     ValidConfiguration,
     fill_inside,
-    is_factor_critical,
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
 )
@@ -69,27 +68,6 @@ class IterationRecord:
     cross_checked: bool = False
     procedure: dict | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "cuts_imposed": self.cuts_imposed,
-            "primal": self.primal,
-            "dual_nodes": self.dual_nodes,
-            "dual_sets": self.dual_sets,
-            "dual_kind": self.dual_kind,
-            "odd_cycle_count": self.odd_cycle_count,
-            "cuts_retained": self.cuts_retained,
-            "cuts_added": self.cuts_added,
-            "objective_scaled": self.objective_scaled,
-            "terminal": self.terminal,
-            "cross_checked": self.cross_checked,
-            "procedure": self.procedure,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IterationRecord":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
-
 
 @dataclass
 class DriverState:
@@ -117,9 +95,10 @@ def trace_header(g: Graph) -> dict:
 
 
 def encode_trace(header: dict, records) -> list:
-    """JSONL lines of a trace: the header, then one line per record."""
+    """JSONL lines of a trace: the header, then one line per record, each
+    record's fields as one JSON object."""
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(r.to_json(), sort_keys=True) for r in records)
+    lines.extend(json.dumps(vars(r), sort_keys=True) for r in records)
     return lines
 
 
@@ -259,13 +238,8 @@ def _record_dual(psi: DualSolution, g: Graph) -> tuple:
     return nodes, sets
 
 
-def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simplex",
-         verify: bool = False) -> tuple:
-    """One driver iteration; returns (next_state, record).
-
-    With `verify`, every positive-dual set of a non-terminal extremal dual is
-    checked to be factor-critical.
-    """
+def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simplex") -> tuple:
+    """One driver iteration; returns (next_state, record)."""
     if state.terminal:
         return state, None
     costs = pc.scaled
@@ -316,13 +290,6 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     hp_sets, new_info = [], []
     next_fam, gamma_next = fam, state.gamma
     if not terminal:
-        if verify:
-            finder = CriticalMatchingFinder(g, fam.sets, psi.slacks(g, costs))
-            for s in fam.sets:
-                if psi.of_set(s) > ZERO and not is_factor_critical(finder, s):
-                    raise StructureViolation(
-                        "positive-dual set is not factor-critical", witness=sorted(s)
-                    )
         hp = select_old_cuts(fam, psi)
         hp_sets = hp.sets
         new_info = select_new_cuts(dec, hp)
@@ -377,7 +344,7 @@ def _stats_json(stats: ProcedureStats | None):
     }
 
 
-def run(g: Graph, solver: str = "simplex", verify: bool = False) -> RunResult:
+def run(g: Graph, solver: str = "simplex") -> RunResult:
     """Find the minimum-cost perfect matching of g by cutting planes.
 
     The returned matching minimizes both the perturbed and the original
@@ -400,7 +367,7 @@ def run(g: Graph, solver: str = "simplex", verify: bool = False) -> RunResult:
         while not state.terminal:
             if state.iteration >= bound:
                 raise StructureViolation(f"iteration bound {bound} exceeded")
-            state, record = step(state, g, pc, solver=solver, verify=verify)
+            state, record = step(state, g, pc, solver=solver)
             if record is not None:
                 records.append(record)
     except LPInfeasible as exc:

@@ -41,10 +41,6 @@ class StalledNoEpsilon(Exception):
     """Dual adjustment is unbounded: the constrained relaxation is infeasible."""
 
 
-class PreconditionBroken(Exception):
-    """A caller-supplied solution fails its documented precondition."""
-
-
 class GenerationFailed(Exception):
     """Random instance generation exhausted its retry budget."""
 

@@ -49,6 +49,16 @@ class Graph:
             incidence[v].append(e)
         return tuple(map(tuple, incidence))
 
+    @cached_property
+    def neighbours(self) -> tuple:
+        """neighbours[u]: the pairs (other end, edge id) of the edges at node
+        u, sorted; built on first use."""
+        edges = self.edges
+        return tuple(
+            tuple(sorted((edges[e][1] if edges[e][0] == u else edges[e][0], e) for e in at_u))
+            for u, at_u in enumerate(self.incidence)
+        )
+
     def costs(self) -> list:
         return [c for _u, _v, c in self.edges]
 

@@ -190,20 +190,3 @@ def contract_with_dual(
     new_g = Graph(n=len(reps), edges=tuple(new_edges))
     return new_g, ContractionMap(node_image=node_image, edge_preimage=preimage)
 
-
-def contract_maximal(
-    g: Graph, costs, fam: LaminarFamily, dual: Mapping, which
-) -> tuple:
-    """Contract the family members selected by `which` (a predicate).
-
-    Fails if a selected set is non-maximal among the selected ones; nested
-    unselected sets simply vanish into their contracted ancestor.
-    """
-    selected = [s for s in fam.sets if which(s)]
-    for s in selected:
-        for t in selected:
-            if s < t:
-                raise ValueError(
-                    f"selected set {sorted(s)} is nested inside selected {sorted(t)}"
-                )
-    return contract_with_dual(g, costs, selected, dual)

@@ -1,9 +1,12 @@
-"""Independent brute-force oracles, random instances, and trace replay.
+"""A brute-force matching oracle, random instances, and trace replay.
 
-Everything here is deliberately dumb: recursive pairing for matchings,
-exhaustive support enumeration for the fractional bound, and a straight
-re-check of every recorded invariant for traces.  None of it shares code
-paths with the solver it certifies.
+The oracle is deliberately dumb: recursive pairing of the lowest unmatched
+node, for n <= 16.  Trace replay re-checks every recorded invariant straight
+from the trace.  The generator keeps each draw that has a perfect matching;
+up to n = 16 the oracle decides that, so instances that small never depend
+on the solver they are used to certify.  Above n = 16 the solver decides it,
+exactly: a returned matching proves one exists, and an empty relaxation
+proves none does.
 """
 
 from __future__ import annotations
@@ -17,21 +20,10 @@ from .graph import Graph, decompose_support, feasibility_violation, make_graph
 from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
 from .lp import DualSolution
-from .driver import TRACE_SCHEMA, iteration_bound
+from .driver import TRACE_SCHEMA, iteration_bound, run
 from .rational import ONE, Rat, ZERO, parse_rat, perturb
 
 DEFAULT_NODE_LIMIT = 16
-FRACTIONAL_NODE_LIMIT = 12
-
-
-def _adjacency(g: Graph) -> dict:
-    adj = {u: [] for u in range(1, g.n + 1)}
-    for e, (u, v, _c) in enumerate(g.edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    for u in adj:
-        adj[u].sort()
-    return adj
 
 
 def brute_force_mcpm(g: Graph, costs=None, node_limit: int = DEFAULT_NODE_LIMIT):
@@ -47,7 +39,7 @@ def brute_force_mcpm(g: Graph, costs=None, node_limit: int = DEFAULT_NODE_LIMIT)
         raise NoPerfectMatching(f"n = {g.n}")
     if costs is None:
         costs = [c for _u, _v, c in g.edges]
-    adj = _adjacency(g)
+    adj = g.neighbours
     full = (1 << g.n) - 1
 
     memo = {}
@@ -82,89 +74,16 @@ def brute_force_mcpm(g: Graph, costs=None, node_limit: int = DEFAULT_NODE_LIMIT)
 
 
 def has_perfect_matching(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> bool:
+    """By brute force up to node_limit nodes, above it by `driver.run`.
+    Raises StructureViolation if the solver breaks an invariant."""
     try:
-        brute_force_mcpm(g, node_limit=node_limit)
+        if g.n <= node_limit:
+            brute_force_mcpm(g, node_limit=node_limit)
+        else:
+            run(g)
         return True
     except NoPerfectMatching:
         return False
-
-
-def enumerate_perfect_matchings(g: Graph) -> list:
-    """All perfect matchings as sorted edge-id tuples (small graphs only)."""
-    adj = _adjacency(g)
-    out = []
-
-    def recurse(mask, chosen):
-        if mask == 0:
-            out.append(tuple(sorted(chosen)))
-            return
-        u = (mask & -mask).bit_length()
-        for v, e in adj[u]:
-            bit = 1 << (v - 1)
-            if mask & bit and v != u:
-                recurse(mask & ~(1 << (u - 1)) & ~bit, chosen + [e])
-
-    recurse((1 << g.n) - 1, [])
-    return sorted(set(out))
-
-
-def brute_force_fractional_opt(
-    g: Graph, costs=None, node_limit: int = FRACTIONAL_NODE_LIMIT
-):
-    """Minimum cost over all degree-feasible proper-half-integral vectors.
-
-    Enumerates partitions of the nodes into matched pairs and odd cycles; a
-    cycle contributes half its edge costs.  Certifies the bipartite
-    relaxation optimum.
-    """
-    if g.n > node_limit:
-        raise ValueError(f"fractional enumeration limited to n <= {node_limit}")
-    if costs is None:
-        costs = [c for _u, _v, c in g.edges]
-    adj = _adjacency(g)
-
-    best = [None]
-
-    def lowest(mask):
-        return (mask & -mask).bit_length()
-
-    def recurse(mask, acc):
-        if mask == 0:
-            if best[0] is None or acc < best[0]:
-                best[0] = acc
-            return
-        u = lowest(mask)
-        ubit = 1 << (u - 1)
-        # pair u with a free neighbor
-        for v, e in adj[u]:
-            bit = 1 << (v - 1)
-            if mask & bit and v != u:
-                recurse(mask & ~ubit & ~bit, acc + Rat(costs[e]))
-        # grow an odd cycle through u
-        def walk(cur, used_mask, length, cost_half, first_edge):
-            for v, e in adj[cur]:
-                if e == first_edge and length == 1:
-                    continue
-                if v == u and length >= 2:
-                    if (length + 1) % 2 == 1:
-                        recurse(
-                            mask & ~used_mask & ~ubit,
-                            acc + (cost_half + Rat(costs[e])) / 2,
-                        )
-                    continue
-                bit = 1 << (v - 1)
-                if v != u and mask & bit and not used_mask & bit:
-                    walk(v, used_mask | bit, length + 1, cost_half + Rat(costs[e]), first_edge)
-
-        for v, e in adj[u]:
-            bit = 1 << (v - 1)
-            if v != u and mask & bit:
-                walk(v, bit, 1, Rat(costs[e]), e)
-
-    recurse((1 << g.n) - 1, ZERO)
-    if best[0] is None:
-        raise NoPerfectMatching("no degree-feasible half-integral vector")
-    return best[0]
 
 
 def random_instance(
@@ -178,7 +97,7 @@ def random_instance(
 
     Edges are drawn independently for each unordered pair in lexicographic
     order; costs are uniform integers in the closed range.  Rejection-samples
-    until a perfect matching exists.
+    until a perfect matching exists (see `has_perfect_matching`).
     """
     if n % 2 == 1 or n < 4:
         raise ValueError("n must be even and at least 4")

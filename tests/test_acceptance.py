@@ -13,19 +13,22 @@ from cpmatch import (
     GenerationFailed,
     LaminarFamily,
     brute_force_mcpm,
-    consistency_delta,
-    enumerate_perfect_matchings,
-    is_consistent,
     is_factor_critical,
-    is_positively_critical,
     iteration_bound,
-    make_positively_critical,
     random_instance,
     run,
     solve_primal,
     verify_trace,
 )
 from cpmatch.rational import Rat, ZERO, parse_rat
+
+from paper_oracles import (
+    consistency_delta,
+    enumerate_perfect_matchings,
+    is_consistent,
+    is_positively_critical,
+    make_positively_critical,
+)
 
 SIZES = (4, 6, 8, 10, 12, 14, 16)
 DENSITIES = (0.3, 0.6, 1.0)
@@ -44,7 +47,7 @@ CROSSCHECK_SEEDS = 9  # 12 cells x 9 seeds = 108 runs
 
 
 def _solve_and_verify(g, solver="simplex"):
-    res = run(g, solver=solver, verify=True)
+    res = run(g, solver=solver)
     report = verify_trace(g, res.trace_lines())
     return res, report
 
@@ -115,7 +118,8 @@ def crosscheck_runs():
                 g = random_instance(n, dens, (lo, hi), seed)
             except GenerationFailed:
                 continue
-            res = run(g, solver="cross-check", verify=True)
+            res = run(g, solver="cross-check")
+            assert verify_trace(g, res.trace_lines()).ok("positively_critical")
             out.append((g, res))
     return out
 
@@ -125,16 +129,14 @@ def combinatorial_runs():
     """Pure combinatorial-mode runs for the procedure phase-bound criterion."""
     from instances import MULTI_ROUND_RANDOM, telescope
 
+    graphs = [telescope(stages, gadgets) for stages, gadgets in ((3, 2), (4, 2), (5, 2))]
+    graphs += [random_instance(n, dens, (0, hi), seed) for n, dens, hi, seed in MULTI_ROUND_RANDOM[:6]]
+    graphs += [random_instance(10, 0.4, (0, 3), 444_000 + k) for k in range(20)]
     out = []
-    for stages, gadgets in ((3, 2), (4, 2), (5, 2)):
-        g = telescope(stages, gadgets)
-        out.append((g, run(g, solver="combinatorial", verify=True)))
-    for n, dens, hi, seed in MULTI_ROUND_RANDOM[:6]:
-        g = random_instance(n, dens, (0, hi), seed)
-        out.append((g, run(g, solver="combinatorial", verify=True)))
-    for k in range(20):
-        g = random_instance(10, 0.4, (0, 3), 444_000 + k)
-        out.append((g, run(g, solver="combinatorial", verify=True)))
+    for g in graphs:
+        res = run(g, solver="combinatorial")
+        assert verify_trace(g, res.trace_lines()).ok("positively_critical")
+        out.append((g, res))
     return out
 
 

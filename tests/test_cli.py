@@ -97,6 +97,39 @@ class TestGen:
         proc = cli("solve", str(inst), "--solver", "cross-check", "--verify")
         assert proc.returncode == 0
 
+    def test_gen_above_brute_force_limit(self, tmp_path, capsys):
+        # above n = 16 the solver decides whether a draw has a perfect
+        # matching; the instance then solves and verifies on every route,
+        # with the brute-force check skipped
+        import cpmatch.cli as cli_mod
+        from cpmatch.driver import SOLVER_CHOICES
+
+        inst = tmp_path / "g20.txt"
+        argv = ["gen", "--n", "20", "--density", "0.3", "--seed", "1", "--out", str(inst)]
+        assert cli_mod.main(argv) == 0
+        assert inst.read_text().startswith("p edge 20 ")
+        for solver in SOLVER_CHOICES:
+            capsys.readouterr()
+            assert cli_mod.main(["solve", str(inst), "--solver", solver, "--verify"]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert "SKIP final_matching_oracle reason=n>16" in out
+            assert not any(line.startswith("FAIL") for line in out)
+
+    def test_gen_structure_violation_exits_4(self, tmp_path, capsys, monkeypatch):
+        import cpmatch.cli as cli_mod
+        import cpmatch.oracle as oracle_mod
+        from cpmatch.errors import StructureViolation
+
+        def broken(g):
+            raise StructureViolation("iteration bound 30 exceeded")
+
+        monkeypatch.setattr(oracle_mod, "run", broken)
+        out = tmp_path / "g20.txt"
+        argv = ["gen", "--n", "20", "--density", "0.3", "--seed", "1", "--out", str(out)]
+        assert cli_mod.main(argv) == 4
+        assert capsys.readouterr().err == "error: iteration bound 30 exceeded\n"
+        assert not out.exists()
+
 
 class TestStructureViolationPath:
     def test_exit_4_and_trace_dump_on_divergence(self, bowtie_file, tmp_path, monkeypatch):

@@ -5,22 +5,23 @@ from cpmatch import (
     DualSolution,
     InvalidConfiguration,
     LaminarFamily,
-    NotCritical,
     ValidConfiguration,
-    consistency_delta,
-    is_consistent,
     is_factor_critical,
-    is_positively_critical,
     make_graph,
-    make_positively_critical,
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
     solve_primal,
 )
-from cpmatch.errors import PreconditionBroken
 from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
+from paper_oracles import (
+    PreconditionBroken,
+    consistency_delta,
+    is_consistent,
+    is_positively_critical,
+    make_positively_critical,
+)
 
 
 def zero_dual(n):
@@ -30,6 +31,49 @@ def zero_dual(n):
 def finder_for(g, fam_sets, dual):
     """A finder for tight edges of g under dual, with g's own costs."""
     return CriticalMatchingFinder(g, fam_sets, dual.slacks(g, g.costs()))
+
+
+def keeping_state(ws_class):
+    """A subclass of the procedure workspace class whose instances keep
+    `state`: the g, costs, lam_sets, kay_sets, z and dual they were built
+    from.  The run mutates the last four in place, so this is always its
+    current state (the slacks, the seventh argument, are those of the dual
+    at build time)."""
+
+    class Recording(ws_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.state = args[:6]
+
+    return Recording
+
+
+@pytest.fixture
+def validate_each_step(monkeypatch):
+    """Validate a procedure run's live configuration before every
+    alternating search: the input, then the state after each step and any
+    unshrink.  Call it with the run's allow_exposed_nodes before the run; it
+    returns the list of the laminar sets validated, one entry per search."""
+    import cpmatch.combinatorial as comb
+
+    def install(allow_exposed_nodes=False):
+        real_search = comb._alternating_search
+        validated = []
+
+        def search(ws):
+            g, costs, lam_sets, kay_sets, z, dual = ws.state
+            comb.validate_configuration(
+                g, costs, ValidConfiguration(lam_sets, kay_sets, z, dual),
+                allow_exposed_nodes=allow_exposed_nodes,
+            )
+            validated.append(list(lam_sets))
+            return real_search(ws)
+
+        monkeypatch.setattr(comb, "_Workspace", keeping_state(comb._Workspace))
+        monkeypatch.setattr(comb, "_alternating_search", search)
+        return validated
+
+    return install
 
 
 class TestCriticalMatching:
@@ -49,7 +93,7 @@ class TestCriticalMatching:
         g = make_graph(3, [(1, 2, 0), (2, 3, 5), (1, 3, 0)])
         s = frozenset({1, 2, 3})
         m = finder_for(g, [s], zero_dual(3)).critical_matching(s, 1)
-        assert isinstance(m, NotCritical)  # (2,3) has slack 5
+        assert m is None  # (2,3) has slack 5
 
 
 class TestFactorCritical:
@@ -242,7 +286,7 @@ class TestProcedure:
         assert stats.iterations == 0
         assert out.z == z
 
-    def test_bowtie_dual_step_then_augment(self, bowtie):
+    def test_bowtie_dual_step_then_augment(self, bowtie, validate_each_step):
         # both triangles pinned and exposed: one dual step of half the
         # bridge slack, then one augmentation along the now-tight bridge
         costs = [c for _u, _v, c in bowtie.edges]
@@ -250,9 +294,9 @@ class TestProcedure:
         cfg = ValidConfiguration(
             laminar=[], disjoint=[TRIANGLE_LEFT, TRIANGLE_RIGHT], z=z, dual=zero_dual(6)
         )
-        out, stats = run_half_integral_procedure(
-            bowtie, costs, cfg, revalidate_each_iteration=True
-        )
+        validated = validate_each_step()
+        out, stats = run_half_integral_procedure(bowtie, costs, cfg)
+        assert len(validated) == stats.iterations == 2
         assert stats.case_counts == {"Ia": 1, "Ib": 0, "Ic": 0, "II": 1}
         assert out.z == [ONE, ZERO, ZERO, ZERO, ZERO, ONE, ONE]
         assert out.dual.of_set(TRIANGLE_LEFT) == rat(5)  # half of bridge slack 10
@@ -293,6 +337,33 @@ class TestProcedure:
         )
         with pytest.raises(InvalidConfiguration):
             run_half_integral_procedure(bowtie, costs, cfg)
+
+    def test_exposed_set_with_several_cycles_rejected(self):
+        # s = {1..9} holds three half-triangles joined in a ring by 0-edges:
+        # as many support edges as nodes, all of s covered, but three cycles
+        from cpmatch.combinatorial import validate_configuration
+
+        tri = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9)]
+        joins = [(3, 4), (6, 7), (9, 1)]
+        pinned = [(10, 11), (11, 12), (10, 12)]
+        g = make_graph(12, [(u, v, 0) for u, v in tri + joins + pinned + [(9, 10)]])
+        z = [HALF] * 9 + [ZERO] * 3 + [HALF] * 3 + [ZERO]
+        cfg = ValidConfiguration(
+            laminar=[], disjoint=[frozenset(range(1, 10)), frozenset({10, 11, 12})],
+            z=z, dual=zero_dual(12),
+        )
+        with pytest.raises(InvalidConfiguration, match="not a spanning odd cycle"):
+            validate_configuration(g, g.costs(), cfg)
+        with pytest.raises(InvalidConfiguration):
+            run_half_integral_procedure(g, g.costs(), cfg)
+
+    def test_set_outside_the_graph_rejected(self, bowtie):
+        z = [HALF] * 6 + [ZERO]
+        cfg = ValidConfiguration(
+            laminar=[], disjoint=[TRIANGLE_LEFT, frozenset({4, 5, 7})], z=z, dual=zero_dual(6)
+        )
+        with pytest.raises(InvalidConfiguration, match="outside 1..6"):
+            run_half_integral_procedure(bowtie, bowtie.costs(), cfg)
 
     def test_untight_support_rejected(self, bowtie):
         z = [ONE, ZERO, ZERO, ZERO, ZERO, ONE, ONE]
@@ -437,15 +508,18 @@ class TestSharedFinder:
         run(instance_graph(instance), solver="combinatorial")
         assert checked_fills
 
-    def test_memo_survives_unshrink(self, checked_fills):
+    def test_memo_survives_unshrink(self, checked_fills, validate_each_step):
         # the augmentation repairs C with the finder built before the unshrink
         import cpmatch.combinatorial as comb
 
         g, cfg = unshrink_instance()
         c = UNSHRINK_C
+        validated = validate_each_step(allow_exposed_nodes=True)
         out, stats = comb.run_half_integral_procedure(
-            g, g.costs(), cfg, allow_exposed_nodes=True, revalidate_each_iteration=True
+            g, g.costs(), cfg, allow_exposed_nodes=True
         )
+        # the second and third searches start after T was unshrunk
+        assert validated == [[c, UNSHRINK_T], [c], [c]]
         assert [ev["case"] for ev in stats.events] == ["II", "II", "I(a)"]
         assert stats.unshrinks == 1
         assert out.laminar == [c]
@@ -469,14 +543,6 @@ class TestCarriedWorkspace:
         real_ws, real_search = comb._Workspace, comb._alternating_search
         checked = []
 
-        class Recording(real_ws):
-            def __init__(self, *args):
-                super().__init__(*args)
-                # g, costs, lam_sets, kay_sets, z, dual: the run mutates the
-                # last four in place, so this is always its current state
-                # (args[6], the slacks, are those of the dual at build time)
-                self.state = args[:6]
-
         def search(ws):
             from cpmatch.graph import decompose_support
 
@@ -487,7 +553,7 @@ class TestCarriedWorkspace:
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
             assert ws.z2 == fresh.z2
-            assert ws.nbrs == fresh.nbrs
+            assert ws.wg.neighbours == fresh.wg.neighbours
             values = [z[e] for e in ws.cmap.edge_preimage]
             assert ws.z2 == [int(2 * val) for val in values]
             assert ws.o == decompose_support(values, fresh.wg).o
@@ -504,11 +570,11 @@ class TestCarriedWorkspace:
             assert ws.exposed == [v for v in range(1, ws.wg.n + 1) if deg2[v] == 0]
             for v in range(1, ws.wg.n + 1):
                 at_v = [(b if a == v else a, e) for e, (a, b, _c) in enumerate(ws.wg.edges) if v in (a, b)]
-                assert ws.nbrs[v] == sorted(at_v)
+                assert list(ws.wg.neighbours[v]) == sorted(at_v)
             checked.append(ws)
             return real_search(ws)
 
-        monkeypatch.setattr(comb, "_Workspace", Recording)
+        monkeypatch.setattr(comb, "_Workspace", keeping_state(real_ws))
         monkeypatch.setattr(comb, "_alternating_search", search)
         return checked
 

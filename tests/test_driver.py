@@ -13,12 +13,14 @@ from cpmatch import (
     run,
     select_new_cuts,
     select_old_cuts,
+    verify_trace,
 )
 from cpmatch.driver import DriverState, IterationRecord, step
 from cpmatch.graph import SupportDecomposition
 from cpmatch.rational import ZERO, perturb, rat
 
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT
+from paper_oracles import enumerate_perfect_matchings
 
 # pinned multi-round instance: three relaxation solves, both first-round
 # cuts retained and absorbed into larger cuts in round two
@@ -96,14 +98,16 @@ class TestRun:
         assert res.records[0].cuts_added == []
 
     def test_bowtie(self, bowtie):
-        res = run(bowtie, verify=True)
+        res = run(bowtie)
+        assert verify_trace(bowtie, res.trace_lines()).ok("positively_critical")
         assert res.matching == [0, 5, 6]
         assert res.base_cost == 10
         assert res.perturbed_cost == rat(1347, 128)
         assert res.lp_solves == 2
 
     def test_six_cycle(self, six_cycle):
-        res = run(six_cycle, verify=True)
+        res = run(six_cycle)
+        assert verify_trace(six_cycle, res.trace_lines()).ok("positively_critical")
         assert res.matching == [1, 3, 5]
         assert res.base_cost == 3
         assert res.lp_solves == 1
@@ -128,7 +132,8 @@ class TestRun:
 
     def test_multi_round_retention_and_absorption(self):
         g = random_instance(16, 0.28, (0, 1), MULTI_ROUND_SEED)
-        res = run(g, solver="cross-check", verify=True)
+        res = run(g, solver="cross-check")
+        assert verify_trace(g, res.trace_lines()).ok("positively_critical")
         assert res.lp_solves == 3
         os = [r.odd_cycle_count for r in res.records]
         assert os == [2, 2, 0]
@@ -153,7 +158,8 @@ class TestRun:
         from instances import telescope
 
         g = telescope(stages=3, gadgets=2)
-        res = run(g, solver="cross-check", verify=True)
+        res = run(g, solver="cross-check")
+        assert verify_trace(g, res.trace_lines()).ok("positively_critical")
         assert res.lp_solves == 4
         assert [r.odd_cycle_count for r in res.records] == [2, 2, 2, 0]
         sizes = [sorted(len(s) for s in r.cuts_imposed) for r in res.records]
@@ -166,8 +172,6 @@ class TestRun:
                 assert tuple(added) in final
 
     def test_matching_optimal_for_base_and_perturbed_costs(self, bowtie):
-        from cpmatch import enumerate_perfect_matchings
-
         res = run(bowtie)
         pc = res.perturbed
         candidates = enumerate_perfect_matchings(bowtie)
@@ -291,7 +295,7 @@ class TestTrace:
         header = json.loads(lines[0])
         assert header["schema"] == "cpmatch-trace-1"
         assert header["n"] == 6 and header["m"] == 7
-        parsed = [IterationRecord.from_json(json.loads(ln)) for ln in lines[1:]]
+        parsed = [IterationRecord(**json.loads(ln)) for ln in lines[1:]]
         assert parsed == res.records
 
     def test_trace_marks_cross_checks(self, bowtie):

@@ -1,6 +1,6 @@
 import pytest
 
-from cpmatch import LaminarFamily, LaminarityViolation, contract_maximal, make_graph
+from cpmatch import LaminarFamily, LaminarityViolation, make_graph
 from cpmatch.laminar import contract_with_dual, dual_inside, odd_set
 from cpmatch.lp import DualSolution
 from cpmatch.rational import ZERO, rat
@@ -85,19 +85,14 @@ class TestContraction:
             {1: rat(40), 2: rat(24), 3: rat(-8), 4: rat(5), 5: rat(3), 6: rat(-1)}
         )
         fam = LaminarFamily(6, [TRIANGLE_LEFT, TRIANGLE_RIGHT])
-        new_g, cmap = contract_maximal(
-            bowtie, bowtie_perturbed.scaled, fam, dual, lambda s: True
-        )
+        new_g, cmap = contract_with_dual(bowtie, bowtie_perturbed.scaled, fam.sets, dual)
         assert new_g.n == 2 and new_g.m == 1
         # boundary cost drops by the inner duals at both endpoints
         assert new_g.edges[0][2] == 1281 - rat(-8) - rat(5)
         assert cmap.edge_preimage == [6]
 
     def test_contract_nothing_is_identity(self, bowtie, bowtie_perturbed):
-        fam = LaminarFamily(6, [TRIANGLE_LEFT])
-        new_g, cmap = contract_maximal(
-            bowtie, bowtie_perturbed.scaled, fam, DualSolution(), lambda s: False
-        )
+        new_g, cmap = contract_with_dual(bowtie, bowtie_perturbed.scaled, [], DualSolution())
         assert new_g.n == 6 and new_g.m == 7
         assert cmap.edge_preimage == list(range(7))
         assert all(cmap.node_image[u] == u for u in range(1, 7))
@@ -106,9 +101,7 @@ class TestContraction:
         g = make_graph(8, [(1, 2, 0), (3, 4, 0), (5, 6, 1), (7, 8, 1), (1, 6, 2)])
         fam = LaminarFamily(8, [{1, 2, 3}, {1, 2, 3, 4, 5}])
         dual = DualSolution({u: ZERO for u in range(1, 9)})
-        new_g, cmap = contract_maximal(
-            g, g.costs(), fam, dual, lambda s: len(s) == 5
-        )
+        new_g, cmap = contract_with_dual(g, g.costs(), [s for s in fam.sets if len(s) == 5], dual)
         # inner set's image is a single node: it vanished from the picture
         assert cmap.image_node_of_set(frozenset({1, 2, 3})) is not None
         assert new_g.n == 4
@@ -117,7 +110,7 @@ class TestContraction:
         g = make_graph(8, [(1, 2, 0)])
         fam = LaminarFamily(8, [{1, 2, 3}, {1, 2, 3, 4, 5}])
         with pytest.raises(ValueError):
-            contract_maximal(g, g.costs(), fam, DualSolution(), lambda s: True)
+            contract_with_dual(g, g.costs(), fam.sets, DualSolution())
 
     def test_preimage_bijection_roundtrip(self, bowtie, bowtie_perturbed):
         dual = DualSolution({u: ZERO for u in range(1, 7)})
@@ -161,9 +154,8 @@ class TestContractionImageInvariant:
             dual[frozenset(nodes)] = parse_rat(val)
         fam = LaminarFamily(g.n, [frozenset(s) for s in rec.cuts_imposed])
         maximal = set(fam.maximal_sets())
-        new_g, cmap = contract_maximal(
-            g, res.perturbed.scaled, fam, dual,
-            lambda s: s in maximal and dual.of_set(s) > 0,
+        new_g, cmap = contract_with_dual(
+            g, res.perturbed.scaled, [s for s in maximal if dual.of_set(s) > 0], dual
         )
         x_img = [x[cmap.edge_preimage[e]] for e in range(new_g.m)]
         assert is_proper_half_integral(x_img, new_g)

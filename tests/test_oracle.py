@@ -7,9 +7,7 @@ from cpmatch import (
     GenerationFailed,
     NoPerfectMatching,
     SchemaMismatch,
-    brute_force_fractional_opt,
     brute_force_mcpm,
-    enumerate_perfect_matchings,
     make_graph,
     random_instance,
     run,
@@ -18,6 +16,8 @@ from cpmatch import (
 )
 from cpmatch.oracle import parse_trace
 from cpmatch.rational import perturb
+
+from paper_oracles import brute_force_fractional_opt, enumerate_perfect_matchings
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -135,6 +135,31 @@ class TestVerifyTrace:
         report = verify_trace(bowtie, lines)
         assert not report.ok("laminarity")
         assert "SKIP positively_critical reason=cut family not laminar" in report.lines()
+
+    def test_non_critical_positive_dual_set_fails(self, bowtie, tmp_path, capsys):
+        # the combinatorial route's terminal record carries an extremal dual
+        # with {1, 2, 3} positive; lowering node 1's dual leaves the edges
+        # 1-2 and 1-3 inside the set with positive slack, so no critical
+        # matching of {1, 2, 3} minus 2 exists
+        from cpmatch import cli
+        from cpmatch.rational import format_rat, parse_rat
+
+        lines = self._trace(bowtie, solver="combinatorial")
+        rec = json.loads(lines[2])
+        assert rec["dual_kind"] == "extremal"
+        assert [[1, 2, 3], "1284"] in rec["dual_sets"]
+        rec["dual_nodes"]["1"] = format_rat(parse_rat(rec["dual_nodes"]["1"]) - 1)
+        lines[2] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(bowtie, lines)
+        assert report.checks["positively_critical"] == (False, {"iteration": 1, "set": [1, 2, 3]})
+
+        instance, trace = tmp_path / "bowtie.txt", tmp_path / "bowtie.jsonl"
+        instance.write_text(write_instance(bowtie))
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", "--instance", str(instance), "--trace", str(trace)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL positively_critical witness={'iteration': 1, 'set': [1, 2, 3]}" in out
 
     def test_corrupted_dual_fails_slackness_with_witness(self, bowtie):
         lines = self._trace(bowtie)
