@@ -11,13 +11,14 @@ the consistency measure, do not run in the loop; they are test oracles in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidConfiguration, StalledNoEpsilon, StructureViolation
 from .graph import Graph, decompose_support
 from .laminar import contract_with_dual, sorted_sets
-from .lp import DualSolution
+from .lp import DualSolution, _denominators, _scaled
 from .rational import HALF, ONE, Rat, ZERO, format_rat
 
 
@@ -269,8 +270,18 @@ class _Workspace:
     The procedure builds one per run, and a new one only after an unshrink,
     the one step that changes the top sets.  In between the workspace is kept
     up to date, and these invariants hold after every step:
-    - for each contracted edge e, `slack[e]` equals the `dual.slacks` entry
-      of its preimage edge, `tight[e]` says whether that slack is zero, and
+    - every dual change since the build is an int in units of 1/`unit`.
+      The build sets `unit` to twice the lcm of the denominators of the
+      contracted edges' slacks and of the top laminar sets' duals, and a
+      Case II step doubles it (with every int it scales) when its epsilon
+      is half a unit;
+    - the current dual is the build's dual plus `moved`, which maps each
+      dual key a Case II step changed to its net change, so the run's
+      `DualSolution` is behind until `write_back` adds `moved` to it;
+    - `set_units[s]` is the build dual of each top laminar set s, so its
+      current dual is `set_units[s] + moved.get(s, 0)` units;
+    - for each contracted edge e, `slack[e]` is the current slack of its
+      preimage edge in units, zero exactly when the edge is tight, and
       `z2[e]` is twice the value of z on the preimage, an int 0, 1 or 2;
     - for each workspace node v, `deg2[v]` holds twice its support degree
       and `halves[v]` the number of half-edges at it;
@@ -303,8 +314,13 @@ class _Workspace:
         for u, img in self.cmap.node_image.items():
             if img not in contracted_nodes:
                 self._plain[img] = u
-        self.slack = [slacks[e] for e in self.cmap.edge_preimage]
-        self.tight = [s == ZERO for s in self.slack]
+        slack = [slacks[e] for e in self.cmap.edge_preimage]
+        lam_tops = [s for s in self.tops if s in lam_sets]
+        top_duals = [dual.of_set(s) for s in lam_tops]
+        self.unit = 2 * math.lcm(*_denominators(slack), *_denominators(top_duals))
+        self.slack = [_scaled(v, self.unit) for v in slack]
+        self.set_units = {s: _scaled(v, self.unit) for s, v in zip(lam_tops, top_duals)}
+        self.moved = {}
         values = [z[e] for e in self.cmap.edge_preimage]
         try:
             self.o = decompose_support(values, self.wg).o
@@ -338,9 +354,27 @@ class _Workspace:
                     witness=v,
                 )
 
-    def shift_duals(self, raised, lowered, eps) -> None:
-        """Update slack and tight after the dual keys of the `raised` nodes
-        went up by eps and those of the `lowered` nodes down by eps.
+    def set_dual(self, s) -> int:
+        """The current dual of the top laminar set s, in units."""
+        return self.set_units[s] + self.moved.get(s, 0)
+
+    def epsilon(self, bound2: int) -> int:
+        """The Case II step for a bound of `bound2` half-units, in units.
+
+        An even bound halves exactly.  An odd one first doubles the unit,
+        with every slack and dual counted in it, so that the step is an int.
+        """
+        if bound2 % 2 == 0:
+            return bound2 // 2
+        self.unit *= 2
+        self.slack = [2 * v for v in self.slack]
+        self.set_units = {s: 2 * v for s, v in self.set_units.items()}
+        self.moved = {key: 2 * v for key, v in self.moved.items()}
+        return bound2
+
+    def shift_duals(self, raised, lowered, eps: int) -> None:
+        """Raise the dual keys of the `raised` nodes by eps units and lower
+        those of the `lowered` nodes by eps, in `moved` and in the slacks.
 
         Each workspace edge joins two distinct workspace nodes, so its slack
         moves by exactly the net change at its two ends, counted here in
@@ -350,14 +384,26 @@ class _Workspace:
         net = dict.fromkeys(raised, 1)
         for v in lowered:
             net[v] = net.get(v, 0) - 1
-        step = {k: k * eps for k in (-2, -1, 1, 2)}
-        incidence = self.wg.incidence
+        moved = self.moved
+        for v, k in net.items():
+            if k:
+                key = self.dual_key(v)
+                moved[key] = moved.get(key, 0) + k * eps
+        slack, incidence = self.slack, self.wg.incidence
         for e in {e for v in net for e in incidence[v]}:
             a, b = self.wg.endpoints(e)
             k = net.get(a, 0) + net.get(b, 0)
             if k:
-                self.slack[e] -= step[k]
-                self.tight[e] = self.slack[e] == ZERO
+                slack[e] -= k * eps
+
+    def write_back(self, dual: DualSolution) -> None:
+        """Add the dual changes carried since the build to `dual`, the dual
+        the workspace was built from.  The run calls it once, when it is
+        done with the workspace: before an unshrink rebuilds it and at the
+        end."""
+        for key, k in self.moved.items():
+            if k:
+                dual[key] = dual.get(key, ZERO) + Rat(k, self.unit)
 
     @property
     def exposed(self) -> list:
@@ -389,7 +435,7 @@ def _alternating_search(ws: _Workspace):
     node to an exposed or half-cycle node, or ("frontier", b_plus, b_minus)
     when no such walk exists.
     """
-    tight, z2, nbrs = ws.tight, ws.z2, ws.wg.neighbours
+    slack, z2, nbrs = ws.slack, ws.z2, ws.wg.neighbours
     deg2, halves = ws.deg2, ws.halves
     parent = {}
     queue = []
@@ -403,7 +449,7 @@ def _alternating_search(ws: _Workspace):
         qi += 1
         want = 2 * parity
         for w, e in nbrs[node]:
-            if z2[e] != want or not tight[e]:
+            if z2[e] != want or slack[e]:
                 continue
             nstate = (w, 1 - parity)
             if nstate in parent:
@@ -450,24 +496,27 @@ def _half_cycle(ws: _Workspace, start: int) -> tuple:
 
 
 def _edge_bound(ws: _Workspace, b_plus: list, b_minus: list):
-    """The largest Case II step the workspace edges allow, or None.
+    """The largest Case II step the workspace edges allow, in half-units of
+    the workspace, or None.
 
     Raising B+ and lowering B- by eps lowers the slack of an edge by d*eps,
     d its ends in B+ less its ends in B-.  The bound is the least slack/d
-    over the non-tight edges with d > 0.  Such an edge has an end in B+, so
-    only the edges at B+ nodes are read.
+    over the non-tight edges with d > 0, and d is 1 or 2, so 2*slack//d is
+    exact.  Such an edge has an end in B+, so only the edges at B+ nodes are
+    read.
     """
     plus = set(b_plus)
     minus = set(b_minus)
+    slack, endpoints = ws.slack, ws.wg.endpoints
     bound = None
     for node in b_plus:
         for e_star in ws.wg.incidence[node]:
-            if ws.tight[e_star]:
+            if not slack[e_star]:
                 continue
-            a, b = ws.wg.endpoints(e_star)
+            a, b = endpoints(e_star)
             d = (a in plus) - (a in minus) + (b in plus) - (b in minus)
             if d > 0:
-                cand = ws.slack[e_star] / d
+                cand = 2 * slack[e_star] // d
                 if bound is None or cand < bound:
                     bound = cand
     return bound
@@ -606,41 +655,41 @@ def run_half_integral_procedure(
         stats.case_counts["II"] += 1
         if len(b_plus) < len(b_minus):
             raise StructureViolation("dual objective would decrease in Case II")
+        # The bound is in half-units: the lowered top laminar sets may fall
+        # to zero, no further.
         bound = _edge_bound(ws, b_plus, b_minus)
-        for node in b_minus:
-            s = ws.key_of(node)
-            if s is not None and s in lam_sets:
-                cand = dual.of_set(s)
-                if bound is None or cand < bound:
-                    bound = cand
+        lowered_sets = [s for s in map(ws.key_of, b_minus) if s in ws.set_units]
+        for s in lowered_sets:
+            cand = 2 * ws.set_dual(s)
+            if bound is None or cand < bound:
+                bound = cand
         if bound is None:
             raise StalledNoEpsilon(
                 "dual adjustment unbounded: pinned relaxation infeasible"
             )
-        if bound <= ZERO:
-            raise StructureViolation("nonpositive dual step", witness=str(bound))
+        if bound <= 0:
+            raise StructureViolation(
+                "nonpositive dual step", witness=format_rat(Rat(bound, 2 * ws.unit))
+            )
+        eps = ws.epsilon(bound)
         stats.events.append(
             {
                 "case": "II",
-                "epsilon": format_rat(bound),
+                "epsilon": format_rat(Rat(eps, ws.unit)),
                 "raised": b_plus,
                 "lowered": b_minus,
             }
         )
-        for node in b_plus:
-            key = ws.dual_key(node)
-            dual[key] = dual.get(key, ZERO) + bound
-        for node in b_minus:
-            key = ws.dual_key(node)
-            dual[key] = dual.get(key, ZERO) - bound
-        ws.shift_duals(b_plus, b_minus, bound)
-        unshrunk = [s for s in lam_sets if dual.of_set(s) == ZERO]
+        ws.shift_duals(b_plus, b_minus, eps)
+        unshrunk = [s for s in lowered_sets if ws.set_dual(s) == 0]
         for s in unshrunk:
             lam_sets.remove(s)
         stats.unshrinks += len(unshrunk)
         if unshrunk:
+            ws.write_back(dual)
             ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
 
+    ws.write_back(dual)
     stats.phase_lengths.append(phase_iters)
     out = ValidConfiguration(
         laminar=list(lam_sets), disjoint=list(kay_sets), z=z, dual=dual

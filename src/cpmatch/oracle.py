@@ -142,7 +142,8 @@ class VerifyReport:
         self.skipped[name] = reason
 
     def ok(self, name: str) -> bool:
-        return self.checks.get(name, (False, "missing"))[0]
+        """True iff the check ran and passed: a skipped one is not ok."""
+        return name not in self.skipped and self.checks.get(name, (False, "missing"))[0]
 
     @property
     def all_ok(self) -> bool:

@@ -67,6 +67,19 @@ def per_edge_slacks(dual, g, costs):
     return out
 
 
+def assert_positively_critical(report, res):
+    """`positively_critical` ran and passed on the run's trace when a record
+    carries an extremal dual.  Only a run whose first relaxation optimum is
+    already a matching records none: one record with the basis dual, on
+    which verify prints SKIP and `ok` is False."""
+    if any(rec.dual_kind == "extremal" for rec in res.records):
+        assert report.ok("positively_critical"), report.checks["positively_critical"]
+    else:
+        assert len(res.records) == 1
+        assert "SKIP positively_critical reason=no extremal dual" in report.lines()
+        assert not report.ok("positively_critical")
+
+
 def dual_feasible(dual, g, costs, nonneg_sets):
     """No edge has negative slack and no set of nonneg_sets a negative dual."""
     return all(dual.of_set(s) >= 0 for s in nonneg_sets) and all(

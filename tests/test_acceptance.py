@@ -22,6 +22,7 @@ from cpmatch import (
 )
 from cpmatch.rational import Rat, ZERO, parse_rat
 
+from conftest import assert_positively_critical
 from paper_oracles import (
     consistency_delta,
     enumerate_perfect_matchings,
@@ -119,7 +120,7 @@ def crosscheck_runs():
             except GenerationFailed:
                 continue
             res = run(g, solver="cross-check")
-            assert verify_trace(g, res.trace_lines()).ok("positively_critical")
+            assert_positively_critical(verify_trace(g, res.trace_lines()), res)
             out.append((g, res))
     return out
 
@@ -135,7 +136,7 @@ def combinatorial_runs():
     out = []
     for g in graphs:
         res = run(g, solver="combinatorial")
-        assert verify_trace(g, res.trace_lines()).ok("positively_critical")
+        assert_positively_critical(verify_trace(g, res.trace_lines()), res)
         out.append((g, res))
     return out
 
@@ -221,8 +222,8 @@ def test_criterion_8_positively_critical_duals(all_runs):
     extremal_checked = 0
     transform_checked = 0
     for g, res, report in all_runs:
-        assert report.ok("positively_critical"), report.checks["positively_critical"]
-        extremal_checked += 1
+        assert_positively_critical(report, res)
+        extremal_checked += report.ok("positively_critical")
         pc = res.perturbed
         for i, rec in enumerate(res.records):
             if i == 0 or not rec.cuts_imposed:
@@ -236,6 +237,7 @@ def test_criterion_8_positively_critical_duals(all_runs):
             assert iters <= len(fam)
             assert is_positively_critical(g, pc.scaled, fam, psi)
             transform_checked += 1
+    assert extremal_checked
     print(
         f"PASS criterion-8 positively-critical duals: {extremal_checked} traces; "
         f"independent transform on {transform_checked} iterations, always <= |F| steps"

@@ -131,6 +131,36 @@ class TestGen:
         assert not out.exists()
 
 
+class TestAboveBruteForceLimit:
+    """gen, solve and verify at n = 20 to 64, where no brute-force oracle
+    checks the answer: the simplex and the combinatorial routes must agree
+    on every relaxation (the cross-check solver), and every trace must
+    verify."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize("n", [20, 32, 48, 64])
+    def test_cross_check_solves_and_verifies(self, tmp_path, capsys, n, seed):
+        import json
+
+        import cpmatch.cli as cli_mod
+
+        inst, trace = tmp_path / "g.txt", tmp_path / "trace.jsonl"
+        argv = ["gen", "--n", str(n), "--density", "0.15", "--cost-max", "10",
+                "--seed", str(seed), "--out", str(inst)]
+        assert cli_mod.main(argv) == 0
+        assert inst.read_text().startswith(f"p edge {n} ")
+        assert cli_mod.main(["solve", str(inst), "--solver", "cross-check", "--trace", str(trace)]) == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
+        assert records and all(rec["cross_checked"] for rec in records)
+        # the from-scratch procedure run takes Case II dual steps
+        assert records[0]["procedure"]["cases"]["II"] > 0
+        capsys.readouterr()
+        assert cli_mod.main(["verify", "--instance", str(inst), "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "SKIP final_matching_oracle reason=n>16" in out
+        assert not any(line.startswith("FAIL") for line in out)
+
+
 class TestStructureViolationPath:
     def test_exit_4_and_trace_dump_on_divergence(self, bowtie_file, tmp_path, monkeypatch):
         # force a violation mid-run: the CLI must exit 4 and dump the

@@ -36,9 +36,9 @@ def finder_for(g, fam_sets, dual):
 def keeping_state(ws_class):
     """A subclass of the procedure workspace class whose instances keep
     `state`: the g, costs, lam_sets, kay_sets, z and dual they were built
-    from.  The run mutates the last four in place, so this is always its
-    current state (the slacks, the seventh argument, are those of the dual
-    at build time)."""
+    from.  The run mutates lam_sets and z in place, so those are always its
+    current ones; the dual stays the one at build time (see current_dual),
+    and so do the slacks, the seventh argument."""
 
     class Recording(ws_class):
         def __init__(self, *args):
@@ -46,6 +46,16 @@ def keeping_state(ws_class):
             self.state = args[:6]
 
     return Recording
+
+
+def current_dual(ws):
+    """The run's current dual: the dual a keeping_state workspace was built
+    from, plus the changes it carries in units of 1/ws.unit.  The run adds
+    them to its dual only when it is done with the workspace."""
+    dual = DualSolution(ws.state[5])
+    for key, k in ws.moved.items():
+        dual[key] = dual.get(key, ZERO) + Rat(k, ws.unit)
+    return dual
 
 
 @pytest.fixture
@@ -61,9 +71,9 @@ def validate_each_step(monkeypatch):
         validated = []
 
         def search(ws):
-            g, costs, lam_sets, kay_sets, z, dual = ws.state
+            g, costs, lam_sets, kay_sets, z, _dual = ws.state
             comb.validate_configuration(
-                g, costs, ValidConfiguration(lam_sets, kay_sets, z, dual),
+                g, costs, ValidConfiguration(lam_sets, kay_sets, z, current_dual(ws)),
                 allow_exposed_nodes=allow_exposed_nodes,
             )
             validated.append(list(lam_sets))
@@ -436,13 +446,9 @@ class TestSharedFinder:
                 if runs:
                     runs[-1]["built"].append(self)
 
-        class Recording(comb._Workspace):
+        class Recording(keeping_state(comb._Workspace)):
             def __init__(self, *args):
                 super().__init__(*args)
-                # g, costs, lam_sets, kay_sets, z, dual: the run mutates the
-                # last four in place, so this is always its current state
-                # (args[6], the slacks, are those of the dual at build time)
-                self.state = args[:6]
                 runs[-1]["workspaces"].append(self)
 
         def fill(g, z, s, finder):
@@ -475,8 +481,11 @@ class TestSharedFinder:
 
         def fill(g, z, s, finder):
             assert finder is procedure_runs[-1]["built"][0]
-            _g, costs, lam_sets, kay_sets, _z, dual = procedure_runs[-1]["workspaces"][-1].state
-            fresh = CriticalMatchingFinder(g, lam_sets + kay_sets, dual.slacks(g, costs))
+            ws = procedure_runs[-1]["workspaces"][-1]
+            _g, costs, lam_sets, kay_sets, _z, _dual = ws.state
+            fresh = CriticalMatchingFinder(
+                g, lam_sets + kay_sets, current_dual(ws).slacks(g, costs)
+            )
             for u in sorted(s):
                 assert finder.critical_matching(s, u) == fresh.critical_matching(s, u)
             checked.append(s)
@@ -534,9 +543,9 @@ class TestCarriedWorkspace:
     @pytest.fixture
     def checked_workspaces(self, monkeypatch):
         """Compare the workspace every alternating search receives with one
-        built from scratch from the run's current state, and its slacks,
-        twice-values, node counts, neighbour lists and odd-cycle count with
-        values recomputed directly.  Returns the list of checked
+        built from scratch from the run's current state, and its slacks, top
+        set duals, twice-values, node counts, neighbour lists and odd-cycle
+        count with values recomputed directly.  Returns the list of checked
         workspaces."""
         import cpmatch.combinatorial as comb
 
@@ -546,9 +555,10 @@ class TestCarriedWorkspace:
         def search(ws):
             from cpmatch.graph import decompose_support
 
-            g, costs, _lam, _kay, z, dual = ws.state
+            g, costs, lam_sets, kay_sets, z, _dual = ws.state
+            dual = current_dual(ws)
             slacks = per_edge_slacks(dual, g, costs)
-            fresh = real_ws(*ws.state, slacks)
+            fresh = real_ws(g, costs, lam_sets, kay_sets, z, dual, slacks)
             assert ws.tops == fresh.tops
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
@@ -557,8 +567,12 @@ class TestCarriedWorkspace:
             values = [z[e] for e in ws.cmap.edge_preimage]
             assert ws.z2 == [int(2 * val) for val in values]
             assert ws.o == decompose_support(values, fresh.wg).o
-            assert ws.slack == [slacks[e] for e in ws.cmap.edge_preimage]
-            assert ws.tight == [s == ZERO for s in ws.slack]
+            assert all(type(s) is int for s in ws.slack)
+            assert [Rat(s, ws.unit) for s in ws.slack] == [slacks[e] for e in ws.cmap.edge_preimage]
+            assert [Rat(s, fresh.unit) for s in fresh.slack] == [slacks[e] for e in ws.cmap.edge_preimage]
+            assert list(ws.set_units) == [s for s in ws.tops if s in lam_sets]
+            for s in ws.set_units:
+                assert Rat(ws.set_dual(s), ws.unit) == dual.of_set(s)
             deg2 = [0] * (ws.wg.n + 1)
             halves = [0] * (ws.wg.n + 1)
             for e, val in enumerate(values):
@@ -640,20 +654,93 @@ class TestCarriedWorkspace:
         steps = []
 
         def bound(ws, b_plus, b_minus):
+            # got is in half-units of the workspace, the scan in Rat
             got = real_bound(ws, b_plus, b_minus)
             want = None
             for e, (a, b, _c) in enumerate(ws.wg.edges):
                 d = sum((v in b_plus) - (v in b_minus) for v in (a, b))
-                if d > 0 and not ws.tight[e]:
-                    cand = ws.slack[e] / d
+                if d > 0 and ws.slack[e] != 0:
+                    cand = Rat(ws.slack[e], ws.unit) / d
                     want = cand if want is None else min(want, cand)
-            assert got == want
+            if want is None:
+                assert got is None
+            else:
+                assert type(got) is int
+                assert Rat(got, 2 * ws.unit) == want
             steps.append(got)
             return got
 
         monkeypatch.setattr(comb, "_edge_bound", bound)
         run(instance_graph(instance), solver="combinatorial")
         assert steps
+
+    def test_odd_bound_doubles_the_unit(self):
+        # Natural runs never need it: after a first step of half a unit,
+        # give the non-tight edge 7-8, between two B+ nodes, an odd slack in
+        # units, so the next Case II bound is half a unit.  That step doubles
+        # the unit and keeps the value of every carried slack and dual.
+        import cpmatch.combinatorial as comb
+
+        g, cfg = unshrink_instance()
+        costs = g.costs()
+        ws = comb._Workspace(
+            g, costs, list(cfg.laminar), [], cfg.z, cfg.dual, cfg.dual.slacks(g, costs)
+        )
+        assert ws.unit == 2
+        bridge = ws.cmap.edge_preimage.index(8)  # 7-8
+        _tag, b_plus, b_minus = comb._alternating_search(ws)
+        seven, eight, t = (ws.cmap.node_image[7], ws.cmap.node_image[8],
+                           ws.cmap.image_node_of_set(UNSHRINK_T))
+        assert {seven, eight} <= set(b_plus)
+        assert b_minus == [t]
+        ws.shift_duals(b_plus, b_minus, ws.epsilon(2))  # a step of 1/2
+        assert ws.moved == {6: 1, 7: 1, 8: 1, UNSHRINK_T: -1}
+
+        ws.slack[bridge] = 1
+        assert comb._alternating_search(ws) == ("frontier", b_plus, b_minus)
+        slacks_before = [Rat(v, ws.unit) for v in ws.slack]
+        moved_before = {key: Rat(v, ws.unit) for key, v in ws.moved.items()}
+        t_before = Rat(ws.set_dual(UNSHRINK_T), ws.unit)
+        assert slacks_before[bridge] == HALF
+        assert t_before == HALF
+
+        bound = comb._edge_bound(ws, b_plus, b_minus)
+        assert bound == 1  # half-units; T's dual allows 2
+        eps = ws.epsilon(bound)
+        assert ws.unit == 4
+        assert all(type(v) is int for v in ws.slack)
+        assert [Rat(v, ws.unit) for v in ws.slack] == slacks_before
+        assert {key: Rat(v, ws.unit) for key, v in ws.moved.items()} == moved_before
+        assert Rat(ws.set_dual(UNSHRINK_T), ws.unit) == t_before
+        assert Rat(eps, ws.unit) == slacks_before[bridge] / 2
+
+        ws.shift_duals(b_plus, b_minus, eps)
+        assert ws.slack[bridge] == 0
+        assert Rat(ws.set_dual(UNSHRINK_T), ws.unit) == Rat(1, 4)
+        dual = DualSolution(cfg.dual)
+        ws.write_back(dual)
+        assert dual[UNSHRINK_T] == Rat(1, 4)
+        assert dual[UNSHRINK_C] == rat(5)
+        assert dual.node(6) == dual.node(7) == dual.node(8) == Rat(3, 4)
+        assert all(dual.node(u) == ZERO for u in (1, 2, 3, 4, 5))
+
+    def test_unshrink_run_output_pinned(self):
+        # the dual, z and step events of the run that unshrinks T, as the
+        # procedure gave them when it still stepped the duals in Rat
+        g, cfg = unshrink_instance()
+        out, stats = run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert out.dual == {
+            1: ZERO, 2: ZERO, 3: ZERO, 4: rat(4), 5: rat(-4), 6: rat(5), 7: rat(5),
+            8: rat(5), UNSHRINK_C: ONE, UNSHRINK_T: ZERO,
+        }
+        assert all(type(v) is Rat for v in out.dual.values())
+        assert out.z == [ZERO, ONE, ZERO, ZERO, ONE, ZERO, ONE, ZERO, ONE]
+        assert stats.events == [
+            {"case": "II", "epsilon": "1", "raised": [2, 3, 4], "lowered": [1]},
+            {"case": "II", "epsilon": "4", "raised": [2, 4, 5, 6], "lowered": [1, 3]},
+            {"case": "I(a)", "walk": [4, 1, 2, 3, 5, 6]},
+        ]
+        assert stats.unshrinks == 1
 
     def test_three_decompositions_per_run_plus_one_per_unshrink(self, monkeypatch):
         # validating the input, building the workspace and validating the

@@ -106,8 +106,13 @@ class TestRun:
         assert res.lp_solves == 2
 
     def test_six_cycle(self, six_cycle):
+        # the first optimum is a matching: one record, with the basis dual,
+        # so verify has no extremal dual to check
         res = run(six_cycle)
-        assert verify_trace(six_cycle, res.trace_lines()).ok("positively_critical")
+        report = verify_trace(six_cycle, res.trace_lines())
+        assert len(res.records) == 1 and res.records[0].dual_kind == "basis"
+        assert "SKIP positively_critical reason=no extremal dual" in report.lines()
+        assert not report.ok("positively_critical")
         assert res.matching == [1, 3, 5]
         assert res.base_cost == 3
         assert res.lp_solves == 1

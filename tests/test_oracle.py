@@ -14,7 +14,7 @@ from cpmatch import (
     verify_trace,
     write_instance,
 )
-from cpmatch.oracle import parse_trace
+from cpmatch.oracle import VerifyReport, parse_trace
 from cpmatch.rational import perturb
 
 from paper_oracles import brute_force_fractional_opt, enumerate_perfect_matchings
@@ -123,6 +123,21 @@ class TestVerifyTrace:
         assert "SKIP positively_critical reason=no extremal dual" in report.lines()
         assert "PASS positively_critical" not in report.lines()
         assert report.all_ok
+
+    def test_ok_is_false_for_a_skipped_check(self, six_cycle):
+        # a check that did not run is not ok, though it failed nowhere
+        report = verify_trace(six_cycle, self._trace(six_cycle))
+        assert report.skipped == {"positively_critical": "no extremal dual"}
+        assert report.checks["positively_critical"] == (True, None)
+        assert not report.ok("positively_critical")
+        assert report.ok("complementary_slackness")
+        assert report.all_ok
+        bare = VerifyReport()
+        bare.record("laminarity", True)
+        assert bare.ok("laminarity")
+        bare.skip("laminarity", "no family")
+        assert not bare.ok("laminarity")
+        assert not bare.ok("never_recorded")
 
     def test_positively_critical_skipped_on_crossing_family(self, bowtie):
         # the one extremal record imposes crossing cuts, so no laminar
