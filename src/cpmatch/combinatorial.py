@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidConfiguration, StalledNoEpsilon, StructureViolation
-from .graph import Graph, decompose_support
-from .laminar import contract_with_dual, sorted_sets
-from .lp import DualSolution, _denominators, _scaled
+from .graph import Graph, cut_values, decompose_support
+from .laminar import LaminarFamily, contract_with_dual, sorted_sets
+from .lp import DualSolution, _denominators, _scaled, slackness_violation
 from .rational import HALF, ONE, Rat, ZERO, format_rat
 
 
@@ -157,23 +157,17 @@ class ValidConfiguration:
     z: list
     dual: DualSolution
 
-    def copy(self) -> "ValidConfiguration":
-        return ValidConfiguration(
-            laminar=[frozenset(s) for s in self.laminar],
-            disjoint=[frozenset(s) for s in self.disjoint],
-            z=list(self.z),
-            dual=DualSolution(self.dual),
-        )
-
-
-def _cut_value(z, g, s):
-    return sum((z[e] for e in g.delta(s)), ZERO)
-
 
 def validate_configuration(
     g: Graph, costs, cfg: ValidConfiguration, allow_exposed_nodes=False
 ) -> tuple:
     """Raise InvalidConfiguration unless (A), (B), (C) hold.
+
+    The sets form one `LaminarFamily`, each equality set disjoint from the
+    others.  `lp.slackness_violation` checks the dual and z against the
+    laminar sets only, whose duals must be positive: the equality sets'
+    duals are free in sign.  The rest is factor-criticality and the support
+    of z, with each equality cut 0 or 1, and 0 only around one odd cycle.
 
     Returns (finder, o).  The finder checked every set of the configuration:
     it holds their tight edges and critical matchings under cfg.dual.  o is
@@ -182,20 +176,13 @@ def validate_configuration(
     lam_sets = [frozenset(s) for s in cfg.laminar]
     kay_sets = [frozenset(s) for s in cfg.disjoint]
     every = lam_sets + kay_sets
-    for s in every:
-        if len(s) % 2 == 0 or len(s) < 3:
-            raise InvalidConfiguration(f"set {sorted(s)} not odd of size >= 3")
-        if not all(1 <= u <= g.n for u in s):
-            raise InvalidConfiguration(f"set {sorted(s)} has a node outside 1..{g.n}")
-    for i, s in enumerate(every):
-        for t in every[i + 1 :]:
-            if s & t and not (s <= t or t <= s):
-                raise InvalidConfiguration(
-                    f"{sorted(s)} crosses {sorted(t)}"
-                )
+    try:
+        LaminarFamily(g.n, every)
+    except ValueError as exc:  # LaminarityViolation or a bad odd set
+        raise InvalidConfiguration(str(exc)) from None
     for s in kay_sets:
-        for t in lam_sets + [k for k in kay_sets if k != s]:
-            if s & t:
+        for t in every:
+            if t != s and s & t:
                 raise InvalidConfiguration(
                     f"equality set {sorted(s)} intersects {sorted(t)}"
                 )
@@ -203,9 +190,10 @@ def validate_configuration(
         if cfg.dual.of_set(s) <= ZERO:
             raise InvalidConfiguration(f"nonpositive dual on {sorted(s)}")
     slacks = cfg.dual.slacks(g, costs)
-    for e in range(g.m):
-        if slacks[e] < ZERO:
-            raise InvalidConfiguration(f"dual infeasible on edge {e}")
+    cut = dict(zip(every, cut_values(cfg.z, map(g.delta, every))))
+    violation = slackness_violation(cfg.z, cfg.dual, slacks, {s: cut[s] for s in lam_sets})
+    if violation is not None:
+        raise InvalidConfiguration(f"complementary slackness fails: {violation}")
     finder = CriticalMatchingFinder(g, every, slacks)
     for s in every:
         if not is_factor_critical(finder, s):
@@ -221,15 +209,14 @@ def validate_configuration(
             if u in covered:
                 continue
             owner = next((s for s in kay_sets if u in s), None)
-            if owner is None or _cut_value(cfg.z, g, owner) != ZERO:
+            if owner is None or cut[owner] != ZERO:
                 raise InvalidConfiguration(f"node {u} exposed outside an exposed equality set")
     for s in kay_sets:
-        cut = _cut_value(cfg.z, g, s)
-        if cut not in (ZERO, ONE):
+        if cut[s] not in (ZERO, ONE):
             raise InvalidConfiguration(
-                f"equality set {sorted(s)} has boundary value {cut}"
+                f"equality set {sorted(s)} has boundary value {cut[s]}"
             )
-        if cut == ZERO:
+        if cut[s] == ZERO:
             # no support edge leaves s, so each support cycle at a node of s
             # lies in s
             cycles = [c for c in dec.odd_cycles if c[0] in s]
@@ -237,12 +224,6 @@ def validate_configuration(
                 raise InvalidConfiguration(
                     f"support inside {sorted(s)} is not a spanning odd cycle"
                 )
-    for s in lam_sets:
-        if _cut_value(cfg.z, g, s) != ONE:
-            raise InvalidConfiguration(f"cut of {sorted(s)} not equal to one")
-    for e, val in enumerate(cfg.z):
-        if val != ZERO and slacks[e] != ZERO:
-            raise InvalidConfiguration(f"support edge {e} not tight")
     return finder, dec.o
 
 
@@ -543,11 +524,10 @@ def run_half_integral_procedure(
     finder, o_in = validate_configuration(
         g, costs, cfg, allow_exposed_nodes=allow_exposed_nodes
     )
-    state = cfg.copy()
-    lam_sets = [frozenset(s) for s in state.laminar]
-    kay_sets = [frozenset(s) for s in state.disjoint]
-    z = list(state.z)
-    dual = DualSolution(state.dual)
+    lam_sets = [frozenset(s) for s in cfg.laminar]
+    kay_sets = [frozenset(s) for s in cfg.disjoint]
+    z = list(cfg.z)
+    dual = DualSolution(cfg.dual)
 
     stats = ProcedureStats(
         input_laminar=len(lam_sets), input_pinned=len(kay_sets)

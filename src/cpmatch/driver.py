@@ -185,17 +185,13 @@ def _solve_primal_combinatorial(
     witness = [sorted(hat) for hat in hats]
     contract_list = [s for _cycle, absorbed, _hat in state.new_cut_info for s in absorbed]
     wg, cmap = contract_with_dual(g, costs, contract_list, gamma)
-
-    def image_set(s):
-        return frozenset(cmap.node_image[u] for u in s)
-
     lam_w = []
     dual_w = DualSolution()
     contracted = set(map(frozenset, contract_list))
     for s in state.hp_sets:
         if s in contracted or any(s < t for t in contracted):
             continue
-        img = image_set(s)
+        img = cmap.image_of_nodes(s)
         lam_w.append(img)
         dual_w[img] = gamma.of_set(s)
     for u in range(1, g.n + 1):
@@ -203,7 +199,7 @@ def _solve_primal_combinatorial(
         dual_w[cmap.node_image[u]] = gamma.node(u) if key_set is None else gamma.of_set(key_set)
     z_w = [state.x[cmap.edge_preimage[e]] for e in range(wg.m)]
     cfg = ValidConfiguration(
-        laminar=lam_w, disjoint=[image_set(hat) for hat in hats], z=z_w, dual=dual_w
+        laminar=lam_w, disjoint=[cmap.image_of_nodes(hat) for hat in hats], z=z_w, dual=dual_w
     )
     try:
         out, stats = run_half_integral_procedure(wg, wg.costs(), cfg)
@@ -274,8 +270,6 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         raise StructureViolation(
             f"odd cycle count increased from {state.o} to {dec.o}"
         )
-    if len(fam) > g.n // 2:
-        raise StructureViolation("family exceeds n/2 members")
 
     # A terminal iteration records the basis dual when the simplex gave one;
     # every other iteration records the extremal dual.
@@ -296,7 +290,10 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         next_fam = hp
         gamma_next = DualSolution(psi)
         for _cycle, _absorbed, hat in new_info:
-            next_fam = next_fam.insert_checked(hat)
+            try:
+                next_fam = next_fam.insert_checked(hat)
+            except ValueError as exc:  # LaminarityViolation or a bad odd set
+                raise StructureViolation(f"new cut breaks the family: {exc}", witness=sorted(hat)) from None
             gamma_next[hat] = ZERO
 
     nodes, sets = _record_dual(dual, g)

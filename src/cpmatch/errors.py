@@ -33,8 +33,9 @@ class StructureViolation(Exception):
         self.witness = witness
 
 
-class InvalidConfiguration(ValueError):
-    """Input to the half-integral matching procedure fails (A)/(B)/(C)."""
+class InvalidConfiguration(StructureViolation):
+    """Input to the half-integral matching procedure fails (A)/(B)/(C): the
+    driver built it, so an invariant broke."""
 
 
 class StalledNoEpsilon(Exception):

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .rational import HALF, ONE, ZERO
+from .rational import HALF, ONE, Rat, ZERO
 
 
 @dataclass(frozen=True)
@@ -261,30 +261,45 @@ def is_proper_half_integral(x: Sequence, g: Graph) -> bool:
     return True
 
 
-def feasibility_violation(x: Sequence, g: Graph, cut_sets):
+def _in_units(x) -> tuple:
+    """(scale, units) of the nonzero entries of x: scale is the lcm of their
+    denominators, and units[e] = x[e] * scale, an int, for each such e."""
+    support = [(e, val) for e, val in enumerate(x) if val]
+    scale = math.lcm(*(val.denominator for _e, val in support))
+    return scale, {e: val.numerator * (scale // val.denominator) for e, val in support}
+
+
+def cut_values(x: Sequence, cuts):
+    """Yield x(delta(S)) for each cut, given as its edge ids, in order.
+
+    The one x(delta(S)) sum of the package: exact in ints, in the units of
+    `_in_units`, each yielded as the shared ONE or ZERO or one new Rat.  It
+    is lazy, so a caller that stops early reads no further cut."""
+    scale, units = _in_units(x)
+    for cut in cuts:
+        k = sum(units.get(e, 0) for e in cut)
+        yield ONE if k == scale else ZERO if not k else Rat(k, scale)
+
+
+def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence):
     """The first breach of x >= 0, x(delta(u)) = 1 for all nodes and
     x(delta(S)) >= 1 for all cuts, as a witness dict; None if x is feasible.
 
-    Only the nonzero entries are read.  The sums are exact in ints: each
-    value is counted in units of 1/scale, scale the least common denominator
-    of the nonzero values, so a sum reaches one at `scale`.
+    Only the nonzero entries are read, in the units of `cut_values`.
     """
-    support = [(e, val) for e, val in enumerate(x) if val]
-    scale = math.lcm(*(val.denominator for _e, val in support))
-    units = {}
+    scale, units = _in_units(x)
     deg = [0] * (g.n + 1)
-    for e, val in support:
-        if val.numerator < 0:
+    for e, k in units.items():
+        if k < 0:
             return {"edge": e, "reason": "negative"}
-        k = units[e] = val.numerator * (scale // val.denominator)
         u, v, _c = g.edges[e]
         deg[u] += k
         deg[v] += k
     node = next((u for u in range(1, g.n + 1) if deg[u] != scale), None)
     if node is not None:
         return {"node": node, "reason": "degree"}
-    for s in cut_sets:
-        if sum(units.get(e, 0) for e in g.delta(s)) < scale:
+    for s, value in zip(cut_sets, cut_values(x, map(g.delta, cut_sets))):
+        if value < ONE:
             return {"set": sorted(s), "reason": "cut below one"}
     return None
 

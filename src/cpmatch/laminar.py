@@ -22,7 +22,7 @@ def odd_set(nodes: Iterable, n: int) -> frozenset:
     if len(s) > n - 3:
         raise ValueError(f"odd set of size {len(s)} too large for n={n}")
     if not all(1 <= u <= n for u in s):
-        raise ValueError("odd set contains out-of-range node")
+        raise ValueError(f"odd set {sorted(s)} has a node outside 1..{n}")
     return s
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import LPInfeasible, LPUnbounded, StructureViolation
-from .graph import Graph
+from .graph import Graph, cut_values
 from .laminar import LaminarFamily, sorted_sets
 from .rational import ONE, Rat, ZERO
 
@@ -383,8 +383,26 @@ class DualSolution(dict):
         return cls({u: ZERO for u in range(1, g.n + 1)})
 
 
-def _family_rows(fam: LaminarFamily) -> list:
-    return sorted_sets(fam.sets)
+def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_value: dict):
+    """The first breach of dual feasibility or complementary slackness
+    between x and dual, as a witness dict; None if there is none.
+
+    `slacks` is `dual.slacks(g, costs)`; `cut_value` maps each set to check
+    to x(delta(S)).  Per edge: slack >= 0, and 0 where x is nonzero; then
+    per set, in order: dual >= 0, and x(delta(S)) = 1 where it is positive.
+    """
+    for e, slack in enumerate(slacks):
+        if slack < ZERO:
+            return {"edge": e, "reason": "dual infeasible"}
+        if x[e] != ZERO and slack != ZERO:
+            return {"edge": e, "reason": "support edge slack"}
+    for s, value in cut_value.items():
+        y = dual.of_set(s)
+        if y < ZERO:
+            return {"set": sorted(s), "reason": "negative cut dual"}
+        if y > ZERO and value != ONE:
+            return {"set": sorted(s), "reason": "positive dual, slack cut"}
+    return None
 
 
 def build_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
@@ -401,7 +419,7 @@ def build_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
     for u in range(1, g.n + 1):
         lp.add_row({e: 1 for e in incidence[u]}, "=", 1)
         row_keys.append(u)
-    for s in _family_rows(fam):
+    for s in fam.sets:
         lp.add_row({e: 1 for e in g.delta(s)}, ">=", 1)
         row_keys.append(s)
     return lp, row_keys
@@ -416,21 +434,14 @@ def solve_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
     """
     lp, row_keys = build_primal(g, costs, fam)
     res = simplex_solve(lp)
-    dual = DualSolution()
-    for key, y in zip(row_keys, res.duals):
-        dual[key] = y
+    dual = DualSolution(zip(row_keys, res.duals))
     if dual.objective() != res.objective:
         raise StructureViolation("strong duality violated")
-    for e, (val, slack) in enumerate(zip(res.x, dual.slacks(g, costs))):
-        if val != ZERO and slack != ZERO:
-            raise StructureViolation(f"support edge {e} not tight", witness=e)
-    for s in fam.sets:
-        if dual.of_set(s) > ZERO:
-            tot = sum((res.x[e] for e in g.delta(s) if res.x[e]), ZERO)
-            if tot != ONE:
-                raise StructureViolation(
-                    "positive cut dual on slack cut", witness=sorted(s)
-                )
+    cut_sets = [s for s in fam.sets if dual[s]]
+    cut_value = dict(zip(cut_sets, cut_values(res.x, map(g.delta, cut_sets))))
+    violation = slackness_violation(res.x, dual, dual.slacks(g, costs), cut_value)
+    if violation is not None:
+        raise StructureViolation(f"complementary slackness: {violation['reason']}", witness=violation)
     return res.x, dual, res.objective
 
 
@@ -449,9 +460,10 @@ def solve_extremal_dual(
     """
     tight_sets = []
     crossed = [[] for _ in range(g.m)]  # tight sets each edge crosses, in key order
-    for s in _family_rows(fam):
-        cut = g.delta(s)
-        if sum((x[e] for e in cut if x[e]), ZERO) == ONE:
+    sets = fam.sets
+    cuts = [g.delta(s) for s in sets]
+    for s, cut, value in zip(sets, cuts, cut_values(x, cuts)):
+        if value == ONE:
             tight_sets.append(s)
             for e in cut:
                 crossed[e].append(s)
@@ -497,16 +509,11 @@ def solve_extremal_dual(
         if lowered:
             val -= lowered
         psi[key] = val
-    for s in fam.sets:
-        if frozenset(s) not in psi:
-            psi[frozenset(s)] = ZERO
+    for s in sets:
+        if psi.setdefault(s, ZERO) < ZERO:
+            raise StructureViolation("extremal dual is negative on a cut", witness=sorted(s))
 
     primal_obj = sum((costs[e] * x[e] for e in range(g.m) if x[e]), ZERO)
     if psi.objective() != primal_obj:
         raise StructureViolation("extremal dual is not a dual optimum")
-    for s in fam.sets:
-        if psi.of_set(s) < ZERO:
-            raise StructureViolation(
-                "extremal dual is negative on a cut", witness=sorted(s)
-            )
     return psi

@@ -16,25 +16,28 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
-from .graph import Graph, decompose_support, feasibility_violation, make_graph
+from .graph import Graph, cut_values, decompose_support, feasibility_violation, make_graph
 from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
-from .lp import DualSolution
+from .lp import DualSolution, slackness_violation
 from .driver import TRACE_SCHEMA, iteration_bound, run
 from .rational import ONE, Rat, ZERO, parse_rat, perturb
 
-DEFAULT_NODE_LIMIT = 16
+# Largest n the brute-force oracle takes.
+NODE_LIMIT = 16
+# Draws random_instance makes before it gives up.
+MAX_ATTEMPTS = 200
 
 
-def brute_force_mcpm(g: Graph, costs=None, node_limit: int = DEFAULT_NODE_LIMIT):
+def brute_force_mcpm(g: Graph, costs=None):
     """Minimum-cost perfect matching by recursive pairing of the lowest
     unmatched node, memoized on the set of unmatched nodes.
 
     Ties broken by lexicographic edge-index order.  Costs default to the
     graph's own; pass scaled integers to rank by perturbed cost.
     """
-    if g.n > node_limit:
-        raise ValueError(f"brute force limited to n <= {node_limit}")
+    if g.n > NODE_LIMIT:
+        raise ValueError(f"brute force limited to n <= {NODE_LIMIT}")
     if g.n % 2 == 1 or g.n == 0:
         raise NoPerfectMatching(f"n = {g.n}")
     if costs is None:
@@ -73,12 +76,12 @@ def brute_force_mcpm(g: Graph, costs=None, node_limit: int = DEFAULT_NODE_LIMIT)
     return sorted(edges), cost
 
 
-def has_perfect_matching(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> bool:
-    """By brute force up to node_limit nodes, above it by `driver.run`.
+def has_perfect_matching(g: Graph) -> bool:
+    """By brute force up to NODE_LIMIT nodes, above it by `driver.run`.
     Raises StructureViolation if the solver breaks an invariant."""
     try:
-        if g.n <= node_limit:
-            brute_force_mcpm(g, node_limit=node_limit)
+        if g.n <= NODE_LIMIT:
+            brute_force_mcpm(g)
         else:
             run(g)
         return True
@@ -91,7 +94,6 @@ def random_instance(
     edge_probability: float,
     cost_range,
     seed: int,
-    max_attempts: int = 200,
 ) -> Graph:
     """Seed-reproducible random graph conditioned on having a perfect matching.
 
@@ -103,7 +105,7 @@ def random_instance(
         raise ValueError("n must be even and at least 4")
     lo, hi = int(cost_range[0]), int(cost_range[1])
     rng = random.Random(seed)
-    for _attempt in range(max_attempts):
+    for _attempt in range(MAX_ATTEMPTS):
         edges = []
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
@@ -115,7 +117,7 @@ def random_instance(
         if has_perfect_matching(g):
             return g
     raise GenerationFailed(
-        f"no feasible instance after {max_attempts} attempts (n={n}, p={edge_probability}, seed={seed})"
+        f"no feasible instance after {MAX_ATTEMPTS} attempts (n={n}, p={edge_probability}, seed={seed})"
     )
 
 
@@ -247,7 +249,7 @@ def _cut(nodes, it, field: str) -> frozenset:
     raise SchemaMismatch(f"iteration {it}: {field} has a set that is not a list of nodes: {nodes!r}")
 
 
-def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) -> VerifyReport:
+def verify_trace(g: Graph, trace_lines) -> VerifyReport:
     """Replay a trace against its instance and re-check every invariant."""
     header, records = parse_trace(trace_lines)
     if header.get("n") != g.n or header.get("m") != g.m:
@@ -302,8 +304,9 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
 
         # x(delta(S)) of each imposed set, read once for the feasibility and
         # the complementary-slackness test
-        cut_value = {s: sum((x[e] for e in g.delta(s) if x[e]), ZERO) for s in imposed}
-        violation = feasibility_violation(x, g, ()) or next(
+        cut_value = dict(zip(imposed, cut_values(x, map(g.delta, imposed))))
+        degree_violation = feasibility_violation(x, g, ())
+        violation = degree_violation or next(
             ({"set": sorted(s), "reason": "cut below one"} for s in imposed if cut_value[s] < ONE),
             None,
         )
@@ -326,18 +329,9 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
         if dual.objective() != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "weak duality gap"})
         slacks = dual.slacks(g, costs)
-        for e, slack in enumerate(slacks):
-            if slack < ZERO:
-                report.record("complementary_slackness", False, {"iteration": it, "edge": e, "reason": "dual infeasible"})
-                break
-            if x[e] != ZERO and slack != ZERO:
-                report.record("complementary_slackness", False, {"iteration": it, "edge": e, "reason": "support edge slack"})
-                break
-        for s in imposed:
-            if dual.of_set(s) < ZERO:
-                report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "negative cut dual"})
-            elif dual.of_set(s) > ZERO and cut_value[s] != ONE:
-                report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
+        violation = slackness_violation(x, dual, slacks, cut_value)
+        if violation is not None:
+            report.record("complementary_slackness", False, {"iteration": it, **violation})
 
         if rec.get("dual_kind", "extremal") == "extremal":
             if fam is None:
@@ -390,21 +384,21 @@ def verify_trace(g: Graph, trace_lines, node_limit: int = DEFAULT_NODE_LIMIT) ->
     if len(records) > iteration_bound(g.n):
         report.record("iteration_bound", False, {"lp_solves": len(records)})
 
-    if records:  # x is the last record's primal
+    if records:  # x and degree_violation are the last record's
         if all(v in (ZERO, ONE) for v in x):
             matched = [e for e, v in enumerate(x) if v == ONE]
-            if feasibility_violation(x, g, ()) is not None:
+            if degree_violation is not None:
                 report.record("final_matching_oracle", False, {"reason": "final solution not a perfect matching"})
-            elif g.n <= node_limit:
+            elif g.n <= NODE_LIMIT:
                 try:
-                    _edges, best_cost = brute_force_mcpm(g, node_limit=node_limit)
+                    _edges, best_cost = brute_force_mcpm(g)
                     got = sum(int(g.edges[e][2]) for e in matched)
                     if Rat(got) != best_cost:
                         report.record("final_matching_oracle", False, {"cost": got, "optimum": str(best_cost)})
                 except NoPerfectMatching:
                     report.record("final_matching_oracle", False, {"reason": "oracle found no matching"})
             else:
-                report.skip("final_matching_oracle", f"n>{node_limit}")
+                report.skip("final_matching_oracle", f"n>{NODE_LIMIT}")
         else:
             report.record("final_matching_oracle", False, {"reason": "final solution not integral"})
     else:

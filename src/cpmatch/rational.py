@@ -31,8 +31,10 @@ def rat(p, q=1):
 
 
 def format_rat(x) -> str:
-    """Render as "p" or "p/q"; the inverse of parse_rat."""
-    x = Rat(x)
+    """Render as "p" or "p/q"; the inverse of parse_rat.  Only a value that
+    is not a Rat is converted."""
+    if not isinstance(x, Rat):
+        x = Rat(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

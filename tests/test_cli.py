@@ -1,7 +1,10 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 BOWTIE_TEXT = """p edge 6 7
 e 1 2 0
@@ -203,6 +206,78 @@ class TestStructureViolationPath:
         assert code == 4
         err = capsys.readouterr().err
         assert err == "structure violation: simplex pivot limit 1 exceeded\n"
+
+
+class TestBrokenInvariantPath:
+    """A broken internal invariant that surfaces as InvalidConfiguration or
+    LaminarityViolation exits 4 like any other structure violation, with
+    the replayable prefix dumped, not a traceback (or exit 3 from gen)."""
+
+    def test_invalid_configuration_exits_4_and_dumps(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        import cpmatch.cli as cli_mod
+        import cpmatch.combinatorial as comb_mod
+        from cpmatch.errors import InvalidConfiguration
+
+        real = comb_mod.validate_configuration
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            # calls 1-2 check the first run's input and output, 3 the
+            # second run's input and 4 its output
+            if len(calls) == 4:
+                raise InvalidConfiguration("forced output failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(comb_mod, "validate_configuration", failing)
+        trace = tmp_path / "t.jsonl"
+        argv = ["solve", str(GOLDEN / "telescope_3_2.txt"), "--solver", "combinatorial",
+                "--trace", str(trace)]
+        assert cli_mod.main(argv) == 4
+        assert capsys.readouterr().err == "structure violation: forced output failure\n"
+        lines = trace.read_text().splitlines()
+        assert json.loads(lines[0])["aborted"] == "forced output failure"
+        assert [json.loads(line)["iteration"] for line in lines[1:]] == [0]
+
+    @pytest.fixture
+    def crossing_cut(self, monkeypatch):
+        """Every new cut the driver inserts crosses the family."""
+        from cpmatch import LaminarFamily
+        from cpmatch.errors import LaminarityViolation
+
+        def crossing(self, s):
+            raise LaminarityViolation("forced crossing")
+
+        monkeypatch.setattr(LaminarFamily, "insert_checked", crossing)
+
+    def test_laminarity_violation_in_step_exits_4_and_dumps(
+        self, bowtie_file, tmp_path, capsys, crossing_cut
+    ):
+        import json
+
+        import cpmatch.cli as cli_mod
+
+        trace = tmp_path / "t.jsonl"
+        assert cli_mod.main(["solve", str(bowtie_file), "--trace", str(trace)]) == 4
+        err = capsys.readouterr().err
+        assert err == "structure violation: new cut breaks the family: forced crossing\n"
+        lines = trace.read_text().splitlines()
+        # the first iteration adds the cut, so no record was completed
+        assert len(lines) == 1
+        assert json.loads(lines[0])["aborted"] == "new cut breaks the family: forced crossing"
+
+    def test_gen_laminarity_violation_exits_4(self, tmp_path, capsys, crossing_cut):
+        import cpmatch.cli as cli_mod
+
+        out = tmp_path / "g20.txt"
+        # seed 3 draws a graph whose first relaxation has an odd cycle, so
+        # the solver that decides it reaches insert_checked
+        argv = ["gen", "--n", "20", "--density", "0.3", "--seed", "3", "--out", str(out)]
+        assert cli_mod.main(argv) == 4
+        assert capsys.readouterr().err == "error: new cut breaks the family: forced crossing\n"
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

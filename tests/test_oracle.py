@@ -97,7 +97,7 @@ class TestRandomInstance:
 
     def test_generation_failure(self):
         with pytest.raises(GenerationFailed):
-            random_instance(4, 0.0, (0, 10), 1, max_attempts=5)
+            random_instance(4, 0.0, (0, 10), 1)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,21 @@
-"""Property test over small multigraphs: every solver route finds the
+"""Property tests over small multigraphs: every solver route finds the
 brute-force optimum, or reports no perfect matching exactly when there is
-none, and every trace it writes replays clean."""
+none, and every trace it writes replays clean; and the shared certificate
+checks, `graph.cut_values` and `lp.slackness_violation`, agree with
+references the tests hold."""
 
 import pytest
+from conftest import per_edge_slacks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpmatch import brute_force_mcpm, make_graph, run, verify_trace
 from cpmatch.driver import SOLVER_CHOICES
 from cpmatch.errors import NoPerfectMatching
-from cpmatch.rational import Rat
+from cpmatch.graph import cut_values
+from cpmatch.lp import DualSolution, slackness_violation
+from cpmatch.oracle import VerifyReport
+from cpmatch.rational import ONE, Rat, ZERO
 
 
 @st.composite
@@ -55,3 +61,59 @@ def test_every_solver_matches_brute_force(g):
         assert Rat(res.base_cost) == best, solver
         report = verify_trace(g, res.trace_lines())
         assert report.all_ok, (solver, report.lines())
+
+
+@st.composite
+def certificates(draw):
+    """(g, x, dual, costs, imposed): a multigraph from `multigraphs`, x with
+    entries in {0, 1/2, 1, 1/3, -1/2}, node duals, up to four cut sets
+    (repeats allowed) with negative, zero and positive duals, and costs set
+    so that each edge's slack under the dual is 0, 1 or -1/2."""
+    g = draw(multigraphs())
+    value = st.sampled_from([ZERO, ZERO, Rat(1, 2), ONE, Rat(1, 3), Rat(-1, 2)])
+    x = [draw(value) for _e in range(g.m)]
+    node_dual = st.sampled_from([ZERO, Rat(1, 2), Rat(-1), Rat(2), Rat(1, 3)])
+    dual = DualSolution({u: draw(node_dual) for u in range(1, g.n + 1)})
+    imposed = draw(st.lists(st.frozensets(st.integers(1, g.n), min_size=1), max_size=4))
+    set_dual = st.sampled_from([Rat(-1), ZERO, ZERO, Rat(1, 2), ONE, Rat(3)])
+    for s in imposed:
+        dual[s] = draw(set_dual)
+    slack = st.sampled_from([ZERO, ZERO, ZERO, ONE, Rat(-1, 2)])
+    loads = per_edge_slacks(dual, g, [ZERO] * g.m)
+    costs = [draw(slack) - load for load in loads]
+    return g, x, dual, costs, imposed
+
+
+def verify_trace_slackness_loops(x, dual, slacks, imposed, cut_value, it=0):
+    """Reference for `slackness_violation`: the edge and set loops that
+    checked complementary slackness in `verify_trace`, verbatim, with the
+    witness they record first, or None."""
+    report = VerifyReport()
+    for e, slack in enumerate(slacks):
+        if slack < ZERO:
+            report.record("complementary_slackness", False, {"iteration": it, "edge": e, "reason": "dual infeasible"})
+            break
+        if x[e] != ZERO and slack != ZERO:
+            report.record("complementary_slackness", False, {"iteration": it, "edge": e, "reason": "support edge slack"})
+            break
+    for s in imposed:
+        if dual.of_set(s) < ZERO:
+            report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "negative cut dual"})
+        elif dual.of_set(s) > ZERO and cut_value[s] != ONE:
+            report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
+    checked = report.checks.get("complementary_slackness")
+    return None if checked is None else checked[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificates())
+def test_shared_certificate_checks_match_references(case):
+    g, x, dual, costs, imposed = case
+    cut_value = dict(zip(imposed, cut_values(x, map(g.delta, imposed))))
+    rat_sums = {s: sum((x[e] for e in g.delta(s)), ZERO) for s in imposed}
+    assert cut_value == rat_sums
+    slacks = dual.slacks(g, costs)
+    assert slacks == per_edge_slacks(dual, g, costs)
+    got = slackness_violation(x, dual, slacks, cut_value)
+    want = verify_trace_slackness_loops(x, dual, slacks, imposed, rat_sums)
+    assert (None if got is None else {"iteration": 0, **got}) == want
