@@ -2,8 +2,8 @@
 
 All output is deterministic: exact rationals print as p/q, base costs as
 plain integers, never floating point.  Exit codes: 0 success, 1 verification
-failure, 2 no perfect matching, 3 parse or I/O error, 4 structure
-violation.
+failure, 2 no perfect matching (for `gen`: no draw had one), 3 parse, usage
+or I/O error, 4 structure violation.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ def cmd_gen(args) -> int:
         g = random_instance(args.n, args.density, (0, args.cost_max), args.seed)
     except (ValueError, GenerationFailed, StructureViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, GenerationFailed):
+            return EXIT_NO_MATCHING
         return EXIT_PARSE if isinstance(exc, ValueError) else EXIT_STRUCTURE
     text = write_instance(g)
     if args.out == "-":
@@ -123,8 +125,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error, and so do its subparsers: 2 is "no perfect matching"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _bounded(kind, lo, hi):
+    """An argparse type: a `kind` value in [lo, hi]; nan is not in it."""
+    def parse(text):
+        value = kind(text)  # a ValueError prints "invalid <kind> value"
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{text!r} is not in [{lo}, {hi}]")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpmatch",
         description="Minimum-cost perfect matching by cutting planes with half-integral intermediate optima.",
     )
@@ -139,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a random feasible instance")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--density", type=float, required=True)
-    p_gen.add_argument("--cost-max", type=int, default=100)
+    p_gen.add_argument("--density", type=_bounded(float, 0, 1), required=True)
+    p_gen.add_argument("--cost-max", type=_bounded(int, 0, float("inf")), default=100)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", default="-")
     p_gen.set_defaults(func=cmd_gen)

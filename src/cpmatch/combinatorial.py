@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidConfiguration, StalledNoEpsilon, StructureViolation
 from .graph import Graph, cut_values, decompose_support
-from .laminar import LaminarFamily, contract_with_dual, sorted_sets
+from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
 from .lp import DualSolution, _denominators, _scaled, slackness_violation
 from .rational import HALF, ONE, Rat, ZERO, format_rat
 
@@ -279,12 +279,7 @@ class _Workspace:
     """
 
     def __init__(self, g, costs, lam_sets, kay_sets, z, dual, slacks):
-        tops = []
-        every = lam_sets + kay_sets
-        for s in every:
-            if not any(s < t for t in every):
-                tops.append(s)
-        self.tops = sorted_sets(tops)
+        self.tops = maximal_sets(lam_sets + kay_sets)
         self.wg, self.cmap = contract_with_dual(g, costs, self.tops, dual)
         self.kind = {}
         for s in self.tops:

@@ -22,6 +22,7 @@ from .graph import (
     Graph,
     SupportDecomposition,
     check_degree_and_cut_feasibility,
+    cost_value,
     decompose_support,
 )
 from .combinatorial import (
@@ -32,7 +33,7 @@ from .combinatorial import (
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
 )
-from .laminar import LaminarFamily, contract_with_dual, sorted_sets
+from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
 from .lp import DualSolution, solve_extremal_dual, solve_primal
 from .rational import ONE, PerturbedCosts, Rat, ZERO, format_rat, perturb
 
@@ -129,14 +130,16 @@ def select_new_cuts(
     maximal retained sets it intersects.
 
     Returns (cycle_nodes, absorbed_sets, hat_set) triples.  Raises
-    StructureViolation if a retained set meets two cycles, a union comes out
-    even, or two unions intersect.
+    StructureViolation if a retained set meets two cycles or a union comes
+    out even.  The unions are then disjoint, as the cycles and the maximal
+    retained sets are.
     """
+    tops = maximal_sets(h_prime.sets)
     claimed = {}
     out = []
     for cycle in dec.odd_cycles:
         nodes = frozenset(cycle)
-        absorbed = h_prime.maximal_sets_intersecting(nodes)
+        absorbed = [s for s in tops if s & nodes]
         for s in absorbed:
             if s in claimed:
                 raise StructureViolation(
@@ -150,13 +153,6 @@ def select_new_cuts(
                 "new cut set has even cardinality", witness=sorted(hat)
             )
         out.append((nodes, absorbed, hat))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if out[i][2] & out[j][2]:
-                raise StructureViolation(
-                    "new cut sets intersect",
-                    witness=sorted(out[i][2] & out[j][2]),
-                )
     return out
 
 
@@ -172,8 +168,8 @@ def _solve_primal_combinatorial(
     `step` gave it.  The lifted output is accepted when it is feasible for
     the current family and the extremal-dual program for it is feasible,
     which certifies optimality by complementary slackness and uniqueness.
-    Returns (x, psi, stats); raises StructureViolation, with the new cuts as
-    witness, when that single attempt is not certified.
+    Returns (x, psi, stats); raises StructureViolation, with the new cuts or
+    a cut x leaves below one as witness, when that attempt is not certified.
     """
     if state.x is None:
         out, stats = solve_bipartite_via_procedure(g, costs)
@@ -212,10 +208,12 @@ def _solve_primal_combinatorial(
         )
 
     z = cmap.lift_vector(out.z, g.m)
-    finder = CriticalMatchingFinder(g, fam.sets, gamma.slacks(g, costs))
-    for s in sorted_sets(contracted):
-        fill_inside(g, z, s, finder)
-    if not check_degree_and_cut_feasibility(z, g, fam.sets):
+    if contracted:
+        finder = CriticalMatchingFinder(g, fam.sets, gamma.slacks(g, costs))
+        for s in sorted_sets(contracted):
+            fill_inside(g, z, s, finder)
+    # the cuts are left to solve_extremal_dual, which sums them anyway
+    if not check_degree_and_cut_feasibility(z, g, ()):
         raise StructureViolation(
             "pinned-cut optimum is infeasible for the relaxation", witness=witness
         )
@@ -247,7 +245,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         x, basis_dual, objective = solve_primal(g, costs, fam)
     elif solver == "combinatorial":
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
-        objective = sum((c * v for c, v in zip(costs, x) if v), ZERO)
+        objective = cost_value(x, costs)
     elif solver == "cross-check":
         x_s, basis_dual, objective = solve_primal(g, costs, fam)
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
@@ -281,20 +279,18 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
             psi = solve_extremal_dual(g, costs, fam, x, state.gamma)
         dual, kind = psi, "extremal"
 
-    hp_sets, new_info = [], []
+    hp_sets, new_info, hats = [], [], []
     next_fam, gamma_next = fam, state.gamma
     if not terminal:
         hp = select_old_cuts(fam, psi)
         hp_sets = hp.sets
         new_info = select_new_cuts(dec, hp)
-        next_fam = hp
-        gamma_next = DualSolution(psi)
-        for _cycle, _absorbed, hat in new_info:
-            try:
-                next_fam = next_fam.insert_checked(hat)
-            except ValueError as exc:  # LaminarityViolation or a bad odd set
-                raise StructureViolation(f"new cut breaks the family: {exc}", witness=sorted(hat)) from None
-            gamma_next[hat] = ZERO
+        hats = [hat for _cycle, _absorbed, hat in new_info]
+        try:
+            next_fam = LaminarFamily(g.n, hp_sets + hats)
+        except ValueError as exc:  # LaminarityViolation or a bad odd set
+            raise StructureViolation(f"new cut breaks the family: {exc}", witness=[sorted(h) for h in hats]) from None
+        gamma_next = DualSolution(psi | dict.fromkeys(hats, ZERO))
 
     nodes, sets = _record_dual(dual, g)
     record = IterationRecord(
@@ -306,7 +302,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         dual_kind=kind,
         odd_cycle_count=dec.o,
         cuts_retained=[sorted(s) for s in hp_sets],
-        cuts_added=[sorted(hat) for _c, _a, hat in new_info],
+        cuts_added=[sorted(hat) for hat in hats],
         objective_scaled=format_rat(objective),
         terminal=terminal,
         cross_checked=solver == "cross-check",

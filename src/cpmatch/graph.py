@@ -281,6 +281,13 @@ def cut_values(x: Sequence, cuts):
         yield ONE if k == scale else ZERO if not k else Rat(k, scale)
 
 
+def cost_value(x: Sequence, costs):
+    """c.x, the one objective sum of the package: the int costs times the
+    units of `_in_units` over the support, summed as ints, then one Rat."""
+    scale, units = _in_units(x)
+    return Rat(sum(costs[e] * k for e, k in units.items()), scale)
+
+
 def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence):
     """The first breach of x >= 0, x(delta(u)) = 1 for all nodes and
     x(delta(S)) >= 1 for all cuts, as a witness dict; None if x is feasible.

@@ -1,7 +1,8 @@
 """Laminar families of odd node sets and contraction w.r.t. a dual.
 
-Sets are `frozenset[int]`.  The family keeps an explicit inclusion forest;
-all queries scan it directly (|F| <= n/2, asymptotics are irrelevant here).
+Sets are `frozenset[int]`.  A family is a flat list in `sorted_sets`
+order, built and validated once by its constructor; queries scan it
+directly (|F| <= n/2, asymptotics are irrelevant here).
 """
 
 from __future__ import annotations
@@ -31,13 +32,22 @@ def sorted_sets(sets) -> list:
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
+def maximal_sets(sets) -> list:
+    """The inclusion-maximal members of `sets`, in `sorted_sets` order."""
+    sets = list(sets)
+    return sorted_sets(s for s in sets if not any(s < t for t in sets))
+
+
 class LaminarFamily:
-    """Immutable laminar family of odd sets over nodes 1..n."""
+    """Immutable laminar family of odd sets over nodes 1..n.  The
+    constructor inserts the sets in `sorted_sets` order, each checked
+    against those before it: ValueError for a set that is not an odd set,
+    LaminarityViolation for a duplicate, a crossing or over n/2 members."""
 
     def __init__(self, n: int, sets: Iterable = ()):
         self.n = n
         self._sets = []
-        for s in sorted_sets(sets):
+        for s in sorted_sets(map(frozenset, sets)):
             self._insert(s)
 
     def _insert(self, s: frozenset):
@@ -56,41 +66,12 @@ class LaminarFamily:
                 f"family exceeds n/2 = {self.n // 2} members"
             )
 
-    def insert_checked(self, s) -> "LaminarFamily":
-        """Return a new family with s added; LaminarityViolation on crossing."""
-        fam = LaminarFamily(self.n, self._sets)
-        fam._insert(frozenset(s))
-        return fam
-
     @property
     def sets(self) -> list:
-        return sorted_sets(self._sets)
+        return list(self._sets)
 
     def __len__(self):
         return len(self._sets)
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __contains__(self, s):
-        return frozenset(s) in self._sets
-
-    def __eq__(self, other):
-        return isinstance(other, LaminarFamily) and set(self._sets) == set(other._sets)
-
-    def parent_of(self, s) -> frozenset | None:
-        """Smallest family member strictly containing s, if any."""
-        s = frozenset(s)
-        parents = [t for t in self._sets if s < t]
-        return min(parents, key=len) if parents else None
-
-    def maximal_sets(self) -> list:
-        return sorted_sets(s for s in self._sets if self.parent_of(s) is None)
-
-    def maximal_sets_intersecting(self, nodes) -> list:
-        """Inclusion-maximal members meeting `nodes`, in deterministic order."""
-        nodes = frozenset(nodes)
-        return [s for s in self.maximal_sets() if s & nodes]
 
 
 def dual_inside(dual: Mapping, s: frozenset, u: int):

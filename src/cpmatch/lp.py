@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import LPInfeasible, LPUnbounded, StructureViolation
-from .graph import Graph, cut_values
+from .graph import Graph, cost_value, cut_values
 from .laminar import LaminarFamily, sorted_sets
 from .rational import ONE, Rat, ZERO
 
@@ -456,13 +456,16 @@ def solve_extremal_dual(
     dual optima; LPInfeasible therefore certifies that x is not optimal.
     Each |Psi(S)-Gamma(S)| is modelled as an up/down deviation pair from
     Gamma, keyed in the order: singletons by node id, then tight family sets
-    by (size, min element).
+    by (size, min element).  Raises StructureViolation, with the set as
+    witness, when x(delta(S)) < 1 for a family set S: x is not feasible.
     """
     tight_sets = []
     crossed = [[] for _ in range(g.m)]  # tight sets each edge crosses, in key order
     sets = fam.sets
     cuts = [g.delta(s) for s in sets]
     for s, cut, value in zip(sets, cuts, cut_values(x, cuts)):
+        if value < ONE:
+            raise StructureViolation("primal is below one on a cut", witness=sorted(s))
         if value == ONE:
             tight_sets.append(s)
             for e in cut:
@@ -477,9 +480,7 @@ def solve_extremal_dual(
         up[key] = lp.add_var(w)
         down[key] = lp.add_var(w)
 
-    gamma_restricted = DualSolution()
-    for key in keys:
-        gamma_restricted[key] = gamma.get(key, ZERO) if isinstance(key, int) else gamma.of_set(key)
+    gamma_restricted = DualSolution({key: gamma.get(key, ZERO) for key in keys})
 
     # Each edge row's right-hand side costs[e] - Gamma(keys at e) is summed
     # in units of 1/d and becomes one Rat.
@@ -513,7 +514,6 @@ def solve_extremal_dual(
         if psi.setdefault(s, ZERO) < ZERO:
             raise StructureViolation("extremal dual is negative on a cut", witness=sorted(s))
 
-    primal_obj = sum((costs[e] * x[e] for e in range(g.m) if x[e]), ZERO)
-    if psi.objective() != primal_obj:
+    if psi.objective() != cost_value(x, costs):
         raise StructureViolation("extremal dual is not a dual optimum")
     return psi

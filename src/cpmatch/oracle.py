@@ -16,11 +16,11 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
-from .graph import Graph, cut_values, decompose_support, feasibility_violation, make_graph
+from .graph import Graph, cost_value, cut_values, decompose_support, feasibility_violation, make_graph
 from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
 from .lp import DualSolution, slackness_violation
-from .driver import TRACE_SCHEMA, iteration_bound, run
+from .driver import TRACE_SCHEMA, iteration_bound, run, trace_header
 from .rational import ONE, Rat, ZERO, parse_rat, perturb
 
 # Largest n the brute-force oracle takes.
@@ -252,10 +252,9 @@ def _cut(nodes, it, field: str) -> frozenset:
 def verify_trace(g: Graph, trace_lines) -> VerifyReport:
     """Replay a trace against its instance and re-check every invariant."""
     header, records = parse_trace(trace_lines)
-    if header.get("n") != g.n or header.get("m") != g.m:
-        raise SchemaMismatch("trace header does not match instance size")
-    if header.get("edges") != [[u, v] for u, v, _c in g.edges]:
-        raise SchemaMismatch("trace header edge list does not match instance")
+    for key, value in trace_header(g).items():
+        if header.get(key) != value:
+            raise SchemaMismatch(f"trace header {key} does not match instance")
 
     pc = perturb([c for _u, _v, c in g.edges])
     costs = pc.scaled
@@ -323,8 +322,7 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
             report.record("family_size", False, {"iteration": it, "size": len(imposed)})
 
         # complementary slackness and strong duality, exactly
-        x_cost = sum((c * v for c, v in zip(costs, x) if v), ZERO)
-        if x_cost != objective:
+        if cost_value(x, costs) != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
         if dual.objective() != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "weak duality gap"})

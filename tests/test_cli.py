@@ -100,6 +100,41 @@ class TestGen:
         proc = cli("solve", str(inst), "--solver", "cross-check", "--verify")
         assert proc.returncode == 0
 
+    def test_no_feasible_draw_exits_2(self, tmp_path, capsys):
+        # density 0 draws no edge, so no draw has a perfect matching
+        import cpmatch.cli as cli_mod
+
+        out = tmp_path / "x.txt"
+        argv = ["gen", "--n", "6", "--density", "0", "--seed", "1", "--out", str(out)]
+        assert cli_mod.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: no feasible instance after 200 attempts (n=6, p=0.0, seed=1)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--density", "1.5", "'1.5' is not in [0, 1]"),
+            ("--density", "-0.1", "'-0.1' is not in [0, 1]"),
+            ("--density", "nan", "'nan' is not in [0, 1]"),
+            ("--density", "abc", "invalid float value: 'abc'"),
+            ("--cost-max", "-1", "'-1' is not in [0, inf]"),
+        ],
+        ids=["density-above-1", "density-negative", "density-nan", "density-text", "cost-max-negative"],
+    )
+    def test_bad_generator_value_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
+        import cpmatch.cli as cli_mod
+
+        argv = ["gen", "--n", "6", "--seed", "1", "--out", str(tmp_path / "x.txt")]
+        for name, text in {"--density": "0.8", "--cost-max": "5", flag: value}.items():
+            argv += [name, text]
+        with pytest.raises(SystemExit) as info:
+            cli_mod.main(argv)
+        assert info.value.code == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == [f"cpmatch gen: error: argument {flag}: {message}"]
+
     def test_gen_above_brute_force_limit(self, tmp_path, capsys):
         # above n = 16 the solver decides whether a draw has a perfect
         # matching; the instance then solves and verifies on every route,
@@ -250,7 +285,7 @@ class TestBrokenInvariantPath:
         def crossing(self, s):
             raise LaminarityViolation("forced crossing")
 
-        monkeypatch.setattr(LaminarFamily, "insert_checked", crossing)
+        monkeypatch.setattr(LaminarFamily, "_insert", crossing)
 
     def test_laminarity_violation_in_step_exits_4_and_dumps(
         self, bowtie_file, tmp_path, capsys, crossing_cut
@@ -273,7 +308,7 @@ class TestBrokenInvariantPath:
 
         out = tmp_path / "g20.txt"
         # seed 3 draws a graph whose first relaxation has an odd cycle, so
-        # the solver that decides it reaches insert_checked
+        # the solver that decides it builds a family with a new cut
         argv = ["gen", "--n", "20", "--density", "0.3", "--seed", "3", "--out", str(out)]
         assert cli_mod.main(argv) == 4
         assert capsys.readouterr().err == "error: new cut breaks the family: forced crossing\n"
@@ -324,6 +359,29 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "structure violation: simplex and combinatorial optima differ"
         assert err[1].startswith(f"error: cannot write {trace}: ") and len(err) == 2
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 3, not argparse's 2, which
+    here means "no perfect matching"."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--n", "abc", "--density", "0.5", "--seed", "1"], ["solve", "--bogus", "x.txt"], []],
+        ids=["gen-n-text", "solve-unknown-flag", "no-command"],
+    )
+    def test_exits_3(self, capsys, argv):
+        import cpmatch.cli as cli_mod
+
+        with pytest.raises(SystemExit) as info:
+            cli_mod.main(argv)
+        assert info.value.code == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("cpmatch")
+
+    def test_exits_3_from_the_command_line(self):
+        proc = cli("gen", "--n", "abc", "--density", "0.5", "--seed", "1")
+        assert proc.returncode == 3
+        assert "error: argument --n: invalid int value: 'abc'" in proc.stderr
 
 
 class TestVerify:
@@ -443,6 +501,25 @@ class TestVerify:
         rec = json.loads(lines[1])
         edit(rec)
         lines[1] = json.dumps(rec, sort_keys=True)
+        self.assert_schema_mismatch(bowtie_file, tmp_path, capsys, lines, message)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("base_costs", [99] * 7), ("scale_log2", 3), ("n", 8), ("edges", [[1, 2]] * 7)],
+        ids=["base-costs", "scale-log2", "n", "edges"],
+    )
+    def test_header_that_disagrees_with_instance_exits_3(
+        self, bowtie_file, tmp_path, capsys, key, value
+    ):
+        import json
+
+        from cpmatch import parse_instance, run
+
+        lines = run(parse_instance(BOWTIE_TEXT)).trace_lines()
+        header = json.loads(lines[0])
+        header[key] = value
+        lines[0] = json.dumps(header, sort_keys=True)
+        message = f"trace header {key} does not match instance"
         self.assert_schema_mismatch(bowtie_file, tmp_path, capsys, lines, message)
 
     @pytest.mark.parametrize(

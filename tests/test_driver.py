@@ -34,7 +34,7 @@ class TestSelectOldCuts:
 
     def test_all_positive_keeps_family(self, bowtie_family):
         pi = DualSolution({TRIANGLE_LEFT: rat(1), TRIANGLE_RIGHT: rat(2)})
-        assert select_old_cuts(bowtie_family, pi) == bowtie_family
+        assert select_old_cuts(bowtie_family, pi).sets == bowtie_family.sets
 
     def test_bowtie_round_one_retains_tie_broken_vertex(
         self, bowtie, bowtie_perturbed, bowtie_family
@@ -212,7 +212,7 @@ class TestStep:
         s_a, r_a = step(self._initial_state(bowtie), bowtie, pc, solver="simplex")
         s_b, r_b = step(self._initial_state(bowtie), bowtie, pc, solver="combinatorial")
         assert r_a.primal == r_b.primal
-        assert s_a.fam == s_b.fam
+        assert s_a.fam.sets == s_b.fam.sets
 
     def test_one_support_decomposition_per_step(self, monkeypatch):
         import cpmatch.driver as drv_mod

@@ -1,7 +1,9 @@
 import pytest
 
 from cpmatch import LaminarFamily, LaminarityViolation, make_graph
-from cpmatch.laminar import contract_with_dual, dual_inside, odd_set
+from cpmatch.driver import select_new_cuts
+from cpmatch.graph import SupportDecomposition
+from cpmatch.laminar import contract_with_dual, dual_inside, maximal_sets, odd_set, sorted_sets
 from cpmatch.lp import DualSolution
 from cpmatch.rational import ZERO, rat
 
@@ -26,54 +28,62 @@ class TestOddSet:
 
 
 class TestInsertChecked:
+    """The constructor inserts each set checked against the ones before it."""
+
     def test_insert_into_empty(self):
-        fam = LaminarFamily(8).insert_checked({1, 2, 3})
+        fam = LaminarFamily(8, [{1, 2, 3}])
         assert len(fam) == 1
 
     def test_nested_insert(self):
-        fam = LaminarFamily(8, [{1, 2, 3}]).insert_checked({1, 2, 3, 4, 5})
+        fam = LaminarFamily(8, [{1, 2, 3}, {1, 2, 3, 4, 5}])
         assert len(fam) == 2
-        assert fam.parent_of({1, 2, 3}) == frozenset({1, 2, 3, 4, 5})
+        assert maximal_sets(fam.sets) == [frozenset({1, 2, 3, 4, 5})]
 
     def test_crossing_rejected(self):
-        fam = LaminarFamily(8, [{1, 2, 3}])
         with pytest.raises(LaminarityViolation):
-            fam.insert_checked({3, 4, 5})
+            LaminarFamily(8, [{1, 2, 3}, {3, 4, 5}])
 
     def test_duplicate_rejected(self):
-        fam = LaminarFamily(8, [{1, 2, 3}])
         with pytest.raises(LaminarityViolation):
-            fam.insert_checked({1, 2, 3})
+            LaminarFamily(8, [{1, 2, 3}, {1, 2, 3}])
 
     def test_size_bound_holds_on_deep_nesting(self):
         # max-size laminar chains never exceed n/2 members
         n = 14
         sets = [set(range(1, k)) for k in (4, 6, 8, 10, 12)] + [{12, 13, 14}]
-        fam = LaminarFamily(n)
-        for s in sets:
-            fam = fam.insert_checked(s)
+        fam = LaminarFamily(n, sets)
         assert len(fam) == 6 <= n // 2
-        assert fam.maximal_sets() == sorted(
+        assert maximal_sets(fam.sets) == sorted(
             [frozenset({12, 13, 14}), frozenset(range(1, 12))], key=lambda s: (len(s), sorted(s))
         )
 
-    def test_insert_returns_new_family(self):
-        fam = LaminarFamily(8)
-        fam2 = fam.insert_checked({1, 2, 3})
-        assert len(fam) == 0 and len(fam2) == 1
+    def test_sets_come_back_in_sorted_order(self):
+        given = [{9, 10, 11}, {1, 2, 3, 4, 5}, {6, 7, 8}, [3, 2, 1], {12, 13, 14}]
+        fam = LaminarFamily(20, given)
+        assert fam.sets == sorted_sets(frozenset(s) for s in given)
+        assert fam.sets[0] == frozenset({1, 2, 3})
 
 
 class TestMaximalSets:
+    """The retained sets a new cut absorbs: the maximal ones meeting its
+    cycle."""
+
+    @staticmethod
+    def absorbed(fam, cycle):
+        dec = SupportDecomposition(matched_edges=[], odd_cycles=[cycle])
+        [(_nodes, absorbed, _hat)] = select_new_cuts(dec, fam)
+        return absorbed
+
     def test_nested_query(self):
         fam = LaminarFamily(8, [{1, 2, 3}, {1, 2, 3, 4, 5}])
-        assert fam.maximal_sets_intersecting({5, 6}) == [frozenset({1, 2, 3, 4, 5})]
+        assert self.absorbed(fam, [5, 6, 7]) == [frozenset({1, 2, 3, 4, 5})]
 
     def test_empty_family(self):
-        assert LaminarFamily(8).maximal_sets_intersecting({1, 2}) == []
+        assert self.absorbed(LaminarFamily(8), [1, 2, 3]) == []
 
     def test_two_disjoint_hits(self):
         fam = LaminarFamily(12, [{1, 2, 3}, {7, 8, 9}])
-        assert fam.maximal_sets_intersecting({3, 7}) == [
+        assert self.absorbed(fam, [3, 4, 7]) == [
             frozenset({1, 2, 3}),
             frozenset({7, 8, 9}),
         ]
@@ -153,7 +163,7 @@ class TestContractionImageInvariant:
         for nodes, val in rec.dual_sets:
             dual[frozenset(nodes)] = parse_rat(val)
         fam = LaminarFamily(g.n, [frozenset(s) for s in rec.cuts_imposed])
-        maximal = set(fam.maximal_sets())
+        maximal = set(maximal_sets(fam.sets))
         new_g, cmap = contract_with_dual(
             g, res.perturbed.scaled, [s for s in maximal if dual.of_set(s) > 0], dual
         )

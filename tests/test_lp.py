@@ -14,7 +14,7 @@ from cpmatch import (
     solve_primal,
 )
 from cpmatch import lp as lp_mod
-from cpmatch.errors import LPUnbounded
+from cpmatch.errors import LPUnbounded, StructureViolation
 from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
 import reference_simplex
@@ -436,6 +436,15 @@ class TestExtremalDual:
             solve_extremal_dual(
                 bowtie, bowtie_perturbed.scaled, fam, bad_x, DualSolution.zeros(bowtie)
             )
+
+    def test_cut_below_one_raises(self, bowtie, bowtie_perturbed, bowtie_family):
+        # both triangles at 1/2: every degree is 1, and neither cut is crossed
+        x = [HALF] * 6 + [ZERO]
+        with pytest.raises(StructureViolation, match="below one on a cut") as info:
+            solve_extremal_dual(
+                bowtie, bowtie_perturbed.scaled, bowtie_family, x, DualSolution.zeros(bowtie)
+            )
+        assert info.value.witness == sorted(TRIANGLE_LEFT)
 
     def test_extremal_dual_is_dual_optimum(self, bowtie, bowtie_perturbed, bowtie_family):
         x, basis_dual, obj = solve_primal(bowtie, bowtie_perturbed.scaled, bowtie_family)

@@ -1,18 +1,21 @@
 """Property tests over small multigraphs: every solver route finds the
 brute-force optimum, or reports no perfect matching exactly when there is
-none, and every trace it writes replays clean; and the shared certificate
-checks, `graph.cut_values` and `lp.slackness_violation`, agree with
-references the tests hold."""
+none, and every trace it writes replays clean; the shared certificate
+checks, `graph.cut_values`, `graph.cost_value` and
+`lp.slackness_violation`, agree with references the tests hold; and on
+random laminar families, `laminar.maximal_sets` agrees with a reference
+and the new cuts `driver.select_new_cuts` returns are pairwise disjoint."""
 
 import pytest
 from conftest import per_edge_slacks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpmatch import brute_force_mcpm, make_graph, run, verify_trace
-from cpmatch.driver import SOLVER_CHOICES
-from cpmatch.errors import NoPerfectMatching
-from cpmatch.graph import cut_values
+from cpmatch import LaminarFamily, brute_force_mcpm, make_graph, run, verify_trace
+from cpmatch.driver import SOLVER_CHOICES, select_new_cuts
+from cpmatch.errors import NoPerfectMatching, StructureViolation
+from cpmatch.graph import cost_value, cut_values, decompose_support
+from cpmatch.laminar import maximal_sets, sorted_sets
 from cpmatch.lp import DualSolution, slackness_violation
 from cpmatch.oracle import VerifyReport
 from cpmatch.rational import ONE, Rat, ZERO
@@ -112,8 +115,97 @@ def test_shared_certificate_checks_match_references(case):
     cut_value = dict(zip(imposed, cut_values(x, map(g.delta, imposed))))
     rat_sums = {s: sum((x[e] for e in g.delta(s)), ZERO) for s in imposed}
     assert cut_value == rat_sums
+    assert cost_value(x, costs) == sum((c * v for c, v in zip(costs, x)), ZERO)
     slacks = dual.slacks(g, costs)
     assert slacks == per_edge_slacks(dual, g, costs)
     got = slackness_violation(x, dual, slacks, cut_value)
     want = verify_trace_slackness_loops(x, dual, slacks, imposed, rat_sums)
     assert (None if got is None else {"iteration": 0, **got}) == want
+
+
+@st.composite
+def laminar_sets(draw, n, candidates=None):
+    """The sets of a laminar family of odd sets over nodes 1..n: candidate
+    sets (by default random ones), each kept when the family stays valid
+    with it."""
+    kept = []
+    if candidates is None:
+        candidates = st.frozensets(st.integers(1, n), min_size=3, max_size=max(3, n - 3))
+    for s in draw(st.lists(candidates, max_size=8)):
+        if len(s) % 2 == 1 and len(s) <= n - 3:
+            try:
+                LaminarFamily(n, kept + [s])
+            except ValueError:
+                continue
+            kept.append(s)
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(6, 20).flatmap(laminar_sets))
+def test_maximal_sets_match_reference(sets):
+    # in a laminar family every member meeting s contains s or lies in it,
+    # so s is maximal exactly when the members meeting s make up s alone
+    reference = [s for s in sets if s == frozenset().union(*(t for t in sets if t & s))]
+    assert maximal_sets(sets) == sorted_sets(reference)
+
+
+@st.composite
+def half_integral_supports(draw):
+    """(n, decomposition) of a proper-half-integral x on n <= 20 nodes: the
+    shuffled nodes are cut into odd cycles at 1/2 and matched pairs at 1,
+    leaving a few nodes uncovered, with some extra edges at 0."""
+    n = draw(st.integers(6, 20))
+    order = draw(st.permutations(range(1, n + 1)))
+    edges, x, i = [], [], 0
+    while True:
+        size = draw(st.sampled_from([2, 3, 3, 5, 7]))
+        if i + size > n:
+            break
+        part = order[i : i + size]
+        i += size
+        if size == 2:
+            edges.append((part[0], part[1], 0))
+            x.append(ONE)
+        else:
+            edges += [(part[k], part[(k + 1) % size], 0) for k in range(size)]
+            x += [Rat(1, 2)] * size
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    for u, v in draw(st.lists(pair, max_size=n)):
+        edges.append((u, v, 0))
+        x.append(ZERO)
+    return n, decompose_support(x, make_graph(n, edges))
+
+
+@st.composite
+def supports_and_retained(draw):
+    """A support from `half_integral_supports` and a laminar family over its
+    nodes.  Most candidate sets take part of one cycle and some nodes off
+    the cycles, so several cycles can absorb retained sets in one call; the
+    rest are random and may meet two cycles."""
+    n, dec = draw(half_integral_supports())
+    off_cycles = sorted(set(range(1, n + 1)).difference(*dec.odd_cycles))
+    one_cycle = st.sampled_from(dec.odd_cycles or [[]]).flatmap(
+        lambda cycle: st.builds(
+            frozenset.union,
+            st.frozensets(st.sampled_from(cycle)) if cycle else st.just(frozenset()),
+            st.frozensets(st.sampled_from(off_cycles)) if off_cycles else st.just(frozenset()),
+        )
+    )
+    anywhere = st.frozensets(st.integers(1, n), min_size=3)
+    return n, dec, draw(laminar_sets(n, st.one_of(one_cycle, one_cycle, anywhere)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(supports_and_retained())
+def test_new_cuts_are_pairwise_disjoint(case):
+    n, dec, retained = case
+    try:
+        info = select_new_cuts(dec, LaminarFamily(n, retained))
+    except StructureViolation:
+        return  # a retained set meets two cycles, or a union is even
+    hats = [hat for _cycle, _absorbed, hat in info]
+    assert len(hats) == dec.o
+    for i, a in enumerate(hats):
+        for b in hats[i + 1 :]:
+            assert not a & b
