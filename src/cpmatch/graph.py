@@ -178,35 +178,29 @@ class SupportDecomposition:
         return nodes
 
 
-def _half_adjacency(x: Sequence, g: Graph):
-    adj = {}
-    for e, val in enumerate(x):
-        if val == HALF:
-            u, v, _c = g.edges[e]
-            adj.setdefault(u, []).append((v, e))
-            adj.setdefault(v, []).append((u, e))
-    for u in adj:
-        adj[u].sort()
-    return adj
-
-
 def decompose_support(x: Sequence, g: Graph) -> SupportDecomposition:
     """Split supp(x) into value-1 edges and odd cycles of value-1/2 edges.
 
     Purely structural: degree feasibility is not checked here.  Raises
-    ValueError when x is not proper-half-integral.
+    ValueError when x is not proper-half-integral.  One pass reads only the
+    nonzero entries, filling the 1-edges and the half-edge adjacency.
     """
     matched = []
+    adj = {}
+    edges = g.edges
     for e, val in enumerate(x):
-        if val == ZERO or val == HALF:
+        if not val:
             continue
         if val == ONE:
             matched.append(e)
+        elif val == HALF:
+            u, v, _c = edges[e]
+            adj.setdefault(u, []).append((v, e))
+            adj.setdefault(v, []).append((u, e))
         else:
             raise ValueError(f"value of edge {e} not in {{0, 1/2, 1}}: {val}")
-
-    adj = _half_adjacency(x, g)
     for u, nbrs in adj.items():
+        nbrs.sort()
         if len(nbrs) != 2:
             raise ValueError(f"node {u} has {len(nbrs)} half-edges; expected 2")
 

@@ -18,10 +18,24 @@ row r: p*a and p*a - f*b are both multiples of p, so f*b is one too, and
 the columns where row r has no entry keep their values.  Bland's rule reads
 only signs and the ratios rhs_r/row_r[c] of entries within one row, which
 neither a positive row scale nor the storage format changes, so the pivots
-are those of the rational tableau.  Values become rationals only at the
-end: x_b = rhs_r/scale_r and each dual is the reduced cost of its
-identity-forming column times L/(M*rc_scale), so strong duality and
-complementary slackness hold exactly on every solve.
+are those of the rational tableau.
+
+The tableau stores no artificial column.  An = or >= row starts with its
+artificial basic, and the basis keeps that column's id (so Bland's
+tie-break and the phase-1 sum read the ids they always did), but no pivot
+reads an artificial column: a pivot computes column j from column j and the
+pivot column alone.  The stored part of B^-1 that the artificial block
+would hold is therefore never built.
+
+Values become rationals only at the end: x_b = rhs_r/scale_r, and the
+duals are found from the final basis the first time a caller reads them
+(`SimplexResult.duals`).  With D = rc_scale = |det B|, z = D*y for the
+dual y of the scaled program: z_i is minus the reduced cost of row i's
+slack, plus that of its surplus, 0 while its artificial is basic, and for
+every other = row it is solved in ints from z.B = D*c_B over the basic
+structural columns (integral by Cramer's rule).  Each dual is z_i times
+L/(M*D), so strong duality and complementary slackness hold exactly on
+every solve.
 
 LP values cross the boundary as ints wherever they are integral.  A
 `LinearProgram` stores an int or a `Rat` as given, the builders pass their
@@ -39,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import LPInfeasible, LPUnbounded, StructureViolation
@@ -86,12 +101,23 @@ class LinearProgram:
         return len(self.rows)
 
 
-@dataclass
 class SimplexResult:
-    x: list
-    duals: list  # one per input row, sign matching the original relation
-    objective: object
-    pivots: int
+    """x, objective and pivot count of an optimal basis, and `duals`: one
+    per input row, sign matching the original relation.  `duals` is either
+    given as a list or computed by `recover()` the first time it is read,
+    so a caller that reads only x never pays for it."""
+
+    def __init__(self, x, objective, pivots, duals=None, recover=None):
+        self.x = x
+        self.objective = objective
+        self.pivots = pivots
+        if duals is not None:
+            self.duals = duals
+        self._recover = recover
+
+    @cached_property
+    def duals(self) -> list:
+        return self._recover()
 
 
 class _Tableau:
@@ -100,14 +126,14 @@ class _Tableau:
     Row i is a dict {column: int} with no stored zero: the true value of
     entry (i, j) is rows[i].get(j, 0) / scale[i], and of its right-hand side
     rhs[i] / scale[i].  The reduced-cost row `rc` is a dense list that holds
-    rc_scale times its true values.  Each scale is
-    the determinant |det B'| of the basis B' current when that row was last
-    written; `det` is |det B| now.  The starting basis (slack and artificial
-    columns) is the identity, so every scale starts at 1.  A pivot multiplies
-    det B by the true pivot value and rewrites only the rows with a nonzero
-    entry in the pivot column, each with an exact integer division
-    (Bareiss 1968, Edmonds 1967), and deletes every entry that cancels to 0.
-    `pivots` counts the pivots made.
+    rc_scale times its true values.  Each scale is the determinant |det B'|
+    of the basis B' current when that row was last written; `det` is |det B|
+    now.  The starting basis (slack columns and the artificials, whose
+    columns are not stored) is the identity, so every scale starts at 1.  A
+    pivot multiplies det B by the true pivot value and rewrites only the
+    rows with a nonzero entry in the pivot column, each with an exact
+    integer division (Bareiss 1968, Edmonds 1967), and deletes every entry
+    that cancels to 0.  `pivots` counts the pivots made.
     """
 
     def __init__(self, rows, rhs, basis):
@@ -178,10 +204,14 @@ class _Tableau:
                 for j, b in items_r:
                     rc[j] -= f * b // p
             else:
-                scaled = [p * a for a in rc]
-                for j, b in items_r:
-                    scaled[j] -= f * b
-                rc[:] = [a // s for a in scaled]
+                # One pass rescales rc, then row r's columns take the pivot
+                # update.  Outside those columns the true reduced cost is
+                # unchanged, and p = |det B| of the new basis times a true
+                # reduced cost is an int, so p*a // s is exact there.
+                old = [(j, rc[j], b) for j, b in items_r]
+                rc[:] = [p * a // s for a in rc]
+                for j, a, b in old:
+                    rc[j] = (p * a - f * b) // s
                 self.rc_scale = p
         scale[r] = p
         self.det = p
@@ -263,37 +293,34 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     aux_col = {}
     ncols = nstruct
     for i, (_c, rel, _r) in enumerate(norm):
-        if rel in ("<=", ">="):
+        if rel != "=":
             aux_col[i] = ncols
             ncols += 1
     first_art = ncols
-    art_col = {}
-    for i, (_c, rel, _r) in enumerate(norm):
-        if rel in (">=", "="):
-            art_col[i] = ncols
-            ncols += 1
 
+    # A <= row starts with its slack basic, a >= or = row with its
+    # artificial, whose column (first_art, first_art + 1, ... in row order)
+    # is not stored: only its id enters the basis.
     rows = []
     rhs = []
-    ident_col = []
+    basis = []
     for i, (coefs, rel, r) in enumerate(norm):
         row = {k: _scaled(v, row_scale) for k, v in coefs.items() if v}
         if rel == "<=":
             row[aux_col[i]] = 1
-            ident_col.append(aux_col[i])
+            basis.append(aux_col[i])
         else:
             if rel == ">=":
                 row[aux_col[i]] = -1
-            row[art_col[i]] = 1
-            ident_col.append(art_col[i])
+            basis.append(ncols)
+            ncols += 1
         rows.append(row)
         rhs.append(_scaled(r, row_scale))
-    basis = list(ident_col)
     t = _Tableau(rows, rhs, basis)
 
-    # Phase 1: drive the artificial variables (columns first_art..) to zero.
-    if art_col:
-        t.rc = [0] * first_art + [1] * (ncols - first_art)
+    # Phase 1: drive the artificial variables (ids first_art..) to zero.
+    if ncols > first_art:
+        t.rc = [0] * first_art
         for r, b in enumerate(basis):
             if b >= first_art:
                 for j, v in rows[r].items():
@@ -307,15 +334,13 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         # Pivot basic artificials out where possible; all-zero rows are
         # redundant and keep their artificial pinned at zero (dual 0).
         for r in range(nrows):
-            if basis[r] >= first_art:
-                cols = [j for j in rows[r] if j < first_art]
-                if cols:
-                    t.pivot(r, min(cols))
+            if basis[r] >= first_art and rows[r]:
+                t.pivot(r, min(rows[r]))
 
     # Phase 2: original objective, reduced costs D*c - sum of c_b * row_b
     # with each row read at the current D.
     d = t.det
-    rc = [d * c for c in cost] + [0] * (ncols - nstruct)
+    rc = [d * c for c in cost] + [0] * (first_art - nstruct)
     for r, b in enumerate(basis):
         if b < nstruct and cost[b]:
             cb = cost[b]
@@ -333,12 +358,168 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         if b < nstruct and rhs[r]:
             x[b] = xb = Rat(rhs[r], t.scale[r])
             objective += lp.objective[b] * xb
-    dual_scale = cost_scale * t.rc_scale
-    duals = [
-        Rat(-flip[i] * rc[j] * row_scale, dual_scale) if rc[j] else ZERO
-        for i, j in enumerate(ident_col)
-    ]
-    return SimplexResult(x=x, duals=duals, objective=objective, pivots=t.pivots)
+    det = t.rc_scale
+
+    def duals():
+        # z = D*y for the dual y of the scaled program (rows times L, costs
+        # times M).  Rows with a slack or surplus read z off its reduced
+        # cost, rows whose artificial is basic have z = 0, and the other =
+        # rows are solved from z.B = D*c_B, one equation per basic
+        # structural column; a row known to have z = 0 adds nothing to it.
+        z = {}
+        for i, (_coefs, rel, _r) in enumerate(norm):
+            if rel == "<=":
+                z[i] = -rc[aux_col[i]]
+            elif rel == ">=":
+                z[i] = rc[aux_col[i]]
+            elif basis[i] >= first_art:
+                z[i] = 0
+        if len(z) < nrows:
+            basic = [b for b in basis if b < nstruct]
+            unknowns_of = {b: {} for b in basic}
+            rhs_of = {b: det * cost[b] for b in basic}
+            for i, (coefs, _rel, _r) in enumerate(norm):
+                zi = z.get(i)
+                if zi == 0:
+                    continue
+                for j, v in coefs.items():
+                    if j in rhs_of and v:
+                        if zi is None:
+                            unknowns_of[j][i] = _scaled(v, row_scale)
+                        else:
+                            rhs_of[j] -= _scaled(v, row_scale) * zi
+            z.update(_integral_solution(
+                [(unknowns_of[b], rhs_of[b]) for b in basic],
+                [i for i in range(nrows) if i not in z],
+            ))
+        dual_scale = cost_scale * det
+        return [
+            Rat(flip[i] * z[i] * row_scale, dual_scale) if z[i] else ZERO
+            for i in range(nrows)
+        ]
+
+    return SimplexResult(x=x, objective=objective, pivots=t.pivots, recover=duals)
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise StructureViolation("dual recovery: a division leaves a remainder")
+    return q
+
+
+def _integral_solution(equations, unknowns) -> dict:
+    """The integral solution {unknown: int} of a consistent system with one
+    solution, given as (coefs, b) pairs meaning sum(a * z[i] for i, a in
+    coefs.items()) == b with int values; there may be more equations than
+    unknowns.  The coefs dicts are rewritten in place.
+
+    It peels first: an equation with one unknown fixes it, and an unknown
+    that occurs in one equation is set aside with it, to be fixed from it
+    once the others are known.  Only what is left, on matching bases the
+    odd cycles, is eliminated: an equation is set aside for its least
+    unknown, which is cancelled from every other equation in ints (each
+    then divided by its gcd when the pivot entry is not +-1); the next pivot
+    is an equation just rewritten, so a cycle is walked round.  Raises StructureViolation on a division
+    with a remainder, an equation 0 = b != 0, or an unknown the system
+    leaves open."""
+    eqs = [[coefs, b] for coefs, b in equations]
+    where = {i: set() for i in unknowns}
+    for k, (coefs, _b) in enumerate(eqs):
+        for i in coefs:
+            where[i].add(k)
+    live = set(range(len(eqs)))
+    ready = [k for k, (coefs, _b) in enumerate(eqs) if len(coefs) <= 1]
+    lonely = [i for i, ks in where.items() if len(ks) == 1]
+    rewritten = []
+    z = {}
+    later = []  # (unknown, equation) pairs, solved last in reverse order
+
+    def set_aside(i, k):
+        later.append((i, k))
+        live.remove(k)
+        del where[i]
+        for u in eqs[k][0]:
+            if u != i:
+                ks = where[u]
+                ks.discard(k)
+                if len(ks) == 1:
+                    lonely.append(u)
+
+    while live:
+        if ready:
+            k = ready.pop()
+            if k not in live or len(eqs[k][0]) > 1:
+                continue  # stale: solved, set aside or grown since
+            coefs, b = eqs[k]
+            live.remove(k)
+            if not coefs:
+                if b:
+                    raise StructureViolation("dual recovery: inconsistent basis system")
+                continue
+            ((i, a),) = coefs.items()
+            z[i] = value = _exact_quotient(b, a)
+            ks = where.pop(i)
+            ks.discard(k)
+            for other in ks:
+                eq = eqs[other]
+                oc = eq[0]
+                eq[1] -= oc.pop(i) * value
+                if len(oc) <= 1:
+                    ready.append(other)
+            continue
+        if lonely:
+            i = lonely.pop()
+            ks = where.get(i)
+            if ks is not None and len(ks) == 1:
+                set_aside(i, next(iter(ks)))
+            continue
+        while rewritten and rewritten[-1] not in live:
+            rewritten.pop()
+        k = rewritten.pop() if rewritten else min(live)
+        coefs, b = eqs[k]
+        i = min(coefs)
+        a = coefs[i]
+        others = where[i]
+        others.discard(k)
+        set_aside(i, k)
+        for other in others:
+            eq = eqs[other]
+            oc = eq[0]
+            f = oc.pop(i)
+            if a != 1:
+                for u in oc:
+                    oc[u] *= a
+            for u, c in coefs.items():
+                if u != i:
+                    v = oc.get(u, 0) - f * c
+                    if v:
+                        if u not in oc:
+                            where[u].add(other)
+                        oc[u] = v
+                    elif u in oc:
+                        del oc[u]
+                        where[u].discard(other)
+            eq[1] = a * eq[1] - f * b
+            if a != 1 and a != -1:  # only then can the entries grow by a factor
+                g = math.gcd(eq[1], *oc.values())
+                if g > 1:
+                    for u in oc:
+                        oc[u] //= g
+                    eq[1] //= g
+            if len(oc) <= 1:
+                ready.append(other)
+            rewritten.append(other)
+            for u in oc:
+                if len(where[u]) == 1:
+                    lonely.append(u)
+    if where:
+        raise StructureViolation("dual recovery: basis system leaves a dual open")
+    for i, k in reversed(later):
+        coefs, b = eqs[k]
+        rest = sum(a * z[u] for u, a in coefs.items() if u != i)
+        z[i] = _exact_quotient(b - rest, coefs[i])
+    return z
 
 
 class DualSolution(dict):
@@ -354,7 +535,9 @@ class DualSolution(dict):
         return sorted_sets(k for k in self if isinstance(k, frozenset))
 
     def objective(self):
-        return sum(self.values(), ZERO)
+        """The sum of the values: ints over one common denominator, then one Rat."""
+        d = math.lcm(*_denominators(self.values()))
+        return Rat(sum(_scaled(v, d) for v in self.values()), d)
 
     def slacks(self, g: Graph, costs) -> list:
         """The slack of every edge e = uv: costs[e] minus the duals of u and

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +17,15 @@ from cpmatch import (
     solve_primal,
 )
 from cpmatch import lp as lp_mod
-from cpmatch.errors import LPUnbounded, StructureViolation
+from cpmatch import parse_instance, run
+from cpmatch.driver import SOLVER_CHOICES
+from cpmatch.errors import LPUnbounded, NoPerfectMatching, StructureViolation
 from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
 import reference_simplex
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
+from test_golden import EXPECTED, GOLDEN
+from test_simplex_equivalence import outcome
 
 
 def format_lp(lp: LinearProgram) -> str:
@@ -212,6 +219,24 @@ class TestLazyRowScale:
         assert t.rows[2] is before[2] and t.rows[3] is before[3]  # updated in place
         self.assert_matches(t, ref)
 
+    def test_rc_rescaled_in_one_pass_when_rc_scale_is_not_p(self):
+        # Columns 0, 1, 2 and 5 structural, 3 and 4 slack; column 5 is empty,
+        # so its reduced cost only ever takes the rescale.  Pivot (0, 0) has
+        # p = 2, pivot (1, 1) then has p = 3 while rc was written at 2.
+        t, ref = self.start(
+            [[2, 1, 0, 1, 0, 0], [1, 2, 1, 0, 1, 0]], [4, 6], [3, 4], [-1, -1, -3, 0, 0, -1]
+        )
+        t.pivot(0, 0)
+        reference_simplex._pivot(*ref, 0, 0)
+        assert t.rc_scale == 2 and t.rc[5] == -2
+        self.assert_matches(t, ref)
+        assert 5 not in t.rows[1] and t.rc[1]  # rc[5] lies outside the pivot row
+        t.pivot(1, 1)
+        reference_simplex._pivot(*ref, 1, 1)
+        assert t.det == t.rc_scale == 3
+        assert t.rc == [0, 0, -8, 1, 1, -3]
+        self.assert_matches(t, ref)
+
     def test_cancelled_entries_are_not_stored(self):
         t, _ref = self.start(*self.BRANCHES)
         t.pivot(0, 0)  # rewrite: 2*row3 - 2*row0 cancels columns 0 and 2
@@ -277,6 +302,148 @@ class TestLazyRowScale:
         assert (res.x, res.duals, res.objective, res.pivots) == (
             ref.x, ref.duals, ref.objective, ref.pivots,
         )
+
+
+def equality_lp(draw) -> LinearProgram:
+    """A small LP whose rows are all =, with rational data of both signs,
+    feasible at a drawn x0 >= 0, and mostly nonnegative costs so that most
+    programs are bounded.  Most programs also get one redundant row: a
+    nonzero multiple of a row or the sum of two rows, which leaves an
+    artificial basic at zero after phase 1.  Every dual then comes from
+    the basis system, none from a slack."""
+
+    def q():
+        return rat(draw(-4, 4), draw(1, 3))
+
+    lp = LinearProgram()
+    nvars = draw(1, 5)
+    for _ in range(nvars):
+        lp.add_var(rat(draw(-1, 4), draw(1, 3)))
+    x0 = [rat(draw(0, 3), draw(1, 2)) for _ in range(nvars)]
+    rows = []
+    for _ in range(draw(1, 4)):
+        coefs = {j: q() for j in range(nvars) if draw(0, 3)}
+        rows.append((coefs, sum((v * x0[j] for j, v in coefs.items()), ZERO)))
+    kind = draw(0, 2)
+    if kind == 1:
+        coefs, rhs = rows[draw(0, len(rows) - 1)]
+        k = rat(draw(1, 3), draw(1, 3)) * (-1) ** draw(0, 1)
+        rows.append(({j: k * v for j, v in coefs.items()}, k * rhs))
+    elif kind == 2 and len(rows) > 1:
+        (a, ra), (b, rb) = rows[0], rows[1]
+        rows.append(({j: a.get(j, ZERO) + b.get(j, ZERO) for j in a.keys() | b.keys()}, ra + rb))
+    for coefs, rhs in rows:
+        lp.add_row(coefs, "=", rhs)
+    return lp
+
+
+class TestDualRecovery:
+    """Duals solved from the final basis, on first read."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equality_lps_match_reference(self, data):
+        lp = equality_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
+
+    def test_equality_sweep_covers_redundant_rows(self, monkeypatch):
+        # the seeded sweep reaches optimal bases with an artificial left
+        # basic, and bases whose system needs elimination, not peeling alone
+        rng = random.Random(16)
+        seen = Counter()
+        solve_system = lp_mod._integral_solution
+
+        def counted(equations, unknowns):
+            equations = list(equations)
+            seen["system"] += 1
+            seen["shared_unknown"] += any(
+                sum(i in coefs for coefs, _b in equations) > 1 for i in unknowns
+            )
+            return solve_system(equations, unknowns)
+
+        monkeypatch.setattr(lp_mod, "_integral_solution", counted)
+        for _ in range(400):
+            lp = equality_lp(rng.randint)
+            got = outcome(simplex_solve, lp)
+            assert got == outcome(reference_simplex.simplex_solve, lp, seen)
+            seen[got[0]] += 1
+        for case in ("optimal", "artificial_left_basic", "system", "shared_unknown"):
+            assert seen[case] > 0, case
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_no_row_stores_an_artificial_column(self, name, monkeypatch):
+        # columns first_art.. are the artificials; no pivot may leave one in
+        # a row, and rc spans the structural and slack columns alone
+        first_art = []
+        pivots = [0]
+        solve, pivot = lp_mod.simplex_solve, lp_mod._Tableau.pivot
+
+        def tracked_solve(lp):
+            first_art.append(lp.num_vars + sum(rel != "=" for _c, rel, _r in lp.rows))
+            return solve(lp)
+
+        def checked_pivot(t, r, c):
+            pivot(t, r, c)
+            pivots[0] += 1
+            assert len(t.rc) == first_art[-1]
+            assert all(j < first_art[-1] for row in t.rows for j in row)
+
+        monkeypatch.setattr(lp_mod, "simplex_solve", tracked_solve)
+        monkeypatch.setattr(lp_mod._Tableau, "pivot", checked_pivot)
+        g = parse_instance((GOLDEN / f"{name}.txt").read_text())
+        for solver in SOLVER_CHOICES:
+            try:
+                run(g, solver=solver)
+            except NoPerfectMatching:
+                pass
+        assert first_art and pivots[0] > 0
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_extremal_dual_never_recovers_duals(self, name, monkeypatch):
+        # the combinatorial route solves only extremal-dual LPs; reading
+        # .duals on any result would raise
+        def recover(_res):
+            raise AssertionError("duals recovered")
+
+        monkeypatch.setattr(lp_mod.SimplexResult, "duals", property(recover))
+        g = parse_instance((GOLDEN / f"{name}.txt").read_text())
+        try:
+            result = run(g, solver="combinatorial")
+        except NoPerfectMatching:
+            return
+        assert result.lp_solves > 0
+
+    def test_inconsistent_recovery_raises_under_optimize_flag(self):
+        # python -O strips asserts; each failure of the basis system must
+        # still raise StructureViolation
+        import subprocess
+        import sys
+
+        script = (
+            "from cpmatch.errors import StructureViolation\n"
+            "from cpmatch.lp import _integral_solution\n"
+            "cases = [\n"
+            "    ([({0: 1}, 1), ({0: 1}, 2)], [0]),\n"
+            "    ([({0: 1, 1: 1}, 3), ({0: 1, 1: -1}, 0)], [0, 1]),\n"
+            "    ([({0: 1, 1: 1}, 1)], [0, 1]),\n"
+            "    ([({0: 1, 1: 1}, 1), ({0: 1}, 1), ({1: 1}, 0), ({0: 2, 1: 2}, 4)], [0, 1]),\n"
+            "]\n"
+            "for equations, unknowns in cases:\n"
+            "    try:\n"
+            "        _integral_solution(equations, unknowns)\n"
+            "    except StructureViolation as exc:\n"
+            "        print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised dual recovery: inconsistent basis system",
+            "raised dual recovery: a division leaves a remainder",
+            "raised dual recovery: basis system leaves a dual open",
+            "raised dual recovery: inconsistent basis system",
+        ]
 
 
 class TestDualSlacks:
