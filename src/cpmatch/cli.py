@@ -30,12 +30,17 @@ EXIT_PARSE = 3
 EXIT_STRUCTURE = 4
 
 
-def _read_instance(path):
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; ParseError if it cannot be read or decoded."""
     try:
-        with open(path) as fh:
-            return parse_instance(fh.read())
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_instance(path):
+    return parse_instance(_read_text(path))
 
 
 def _write(path, text) -> bool:
@@ -110,9 +115,8 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     try:
         g = _read_instance(args.instance)
-        with open(args.trace) as fh:
-            lines = fh.read().splitlines()
-    except (ParseError, OSError) as exc:
+        lines = _read_text(args.trace).splitlines()
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -30,73 +30,274 @@ class CriticalMatchingFinder:
     """Finds matchings on tight edges inside odd sets, respecting family
     budgets.
 
-    `slacks` is `DualSolution.slacks` of the dual the edges must be tight
-    for.  The answer for each (set, node) is memoised on first use.  The memo
-    for a set s stays valid while the slacks of the edges inside s do not
-    change and no family set strictly inside it is added or removed: those
-    are its only inputs.
+    `fam_sets` is a laminar family of odd sets, and `slacks` is
+    `DualSolution.slacks` of the dual the edges must be tight for.  A
+    critical matching of (s, u), for an odd set s and u in s, is a matching
+    on tight edges inside s that covers s minus {u} and crosses each family
+    set strictly inside s at most once.
+
+    Each set s is decided on its own contracted graph H_s.  The children of
+    s are the maximal family sets strictly inside it.  H_s has one part per
+    child and one per node of s in no child, and one edge per tight edge
+    inside s that joins two parts.  Why this is exact:
+    - A critical matching M of (s, u) covers every child t that misses u.
+      t is odd, so an odd number of M's edges cross it: exactly one, as the
+      budget is 1.  At the child that holds u an even number cross: none.
+    - Inside a child t, M is then a critical matching of (t, w), where w is
+      the node at which the crossing edge enters t (or u itself).  A family
+      set r inside t that this edge crosses holds w, so M inside t crosses r
+      an even number of times, that is never.  So the budgets of t's own
+      inner sets work out too, and conversely such pieces always glue to a
+      critical matching of (s, u).
+    - So (s, u) has a critical matching iff H_s minus u's part has a perfect
+      matching on usable edges, and (t, u) has one when u lies in a child t.
+      An edge is usable iff each child it enters, at w say, has a critical
+      matching of (child, w): call such a w good in that child.
+
+    One maximum matching and one more blossom search per set find every
+    good node at once.  Take a maximum matching of the usable H_s.  If it leaves exactly one part r
+    exposed, the parts P for which H_s - P has a perfect matching are the
+    parts that some maximum matching leaves exposed (Gallai-Edmonds), that
+    is the parts the search grown from r labels even; otherwise there are
+    none.  The good nodes of s are the nodes of those parts that are good
+    in their part.  s is factor-critical iff all its nodes are good, so iff
+    every child is factor-critical and H_s is a factor-critical graph.
+
+    Sets are decided in `sorted_sets` order, children first, and each set's
+    H_s and each (set, node)'s matching is memoised.  The tight flags and
+    the family tree are built on the first query.  The memo for a set s
+    stays valid while the slacks of the edges inside s do not change and no
+    family set strictly inside it is added or removed: those are its only
+    inputs.
     """
 
     def __init__(self, g: Graph, fam_sets: Iterable, slacks: Sequence):
         self.g = g
-        self.fam_sets = sorted_sets(frozenset(s) for s in fam_sets)
+        self._fam_sets = list(fam_sets)
         self.slacks = slacks
-        self._memo = {}
+        self._tight = None  # per edge, built on the first query
+        self._children = {}  # family set -> the set of its children
+        self._decided = {}  # set -> its _Contracted
+        self._memo = {}  # (set, node) -> sorted edge ids or None
+
+    def _build_tree(self) -> None:
+        """The tight flags, and the children of each family set."""
+        self._tight = [not v for v in self.slacks]
+        owner = {}  # node -> the largest family set so far that holds it
+        for s in sorted(set(map(frozenset, self._fam_sets)), key=len):
+            kids = {owner[v] for v in s if v in owner}
+            if len(s) % 2 == 0 or not all(t < s for t in kids):
+                raise ValueError(f"family set {sorted(s)} is even or crosses another")
+            self._children[s] = kids
+            for v in s:
+                owner[v] = s
+
+    def _children_of(self, s) -> Iterable:
+        """The maximal family sets strictly inside s."""
+        if s in self._children:
+            return self._children[s]
+        return maximal_sets(t for t in self._children if t < s)
+
+    def _decide(self, s: frozenset) -> _Contracted:
+        """H_s of the odd set s, after deciding every set inside s not yet
+        decided."""
+        if len(s) % 2 == 0:
+            raise ValueError(f"critical matchings are defined on odd sets: {sorted(s)}")
+        if self._tight is None:
+            self._build_tree()
+        decided = self._decided
+        if s not in decided:
+            todo, stack = [], [s]
+            while stack:
+                t = stack.pop()
+                todo.append(t)
+                stack.extend(c for c in self._children_of(t) if c not in decided)
+            for t in sorted_sets(todo):
+                decided[t] = self._contract(t)
+        return decided[s]
+
+    def _contract(self, s) -> _Contracted:
+        """H_s of s, whose children are decided; its parts are numbered in
+        the order of their least node."""
+        kids = self._children_of(s)
+        inner = {v: t for t in kids for v in t}
+        # the nodes of children that no usable edge may enter
+        bad = set().union(*(t - self._decided[t].good for t in kids))
+        part_of, children = {}, []
+        for v in sorted(s):
+            if v not in part_of:
+                t = inner.get(v)
+                for x in (v,) if t is None else t:
+                    part_of[x] = len(children)
+                children.append(t)
+        tight, neighbours = self._tight, self.g.neighbours
+        edge = {}
+        for v, p in part_of.items():
+            if v in bad:
+                continue
+            for w, e in neighbours[v]:
+                q = part_of.get(w)
+                if q is not None and p < q and tight[e] and w not in bad:
+                    if (p, q) not in edge or e < edge[p, q]:
+                        edge[p, q] = e
+        adj = [[] for _ in children]
+        for p, q in sorted(edge):
+            adj[p].append(q)
+            adj[q].append(p)
+        _mate, even = _max_matching(len(children), adj)
+        good = frozenset(v for v, p in part_of.items() if p in even and v not in bad)
+        return _Contracted(part_of, children, adj, edge, good)
 
     def critical_matching(self, s, u: int):
         """An F-matching on tight edges covering s minus {u}, crossing each
         family subset of s at most once, as sorted edge ids; None if none
         exists."""
         s = frozenset(s)
-        if len(s) % 2 == 0:
-            raise ValueError(f"critical matchings are defined on odd sets: {sorted(s)}")
         if u not in s:
             raise ValueError(f"node {u} not in set {sorted(s)}")
         key = (s, u)
         if key in self._memo:
             return self._memo[key]
-
-        inner = [t for t in self.fam_sets if t < s]
-        neighbours, slacks = self.g.neighbours, self.slacks
-        budgets = {t: 1 for t in inner}
-
-        def crossing_sets(e):
-            a, b, _c = self.g.edges[e]
-            return [t for t in inner if (a in t) != (b in t)]
-
-        # Every node left to cover lies in s minus {u}, so an edge to one
-        # stays inside s.
-        def search(uncovered, chosen):
-            if not uncovered:
-                return list(chosen)
-            v = uncovered[0]
-            rest = uncovered[1:]
-            for w, e in neighbours[v]:
-                if w not in rest or slacks[e] != ZERO:
-                    continue
-                crossed = crossing_sets(e)
-                if any(budgets[t] == 0 for t in crossed):
-                    continue
-                for t in crossed:
-                    budgets[t] -= 1
-                chosen.append(e)
-                result = search([y for y in rest if y != w], chosen)
-                if result is not None:
-                    return result
-                chosen.pop()
-                for t in crossed:
-                    budgets[t] += 1
-            return None
-
-        found = search(sorted(s - {u}), [])
-        result = None if found is None else sorted(found)
+        result = None
+        if u in self._decide(s).good:
+            # a perfect matching of H_t minus w's part for each (t, w) on the
+            # stack, then each child at the node where it is entered
+            result = []
+            stack = [(s, u)]
+            while stack:
+                t, w = stack.pop()
+                h = self._decided[t]
+                skip = h.part_of[w]
+                if h.children[skip] is not None:
+                    stack.append((h.children[skip], w))
+                mate, _even = _max_matching(len(h.children), h.adj, skip)
+                for p, q in enumerate(mate):
+                    if p < q:
+                        e = h.edge[p, q]
+                        result.append(e)
+                        for x in self.g.endpoints(e):
+                            child = h.children[h.part_of[x]]
+                            if child is not None:
+                                stack.append((child, x))
+            result.sort()
         self._memo[key] = result
         return result
 
 
+@dataclass
+class _Contracted:
+    """H_s of one set s, on usable tight edges only."""
+
+    part_of: dict  # node of s -> its part
+    children: list  # part -> its child set, or None for a node in no child
+    adj: list  # part -> adjacent parts, ascending
+    edge: dict  # (p, q), p < q -> the lowest-id edge that joins them
+    good: frozenset  # the nodes u with a critical matching of (s, u)
+
+
+def _max_matching(h: int, adj: Sequence, skip: int = -1) -> tuple:
+    """A maximum matching of the graph on nodes 0..h-1 with neighbour lists
+    `adj`, node `skip` left out, by Edmonds' blossom search.
+
+    Returns (mate, even).  mate[v] is v's partner, or -1.  If the matching
+    leaves exactly one node r exposed, even is the set of nodes the search
+    grown from r labels even, which is every node some maximum matching
+    leaves exposed; otherwise it is empty.
+    """
+    mate = [-1] * h
+    for v in range(h):  # a greedy start saves most of the searches
+        if v != skip and mate[v] < 0:
+            for w in adj[v]:
+                if w != skip and mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    break
+    exposed, labels = [], None
+    for root in range(h):
+        if root == skip or mate[root] >= 0:
+            continue
+        end, parent, even = _grow(root, adj, mate, skip)
+        if end < 0:
+            # no augmenting path will ever reach root; its labels hold
+            # until the next augmentation
+            exposed.append(root)
+            labels = even
+            continue
+        labels = None
+        while end >= 0:
+            v = parent[end]
+            nxt = mate[v]
+            mate[end], mate[v] = v, end
+            end = nxt
+    if len(exposed) != 1:
+        return mate, set()
+    if labels is None:
+        labels = _grow(exposed[0], adj, mate, skip)[2]
+    return mate, {v for v in range(h) if labels[v]}
+
+
+def _grow(root: int, adj: Sequence, mate: list, skip: int) -> tuple:
+    """Grow the alternating tree of Edmonds' search from the exposed node
+    root, breadth first, shrinking each blossom by relabelling its base.
+
+    Returns (end, parent, even): end is the exposed node that an augmenting
+    path from root reaches, or -1; parent[v] is the tree edge into each odd
+    node v, and even[v] says whether v is labelled even.
+    """
+    h = len(mate)
+    parent = [-1] * h
+    base = list(range(h))
+    even = [False] * h
+    even[root] = True
+    queue = [root]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for w in adj[v]:
+            if w == skip or base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                # w is even too: v and w close a blossom, based at the
+                # nearest common base of their paths to the root
+                seen = set()
+                a = v
+                while True:
+                    a = base[a]
+                    seen.add(a)
+                    if mate[a] < 0:
+                        break
+                    a = parent[mate[a]]
+                b = w
+                while base[b] not in seen:
+                    b = parent[mate[base[b]]]
+                b = base[b]
+                blossom = set()
+                for x, child in ((v, w), (w, v)):
+                    while base[x] != b:
+                        blossom.add(base[x])
+                        blossom.add(base[mate[x]])
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                for x in range(h):
+                    if base[x] in blossom:
+                        base[x] = b
+                        if not even[x]:
+                            even[x] = True
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    return w, parent, even
+                even[mate[w]] = True
+                queue.append(mate[w])
+    return -1, parent, even
+
+
 def is_factor_critical(finder: CriticalMatchingFinder, s) -> bool:
     """True iff every node of s admits a critical matching of s minus it."""
-    return all(finder.critical_matching(s, u) is not None for u in sorted(s))
+    s = frozenset(s)
+    return len(finder._decide(s).good) == len(s)
 
 
 def fill_inside(g: Graph, z: list, s, finder: CriticalMatchingFinder) -> None:

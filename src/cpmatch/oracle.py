@@ -336,10 +336,12 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
                 critical_skip = critical_skip and "cut family not laminar"
             else:
                 critical_skip = None
-                finder = CriticalMatchingFinder(g, imposed, slacks)
-                for s in imposed:
-                    if dual.of_set(s) > ZERO and not is_factor_critical(finder, s):
-                        report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
+                positive = [s for s in imposed if dual.of_set(s) > ZERO]
+                if positive:
+                    finder = CriticalMatchingFinder(g, imposed, slacks)
+                    for s in positive:
+                        if not is_factor_critical(finder, s):
+                            report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
 
         # the family must be exactly the previous record's retained + added
         if want is not None and set(imposed) != want:

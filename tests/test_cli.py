@@ -74,6 +74,27 @@ class TestSolve:
         assert "PASS half_integrality" in proc.stdout
 
 
+class TestUnreadableInput:
+    """A file that is not UTF-8 gets one "error: cannot read" line and exit
+    3, as a missing one does: exit 1 means that verification failed."""
+
+    @pytest.mark.parametrize("which", ["solve", "verify --instance", "verify --trace"])
+    def test_not_utf8_exits_3(self, bowtie_file, tmp_path, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        trace = tmp_path / "t.jsonl"
+        cli("solve", str(bowtie_file), "--trace", str(trace))
+        argv = {
+            "solve": ["solve", str(bad)],
+            "verify --instance": ["verify", "--instance", str(bad), "--trace", str(trace)],
+            "verify --trace": ["verify", "--instance", str(bowtie_file), "--trace", str(bad)],
+        }[which]
+        proc = cli(*argv)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"error: cannot read {bad}: ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestGen:
     def test_gen_writes_instance(self, tmp_path):
         out = tmp_path / "inst.txt"
@@ -455,6 +476,22 @@ class TestVerify:
         assert code == 1
         assert "FAIL primal_feasibility witness={'iteration': 0, 'node': 1, 'reason': 'degree'}" in out
         assert any(line.startswith("FAIL final_matching_oracle") for line in out)
+
+    def test_hostile_positive_dual_fails_fast(self, tmp_path):
+        # a positive dual on a cut whose tight graph is K_{31,30}: verify
+        # must reject it, and at once
+        from hostile import write_hostile
+
+        instance_file, trace = tmp_path / "g.txt", tmp_path / "t.jsonl"
+        write_hostile(30, instance_file, trace)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpmatch", "verify", "--instance", str(instance_file),
+             "--trace", str(trace)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert any(line.startswith("FAIL positively_critical ")
+                   for line in proc.stdout.splitlines())
 
     def test_verify_garbage_trace_exits_3(self, bowtie_file, tmp_path):
         trace = tmp_path / "t.jsonl"
