@@ -118,35 +118,68 @@ class CriticalMatchingFinder:
 
     def _contract(self, s) -> _Contracted:
         """H_s of s, whose children are decided; its parts are numbered in
-        the order of their least node."""
-        kids = self._children_of(s)
-        inner = {v: t for t in kids for v in t}
+        the order of their least node.
+
+        Its edges are read at its own nodes (those in no child), whose
+        neighbour lists no other set reads, and from its children's
+        boundaries, the tight edges with one end in the child, each kept as
+        (inner end, outer end, edge id).  A node's neighbours are thus read
+        once per finder, however deep the family."""
+        kids, decided = self._children_of(s), self._decided
         # the nodes of children that no usable edge may enter
-        bad = set().union(*(t - self._decided[t].good for t in kids))
+        bad = set().union(*(t - decided[t].good for t in kids))
+        own = s.difference(*kids)
+        # one part per child, keyed by its least node, and one per own node
+        least = {min(t): t for t in kids}
+        order = sorted(own.union(least))
         part_of, children = {}, []
-        for v in sorted(s):
-            if v not in part_of:
-                t = inner.get(v)
-                for x in (v,) if t is None else t:
-                    part_of[x] = len(children)
-                children.append(t)
+        for p, v in enumerate(order):
+            t = least.get(v)
+            if t is None:
+                part_of[v] = p
+            else:
+                part_of.update(dict.fromkeys(t, p))
+            children.append(t)
         tight, neighbours = self._tight, self.g.neighbours
-        edge = {}
-        for v, p in part_of.items():
-            if v in bad:
-                continue
+        edge, boundary = {}, []
+        for v in own:
+            p = part_of[v]
             for w, e in neighbours[v]:
+                if tight[e]:
+                    q = part_of.get(w)
+                    if q is None:
+                        boundary.append((v, w, e))
+                    elif w not in bad and (p < q or q < p and children[q] is not None):
+                        # an edge between two own nodes is read from both
+                        # ends and kept from the lower part's
+                        key = (p, q) if p < q else (q, p)
+                        if edge.get(key, e) >= e:
+                            edge[key] = e
+        for t in kids:
+            for v, w, e in decided[t].boundary:
                 q = part_of.get(w)
-                if q is not None and p < q and tight[e] and w not in bad:
-                    if (p, q) not in edge or e < edge[p, q]:
+                if q is None:
+                    boundary.append((v, w, e))
+                elif v not in bad and w not in bad and children[q] is not None:
+                    # between two children, read at both: kept from the
+                    # lower part's; an edge to an own node was read above
+                    p = part_of[v]
+                    if p < q and edge.get((p, q), e) >= e:
                         edge[p, q] = e
         adj = [[] for _ in children]
         for p, q in sorted(edge):
             adj[p].append(q)
             adj[q].append(p)
         _mate, even = _max_matching(len(children), adj)
-        good = frozenset(v for v, p in part_of.items() if p in even and v not in bad)
-        return _Contracted(part_of, children, adj, edge, good)
+        # an even part's good nodes: its own node, or its child's good nodes
+        good = set()
+        for p in even:
+            t = children[p]
+            if t is None:
+                good.add(order[p])
+            else:
+                good |= decided[t].good
+        return _Contracted(part_of, children, adj, edge, frozenset(good), boundary)
 
     def critical_matching(self, s, u: int):
         """An F-matching on tight edges covering s minus {u}, crossing each
@@ -193,6 +226,7 @@ class _Contracted:
     adj: list  # part -> adjacent parts, ascending
     edge: dict  # (p, q), p < q -> the lowest-id edge that joins them
     good: frozenset  # the nodes u with a critical matching of (s, u)
+    boundary: list  # (end in s, end outside, id) per tight edge leaving s
 
 
 def _max_matching(h: int, adj: Sequence, skip: int = -1) -> tuple:

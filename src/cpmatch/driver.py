@@ -34,7 +34,7 @@ from .combinatorial import (
     solve_bipartite_via_procedure,
 )
 from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
-from .lp import DualSolution, solve_extremal_dual, solve_primal
+from .lp import DualSolution, WarmStart, solve_extremal_dual, solve_primal
 from .rational import ONE, PerturbedCosts, Rat, ZERO, format_rat, perturb
 
 TRACE_SCHEMA = "cpmatch-trace-1"
@@ -81,6 +81,8 @@ class DriverState:
     # context needed to rebuild the next combinatorial configuration
     hp_sets: list = field(default_factory=list)
     new_cut_info: list = field(default_factory=list)
+    # the last primal tableau, which the next simplex solve starts from
+    warm: WarmStart = field(default_factory=WarmStart)
 
 
 def trace_header(g: Graph) -> dict:
@@ -242,12 +244,12 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     stats = None
     basis_dual = psi = None
     if solver == "simplex":
-        x, basis_dual, objective = solve_primal(g, costs, fam)
+        x, basis_dual, objective = solve_primal(g, costs, fam, state.warm)
     elif solver == "combinatorial":
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
         objective = cost_value(x, costs)
     elif solver == "cross-check":
-        x_s, basis_dual, objective = solve_primal(g, costs, fam)
+        x_s, basis_dual, objective = solve_primal(g, costs, fam, state.warm)
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
         if x != x_s:
             diff = [e for e in range(g.m) if x[e] != x_s[e]]
@@ -317,6 +319,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         terminal=terminal,
         hp_sets=hp_sets,
         new_cut_info=new_info,
+        warm=state.warm,
     )
     return next_state, record
 

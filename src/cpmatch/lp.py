@@ -37,6 +37,20 @@ structural columns (integral by Cramer's rule).  Each dual is z_i times
 L/(M*D), so strong duality and complementary slackness hold exactly on
 every solve.
 
+A program that extends an optimal one by inequality rows is re-solved
+from its final tableau (`simplex_solve`'s `start`): each new row is
+written at the current det, reduced against the synced rows of the basic
+columns it has entries in, and enters with its slack or surplus basic;
+its right-hand side is negative where the old optimum violates it.  The
+basis stays dual feasible, and a dual simplex with a least-index rule
+(Koberstein, PhD thesis, Paderborn 2005) pivots through the same lazy-scale
+`pivot` until every right-hand side is nonnegative.  `solve_primal` does
+this from one cut round to the next when every old cut is kept: the new
+cuts' rows go after the old ones, so the old columns keep their ids.  The
+optimum x is unique under the cost perturbation, so a warm solve reaches
+the x a cold one would; only the optimal basis, and with it the basis
+dual, may differ.
+
 LP values cross the boundary as ints wherever they are integral.  A
 `LinearProgram` stores an int or a `Rat` as given, the builders pass their
 0/+-1 coefficients, unit right-hand sides and int costs as ints, and
@@ -57,7 +71,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import LPInfeasible, LPUnbounded, StructureViolation
-from .graph import Graph, cost_value, cut_values
+from .graph import Graph, cost_value, cut_values, feasibility_violation
 from .laminar import LaminarFamily, sorted_sets
 from .rational import ONE, Rat, ZERO
 
@@ -105,12 +119,14 @@ class SimplexResult:
     """x, objective and pivot count of an optimal basis, and `duals`: one
     per input row, sign matching the original relation.  `duals` is either
     given as a list or computed by `recover()` the first time it is read,
-    so a caller that reads only x never pays for it."""
+    so a caller that reads only x never pays for it.  `tableau` is the
+    final tableau, a warm start for a program with more rows."""
 
-    def __init__(self, x, objective, pivots, duals=None, recover=None):
+    def __init__(self, x, objective, pivots, duals=None, recover=None, tableau=None):
         self.x = x
         self.objective = objective
         self.pivots = pivots
+        self.tableau = tableau
         if duals is not None:
             self.duals = duals
         self._recover = recover
@@ -133,7 +149,8 @@ class _Tableau:
     pivot multiplies det B by the true pivot value and rewrites only the
     rows with a nonzero entry in the pivot column, each with an exact
     integer division (Bareiss 1968, Edmonds 1967), and deletes every entry
-    that cancels to 0.  `pivots` counts the pivots made.
+    that cancels to 0.  `pivots` counts the pivots made, and `scales` is
+    the (row, cost) scale pair of the program solved.
     """
 
     def __init__(self, rows, rhs, basis):
@@ -145,6 +162,7 @@ class _Tableau:
         self.rc = []
         self.rc_scale = 1
         self.pivots = 0
+        self.scales = None
 
     def synced(self, r):
         """Row r, first rewritten at the current det if it is not there.
@@ -262,42 +280,10 @@ def _denominators(values):
     return (int(v.denominator) for v in values if type(v) is not int)
 
 
-def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded."""
-    nstruct = lp.num_vars
-    nrows = lp.num_rows
-
-    # Normalize to equality form with rhs >= 0: flip <=/>= rows with
-    # negative rhs, then add a slack (+1, <=) or surplus (-1, >=) column.
-    norm = []
-    flip = []
-    for coefs, rel, rhs in lp.rows:
-        if rhs < 0:
-            coefs = {k: -v for k, v in coefs.items()}
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            flip.append(-1)
-        else:
-            flip.append(1)
-        norm.append((coefs, rel, rhs))
-
-    # One scale for all rows and one for the objective make the data
-    # integral.  A per-row scale would reweight the phase-1 artificials
-    # against each other and could change Bland's path.
-    row_scale = math.lcm(
-        *_denominators(v for coefs, _rel, rhs in norm for v in (rhs, *coefs.values()))
-    )
-    cost_scale = math.lcm(*_denominators(lp.objective))
-    cost = [_scaled(c, cost_scale) for c in lp.objective]
-
-    aux_col = {}
-    ncols = nstruct
-    for i, (_c, rel, _r) in enumerate(norm):
-        if rel != "=":
-            aux_col[i] = ncols
-            ncols += 1
-    first_art = ncols
-
+def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
+    """The optimal tableau of the normalized program, by the two-phase
+    simplex from the slack and artificial basis."""
+    nstruct, nrows, ncols = len(cost), len(norm), first_art
     # A <= row starts with its slack basic, a >= or = row with its
     # artificial, whose column (first_art, first_art + 1, ... in row order)
     # is not stored: only its id enters the basis.
@@ -349,6 +335,140 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     t.rc, t.rc_scale = rc, d
     if not _bland_loop(t, first_art):
         raise LPUnbounded("objective unbounded below")
+    return t
+
+
+def _extended(t: _Tableau, norm, aux_col, first_art, row_scale) -> _Tableau:
+    """t with the rows of norm past its own appended, each with its slack
+    or surplus basic and written at the current det.
+
+    Row i with aux coefficient sign (+1 slack, -1 surplus) is sign times
+    (a.x + sign*s = b), reduced against the synced row of each basic column
+    it has an entry in: D*sign*a - sum of sign*a_j * row_j, right-hand side
+    D*sign*b - sum of sign*a_j * rhs_j, and D in its own aux column.  The
+    new columns' reduced costs are 0.  The artificial ids move up past the
+    new aux columns, and `basis` and `rc` become new lists, so a result
+    read from t before keeps its duals."""
+    shift = first_art - len(t.rc)
+    t.basis = [b + shift if b >= len(t.rc) else b for b in t.basis]
+    t.rc = t.rc + [0] * shift
+    t.pivots = 0
+    d = t.det
+    row_of = {b: r for r, b in enumerate(t.basis)}
+    for i in range(len(t.rows), len(norm)):
+        coefs, rel, b = norm[i]
+        if rel == "=":
+            raise ValueError("a warm start adds inequality rows only")
+        sign = 1 if rel == "<=" else -1
+        row = {aux_col[i]: d}
+        rhs = sign * d * _scaled(b, row_scale)
+        for j, v in coefs.items():
+            f = sign * _scaled(v, row_scale)
+            r = row_of.get(j)
+            if r is None:
+                row[j] = row.get(j, 0) + d * f
+            elif f:
+                for k, a in t.synced(r).items():
+                    if k != j:
+                        row[k] = row.get(k, 0) - f * a
+                rhs -= f * t.rhs[r]
+        t.rows.append({k: a for k, a in row.items() if a})
+        t.rhs.append(rhs)
+        t.scale.append(d)
+        t.basis.append(aux_col[i])
+    return t
+
+
+def _dual_simplex(t: _Tableau) -> None:
+    """Dual simplex from the dual-feasible tableau t (rc >= 0) to an
+    optimal one, by the least-index rule: the row with the least basis id
+    among those with a negative right-hand side leaves, and the column with
+    the least ratio rc_j/|a_rj| over its entries a_rj < 0 enters, the least
+    column on a tie.  A leaving row with no negative entry proves the
+    program infeasible.  Ratios within one row do not depend on its scale,
+    so they are compared by cross-multiplication.  Ends with rc at scale
+    det, which the dual read-out needs."""
+    rhs, rc, basis = t.rhs, t.rc, t.basis
+    while True:
+        leave = -1
+        for r, b in enumerate(basis):
+            if rhs[r] < 0 and (leave < 0 or b < basis[leave]):
+                leave = r
+        if leave < 0:
+            break
+        enter = -1
+        for j, a in t.rows[leave].items():
+            if a < 0:
+                if enter < 0:
+                    enter, best_a = j, a
+                    continue
+                lhs, rhs_best = rc[j] * best_a, rc[enter] * a
+                if lhs > rhs_best or (lhs == rhs_best and j < enter):
+                    enter, best_a = j, a
+        if enter < 0:
+            raise LPInfeasible("phase-1 optimum positive")
+        t.pivot(leave, enter)
+        if t.pivots > PIVOT_LIMIT:
+            raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
+    if t.rc_scale != t.det:
+        d, s = t.det, t.rc_scale
+        rc[:] = [d * a // s for a in rc]
+        t.rc_scale = d
+
+
+def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexResult:
+    """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded.
+
+    `start` is the final tableau (`SimplexResult.tableau`) of an optimal
+    solve of the program made of lp's first len(start.rows) rows, at the
+    same scales; the rows after them must be inequalities.  lp is then
+    solved from that basis: each further row enters with its slack or
+    surplus basic and the dual simplex restores feasibility.  start is
+    consumed.
+    """
+    nstruct = lp.num_vars
+    nrows = lp.num_rows
+
+    # Normalize to equality form with rhs >= 0: flip <=/>= rows with
+    # negative rhs, then add a slack (+1, <=) or surplus (-1, >=) column.
+    norm = []
+    flip = []
+    for coefs, rel, rhs in lp.rows:
+        if rhs < 0:
+            coefs = {k: -v for k, v in coefs.items()}
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            flip.append(-1)
+        else:
+            flip.append(1)
+        norm.append((coefs, rel, rhs))
+
+    # One scale for all rows and one for the objective make the data
+    # integral.  A per-row scale would reweight the phase-1 artificials
+    # against each other and could change Bland's path.
+    row_scale = math.lcm(
+        *_denominators(v for coefs, _rel, rhs in norm for v in (rhs, *coefs.values()))
+    )
+    cost_scale = math.lcm(*_denominators(lp.objective))
+    cost = [_scaled(c, cost_scale) for c in lp.objective]
+
+    aux_col = {}
+    ncols = nstruct
+    for i, (_c, rel, _r) in enumerate(norm):
+        if rel != "=":
+            aux_col[i] = ncols
+            ncols += 1
+    first_art = ncols
+
+    if start is None:
+        t = _two_phase(norm, aux_col, first_art, row_scale, cost)
+    else:
+        if start.scales != (row_scale, cost_scale):
+            raise ValueError("the start tableau was solved at other scales")
+        t = _extended(start, norm, aux_col, first_art, row_scale)
+        _dual_simplex(t)
+    t.scales = (row_scale, cost_scale)
+    basis, rhs, rc = t.basis, t.rhs, t.rc
 
     # Only a basic structural column with a nonzero right-hand side gets a
     # Rat of its own; the objective sums those columns alone.
@@ -398,7 +518,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             for i in range(nrows)
         ]
 
-    return SimplexResult(x=x, objective=objective, pivots=t.pivots, recover=duals)
+    return SimplexResult(x=x, objective=objective, pivots=t.pivots, recover=duals, tableau=t)
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -588,11 +708,12 @@ def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_v
     return None
 
 
-def build_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
+def build_primal(g: Graph, costs, sets: Sequence) -> tuple:
     """P_F: minimize costs subject to degree equalities and cut inequalities.
 
     Returns (LinearProgram, row_keys) with one variable per edge, one
-    equality row per node, one >=1 row per family set.
+    equality row per node, then one >=1 row per set of the family F, in the
+    order of `sets`.
     """
     lp = LinearProgram()
     for e in range(g.m):
@@ -602,21 +723,48 @@ def build_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
     for u in range(1, g.n + 1):
         lp.add_row({e: 1 for e in incidence[u]}, "=", 1)
         row_keys.append(u)
-    for s in fam.sets:
+    for s in sets:
         lp.add_row({e: 1 for e in g.delta(s)}, ">=", 1)
         row_keys.append(s)
     return lp, row_keys
 
 
-def solve_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
+class WarmStart:
+    """The final tableau of the last `solve_primal` call given this object,
+    and the family sets of that program's cut rows in row order.  A driver
+    run hands one from each relaxation to the next."""
+
+    def __init__(self):
+        self.tableau = None
+        self.sets = []
+
+
+def solve_primal(g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = None) -> tuple:
     """Solve P_F; return (x, basis dual, objective).
 
     The returned dual is the complementary dual extracted from the optimal
-    basis.  Strong duality and exact complementary slackness are verified on
-    every call.
+    basis.  Feasibility of x, strong duality and exact complementary
+    slackness are verified on every call.
+
+    With `warm`, a family that holds every set of `warm.sets` is solved
+    from `warm.tableau`: its program keeps those cut rows in their order and
+    appends the new sets' rows, each of which enters with its surplus basic
+    (see `simplex_solve`).  Any other family is solved from scratch.  The
+    final tableau is left in `warm` for the next call.
     """
-    lp, row_keys = build_primal(g, costs, fam)
-    res = simplex_solve(lp)
+    start, sets = None, fam.sets
+    if warm is not None:
+        start, warm.tableau = warm.tableau, None
+        old = set(warm.sets)
+        if start is not None and old.issubset(sets):
+            sets = warm.sets + [s for s in sets if s not in old]
+        else:
+            start = None
+    lp, row_keys = build_primal(g, costs, sets)
+    res = simplex_solve(lp, start)
+    violation = feasibility_violation(res.x, g, sets)
+    if violation is not None:
+        raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)
     dual = DualSolution(zip(row_keys, res.duals))
     if dual.objective() != res.objective:
         raise StructureViolation("strong duality violated")
@@ -625,6 +773,8 @@ def solve_primal(g: Graph, costs, fam: LaminarFamily) -> tuple:
     violation = slackness_violation(res.x, dual, dual.slacks(g, costs), cut_value)
     if violation is not None:
         raise StructureViolation(f"complementary slackness: {violation['reason']}", witness=violation)
+    if warm is not None:
+        warm.tableau, warm.sets = res.tableau, sets
     return res.x, dual, res.objective
 
 

@@ -119,6 +119,36 @@ def test_deep_family_needs_no_recursion():
     assert not critical
 
 
+
+def test_deep_chain_reads_each_edge_at_one_set():
+    # a path with 1,000 nested odd sets around its middle: a node's
+    # neighbours are read at the one set it is an own node of (in none of
+    # its children), and a set reads its children's boundary edges, so the
+    # neighbour entries read stay within the 2m there are, where a scan at
+    # every node of every set reads about depth * |s| of them
+    depth = 1000
+    n = 2 * depth + 5
+    g = make_graph(n, [(v, v + 1, 0) for v in range(1, n)])
+    middle = depth + 3
+    family = [frozenset(range(middle - i, middle + i + 1)) for i in range(1, depth + 1)]
+    reads = [0]
+
+    class Counted(list):
+        def __iter__(self):
+            reads[0] += len(self)
+            return super().__iter__()
+
+    g.__dict__["neighbours"] = tuple(Counted(entries) for entries in g.neighbours)
+    finder = CriticalMatchingFinder(g, family, [ZERO] * g.m)
+    s = family[-1]
+    m = finder.critical_matching(s, min(s))
+    assert m is not None and len(m) == len(s) // 2
+    assert not is_factor_critical(finder, s)
+    assert reads[0] <= 2 * g.m
+    # a query set outside the family reads its own nodes' neighbours
+    assert finder.critical_matching(s | {1, 2}, 1) is not None
+    assert reads[0] <= 2 * g.m
+
 def test_tight_complete_bipartite_answers_at_once():
     # u on the small side of a tight K_{31,30}: no critical matching, and
     # the reference would try every partial matching first

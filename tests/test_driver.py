@@ -9,6 +9,7 @@ from cpmatch import (
     StructureViolation,
     iteration_bound,
     make_graph,
+    parse_instance,
     random_instance,
     run,
     select_new_cuts,
@@ -234,7 +235,7 @@ class TestStep:
     def test_optimum_that_is_not_half_integral_raises(self, bowtie, monkeypatch):
         import cpmatch.driver as drv_mod
 
-        def third(g, costs, fam):
+        def third(g, costs, fam, warm=None):
             return [rat(1, 3)] * g.m, DualSolution.zeros(g), ZERO
 
         monkeypatch.setattr(drv_mod, "solve_primal", third)
@@ -343,3 +344,65 @@ class TestExtremalDualCount:
         res = run(telescope(stages=3, gadgets=2), solver=solver)
         expected = res.lp_solves if solver == "combinatorial" else res.lp_solves - 1
         assert len(calls) == expected
+
+
+class TestWarmStart:
+    """After round one the simplex route solves each relaxation from the
+    last optimal tableau.  x is the unique optimum under the perturbation,
+    so every record but a terminal one's basis dual matches a run whose
+    every primal solve is cold."""
+
+    @pytest.mark.parametrize("solver", ["simplex", "cross-check"])
+    def test_warm_runs_match_cold_runs(self, solver, monkeypatch):
+        import cpmatch.driver as drv_mod
+        import cpmatch.lp as lp_mod
+        from instances import MULTI_ROUND_RANDOM, telescope
+        from test_golden import GOLDEN
+
+        graphs = [parse_instance(p.read_text()) for p in sorted(GOLDEN.glob("*.txt"))]
+        graphs += [random_instance(n, p, (0, hi), seed) for n, p, hi, seed in MULTI_ROUND_RANDOM]
+        graphs.append(telescope(stages=3, gadgets=2))
+
+        def traces():
+            out = []
+            for g in graphs:
+                try:
+                    lines = run(g, solver=solver).trace_lines()
+                except NoPerfectMatching as exc:
+                    out.append(str(exc))
+                    continue
+                report = verify_trace(g, lines)
+                assert not [ln for ln in report.lines() if ln.startswith("FAIL")]
+                out.append(lines)
+            return out
+
+        starts = []
+        real = lp_mod.simplex_solve
+
+        def recorded(lp, start=None):
+            starts.append(start is not None)
+            return real(lp, start)
+
+        monkeypatch.setattr(lp_mod, "simplex_solve", recorded)
+        warm = traces()
+        assert sum(starts) > len(graphs)
+        cold_primal = lp_mod.solve_primal
+        monkeypatch.setattr(
+            drv_mod, "solve_primal", lambda g, costs, fam, warm=None: cold_primal(g, costs, fam)
+        )
+        starts.clear()
+        cold = traces()
+        assert not any(starts)
+
+        for w, c in zip(warm, cold):
+            assert type(w) is type(c)
+            if isinstance(w, str):
+                assert w == c
+                continue
+            assert len(w) == len(c) and w[0] == c[0]
+            for line_w, line_c in zip(w[1:], c[1:]):
+                rec_w, rec_c = json.loads(line_w), json.loads(line_c)
+                if not rec_w["terminal"]:
+                    assert line_w == line_c
+                else:
+                    assert {k for k in rec_w if rec_w[k] != rec_c[k]} <= {"dual_nodes", "dual_sets"}

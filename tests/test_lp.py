@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from cpmatch import lp as lp_mod
 from cpmatch import parse_instance, run
 from cpmatch.driver import SOLVER_CHOICES
 from cpmatch.errors import LPUnbounded, NoPerfectMatching, StructureViolation
+from cpmatch.graph import cut_values
+from cpmatch.lp import slackness_violation
 from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
 import reference_simplex
@@ -378,9 +381,9 @@ class TestDualRecovery:
         pivots = [0]
         solve, pivot = lp_mod.simplex_solve, lp_mod._Tableau.pivot
 
-        def tracked_solve(lp):
+        def tracked_solve(lp, start=None):
             first_art.append(lp.num_vars + sum(rel != "=" for _c, rel, _r in lp.rows))
-            return solve(lp)
+            return solve(lp, start)
 
         def checked_pivot(t, r, c):
             pivot(t, r, c)
@@ -478,24 +481,24 @@ class TestDualSlacks:
 
 class TestBuildPrimal:
     def test_bowtie_no_cuts(self, bowtie, bowtie_perturbed):
-        lp, keys = build_primal(bowtie, bowtie_perturbed.scaled, LaminarFamily(6))
+        lp, keys = build_primal(bowtie, bowtie_perturbed.scaled, [])
         assert lp.num_vars == 7
         assert lp.num_rows == 6
         assert all(rel == "=" for _c, rel, _r in lp.rows)
 
     def test_debug_dump(self, bowtie, bowtie_perturbed):
-        lp, _keys = build_primal(bowtie, bowtie_perturbed.scaled, LaminarFamily(6))
+        lp, _keys = build_primal(bowtie, bowtie_perturbed.scaled, [])
         text = format_lp(lp)
         assert text.startswith("min 64 32 16 8 4 2 1281")
         assert len(text.splitlines()) == 7
 
     def test_bowtie_with_cuts(self, bowtie, bowtie_perturbed, bowtie_family):
-        lp, keys = build_primal(bowtie, bowtie_perturbed.scaled, bowtie_family)
+        lp, keys = build_primal(bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
         assert lp.num_vars == 7 and lp.num_rows == 8
 
     def test_single_edge(self):
         g = make_graph(2, [(1, 2, 5)])
-        lp, keys = build_primal(g, perturb([5]).scaled, LaminarFamily(2))
+        lp, keys = build_primal(g, perturb([5]).scaled, [])
         assert lp.num_vars == 1 and lp.num_rows == 2
 
 
@@ -539,8 +542,8 @@ class TestSolvePrimal:
             "import cpmatch.lp as lp\n"
             "from cpmatch import LaminarFamily, StructureViolation, make_graph\n"
             "real = lp.simplex_solve\n"
-            "def corrupt(prog):\n"
-            "    res = real(prog)\n"
+            "def corrupt(prog, start=None):\n"
+            "    res = real(prog, start)\n"
             "    res.duals[0] += 1\n"
             "    return res\n"
             "lp.simplex_solve = corrupt\n"
@@ -555,6 +558,94 @@ class TestSolvePrimal:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised strong duality violated\n"
+
+
+def laminar_draw(draw, n: int) -> list:
+    """Odd sets of a random laminar family over nodes 1..n: each set is the
+    union of three items that are still top-level (single nodes or earlier
+    sets), so it is odd and crosses nothing.  Sets of more than n - 3 nodes
+    are left out."""
+    items = [frozenset({u}) for u in range(1, n + 1)]
+    sets = []
+    for _ in range(draw(0, 4)):
+        if len(items) < 3:
+            break
+        picked = [items.pop(draw(0, len(items) - 1)) for _ in range(3)]
+        s = frozenset().union(*picked)
+        if len(s) > n - 3:
+            items.extend(picked)
+            break
+        sets.append(s)
+        items.append(s)
+    return sets
+
+
+def warm_case(draw) -> str:
+    """One warm re-solve of P_F2 from P_F1's final tableau, F1 a subfamily
+    of a random laminar family F2 on a random graph with perturbed costs,
+    checked against `reference_simplex` solving P_F2 cold: the same x and
+    objective with a basis dual that passes `slackness_violation`, or
+    LPInfeasible from both.  Then F2 less one set of F1, if F1 has one,
+    must be solved cold.  Returns the case reached."""
+    n = 2 * draw(3, 5)
+    # one draw in three has edges only inside blocks of three nodes, and
+    # the blocks for family: no perfect matching, often a fractional one
+    blocks = draw(0, 2) == 0
+    edges = [(u, v, draw(0, 6)) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if (u - 1) // 3 == (v - 1) // 3 or not blocks and draw(0, 9) < 4]
+    g = make_graph(n, edges)
+    costs = perturb([c for _u, _v, c in edges]).scaled
+    if blocks:
+        family = [frozenset(range(b, b + 3)) for b in range(1, n - 1, 3)]
+    else:
+        family = laminar_draw(draw, n)
+    f1 = LaminarFamily(n, [s for s in family if draw(0, 1)])
+    f2 = LaminarFamily(n, family)
+    starts = []
+    real = lp_mod.simplex_solve
+
+    def recorded(lp, start=None):
+        starts.append(start)
+        return real(lp, start)
+
+    warm = lp_mod.WarmStart()
+    with mock.patch.object(lp_mod, "simplex_solve", recorded):
+        try:
+            solve_primal(g, costs, f1, warm)
+        except LPInfeasible:
+            return "first solve infeasible"
+        want = outcome(reference_simplex.simplex_solve, build_primal(g, costs, f2.sets)[0])
+        try:
+            x, dual, obj = solve_primal(g, costs, f2, warm)
+        except LPInfeasible as exc:
+            assert want == ("LPInfeasible", str(exc))
+            return "warm infeasible"
+        assert starts[-1] is not None
+        assert want[0] == "optimal" and (x, obj) == (want[1], want[3])
+        cut_value = dict(zip(f2.sets, cut_values(x, map(g.delta, f2.sets))))
+        assert slackness_violation(x, dual, dual.slacks(g, costs), cut_value) is None
+        if not f1.sets:
+            return "warm optimal"
+        dropped = f1.sets[draw(0, len(f1) - 1)]
+        x3, _dual, _obj = solve_primal(g, costs, LaminarFamily(n, set(family) - {dropped}), warm)
+        assert starts[-1] is None
+        want = outcome(reference_simplex.simplex_solve, build_primal(
+            g, costs, [s for s in f2.sets if s != dropped])[0])
+        assert x3 == want[1]
+        return "cut dropped"
+
+
+class TestWarmStart:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_warm_resolve_matches_cold_reference(self, data):
+        warm_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+    def test_seeded_sweep_covers_every_case(self):
+        rng = random.Random(18)
+        seen = Counter(warm_case(rng.randint) for _ in range(200))
+        for case in ("warm optimal", "warm infeasible", "cut dropped"):
+            assert seen[case] > 0, seen
 
 
 class TestExtremalDual:
@@ -630,9 +721,9 @@ class TestExtremalDual:
         built = []
         real = lp_mod.simplex_solve
 
-        def capture(lp):
+        def capture(lp, start=None):
             built.append(lp)
-            return real(lp)
+            return real(lp, start)
 
         monkeypatch.setattr(lp_mod, "simplex_solve", capture)
         x, _dual, _obj = solve_primal(bowtie, bowtie_perturbed.scaled, bowtie_family)
