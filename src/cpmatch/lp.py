@@ -1,10 +1,21 @@
 """Exact simplex plus builders for the matching LPs.
 
-The solver is a two-phase tableau simplex with Bland's least-index
-anti-cycling rule.  The tableau is integer-preserving (fraction-free): the
-rows are scaled by one common denominator L and the objective by another, M.
-Each row is sparse, a dict {column: int} that stores no zero; the dense
-reduced-cost row is a list, because Bland's entering scan reads it in column
+The solver is a two-phase tableau simplex.  Its entering rule, `pricing`,
+is Bland's least index (Bland 1977), or Dantzig's most negative reduced
+cost (Dantzig 1963) with Bland's rule after each degenerate pivot until
+the next nondegenerate one: a cycle is a run of degenerate pivots, which
+would then be Bland pivots, and those cannot cycle.  The leaving row is
+always the least ratio, the least basis id on a tie.  `solve_primal`
+prices by Dantzig's rule, which takes far fewer pivots on the wide
+relaxation tableaus; under the cost perturbation P_F has one optimum, so
+the rule moves only the optimal basis and its dual, both certified.
+`solve_extremal_dual` keeps Bland's rule: its program has many optima, and
+the one Bland's rule picks is the Psi that the traces record.
+
+The tableau is integer-preserving (fraction-free): the rows are scaled by
+one common denominator L and the objective by another, M.  Each row is
+sparse, a dict {column: int} that stores no zero; the dense reduced-cost
+row is a list, which Dantzig's rule reads whole and Bland's in column
 order.  Row i stores scale_i times its true values (entries and right-hand
 side), and the reduced-cost row stores rc_scale times its own; each scale is
 |det B| of the basis B at which that row was last written.  A pivot on
@@ -15,17 +26,18 @@ entries that cancel to 0, and leaves rows with no entry in column c as they
 are; then D = p and every rewritten row has scale p.  A row whose scale is
 already p is updated in place, `row_k[j] -= f*b // p` for each entry b of
 row r: p*a and p*a - f*b are both multiples of p, so f*b is one too, and
-the columns where row r has no entry keep their values.  Bland's rule reads
-only signs and the ratios rhs_r/row_r[c] of entries within one row, which
-neither a positive row scale nor the storage format changes, so the pivots
-are those of the rational tableau.
+the columns where row r has no entry keep their values.  Both rules read
+only signs, the order of the true reduced costs (one scale for all, once a
+slack or surplus column's is multiplied by L) and the ratios
+rhs_r/row_r[c] within one row, which neither a positive row scale nor the
+storage format changes, so the pivots are those of the rational tableau.
 
 The tableau stores no artificial column.  An = or >= row starts with its
-artificial basic, and the basis keeps that column's id (so Bland's
-tie-break and the phase-1 sum read the ids they always did), but no pivot
-reads an artificial column: a pivot computes column j from column j and the
-pivot column alone.  The stored part of B^-1 that the artificial block
-would hold is therefore never built.
+artificial basic, and the basis keeps that column's id (so the leaving
+rule's tie-break and the phase-1 sum read the ids they always did), but no
+pivot reads an artificial column: a pivot computes column j from column j
+and the pivot column alone.  The stored part of B^-1 that the artificial
+block would hold is therefore never built.
 
 Values become rationals only at the end: x_b = rhs_r/scale_r, and the
 duals are found from the final basis the first time a caller reads them
@@ -237,19 +249,53 @@ class _Tableau:
         self.pivots += 1
 
 
-def _bland_loop(t: _Tableau, nallowed):
-    """Bland's rule on t.rc over columns 0..nallowed-1; False when unbounded.
+PRICINGS = ("bland", "dantzig")
+
+
+def _primal_loop(t: _Tableau, pricing: str, nstruct: int, row_scale: int, tie=None):
+    """Primal simplex on t.rc over all its columns; False when unbounded.
+
+    The leaving row has the least ratio rhs[r]/row[r][enter], the least
+    basis id on a tie.  The entering column is, under "bland", the least
+    one with a negative reduced cost.  Under "dantzig" it is the one with
+    the most negative reduced cost; ties go to the least `tie[j]` (phase 1
+    passes the objective) and then to the least column.  After a degenerate
+    pivot (leaving rhs 0) Dantzig's rule gives way to Bland's until the next
+    nondegenerate pivot.  The objective strictly falls on a nondegenerate
+    pivot, so a cycle would be a run of degenerate pivots alone, and those
+    are Bland pivots from the second on: Bland's rule cannot cycle (Bland
+    1977).  `solve_primal` asks for Dantzig's rule.  The extremal-dual LP
+    stays on Bland's: it has many optima, and the traces record the one
+    Bland's rule reaches.
 
     Signs and the ratio rhs[r]/row[r][enter] do not depend on a row's
-    positive scale, so these are the pivots the rational tableau would make.
+    positive scale.  rc holds every reduced cost at one scale, but a slack
+    or surplus column (ids nstruct..) keeps its coefficient 1 in a row
+    multiplied by row_scale, so its entry is 1/row_scale of the true value
+    at that scale, and Dantzig's rule multiplies it back.  These are the
+    pivots the rational tableau would make.
     """
     rows, rhs, basis, rc = t.rows, t.rhs, t.basis, t.rc
+    bland = pricing == "bland"
+    degenerate = False
     while True:
-        for enter in range(nallowed):
-            if rc[enter] < 0:
-                break
+        if bland or degenerate:
+            for enter, a in enumerate(rc):
+                if a < 0:
+                    break
+            else:
+                return True  # optimal
         else:
-            return True  # optimal
+            keys = rc if row_scale == 1 else rc[:nstruct] + [row_scale * a for a in rc[nstruct:]]
+            low = min(keys)
+            if low >= 0:
+                return True  # optimal
+            enter = j = keys.index(low)
+            if tie is not None:
+                for _ in range(keys.count(low) - 1):
+                    j = keys.index(low, j + 1)
+                    if tie[j] < tie[enter]:
+                        enter = j
         best = -1
         for r, row in enumerate(rows):
             a = row.get(enter, 0)
@@ -262,6 +308,7 @@ def _bland_loop(t: _Tableau, nallowed):
                     best, best_a, best_rhs = r, a, rhs[r]
         if best < 0:
             return False  # unbounded in the entering direction
+        degenerate = best_rhs == 0
         t.pivot(best, enter)
         if t.pivots > PIVOT_LIMIT:
             raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
@@ -280,9 +327,9 @@ def _denominators(values):
     return (int(v.denominator) for v in values if type(v) is not int)
 
 
-def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
+def _two_phase(norm, aux_col, first_art, row_scale, cost, pricing) -> _Tableau:
     """The optimal tableau of the normalized program, by the two-phase
-    simplex from the slack and artificial basis."""
+    simplex from the slack and artificial basis under `pricing`."""
     nstruct, nrows, ncols = len(cost), len(norm), first_art
     # A <= row starts with its slack basic, a >= or = row with its
     # artificial, whose column (first_art, first_art + 1, ... in row order)
@@ -311,7 +358,10 @@ def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
             if b >= first_art:
                 for j, v in rows[r].items():
                     t.rc[j] -= v
-        if not _bland_loop(t, first_art):
+        # Dantzig ties in phase 1 go to the cheapest column: most reduced
+        # costs there are small ints, so most columns tie.
+        tie = cost + [0] * (first_art - nstruct)
+        if not _primal_loop(t, pricing, nstruct, row_scale, tie):
             raise StructureViolation("phase-1 objective cannot be unbounded")
         # Every stored rhs is >= 0 at any scale, so the sum is 0 exactly
         # when each artificial is.
@@ -333,7 +383,7 @@ def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
             for j, v in t.synced(r).items():
                 rc[j] -= cb * v
     t.rc, t.rc_scale = rc, d
-    if not _bland_loop(t, first_art):
+    if not _primal_loop(t, pricing, nstruct, row_scale):
         raise LPUnbounded("objective unbounded below")
     return t
 
@@ -416,7 +466,9 @@ def _dual_simplex(t: _Tableau) -> None:
         t.rc_scale = d
 
 
-def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexResult:
+def simplex_solve(
+    lp: LinearProgram, start: _Tableau | None = None, pricing: str = "bland"
+) -> SimplexResult:
     """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded.
 
     `start` is the final tableau (`SimplexResult.tableau`) of an optimal
@@ -425,7 +477,12 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
     solved from that basis: each further row enters with its slack or
     surplus basic and the dual simplex restores feasibility.  start is
     consumed.
+
+    `pricing` is the entering rule of a solve without `start`, "bland" or
+    "dantzig" (see `_primal_loop`).
     """
+    if pricing not in PRICINGS:
+        raise ValueError(f"bad pricing {pricing!r}")
     nstruct = lp.num_vars
     nrows = lp.num_rows
 
@@ -461,7 +518,7 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
     first_art = ncols
 
     if start is None:
-        t = _two_phase(norm, aux_col, first_art, row_scale, cost)
+        t = _two_phase(norm, aux_col, first_art, row_scale, cost, pricing)
     else:
         if start.scales != (row_scale, cost_scale):
             raise ValueError("the start tableau was solved at other scales")
@@ -761,7 +818,7 @@ def solve_primal(g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = N
         else:
             start = None
     lp, row_keys = build_primal(g, costs, sets)
-    res = simplex_solve(lp, start)
+    res = simplex_solve(lp, start, pricing="dantzig")
     violation = feasibility_violation(res.x, g, sets)
     if violation is not None:
         raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -346,6 +347,28 @@ class TestExtremalDualCount:
         assert len(calls) == expected
 
 
+def assert_same_but_terminal_duals(runs_a, runs_b) -> int:
+    """Two runs of each graph, as trace lines or a NoPerfectMatching
+    message: equal but for a terminal record's `dual_nodes` and
+    `dual_sets`.  Returns how many terminal records differ there."""
+    moved_records = 0
+    for a, b in zip(runs_a, runs_b, strict=True):
+        assert type(a) is type(b)
+        if isinstance(a, str):
+            assert a == b
+            continue
+        assert len(a) == len(b) and a[0] == b[0]
+        for line_a, line_b in zip(a[1:], b[1:]):
+            rec_a, rec_b = json.loads(line_a), json.loads(line_b)
+            if not rec_a["terminal"]:
+                assert line_a == line_b
+            else:
+                moved = {k for k in rec_a if rec_a[k] != rec_b[k]}
+                assert moved <= {"dual_nodes", "dual_sets"}
+                moved_records += bool(moved)
+    return moved_records
+
+
 class TestWarmStart:
     """After round one the simplex route solves each relaxation from the
     last optimal tableau.  x is the unique optimum under the perturbation,
@@ -379,9 +402,9 @@ class TestWarmStart:
         starts = []
         real = lp_mod.simplex_solve
 
-        def recorded(lp, start=None):
+        def recorded(lp, start=None, **kwargs):
             starts.append(start is not None)
-            return real(lp, start)
+            return real(lp, start, **kwargs)
 
         monkeypatch.setattr(lp_mod, "simplex_solve", recorded)
         warm = traces()
@@ -394,15 +417,51 @@ class TestWarmStart:
         cold = traces()
         assert not any(starts)
 
-        for w, c in zip(warm, cold):
-            assert type(w) is type(c)
-            if isinstance(w, str):
-                assert w == c
-                continue
-            assert len(w) == len(c) and w[0] == c[0]
-            for line_w, line_c in zip(w[1:], c[1:]):
-                rec_w, rec_c = json.loads(line_w), json.loads(line_c)
-                if not rec_w["terminal"]:
-                    assert line_w == line_c
-                else:
-                    assert {k for k in rec_w if rec_w[k] != rec_c[k]} <= {"dual_nodes", "dual_sets"}
+        assert_same_but_terminal_duals(warm, cold)
+
+
+class TestPrimalPricing:
+    """solve_primal prices by Dantzig's rule.  Under the cost perturbation
+    each relaxation has one optimum, so Bland's rule reaches the same x in
+    every round, and every record but a terminal one's basis dual is the
+    same."""
+
+    def test_bland_and_dantzig_runs_match(self, monkeypatch):
+        import cpmatch.lp as lp_mod
+        from test_golden import GOLDEN
+
+        graphs = [parse_instance(p.read_text()) for p in sorted(GOLDEN.glob("*.txt"))]
+        rng = random.Random(19)
+        for seed in range(50):
+            n = 2 * rng.randint(2, 7)
+            graphs.append(random_instance(n, rng.uniform(0.3, 0.9), (0, rng.randint(1, 9)), seed))
+
+        real = lp_mod.simplex_solve
+
+        def runs(forced):
+            """Each graph's trace lines (or its NoPerfectMatching message),
+            and the x of every primal solve, each solve priced by `forced`
+            or else by the rule its caller asks for."""
+            xs = []
+
+            def solve(lp, start=None, pricing="bland"):
+                res = real(lp, start, forced or pricing)
+                if pricing == "dantzig":  # solve_primal's request
+                    xs.append((start is None, res.x))
+                return res
+
+            monkeypatch.setattr(lp_mod, "simplex_solve", solve)
+            out = []
+            for g in graphs:
+                try:
+                    out.append(run(g, solver="simplex").trace_lines())
+                except NoPerfectMatching as exc:
+                    out.append(str(exc))
+            return out, xs
+
+        dantzig, xs_dantzig = runs(None)
+        bland, xs_bland = runs("bland")
+        assert xs_dantzig == xs_bland
+        assert sum(cold for cold, _x in xs_dantzig) >= len(graphs)
+        # the rule does reach another optimal basis on some runs
+        assert assert_same_but_terminal_duals(dantzig, bland) > 0

@@ -28,7 +28,7 @@ from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 import reference_simplex
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
 from test_golden import EXPECTED, GOLDEN
-from test_simplex_equivalence import outcome
+from test_simplex_equivalence import RELATIONS, outcome
 
 
 def format_lp(lp: LinearProgram) -> str:
@@ -269,14 +269,14 @@ class TestLazyRowScale:
             ]
 
         seen = []
-        bland_loop, pivot = lp_mod._bland_loop, lp_mod._Tableau.pivot
+        primal_loop, pivot = lp_mod._primal_loop, lp_mod._Tableau.pivot
         in_loop = [False]
 
-        def traced_loop(t, nallowed):
+        def traced_loop(t, *args):
             if seen:  # every call after the first is phase 2
                 seen.append(("phase 2 start", stale(t)))
             in_loop[0] = True
-            done = bland_loop(t, nallowed)
+            done = primal_loop(t, *args)
             in_loop[0] = False
             # the phase-1 check sums the rhs of the rows with an artificial
             # basic (columns 5..); the read-out divides each structural row
@@ -292,7 +292,7 @@ class TestLazyRowScale:
                 seen.append(("clean-up pivot row", stale(t, [r])))
             pivot(t, r, c)
 
-        monkeypatch.setattr(lp_mod, "_bland_loop", traced_loop)
+        monkeypatch.setattr(lp_mod, "_primal_loop", traced_loop)
         monkeypatch.setattr(lp_mod._Tableau, "pivot", traced_pivot)
         res = simplex_solve(lp)
         monkeypatch.undo()
@@ -305,6 +305,68 @@ class TestLazyRowScale:
         assert (res.x, res.duals, res.objective, res.pivots) == (
             ref.x, ref.duals, ref.objective, ref.pivots,
         )
+
+
+def beale_lp() -> LinearProgram:
+    """Beale's (1955) degenerate program: min -3/4 a + 20 b - c/2 + 6 d st
+    a/4 - 8b - c + 9d <= 0, a/2 - 12b - c/2 + 3d <= 0, c <= 1; optimum
+    -5/4 at a = c = 1.  Dantzig's rule without an anti-cycling fallback
+    cycles on it through six degenerate bases at the origin."""
+    lp = LinearProgram()
+    for c in (rat(-3, 4), 20, rat(-1, 2), 6):
+        lp.add_var(c)
+    lp.add_row({0: rat(1, 4), 1: -8, 2: -1, 3: 9}, "<=", 0)
+    lp.add_row({0: HALF, 1: -12, 2: -HALF, 3: 3}, "<=", 0)
+    lp.add_row({2: 1}, "<=", 1)
+    return lp
+
+
+def zero_rhs_lp(draw) -> LinearProgram:
+    """A small program whose rows all have right-hand side 0, so the origin
+    is a degenerate vertex of every basis that reaches it, and, in most
+    draws, one row sum(x) <= k that bounds it away from 0."""
+    lp = LinearProgram()
+    nvars = draw(2, 5)
+    for _ in range(nvars):
+        lp.add_var(rat(draw(-6, 6), draw(1, 2)))
+    for _ in range(draw(1, 4)):
+        coefs = {j: rat(draw(-9, 9), draw(1, 4)) for j in range(nvars) if draw(0, 3)}
+        lp.add_row(coefs, RELATIONS[draw(0, 2)], 0)
+    if draw(0, 3):
+        lp.add_row({j: 1 for j in range(nvars)}, "<=", draw(1, 3))
+    return lp
+
+
+class TestDantzigPricing:
+    """Dantzig's rule, with Bland's through degenerate pivots, ends on
+    degenerate programs, and at the optimum Bland's rule reaches.  The
+    pivot limit is cut to a few hundred, so a cycle fails fast."""
+
+    LIMIT = 300
+
+    def test_beale_lp_ends_at_the_bland_optimum(self):
+        lp = beale_lp()
+        with mock.patch.object(lp_mod, "PIVOT_LIMIT", self.LIMIT):
+            got = outcome(simplex_solve, lp, pricing="dantzig")
+            assert got == outcome(reference_simplex.simplex_solve, lp, pricing="dantzig")
+        bland = reference_simplex.simplex_solve(lp)
+        assert got[0] == "optimal" and got[3] == bland.objective == rat(-5, 4)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_zero_rhs_lps_end_at_the_bland_optimum(self, data):
+        lp = zero_rhs_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        with mock.patch.object(lp_mod, "PIVOT_LIMIT", self.LIMIT):
+            got = outcome(simplex_solve, lp, pricing="dantzig")
+            assert got == outcome(reference_simplex.simplex_solve, lp, pricing="dantzig")
+        bland = outcome(reference_simplex.simplex_solve, lp)
+        assert got[0] == bland[0]
+        if got[0] == "optimal":
+            assert got[3] == bland[3]
+
+    def test_unknown_pricing_is_refused(self):
+        with pytest.raises(ValueError, match="bad pricing"):
+            simplex_solve(beale_lp(), pricing="steepest")
 
 
 def equality_lp(draw) -> LinearProgram:
@@ -381,9 +443,9 @@ class TestDualRecovery:
         pivots = [0]
         solve, pivot = lp_mod.simplex_solve, lp_mod._Tableau.pivot
 
-        def tracked_solve(lp, start=None):
+        def tracked_solve(lp, start=None, **kwargs):
             first_art.append(lp.num_vars + sum(rel != "=" for _c, rel, _r in lp.rows))
-            return solve(lp, start)
+            return solve(lp, start, **kwargs)
 
         def checked_pivot(t, r, c):
             pivot(t, r, c)
@@ -542,8 +604,8 @@ class TestSolvePrimal:
             "import cpmatch.lp as lp\n"
             "from cpmatch import LaminarFamily, StructureViolation, make_graph\n"
             "real = lp.simplex_solve\n"
-            "def corrupt(prog, start=None):\n"
-            "    res = real(prog, start)\n"
+            "def corrupt(prog, start=None, **kwargs):\n"
+            "    res = real(prog, start, **kwargs)\n"
             "    res.duals[0] += 1\n"
             "    return res\n"
             "lp.simplex_solve = corrupt\n"
@@ -604,9 +666,9 @@ def warm_case(draw) -> str:
     starts = []
     real = lp_mod.simplex_solve
 
-    def recorded(lp, start=None):
+    def recorded(lp, start=None, **kwargs):
         starts.append(start)
-        return real(lp, start)
+        return real(lp, start, **kwargs)
 
     warm = lp_mod.WarmStart()
     with mock.patch.object(lp_mod, "simplex_solve", recorded):
@@ -721,9 +783,9 @@ class TestExtremalDual:
         built = []
         real = lp_mod.simplex_solve
 
-        def capture(lp, start=None):
+        def capture(lp, start=None, **kwargs):
             built.append(lp)
-            return real(lp, start)
+            return real(lp, start, **kwargs)
 
         monkeypatch.setattr(lp_mod, "simplex_solve", capture)
         x, _dual, _obj = solve_primal(bowtie, bowtie_perturbed.scaled, bowtie_family)

@@ -1,12 +1,15 @@
 """The integer-preserving `simplex_solve` against the rational reference.
 
-Both kernels run Bland's rule, so on every program they must make the same
+Both kernels run the same entering rule, Bland's or Dantzig's (see
+`cpmatch.lp._primal_loop`), so on every program they must make the same
 pivots: equal x, duals, objective and pivot count, or the same error.  The
-programs are random small LPs and every LP the solver itself builds for the
-golden instances.
+programs are random small LPs, solved under both rules, and every LP the
+solver itself builds for the golden instances, solved under the rule its
+caller picks.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -18,16 +21,16 @@ from cpmatch import lp as lp_mod
 from cpmatch import parse_instance, run
 from cpmatch.driver import SOLVER_CHOICES
 from cpmatch.errors import LPInfeasible, LPUnbounded, NoPerfectMatching, StructureViolation
-from cpmatch.lp import LinearProgram, simplex_solve
+from cpmatch.lp import PRICINGS, LinearProgram, simplex_solve
 from cpmatch.rational import Rat, ZERO, rat
 from test_golden import EXPECTED, GOLDEN
 
 RELATIONS = ("<=", ">=", "=")
 
 
-def outcome(solve, lp, *args):
+def outcome(solve, lp, *args, **kwargs):
     try:
-        res = solve(lp, *args)
+        res = solve(lp, *args, **kwargs)
     except (LPInfeasible, LPUnbounded, StructureViolation) as exc:
         return (type(exc).__name__, str(exc))
     return ("optimal", res.x, res.duals, res.objective, res.pivots)
@@ -62,7 +65,10 @@ def random_lp(draw) -> LinearProgram:
 @settings(max_examples=300, deadline=None)
 def test_random_lps_match_reference(data):
     lp = random_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
-    assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
+    for pricing in PRICINGS:
+        assert outcome(simplex_solve, lp, pricing=pricing) == outcome(
+            reference_simplex.simplex_solve, lp, pricing=pricing
+        )
 
 
 def int_and_rat_lps(draw) -> tuple:
@@ -126,49 +132,57 @@ def dense_lp(draw) -> LinearProgram:
 @settings(max_examples=200, deadline=None)
 def test_dense_lps_match_reference(data):
     lp = dense_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
-    assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
+    for pricing in PRICINGS:
+        assert outcome(simplex_solve, lp, pricing=pricing) == outcome(
+            reference_simplex.simplex_solve, lp, pricing=pricing
+        )
 
 
 def test_seeded_sweep_covers_every_case():
-    rng = random.Random(20240)
-    seen = Counter()
-    for _ in range(1500):
-        lp = random_lp(rng.randint)
-        got = outcome(simplex_solve, lp)
-        assert got == outcome(reference_simplex.simplex_solve, lp, seen)
-        seen[got[0]] += 1
-        for coefs, rel, rhs in lp.rows:
-            seen[rel] += 1
-            seen["negative_rhs"] += rhs < ZERO
-            seen["fractional_data"] += any(
-                v.denominator != 1 for v in (rhs, *coefs.values())
-            )
-    for case in (
-        "optimal", "LPInfeasible", "LPUnbounded", *RELATIONS, "negative_rhs",
-        "fractional_data", "artificial_left_basic", "negative_cleanup_pivot",
-    ):
-        assert seen[case] > 0, case
+    for pricing in PRICINGS:
+        rng = random.Random(20240)
+        seen = Counter()
+        for _ in range(1500):
+            lp = random_lp(rng.randint)
+            got = outcome(simplex_solve, lp, pricing=pricing)
+            assert got == outcome(reference_simplex.simplex_solve, lp, seen, pricing=pricing)
+            seen[got[0]] += 1
+            for coefs, rel, rhs in lp.rows:
+                seen[rel] += 1
+                seen["negative_rhs"] += rhs < ZERO
+                seen["fractional_data"] += any(
+                    v.denominator != 1 for v in (rhs, *coefs.values())
+                )
+        for case in (
+            "optimal", "LPInfeasible", "LPUnbounded", *RELATIONS, "negative_rhs",
+            "fractional_data", "artificial_left_basic", "negative_cleanup_pivot",
+        ):
+            assert seen[case] > 0, (pricing, case)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_solver_lps_match_reference(name, monkeypatch):
     """Every LP solve_primal and solve_extremal_dual build on a golden
-    instance, on all three solvers.  A cold solve must match the reference
-    pivot for pivot.  A warm re-solve from the last round's tableau takes
-    other pivots and may end at another optimal basis, so it is compared on
-    x and the objective, or on the error, against the reference solving the
-    same program cold."""
+    instance, on all three solvers.  The primal LPs are priced by Dantzig's
+    rule and the extremal-dual LPs by Bland's.  A cold solve must match the
+    reference under the same rule pivot for pivot.  A warm re-solve from the
+    last round's tableau takes other pivots and may end at another optimal
+    basis, so it is compared on x and the objective, or on the error,
+    against the reference solving the same program cold."""
     compared = Counter()
+    rule = {"solve_primal": "dantzig", "solve_extremal_dual": "bland"}
 
-    def checked(lp, start=None):
-        want = outcome(reference_simplex.simplex_solve, lp)
+    def checked(lp, start=None, pricing="bland"):
+        assert pricing == rule[sys._getframe(1).f_code.co_name]
+        want = outcome(reference_simplex.simplex_solve, lp, pricing=pricing)
         if start is None:
-            assert outcome(simplex_solve, lp) == want
+            assert outcome(simplex_solve, lp, pricing=pricing) == want
             compared[want[0]] += 1
-            return simplex_solve(lp)
+            compared[pricing] += 1
+            return simplex_solve(lp, pricing=pricing)
         compared["warm"] += 1
         try:
-            res = simplex_solve(lp, start)
+            res = simplex_solve(lp, start, pricing)
         except LPInfeasible as exc:
             assert want == ("LPInfeasible", str(exc))
             raise
@@ -182,6 +196,6 @@ def test_solver_lps_match_reference(name, monkeypatch):
             run(g, solver=solver)
         except NoPerfectMatching:
             pass
-    assert compared["optimal"] > 0
+    assert compared["optimal"] > 0 and compared["dantzig"] > 0
     if "lp_solves 1\n" not in EXPECTED[name]["simplex"]["stdout"]:
         assert compared["warm"] > 0
