@@ -10,6 +10,7 @@ maximal sets it meets so the family stays laminar.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -35,7 +36,7 @@ from .combinatorial import (
 )
 from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
 from .lp import DualSolution, WarmStart, solve_extremal_dual, solve_primal
-from .rational import ONE, PerturbedCosts, Rat, ZERO, format_rat, perturb
+from .rational import ONE, PerturbedCosts, ZERO, format_rat, perturb
 
 TRACE_SCHEMA = "cpmatch-trace-1"
 
@@ -45,10 +46,9 @@ SOLVER_CHOICES = ("simplex", "combinatorial", "cross-check")
 def iteration_bound(n: int) -> int:
     """Cap on the number of relaxation solves: ceil((n/2) H_ceil(n/3)) + n."""
     k = max(1, -(-n // 3))
-    harmonic = sum(Rat(1, i) for i in range(1, k + 1))
-    capped = Rat(n, 2) * harmonic
-    num, den = capped.numerator, capped.denominator
-    return int(-(-num // den)) + n
+    den = math.lcm(*range(1, k + 1))
+    num = sum(den // i for i in range(1, k + 1))  # H_k = num / den
+    return -(-n * num // (2 * den)) + n
 
 
 @dataclass

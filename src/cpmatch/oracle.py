@@ -33,8 +33,13 @@ def brute_force_mcpm(g: Graph, costs=None):
     """Minimum-cost perfect matching by recursive pairing of the lowest
     unmatched node, memoized on the set of unmatched nodes.
 
-    Ties broken by lexicographic edge-index order.  Costs default to the
-    graph's own; pass scaled integers to rank by perturbed cost.
+    Returns (sorted edge ids, cost as a `Rat`).  Among matchings of least
+    cost it returns the one that takes the least edge id at the lowest
+    unmatched node, then recursively at the lowest node left unmatched.
+    Costs default to the graph's own; pass scaled integers to rank by
+    perturbed cost.  They are summed as given, so int costs stay ints and
+    rational ones stay exact.  Raises NoPerfectMatching when n is odd or
+    zero or no perfect matching exists, ValueError above NODE_LIMIT.
     """
     if g.n > NODE_LIMIT:
         raise ValueError(f"brute force limited to n <= {NODE_LIMIT}")
@@ -42,38 +47,49 @@ def brute_force_mcpm(g: Graph, costs=None):
         raise NoPerfectMatching(f"n = {g.n}")
     if costs is None:
         costs = [c for _u, _v, c in g.edges]
-    adj = g.neighbours
-    full = (1 << g.n) - 1
-
-    memo = {}
+    # options[bit of u]: (bit of the other end, edge id, cost) of each edge
+    # at u, by ascending edge id, so the first of equal-cost candidates is
+    # kept.  The other end of edge (a, b) is a + b - u; a self-loop's is u
+    # itself, which is never among the nodes left to match.
+    ends = g.edges
+    options = {
+        1 << (u - 1): [(1 << (ends[e][0] + ends[e][1] - u - 1), e, costs[e]) for e in at_u]
+        for u, at_u in enumerate(g.incidence)
+        if u
+    }
+    # mask of unmatched nodes -> (cost, edge at its lowest node) of its
+    # cheapest matching, or None when it has none
+    memo = {0: (0, None)}
+    unseen = object()
 
     def best(mask):
-        if mask == 0:
-            return (ZERO, ())
-        if mask in memo:
-            return memo[mask]
-        u = (mask & -mask).bit_length()  # lowest unmatched node (1-based)
-        result = None
-        for v, e in adj[u]:
-            bit = 1 << (v - 1)
-            if v == u or not mask & bit:
-                continue
-            sub = best(mask & ~(1 << (u - 1)) & ~bit)
-            if sub is None:
-                continue
-            cand = (Rat(costs[e]) + sub[0], (e,) + sub[1])
-            if result is None or cand[0] < result[0] or (
-                cand[0] == result[0] and cand[1] < result[1]
-            ):
-                result = cand
+        low = mask & -mask
+        rest = mask ^ low
+        best_cost = best_edge = None
+        for bit, e, c in options[low]:
+            if rest & bit:
+                sub = memo.get(rest ^ bit, unseen)
+                if sub is unseen:
+                    sub = best(rest ^ bit)
+                if sub is not None:
+                    total = c + sub[0]
+                    if best_edge is None or total < best_cost:
+                        best_cost, best_edge = total, e
+        result = None if best_edge is None else (best_cost, best_edge)
         memo[mask] = result
         return result
 
+    full = (1 << g.n) - 1
     answer = best(full)
     if answer is None:
         raise NoPerfectMatching("exhausted all pairings")
-    cost, edges = answer
-    return sorted(edges), cost
+    matching = []
+    mask = full
+    while mask:
+        e = memo[mask][1]
+        matching.append(e)
+        mask ^= (1 << (ends[e][0] - 1)) | (1 << (ends[e][1] - 1))
+    return sorted(matching), Rat(answer[0])
 
 
 def has_perfect_matching(g: Graph) -> bool:

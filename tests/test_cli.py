@@ -477,6 +477,41 @@ class TestVerify:
         assert "FAIL primal_feasibility witness={'iteration': 0, 'node': 1, 'reason': 'degree'}" in out
         assert any(line.startswith("FAIL final_matching_oracle") for line in out)
 
+    def test_costly_perfect_matching_fails_oracle(self, tmp_path):
+        # one record whose x is the perfect matching {1-3, 2-4} of cost 10,
+        # where {1-2, 3-4} costs 0: the brute-force oracle must say so
+        import json
+
+        from cpmatch import parse_instance
+        from cpmatch.driver import trace_header
+        from cpmatch.graph import cost_value
+        from cpmatch.rational import format_rat, parse_rat, perturb
+
+        text = "p edge 4 4\ne 1 2 0\ne 3 4 0\ne 1 3 5\ne 2 4 5\n"
+        g = parse_instance(text)
+        x = ["0", "0", "1", "1"]
+        record = {
+            "iteration": 0,
+            "cuts_imposed": [],
+            "primal": x,
+            "dual_nodes": {str(u): "0" for u in range(1, g.n + 1)},
+            "dual_sets": [],
+            "odd_cycle_count": 0,
+            "cuts_retained": [],
+            "cuts_added": [],
+            "objective_scaled": format_rat(
+                cost_value([parse_rat(v) for v in x], perturb(g.costs()).scaled)
+            ),
+        }
+        instance_file, trace = tmp_path / "g.txt", tmp_path / "t.jsonl"
+        instance_file.write_text(text)
+        trace.write_text(json.dumps(trace_header(g)) + "\n" + json.dumps(record) + "\n")
+        proc = cli("verify", "--instance", str(instance_file), "--trace", str(trace))
+        out = proc.stdout.splitlines()
+        assert proc.returncode == 1
+        assert "PASS primal_feasibility" in out
+        assert "FAIL final_matching_oracle witness={'cost': 10, 'optimum': '0'}" in out
+
     def test_hostile_positive_dual_fails_fast(self, tmp_path):
         # a positive dual on a cut whose tight graph is K_{31,30}: verify
         # must reject it, and at once

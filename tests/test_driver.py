@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -318,6 +319,17 @@ class TestIterationBound:
         assert iteration_bound(2) == 3  # ceil(1*H_1) + 2
         assert iteration_bound(6) == 11  # ceil(3*1.5) + 6
         assert iteration_bound(16) == 36  # ceil(8*H_6) + 16 = 20 + 16
+
+    def test_matches_rational_formula(self):
+        # the bound as a Fraction computation: ceil((n/2) H_k) + n, k = ceil(n/3),
+        # with H_k summed once per k instead of once per n
+        harmonic = [Fraction(0)]
+        for n in range(1, 3001):
+            k = max(1, -(-n // 3))
+            while len(harmonic) <= k:
+                harmonic.append(harmonic[-1] + Fraction(1, len(harmonic)))
+            capped = Fraction(n, 2) * harmonic[k]
+            assert iteration_bound(n) == -(-capped.numerator // capped.denominator) + n, n
 
     def test_observed_runs_within_bound(self):
         for seed in range(10):

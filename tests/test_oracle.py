@@ -2,6 +2,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpmatch import (
     GenerationFailed,
@@ -14,12 +16,51 @@ from cpmatch import (
     verify_trace,
     write_instance,
 )
+from cpmatch.graph import Graph
 from cpmatch.oracle import VerifyReport, parse_trace
 from cpmatch.rational import perturb
 
+import reference_oracle
 from paper_oracles import brute_force_fractional_opt, enumerate_perfect_matchings
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def unchecked_graph(n, edges):
+    """A Graph built past its constructor's checks, so that it may hold
+    self-loops, which make_graph refuses and the oracle must skip."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", tuple(edges))
+    return g
+
+
+@st.composite
+def oracle_graphs(draw):
+    """n in 0..12, mostly even, odd and edgeless graphs included; parallel
+    edges, self-loops, and costs in {0, 1, 2}, so optima often tie.  Half
+    the even graphs get a planted perfect matching, so that large ones have
+    a matching to find."""
+    n = draw(st.one_of(st.integers(0, 6).map(lambda k: 2 * k), st.integers(0, 12)))
+    cost = st.integers(0, 2)
+    edges = []
+    if n:
+        node = st.integers(1, n)
+        edges = draw(st.lists(st.tuples(node, node, cost), max_size=3 * n))
+    if n % 2 == 0 and draw(st.booleans()):
+        order = draw(st.permutations(range(1, n + 1)))
+        planted = [(order[i], order[i + 1], draw(cost)) for i in range(0, n, 2)]
+        edges = draw(st.permutations(edges + planted))
+    return unchecked_graph(n, edges)
+
+
+def outcome(oracle, g, costs):
+    """(edges, cost, type of cost) the oracle returns, or the type it raises."""
+    try:
+        edges, cost = oracle(g, costs)
+    except NoPerfectMatching as exc:
+        return type(exc)
+    return edges, cost, type(cost)
 
 
 class TestBruteForce:
@@ -45,6 +86,30 @@ class TestBruteForce:
     def test_perturbed_costs_rank_matchings(self, bowtie, bowtie_perturbed):
         edges, cost = brute_force_mcpm(bowtie, bowtie_perturbed.scaled)
         assert edges == [0, 5, 6] and cost == 1347
+
+    @pytest.mark.parametrize(
+        "n,edges,want",
+        [
+            # two matchings of cost 1: {1-3, 2-4} takes edge 1 at node 1,
+            # {1-2, 3-4} edge 2, though its ids [0, 2] sort before [1, 3]
+            (4, [(3, 4, 1), (1, 3, 1), (1, 2, 0), (2, 4, 0)], ([1, 3], 1)),
+            # node 1 has one edge; the same tie, one level down at node 2
+            (6, [(4, 5, 1), (2, 4, 1), (2, 3, 0), (3, 5, 0), (1, 6, 7)], ([1, 3, 4], 8)),
+        ],
+    )
+    def test_tie_goes_to_least_edge_at_lowest_node(self, n, edges, want):
+        g = make_graph(n, edges)
+        assert brute_force_mcpm(g) == want
+        assert reference_oracle.brute_force_mcpm(g) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_graphs())
+    def test_matches_reference(self, g):
+        cost_lists = [None] + ([perturb(g.costs()).scaled] if g.m else [])
+        for costs in cost_lists:
+            assert outcome(brute_force_mcpm, g, costs) == outcome(
+                reference_oracle.brute_force_mcpm, g, costs
+            )
 
     def test_enumerate_bowtie(self, bowtie):
         assert enumerate_perfect_matchings(bowtie) == [(0, 5, 6)]
