@@ -31,7 +31,8 @@ class CriticalMatchingFinder:
     budgets.
 
     `fam_sets` is a laminar family of odd sets, and `slacks` is
-    `DualSolution.slacks` of the dual the edges must be tight for.  A
+    `DualSolution.slacks` of the dual the edges must be tight for: an edge
+    is tight where its slack is 0.  A
     critical matching of (s, u), for an odd set s and u in s, is a matching
     on tight edges inside s that covers s minus {u} and crosses each family
     set strictly inside s at most once.
@@ -509,8 +510,9 @@ class _Workspace:
     half-edge or two, support degree at most one, and no 1-edge beside
     half-edges.  A node that fails raises StructureViolation.
 
-    `slacks` is `dual.slacks(g, costs)`, which the caller has at hand: the
-    first build takes the list that validated the run's input.
+    `slacks` is `dual.slacks(g, costs)`, ints over `slacks.unit`, which
+    the caller has at hand: the first build takes the list that validated
+    the run's input, and rescales the slacks it keeps to its own unit.
     """
 
     def __init__(self, g, costs, lam_sets, kay_sets, z, dual, slacks):
@@ -525,11 +527,16 @@ class _Workspace:
         for u, img in self.cmap.node_image.items():
             if img not in contracted_nodes:
                 self._plain[img] = u
+        # The contracted edges' slacks are ints over slacks.unit.  In lowest
+        # terms their denominators have the lcm slacks.unit // common, with
+        # common the gcd of that unit and the slacks.
         slack = [slacks[e] for e in self.cmap.edge_preimage]
+        common = math.gcd(slacks.unit, *slack)
+        reduced = slacks.unit // common
         lam_tops = [s for s in self.tops if s in lam_sets]
         top_duals = [dual.of_set(s) for s in lam_tops]
-        self.unit = 2 * math.lcm(*_denominators(slack), *_denominators(top_duals))
-        self.slack = [_scaled(v, self.unit) for v in slack]
+        self.unit = 2 * math.lcm(reduced, *_denominators(top_duals))
+        self.slack = [v // common * (self.unit // reduced) for v in slack]
         self.set_units = {s: _scaled(v, self.unit) for s, v in zip(lam_tops, top_duals)}
         self.moved = {}
         values = [z[e] for e in self.cmap.edge_preimage]

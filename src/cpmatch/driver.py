@@ -35,7 +35,7 @@ from .combinatorial import (
     solve_bipartite_via_procedure,
 )
 from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
-from .lp import DualSolution, WarmStart, solve_extremal_dual, solve_primal
+from .lp import DualSolution, WarmStart, certify_optimum, solve_extremal_dual, solve_primal
 from .rational import ONE, PerturbedCosts, ZERO, format_rat, perturb
 
 TRACE_SCHEMA = "cpmatch-trace-1"
@@ -234,6 +234,11 @@ def _record_dual(psi: DualSolution, g: Graph) -> tuple:
     return nodes, sets
 
 
+# A simplex optimum whose extremal-dual program has no feasible point is
+# not optimal: a broken invariant, not a missing perfect matching.
+_NO_EXTREMAL_DUAL = "the simplex optimum has no extremal dual"
+
+
 def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simplex") -> tuple:
     """One driver iteration; returns (next_state, record)."""
     if state.terminal:
@@ -244,13 +249,16 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     stats = None
     basis_dual = psi = None
     if solver == "simplex":
-        x, basis_dual, objective = solve_primal(g, costs, fam, state.warm)
+        x, basis_dual, objective = solve_primal(g, costs, fam, state.warm, fractional_dual=False)
     elif solver == "combinatorial":
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
         objective = cost_value(x, costs)
     elif solver == "cross-check":
-        x_s, basis_dual, objective = solve_primal(g, costs, fam, state.warm)
-        x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
+        x_s, basis_dual, objective = solve_primal(g, costs, fam, state.warm, fractional_dual=False)
+        try:
+            x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
+        except LPInfeasible as exc:
+            raise StructureViolation(_NO_EXTREMAL_DUAL) from exc
         if x != x_s:
             diff = [e for e in range(g.m) if x[e] != x_s[e]]
             raise StructureViolation(
@@ -272,13 +280,19 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         )
 
     # A terminal iteration records the basis dual when the simplex gave one;
-    # every other iteration records the extremal dual.
+    # every other iteration records the extremal dual, which certifies a
+    # simplex optimum before its record is written.
     terminal = all(v == ZERO or v == ONE for v in x)
     if terminal and basis_dual is not None:
         dual, kind = basis_dual, "basis"
     else:
         if psi is None:
-            psi = solve_extremal_dual(g, costs, fam, x, state.gamma)
+            try:
+                psi = solve_extremal_dual(g, costs, fam, x, state.gamma)
+            except LPInfeasible as exc:
+                raise StructureViolation(_NO_EXTREMAL_DUAL) from exc
+        if solver != "combinatorial":
+            certify_optimum(g, costs, fam.sets, x, objective, psi)
         dual, kind = psi, "extremal"
 
     hp_sets, new_info, hats = [], [], []

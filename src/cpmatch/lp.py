@@ -12,25 +12,13 @@ the rule moves only the optimal basis and its dual, both certified.
 `solve_extremal_dual` keeps Bland's rule: its program has many optima, and
 the one Bland's rule picks is the Psi that the traces record.
 
-The tableau is integer-preserving (fraction-free): the rows are scaled by
-one common denominator L and the objective by another, M.  Each row is
-sparse, a dict {column: int} that stores no zero; the dense reduced-cost
-row is a list, which Dantzig's rule reads whole and Bland's in column
-order.  Row i stores scale_i times its true values (entries and right-hand
-side), and the reduced-cost row stores rc_scale times its own; each scale is
-|det B| of the basis B at which that row was last written.  A pivot on
-column c of row r brings row r up to the current D = |det B| (`D*a //
-scale_r`, exact), sets `row_k = (p*row_k - f*row_r) // scale_k` for every
-row with f = row_k[c] != 0 (exact by Sylvester's identity), drops the
-entries that cancel to 0, and leaves rows with no entry in column c as they
-are; then D = p and every rewritten row has scale p.  A row whose scale is
-already p is updated in place, `row_k[j] -= f*b // p` for each entry b of
-row r: p*a and p*a - f*b are both multiples of p, so f*b is one too, and
-the columns where row r has no entry keep their values.  Both rules read
-only signs, the order of the true reduced costs (one scale for all, once a
-slack or surplus column's is multiplied by L) and the ratios
-rhs_r/row_r[c] within one row, which neither a positive row scale nor the
-storage format changes, so the pivots are those of the rational tableau.
+The tableau is integer-preserving (fraction-free, Bareiss 1968): the rows
+are scaled by one common denominator L and the objective by another, M,
+and each row keeps its entries as sparse ints at a lazy scale, |det B| of
+the basis at which it was last written (see `_Tableau`).  Both rules read
+only signs, the order of the true reduced costs and ratios within one row,
+which a positive row scale does not change, so the pivots are those of the
+rational tableau.
 
 The tableau stores no artificial column.  An = or >= row starts with its
 artificial basic, and the basis keeps that column's id (so the leaving
@@ -50,29 +38,35 @@ L/(M*D), so strong duality and complementary slackness hold exactly on
 every solve.
 
 A program that extends an optimal one by inequality rows is re-solved
-from its final tableau (`simplex_solve`'s `start`): each new row is
+from its final tableau (`simplex_solve`'s `start`), which keeps its
+program in normalized form, so only the new rows are read.  Each is
 written at the current det, reduced against the synced rows of the basic
-columns it has entries in, and enters with its slack or surplus basic;
-its right-hand side is negative where the old optimum violates it.  The
-basis stays dual feasible, and a dual simplex with a least-index rule
+columns it has entries in, and enters with its slack or surplus basic; its
+right-hand side is negative where the old optimum violates it.  The basis
+stays dual feasible, and a dual simplex with a least-index rule
 (Koberstein, PhD thesis, Paderborn 2005) pivots through the same lazy-scale
 `pivot` until every right-hand side is nonnegative.  `solve_primal` does
 this from one cut round to the next when every old cut is kept: the new
-cuts' rows go after the old ones, so the old columns keep their ids.  The
-optimum x is unique under the cost perturbation, so a warm solve reaches
-the x a cold one would; only the optimal basis, and with it the basis
-dual, may differ.
+cuts' rows are built and appended after the old ones, so the old columns
+keep their ids.  The optimum x is unique under the cost perturbation, so a
+warm solve reaches the x a cold one would; only the optimal basis, and
+with it the basis dual, may differ.
 
-LP values cross the boundary as ints wherever they are integral.  A
-`LinearProgram` stores an int or a `Rat` as given, the builders pass their
-0/+-1 coefficients, unit right-hand sides and int costs as ints, and
-`simplex_solve` takes L and M from the denominators of the non-int values
-alone.  A `Rat` is built only for a value a caller reads: one per basic
-structural column with a nonzero right-hand side (every other x_j is the
-shared ZERO), one per nonzero dual, one per edge row's right-hand side in
-the extremal-dual program, and one per nonzero entry of
-`DualSolution.slacks`, which sums each slack as an int over one common
-denominator.
+LP values cross the boundary as ints.  A `LinearProgram` stores an int or
+a `Rat` as given, and both builders pose their programs in ints:
+`build_primal` has 0/+-1 coefficients, unit right-hand sides and int
+costs, and `solve_extremal_dual` counts each deviation from Gamma in units
+of one common denominator and scales its weights by the lcm of the set
+sizes.  `simplex_solve` takes L and M from the denominators of the non-int
+values alone, sums the objective in ints, and builds a `Rat` only for a
+nonzero x_b or dual.  `DualSolution.slacks` are ints over one unit, and
+`slackness_violation` reads only their signs.
+
+One certificate per record.  `certify_optimum` checks a relaxation optimum
+against a dual: feasibility, strong duality and complementary slackness.
+A driver record carries the basis dual only for an integral x, so only
+then does `solve_primal` recover and check it; every other simplex optimum
+is certified once, by the extremal dual Psi its record carries.
 """
 
 from __future__ import annotations
@@ -161,8 +155,11 @@ class _Tableau:
     pivot multiplies det B by the true pivot value and rewrites only the
     rows with a nonzero entry in the pivot column, each with an exact
     integer division (Bareiss 1968, Edmonds 1967), and deletes every entry
-    that cancels to 0.  `pivots` counts the pivots made, and `scales` is
-    the (row, cost) scale pair of the program solved.
+    that cancels to 0.  `pivots` counts the pivots made.  The program
+    solved is kept in normalized form, for a warm start to extend: its rows
+    (`norm`) with their signs (`flip`), each row's slack or surplus column
+    (`aux_col`, None for an = row), the int costs and the (row, cost)
+    `scales`.
     """
 
     def __init__(self, rows, rhs, basis):
@@ -174,7 +171,7 @@ class _Tableau:
         self.rc = []
         self.rc_scale = 1
         self.pivots = 0
-        self.scales = None
+        self.norm = self.flip = self.aux_col = self.cost = self.scales = None
 
     def synced(self, r):
         """Row r, first rewritten at the current det if it is not there.
@@ -472,11 +469,12 @@ def simplex_solve(
     """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded.
 
     `start` is the final tableau (`SimplexResult.tableau`) of an optimal
-    solve of the program made of lp's first len(start.rows) rows, at the
-    same scales; the rows after them must be inequalities.  lp is then
-    solved from that basis: each further row enters with its slack or
-    surplus basic and the dual simplex restores feasibility.  start is
-    consumed.
+    solve of a program with lp's objective and lp's first len(start.rows)
+    rows; the rows after them must be inequalities whose denominators
+    divide start's row scale.  Only those rows are read and normalized: the
+    start carries its program's normalized form.  lp is then solved from
+    that basis: each further row enters with its slack or surplus basic and
+    the dual simplex restores feasibility.  start is consumed.
 
     `pricing` is the entering rule of a solve without `start`, "bland" or
     "dantzig" (see `_primal_loop`).
@@ -488,9 +486,14 @@ def simplex_solve(
 
     # Normalize to equality form with rhs >= 0: flip <=/>= rows with
     # negative rhs, then add a slack (+1, <=) or surplus (-1, >=) column.
-    norm = []
-    flip = []
-    for coefs, rel, rhs in lp.rows:
+    # A warm start extends copies of its program's lists; its rc spans its
+    # structural and slack columns, so the next aux column is len(start.rc).
+    norm, flip, aux_col, ncols = [], [], [], nstruct
+    if start is not None:
+        norm, flip, aux_col = list(start.norm), list(start.flip), list(start.aux_col)
+        ncols = len(start.rc)
+    done = len(norm)
+    for coefs, rel, rhs in lp.rows[done:]:
         if rhs < 0:
             coefs = {k: -v for k, v in coefs.items()}
             rhs = -rhs
@@ -499,42 +502,41 @@ def simplex_solve(
         else:
             flip.append(1)
         norm.append((coefs, rel, rhs))
+        aux_col.append(None if rel == "=" else ncols)
+        ncols += rel != "="
+    first_art = ncols
 
     # One scale for all rows and one for the objective make the data
     # integral.  A per-row scale would reweight the phase-1 artificials
     # against each other and could change Bland's path.
     row_scale = math.lcm(
-        *_denominators(v for coefs, _rel, rhs in norm for v in (rhs, *coefs.values()))
+        *_denominators(v for coefs, _rel, rhs in norm[done:] for v in (rhs, *coefs.values()))
     )
-    cost_scale = math.lcm(*_denominators(lp.objective))
-    cost = [_scaled(c, cost_scale) for c in lp.objective]
-
-    aux_col = {}
-    ncols = nstruct
-    for i, (_c, rel, _r) in enumerate(norm):
-        if rel != "=":
-            aux_col[i] = ncols
-            ncols += 1
-    first_art = ncols
-
     if start is None:
+        cost_scale = math.lcm(*_denominators(lp.objective))
+        cost = [_scaled(c, cost_scale) for c in lp.objective]
         t = _two_phase(norm, aux_col, first_art, row_scale, cost, pricing)
     else:
-        if start.scales != (row_scale, cost_scale):
+        if start.scales[0] % row_scale or len(start.cost) != nstruct:
             raise ValueError("the start tableau was solved at other scales")
+        (row_scale, cost_scale), cost = start.scales, start.cost
         t = _extended(start, norm, aux_col, first_art, row_scale)
         _dual_simplex(t)
-    t.scales = (row_scale, cost_scale)
+    t.norm, t.flip, t.aux_col, t.cost, t.scales = norm, flip, aux_col, cost, (row_scale, cost_scale)
     basis, rhs, rc = t.basis, t.rhs, t.rc
 
     # Only a basic structural column with a nonzero right-hand side gets a
-    # Rat of its own; the objective sums those columns alone.
+    # Rat of its own.  The objective sums cost_b * rhs_r per row scale in
+    # ints, then once over the lcm of those scales.
     x = [ZERO] * nstruct
-    objective = ZERO
+    by_scale = {}
     for r, b in enumerate(basis):
         if b < nstruct and rhs[r]:
-            x[b] = xb = Rat(rhs[r], t.scale[r])
-            objective += lp.objective[b] * xb
+            s = t.scale[r]
+            x[b] = Rat(rhs[r], s)
+            by_scale[s] = by_scale.get(s, 0) + cost[b] * rhs[r]
+    common = math.lcm(*by_scale)
+    objective = Rat(sum(a * (common // s) for s, a in by_scale.items()), common * cost_scale)
     det = t.rc_scale
 
     def duals():
@@ -716,45 +718,53 @@ class DualSolution(dict):
         d = math.lcm(*_denominators(self.values()))
         return Rat(sum(_scaled(v, d) for v in self.values()), d)
 
-    def slacks(self, g: Graph, costs) -> list:
+    def slacks(self, g: Graph, costs) -> "Slacks":
         """The slack of every edge e = uv: costs[e] minus the duals of u and
-        v and of every set key that e crosses, each a Rat.  This is the
-        definition of slack in this package.
+        v and of every set key that e crosses.  This is the definition of
+        slack in this package.
 
-        The pass runs over ints: every value is counted in units of 1/d, d
-        the lcm of the denominators of the dual values and of the costs that
-        are not ints, with one g.delta pass per nonzero set key.  A nonzero
-        slack then becomes one Rat, and a zero slack is the shared ZERO."""
+        Each slack is an int in units of 1/`unit` (see `Slacks`), unit the
+        lcm of the denominators of the dual values and of the costs that
+        are not ints; the pass sums them in ints, with one g.delta pass per
+        nonzero set key, and builds no Rat."""
         d = math.lcm(*_denominators(self.values()), *_denominators(costs))
         units = {key: _scaled(val, d) for key, val in self.items() if val}
         node = units.get
-        out = [
-            _scaled(costs[e], d) - node(u, 0) - node(v, 0)
-            for e, (u, v, _c) in enumerate(g.edges)
-        ]
+        out = Slacks(_scaled(costs[e], d) - node(u, 0) - node(v, 0)
+                     for e, (u, v, _c) in enumerate(g.edges))
+        out.unit = d
         for key, k in units.items():
             if isinstance(key, frozenset):
                 for e in g.delta(key):
                     out[e] -= k
-        return [Rat(a, d) if a else ZERO for a in out]
+        return out
 
     @classmethod
     def zeros(cls, g: Graph) -> "DualSolution":
         return cls({u: ZERO for u in range(1, g.n + 1)})
 
 
+class Slacks(list):
+    """Edge slacks as ints over one common denominator: the slack of edge e
+    is self[e] / self.unit, so its sign is that of self[e], and the edge is
+    tight exactly when self[e] == 0."""
+
+    unit = 1
+
+
 def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_value: dict):
     """The first breach of dual feasibility or complementary slackness
     between x and dual, as a witness dict; None if there is none.
 
-    `slacks` is `dual.slacks(g, costs)`; `cut_value` maps each set to check
-    to x(delta(S)).  Per edge: slack >= 0, and 0 where x is nonzero; then
-    per set, in order: dual >= 0, and x(delta(S)) = 1 where it is positive.
+    `slacks` is `dual.slacks(g, costs)`, of which only the signs are read;
+    `cut_value` maps each set to check to x(delta(S)).  Per edge: slack >=
+    0, and 0 where x is nonzero; then per set, in order: dual >= 0, and
+    x(delta(S)) = 1 where it is positive.
     """
     for e, slack in enumerate(slacks):
-        if slack < ZERO:
+        if slack < 0:
             return {"edge": e, "reason": "dual infeasible"}
-        if x[e] != ZERO and slack != ZERO:
+        if slack and x[e] != ZERO:
             return {"edge": e, "reason": "support edge slack"}
     for s, value in cut_value.items():
         y = dual.of_set(s)
@@ -765,73 +775,92 @@ def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_v
     return None
 
 
-def build_primal(g: Graph, costs, sets: Sequence) -> tuple:
+def certify_optimum(g: Graph, costs, sets: Sequence, x: Sequence, objective, dual: DualSolution) -> None:
+    """Raise StructureViolation unless x is an optimum of P_F (F = `sets`)
+    of value `objective` and `dual` proves it: x is feasible, the dual
+    objective equals `objective` (strong duality), and `slackness_violation`
+    finds no breach between x and dual.  The one certificate of a relaxation
+    optimum, for a basis dual and for the extremal dual Psi alike."""
+    violation = feasibility_violation(x, g, sets)
+    if violation is not None:
+        raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)
+    if dual.objective() != objective:
+        raise StructureViolation("strong duality violated")
+    cut_sets = [s for s in sets if dual.get(s)]
+    cut_value = dict(zip(cut_sets, cut_values(x, map(g.delta, cut_sets))))
+    violation = slackness_violation(x, dual, dual.slacks(g, costs), cut_value)
+    if violation is not None:
+        raise StructureViolation(f"complementary slackness: {violation['reason']}", witness=violation)
+
+
+def build_primal(g: Graph, costs, sets: Sequence, base: LinearProgram | None = None) -> tuple:
     """P_F: minimize costs subject to degree equalities and cut inequalities.
 
     Returns (LinearProgram, row_keys) with one variable per edge, one
     equality row per node, then one >=1 row per set of the family F, in the
-    order of `sets`.
+    order of `sets`.  `base` is a program this function built for the same
+    g and costs and a prefix of `sets`: the new program shares its variables
+    and rows, and only the rows of the sets past that prefix are built.
     """
-    lp = LinearProgram()
-    for e in range(g.m):
-        lp.add_var(costs[e])
-    row_keys = []
-    incidence = g.incidence
-    for u in range(1, g.n + 1):
-        lp.add_row({e: 1 for e in incidence[u]}, "=", 1)
-        row_keys.append(u)
-    for s in sets:
+    if base is None:
+        lp = LinearProgram()
+        for e in range(g.m):
+            lp.add_var(costs[e])
+        incidence = g.incidence
+        for u in range(1, g.n + 1):
+            lp.add_row({e: 1 for e in incidence[u]}, "=", 1)
+    else:
+        lp = LinearProgram(base.objective, list(base.rows))
+    for s in sets[lp.num_rows - g.n:]:
         lp.add_row({e: 1 for e in g.delta(s)}, ">=", 1)
-        row_keys.append(s)
-    return lp, row_keys
+    return lp, list(range(1, g.n + 1)) + list(sets)
 
 
 class WarmStart:
-    """The final tableau of the last `solve_primal` call given this object,
-    and the family sets of that program's cut rows in row order.  A driver
-    run hands one from each relaxation to the next."""
+    """The program and final tableau of the last `solve_primal` call given
+    this object, and the family sets of that program's cut rows in row
+    order.  A driver run hands one from each relaxation to the next."""
 
     def __init__(self):
+        self.lp = None
         self.tableau = None
         self.sets = []
 
 
-def solve_primal(g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = None) -> tuple:
+def solve_primal(
+    g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = None, fractional_dual: bool = True
+) -> tuple:
     """Solve P_F; return (x, basis dual, objective).
 
-    The returned dual is the complementary dual extracted from the optimal
-    basis.  Feasibility of x, strong duality and exact complementary
-    slackness are verified on every call.
+    The dual is the complementary dual recovered from the optimal basis,
+    and `certify_optimum` checks x and it.  With `fractional_dual` False,
+    that happens only for an integral x, the one optimum whose record
+    carries a basis dual: a fractional x comes back unchecked with dual
+    None, for the caller to certify with its extremal dual.
 
     With `warm`, a family that holds every set of `warm.sets` is solved
-    from `warm.tableau`: its program keeps those cut rows in their order and
-    appends the new sets' rows, each of which enters with its surplus basic
-    (see `simplex_solve`).  Any other family is solved from scratch.  The
-    final tableau is left in `warm` for the next call.
+    from `warm.tableau`: its program is `warm.lp` with the new sets' rows
+    appended, each of which enters with its surplus basic (see
+    `simplex_solve`).  Any other family is solved from scratch.  The program
+    and its final tableau are left in `warm` for the next call.
     """
-    start, sets = None, fam.sets
+    start, base, sets = None, None, fam.sets
     if warm is not None:
         start, warm.tableau = warm.tableau, None
         old = set(warm.sets)
         if start is not None and old.issubset(sets):
             sets = warm.sets + [s for s in sets if s not in old]
+            base = warm.lp
         else:
             start = None
-    lp, row_keys = build_primal(g, costs, sets)
+    lp, row_keys = build_primal(g, costs, sets, base)
     res = simplex_solve(lp, start, pricing="dantzig")
-    violation = feasibility_violation(res.x, g, sets)
-    if violation is not None:
-        raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)
-    dual = DualSolution(zip(row_keys, res.duals))
-    if dual.objective() != res.objective:
-        raise StructureViolation("strong duality violated")
-    cut_sets = [s for s in fam.sets if dual[s]]
-    cut_value = dict(zip(cut_sets, cut_values(res.x, map(g.delta, cut_sets))))
-    violation = slackness_violation(res.x, dual, dual.slacks(g, costs), cut_value)
-    if violation is not None:
-        raise StructureViolation(f"complementary slackness: {violation['reason']}", witness=violation)
+    dual = None
+    if fractional_dual or all(v == ZERO or v == ONE for v in res.x):
+        dual = DualSolution(zip(row_keys, res.duals))
+        certify_optimum(g, costs, fam.sets, res.x, res.objective, dual)
     if warm is not None:
-        warm.tableau, warm.sets = res.tableau, sets
+        warm.lp, warm.tableau, warm.sets = lp, res.tableau, sets
     return res.x, dual, res.objective
 
 
@@ -846,8 +875,11 @@ def solve_extremal_dual(
     dual optima; LPInfeasible therefore certifies that x is not optimal.
     Each |Psi(S)-Gamma(S)| is modelled as an up/down deviation pair from
     Gamma, keyed in the order: singletons by node id, then tight family sets
-    by (size, min element).  Raises StructureViolation, with the set as
-    witness, when x(delta(S)) < 1 for a family set S: x is not feasible.
+    by (size, min element), and posed in ints (see the comment below); Psi
+    is read back with one Rat per key.  Raises StructureViolation, with the
+    set as witness, when x(delta(S)) < 1 for a family set S: x is not
+    feasible.  On the simplex route the driver certifies x by this Psi
+    (`certify_optimum`), so an LPInfeasible here is a structure violation.
     """
     tight_sets = []
     crossed = [[] for _ in range(g.m)]  # tight sets each edge crosses, in key order
@@ -862,20 +894,23 @@ def solve_extremal_dual(
                 crossed[e].append(s)
     keys = list(range(1, g.n + 1)) + tight_sets
 
+    # In ints: each deviation counts units of 1/d, d the lcm of the
+    # denominators of Gamma on the keys and of the costs, and each weight
+    # 1/|S| is multiplied by the lcm of the tight-set sizes.  Both scale every
+    # right-hand side, or the objective, by one positive number, so Bland's
+    # rule makes the pivots it makes in true units and reaches the same Psi.
+    units = {key: gamma.get(key, 0) for key in keys}
+    d = math.lcm(*_denominators(units.values()), *_denominators(costs))
+    units = {key: _scaled(val, d) for key, val in units.items()}
+    sizes = math.lcm(*map(len, tight_sets))
+
     lp = LinearProgram()
     up = {}
     down = {}
     for key in keys:
-        w = 1 if isinstance(key, int) else Rat(1, len(key))
+        w = sizes if isinstance(key, int) else sizes // len(key)
         up[key] = lp.add_var(w)
         down[key] = lp.add_var(w)
-
-    gamma_restricted = DualSolution({key: gamma.get(key, ZERO) for key in keys})
-
-    # Each edge row's right-hand side costs[e] - Gamma(keys at e) is summed
-    # in units of 1/d and becomes one Rat.
-    d = math.lcm(*_denominators(gamma_restricted.values()), *_denominators(costs))
-    units = {key: _scaled(val, d) for key, val in gamma_restricted.items()}
     for e, (u, v, _c) in enumerate(g.edges):
         coefs = {}
         load = 0
@@ -884,22 +919,22 @@ def solve_extremal_dual(
             coefs[down[key]] = -1
             load += units[key]
         rel = "=" if x[e] else "<="
-        lp.add_row(coefs, rel, Rat(_scaled(costs[e], d) - load, d))
+        lp.add_row(coefs, rel, _scaled(costs[e], d) - load)
 
     for s in tight_sets:
         # Psi(S) = Gamma(S) + up - down must stay nonnegative
-        lp.add_row({down[s]: 1, up[s]: -1}, "<=", gamma_restricted[s])
+        lp.add_row({down[s]: 1, up[s]: -1}, "<=", units[s])
 
     res = simplex_solve(lp)
 
+    # Psi(key) = (units + up - down) / d, where up or down is zero: their
+    # columns are opposite, so at most one of them is basic.
     psi = DualSolution()
     for key in keys:
-        val, raised, lowered = gamma_restricted[key], res.x[up[key]], res.x[down[key]]
-        if raised:
-            val += raised
-        if lowered:
-            val -= lowered
-        psi[key] = val
+        raised = res.x[up[key]]
+        moved, sign = (raised, 1) if raised else (res.x[down[key]], -1)
+        den = int(moved.denominator)
+        psi[key] = Rat(units[key] * den + sign * int(moved.numerator), d * den)
     for s in sets:
         if psi.setdefault(s, ZERO) < ZERO:
             raise StructureViolation("extremal dual is negative on a cut", witness=sorted(s))

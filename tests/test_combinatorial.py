@@ -558,7 +558,7 @@ class TestCarriedWorkspace:
             g, costs, lam_sets, kay_sets, z, _dual = ws.state
             dual = current_dual(ws)
             slacks = per_edge_slacks(dual, g, costs)
-            fresh = real_ws(g, costs, lam_sets, kay_sets, z, dual, slacks)
+            fresh = real_ws(g, costs, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
             assert ws.tops == fresh.tops
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
@@ -608,6 +608,34 @@ class TestCarriedWorkspace:
         assert stats.unshrinks == 1
         assert UNSHRINK_T in checked_workspaces[0].tops
         assert UNSHRINK_T not in checked_workspaces[-1].tops
+
+    def test_unit_is_twice_the_lcm_of_rational_denominators(self, monkeypatch):
+        # the build takes int slacks over one unit; its own unit must still
+        # be twice the lcm of the denominators, in lowest terms, of the
+        # contracted edges' slacks and of the top laminar sets' duals
+        import math
+
+        import cpmatch.combinatorial as comb
+        from cpmatch import run
+
+        real_init = comb._Workspace.__init__
+        units = []
+
+        def init(ws, g, costs, lam_sets, kay_sets, z, dual, slacks):
+            real_init(ws, g, costs, lam_sets, kay_sets, z, dual, slacks)
+            rat_slacks = per_edge_slacks(dual, g, costs)
+            values = [rat_slacks[e] for e in ws.cmap.edge_preimage]
+            values += [dual.of_set(s) for s in ws.tops if s in lam_sets]
+            assert ws.unit == 2 * math.lcm(*(int(Rat(v).denominator) for v in values))
+            assert [Rat(k, ws.unit) for k in ws.slack] == values[:ws.wg.m]
+            units.append(ws.unit)
+
+        monkeypatch.setattr(comb._Workspace, "__init__", init)
+        for instance in ["telescope"] + [f"random{i}" for i in range(14)]:
+            run(instance_graph(instance), solver="combinatorial")
+        g, cfg = unshrink_instance()
+        run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert len(units) > 15 and max(units) > 2
 
     def test_contracts_once_per_run_plus_once_per_unshrink(self, monkeypatch):
         import cpmatch.combinatorial as comb

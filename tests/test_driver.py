@@ -237,7 +237,7 @@ class TestStep:
     def test_optimum_that_is_not_half_integral_raises(self, bowtie, monkeypatch):
         import cpmatch.driver as drv_mod
 
-        def third(g, costs, fam, warm=None):
+        def third(g, costs, fam, warm=None, fractional_dual=True):
             return [rat(1, 3)] * g.m, DualSolution.zeros(g), ZERO
 
         monkeypatch.setattr(drv_mod, "solve_primal", third)
@@ -423,7 +423,11 @@ class TestWarmStart:
         assert sum(starts) > len(graphs)
         cold_primal = lp_mod.solve_primal
         monkeypatch.setattr(
-            drv_mod, "solve_primal", lambda g, costs, fam, warm=None: cold_primal(g, costs, fam)
+            drv_mod,
+            "solve_primal",
+            lambda g, costs, fam, warm=None, fractional_dual=True: cold_primal(
+                g, costs, fam, fractional_dual=fractional_dual
+            ),
         )
         starts.clear()
         cold = traces()

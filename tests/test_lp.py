@@ -537,8 +537,8 @@ class TestDualSlacks:
         if data.draw(st.booleans(), label="rat costs"):
             costs = [rat(c, data.draw(st.integers(1, 4))) for c in costs]
         got = dual.slacks(g, costs)
-        assert got == per_edge_slacks(dual, g, costs)
-        assert all(type(slack) is Rat for slack in got)
+        assert all(type(slack) is int for slack in got)
+        assert [Rat(slack, got.unit) for slack in got] == per_edge_slacks(dual, g, costs)
 
 
 class TestBuildPrimal:
@@ -803,3 +803,97 @@ class TestExtremalDual:
             coefs, _rel, _rhs = lp.rows[e]
             assert list(coefs.items()) == list(want.items())
         assert len(lp.rows[6][0]) == 8  # the bridge crosses both triangles
+
+
+def extremal_calls(g, solver) -> list:
+    """The (g, costs, fam, x, gamma) of every solve_extremal_dual call of
+    one driver run on g."""
+    import cpmatch.driver as drv_mod
+
+    calls = []
+    real = drv_mod.solve_extremal_dual
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(drv_mod, "solve_extremal_dual", recorded):
+        try:
+            run(g, solver=solver)
+        except NoPerfectMatching:
+            pass
+    return calls
+
+
+def int_and_rational_extremal(args) -> tuple:
+    """((Psi items, pivots) of `solve_extremal_dual`, the same of the
+    rational reference builder), or the error each raises."""
+    import reference_extremal
+
+    out = []
+    for module in (lp_mod, reference_extremal):
+        pivots = []
+        real = module.simplex_solve
+
+        def counted(lp, *rest, **kwargs):
+            res = real(lp, *rest, **kwargs)
+            pivots.append(res.pivots)
+            return res
+
+        with mock.patch.object(module, "simplex_solve", counted):
+            try:
+                psi = module.solve_extremal_dual(*args)
+            except (LPInfeasible, StructureViolation) as exc:
+                out.append((type(exc).__name__, str(exc)))
+                continue
+        out.append((list(psi.items()), pivots))
+    return tuple(out)
+
+
+def extremal_pool() -> list:
+    """Golden instances, the pinned multi-round draws and two telescopes:
+    runs whose later rounds have tight sets and a Gamma positive on some."""
+    from instances import MULTI_ROUND_RANDOM, telescope
+
+    from cpmatch import random_instance
+
+    graphs = [parse_instance(p.read_text()) for p in sorted(GOLDEN.glob("*.txt"))]
+    graphs += [random_instance(n, p, (0, hi), seed) for n, p, hi, seed in MULTI_ROUND_RANDOM]
+    return graphs + [telescope(stages=4, gadgets=2), telescope(stages=2, gadgets=6)]
+
+
+class TestIntExtremalProgram:
+    """`solve_extremal_dual` poses its program in ints: deviations in units
+    of 1/d and weights times the lcm of the set sizes.  On every program a
+    driver run builds, it must reach the Psi of the rational builder it
+    replaced (tests/reference_extremal.py) in as many pivots."""
+
+    def test_every_pool_call_matches_reference(self):
+        seen = Counter()
+        for g in extremal_pool():
+            for solver in ("simplex", "combinatorial"):
+                for args in extremal_calls(g, solver):
+                    got, want = int_and_rational_extremal(args)
+                    assert got == want
+                    _g, _costs, fam, _x, gamma = args
+                    seen["calls"] += 1
+                    seen["positive set gamma"] += any(gamma.of_set(s) > 0 for s in fam.sets)
+                    items, pivots = got
+                    seen["fractional psi"] += any(v.denominator != 1 for _key, v in items)
+                    seen["pivots"] += pivots[0] > 0
+        for case in ("positive set gamma", "fractional psi", "pivots"):
+            assert seen[case] > 0, seen
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_driver_draws_match_reference(self, data):
+        from cpmatch import random_instance
+
+        n = data.draw(st.sampled_from([4, 6, 8, 10, 12, 14]), label="n")
+        density = data.draw(st.sampled_from([0.3, 0.5, 0.8]), label="density")
+        hi = data.draw(st.integers(0, 9), label="cost_hi")
+        g = random_instance(n, density, (0, hi), data.draw(st.integers(0, 10**6), label="seed"))
+        calls = extremal_calls(g, data.draw(st.sampled_from(["simplex", "combinatorial"])))
+        if calls:
+            got, want = int_and_rational_extremal(data.draw(st.sampled_from(calls)))
+            assert got == want
