@@ -292,7 +292,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
             except LPInfeasible as exc:
                 raise StructureViolation(_NO_EXTREMAL_DUAL) from exc
         if solver != "combinatorial":
-            certify_optimum(g, costs, fam.sets, x, objective, psi)
+            certify_optimum(g, costs, fam.sets, x, objective, psi, psi.cut_value)
         dual, kind = psi, "extremal"
 
     hp_sets, new_info, hats = [], [], []

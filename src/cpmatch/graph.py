@@ -282,11 +282,12 @@ def cost_value(x: Sequence, costs):
     return Rat(sum(costs[e] * k for e, k in units.items()), scale)
 
 
-def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence):
+def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence, values=None):
     """The first breach of x >= 0, x(delta(u)) = 1 for all nodes and
     x(delta(S)) >= 1 for all cuts, as a witness dict; None if x is feasible.
 
-    Only the nonzero entries are read, in the units of `cut_values`.
+    Only the nonzero entries are read, in the units of `cut_values`.  A
+    caller that has summed the cuts passes their `values`, in order.
     """
     scale, units = _in_units(x)
     deg = [0] * (g.n + 1)
@@ -299,7 +300,9 @@ def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence):
     node = next((u for u in range(1, g.n + 1) if deg[u] != scale), None)
     if node is not None:
         return {"node": node, "reason": "degree"}
-    for s, value in zip(cut_sets, cut_values(x, map(g.delta, cut_sets))):
+    if values is None:
+        values = cut_values(x, map(g.delta, cut_sets))
+    for s, value in zip(cut_sets, values):
         if value < ONE:
             return {"set": sorted(s), "reason": "cut below one"}
     return None

@@ -1,31 +1,26 @@
 """Exact simplex plus builders for the matching LPs.
 
-The solver is a two-phase tableau simplex.  Its entering rule, `pricing`,
-is Bland's least index (Bland 1977), or Dantzig's most negative reduced
-cost (Dantzig 1963) with Bland's rule after each degenerate pivot until
-the next nondegenerate one: a cycle is a run of degenerate pivots, which
-would then be Bland pivots, and those cannot cycle.  The leaving row is
-always the least ratio, the least basis id on a tie.  `solve_primal`
-prices by Dantzig's rule, which takes far fewer pivots on the wide
-relaxation tableaus; under the cost perturbation P_F has one optimum, so
-the rule moves only the optimal basis and its dual, both certified.
-`solve_extremal_dual` keeps Bland's rule: its program has many optima, and
-the one Bland's rule picks is the Psi that the traces record.
+`simplex_solve(lp)` is a two-phase primal simplex under Bland's rule (Bland
+1977): the least column with a negative reduced cost enters, and the row of
+least ratio leaves, the least basis id on a tie.  `solve_extremal_dual`
+uses it: its program has many optima, and the one Bland's rule picks is the
+Psi that the traces record.  `simplex_solve(lp, start)` solves lp by a dual
+simplex from an optimal tableau with fewer rows; `solve_primal` solves every
+relaxation P_F that way.
 
 The tableau is integer-preserving (fraction-free, Bareiss 1968): the rows
 are scaled by one common denominator L and the objective by another, M,
 and each row keeps its entries as sparse ints at a lazy scale, |det B| of
-the basis at which it was last written (see `_Tableau`).  Both rules read
-only signs, the order of the true reduced costs and ratios within one row,
-which a positive row scale does not change, so the pivots are those of the
-rational tableau.
+the basis at which it was last written (see `_Tableau`).  Both methods
+read only signs, the order of the true reduced costs and ratios within one
+row, which a positive row scale does not change, so the pivots are those
+of the rational tableau.
 
-The tableau stores no artificial column.  An = or >= row starts with its
-artificial basic, and the basis keeps that column's id (so the leaving
-rule's tie-break and the phase-1 sum read the ids they always did), but no
-pivot reads an artificial column: a pivot computes column j from column j
-and the pivot column alone.  The stored part of B^-1 that the artificial
-block would hold is therefore never built.
+The tableau stores no artificial column.  A row that starts with its
+artificial basic (row i's id is first_art + i) keeps that id in the basis
+for the tie-breaks and the phase-1 sum, but no pivot reads an artificial
+column: a pivot computes column j from column j and the pivot column alone.
+So B^-1 is never built, and an artificial that leaves never enters again.
 
 Values become rationals only at the end: x_b = rhs_r/scale_r, and the
 duals are found from the final basis the first time a caller reads them
@@ -37,20 +32,20 @@ structural columns (integral by Cramer's rule).  Each dual is z_i times
 L/(M*D), so strong duality and complementary slackness hold exactly on
 every solve.
 
-A program that extends an optimal one by inequality rows is re-solved
-from its final tableau (`simplex_solve`'s `start`), which keeps its
-program in normalized form, so only the new rows are read.  Each is
-written at the current det, reduced against the synced rows of the basic
-columns it has entries in, and enters with its slack or surplus basic; its
-right-hand side is negative where the old optimum violates it.  The basis
-stays dual feasible, and a dual simplex with a least-index rule
-(Koberstein, PhD thesis, Paderborn 2005) pivots through the same lazy-scale
-`pivot` until every right-hand side is nonnegative.  `solve_primal` does
-this from one cut round to the next when every old cut is kept: the new
-cuts' rows are built and appended after the old ones, so the old columns
-keep their ids.  The optimum x is unique under the cost perturbation, so a
-warm solve reaches the x a cold one would; only the optimal basis, and
-with it the basis dual, may differ.
+A start is the final tableau of an optimal solve, which keeps its program
+in normalized form, or `dual_start`, the tableau of the program with no
+rows: x = 0 with the costs as reduced costs, optimal when every cost is
+>= 0.  Only lp's further rows are read.  Each is written at the current
+det, reduced against the synced rows of the basic columns it has entries
+in, and enters with its slack, surplus or artificial basic, infeasible
+where the old optimum violates it.  The basis stays dual feasible, and a
+dual simplex with a least-index rule (Lemke 1954; Koberstein, PhD thesis,
+Paderborn 2005) pivots through the same lazy-scale `pivot` to an optimum.
+`solve_primal` solves a round from the last round's tableau when every old
+cut is kept, appending the new cuts' rows so the old columns keep their
+ids, and any other round from the dual start.  The optimum x is unique
+under the cost perturbation, so the dual simplex reaches the x the
+two-phase simplex would; only the optimal basis and its dual may differ.
 
 LP values cross the boundary as ints.  A `LinearProgram` stores an int or
 a `Rat` as given, and both builders pose their programs in ints:
@@ -66,7 +61,8 @@ One certificate per record.  `certify_optimum` checks a relaxation optimum
 against a dual: feasibility, strong duality and complementary slackness.
 A driver record carries the basis dual only for an integral x, so only
 then does `solve_primal` recover and check it; every other simplex optimum
-is certified once, by the extremal dual Psi its record carries.
+is certified once, by the extremal dual Psi its record carries, on the cut
+values `solve_extremal_dual` summed.
 """
 
 from __future__ import annotations
@@ -246,53 +242,20 @@ class _Tableau:
         self.pivots += 1
 
 
-PRICINGS = ("bland", "dantzig")
-
-
-def _primal_loop(t: _Tableau, pricing: str, nstruct: int, row_scale: int, tie=None):
-    """Primal simplex on t.rc over all its columns; False when unbounded.
-
-    The leaving row has the least ratio rhs[r]/row[r][enter], the least
-    basis id on a tie.  The entering column is, under "bland", the least
-    one with a negative reduced cost.  Under "dantzig" it is the one with
-    the most negative reduced cost; ties go to the least `tie[j]` (phase 1
-    passes the objective) and then to the least column.  After a degenerate
-    pivot (leaving rhs 0) Dantzig's rule gives way to Bland's until the next
-    nondegenerate pivot.  The objective strictly falls on a nondegenerate
-    pivot, so a cycle would be a run of degenerate pivots alone, and those
-    are Bland pivots from the second on: Bland's rule cannot cycle (Bland
-    1977).  `solve_primal` asks for Dantzig's rule.  The extremal-dual LP
-    stays on Bland's: it has many optima, and the traces record the one
-    Bland's rule reaches.
-
-    Signs and the ratio rhs[r]/row[r][enter] do not depend on a row's
-    positive scale.  rc holds every reduced cost at one scale, but a slack
-    or surplus column (ids nstruct..) keeps its coefficient 1 in a row
-    multiplied by row_scale, so its entry is 1/row_scale of the true value
-    at that scale, and Dantzig's rule multiplies it back.  These are the
-    pivots the rational tableau would make.
+def _primal_loop(t: _Tableau) -> bool:
+    """Primal simplex on t.rc over all its columns by Bland's rule; False
+    when unbounded.  The least column with a negative reduced cost enters,
+    and the row with the least ratio rhs[r]/row[r][enter] leaves, the least
+    basis id on a tie.  Signs and that ratio do not depend on a row's
+    positive scale, so these are the pivots the rational tableau would make.
     """
     rows, rhs, basis, rc = t.rows, t.rhs, t.basis, t.rc
-    bland = pricing == "bland"
-    degenerate = False
     while True:
-        if bland or degenerate:
-            for enter, a in enumerate(rc):
-                if a < 0:
-                    break
-            else:
-                return True  # optimal
+        for enter, a in enumerate(rc):
+            if a < 0:
+                break
         else:
-            keys = rc if row_scale == 1 else rc[:nstruct] + [row_scale * a for a in rc[nstruct:]]
-            low = min(keys)
-            if low >= 0:
-                return True  # optimal
-            enter = j = keys.index(low)
-            if tie is not None:
-                for _ in range(keys.count(low) - 1):
-                    j = keys.index(low, j + 1)
-                    if tie[j] < tie[enter]:
-                        enter = j
+            return True  # optimal
         best = -1
         for r, row in enumerate(rows):
             a = row.get(enter, 0)
@@ -305,7 +268,6 @@ def _primal_loop(t: _Tableau, pricing: str, nstruct: int, row_scale: int, tie=No
                     best, best_a, best_rhs = r, a, rhs[r]
         if best < 0:
             return False  # unbounded in the entering direction
-        degenerate = best_rhs == 0
         t.pivot(best, enter)
         if t.pivots > PIVOT_LIMIT:
             raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
@@ -324,41 +286,31 @@ def _denominators(values):
     return (int(v.denominator) for v in values if type(v) is not int)
 
 
-def _two_phase(norm, aux_col, first_art, row_scale, cost, pricing) -> _Tableau:
+def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
     """The optimal tableau of the normalized program, by the two-phase
-    simplex from the slack and artificial basis under `pricing`."""
-    nstruct, nrows, ncols = len(cost), len(norm), first_art
-    # A <= row starts with its slack basic, a >= or = row with its
-    # artificial, whose column (first_art, first_art + 1, ... in row order)
-    # is not stored: only its id enters the basis.
-    rows = []
-    rhs = []
-    basis = []
+    simplex under Bland's rule from the slack and artificial basis."""
+    nstruct = len(cost)
+    # A <= row starts with its slack basic, a >= or = row i with its
+    # artificial, whose column first_art + i is not stored: only its id
+    # enters the basis.
+    rows, rhs, basis = [], [], []
     for i, (coefs, rel, r) in enumerate(norm):
         row = {k: _scaled(v, row_scale) for k, v in coefs.items() if v}
-        if rel == "<=":
-            row[aux_col[i]] = 1
-            basis.append(aux_col[i])
-        else:
-            if rel == ">=":
-                row[aux_col[i]] = -1
-            basis.append(ncols)
-            ncols += 1
+        if rel != "=":
+            row[aux_col[i]] = 1 if rel == "<=" else -1
+        basis.append(aux_col[i] if rel == "<=" else first_art + i)
         rows.append(row)
         rhs.append(_scaled(r, row_scale))
     t = _Tableau(rows, rhs, basis)
 
     # Phase 1: drive the artificial variables (ids first_art..) to zero.
-    if ncols > first_art:
+    artificial = [r for r, b in enumerate(basis) if b >= first_art]
+    if artificial:
         t.rc = [0] * first_art
-        for r, b in enumerate(basis):
-            if b >= first_art:
-                for j, v in rows[r].items():
-                    t.rc[j] -= v
-        # Dantzig ties in phase 1 go to the cheapest column: most reduced
-        # costs there are small ints, so most columns tie.
-        tie = cost + [0] * (first_art - nstruct)
-        if not _primal_loop(t, pricing, nstruct, row_scale, tie):
+        for r in artificial:
+            for j, v in rows[r].items():
+                t.rc[j] -= v
+        if not _primal_loop(t):
             raise StructureViolation("phase-1 objective cannot be unbounded")
         # Every stored rhs is >= 0 at any scale, so the sum is 0 exactly
         # when each artificial is.
@@ -366,7 +318,7 @@ def _two_phase(norm, aux_col, first_art, row_scale, cost, pricing) -> _Tableau:
             raise LPInfeasible("phase-1 optimum positive")
         # Pivot basic artificials out where possible; all-zero rows are
         # redundant and keep their artificial pinned at zero (dual 0).
-        for r in range(nrows):
+        for r in artificial:
             if basis[r] >= first_art and rows[r]:
                 t.pivot(r, min(rows[r]))
 
@@ -380,22 +332,37 @@ def _two_phase(norm, aux_col, first_art, row_scale, cost, pricing) -> _Tableau:
             for j, v in t.synced(r).items():
                 rc[j] -= cb * v
     t.rc, t.rc_scale = rc, d
-    if not _primal_loop(t, pricing, nstruct, row_scale):
+    if not _primal_loop(t):
         raise LPUnbounded("objective unbounded below")
     return t
 
 
-def _extended(t: _Tableau, norm, aux_col, first_art, row_scale) -> _Tableau:
-    """t with the rows of norm past its own appended, each with its slack
-    or surplus basic and written at the current det.
+def dual_start(objective) -> _Tableau:
+    """The optimal tableau of the program with `objective` and no rows,
+    every column nonbasic at 0: a start for any program with that objective
+    when every cost is >= 0 (ValueError otherwise)."""
+    cost_scale = math.lcm(*_denominators(objective))
+    cost = [_scaled(c, cost_scale) for c in objective]
+    if any(c < 0 for c in cost):
+        raise ValueError("a dual start needs costs >= 0")
+    t = _Tableau([], [], [])
+    t.rc = list(cost)
+    t.norm, t.flip, t.aux_col, t.cost, t.scales = [], [], [], cost, (1, cost_scale)
+    return t
 
-    Row i with aux coefficient sign (+1 slack, -1 surplus) is sign times
-    (a.x + sign*s = b), reduced against the synced row of each basic column
-    it has an entry in: D*sign*a - sum of sign*a_j * row_j, right-hand side
-    D*sign*b - sum of sign*a_j * rhs_j, and D in its own aux column.  The
-    new columns' reduced costs are 0.  The artificial ids move up past the
-    new aux columns, and `basis` and `rc` become new lists, so a result
-    read from t before keeps its duals."""
+
+def _extended(t: _Tableau, norm, aux_col, first_art, row_scale) -> _Tableau:
+    """t with the rows of norm past its own appended, each written at the
+    current det with its slack, surplus or artificial basic.
+
+    Row i is sign times its normalized row, sign -1 for a >= or = row and +1
+    for a <= row, so that its slack, surplus or artificial (first_art + i,
+    not stored) has coefficient +1.  It is reduced against the synced row of
+    each basic column it has an entry in: D*sign*a - sum of sign*a_j * row_j,
+    right-hand side D*sign*b - sum of sign*a_j * rhs_j, and D in its aux
+    column.  The new columns' reduced costs are 0.  The artificial ids move
+    up past the new aux columns, and `basis` and `rc` become new lists, so a
+    result read from t before keeps its duals."""
     shift = first_art - len(t.rc)
     t.basis = [b + shift if b >= len(t.rc) else b for b in t.basis]
     t.rc = t.rc + [0] * shift
@@ -404,10 +371,9 @@ def _extended(t: _Tableau, norm, aux_col, first_art, row_scale) -> _Tableau:
     row_of = {b: r for r, b in enumerate(t.basis)}
     for i in range(len(t.rows), len(norm)):
         coefs, rel, b = norm[i]
-        if rel == "=":
-            raise ValueError("a warm start adds inequality rows only")
         sign = 1 if rel == "<=" else -1
-        row = {aux_col[i]: d}
+        row = {} if rel == "=" else {aux_col[i]: d}
+        t.basis.append(first_art + i if rel == "=" else aux_col[i])
         rhs = sign * d * _scaled(b, row_scale)
         for j, v in coefs.items():
             f = sign * _scaled(v, row_scale)
@@ -422,29 +388,36 @@ def _extended(t: _Tableau, norm, aux_col, first_art, row_scale) -> _Tableau:
         t.rows.append({k: a for k, a in row.items() if a})
         t.rhs.append(rhs)
         t.scale.append(d)
-        t.basis.append(aux_col[i])
     return t
 
 
 def _dual_simplex(t: _Tableau) -> None:
     """Dual simplex from the dual-feasible tableau t (rc >= 0) to an
-    optimal one, by the least-index rule: the row with the least basis id
-    among those with a negative right-hand side leaves, and the column with
-    the least ratio rc_j/|a_rj| over its entries a_rj < 0 enters, the least
-    column on a tie.  A leaving row with no negative entry proves the
-    program infeasible.  Ratios within one row do not depend on its scale,
-    so they are compared by cross-multiplication.  Ends with rc at scale
-    det, which the dual read-out needs."""
-    rhs, rc, basis = t.rhs, t.rc, t.basis
+    optimal one, by the least-index rule.  A row is infeasible when its
+    right-hand side is negative, or positive with an artificial (an id past
+    rc) basic; of those, the one with the least basis id leaves, a positive
+    artificial's row negated first (the artificial's column, which only
+    changes sign, is not stored).  The column with the least ratio
+    rc_j/|a_rj| over the row's entries a_rj < 0 enters, the least column on
+    a tie; with no such entry the program is infeasible.  An artificial left
+    basic at 0 on a redundant row stays pinned there.  Ratios within one row
+    do not depend on its scale, so they are compared by cross-multiplication.
+    Ends with rc at scale det, which the dual read-out needs."""
+    rows, rhs, rc, basis = t.rows, t.rhs, t.rc, t.basis
+    first_art = len(rc)
     while True:
         leave = -1
         for r, b in enumerate(basis):
-            if rhs[r] < 0 and (leave < 0 or b < basis[leave]):
+            v = rhs[r]
+            if (v < 0 or v and b >= first_art) and (leave < 0 or b < basis[leave]):
                 leave = r
         if leave < 0:
             break
+        if rhs[leave] > 0:
+            rows[leave] = {j: -a for j, a in rows[leave].items()}
+            rhs[leave] = -rhs[leave]
         enter = -1
-        for j, a in t.rows[leave].items():
+        for j, a in rows[leave].items():
             if a < 0:
                 if enter < 0:
                     enter, best_a = j, a
@@ -463,31 +436,24 @@ def _dual_simplex(t: _Tableau) -> None:
         t.rc_scale = d
 
 
-def simplex_solve(
-    lp: LinearProgram, start: _Tableau | None = None, pricing: str = "bland"
-) -> SimplexResult:
+def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexResult:
     """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded.
 
-    `start` is the final tableau (`SimplexResult.tableau`) of an optimal
-    solve of a program with lp's objective and lp's first len(start.rows)
-    rows; the rows after them must be inequalities whose denominators
-    divide start's row scale.  Only those rows are read and normalized: the
-    start carries its program's normalized form.  lp is then solved from
-    that basis: each further row enters with its slack or surplus basic and
-    the dual simplex restores feasibility.  start is consumed.
-
-    `pricing` is the entering rule of a solve without `start`, "bland" or
-    "dantzig" (see `_primal_loop`).
+    Without `start`, by the two-phase simplex under Bland's rule.  `start`
+    is the final tableau (`SimplexResult.tableau`) of an optimal solve of a
+    program with lp's objective and lp's first len(start.rows) rows, whose
+    row scale the denominators of the rows after them divide, or the
+    `dual_start` of lp's objective.  Only those rows are read; each enters
+    with its slack, surplus or artificial basic, and the dual simplex
+    restores feasibility.  start is consumed.
     """
-    if pricing not in PRICINGS:
-        raise ValueError(f"bad pricing {pricing!r}")
     nstruct = lp.num_vars
     nrows = lp.num_rows
 
     # Normalize to equality form with rhs >= 0: flip <=/>= rows with
     # negative rhs, then add a slack (+1, <=) or surplus (-1, >=) column.
-    # A warm start extends copies of its program's lists; its rc spans its
-    # structural and slack columns, so the next aux column is len(start.rc).
+    # A start's program is extended from copies of its lists; its rc spans
+    # its structural and slack columns, so the next aux column is len(rc).
     norm, flip, aux_col, ncols = [], [], [], nstruct
     if start is not None:
         norm, flip, aux_col = list(start.norm), list(start.flip), list(start.aux_col)
@@ -515,11 +481,12 @@ def simplex_solve(
     if start is None:
         cost_scale = math.lcm(*_denominators(lp.objective))
         cost = [_scaled(c, cost_scale) for c in lp.objective]
-        t = _two_phase(norm, aux_col, first_art, row_scale, cost, pricing)
+        t = _two_phase(norm, aux_col, first_art, row_scale, cost)
     else:
-        if start.scales[0] % row_scale or len(start.cost) != nstruct:
+        (start_scale, cost_scale), cost = start.scales, start.cost
+        if len(cost) != nstruct or (done and start_scale % row_scale):
             raise ValueError("the start tableau was solved at other scales")
-        (row_scale, cost_scale), cost = start.scales, start.cost
+        row_scale = math.lcm(row_scale, start_scale)  # start_scale once it has rows
         t = _extended(start, norm, aux_col, first_art, row_scale)
         _dual_simplex(t)
     t.norm, t.flip, t.aux_col, t.cost, t.scales = norm, flip, aux_col, cost, (row_scale, cost_scale)
@@ -702,7 +669,13 @@ def _integral_solution(equations, unknowns) -> dict:
 
 
 class DualSolution(dict):
-    """Dual values keyed by node id (int) or odd set (frozenset)."""
+    """Dual values keyed by node id (int) or odd set (frozenset).
+
+    `cut_value`, on an extremal dual, maps each family set S to x(delta(S))
+    for the x it was solved for, as `solve_extremal_dual` summed it; None on
+    any other dual."""
+
+    cut_value = None
 
     def node(self, u: int):
         return self.get(u, ZERO)
@@ -775,20 +748,26 @@ def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_v
     return None
 
 
-def certify_optimum(g: Graph, costs, sets: Sequence, x: Sequence, objective, dual: DualSolution) -> None:
+def certify_optimum(
+    g: Graph, costs, sets: Sequence, x: Sequence, objective, dual: DualSolution, cut_value=None
+) -> None:
     """Raise StructureViolation unless x is an optimum of P_F (F = `sets`)
     of value `objective` and `dual` proves it: x is feasible, the dual
     objective equals `objective` (strong duality), and `slackness_violation`
     finds no breach between x and dual.  The one certificate of a relaxation
-    optimum, for a basis dual and for the extremal dual Psi alike."""
-    violation = feasibility_violation(x, g, sets)
+    optimum, for a basis dual and for the extremal dual Psi alike.
+
+    `cut_value` maps each set to x(delta(S)), as `solve_extremal_dual`
+    leaves it on Psi; without it, each cut is summed here."""
+    if cut_value is None:
+        cut_value = dict(zip(sets, cut_values(x, map(g.delta, sets))))
+    violation = feasibility_violation(x, g, sets, (cut_value[s] for s in sets))
     if violation is not None:
         raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)
     if dual.objective() != objective:
         raise StructureViolation("strong duality violated")
-    cut_sets = [s for s in sets if dual.get(s)]
-    cut_value = dict(zip(cut_sets, cut_values(x, map(g.delta, cut_sets))))
-    violation = slackness_violation(x, dual, dual.slacks(g, costs), cut_value)
+    dual_cut_value = {s: cut_value[s] for s in sets if dual.get(s)}
+    violation = slackness_violation(x, dual, dual.slacks(g, costs), dual_cut_value)
     if violation is not None:
         raise StructureViolation(f"complementary slackness: {violation['reason']}", witness=violation)
 
@@ -838,11 +817,15 @@ def solve_primal(
     carries a basis dual: a fractional x comes back unchecked with dual
     None, for the caller to certify with its extremal dual.
 
-    With `warm`, a family that holds every set of `warm.sets` is solved
-    from `warm.tableau`: its program is `warm.lp` with the new sets' rows
-    appended, each of which enters with its surplus basic (see
-    `simplex_solve`).  Any other family is solved from scratch.  The program
-    and its final tableau are left in `warm` for the next call.
+    P_F is solved by the dual simplex.  With `warm`, a family that holds
+    every set of `warm.sets` is solved from `warm.tableau`, its program
+    `warm.lp` with the new sets' rows appended; any other from `dual_start`.
+    The program and its final tableau are left in `warm` for the next call.
+
+    The dual start needs costs >= 0, so each cost is lowered by 2*y0, y0 =
+    min(0, least cost) // 2.  Every x that meets the degree rows has x(E) =
+    n/2, so that lowers the objective by y0*n and each node dual by y0 and
+    moves nothing else; both are added back.
     """
     start, base, sets = None, None, fam.sets
     if warm is not None:
@@ -853,15 +836,19 @@ def solve_primal(
             base = warm.lp
         else:
             start = None
-    lp, row_keys = build_primal(g, costs, sets, base)
-    res = simplex_solve(lp, start, pricing="dantzig")
+    y0 = int(min(0, *costs) // 2)
+    lp, row_keys = build_primal(g, [c - 2 * y0 for c in costs] if y0 else costs, sets, base)
+    res = simplex_solve(lp, dual_start(lp.objective) if start is None else start)
+    objective = res.objective + y0 * g.n
     dual = None
     if fractional_dual or all(v == ZERO or v == ONE for v in res.x):
         dual = DualSolution(zip(row_keys, res.duals))
-        certify_optimum(g, costs, fam.sets, res.x, res.objective, dual)
+        if y0:
+            dual.update((u, dual[u] + y0) for u in range(1, g.n + 1))
+        certify_optimum(g, costs, fam.sets, res.x, objective, dual)
     if warm is not None:
         warm.lp, warm.tableau, warm.sets = lp, res.tableau, sets
-    return res.x, dual, res.objective
+    return res.x, dual, objective
 
 
 def solve_extremal_dual(
@@ -876,8 +863,9 @@ def solve_extremal_dual(
     Each |Psi(S)-Gamma(S)| is modelled as an up/down deviation pair from
     Gamma, keyed in the order: singletons by node id, then tight family sets
     by (size, min element), and posed in ints (see the comment below); Psi
-    is read back with one Rat per key.  Raises StructureViolation, with the
-    set as witness, when x(delta(S)) < 1 for a family set S: x is not
+    is read back with one Rat per key, and x(delta(S)) of every family set
+    S is left in `psi.cut_value`.  Raises StructureViolation, with the set
+    as witness, when x(delta(S)) < 1 for a family set S: x is not
     feasible.  On the simplex route the driver certifies x by this Psi
     (`certify_optimum`), so an LPInfeasible here is a structure violation.
     """
@@ -885,7 +873,9 @@ def solve_extremal_dual(
     crossed = [[] for _ in range(g.m)]  # tight sets each edge crosses, in key order
     sets = fam.sets
     cuts = [g.delta(s) for s in sets]
+    cut_value = {}
     for s, cut, value in zip(sets, cuts, cut_values(x, cuts)):
+        cut_value[s] = value
         if value < ONE:
             raise StructureViolation("primal is below one on a cut", witness=sorted(s))
         if value == ONE:
@@ -941,4 +931,5 @@ def solve_extremal_dual(
 
     if psi.objective() != cost_value(x, costs):
         raise StructureViolation("extremal dual is not a dual optimum")
+    psi.cut_value = cut_value
     return psi

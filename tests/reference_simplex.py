@@ -1,11 +1,11 @@
 """Reference two-phase simplex over `Rat`, kept as a test oracle.
 
 This is the rational tableau `cpmatch.lp.simplex_solve` used before it moved
-to integer-preserving pivots, with the same two entering rules: Bland's
-least index, or Dantzig's least reduced cost with Bland's rule through
-degenerate pivots.  Under either rule both kernels must make the same
-pivots and return the same x, duals, objective and pivot count, or raise
-the same error; tests/test_simplex_equivalence.py checks that.
+to integer-preserving pivots, under the same entering rule, Bland's least
+index.  Without a start both kernels must make the same pivots and return
+the same x, duals, objective and pivot count, or raise the same error;
+tests/test_simplex_equivalence.py checks that.  A solve from a start (the
+dual simplex) is checked against it on x and the objective.
 
 `simplex_solve(lp, events)` counts in `events` (a Counter, optional) the
 tableau situations the comparison must cover:
@@ -46,25 +46,14 @@ def _pivot(rows, rhs, rc, basis, r, c):
     basis[r] = c
 
 
-def _primal_loop(rows, rhs, rc, basis, allowed, pivots_box, pricing, tie=None):
+def _primal_loop(rows, rhs, rc, basis, allowed, pivots_box):
     """The entering rule of `cpmatch.lp._primal_loop` on true values: the
-    least allowed column with rc < 0 under "bland"; under "dantzig" the
-    least rc, ties to the least tie[j] if tie is given and then to the least
-    column, with Bland's choice after each degenerate pivot."""
+    least allowed column with rc < 0."""
     nrows = len(rows)
-    degenerate = False
     while True:
-        negative = [j for j in allowed if rc[j] < ZERO]
-        if not negative:
+        enter = next((j for j in allowed if rc[j] < ZERO), None)
+        if enter is None:
             return True  # optimal
-        if pricing == "bland" or degenerate:
-            enter = negative[0]
-        else:
-            low = min(rc[j] for j in negative)
-            enter = min(
-                (j for j in negative if rc[j] == low),
-                key=lambda j: (ZERO if tie is None else tie[j], j),
-            )
         best = None
         for r in range(nrows):
             a = rows[r][enter]
@@ -76,16 +65,14 @@ def _primal_loop(rows, rhs, rc, basis, allowed, pivots_box, pricing, tie=None):
                     best = (ratio, r)
         if best is None:
             return False  # unbounded in the entering direction
-        degenerate = best[0] == ZERO
         _pivot(rows, rhs, rc, basis, best[1], enter)
         pivots_box[0] += 1
         if pivots_box[0] > lp_mod.PIVOT_LIMIT:
             raise StructureViolation(f"simplex pivot limit {lp_mod.PIVOT_LIMIT} exceeded")
 
 
-def simplex_solve(lp: LinearProgram, events=None, pricing="bland") -> SimplexResult:
-    """Solve min c.x st rows, x >= 0 under `pricing`, "bland" or "dantzig".
-    Raises LPInfeasible / LPUnbounded."""
+def simplex_solve(lp: LinearProgram, events=None) -> SimplexResult:
+    """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded."""
     nstruct = lp.num_vars
     nrows = lp.num_rows
 
@@ -151,8 +138,7 @@ def simplex_solve(lp: LinearProgram, events=None, pricing="bland") -> SimplexRes
             if b in artificials:
                 rc1 = [a - v for a, v in zip(rc1, rows[r])]
         allowed = [j for j in range(ncols) if j not in artificials]
-        tie = [lp.objective[j] if j < nstruct else ZERO for j in range(ncols)]
-        bounded = _primal_loop(rows, rhs, rc1, basis, allowed, pivots_box, pricing, tie)
+        bounded = _primal_loop(rows, rhs, rc1, basis, allowed, pivots_box)
         if not bounded:
             raise StructureViolation("phase-1 objective cannot be unbounded")
         phase1_obj = sum((rhs[r] for r, b in enumerate(basis) if b in artificials), ZERO)
@@ -182,7 +168,7 @@ def simplex_solve(lp: LinearProgram, events=None, pricing="bland") -> SimplexRes
             row = rows[r]
             rc = [a - cb * v for a, v in zip(rc, row)]
     allowed = [j for j in range(ncols) if j not in artificials]
-    if not _primal_loop(rows, rhs, rc, basis, allowed, pivots_box, pricing):
+    if not _primal_loop(rows, rhs, rc, basis, allowed, pivots_box):
         raise LPUnbounded("objective unbounded below")
 
     x = [ZERO] * nstruct

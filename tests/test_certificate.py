@@ -154,9 +154,9 @@ def test_x_not_optimal(name, solver, tmp_path, capsys, monkeypatch):
 def test_corrupted_terminal_basis_dual_raises(name, solver, tmp_path, capsys, monkeypatch):
     real = lp_mod.simplex_solve
 
-    def corrupted(lp, start=None, pricing="bland"):
-        res = real(lp, start, pricing)
-        if pricing == "dantzig" and integral(res.x):  # solve_primal's terminal solve
+    def corrupted(lp, start=None):
+        res = real(lp, start)
+        if start is not None and integral(res.x):  # solve_primal's terminal solve
             res.duals[0] += 1
         return res
 

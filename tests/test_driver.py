@@ -385,7 +385,7 @@ class TestWarmStart:
     """After round one the simplex route solves each relaxation from the
     last optimal tableau.  x is the unique optimum under the perturbation,
     so every record but a terminal one's basis dual matches a run whose
-    every primal solve is cold."""
+    every primal solve starts from the program with no rows."""
 
     @pytest.mark.parametrize("solver", ["simplex", "cross-check"])
     def test_warm_runs_match_cold_runs(self, solver, monkeypatch):
@@ -414,9 +414,9 @@ class TestWarmStart:
         starts = []
         real = lp_mod.simplex_solve
 
-        def recorded(lp, start=None, **kwargs):
-            starts.append(start is not None)
-            return real(lp, start, **kwargs)
+        def recorded(lp, start=None):
+            starts.append(start is not None and len(start.rows) > 0)
+            return real(lp, start)
 
         monkeypatch.setattr(lp_mod, "simplex_solve", recorded)
         warm = traces()
@@ -436,13 +436,13 @@ class TestWarmStart:
         assert_same_but_terminal_duals(warm, cold)
 
 
-class TestPrimalPricing:
-    """solve_primal prices by Dantzig's rule.  Under the cost perturbation
-    each relaxation has one optimum, so Bland's rule reaches the same x in
-    every round, and every record but a terminal one's basis dual is the
-    same."""
+class TestPrimalStart:
+    """solve_primal solves every relaxation by the dual simplex.  Under the
+    cost perturbation each relaxation has one optimum, so the two-phase
+    simplex reaches the same x in every round, and every record but a
+    terminal one's basis dual is the same."""
 
-    def test_bland_and_dantzig_runs_match(self, monkeypatch):
+    def test_dual_start_and_two_phase_runs_match(self, monkeypatch):
         import cpmatch.lp as lp_mod
         from test_golden import GOLDEN
 
@@ -454,16 +454,19 @@ class TestPrimalPricing:
 
         real = lp_mod.simplex_solve
 
-        def runs(forced):
+        def runs(two_phase):
             """Each graph's trace lines (or its NoPerfectMatching message),
-            and the x of every primal solve, each solve priced by `forced`
-            or else by the rule its caller asks for."""
+            and the x of every primal solve; with `two_phase`, a solve that
+            solve_primal starts from the dual start is made by the
+            two-phase simplex instead."""
             xs = []
 
-            def solve(lp, start=None, pricing="bland"):
-                res = real(lp, start, forced or pricing)
-                if pricing == "dantzig":  # solve_primal's request
-                    xs.append((start is None, res.x))
+            def solve(lp, start=None):
+                if start is None:  # solve_extremal_dual
+                    return real(lp)
+                cold = not start.rows
+                res = real(lp) if cold and two_phase else real(lp, start)
+                xs.append((cold, res.x))
                 return res
 
             monkeypatch.setattr(lp_mod, "simplex_solve", solve)
@@ -475,9 +478,9 @@ class TestPrimalPricing:
                     out.append(str(exc))
             return out, xs
 
-        dantzig, xs_dantzig = runs(None)
-        bland, xs_bland = runs("bland")
-        assert xs_dantzig == xs_bland
-        assert sum(cold for cold, _x in xs_dantzig) >= len(graphs)
-        # the rule does reach another optimal basis on some runs
-        assert assert_same_but_terminal_duals(dantzig, bland) > 0
+        dual, xs_dual = runs(False)
+        two_phase, xs_two_phase = runs(True)
+        assert xs_dual == xs_two_phase
+        assert sum(cold for cold, _x in xs_dual) >= len(graphs)
+        # the dual simplex does reach another optimal basis on some runs
+        assert assert_same_but_terminal_duals(dual, two_phase) > 0

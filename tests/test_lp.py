@@ -307,66 +307,43 @@ class TestLazyRowScale:
         )
 
 
-def beale_lp() -> LinearProgram:
-    """Beale's (1955) degenerate program: min -3/4 a + 20 b - c/2 + 6 d st
-    a/4 - 8b - c + 9d <= 0, a/2 - 12b - c/2 + 3d <= 0, c <= 1; optimum
-    -5/4 at a = c = 1.  Dantzig's rule without an anti-cycling fallback
-    cycles on it through six degenerate bases at the origin."""
-    lp = LinearProgram()
-    for c in (rat(-3, 4), 20, rat(-1, 2), 6):
-        lp.add_var(c)
-    lp.add_row({0: rat(1, 4), 1: -8, 2: -1, 3: 9}, "<=", 0)
-    lp.add_row({0: HALF, 1: -12, 2: -HALF, 3: 3}, "<=", 0)
-    lp.add_row({2: 1}, "<=", 1)
-    return lp
-
-
 def zero_rhs_lp(draw) -> LinearProgram:
     """A small program whose rows all have right-hand side 0, so the origin
     is a degenerate vertex of every basis that reaches it, and, in most
-    draws, one row sum(x) <= k that bounds it away from 0."""
+    draws, one row sum(x) >= k that keeps x away from 0.  Its costs are
+    >= 0, many of them 0, so the dual simplex meets ties in its ratio test
+    as well."""
     lp = LinearProgram()
     nvars = draw(2, 5)
     for _ in range(nvars):
-        lp.add_var(rat(draw(-6, 6), draw(1, 2)))
+        lp.add_var(rat(max(0, draw(-3, 6)), draw(1, 2)))
     for _ in range(draw(1, 4)):
         coefs = {j: rat(draw(-9, 9), draw(1, 4)) for j in range(nvars) if draw(0, 3)}
         lp.add_row(coefs, RELATIONS[draw(0, 2)], 0)
     if draw(0, 3):
-        lp.add_row({j: 1 for j in range(nvars)}, "<=", draw(1, 3))
+        lp.add_row({j: 1 for j in range(nvars)}, ">=", draw(1, 3))
     return lp
 
 
-class TestDantzigPricing:
-    """Dantzig's rule, with Bland's through degenerate pivots, ends on
-    degenerate programs, and at the optimum Bland's rule reaches.  The
-    pivot limit is cut to a few hundred, so a cycle fails fast."""
+class TestDualStart:
+    """The dual simplex from `dual_start` ends on degenerate programs, at
+    the optimum the two-phase simplex reaches.  The pivot limit is cut to a
+    few hundred, so a cycle fails fast."""
 
     LIMIT = 300
 
-    def test_beale_lp_ends_at_the_bland_optimum(self):
-        lp = beale_lp()
-        with mock.patch.object(lp_mod, "PIVOT_LIMIT", self.LIMIT):
-            got = outcome(simplex_solve, lp, pricing="dantzig")
-            assert got == outcome(reference_simplex.simplex_solve, lp, pricing="dantzig")
-        bland = reference_simplex.simplex_solve(lp)
-        assert got[0] == "optimal" and got[3] == bland.objective == rat(-5, 4)
-
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_zero_rhs_lps_end_at_the_bland_optimum(self, data):
+    def test_zero_rhs_lps_end_at_the_two_phase_optimum(self, data):
         lp = zero_rhs_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
         with mock.patch.object(lp_mod, "PIVOT_LIMIT", self.LIMIT):
-            got = outcome(simplex_solve, lp, pricing="dantzig")
-            assert got == outcome(reference_simplex.simplex_solve, lp, pricing="dantzig")
-        bland = outcome(reference_simplex.simplex_solve, lp)
-        assert got[0] == bland[0]
+            got = outcome(simplex_solve, lp, lp_mod.dual_start(lp.objective))
+        want = outcome(reference_simplex.simplex_solve, lp)
+        assert got[0] == want[0]
         if got[0] == "optimal":
-            assert got[3] == bland[3]
-
-    def test_unknown_pricing_is_refused(self):
-        with pytest.raises(ValueError, match="bad pricing"):
-            simplex_solve(beale_lp(), pricing="steepest")
+            assert got[3] == want[3]
+        else:
+            assert got == want
 
 
 def equality_lp(draw) -> LinearProgram:
@@ -648,7 +625,7 @@ def warm_case(draw) -> str:
     checked against `reference_simplex` solving P_F2 cold: the same x and
     objective with a basis dual that passes `slackness_violation`, or
     LPInfeasible from both.  Then F2 less one set of F1, if F1 has one,
-    must be solved cold.  Returns the case reached."""
+    must be solved from the dual start.  Returns the case reached."""
     n = 2 * draw(3, 5)
     # one draw in three has edges only inside blocks of three nodes, and
     # the blocks for family: no perfect matching, often a fractional one
@@ -666,9 +643,9 @@ def warm_case(draw) -> str:
     starts = []
     real = lp_mod.simplex_solve
 
-    def recorded(lp, start=None, **kwargs):
-        starts.append(start)
-        return real(lp, start, **kwargs)
+    def recorded(lp, start=None):
+        starts.append(len(start.rows))  # 0 for the dual start
+        return real(lp, start)
 
     warm = lp_mod.WarmStart()
     with mock.patch.object(lp_mod, "simplex_solve", recorded):
@@ -682,7 +659,7 @@ def warm_case(draw) -> str:
         except LPInfeasible as exc:
             assert want == ("LPInfeasible", str(exc))
             return "warm infeasible"
-        assert starts[-1] is not None
+        assert starts[-1] > 0
         assert want[0] == "optimal" and (x, obj) == (want[1], want[3])
         cut_value = dict(zip(f2.sets, cut_values(x, map(g.delta, f2.sets))))
         assert slackness_violation(x, dual, dual.slacks(g, costs), cut_value) is None
@@ -690,11 +667,87 @@ def warm_case(draw) -> str:
             return "warm optimal"
         dropped = f1.sets[draw(0, len(f1) - 1)]
         x3, _dual, _obj = solve_primal(g, costs, LaminarFamily(n, set(family) - {dropped}), warm)
-        assert starts[-1] is None
+        assert starts[-1] == 0
         want = outcome(reference_simplex.simplex_solve, build_primal(
             g, costs, [s for s in f2.sets if s != dropped])[0])
         assert x3 == want[1]
         return "cut dropped"
+
+
+def dual_start_case(draw) -> set:
+    """One P_F on a drawn graph, solved by `solve_primal` (every relaxation
+    by the dual simplex, from the dual start or a warm tableau) against
+    `reference_simplex` solving the same program by the two-phase simplex:
+    the same x and objective, with a basis dual that `certify_optimum`
+    accepts, or LPInfeasible("phase-1 optimum positive") from both.
+
+    The graph is a multigraph with base costs in [-5, 20], perturbed, so
+    that P_F has one optimum and some costs are negative.  One draw in four
+    has only bipartite components, whose degree rows are linearly
+    dependent; one in four has edges only inside blocks of three nodes and
+    the blocks as its family, which leaves no feasible point.  The family
+    is otherwise a random laminar one, and half the draws first solve a
+    subfamily and then the family warm.  Returns the cases reached."""
+    n = 2 * draw(3, 5)
+    kind = draw(0, 3)
+    pairs = []
+    if kind == 0:  # bipartite: each component joins its first half to its second
+        comps = [list(range(1, n + 1))] if draw(0, 1) else [list(range(1, n // 2 + 1)),
+                                                              list(range(n // 2 + 1, n + 1))]
+        for comp in comps:
+            half = len(comp) // 2
+            pairs += [(u, v) for u in comp[:half] for v in comp[half:] if draw(0, 2)]
+    elif kind == 1:  # odd blocks: no feasible point once the blocks are cuts
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 if (u - 1) // 3 == (v - 1) // 3]
+    else:
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if draw(0, 9) < 5]
+    edges = [(u, v, draw(-5, 20)) for u, v in pairs for _ in range(draw(1, 2))]
+    if not edges:
+        return {"no edges"}
+    g = make_graph(n, edges)
+    costs = perturb([c for _u, _v, c in edges]).scaled
+    if kind == 1:
+        family = [frozenset(range(b, b + 3)) for b in range(1, n - 1, 3)]
+    else:
+        family = laminar_draw(draw, n)
+    fam = LaminarFamily(n, family)
+    cases = {"negative cost"} if min(costs) < 0 else set()
+    cases.add("cuts" if family else "no cuts")
+    warm = lp_mod.WarmStart()
+    if draw(0, 1):
+        try:
+            solve_primal(g, costs, LaminarFamily(n, [s for s in family if draw(0, 1)]), warm)
+        except LPInfeasible:
+            warm = lp_mod.WarmStart()
+    want = outcome(reference_simplex.simplex_solve, build_primal(g, costs, fam.sets)[0])
+    try:
+        x, dual, obj = solve_primal(g, costs, fam, warm)
+    except LPInfeasible as exc:
+        assert want == ("LPInfeasible", "phase-1 optimum positive") == ("LPInfeasible", str(exc))
+        return cases | {"infeasible"}
+    assert want[0] == "optimal" and (x, obj) == (want[1], want[3])
+    lp_mod.certify_optimum(g, costs, fam.sets, x, obj, dual)
+    t = warm.tableau
+    if any(b >= len(t.rc) for b in t.basis):
+        cases.add("artificial left basic")
+    return cases | {"optimal"}
+
+
+class TestDualStartRelaxation:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dual_start_matches_two_phase_reference(self, data):
+        dual_start_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+    def test_seeded_sweep_covers_every_case(self):
+        rng = random.Random(22)
+        seen = Counter()
+        for _ in range(300):
+            seen.update(dual_start_case(rng.randint))
+        for case in ("optimal", "infeasible", "negative cost", "cuts", "no cuts",
+                     "artificial left basic"):
+            assert seen[case] > 0, seen
 
 
 class TestWarmStart:

@@ -1,11 +1,12 @@
 """The integer-preserving `simplex_solve` against the rational reference.
 
-Both kernels run the same entering rule, Bland's or Dantzig's (see
-`cpmatch.lp._primal_loop`), so on every program they must make the same
-pivots: equal x, duals, objective and pivot count, or the same error.  The
-programs are random small LPs, solved under both rules, and every LP the
-solver itself builds for the golden instances, solved under the rule its
-caller picks.
+Without a start both kernels run the two-phase simplex under Bland's rule
+(see `cpmatch.lp._primal_loop`), so on every program they must make the
+same pivots: equal x, duals, objective and pivot count, or the same error.
+The programs are random small LPs, and every LP the solver itself builds
+for the golden instances.  A solve from a start, by the dual simplex, may
+end at another optimal basis: it must reach the reference's objective, or
+its error, with an x and duals that prove optimality.
 """
 
 import random
@@ -21,7 +22,7 @@ from cpmatch import lp as lp_mod
 from cpmatch import parse_instance, run
 from cpmatch.driver import SOLVER_CHOICES
 from cpmatch.errors import LPInfeasible, LPUnbounded, NoPerfectMatching, StructureViolation
-from cpmatch.lp import PRICINGS, LinearProgram, simplex_solve
+from cpmatch.lp import LinearProgram, dual_start, simplex_solve
 from cpmatch.rational import Rat, ZERO, rat
 from test_golden import EXPECTED, GOLDEN
 
@@ -65,10 +66,7 @@ def random_lp(draw) -> LinearProgram:
 @settings(max_examples=300, deadline=None)
 def test_random_lps_match_reference(data):
     lp = random_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
-    for pricing in PRICINGS:
-        assert outcome(simplex_solve, lp, pricing=pricing) == outcome(
-            reference_simplex.simplex_solve, lp, pricing=pricing
-        )
+    assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
 
 
 def int_and_rat_lps(draw) -> tuple:
@@ -132,57 +130,151 @@ def dense_lp(draw) -> LinearProgram:
 @settings(max_examples=200, deadline=None)
 def test_dense_lps_match_reference(data):
     lp = dense_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
-    for pricing in PRICINGS:
-        assert outcome(simplex_solve, lp, pricing=pricing) == outcome(
-            reference_simplex.simplex_solve, lp, pricing=pricing
-        )
+    assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
 
 
 def test_seeded_sweep_covers_every_case():
-    for pricing in PRICINGS:
-        rng = random.Random(20240)
-        seen = Counter()
-        for _ in range(1500):
-            lp = random_lp(rng.randint)
-            got = outcome(simplex_solve, lp, pricing=pricing)
-            assert got == outcome(reference_simplex.simplex_solve, lp, seen, pricing=pricing)
-            seen[got[0]] += 1
-            for coefs, rel, rhs in lp.rows:
-                seen[rel] += 1
-                seen["negative_rhs"] += rhs < ZERO
-                seen["fractional_data"] += any(
-                    v.denominator != 1 for v in (rhs, *coefs.values())
-                )
-        for case in (
-            "optimal", "LPInfeasible", "LPUnbounded", *RELATIONS, "negative_rhs",
-            "fractional_data", "artificial_left_basic", "negative_cleanup_pivot",
-        ):
-            assert seen[case] > 0, (pricing, case)
+    rng = random.Random(20240)
+    seen = Counter()
+    for _ in range(1500):
+        lp = random_lp(rng.randint)
+        got = outcome(simplex_solve, lp)
+        assert got == outcome(reference_simplex.simplex_solve, lp, seen)
+        seen[got[0]] += 1
+        for coefs, rel, rhs in lp.rows:
+            seen[rel] += 1
+            seen["negative_rhs"] += rhs < ZERO
+            seen["fractional_data"] += any(
+                v.denominator != 1 for v in (rhs, *coefs.values())
+            )
+    for case in (
+        "optimal", "LPInfeasible", "LPUnbounded", *RELATIONS, "negative_rhs",
+        "fractional_data", "artificial_left_basic", "negative_cleanup_pivot",
+    ):
+        assert seen[case] > 0, case
+
+
+def optimality_violation(lp: LinearProgram, res):
+    """The first way x and the duals of res fail to prove each other
+    optimal for lp, or None: x >= 0 meets every row, the duals have the
+    sign of their rows (<= 0 on a <= row, >= 0 on a >= row), every reduced
+    cost c_j - y.A_j is >= 0 and 0 where x_j > 0, a dual is 0 where its
+    row is slack, and the objective is c.x = y.b."""
+    x, y = res.x, res.duals
+    if any(v < ZERO for v in x):
+        return "x negative"
+    for (coefs, rel, rhs), yi in zip(lp.rows, y):
+        act = sum((v * x[j] for j, v in coefs.items()), ZERO)
+        if {"<=": act > rhs, ">=": act < rhs, "=": act != rhs}[rel]:
+            return "row violated"
+        if rel == "<=" and yi > ZERO or rel == ">=" and yi < ZERO:
+            return "dual sign"
+        if yi != ZERO and act != rhs:
+            return "slack row with a nonzero dual"
+    for j, c in enumerate(lp.objective):
+        reduced = c - sum((yi * coefs.get(j, ZERO) for (coefs, _r, _b), yi in zip(lp.rows, y)), ZERO)
+        if reduced < ZERO or reduced != ZERO and x[j] != ZERO:
+            return "reduced cost"
+    cx = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
+    if not cx == res.objective == sum((yi * rhs for (_c, _r, rhs), yi in zip(lp.rows, y)), ZERO):
+        return "objective"
+    return None
+
+
+def dual_start_outcome(lp: LinearProgram):
+    """The outcome of solving lp from its `dual_start`, with x and the
+    duals checked to prove each other optimal: ("optimal", objective) or
+    the error."""
+    try:
+        res = simplex_solve(lp, dual_start(lp.objective))
+    except (LPInfeasible, StructureViolation) as exc:
+        return (type(exc).__name__, str(exc))
+    assert optimality_violation(lp, res) is None
+    return ("optimal", res.objective)
+
+
+def nonnegative_costs(lp: LinearProgram) -> LinearProgram:
+    return LinearProgram([abs(c) for c in lp.objective], lp.rows)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_dual_start_reaches_the_two_phase_optimum(data):
+    # every relation, sign of right-hand side and redundant equality pair
+    # of random_lp, with costs made >= 0 so that the dual start is optimal;
+    # such a program is never unbounded
+    lp = nonnegative_costs(random_lp(lambda lo, hi: data.draw(st.integers(lo, hi))))
+    want = outcome(reference_simplex.simplex_solve, lp)
+    assert dual_start_outcome(lp) == ((want[0], want[3]) if want[0] == "optimal" else want)
+
+
+def test_dual_start_sweep_covers_every_case(monkeypatch):
+    # the sweep reaches artificials that leave from a negative and from a
+    # positive value (a row negated first), and redundant equalities that
+    # leave one basic at zero
+    seen = Counter()
+    real = lp_mod._dual_simplex
+
+    def counted(t):
+        first_art = len(t.rc)
+        pivot = t.pivot
+
+        def positive():
+            return {r for r, b in enumerate(t.basis) if b >= first_art and t.rhs[r] > 0}
+
+        before = [positive()]
+
+        def tracked(r, c):
+            if t.basis[r] >= first_art:
+                seen["positive artificial" if r in before[0] else "negative artificial"] += 1
+            pivot(r, c)
+            before[0] = positive()
+
+        t.pivot = tracked
+        real(t)
+        seen["artificial_left_basic"] += any(b >= first_art for b in t.basis)
+        del t.pivot
+
+    monkeypatch.setattr(lp_mod, "_dual_simplex", counted)
+    rng = random.Random(20241)
+    for _ in range(1500):
+        lp = nonnegative_costs(random_lp(rng.randint))
+        want = outcome(reference_simplex.simplex_solve, lp)
+        got = dual_start_outcome(lp)
+        assert got == ((want[0], want[3]) if want[0] == "optimal" else want)
+        seen[got[0]] += 1
+    for case in ("optimal", "LPInfeasible", "negative artificial", "positive artificial",
+                 "artificial_left_basic"):
+        assert seen[case] > 0, case
+
+
+def test_dual_start_refuses_a_negative_cost():
+    with pytest.raises(ValueError, match="costs >= 0"):
+        dual_start([1, rat(-1, 2)])
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_solver_lps_match_reference(name, monkeypatch):
     """Every LP solve_primal and solve_extremal_dual build on a golden
-    instance, on all three solvers.  The primal LPs are priced by Dantzig's
-    rule and the extremal-dual LPs by Bland's.  A cold solve must match the
-    reference under the same rule pivot for pivot.  A warm re-solve from the
-    last round's tableau takes other pivots and may end at another optimal
-    basis, so it is compared on x and the objective, or on the error,
-    against the reference solving the same program cold."""
+    instance, on all three solvers.  solve_extremal_dual solves without a
+    start, by the two-phase simplex, and must match the reference pivot for
+    pivot.  solve_primal solves every relaxation from a start, the dual
+    start or the last round's tableau, by the dual simplex: that may end at
+    another optimal basis, so it is compared on x and the objective, or on
+    the error, against the reference solving the same program."""
     compared = Counter()
-    rule = {"solve_primal": "dantzig", "solve_extremal_dual": "bland"}
 
-    def checked(lp, start=None, pricing="bland"):
-        assert pricing == rule[sys._getframe(1).f_code.co_name]
-        want = outcome(reference_simplex.simplex_solve, lp, pricing=pricing)
+    def checked(lp, start=None):
+        want = outcome(reference_simplex.simplex_solve, lp)
         if start is None:
-            assert outcome(simplex_solve, lp, pricing=pricing) == want
+            assert sys._getframe(1).f_code.co_name == "solve_extremal_dual"
+            assert outcome(simplex_solve, lp) == want
             compared[want[0]] += 1
-            compared[pricing] += 1
-            return simplex_solve(lp, pricing=pricing)
-        compared["warm"] += 1
+            return simplex_solve(lp)
+        assert sys._getframe(1).f_code.co_name == "solve_primal"
+        compared["warm" if start.rows else "dual start"] += 1
         try:
-            res = simplex_solve(lp, start, pricing)
+            res = simplex_solve(lp, start)
         except LPInfeasible as exc:
             assert want == ("LPInfeasible", str(exc))
             raise
@@ -196,6 +288,6 @@ def test_solver_lps_match_reference(name, monkeypatch):
             run(g, solver=solver)
         except NoPerfectMatching:
             pass
-    assert compared["optimal"] > 0 and compared["dantzig"] > 0
+    assert compared["dual start"] > 0
     if "lp_solves 1\n" not in EXPECTED[name]["simplex"]["stdout"]:
-        assert compared["warm"] > 0
+        assert compared["optimal"] > 0 and compared["warm"] > 0
