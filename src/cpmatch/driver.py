@@ -281,8 +281,10 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
 
     # A terminal iteration records the basis dual when the simplex gave one;
     # every other iteration records the extremal dual, which certifies a
-    # simplex optimum before its record is written.
-    terminal = all(v == ZERO or v == ONE for v in x)
+    # simplex optimum before its record is written.  x is proper
+    # half-integral here, so it is integral exactly when it has no odd
+    # cycle.
+    terminal = not dec.odd_cycles
     if terminal and basis_dual is not None:
         dual, kind = basis_dual, "basis"
     else:

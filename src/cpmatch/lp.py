@@ -14,7 +14,17 @@ and each row keeps its entries as sparse ints at a lazy scale, |det B| of
 the basis at which it was last written (see `_Tableau`).  Both methods
 read only signs, the order of the true reduced costs and ratios within one
 row, which a positive row scale does not change, so the pivots are those
-of the rational tableau.
+of the rational tableau.  A pivot rewrites only the rows with an entry in
+its column: the primal ratio test, which reads every row's entry there,
+hands that list to `_Tableau.pivot`; the dual simplex lets the pivot walk
+the rows itself.
+
+A program may declare mirrored pairs (`LinearProgram.add_pair`): column
+2i+1 is minus column 2i at the same cost, as each key's up and down
+deviation in `solve_extremal_dual` are.  The tableau stores one column per
+pair, since B^-1 A keeps the two opposite; the reduced costs, the basis and
+so Bland's entering order, the ratio-test tie-breaks, x and the duals keep
+both ids, so the pivots are those of the program written out in full.
 
 The tableau stores no artificial column.  A row that starts with its
 artificial basic (row i's id is first_art + i) keeps that id in the basis
@@ -53,16 +63,20 @@ a `Rat` as given, and both builders pose their programs in ints:
 costs, and `solve_extremal_dual` counts each deviation from Gamma in units
 of one common denominator and scales its weights by the lcm of the set
 sizes.  `simplex_solve` takes L and M from the denominators of the non-int
-values alone, sums the objective in ints, and builds a `Rat` only for a
-nonzero x_b or dual.  `DualSolution.slacks` are ints over one unit, and
-`slackness_violation` reads only their signs.
+values alone (an all-int program is written as it is), sums the objective
+in ints, and builds a `Rat` only for a nonzero x_b or dual; whether x is
+integral is read off the ints too (`SimplexResult.integral`).
+`DualSolution.slacks` are ints over one unit, summed with the dual
+objective in the same pass, and `slackness_violation` reads only their
+signs.
 
 One certificate per record.  `certify_optimum` checks a relaxation optimum
 against a dual: feasibility, strong duality and complementary slackness.
 A driver record carries the basis dual only for an integral x, so only
-then does `solve_primal` recover and check it; every other simplex optimum
-is certified once, by the extremal dual Psi its record carries, on the cut
-values `solve_extremal_dual` summed.
+then does `solve_primal` recover and check it, reading delta(S) off each
+cut row of its program; every other simplex optimum is certified once, by
+the extremal dual Psi its record carries, on the cut values and the cut
+edge lists `solve_extremal_dual` left on Psi.
 """
 
 from __future__ import annotations
@@ -94,19 +108,37 @@ def _exact(value):
 class LinearProgram:
     """Minimization LP: one variable per add_var, rows are <=, >= or =.
 
-    Every value is an int or a Rat (see `_exact`)."""
+    Every value is an int or a Rat (see `_exact`).  The first 2*`pairs`
+    variables, made by `add_pair`, are mirrored pairs: column 2i+1 is minus
+    column 2i, at the same cost, so a row gives only the coefficient of 2i.
+    """
 
     objective: list = field(default_factory=list)
     rows: list = field(default_factory=list)  # (coefs: dict[var, int | Rat], rel, rhs)
+    pairs: int = field(default=0, init=False)  # set by add_pair alone
 
     def add_var(self, obj_coef) -> int:
         self.objective.append(_exact(obj_coef))
         return len(self.objective) - 1
 
+    def add_pair(self, obj_coef) -> int:
+        """Two variables 2i, 2i+1 at cost obj_coef whose columns are
+        opposite; returns 2i.  Pairs come before every other variable."""
+        if len(self.objective) != 2 * self.pairs:
+            raise ValueError("mirrored pairs come before every other variable")
+        cost = _exact(obj_coef)
+        self.objective += (cost, cost)
+        self.pairs += 1
+        return len(self.objective) - 2
+
     def add_row(self, coefs: dict, rel: str, rhs):
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        self.rows.append(({k: _exact(v) for k, v in coefs.items()}, rel, _exact(rhs)))
+        paired = 2 * self.pairs
+        if paired and any(k < paired and k & 1 for k in coefs):
+            raise ValueError("a row gives only the first column of a mirrored pair")
+        coefs = {k: v if type(v) in _EXACT else Rat(v) for k, v in coefs.items()}  # _exact
+        self.rows.append((coefs, rel, _exact(rhs)))
 
     @property
     def num_vars(self) -> int:
@@ -121,14 +153,17 @@ class SimplexResult:
     """x, objective and pivot count of an optimal basis, and `duals`: one
     per input row, sign matching the original relation.  `duals` is either
     given as a list or computed by `recover()` the first time it is read,
-    so a caller that reads only x never pays for it.  `tableau` is the
+    so a caller that reads only x never pays for it.  `integral` says
+    whether every x is an int, None when not known.  `tableau` is the
     final tableau, a warm start for a program with more rows."""
 
-    def __init__(self, x, objective, pivots, duals=None, recover=None, tableau=None):
+    def __init__(self, x, objective, pivots, duals=None, recover=None, tableau=None,
+                 integral=None):
         self.x = x
         self.objective = objective
         self.pivots = pivots
         self.tableau = tableau
+        self.integral = integral
         if duals is not None:
             self.duals = duals
         self._recover = recover
@@ -151,17 +186,28 @@ class _Tableau:
     pivot multiplies det B by the true pivot value and rewrites only the
     rows with a nonzero entry in the pivot column, each with an exact
     integer division (Bareiss 1968, Edmonds 1967), and deletes every entry
-    that cancels to 0.  `pivots` counts the pivots made.  The program
-    solved is kept in normalized form, for a warm start to extend: its rows
-    (`norm`) with their signs (`flip`), each row's slack or surplus column
-    (`aux_col`, None for an = row), the int costs and the (row, cost)
-    `scales`.
+    that cancels to 0.  The caller may hand `pivot` that list of rows, as
+    the primal ratio test does; otherwise it walks every row to find them.
+    `pivots` counts the pivots made.
+
+    The columns below `paired` are mirrored pairs: column 2i+1 is minus
+    column 2i in every basis, since B^-1 is linear, so a row stores column
+    2i alone and its entry in 2i+1 is minus that.  The pair's two ids stay
+    apart everywhere else: in `rc`, which holds both, in `basis`, and so in
+    the entering order and the tie-breaks.  At most one id of a pair is
+    basic, as the two columns are dependent.
+
+    The program solved is kept in normalized form, for a warm start to
+    extend: its rows (`norm`) with their signs (`flip`), each row's slack or
+    surplus column (`aux_col`, None for an = row), the int costs and the
+    (row, cost) `scales`.
     """
 
-    def __init__(self, rows, rhs, basis):
+    def __init__(self, rows, rhs, basis, paired=0):
         self.rows = rows
         self.rhs = rhs
         self.basis = basis
+        self.paired = paired
         self.scale = [1] * len(rows)
         self.det = 1
         self.rc = []
@@ -182,56 +228,74 @@ class _Tableau:
             self.scale[r] = d
         return self.rows[r]
 
-    def pivot(self, r, c):
+    def pivot(self, r, c, hit=None):
         """Make column c basic in row r; `rc` is updated along with the rows.
 
-        Row k with f = row_k[c] != 0 becomes (p*row_k - f*row_r) // scale_k
-        (Sylvester's identity: exact).  When scale_k is already p, p*a is a
-        multiple of p, so f*b is one too and row_k[j] -= f*b // p touches
-        only the columns j where row r has an entry b."""
+        `hit` lists (k, rows[k]) for the rows with an entry in column c, as
+        the ratio test found them; None walks every row.  Row k != r with
+        entry f in column c becomes (p*row_k - f*row_r) // scale_k
+        (Sylvester's identity: exact), p the pivot entry.  When scale_k is
+        already p, p*a is a multiple of p, so f*b is one too and row_k[j] -=
+        f*b // p touches only the columns j where row r has an entry b.
+        With c the second column of a pair, f is minus row k's stored
+        entry, so each row subtracts its stored entry times row r negated
+        (`sub`) instead."""
         rows, rhs, scale = self.rows, self.rhs, self.scale
-        if rows[r][c] < 0:  # keep det > 0: the new det is |p|
+        mirror = c < self.paired and c & 1 == 1
+        stored = c - 1 if mirror else c
+        if (rows[r][stored] < 0) != mirror:  # keep det > 0: the new det is |p|
             rows[r] = {j: -a for j, a in rows[r].items()}
             rhs[r] = -rhs[r]
         row_r = self.synced(r)
         rhs_r = rhs[r]
-        p = row_r[c]
+        p = -row_r[stored] if mirror else row_r[stored]
         items_r = row_r.items()
-        for k, row_k in enumerate(rows):
-            f = row_k.get(c)
+        sub, sub_rhs = ([(j, -b) for j, b in items_r], -rhs_r) if mirror else (items_r, rhs_r)
+        for k, row_k in enumerate(rows) if hit is None else hit:
+            f = row_k.get(stored)
             if f is None or k == r:
                 continue
             s, get = scale[k], row_k.get
             if s == p:
-                for j, b in items_r:
+                for j, b in sub:
                     a = get(j, 0) - f * b // p
                     if a:
                         row_k[j] = a
                     else:
                         del row_k[j]
-                rhs[k] -= f * rhs_r // p
+                rhs[k] -= f * sub_rhs // p
             else:
                 new = {j: p * a // s for j, a in row_k.items() if j not in row_r}
-                for j, b in items_r:
+                for j, b in sub:
                     a = p * get(j, 0) - f * b
                     if a:
                         new[j] = a // s
                 rows[k] = new
-                rhs[k] = (p * rhs[k] - f * rhs_r) // s
+                rhs[k] = (p * rhs[k] - f * sub_rhs) // s
                 scale[k] = p
         rc = self.rc
         f = rc[c]
         if f:
-            s = self.rc_scale
+            s, paired = self.rc_scale, self.paired
             if s == p:
-                for j, b in items_r:
-                    rc[j] -= f * b // p
+                if paired:
+                    for j, b in items_r:
+                        q = f * b // p
+                        rc[j] -= q
+                        if j < paired:  # the mirror's entry in row r is -b
+                            rc[j + 1] += q
+                else:
+                    for j, b in items_r:
+                        rc[j] -= f * b // p
             else:
-                # One pass rescales rc, then row r's columns take the pivot
-                # update.  Outside those columns the true reduced cost is
-                # unchanged, and p = |det B| of the new basis times a true
-                # reduced cost is an int, so p*a // s is exact there.
+                # One pass rescales rc, then row r's columns, and their
+                # mirrors, take the pivot update.  Outside those columns
+                # the true reduced cost is unchanged, and p = |det B| of
+                # the new basis times a true reduced cost is an int, so
+                # p*a // s is exact there.
                 old = [(j, rc[j], b) for j, b in items_r]
+                if paired:
+                    old += [(j + 1, rc[j + 1], -b) for j, b in items_r if j < paired]
                 rc[:] = [p * a // s for a in rc]
                 for j, a, b in old:
                     rc[j] = (p * a - f * b) // s
@@ -248,17 +312,21 @@ def _primal_loop(t: _Tableau) -> bool:
     and the row with the least ratio rhs[r]/row[r][enter] leaves, the least
     basis id on a tie.  Signs and that ratio do not depend on a row's
     positive scale, so these are the pivots the rational tableau would make.
+    The ratio test collects the rows with an entry in the entering column,
+    and the pivot rewrites only those.
     """
-    rows, rhs, basis, rc = t.rows, t.rhs, t.basis, t.rc
+    rows, rhs, basis, rc, paired = t.rows, t.rhs, t.basis, t.rc, t.paired
     while True:
         for enter, a in enumerate(rc):
             if a < 0:
                 break
         else:
             return True  # optimal
+        col, sign = (enter - 1, -1) if enter < paired and enter & 1 else (enter, 1)
+        hit = [(r, row) for r, row in enumerate(rows) if col in row]
         best = -1
-        for r, row in enumerate(rows):
-            a = row.get(enter, 0)
+        for r, row in hit:
+            a = sign * row[col]  # the second of a pair is minus the first
             if a > 0:
                 if best < 0:
                     best, best_a, best_rhs = r, a, rhs[r]
@@ -268,7 +336,7 @@ def _primal_loop(t: _Tableau) -> bool:
                     best, best_a, best_rhs = r, a, rhs[r]
         if best < 0:
             return False  # unbounded in the entering direction
-        t.pivot(best, enter)
+        t.pivot(best, enter, hit)
         if t.pivots > PIVOT_LIMIT:
             raise StructureViolation(f"simplex pivot limit {PIVOT_LIMIT} exceeded")
 
@@ -281,35 +349,56 @@ def _scaled(v, scale: int) -> int:
     return int(v.numerator) * (scale // int(v.denominator))
 
 
-def _denominators(values):
+def _denominators(values) -> list:
     """The denominators of the values that are not ints, as ints."""
-    return (int(v.denominator) for v in values if type(v) is not int)
+    return [int(v.denominator) for v in values if type(v) is not int]
 
 
-def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
+def _in_ints(values) -> tuple:
+    """(scale, ints): scale is the lcm of the denominators of the values
+    that are not ints, and ints lists each value times scale; values that
+    are all ints are copied as they are."""
+    dens = _denominators(values)
+    if not dens:
+        return 1, list(values)
+    scale = math.lcm(*dens)
+    return scale, [_scaled(v, scale) for v in values]
+
+
+def _two_phase(norm, aux_col, first_art, row_scale, cost, paired=0, ints=False) -> _Tableau:
     """The optimal tableau of the normalized program, by the two-phase
-    simplex under Bland's rule from the slack and artificial basis."""
+    simplex under Bland's rule from the slack and artificial basis.  With
+    `ints`, every value of norm is an int, written as it is at row scale 1.
+    The columns below `paired` are mirrored pairs (see `_Tableau`)."""
     nstruct = len(cost)
     # A <= row starts with its slack basic, a >= or = row i with its
     # artificial, whose column first_art + i is not stored: only its id
     # enters the basis.
     rows, rhs, basis = [], [], []
     for i, (coefs, rel, r) in enumerate(norm):
-        row = {k: _scaled(v, row_scale) for k, v in coefs.items() if v}
+        if ints:
+            row = {k: v for k, v in coefs.items() if v}
+        else:
+            row = {k: _scaled(v, row_scale) for k, v in coefs.items() if v}
+            r = _scaled(r, row_scale)
         if rel != "=":
             row[aux_col[i]] = 1 if rel == "<=" else -1
         basis.append(aux_col[i] if rel == "<=" else first_art + i)
         rows.append(row)
-        rhs.append(_scaled(r, row_scale))
-    t = _Tableau(rows, rhs, basis)
+        rhs.append(r)
+    t = _Tableau(rows, rhs, basis, paired)
 
     # Phase 1: drive the artificial variables (ids first_art..) to zero.
+    # Its costs are 0 on every column, so a mirror's reduced cost is minus
+    # its pair's.
     artificial = [r for r, b in enumerate(basis) if b >= first_art]
     if artificial:
-        t.rc = [0] * first_art
+        rc = t.rc = [0] * first_art
         for r in artificial:
             for j, v in rows[r].items():
-                t.rc[j] -= v
+                rc[j] -= v
+        for j in range(0, paired, 2):
+            rc[j + 1] = -rc[j]
         if not _primal_loop(t):
             raise StructureViolation("phase-1 objective cannot be unbounded")
         # Every stored rhs is >= 0 at any scale, so the sum is 0 exactly
@@ -317,13 +406,16 @@ def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
         if sum(rhs[r] for r, b in enumerate(basis) if b >= first_art) != 0:
             raise LPInfeasible("phase-1 optimum positive")
         # Pivot basic artificials out where possible; all-zero rows are
-        # redundant and keep their artificial pinned at zero (dual 0).
+        # redundant and keep their artificial pinned at zero (dual 0).  The
+        # least stored column is never a mirror.
         for r in artificial:
             if basis[r] >= first_art and rows[r]:
                 t.pivot(r, min(rows[r]))
 
     # Phase 2: original objective, reduced costs D*c - sum of c_b * row_b
-    # with each row read at the current D.
+    # with each row read at the current D.  A mirror's column is minus its
+    # pair's at the same cost c, so its reduced cost is 2*D*c less its
+    # pair's.
     d = t.det
     rc = [d * c for c in cost] + [0] * (first_art - nstruct)
     for r, b in enumerate(basis):
@@ -331,6 +423,8 @@ def _two_phase(norm, aux_col, first_art, row_scale, cost) -> _Tableau:
             cb = cost[b]
             for j, v in t.synced(r).items():
                 rc[j] -= cb * v
+    for j in range(0, paired, 2):
+        rc[j + 1] = 2 * d * cost[j] - rc[j]
     t.rc, t.rc_scale = rc, d
     if not _primal_loop(t):
         raise LPUnbounded("objective unbounded below")
@@ -341,8 +435,7 @@ def dual_start(objective) -> _Tableau:
     """The optimal tableau of the program with `objective` and no rows,
     every column nonbasic at 0: a start for any program with that objective
     when every cost is >= 0 (ValueError otherwise)."""
-    cost_scale = math.lcm(*_denominators(objective))
-    cost = [_scaled(c, cost_scale) for c in objective]
+    cost_scale, cost = _in_ints(objective)
     if any(c < 0 for c in cost):
         raise ValueError("a dual start needs costs >= 0")
     t = _Tableau([], [], [])
@@ -445,10 +538,14 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
     row scale the denominators of the rows after them divide, or the
     `dual_start` of lp's objective.  Only those rows are read; each enters
     with its slack, surplus or artificial basic, and the dual simplex
-    restores feasibility.  start is consumed.
+    restores feasibility.  start is consumed.  A program with mirrored
+    pairs (`LinearProgram.pairs`) is solved without a start.
     """
     nstruct = lp.num_vars
     nrows = lp.num_rows
+    paired = 2 * lp.pairs
+    if paired and start is not None:
+        raise ValueError("a program with mirrored pairs is solved without a start")
 
     # Normalize to equality form with rhs >= 0: flip <=/>= rows with
     # negative rhs, then add a slack (+1, <=) or surplus (-1, >=) column.
@@ -475,13 +572,12 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
     # One scale for all rows and one for the objective make the data
     # integral.  A per-row scale would reweight the phase-1 artificials
     # against each other and could change Bland's path.
-    row_scale = math.lcm(
-        *_denominators(v for coefs, _rel, rhs in norm[done:] for v in (rhs, *coefs.values()))
-    )
+    dens = [int(v.denominator) for coefs, _rel, rhs in norm[done:]
+            for v in (rhs, *coefs.values()) if type(v) is not int]
+    row_scale = math.lcm(*dens)
     if start is None:
-        cost_scale = math.lcm(*_denominators(lp.objective))
-        cost = [_scaled(c, cost_scale) for c in lp.objective]
-        t = _two_phase(norm, aux_col, first_art, row_scale, cost)
+        cost_scale, cost = _in_ints(lp.objective)
+        t = _two_phase(norm, aux_col, first_art, row_scale, cost, paired, ints=not dens)
     else:
         (start_scale, cost_scale), cost = start.scales, start.cost
         if len(cost) != nstruct or (done and start_scale % row_scale):
@@ -493,15 +589,19 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
     basis, rhs, rc = t.basis, t.rhs, t.rc
 
     # Only a basic structural column with a nonzero right-hand side gets a
-    # Rat of its own.  The objective sums cost_b * rhs_r per row scale in
+    # Rat of its own, and x is integral when each such rhs_r is a multiple
+    # of its scale.  The objective sums cost_b * rhs_r per row scale in
     # ints, then once over the lcm of those scales.
     x = [ZERO] * nstruct
     by_scale = {}
+    integral = True
     for r, b in enumerate(basis):
         if b < nstruct and rhs[r]:
             s = t.scale[r]
             x[b] = Rat(rhs[r], s)
             by_scale[s] = by_scale.get(s, 0) + cost[b] * rhs[r]
+            if rhs[r] % s:
+                integral = False
     common = math.lcm(*by_scale)
     objective = Rat(sum(a * (common // s) for s, a in by_scale.items()), common * cost_scale)
     det = t.rc_scale
@@ -512,6 +612,7 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
         # cost, rows whose artificial is basic have z = 0, and the other =
         # rows are solved from z.B = D*c_B, one equation per basic
         # structural column; a row known to have z = 0 adds nothing to it.
+        # A basic mirror reads its pair's coefficients, negated.
         z = {}
         for i, (_coefs, rel, _r) in enumerate(norm):
             if rel == "<=":
@@ -524,16 +625,19 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
             basic = [b for b in basis if b < nstruct]
             unknowns_of = {b: {} for b in basic}
             rhs_of = {b: det * cost[b] for b in basic}
+            column_of = {b - 1 if b < paired and b & 1 else b: b for b in basic}
             for i, (coefs, _rel, _r) in enumerate(norm):
                 zi = z.get(i)
                 if zi == 0:
                     continue
                 for j, v in coefs.items():
-                    if j in rhs_of and v:
+                    b = column_of.get(j)
+                    if b is not None and v:
+                        a = -_scaled(v, row_scale) if b != j else _scaled(v, row_scale)
                         if zi is None:
-                            unknowns_of[j][i] = _scaled(v, row_scale)
+                            unknowns_of[b][i] = a
                         else:
-                            rhs_of[j] -= _scaled(v, row_scale) * zi
+                            rhs_of[b] -= a * zi
             z.update(_integral_solution(
                 [(unknowns_of[b], rhs_of[b]) for b in basic],
                 [i for i in range(nrows) if i not in z],
@@ -544,7 +648,8 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
             for i in range(nrows)
         ]
 
-    return SimplexResult(x=x, objective=objective, pivots=t.pivots, recover=duals, tableau=t)
+    return SimplexResult(x=x, objective=objective, pivots=t.pivots, recover=duals, tableau=t,
+                         integral=integral)
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -671,11 +776,15 @@ def _integral_solution(equations, unknowns) -> dict:
 class DualSolution(dict):
     """Dual values keyed by node id (int) or odd set (frozenset).
 
-    `cut_value`, on an extremal dual, maps each family set S to x(delta(S))
-    for the x it was solved for, as `solve_extremal_dual` summed it; None on
-    any other dual."""
+    On an extremal dual, `cut_value` maps each family set S to x(delta(S))
+    for the x it was solved for, as `solve_extremal_dual` summed it.  On
+    it and on the basis dual `solve_primal` returns, `cut_edges` maps each
+    family set S to the edge ids of delta(S) in the graph it was solved
+    on, which `slacks` and `certify_optimum` read.  Both are None on any
+    other dual."""
 
     cut_value = None
+    cut_edges = None
 
     def node(self, u: int):
         return self.get(u, ZERO)
@@ -698,17 +807,20 @@ class DualSolution(dict):
 
         Each slack is an int in units of 1/`unit` (see `Slacks`), unit the
         lcm of the denominators of the dual values and of the costs that
-        are not ints; the pass sums them in ints, with one g.delta pass per
-        nonzero set key, and builds no Rat."""
+        are not ints; the pass sums them in ints, and the dual objective
+        too (`Slacks.dual_objective`), and builds no Rat.  Each nonzero set
+        key crosses the edges `cut_edges` lists for it, or else g.delta."""
         d = math.lcm(*_denominators(self.values()), *_denominators(costs))
         units = {key: _scaled(val, d) for key, val in self.items() if val}
         node = units.get
         out = Slacks(_scaled(costs[e], d) - node(u, 0) - node(v, 0)
                      for e, (u, v, _c) in enumerate(g.edges))
         out.unit = d
+        out.dual_objective = sum(units.values())
+        cut_edges = self.cut_edges or {}
         for key, k in units.items():
             if isinstance(key, frozenset):
-                for e in g.delta(key):
+                for e in cut_edges.get(key) or g.delta(key):
                     out[e] -= k
         return out
 
@@ -720,9 +832,11 @@ class DualSolution(dict):
 class Slacks(list):
     """Edge slacks as ints over one common denominator: the slack of edge e
     is self[e] / self.unit, so its sign is that of self[e], and the edge is
-    tight exactly when self[e] == 0."""
+    tight exactly when self[e] == 0.  `dual_objective` / `unit` is the sum
+    of the dual values the slacks were taken from."""
 
     unit = 1
+    dual_objective = 0
 
 
 def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_value: dict):
@@ -758,16 +872,21 @@ def certify_optimum(
     optimum, for a basis dual and for the extremal dual Psi alike.
 
     `cut_value` maps each set to x(delta(S)), as `solve_extremal_dual`
-    leaves it on Psi; without it, each cut is summed here."""
+    leaves it on Psi; without it, each cut is summed here, over the edges
+    `dual.cut_edges` lists for it or else g.delta.  One pass over the
+    dual's values gives both its objective and the slacks."""
     if cut_value is None:
-        cut_value = dict(zip(sets, cut_values(x, map(g.delta, sets))))
+        edges = dual.cut_edges or {}
+        cuts = (edges.get(s) or g.delta(s) for s in sets)
+        cut_value = dict(zip(sets, cut_values(x, cuts)))
     violation = feasibility_violation(x, g, sets, (cut_value[s] for s in sets))
     if violation is not None:
         raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)
-    if dual.objective() != objective:
+    slacks = dual.slacks(g, costs)
+    if Rat(slacks.dual_objective, slacks.unit) != objective:
         raise StructureViolation("strong duality violated")
     dual_cut_value = {s: cut_value[s] for s in sets if dual.get(s)}
-    violation = slackness_violation(x, dual, dual.slacks(g, costs), dual_cut_value)
+    violation = slackness_violation(x, dual, slacks, dual_cut_value)
     if violation is not None:
         raise StructureViolation(f"complementary slackness: {violation['reason']}", witness=violation)
 
@@ -841,8 +960,10 @@ def solve_primal(
     res = simplex_solve(lp, dual_start(lp.objective) if start is None else start)
     objective = res.objective + y0 * g.n
     dual = None
-    if fractional_dual or all(v == ZERO or v == ONE for v in res.x):
+    if fractional_dual or res.integral:
         dual = DualSolution(zip(row_keys, res.duals))
+        # each cut row's coefficients are keyed by the edge ids of delta(S)
+        dual.cut_edges = {s: coefs.keys() for s, (coefs, _rel, _rhs) in zip(sets, lp.rows[g.n:])}
         if y0:
             dual.update((u, dual[u] + y0) for u in range(1, g.n + 1))
         certify_optimum(g, costs, fam.sets, res.x, objective, dual)
@@ -863,8 +984,9 @@ def solve_extremal_dual(
     Each |Psi(S)-Gamma(S)| is modelled as an up/down deviation pair from
     Gamma, keyed in the order: singletons by node id, then tight family sets
     by (size, min element), and posed in ints (see the comment below); Psi
-    is read back with one Rat per key, and x(delta(S)) of every family set
-    S is left in `psi.cut_value`.  Raises StructureViolation, with the set
+    is read back with one Rat per key, and x(delta(S)) and the edge ids of
+    delta(S) of every family set S are left in `psi.cut_value` and
+    `psi.cut_edges`.  Raises StructureViolation, with the set
     as witness, when x(delta(S)) < 1 for a family set S: x is not
     feasible.  On the simplex route the driver certifies x by this Psi
     (`certify_optimum`), so an LPInfeasible here is a structure violation.
@@ -894,26 +1016,24 @@ def solve_extremal_dual(
     units = {key: _scaled(val, d) for key, val in units.items()}
     sizes = math.lcm(*map(len, tight_sets))
 
+    # Key i's deviations are the mirrored pair (up, down) = (2i, 2i+1): a
+    # row gives the coefficient of up alone, and down's is minus it.
     lp = LinearProgram()
     up = {}
-    down = {}
     for key in keys:
-        w = sizes if isinstance(key, int) else sizes // len(key)
-        up[key] = lp.add_var(w)
-        down[key] = lp.add_var(w)
+        up[key] = lp.add_pair(sizes if isinstance(key, int) else sizes // len(key))
     for e, (u, v, _c) in enumerate(g.edges):
         coefs = {}
         load = 0
         for key in (min(u, v), max(u, v), *crossed[e]):
             coefs[up[key]] = 1
-            coefs[down[key]] = -1
             load += units[key]
         rel = "=" if x[e] else "<="
         lp.add_row(coefs, rel, _scaled(costs[e], d) - load)
 
     for s in tight_sets:
-        # Psi(S) = Gamma(S) + up - down must stay nonnegative
-        lp.add_row({down[s]: 1, up[s]: -1}, "<=", units[s])
+        # Psi(S) = Gamma(S) + up - down must stay nonnegative: down - up <= Gamma(S)
+        lp.add_row({up[s]: -1}, "<=", units[s])
 
     res = simplex_solve(lp)
 
@@ -922,7 +1042,7 @@ def solve_extremal_dual(
     psi = DualSolution()
     for key in keys:
         raised = res.x[up[key]]
-        moved, sign = (raised, 1) if raised else (res.x[down[key]], -1)
+        moved, sign = (raised, 1) if raised else (res.x[up[key] + 1], -1)
         den = int(moved.denominator)
         psi[key] = Rat(units[key] * den + sign * int(moved.numerator), d * den)
     for s in sets:
@@ -932,4 +1052,5 @@ def solve_extremal_dual(
     if psi.objective() != cost_value(x, costs):
         raise StructureViolation("extremal dual is not a dual optimum")
     psi.cut_value = cut_value
+    psi.cut_edges = dict(zip(sets, cuts))
     return psi

@@ -340,9 +340,9 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
         # complementary slackness and strong duality, exactly
         if cost_value(x, costs) != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
-        if dual.objective() != objective:
-            report.record("complementary_slackness", False, {"iteration": it, "reason": "weak duality gap"})
         slacks = dual.slacks(g, costs)
+        if Rat(slacks.dual_objective, slacks.unit) != objective:
+            report.record("complementary_slackness", False, {"iteration": it, "reason": "weak duality gap"})
         violation = slackness_violation(x, dual, slacks, cut_value)
         if violation is not None:
             report.record("complementary_slackness", False, {"iteration": it, **violation})

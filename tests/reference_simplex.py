@@ -5,7 +5,9 @@ to integer-preserving pivots, under the same entering rule, Bland's least
 index.  Without a start both kernels must make the same pivots and return
 the same x, duals, objective and pivot count, or raise the same error;
 tests/test_simplex_equivalence.py checks that.  A solve from a start (the
-dual simplex) is checked against it on x and the objective.
+dual simplex) is checked against it on x and the objective.  A program with
+mirrored pairs is solved with every pair written out as two columns
+(`written_out`).
 
 `simplex_solve(lp, events)` counts in `events` (a Counter, optional) the
 tableau situations the comparison must cover:
@@ -71,8 +73,24 @@ def _primal_loop(rows, rhs, rc, basis, allowed, pivots_box):
             raise StructureViolation(f"simplex pivot limit {lp_mod.PIVOT_LIMIT} exceeded")
 
 
+def written_out(lp: LinearProgram) -> LinearProgram:
+    """lp with no mirrored pairs: each row also gives the second column of
+    every pair, as minus the first's coefficient."""
+    paired = 2 * lp.pairs
+    rows = []
+    for coefs, rel, rhs in lp.rows:
+        full = {}
+        for j, v in coefs.items():
+            full[j] = v
+            if j < paired:
+                full[j + 1] = -v
+        rows.append((full, rel, rhs))
+    return LinearProgram(list(lp.objective), rows)
+
+
 def simplex_solve(lp: LinearProgram, events=None) -> SimplexResult:
     """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded."""
+    lp = written_out(lp)
     nstruct = lp.num_vars
     nrows = lp.num_rows
 

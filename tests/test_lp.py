@@ -287,10 +287,10 @@ class TestLazyRowScale:
                 seen.append(("read-out", stale(t, [r for r, b in enumerate(t.basis) if b < 4])))
             return done
 
-        def traced_pivot(t, r, c):
+        def traced_pivot(t, r, c, hit=None):
             if not in_loop[0]:
                 seen.append(("clean-up pivot row", stale(t, [r])))
-            pivot(t, r, c)
+            pivot(t, r, c, hit)
 
         monkeypatch.setattr(lp_mod, "_primal_loop", traced_loop)
         monkeypatch.setattr(lp_mod._Tableau, "pivot", traced_pivot)
@@ -415,20 +415,25 @@ class TestDualRecovery:
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_no_row_stores_an_artificial_column(self, name, monkeypatch):
         # columns first_art.. are the artificials; no pivot may leave one in
-        # a row, and rc spans the structural and slack columns alone
+        # a row, and rc spans the structural and slack columns alone.  No
+        # row stores the second column of a mirrored pair either, and the
+        # extremal LPs have pairs.
         first_art = []
         pivots = [0]
+        paired = [0]
         solve, pivot = lp_mod.simplex_solve, lp_mod._Tableau.pivot
 
         def tracked_solve(lp, start=None, **kwargs):
             first_art.append(lp.num_vars + sum(rel != "=" for _c, rel, _r in lp.rows))
             return solve(lp, start, **kwargs)
 
-        def checked_pivot(t, r, c):
-            pivot(t, r, c)
+        def checked_pivot(t, r, c, hit=None):
+            pivot(t, r, c, hit)
             pivots[0] += 1
+            paired[0] += t.paired > 0
             assert len(t.rc) == first_art[-1]
             assert all(j < first_art[-1] for row in t.rows for j in row)
+            assert not any(j < t.paired and j & 1 for row in t.rows for j in row)
 
         monkeypatch.setattr(lp_mod, "simplex_solve", tracked_solve)
         monkeypatch.setattr(lp_mod._Tableau, "pivot", checked_pivot)
@@ -439,6 +444,7 @@ class TestDualRecovery:
             except NoPerfectMatching:
                 pass
         assert first_art and pivots[0] > 0
+        assert paired[0] > 0
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_extremal_dual_never_recovers_duals(self, name, monkeypatch):
@@ -486,6 +492,121 @@ class TestDualRecovery:
             "raised dual recovery: basis system leaves a dual open",
             "raised dual recovery: inconsistent basis system",
         ]
+
+
+def paired_lp(draw) -> LinearProgram:
+    """A small LP shaped like the extremal-dual program: mirrored pairs
+    first, at costs >= 0, then up to two plain variables at costs >= 0, so
+    that no program is unbounded.  Its rows have all three relations,
+    rational coefficients and right-hand sides of both signs; most programs
+    end with an = row that is a multiple of an earlier row, which leaves an
+    artificial basic at zero after phase 1."""
+
+    def q():
+        return rat(draw(-4, 4), draw(1, 3))
+
+    lp = LinearProgram()
+    npairs = draw(1, 3)
+    for _ in range(npairs):
+        lp.add_pair(rat(draw(0, 4), draw(1, 3)))
+    for _ in range(draw(0, 2)):
+        lp.add_var(rat(draw(0, 4), draw(1, 2)))
+    cols = [2 * i for i in range(npairs)] + list(range(2 * npairs, lp.num_vars))
+    for _ in range(draw(1, 4)):
+        coefs = {j: q() for j in cols if draw(0, 2)}
+        lp.add_row(coefs, RELATIONS[draw(0, 2)], q())
+    if draw(0, 2):
+        coefs, _rel, rhs = lp.rows[draw(0, lp.num_rows - 1)]
+        k = rat(draw(1, 3), draw(1, 2)) * (-1) ** draw(0, 1)
+        lp.add_row({j: k * v for j, v in coefs.items()}, "=", k * rhs)
+    return lp
+
+
+def paired_case(draw) -> set:
+    """One paired program solved by `simplex_solve` against
+    `reference_simplex`, which writes every pair out as two columns: the
+    same x, duals, objective and pivot count, or the same error.  Returns
+    the cases reached: a mirror (the second column of a pair) entering in
+    phase 1 or phase 2, a mirror basic at the optimum, and an = row whose
+    dual comes from the basis solve with a mirror basic."""
+    lp = paired_lp(draw)
+    seen = set()
+    loops = []
+    primal_loop, pivot, solve_system = (
+        lp_mod._primal_loop, lp_mod._Tableau.pivot, lp_mod._integral_solution)
+
+    def traced_loop(t):
+        # the first loop of a solve that starts with an artificial basic is phase 1
+        first = not loops and any(b >= len(t.rc) for b in t.basis)
+        loops.append("phase 1" if first else "phase 2")
+        return primal_loop(t)
+
+    def traced_pivot(t, r, c, hit=None):
+        if c < t.paired and c & 1:
+            seen.add(f"mirror enters in {loops[-1]}")
+        pivot(t, r, c, hit)
+
+    def traced_system(equations, unknowns):
+        seen.add("= row dual from the basis solve")
+        return solve_system(equations, unknowns)
+
+    with mock.patch.object(lp_mod, "_primal_loop", traced_loop), \
+            mock.patch.object(lp_mod._Tableau, "pivot", traced_pivot), \
+            mock.patch.object(lp_mod, "_integral_solution", traced_system):
+        try:
+            res = simplex_solve(lp)
+        except LPInfeasible as exc:
+            got = ("LPInfeasible", str(exc))
+        else:
+            got = ("optimal", res.x, res.duals, res.objective, res.pivots)
+            t = res.tableau
+            if any(b < t.paired and b & 1 for b in t.basis):
+                seen.add("mirror basic at the optimum")
+            else:
+                seen.discard("= row dual from the basis solve")
+    assert got == outcome(reference_simplex.simplex_solve, lp)
+    assert got == outcome(simplex_solve, reference_simplex.written_out(lp))
+    return seen | {got[0]}
+
+
+class TestMirroredPairs:
+    """A mirrored pair is stored as one column (`LinearProgram.add_pair`),
+    and the kernel makes the pivots of the program written out in full."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_paired_lps_match_the_written_out_reference(self, data):
+        paired_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+    def test_seeded_sweep_covers_every_case(self):
+        rng = random.Random(23)
+        seen = Counter()
+        for _ in range(400):
+            seen.update(paired_case(rng.randint))
+        for case in ("optimal", "LPInfeasible", "mirror enters in phase 1",
+                     "mirror enters in phase 2", "mirror basic at the optimum",
+                     "= row dual from the basis solve"):
+            assert seen[case] > 0, seen
+
+    def test_pairs_come_first_and_rows_give_the_first_column(self):
+        lp = LinearProgram()
+        assert lp.add_pair(3) == 0 and lp.add_pair(rat(1, 2)) == 2
+        assert lp.objective == [3, 3, rat(1, 2), rat(1, 2)] and lp.pairs == 2
+        lp.add_row({0: 1, 2: -1}, "<=", 4)
+        with pytest.raises(ValueError, match="first column of a mirrored pair"):
+            lp.add_row({1: 1}, "<=", 4)
+        lp.add_var(1)
+        lp.add_row({4: 1}, ">=", 1)
+        with pytest.raises(ValueError, match="before every other variable"):
+            lp.add_pair(1)
+
+    def test_a_paired_program_takes_no_start(self):
+        lp = LinearProgram()
+        lp.add_pair(1)
+        lp.add_row({0: 1}, "=", -2)
+        assert simplex_solve(lp).x == [ZERO, 2]
+        with pytest.raises(ValueError, match="without a start"):
+            simplex_solve(lp, lp_mod.dual_start(lp.objective))
 
 
 class TestDualSlacks:
@@ -845,17 +966,22 @@ class TestExtremalDual:
         gamma = DualSolution.zeros(bowtie)
         solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
         lp = built[-1]
-        # keys: nodes, then the tight sets; key i owns variables 2i (up), 2i+1 (down)
+        # keys: nodes, then the tight sets; key i owns the mirrored pair of
+        # variables 2i (up), 2i+1 (down), at one cost, and a row gives the
+        # coefficient of up alone (down's is minus it)
         keys = list(range(1, 7)) + [TRIANGLE_LEFT, TRIANGLE_RIGHT]
+        assert lp.pairs == len(keys) and lp.num_vars == 2 * len(keys)
+        assert all(lp.objective[2 * i] == lp.objective[2 * i + 1] for i in range(len(keys)))
         for e, (u, v, _c) in enumerate(bowtie.edges):
             want = {}
             for i, key in enumerate(keys):
                 if key in (u, v) if isinstance(key, int) else (u in key) != (v in key):
                     want[2 * i] = ONE
-                    want[2 * i + 1] = -ONE
             coefs, _rel, _rhs = lp.rows[e]
             assert list(coefs.items()) == list(want.items())
-        assert len(lp.rows[6][0]) == 8  # the bridge crosses both triangles
+        assert len(lp.rows[6][0]) == 4  # the bridge: its two ends and both triangles
+        # each tight set's row down - up <= Gamma(S) gives up's coefficient, -1
+        assert [coefs for coefs, _rel, _rhs in lp.rows[7:]] == [{12: -ONE}, {14: -ONE}]
 
 
 def extremal_calls(g, solver) -> list:
