@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .rational import HALF, ONE, Rat, ZERO
+from .rational import ONE, Rat, ZERO
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,8 @@ def decompose_support(x: Sequence, g: Graph) -> SupportDecomposition:
 
     Purely structural: degree feasibility is not checked here.  Raises
     ValueError when x is not proper-half-integral.  One pass reads only the
-    nonzero entries, filling the 1-edges and the half-edge adjacency.
+    nonzero entries, filling the 1-edges and the half-edge adjacency; each
+    is classified by its int numerator and denominator, 1/1 or 1/2.
     """
     matched = []
     adj = {}
@@ -191,9 +192,10 @@ def decompose_support(x: Sequence, g: Graph) -> SupportDecomposition:
     for e, val in enumerate(x):
         if not val:
             continue
-        if val == ONE:
+        num, den = val.numerator, val.denominator
+        if num == 1 and den == 1:
             matched.append(e)
-        elif val == HALF:
+        elif num == 1 and den == 2:
             u, v, _c = edges[e]
             adj.setdefault(u, []).append((v, e))
             adj.setdefault(v, []).append((u, e))

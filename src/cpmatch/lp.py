@@ -19,12 +19,12 @@ its column: the primal ratio test, which reads every row's entry there,
 hands that list to `_Tableau.pivot`; the dual simplex lets the pivot walk
 the rows itself.
 
-A program may declare mirrored pairs (`LinearProgram.add_pair`): column
+A program may declare mirrored pairs (`LinearProgram.pairs`): column
 2i+1 is minus column 2i at the same cost, as each key's up and down
 deviation in `solve_extremal_dual` are.  The tableau stores one column per
-pair, since B^-1 A keeps the two opposite; the reduced costs, the basis and
-so Bland's entering order, the ratio-test tie-breaks, x and the duals keep
-both ids, so the pivots are those of the program written out in full.
+pair; the reduced costs, the basis and so Bland's order, the tie-breaks,
+x and the duals keep both ids, so the pivots are those of the program
+written out in full.
 
 The tableau stores no artificial column.  A row that starts with its
 artificial basic (row i's id is first_art + i) keeps that id in the basis
@@ -32,40 +32,35 @@ for the tie-breaks and the phase-1 sum, but no pivot reads an artificial
 column: a pivot computes column j from column j and the pivot column alone.
 So B^-1 is never built, and an artificial that leaves never enters again.
 
-Values become rationals only at the end: x_b = rhs_r/scale_r, and the
-duals are found from the final basis the first time a caller reads them
-(`SimplexResult.duals`).  With D = rc_scale = |det B|, z = D*y for the
-dual y of the scaled program: z_i is minus the reduced cost of row i's
-slack, plus that of its surplus, 0 while its artificial is basic, and for
-every other = row it is solved in ints from z.B = D*c_B over the basic
-structural columns (integral by Cramer's rule).  Each dual is z_i times
-L/(M*D), so strong duality and complementary slackness hold exactly on
-every solve.
+Values become rationals only when a caller reads them (`SimplexResult`):
+x_b = rhs_r/scale_r, and the duals from the final basis.  With D =
+rc_scale = |det B|, z = D*y for the dual y of the scaled program: z_i is
+minus the reduced cost of row i's slack, plus that of its surplus, 0 while
+its artificial is basic, and for every other = row it is solved in ints
+from z.B = D*c_B over the basic structural columns (integral by Cramer's
+rule).  Each dual is z_i times L/(M*D), so strong duality and
+complementary slackness hold exactly on every solve.
 
 A start is the final tableau of an optimal solve, which keeps its program
-in normalized form, or `dual_start`, the tableau of the program with no
-rows: x = 0 with the costs as reduced costs, optimal when every cost is
+in ints, or `dual_start`, the tableau of the program with no rows: x = 0 with the costs as reduced costs, optimal when every cost is
 >= 0.  Only lp's further rows are read.  Each is written at the current
 det, reduced against the synced rows of the basic columns it has entries
 in, and enters with its slack, surplus or artificial basic, infeasible
 where the old optimum violates it.  The basis stays dual feasible, and a
 dual simplex with a least-index rule (Lemke 1954; Koberstein, PhD thesis,
 Paderborn 2005) pivots through the same lazy-scale `pivot` to an optimum.
-`solve_primal` solves a round from the last round's tableau when every old
-cut is kept, appending the new cuts' rows so the old columns keep their
-ids, and any other round from the dual start.  The optimum x is unique
-under the cost perturbation, so the dual simplex reaches the x the
-two-phase simplex would; only the optimal basis and its dual may differ.
+The optimum x is unique under the cost perturbation, so the dual simplex
+reaches the x the two-phase simplex would; only the optimal basis and its
+dual may differ (see `solve_primal` for the starts it uses).
 
 LP values cross the boundary as ints.  A `LinearProgram` stores an int or
 a `Rat` as given, and both builders pose their programs in ints:
 `build_primal` has 0/+-1 coefficients, unit right-hand sides and int
-costs, and `solve_extremal_dual` counts each deviation from Gamma in units
-of one common denominator and scales its weights by the lcm of the set
-sizes.  `simplex_solve` takes L and M from the denominators of the non-int
-values alone (an all-int program is written as it is), sums the objective
-in ints, and builds a `Rat` only for a nonzero x_b or dual; whether x is
-integral is read off the ints too (`SimplexResult.integral`).
+costs, and `solve_extremal_dual` appends its rows in one pass over the
+edges.  `simplex_solve` takes L and M from the denominators of the
+non-int values alone (an all-int program is read as it is); x, its
+objective and integrality are read off the ints, with a `Rat` only for a
+nonzero x_b or dual; `solve_extremal_dual` reads Psi off the ints too.
 `DualSolution.slacks` are ints over one unit, summed with the dual
 objective in the same pass, and `slackness_violation` reads only their
 signs.
@@ -73,10 +68,9 @@ signs.
 One certificate per record.  `certify_optimum` checks a relaxation optimum
 against a dual: feasibility, strong duality and complementary slackness.
 A driver record carries the basis dual only for an integral x, so only
-then does `solve_primal` recover and check it, reading delta(S) off each
-cut row of its program; every other simplex optimum is certified once, by
-the extremal dual Psi its record carries, on the cut values and the cut
-edge lists `solve_extremal_dual` left on Psi.
+then does `solve_primal` recover and check it; every other simplex optimum
+is certified once, by the extremal dual Psi its record carries, on the cut
+values and edge lists `solve_extremal_dual` left on Psi.
 """
 
 from __future__ import annotations
@@ -109,13 +103,15 @@ class LinearProgram:
     """Minimization LP: one variable per add_var, rows are <=, >= or =.
 
     Every value is an int or a Rat (see `_exact`).  The first 2*`pairs`
-    variables, made by `add_pair`, are mirrored pairs: column 2i+1 is minus
-    column 2i, at the same cost, so a row gives only the coefficient of 2i.
+    variables are mirrored pairs (`add_pair`): column 2i+1 is minus column
+    2i, at the same cost, so a row gives only the coefficient of 2i
+    (`simplex_solve` checks).  A builder may fill the lists and `pairs`
+    itself, as `solve_extremal_dual` does.
     """
 
     objective: list = field(default_factory=list)
     rows: list = field(default_factory=list)  # (coefs: dict[var, int | Rat], rel, rhs)
-    pairs: int = field(default=0, init=False)  # set by add_pair alone
+    pairs: int = field(default=0, init=False)
 
     def add_var(self, obj_coef) -> int:
         self.objective.append(_exact(obj_coef))
@@ -134,9 +130,6 @@ class LinearProgram:
     def add_row(self, coefs: dict, rel: str, rhs):
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        paired = 2 * self.pairs
-        if paired and any(k < paired and k & 1 for k in coefs):
-            raise ValueError("a row gives only the first column of a mirrored pair")
         coefs = {k: v if type(v) in _EXACT else Rat(v) for k, v in coefs.items()}  # _exact
         self.rows.append((coefs, rel, _exact(rhs)))
 
@@ -150,23 +143,28 @@ class LinearProgram:
 
 
 class SimplexResult:
-    """x, objective and pivot count of an optimal basis, and `duals`: one
-    per input row, sign matching the original relation.  `duals` is either
-    given as a list or computed by `recover()` the first time it is read,
-    so a caller that reads only x never pays for it.  `integral` says
-    whether every x is an int, None when not known.  `tableau` is the
-    final tableau, a warm start for a program with more rows."""
+    """An optimal basis's pivot count, x, `objective`, whether every x is
+    an int (`integral`, None when not known) and `duals`, one per input
+    row, sign matching the original relation.  Each is given or computed on
+    first read: x, objective and integral by `read`, the duals by
+    `recover`.  `tableau`, the final tableau, warm-starts a program with
+    more rows."""
 
-    def __init__(self, x, objective, pivots, duals=None, recover=None, tableau=None,
-                 integral=None):
-        self.x = x
-        self.objective = objective
-        self.pivots = pivots
-        self.tableau = tableau
-        self.integral = integral
+    def __init__(self, pivots, x=None, objective=None, duals=None, read=None, recover=None,
+                 tableau=None):
+        self.pivots, self.tableau, self._read, self._recover = pivots, tableau, read, recover
+        if x is not None:
+            self._primal = (x, objective, None)
         if duals is not None:
             self.duals = duals
-        self._recover = recover
+
+    @cached_property
+    def _primal(self) -> tuple:
+        return self._read()
+
+    x = property(lambda self: self._primal[0])
+    objective = property(lambda self: self._primal[1])
+    integral = property(lambda self: self._primal[2])
 
     @cached_property
     def duals(self) -> list:
@@ -186,21 +184,18 @@ class _Tableau:
     pivot multiplies det B by the true pivot value and rewrites only the
     rows with a nonzero entry in the pivot column, each with an exact
     integer division (Bareiss 1968, Edmonds 1967), and deletes every entry
-    that cancels to 0.  The caller may hand `pivot` that list of rows, as
-    the primal ratio test does; otherwise it walks every row to find them.
-    `pivots` counts the pivots made.
+    that cancels to 0.  `pivots` counts the pivots made.
 
     The columns below `paired` are mirrored pairs: column 2i+1 is minus
-    column 2i in every basis, since B^-1 is linear, so a row stores column
-    2i alone and its entry in 2i+1 is minus that.  The pair's two ids stay
-    apart everywhere else: in `rc`, which holds both, in `basis`, and so in
-    the entering order and the tie-breaks.  At most one id of a pair is
-    basic, as the two columns are dependent.
+    column 2i in every basis (B^-1 is linear), so a row stores column 2i
+    alone.  `rc` and `basis` keep both ids, and so do the entering order
+    and the tie-breaks; at most one id of a pair is basic, as the two
+    columns are dependent.
 
-    The program solved is kept in normalized form, for a warm start to
-    extend: its rows (`norm`) with their signs (`flip`), each row's slack or
-    surplus column (`aux_col`, None for an = row), the int costs and the
-    (row, cost) `scales`.
+    The program solved is kept for a warm start to extend and for the
+    duals: its rows in ints at row scale L, as given (`norm`), each row's
+    slack or surplus column (`aux_col`, None for an = row), the int costs
+    and the (row, cost) `scales`.
     """
 
     def __init__(self, rows, rhs, basis, paired=0):
@@ -213,7 +208,7 @@ class _Tableau:
         self.rc = []
         self.rc_scale = 1
         self.pivots = 0
-        self.norm = self.flip = self.aux_col = self.cost = self.scales = None
+        self.norm = self.aux_col = self.cost = self.scales = None
 
     def synced(self, r):
         """Row r, first rewritten at the current det if it is not there.
@@ -365,40 +360,52 @@ def _in_ints(values) -> tuple:
     return scale, [_scaled(v, scale) for v in values]
 
 
-def _two_phase(norm, aux_col, first_art, row_scale, cost, paired=0, ints=False) -> _Tableau:
-    """The optimal tableau of the normalized program, by the two-phase
-    simplex under Bland's rule from the slack and artificial basis.  With
-    `ints`, every value of norm is an int, written as it is at row scale 1.
-    The columns below `paired` are mirrored pairs (see `_Tableau`)."""
-    nstruct = len(cost)
-    # A <= row starts with its slack basic, a >= or = row i with its
-    # artificial, whose column first_art + i is not stored: only its id
-    # enters the basis.
-    rows, rhs, basis = [], [], []
-    for i, (coefs, rel, r) in enumerate(norm):
-        if ints:
-            row = {k: v for k, v in coefs.items() if v}
-        else:
-            row = {k: _scaled(v, row_scale) for k, v in coefs.items() if v}
-            r = _scaled(r, row_scale)
-        if rel != "=":
-            row[aux_col[i]] = 1 if rel == "<=" else -1
-        basis.append(aux_col[i] if rel == "<=" else first_art + i)
-        rows.append(row)
-        rhs.append(r)
-    t = _Tableau(rows, rhs, basis, paired)
+# A row's relation once it is negated.
+_NEGATED = {"<=": ">=", ">=": "<=", "=": "="}
 
-    # Phase 1: drive the artificial variables (ids first_art..) to zero.
-    # Its costs are 0 on every column, so a mirror's reduced cost is minus
-    # its pair's.
-    artificial = [r for r, b in enumerate(basis) if b >= first_art]
-    if artificial:
-        rc = t.rc = [0] * first_art
-        for r in artificial:
-            for j, v in rows[r].items():
+
+def _two_phase(norm, cost, paired) -> _Tableau:
+    """The optimal tableau of the program with int rows `norm`, by the
+    two-phase simplex under Bland's rule from the slack and artificial
+    basis; the columns below `paired` are mirrored pairs (see `_Tableau`).
+
+    One pass writes each row, negated if its right-hand side is negative
+    (a <= row becomes >=), with its slack (+1, basic) or surplus (-1).  A
+    >= or = row i starts with its artificial basic, whose column
+    first_art + i is not stored, and is subtracted from the phase-1
+    reduced costs (cost 1 on each artificial)."""
+    nstruct = len(cost)
+    first_art = nstruct + len(norm) - [rel for _c, rel, _r in norm].count("=")
+    rows, rhs, basis, aux_col, artificial = [], [], [], [], []
+    rc = [0] * first_art
+    col = nstruct
+    for i, (coefs, rel, b) in enumerate(norm):
+        if b < 0:
+            row, b, rel = {k: -v for k, v in coefs.items() if v}, -b, _NEGATED[rel]
+        else:
+            row = {k: v for k, v in coefs.items() if v}
+        aux_col.append(None if rel == "=" else col)
+        if rel == "<=":
+            row[col] = 1
+            basis.append(col)
+        else:
+            if rel == ">=":
+                row[col] = -1
+            basis.append(first_art + i)
+            artificial.append(i)
+            for j, v in row.items():
                 rc[j] -= v
-        for j in range(0, paired, 2):
-            rc[j + 1] = -rc[j]
+        col += rel != "="
+        rows.append(row)
+        rhs.append(b)
+    t = _Tableau(rows, rhs, basis, paired)
+    t.norm, t.aux_col = norm, aux_col
+
+    # Phase 1: drive the artificials to zero.  A mirror's reduced cost is
+    # minus its pair's.
+    if artificial:
+        rc[1:paired:2] = [-a for a in rc[:paired:2]]
+        t.rc = rc
         if not _primal_loop(t):
             raise StructureViolation("phase-1 objective cannot be unbounded")
         # Every stored rhs is >= 0 at any scale, so the sum is 0 exactly
@@ -423,8 +430,7 @@ def _two_phase(norm, aux_col, first_art, row_scale, cost, paired=0, ints=False) 
             cb = cost[b]
             for j, v in t.synced(r).items():
                 rc[j] -= cb * v
-    for j in range(0, paired, 2):
-        rc[j + 1] = 2 * d * cost[j] - rc[j]
+    rc[1:paired:2] = [2 * d * c - a for c, a in zip(cost[:paired:2], rc[:paired:2])]
     t.rc, t.rc_scale = rc, d
     if not _primal_loop(t):
         raise LPUnbounded("objective unbounded below")
@@ -440,36 +446,41 @@ def dual_start(objective) -> _Tableau:
         raise ValueError("a dual start needs costs >= 0")
     t = _Tableau([], [], [])
     t.rc = list(cost)
-    t.norm, t.flip, t.aux_col, t.cost, t.scales = [], [], [], cost, (1, cost_scale)
+    t.norm, t.aux_col, t.cost, t.scales = [], [], cost, (1, cost_scale)
     return t
 
 
-def _extended(t: _Tableau, norm, aux_col, first_art, row_scale) -> _Tableau:
-    """t with the rows of norm past its own appended, each written at the
-    current det with its slack, surplus or artificial basic.
+def _extended(t: _Tableau, new) -> _Tableau:
+    """t with the int rows `new` appended to its program, each written at
+    the current det with its slack, surplus or artificial basic.
 
-    Row i is sign times its normalized row, sign -1 for a >= or = row and +1
-    for a <= row, so that its slack, surplus or artificial (first_art + i,
-    not stored) has coefficient +1.  It is reduced against the synced row of
+    Row i is sign times its row, sign +1 for a <= row and -1 for a >= or =
+    row, so that its slack, surplus or artificial (first_art + i, not
+    stored) has coefficient +1.  It is reduced against the synced row of
     each basic column it has an entry in: D*sign*a - sum of sign*a_j * row_j,
     right-hand side D*sign*b - sum of sign*a_j * rhs_j, and D in its aux
-    column.  The new columns' reduced costs are 0.  The artificial ids move
-    up past the new aux columns, and `basis` and `rc` become new lists, so a
-    result read from t before keeps its duals."""
-    shift = first_art - len(t.rc)
-    t.basis = [b + shift if b >= len(t.rc) else b for b in t.basis]
+    column, whose reduced cost is 0.  The artificial ids move up past the
+    new aux columns, and `basis`, `rhs`, `scale` and `rc` become new lists,
+    so a result read from t before keeps its values."""
+    col = len(t.rc)
+    first_art = col + len(new) - [rel for _c, rel, _r in new].count("=")
+    shift = first_art - col
+    t.basis = [b + shift if b >= col else b for b in t.basis]
     t.rc = t.rc + [0] * shift
+    t.rhs, t.scale = list(t.rhs), list(t.scale)
     t.pivots = 0
     d = t.det
     row_of = {b: r for r, b in enumerate(t.basis)}
-    for i in range(len(t.rows), len(norm)):
-        coefs, rel, b = norm[i]
+    aux_col = list(t.aux_col)
+    for i, (coefs, rel, b) in enumerate(new, len(t.rows)):
         sign = 1 if rel == "<=" else -1
-        row = {} if rel == "=" else {aux_col[i]: d}
-        t.basis.append(first_art + i if rel == "=" else aux_col[i])
-        rhs = sign * d * _scaled(b, row_scale)
+        aux_col.append(None if rel == "=" else col)
+        t.basis.append(first_art + i if rel == "=" else col)
+        row = {} if rel == "=" else {col: d}
+        col += rel != "="
+        rhs = sign * d * b
         for j, v in coefs.items():
-            f = sign * _scaled(v, row_scale)
+            f = sign * v
             r = row_of.get(j)
             if r is None:
                 row[j] = row.get(j, 0) + d * f
@@ -481,6 +492,7 @@ def _extended(t: _Tableau, norm, aux_col, first_art, row_scale) -> _Tableau:
         t.rows.append({k: a for k, a in row.items() if a})
         t.rhs.append(rhs)
         t.scale.append(d)
+    t.norm, t.aux_col = t.norm + new, aux_col
     return t
 
 
@@ -542,77 +554,66 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
     pairs (`LinearProgram.pairs`) is solved without a start.
     """
     nstruct = lp.num_vars
-    nrows = lp.num_rows
     paired = 2 * lp.pairs
-    if paired and start is not None:
-        raise ValueError("a program with mirrored pairs is solved without a start")
-
-    # Normalize to equality form with rhs >= 0: flip <=/>= rows with
-    # negative rhs, then add a slack (+1, <=) or surplus (-1, >=) column.
-    # A start's program is extended from copies of its lists; its rc spans
-    # its structural and slack columns, so the next aux column is len(rc).
-    norm, flip, aux_col, ncols = [], [], [], nstruct
-    if start is not None:
-        norm, flip, aux_col = list(start.norm), list(start.flip), list(start.aux_col)
-        ncols = len(start.rc)
-    done = len(norm)
-    for coefs, rel, rhs in lp.rows[done:]:
-        if rhs < 0:
-            coefs = {k: -v for k, v in coefs.items()}
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            flip.append(-1)
-        else:
-            flip.append(1)
-        norm.append((coefs, rel, rhs))
-        aux_col.append(None if rel == "=" else ncols)
-        ncols += rel != "="
-    first_art = ncols
+    if paired:
+        if start is not None:
+            raise ValueError("a program with mirrored pairs is solved without a start")
+        if any(k < paired and k & 1 for coefs, _rel, _rhs in lp.rows for k in coefs):
+            raise ValueError("a row gives only the first column of a mirrored pair")
+    done = 0 if start is None else len(start.rows)
+    rows = lp.rows[done:]
 
     # One scale for all rows and one for the objective make the data
     # integral.  A per-row scale would reweight the phase-1 artificials
     # against each other and could change Bland's path.
-    dens = [int(v.denominator) for coefs, _rel, rhs in norm[done:]
+    dens = [int(v.denominator) for coefs, _rel, rhs in rows
             for v in (rhs, *coefs.values()) if type(v) is not int]
     row_scale = math.lcm(*dens)
     if start is None:
         cost_scale, cost = _in_ints(lp.objective)
-        t = _two_phase(norm, aux_col, first_art, row_scale, cost, paired, ints=not dens)
     else:
         (start_scale, cost_scale), cost = start.scales, start.cost
         if len(cost) != nstruct or (done and start_scale % row_scale):
             raise ValueError("the start tableau was solved at other scales")
         row_scale = math.lcm(row_scale, start_scale)  # start_scale once it has rows
-        t = _extended(start, norm, aux_col, first_art, row_scale)
+    if dens or row_scale != 1:
+        rows = [({k: _scaled(v, row_scale) for k, v in coefs.items()}, rel, _scaled(b, row_scale))
+                for coefs, rel, b in rows]
+    if start is None:
+        t = _two_phase(rows, cost, paired)
+    else:
+        t = _extended(start, rows)
         _dual_simplex(t)
-    t.norm, t.flip, t.aux_col, t.cost, t.scales = norm, flip, aux_col, cost, (row_scale, cost_scale)
-    basis, rhs, rc = t.basis, t.rhs, t.rc
+    t.cost, t.scales = cost, (row_scale, cost_scale)
+    norm, aux_col, basis, rhs, scale, rc = t.norm, t.aux_col, t.basis, t.rhs, t.scale, t.rc
+    first_art, det = len(rc), t.rc_scale
 
-    # Only a basic structural column with a nonzero right-hand side gets a
-    # Rat of its own, and x is integral when each such rhs_r is a multiple
-    # of its scale.  The objective sums cost_b * rhs_r per row scale in
-    # ints, then once over the lcm of those scales.
-    x = [ZERO] * nstruct
-    by_scale = {}
-    integral = True
-    for r, b in enumerate(basis):
-        if b < nstruct and rhs[r]:
-            s = t.scale[r]
-            x[b] = Rat(rhs[r], s)
-            by_scale[s] = by_scale.get(s, 0) + cost[b] * rhs[r]
-            if rhs[r] % s:
-                integral = False
-    common = math.lcm(*by_scale)
-    objective = Rat(sum(a * (common // s) for s, a in by_scale.items()), common * cost_scale)
-    det = t.rc_scale
+    def read():
+        # Only a basic structural column with a nonzero right-hand side
+        # gets a Rat of its own, and x is integral when each such rhs_r is
+        # a multiple of its scale.  The objective sums cost_b * rhs_r per
+        # row scale in ints, then once over the lcm of those scales.
+        x = [ZERO] * nstruct
+        by_scale = {}
+        integral = True
+        for b, v, s in zip(basis, rhs, scale):
+            if b < nstruct and v:
+                x[b] = Rat(v, s)
+                by_scale[s] = by_scale.get(s, 0) + cost[b] * v
+                if v % s:
+                    integral = False
+        common = math.lcm(*by_scale)
+        return x, Rat(sum(a * (common // s) for s, a in by_scale.items()),
+                      common * cost_scale), integral
 
     def duals():
         # z = D*y for the dual y of the scaled program (rows times L, costs
-        # times M).  Rows with a slack or surplus read z off its reduced
+        # times M), each row as given (negated, it keeps its slack or
+        # surplus).  Rows with a slack or surplus read z off its reduced
         # cost, rows whose artificial is basic have z = 0, and the other =
         # rows are solved from z.B = D*c_B, one equation per basic
-        # structural column; a row known to have z = 0 adds nothing to it.
-        # A basic mirror reads its pair's coefficients, negated.
+        # structural column.  A basic mirror reads its pair's coefficients,
+        # negated.
         z = {}
         for i, (_coefs, rel, _r) in enumerate(norm):
             if rel == "<=":
@@ -621,6 +622,7 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
                 z[i] = rc[aux_col[i]]
             elif basis[i] >= first_art:
                 z[i] = 0
+        nrows = len(norm)
         if len(z) < nrows:
             basic = [b for b in basis if b < nstruct]
             unknowns_of = {b: {} for b in basic}
@@ -630,10 +632,11 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
                 zi = z.get(i)
                 if zi == 0:
                     continue
-                for j, v in coefs.items():
+                for j, a in coefs.items():
                     b = column_of.get(j)
-                    if b is not None and v:
-                        a = -_scaled(v, row_scale) if b != j else _scaled(v, row_scale)
+                    if b is not None and a:
+                        if b != j:
+                            a = -a
                         if zi is None:
                             unknowns_of[b][i] = a
                         else:
@@ -643,13 +646,9 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
                 [i for i in range(nrows) if i not in z],
             ))
         dual_scale = cost_scale * det
-        return [
-            Rat(flip[i] * z[i] * row_scale, dual_scale) if z[i] else ZERO
-            for i in range(nrows)
-        ]
+        return [Rat(z[i] * row_scale, dual_scale) if z[i] else ZERO for i in range(nrows)]
 
-    return SimplexResult(x=x, objective=objective, pivots=t.pivots, recover=duals, tableau=t,
-                         integral=integral)
+    return SimplexResult(t.pivots, read=read, recover=duals, tableau=t)
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -978,21 +977,23 @@ def solve_extremal_dual(
     """Dual optimum of P_F minimizing sum |Psi(S)-Gamma(S)|/|S| over V and
     the tight family sets.
 
-    The program fixes equality on supp(x) edges and restricts the support of
-    Psi to singletons and tight sets, so its feasible points are exactly the
-    dual optima; LPInfeasible therefore certifies that x is not optimal.
+    The program fixes equality on supp(x) edges and restricts Psi to
+    singletons and tight sets, so its feasible points are exactly the dual
+    optima; LPInfeasible therefore certifies that x is not optimal.
     Each |Psi(S)-Gamma(S)| is modelled as an up/down deviation pair from
     Gamma, keyed in the order: singletons by node id, then tight family sets
-    by (size, min element), and posed in ints (see the comment below); Psi
-    is read back with one Rat per key, and x(delta(S)) and the edge ids of
-    delta(S) of every family set S are left in `psi.cut_value` and
-    `psi.cut_edges`.  Raises StructureViolation, with the set
-    as witness, when x(delta(S)) < 1 for a family set S: x is not
+    by (size, min element), and posed in ints in one pass over the edges.
+    Psi is read off the final tableau's ints, at most one Rat per key, and
+    strong duality (sum of Psi = c.x) is checked in ints.  x(delta(S)) and
+    the edge ids of delta(S) of every family set S are left in
+    `psi.cut_value` and `psi.cut_edges`.  Raises StructureViolation, with
+    the set as witness, when x(delta(S)) < 1 for a family set S: x is not
     feasible.  On the simplex route the driver certifies x by this Psi
     (`certify_optimum`), so an LPInfeasible here is a structure violation.
     """
+    n = g.n
     tight_sets = []
-    crossed = [[] for _ in range(g.m)]  # tight sets each edge crosses, in key order
+    crossed = [[] for _ in range(g.m)]  # the tight keys each edge crosses
     sets = fam.sets
     cuts = [g.delta(s) for s in sets]
     cut_value = {}
@@ -1001,56 +1002,57 @@ def solve_extremal_dual(
         if value < ONE:
             raise StructureViolation("primal is below one on a cut", witness=sorted(s))
         if value == ONE:
-            tight_sets.append(s)
             for e in cut:
-                crossed[e].append(s)
-    keys = list(range(1, g.n + 1)) + tight_sets
+                crossed[e].append(n + len(tight_sets))
+            tight_sets.append(s)
+    keys = list(range(1, n + 1)) + tight_sets
 
     # In ints: each deviation counts units of 1/d, d the lcm of the
     # denominators of Gamma on the keys and of the costs, and each weight
     # 1/|S| is multiplied by the lcm of the tight-set sizes.  Both scale every
     # right-hand side, or the objective, by one positive number, so Bland's
     # rule makes the pivots it makes in true units and reaches the same Psi.
-    units = {key: gamma.get(key, 0) for key in keys}
-    d = math.lcm(*_denominators(units.values()), *_denominators(costs))
-    units = {key: _scaled(val, d) for key, val in units.items()}
+    values = [gamma.get(key, ZERO) for key in keys]
+    d = math.lcm(*_denominators(values), *_denominators(costs))
+    units = [_scaled(v, d) for v in values]
     sizes = math.lcm(*map(len, tight_sets))
 
     # Key i's deviations are the mirrored pair (up, down) = (2i, 2i+1): a
-    # row gives the coefficient of up alone, and down's is minus it.
-    lp = LinearProgram()
-    up = {}
-    for key in keys:
-        up[key] = lp.add_pair(sizes if isinstance(key, int) else sizes // len(key))
-    for e, (u, v, _c) in enumerate(g.edges):
-        coefs = {}
-        load = 0
-        for key in (min(u, v), max(u, v), *crossed[e]):
-            coefs[up[key]] = 1
-            load += units[key]
-        rel = "=" if x[e] else "<="
-        lp.add_row(coefs, rel, _scaled(costs[e], d) - load)
+    # row gives the coefficient of up alone, and down's is minus it.  Edge
+    # uv's row holds u, v and the tight sets it crosses, in key order.
+    lp = LinearProgram([sizes] * (2 * n) + [w for s in tight_sets for w in (sizes // len(s),) * 2])
+    lp.pairs = len(keys)
+    rows = lp.rows
+    for (u, v, _c), xe, at, c in zip(g.edges, x, crossed, costs):
+        at = (u - 1, v - 1, *at) if u < v else (v - 1, u - 1, *at)
+        rows.append((dict.fromkeys([2 * i for i in at], 1), "=" if xe else "<=",
+                     _scaled(c, d) - sum(map(units.__getitem__, at))))
+    # Psi(S) = Gamma(S) + up - down >= 0: down - up <= Gamma(S)
+    rows += [({2 * i: -1}, "<=", units[i]) for i in range(n, len(keys))]
 
-    for s in tight_sets:
-        # Psi(S) = Gamma(S) + up - down must stay nonnegative: down - up <= Gamma(S)
-        lp.add_row({up[s]: -1}, "<=", units[s])
+    t = simplex_solve(lp).tableau
 
-    res = simplex_solve(lp)
-
-    # Psi(key) = (units + up - down) / d, where up or down is zero: their
-    # columns are opposite, so at most one of them is basic.
-    psi = DualSolution()
-    for key in keys:
-        raised = res.x[up[key]]
-        moved, sign = (raised, 1) if raised else (res.x[up[key] + 1], -1)
-        den = int(moved.denominator)
-        psi[key] = Rat(units[key] * den + sign * int(moved.numerator), d * den)
-    for s in sets:
-        if psi.setdefault(s, ZERO) < ZERO:
+    # Psi_i = num_i / (d*den_i) = units_i + up - down in units of 1/d.  At
+    # most one of up, down is basic, in some row r at rhs_r/scale_r: then
+    # num_i = units_i*scale_r +- rhs_r and den_i = scale_r, else Psi_i is
+    # Gamma_i, num_i = units_i and den_i = 1.
+    num, den = units, [1] * len(keys)
+    for b, v, s in zip(t.basis, t.rhs, t.scale):
+        if b < lp.pairs * 2 and v:
+            i = b >> 1
+            num[i] = num[i] * s + (-v if b & 1 else v)
+            den[i] = s
+            values[i] = Rat(num[i], d * s)
+    for i, s in enumerate(tight_sets, n):
+        if num[i] < 0:
             raise StructureViolation("extremal dual is negative on a cut", witness=sorted(s))
-
-    if psi.objective() != cost_value(x, costs):
+    # sum of Psi in ints over one denominator, d*common, then one Rat
+    common = math.lcm(*den)
+    if Rat(sum(a * (common // s) for a, s in zip(num, den)), d * common) != cost_value(x, costs):
         raise StructureViolation("extremal dual is not a dual optimum")
+    psi = DualSolution(zip(keys, values))
+    for s in sets:
+        psi.setdefault(s, ZERO)
     psi.cut_value = cut_value
     psi.cut_edges = dict(zip(sets, cuts))
     return psi

@@ -593,8 +593,11 @@ class TestMirroredPairs:
         assert lp.add_pair(3) == 0 and lp.add_pair(rat(1, 2)) == 2
         assert lp.objective == [3, 3, rat(1, 2), rat(1, 2)] and lp.pairs == 2
         lp.add_row({0: 1, 2: -1}, "<=", 4)
+        # the rule is checked once per program, when it is solved
+        bad = LinearProgram(lp.objective, lp.rows + [({1: 1}, "<=", 4)])
+        bad.pairs = lp.pairs
         with pytest.raises(ValueError, match="first column of a mirrored pair"):
-            lp.add_row({1: 1}, "<=", 4)
+            simplex_solve(bad)
         lp.add_var(1)
         lp.add_row({4: 1}, ">=", 1)
         with pytest.raises(ValueError, match="before every other variable"):
@@ -982,6 +985,88 @@ class TestExtremalDual:
         assert len(lp.rows[6][0]) == 4  # the bridge: its two ends and both triangles
         # each tight set's row down - up <= Gamma(S) gives up's coefficient, -1
         assert [coefs for coefs, _rel, _rhs in lp.rows[7:]] == [{12: -ONE}, {14: -ONE}]
+
+    @staticmethod
+    def with_moved_deviation(monkeypatch, column, rhs):
+        """Make lp.simplex_solve return its tableau with the row where
+        deviation `column` is basic given right-hand side rhs(scale)."""
+        real = lp_mod.simplex_solve
+
+        def moved(lp, start=None):
+            res = real(lp, start)
+            t = res.tableau
+            r = t.basis.index(column)
+            t.rhs[r] = rhs(t.scale[r])
+            return res
+
+        monkeypatch.setattr(lp_mod, "simplex_solve", moved)
+
+    def test_a_moved_deviation_breaks_strong_duality(
+        self, bowtie, bowtie_perturbed, bowtie_family, monkeypatch
+    ):
+        # up of TRIANGLE_LEFT (key 6, column 12) is basic at 1289; one more
+        # unit keeps Psi >= 0 and moves sum(Psi) off c.x
+        x, _dual, _obj = solve_primal(bowtie, bowtie_perturbed.scaled, bowtie_family)
+        gamma = DualSolution.zeros(bowtie)
+        self.with_moved_deviation(monkeypatch, 12, lambda s: 1290 * s)
+        with pytest.raises(StructureViolation, match="^extremal dual is not a dual optimum$"):
+            solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
+
+    def test_a_moved_deviation_makes_a_cut_negative(
+        self, bowtie, bowtie_perturbed, bowtie_family, monkeypatch
+    ):
+        x, _dual, _obj = solve_primal(bowtie, bowtie_perturbed.scaled, bowtie_family)
+        gamma = DualSolution.zeros(bowtie)
+        self.with_moved_deviation(monkeypatch, 12, lambda s: -s)
+        with pytest.raises(StructureViolation, match="^extremal dual is negative on a cut$") as info:
+            solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
+        assert info.value.witness == sorted(TRIANGLE_LEFT)
+
+
+class TestExtremalTracerBoundary:
+    """benchmarks/tracing.py counts every lp.extremal.* metric at the
+    lp.simplex_solve call solve_extremal_dual makes: its pivots, its
+    program's tableau_cells, and the bit lengths of its x and duals."""
+
+    @staticmethod
+    def tableau_cells(lp) -> int:
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        return tracing.tableau_cells(lp)
+
+    @pytest.mark.parametrize("cuts, cells, weight", [(False, 133, 1), (True, 225, 3)])
+    def test_one_simplex_call_matches_the_reference(
+        self, bowtie, bowtie_perturbed, bowtie_family, cuts, cells, weight
+    ):
+        # weight: the lcm of the tight-set sizes, by which the int program
+        # scales the reference's objective, and so its duals
+        import reference_extremal
+
+        fam = bowtie_family if cuts else LaminarFamily(6)
+        x, _dual, _obj = solve_primal(bowtie, bowtie_perturbed.scaled, fam)
+        gamma = DualSolution.zeros(bowtie)
+        calls = {}
+        for module in (lp_mod, reference_extremal):
+            real = module.simplex_solve
+
+            def recorded(lp, *rest):
+                res = real(lp, *rest)
+                calls.setdefault(module, []).append((lp, res))
+                return res
+
+            with mock.patch.object(module, "simplex_solve", recorded):
+                module.solve_extremal_dual(bowtie, bowtie_perturbed.scaled, fam, x, gamma)
+        ((lp, res),) = calls[lp_mod]
+        ((_ref_lp, ref),) = calls[reference_extremal]
+        assert self.tableau_cells(lp) == cells
+        assert res.pivots == ref.pivots > 0
+        assert res.x == ref.x
+        assert res.duals == [weight * y for y in ref.duals]
 
 
 def extremal_calls(g, solver) -> list:
