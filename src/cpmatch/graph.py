@@ -257,41 +257,44 @@ def is_proper_half_integral(x: Sequence, g: Graph) -> bool:
     return True
 
 
-def _in_units(x) -> tuple:
+def in_units(x) -> tuple:
     """(scale, units) of the nonzero entries of x: scale is the lcm of their
-    denominators, and units[e] = x[e] * scale, an int, for each such e."""
+    denominators, and units[e] = x[e] * scale, an int, for each such e, in
+    ascending e.  A caller that sums x more than once computes it once and
+    passes it as `units` to `cut_values`, `cost_value` and
+    `feasibility_violation`."""
     support = [(e, val) for e, val in enumerate(x) if val]
     scale = math.lcm(*(val.denominator for _e, val in support))
     return scale, {e: val.numerator * (scale // val.denominator) for e, val in support}
 
 
-def cut_values(x: Sequence, cuts):
+def cut_values(x: Sequence, cuts, units=None):
     """Yield x(delta(S)) for each cut, given as its edge ids, in order.
 
     The one x(delta(S)) sum of the package: exact in ints, in the units of
-    `_in_units`, each yielded as the shared ONE or ZERO or one new Rat.  It
+    `in_units`, each yielded as the shared ONE or ZERO or one new Rat.  It
     is lazy, so a caller that stops early reads no further cut."""
-    scale, units = _in_units(x)
+    scale, units = units or in_units(x)
     for cut in cuts:
         k = sum(units.get(e, 0) for e in cut)
         yield ONE if k == scale else ZERO if not k else Rat(k, scale)
 
 
-def cost_value(x: Sequence, costs):
+def cost_value(x: Sequence, costs, units=None):
     """c.x, the one objective sum of the package: the int costs times the
-    units of `_in_units` over the support, summed as ints, then one Rat."""
-    scale, units = _in_units(x)
+    units of `in_units` over the support, summed as ints, then one Rat."""
+    scale, units = units or in_units(x)
     return Rat(sum(costs[e] * k for e, k in units.items()), scale)
 
 
-def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence, values=None):
+def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence, values=None, units=None):
     """The first breach of x >= 0, x(delta(u)) = 1 for all nodes and
     x(delta(S)) >= 1 for all cuts, as a witness dict; None if x is feasible.
 
-    Only the nonzero entries are read, in the units of `cut_values`.  A
+    Only the nonzero entries are read, in the units of `in_units`.  A
     caller that has summed the cuts passes their `values`, in order.
     """
-    scale, units = _in_units(x)
+    scale, units = units or in_units(x)
     deg = [0] * (g.n + 1)
     for e, k in units.items():
         if k < 0:
@@ -303,7 +306,7 @@ def feasibility_violation(x: Sequence, g: Graph, cut_sets: Sequence, values=None
     if node is not None:
         return {"node": node, "reason": "degree"}
     if values is None:
-        values = cut_values(x, map(g.delta, cut_sets))
+        values = cut_values(x, map(g.delta, cut_sets), (scale, units))
     for s, value in zip(cut_sets, values):
         if value < ONE:
             return {"set": sorted(s), "reason": "cut below one"}

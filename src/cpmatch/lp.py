@@ -81,7 +81,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import LPInfeasible, LPUnbounded, StructureViolation
-from .graph import Graph, cost_value, cut_values, feasibility_violation
+from .graph import Graph, cost_value, cut_values, feasibility_violation, in_units
 from .laminar import LaminarFamily, sorted_sets
 from .rational import ONE, Rat, ZERO
 
@@ -410,7 +410,7 @@ def _two_phase(norm, cost, paired) -> _Tableau:
             raise StructureViolation("phase-1 objective cannot be unbounded")
         # Every stored rhs is >= 0 at any scale, so the sum is 0 exactly
         # when each artificial is.
-        if sum(rhs[r] for r, b in enumerate(basis) if b >= first_art) != 0:
+        if sum(rhs[r] for r, b in enumerate(basis) if b >= first_art):
             raise LPInfeasible("phase-1 optimum positive")
         # Pivot basic artificials out where possible; all-zero rows are
         # redundant and keep their artificial pinned at zero (dual 0).  The
@@ -850,13 +850,13 @@ def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_v
     for e, slack in enumerate(slacks):
         if slack < 0:
             return {"edge": e, "reason": "dual infeasible"}
-        if slack and x[e] != ZERO:
+        if slack and x[e]:
             return {"edge": e, "reason": "support edge slack"}
     for s, value in cut_value.items():
         y = dual.of_set(s)
         if y < ZERO:
             return {"set": sorted(s), "reason": "negative cut dual"}
-        if y > ZERO and value != ONE:
+        if y and value != ONE:
             return {"set": sorted(s), "reason": "positive dual, slack cut"}
     return None
 
@@ -878,7 +878,7 @@ def certify_optimum(
         edges = dual.cut_edges or {}
         cuts = (edges.get(s) or g.delta(s) for s in sets)
         cut_value = dict(zip(sets, cut_values(x, cuts)))
-    violation = feasibility_violation(x, g, sets, (cut_value[s] for s in sets))
+    violation = feasibility_violation(x, g, sets, map(cut_value.__getitem__, sets))
     if violation is not None:
         raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)
     slacks = dual.slacks(g, costs)
@@ -997,7 +997,8 @@ def solve_extremal_dual(
     sets = fam.sets
     cuts = [g.delta(s) for s in sets]
     cut_value = {}
-    for s, cut, value in zip(sets, cuts, cut_values(x, cuts)):
+    x_units = in_units(x)
+    for s, cut, value in zip(sets, cuts, cut_values(x, cuts, x_units)):
         cut_value[s] = value
         if value < ONE:
             raise StructureViolation("primal is below one on a cut", witness=sorted(s))
@@ -1048,7 +1049,7 @@ def solve_extremal_dual(
             raise StructureViolation("extremal dual is negative on a cut", witness=sorted(s))
     # sum of Psi in ints over one denominator, d*common, then one Rat
     common = math.lcm(*den)
-    if Rat(sum(a * (common // s) for a, s in zip(num, den)), d * common) != cost_value(x, costs):
+    if Rat(sum(a * (common // s) for a, s in zip(num, den)), d * common) != cost_value(x, costs, x_units):
         raise StructureViolation("extremal dual is not a dual optimum")
     psi = DualSolution(zip(keys, values))
     for s in sets:

@@ -16,7 +16,9 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
-from .graph import Graph, cost_value, cut_values, decompose_support, feasibility_violation, make_graph
+from .graph import (
+    Graph, cost_value, cut_values, decompose_support, feasibility_violation, in_units, make_graph,
+)
 from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
 from .lp import DualSolution, slackness_violation
@@ -239,11 +241,17 @@ def parse_trace(lines) -> tuple:
     return header, records
 
 
-def _number(text, it, field: str):
-    """A record's "p" or "p/q" string as a Rat; SchemaMismatch otherwise."""
+def _number(text, it, field: str, memo: dict):
+    """A record's "p" or "p/q" string as a Rat; SchemaMismatch otherwise.
+    `memo` maps each string parsed so far in one replay to its Rat, so a
+    string is parsed once however often it recurs.  Only a str is looked
+    up, so a JSON list or object in its place raises SchemaMismatch too."""
     if isinstance(text, str):
+        if text in memo:
+            return memo[text]
         try:
-            return parse_rat(text)
+            memo[text] = parse_rat(text)
+            return memo[text]
         except (ValueError, ZeroDivisionError):
             pass
     raise SchemaMismatch(f"iteration {it}: {field} is not a rational: {text!r}")
@@ -266,7 +274,13 @@ def _cut(nodes, it, field: str) -> frozenset:
 
 
 def verify_trace(g: Graph, trace_lines) -> VerifyReport:
-    """Replay a trace against its instance and re-check every invariant."""
+    """Replay a trace against its instance and re-check every invariant.
+
+    Each piece of work is done once: a number string is parsed once per
+    call, whatever records repeat it; x is put in int units once per record
+    (`in_units`), for the cut, degree, objective and integrality checks;
+    and delta(S) of an imposed set S is read once per call, for the cut
+    values and, through `dual.cut_edges`, the slacks."""
     header, records = parse_trace(trace_lines)
     for key, value in trace_header(g).items():
         if header.get(key) != value:
@@ -278,6 +292,14 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
     for name in CHECK_NAMES:
         report.record(name, True)
 
+    numbers = {}  # number string -> its Rat
+    cut_edges = {}  # imposed set S -> the edge ids of delta(S)
+
+    def delta(s):
+        if s not in cut_edges:
+            cut_edges[s] = g.delta(s)
+        return cut_edges[s]
+
     prev_o = None
     critical_skip = "no extremal dual"  # why positively_critical has not run yet
     undecomposed = None  # first iteration whose support could not be decomposed
@@ -285,21 +307,22 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
     want = None  # the family the next record must impose
     for rec in records:
         it = rec["iteration"]
-        x = [_number(s, it, "primal") for s in rec["primal"]]
+        x = [_number(s, it, "primal", numbers) for s in rec["primal"]]
         if len(x) != g.m:
             raise SchemaMismatch(f"iteration {it}: primal length {len(x)}")
         dual = DualSolution()
+        dual.cut_edges = cut_edges
         for u_str, val in rec["dual_nodes"].items():
-            dual[_node(u_str, it)] = _number(val, it, "dual_nodes")
+            dual[_node(u_str, it)] = _number(val, it, "dual_nodes", numbers)
         for entry in rec["dual_sets"]:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SchemaMismatch(f"iteration {it}: dual_sets entry is not [nodes, value]: {entry!r}")
-            dual[_cut(entry[0], it, "dual_sets")] = _number(entry[1], it, "dual_sets")
+            dual[_cut(entry[0], it, "dual_sets")] = _number(entry[1], it, "dual_sets", numbers)
         imposed, retained, added = (
             [_cut(s, it, field) for s in rec[field]]
             for field in ("cuts_imposed", "cuts_retained", "cuts_added")
         )
-        objective = _number(rec["objective_scaled"], it, "objective_scaled")
+        objective = _number(rec["objective_scaled"], it, "objective_scaled", numbers)
 
         # Every check below runs on each record, except the ones that need
         # the support decomposition of a half-integral x.
@@ -317,10 +340,11 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
                 report.record("cycle_monotonicity", False, {"iteration": it, "o": dec.o, "prev": prev_o})
             prev_o = dec.o
 
-        # x(delta(S)) of each imposed set, read once for the feasibility and
-        # the complementary-slackness test
-        cut_value = dict(zip(imposed, cut_values(x, map(g.delta, imposed))))
-        degree_violation = feasibility_violation(x, g, ())
+        # x in int units, and x(delta(S)) of each imposed set, read once for
+        # the feasibility, objective and complementary-slackness tests
+        units = in_units(x)
+        cut_value = dict(zip(imposed, cut_values(x, map(delta, imposed), units)))
+        degree_violation = feasibility_violation(x, g, (), units=units)
         violation = degree_violation or next(
             ({"set": sorted(s), "reason": "cut below one"} for s in imposed if cut_value[s] < ONE),
             None,
@@ -338,7 +362,7 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
             report.record("family_size", False, {"iteration": it, "size": len(imposed)})
 
         # complementary slackness and strong duality, exactly
-        if cost_value(x, costs) != objective:
+        if cost_value(x, costs, units) != objective:
             report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
         slacks = dual.slacks(g, costs)
         if Rat(slacks.dual_objective, slacks.unit) != objective:
@@ -400,9 +424,10 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
     if len(records) > iteration_bound(g.n):
         report.record("iteration_bound", False, {"lp_solves": len(records)})
 
-    if records:  # x and degree_violation are the last record's
-        if all(v in (ZERO, ONE) for v in x):
-            matched = [e for e, v in enumerate(x) if v == ONE]
+    if records:  # units and degree_violation are the last record's
+        scale, support = units
+        if scale == 1 and all(k == 1 for k in support.values()):
+            matched = list(support)  # x is 0/1: its support, ascending
             if degree_violation is not None:
                 report.record("final_matching_oracle", False, {"reason": "final solution not a perfect matching"})
             elif g.n <= NODE_LIMIT:

@@ -1,9 +1,11 @@
 """Golden gate: `solve` output and trace bytes on a pinned instance set.
 
 Every instance file under fixtures/golden/ is solved in-process through
-`cli.main` with each solver.  The exit code, stdout, stderr and the SHA-256
-of the `--trace` file must equal the values in fixtures/golden/expected.json.
-A refactor that keeps these bytes keeps the solver's behaviour.
+`cli.main` with each solver, and the trace it writes is replayed by `verify`.
+The exit code, stdout, stderr and the SHA-256 of the `--trace` file, and the
+exit code and the SHA-256 of the stdout of `verify`, must equal the values in
+fixtures/golden/expected.json.  A refactor that keeps these bytes keeps the
+solver's and the replay's behaviour.
 
 Regenerate the fixtures only when an output change is intended:
 
@@ -25,17 +27,27 @@ GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "golden"
 EXPECTED_PATH = GOLDEN / "expected.json"
 
 
-def solve_outcome(instance: pathlib.Path, solver: str, trace: pathlib.Path) -> dict:
+def _main(argv) -> tuple:
+    """(exit code, stdout, stderr) of `cli.main(argv)`, run in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["solve", str(instance), "--solver", solver, "--trace", str(trace)])
-    digest = hashlib.sha256(trace.read_bytes()).hexdigest() if trace.exists() else None
-    return {
-        "exit": code,
-        "stdout": out.getvalue(),
-        "stderr": err.getvalue(),
-        "trace_sha256": digest,
-    }
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def solve_outcome(instance: pathlib.Path, solver: str, trace: pathlib.Path) -> dict:
+    code, out, err = _main(["solve", str(instance), "--solver", solver, "--trace", str(trace)])
+    outcome = {"exit": code, "stdout": out, "stderr": err, "trace_sha256": None,
+               "verify_exit": None, "verify_sha256": None}
+    if trace.exists():
+        outcome["trace_sha256"] = _sha256(trace.read_bytes())
+        code, out, _err = _main(["verify", "--instance", str(instance), "--trace", str(trace)])
+        outcome["verify_exit"], outcome["verify_sha256"] = code, _sha256(out.encode())
+    return outcome
 
 
 EXPECTED = json.loads(EXPECTED_PATH.read_text())

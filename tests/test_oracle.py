@@ -398,6 +398,71 @@ class TestVerifyTrace:
         assert not report.ok("complementary_slackness")
         assert not report.all_ok
 
+    @pytest.mark.parametrize(
+        "bad", [[1], {"a": 1}, 1, None, "1/0", "abc"], ids=["list", "dict", "int", "null", "1/0", "abc"]
+    )
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec, bad: rec["primal"].__setitem__(1, bad),
+            lambda rec, bad: rec["dual_nodes"].__setitem__("1", bad),
+            lambda rec, bad: rec["dual_sets"][0].__setitem__(1, bad),
+            lambda rec, bad: rec.__setitem__("objective_scaled", bad),
+        ],
+        ids=["primal", "dual_nodes", "dual_sets", "objective_scaled"],
+    )
+    def test_bad_number_raises_schema_mismatch(self, edit, bad):
+        # record 2 repeats number strings that records 0 and 1 parsed: a
+        # value that is not a "p" or "p/q" string is still refused, and a
+        # JSON list or object is not looked up as if it were one
+        from instances import telescope
+
+        g = telescope(stages=2, gadgets=2)
+        lines = self._trace(g)
+        rec = json.loads(lines[3])
+        edit(rec, bad)
+        lines[3] = json.dumps(rec, sort_keys=True)
+        with pytest.raises(SchemaMismatch):
+            verify_trace(g, lines)
+
+    def _shared_trace(self):
+        """telescope(2, 2) on the simplex route: records 1 and 2 carry the
+        same node duals and share the cuts {1, 2, 3} and {6, 7, 8}."""
+        from instances import telescope
+
+        g = telescope(stages=2, gadgets=2)
+        lines = self._trace(g)
+        recs = [json.loads(line) for line in lines[1:]]
+        assert [rec["iteration"] for rec in recs] == [0, 1, 2]
+        assert recs[1]["dual_nodes"] == recs[2]["dual_nodes"]
+        assert [1, 2, 3] in recs[1]["cuts_imposed"] and [1, 2, 3] in recs[2]["cuts_imposed"]
+        assert verify_trace(g, lines).all_ok
+        return g, lines, recs[2]
+
+    def test_corrupted_dual_in_a_later_record_fails_there(self):
+        # node 1's dual in record 2 takes node 2's string, which records 0
+        # to 2 all parse: the parse is looked up by the string, so the
+        # changed value is the one checked
+        g, lines, rec = self._shared_trace()
+        rec["dual_nodes"]["1"] = rec["dual_nodes"]["2"]
+        lines[3] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(g, lines)
+        assert report.checks["complementary_slackness"] == (
+            False, {"iteration": 2, "reason": "weak duality gap"},
+        )
+
+    def test_corrupted_cut_in_a_later_record_fails_there(self):
+        # record 2 swaps node 3 of {1, 2, 3}, a cut record 1 also imposes,
+        # for node 4: delta(S) is looked up by the set, so the cut checks
+        # read the changed set's edges
+        g, lines, rec = self._shared_trace()
+        rec["cuts_imposed"] = [[1, 2, 4] if s == [1, 2, 3] else s for s in rec["cuts_imposed"]]
+        rec["dual_sets"] = [[[1, 2, 4] if s == [1, 2, 3] else s, y] for s, y in rec["dual_sets"]]
+        lines[3] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(g, lines)
+        ok, witness = report.checks["complementary_slackness"]
+        assert not ok and witness["iteration"] == 2
+
     def test_oracle_skipped_above_node_limit(self):
         from instances import telescope
 
