@@ -912,23 +912,68 @@ def run_half_integral_procedure(
         laminar=list(lam_sets), disjoint=list(kay_sets), z=z, dual=dual
     )
     _finder, o_out = validate_configuration(g, costs, out, allow_exposed_nodes=False)
-    # from-scratch runs start with an empty support, so cycles may appear
+    # a run with exposed nodes (the first relaxation's, from a greedy
+    # matching) may form odd cycles
     if not allow_exposed_nodes and o_out > o_in:
         raise StructureViolation(f"odd cycle count increased: {o_in} -> {o_out}")
     return out, stats
 
 
-def solve_bipartite_via_procedure(g: Graph, costs) -> tuple:
-    """Solve the bipartite relaxation combinatorially from the empty solution.
+def greedy_start(g: Graph, costs) -> ValidConfiguration:
+    """A valid configuration for the bipartite relaxation: a greedy feasible
+    node dual and a matching on its tight edges.
 
-    Starts from z == 0 with a uniform feasible node dual; the procedure's
-    exposed-node machinery then behaves exactly like a from-scratch
-    primal-dual matching run.  Output z is optimal by complementary
-    slackness with the final feasible dual.
+    The nodes are visited in id order, and each gets the largest dual that
+    keeps its edges to earlier nodes feasible and is at most c_e/2 on its
+    edges to later nodes (0 on a node with no edge).  Tight edges whose ends
+    are both exposed are matched in edge order.  Then each node still
+    exposed, in id order, has its dual raised by its least edge slack, and
+    is matched along the first newly tight edge to an exposed neighbour.
+    The duals and slacks are ints in units of 1/(2L), L the lcm of the cost
+    denominators, so that each c_e/2 is an int.
+    """
+    d = 2 * math.lcm(*_denominators(costs))
+    c = [_scaled(v, d) for v in costs]
+    y = [0] * (g.n + 1)
+    for u in range(1, g.n + 1):
+        y[u] = min((c[e] - y[w] if w < u else c[e] // 2 for w, e in g.neighbours[u]), default=0)
+    slack = [c[e] - y[u] - y[v] for e, (u, v, _c) in enumerate(g.edges)]
+    z = [ZERO] * g.m
+    exposed = [True] * (g.n + 1)
+
+    def match(e: int) -> None:
+        z[e] = ONE
+        for v in g.endpoints(e):
+            exposed[v] = False
+
+    for e, (u, v, _c) in enumerate(g.edges):
+        if not slack[e] and exposed[u] and exposed[v]:
+            match(e)
+    for u in range(1, g.n + 1):
+        edges = g.incidence[u]
+        if not exposed[u] or not edges:
+            continue
+        rise = min(slack[e] for e in edges)
+        y[u] += rise
+        for e in edges:
+            slack[e] -= rise
+        for w, e in g.neighbours[u]:
+            if not slack[e] and exposed[w]:
+                match(e)
+                break
+    dual = DualSolution({u: Rat(y[u], d) for u in range(1, g.n + 1)})
+    return ValidConfiguration(laminar=[], disjoint=[], z=z, dual=dual)
+
+
+def solve_bipartite_via_procedure(g: Graph, costs) -> tuple:
+    """Solve the bipartite relaxation combinatorially from a greedy start.
+
+    Starts from `greedy_start`: a feasible node dual and a matching on its
+    tight edges, which leaves most nodes matched.  The procedure's
+    exposed-node machinery then behaves like a primal-dual matching run
+    from that warm start.  Output z is optimal by complementary slackness
+    with the final feasible dual.
     """
     if g.m == 0:
         raise StalledNoEpsilon("graph has no edges")
-    cmin = min(Rat(costs[e]) for e in range(g.m))
-    dual = DualSolution({u: cmin / 2 for u in range(1, g.n + 1)})
-    cfg = ValidConfiguration(laminar=[], disjoint=[], z=[ZERO] * g.m, dual=dual)
-    return run_half_integral_procedure(g, costs, cfg, allow_exposed_nodes=True)
+    return run_half_integral_procedure(g, costs, greedy_start(g, costs), allow_exposed_nodes=True)

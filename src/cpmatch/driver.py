@@ -163,7 +163,7 @@ def _solve_primal_combinatorial(
 ) -> tuple:
     """Next relaxation optimum via the half-integral matching procedure.
 
-    The first solve runs the procedure from the empty vector.  Every later
+    The first solve runs the procedure from a greedy start.  Every later
     solve runs it once, from the previous optimum: the retained sets that a
     new cut absorbed are contracted, the other retained cuts stay
     inequalities, and every new cut is pinned to equality with the zero dual

@@ -74,18 +74,6 @@ class LaminarFamily:
         return len(self._sets)
 
 
-def dual_inside(dual: Mapping, s: frozenset, u: int):
-    """Total dual contribution of sets strictly inside s that contain u.
-
-    Includes the singleton {u}; set-valued keys of `dual` are frozensets.
-    """
-    total = Rat(dual.get(u, ZERO))
-    for key, val in dual.items():
-        if isinstance(key, frozenset) and key < s and u in key:
-            total += val
-    return total
-
-
 @dataclass
 class ContractionMap:
     """Bookkeeping for contracting node sets to single nodes.
@@ -120,8 +108,10 @@ def contract_with_dual(
     """Contract each set to one node; boundary costs drop by the inner dual.
 
     An edge uv with u inside contracted S gets cost c(uv) - D_S(u), where
-    D_S(u) sums dual values of sets strictly inside S containing u.  Returns
-    (Graph, ContractionMap).
+    D_S(u) is the dual of u plus the duals of the set keys strictly inside S
+    that contain u.  The keys are sorted to their sets in one pass, and
+    D_S(u) is summed once per boundary node.  Returns (Graph,
+    ContractionMap).
     """
     chosen = sorted_sets(frozenset(s) for s in sets_to_contract)
     for i, s in enumerate(chosen):
@@ -154,6 +144,26 @@ def contract_with_dual(
     for u, s in in_set.items():
         node_image[u] = set_node[s]
 
+    # The set keys strictly inside each chosen set: a key inside S has all
+    # its nodes in S, so the set of any one of them is the only candidate.
+    inside = {s: [] for s in chosen}
+    for key, val in dual.items():
+        if isinstance(key, frozenset):
+            s = in_set.get(next(iter(key), None))
+            if s is not None and key < s:
+                inside[s].append((key, val))
+    d_in = {}
+
+    def dual_in(u: int):
+        """D_S(u) for the chosen set S that holds u, computed once per node."""
+        if u not in d_in:
+            total = Rat(dual.get(u, ZERO))
+            for key, val in inside[in_set[u]]:
+                if u in key:
+                    total += val
+            d_in[u] = total
+        return d_in[u]
+
     new_edges = []
     preimage = []
     for e, (u, v, c) in enumerate(g.edges):
@@ -162,9 +172,9 @@ def contract_with_dual(
             continue
         new_c = Rat(costs[e])
         if su is not None:
-            new_c -= dual_inside(dual, su, u)
+            new_c -= dual_in(u)
         if sv is not None:
-            new_c -= dual_inside(dual, sv, v)
+            new_c -= dual_in(v)
         new_edges.append((node_image[u], node_image[v], new_c))
         preimage.append(e)
 

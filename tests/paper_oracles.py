@@ -14,7 +14,7 @@ from typing import Sequence
 from cpmatch.combinatorial import CriticalMatchingFinder, is_factor_critical
 from cpmatch.errors import NoPerfectMatching, StructureViolation
 from cpmatch.graph import Graph
-from cpmatch.laminar import dual_inside, sorted_sets
+from cpmatch.laminar import sorted_sets
 from cpmatch.lp import DualSolution
 from cpmatch.rational import ONE, Rat, ZERO
 
@@ -27,6 +27,16 @@ class PreconditionBroken(Exception):
 
 # ---------------------------------------------------------------------------
 # Consistency of duals
+
+
+def dual_inside(dual, s: frozenset, u: int):
+    """D_S(u): the dual of u plus the duals of the set keys strictly inside
+    s that contain u, by its definition (every key is scanned)."""
+    total = Rat(dual.get(u, ZERO))
+    for key, val in dual.items():
+        if isinstance(key, frozenset) and key < s and u in key:
+            total += val
+    return total
 
 
 def consistency_delta(pi: DualSolution, psi: DualSolution, s) -> object:

@@ -284,7 +284,8 @@ def test_criterion_10_procedure_phase_bound(crosscheck_runs, combinatorial_runs)
             v = stats["workspace_nodes"]
             fam_size = stats["input_laminar"] + stats["input_pinned"]
             if i == 0:
-                # from-scratch start: every node begins exposed
+                # the first relaxation starts from a greedy matching: the
+                # nodes it leaves exposed count toward each phase
                 per_phase = v + fam_size + stats["initial_exposed"]
             else:
                 per_phase = v + fam_size

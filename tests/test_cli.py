@@ -211,7 +211,8 @@ class TestAboveBruteForceLimit:
         assert cli_mod.main(["solve", str(inst), "--solver", "cross-check", "--trace", str(trace)]) == 0
         records = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
         assert records and all(rec["cross_checked"] for rec in records)
-        # the from-scratch procedure run takes Case II dual steps
+        # the first relaxation's procedure run, from the greedy start, takes
+        # Case II dual steps
         assert records[0]["procedure"]["cases"]["II"] > 0
         capsys.readouterr()
         assert cli_mod.main(["verify", "--instance", str(inst), "--trace", str(trace)]) == 0

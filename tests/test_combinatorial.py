@@ -852,13 +852,16 @@ class TestCarriedWorkspace:
             if v2 == 1:
                 real_set(ws, ws.cmap.edge_preimage.index(3), 1)
 
-        # a tight triangle with a pendant edge: the run opens the triangle
+        # a tight triangle with a pendant edge, from every node exposed under
+        # the zero dual: the run opens the triangle (the greedy start of
+        # solve_bipartite_via_procedure would match 1-2 and 3-4 at once)
         g = make_graph(4, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 10)])
-        _out, stats = solve_bipartite_via_procedure(g, g.costs())
+        cold = ValidConfiguration(laminar=[], disjoint=[], z=[ZERO] * g.m, dual=zero_dual(4))
+        _out, stats = run_half_integral_procedure(g, g.costs(), cold, allow_exposed_nodes=True)
         assert stats.case_counts["Ic"] == 1
         monkeypatch.setattr(comb._Workspace, "set_value", sabotaged)
         with pytest.raises(StructureViolation, match="3 half-edges"):
-            solve_bipartite_via_procedure(g, g.costs())
+            run_half_integral_procedure(g, g.costs(), cold, allow_exposed_nodes=True)
 
     def test_half_cycle_listed_as_decompose_support_lists_it(self):
         # from every start node, the walked cycle comes out in the node order

@@ -3,11 +3,12 @@ import pytest
 from cpmatch import LaminarFamily, LaminarityViolation, make_graph
 from cpmatch.driver import select_new_cuts
 from cpmatch.graph import SupportDecomposition
-from cpmatch.laminar import contract_with_dual, dual_inside, maximal_sets, odd_set, sorted_sets
+from cpmatch.laminar import contract_with_dual, maximal_sets, odd_set, sorted_sets
 from cpmatch.lp import DualSolution
 from cpmatch.rational import ZERO, rat
 
 from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT
+from paper_oracles import dual_inside
 
 
 class TestOddSet:
@@ -130,6 +131,30 @@ class TestContraction:
         # every surviving edge has a unique pre-image; nothing else survives
         assert sorted(cmap.edge_preimage) == [3, 4, 5, 6]
         assert len(set(cmap.edge_preimage)) == new_g.m
+
+    def test_boundary_costs_drop_by_dual_inside(self):
+        # two contracted sets, one with a chain of inner keys, beside keys
+        # that contain a contracted set, cross one or lie outside: each
+        # boundary end drops by exactly D_S(u), its own dual and the keys
+        # strictly inside its set
+        outer = frozenset(range(1, 8))
+        g = make_graph(12, [(1, 8, 50), (4, 9, 60), (7, 8, 70), (2, 3, 0), (10, 11, 80),
+                            (11, 12, 90), (5, 11, 100), (8, 9, 110)])
+        dual = DualSolution({u: rat(u, 3) for u in range(1, 13)})
+        dual.update({
+            frozenset({1, 2, 3}): rat(5), frozenset({1, 2, 3, 4, 5}): rat(7, 2),
+            outer: rat(11), frozenset({6, 7, 8}): rat(13),
+            frozenset({10, 11, 12}): rat(17), frozenset(range(1, 11)) - {9}: rat(19),
+        })
+        new_g, cmap = contract_with_dual(g, g.costs(), [outer, frozenset({10, 11, 12})], dual)
+        in_set = {u: s for s in (outer, frozenset({10, 11, 12})) for u in s}
+        for (_a, _b, cost), e in zip(new_g.edges, cmap.edge_preimage):
+            u, v, c = g.edges[e]
+            want = rat(c) - sum((dual_inside(dual, in_set[w], w) for w in (u, v) if w in in_set),
+                                ZERO)
+            assert cost == want
+        assert [new_g.edges[i][2] for i in range(2)] == [50 - rat(1, 3) - 5 - rat(7, 2),
+                                                         60 - rat(4, 3) - rat(7, 2)]
 
     def test_parallel_edges_kept_distinct(self):
         g = make_graph(5, [(1, 4, 3), (2, 4, 7), (3, 4, 9), (1, 2, 0), (2, 3, 0), (1, 3, 0)])

@@ -4,7 +4,10 @@ none, and every trace it writes replays clean; the shared certificate
 checks, `graph.cut_values`, `graph.cost_value` and
 `lp.slackness_violation`, agree with references the tests hold; and on
 random laminar families, `laminar.maximal_sets` agrees with a reference
-and the new cuts `driver.select_new_cuts` returns are pairwise disjoint."""
+and the new cuts `driver.select_new_cuts` returns are pairwise disjoint; and
+the greedy start of the bipartite relaxation is a valid configuration from
+which the procedure reaches the simplex optimum, or stalls exactly when the
+relaxation is infeasible."""
 
 import pytest
 from conftest import per_edge_slacks
@@ -12,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpmatch import LaminarFamily, brute_force_mcpm, make_graph, run, verify_trace
+from cpmatch.combinatorial import greedy_start, solve_bipartite_via_procedure, validate_configuration
 from cpmatch.driver import SOLVER_CHOICES, select_new_cuts
-from cpmatch.errors import NoPerfectMatching, StructureViolation
+from cpmatch.errors import LPInfeasible, NoPerfectMatching, StalledNoEpsilon, StructureViolation
 from cpmatch.graph import cost_value, cut_values, decompose_support
 from cpmatch.laminar import maximal_sets, sorted_sets
-from cpmatch.lp import DualSolution, slackness_violation
+from cpmatch.lp import DualSolution, slackness_violation, solve_primal
 from cpmatch.oracle import VerifyReport
-from cpmatch.rational import ONE, Rat, ZERO
+from cpmatch.rational import ONE, Rat, ZERO, perturb
 
 
 @st.composite
@@ -211,3 +215,51 @@ def test_new_cuts_are_pairwise_disjoint(case):
     for i, a in enumerate(hats):
         for b in hats[i + 1 :]:
             assert not a & b
+
+
+@st.composite
+def bipartite_relaxations(draw):
+    """(g, costs, int_costs): a multigraph on n <= 12 nodes, in about a
+    quarter of the draws with isolated nodes, in about two thirds with a
+    matching planted on the other nodes; its integer costs are all equal in
+    about a third of the draws, and may be negative.
+    int_costs are the perturbed costs, and costs are those ints or the same
+    costs as Rats over the perturbation's scale."""
+    n = draw(st.integers(2, 12))
+    isolated = frozenset()
+    if draw(st.integers(0, 3)) == 0:
+        isolated = draw(st.frozensets(st.integers(1, n), max_size=min(2, n - 2)))
+    live = [u for u in range(1, n + 1) if u not in isolated]
+    if draw(st.integers(0, 2)) == 0:
+        cost = st.just(draw(st.integers(-3, 9)))
+    else:
+        cost = st.integers(-3, 9)
+    edges = []
+    if draw(st.integers(0, 2)):
+        order = draw(st.permutations(live))
+        edges += [(order[i], order[i + 1], draw(cost)) for i in range(0, len(order) - 1, 2)]
+    pair = st.tuples(st.sampled_from(live), st.sampled_from(live)).filter(lambda p: p[0] != p[1])
+    edges += [(u, v, draw(cost)) for u, v in draw(st.lists(pair, min_size=0 if edges else 1, max_size=3 * n))]
+    g = make_graph(n, edges)
+    pc = perturb(g.costs())
+    costs = pc.scaled
+    if draw(st.booleans()):
+        costs = [Rat(c, pc.scale) for c in costs]
+    return g, costs, pc.scaled
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_relaxations())
+def test_greedy_start_is_valid_and_reaches_the_simplex_optimum(case):
+    g, costs, int_costs = case
+    start = greedy_start(g, costs)
+    validate_configuration(g, costs, start, allow_exposed_nodes=True)
+    assert all(v in (ZERO, ONE) for v in start.z)
+    try:
+        x, _dual, _obj = solve_primal(g, int_costs, LaminarFamily(g.n))
+    except LPInfeasible:
+        with pytest.raises(StalledNoEpsilon):
+            solve_bipartite_via_procedure(g, costs)
+        return
+    out, _stats = solve_bipartite_via_procedure(g, costs)
+    assert out.z == x
