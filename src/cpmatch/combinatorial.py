@@ -384,8 +384,11 @@ class ValidConfiguration:
     """State tuple of the half-integral matching procedure.
 
     `laminar` holds the sets whose cut constraints are kept as inequalities
-    (positive dual required); `disjoint` holds the sets whose cuts are pinned
-    to equality and may start exposed with an odd support cycle inside.
+    (positive dual required); `disjoint` holds the pinned sets, disjoint
+    from each other, whose cuts are pinned to equality (dual free in sign).
+    A laminar set may lie inside a pinned set.  The procedure keeps each
+    pinned set shrunk to one node, which may start exposed, with one odd
+    support cycle through it.
     """
 
     laminar: list
@@ -399,11 +402,15 @@ def validate_configuration(
 ) -> tuple:
     """Raise InvalidConfiguration unless (A), (B), (C) hold.
 
-    The sets form one `LaminarFamily`, each equality set disjoint from the
-    others.  `lp.slackness_violation` checks the dual and z against the
-    laminar sets only, whose duals must be positive: the equality sets'
-    duals are free in sign.  The rest is factor-criticality and the support
-    of z, with each equality cut 0 or 1, and 0 only around one odd cycle.
+    The sets form one `LaminarFamily`.  A laminar set may lie strictly
+    inside a pinned set and may not meet one otherwise; two pinned sets are
+    disjoint.  `lp.slackness_violation` checks the dual and z against the
+    laminar sets only, whose duals must be positive: the pinned sets' duals
+    are free in sign.  The rest is factor-criticality and the support of z,
+    with each pinned cut 0 or 1.  A pinned set with cut 0 must be spanned by
+    exactly one odd support cycle once its maximal inner sets are taken as
+    single nodes: the cycle meets each of those sets and passes every other
+    node of the pinned set.
 
     Returns (finder, o).  The finder checked every set of the configuration:
     it holds their tight edges and critical matchings under cfg.dual.  o is
@@ -416,17 +423,21 @@ def validate_configuration(
         LaminarFamily(g.n, every)
     except ValueError as exc:  # LaminarityViolation or a bad odd set
         raise InvalidConfiguration(str(exc)) from None
+    lam = set(lam_sets)
     for s in kay_sets:
         for t in every:
-            if t != s and s & t:
+            if t != s and s & t and not (t < s and t in lam):
                 raise InvalidConfiguration(
                     f"equality set {sorted(s)} intersects {sorted(t)}"
                 )
     for s in lam_sets:
         if cfg.dual.of_set(s) <= ZERO:
             raise InvalidConfiguration(f"nonpositive dual on {sorted(s)}")
-    slacks = cfg.dual.slacks(g, costs)
-    cut = dict(zip(every, cut_values(cfg.z, map(g.delta, every))))
+    # delta(S) of each set is read once, for its cut and for the slacks
+    dual = DualSolution(cfg.dual)
+    dual.cut_edges = dict(zip(every, map(g.delta, every)))
+    slacks = dual.slacks(g, costs)
+    cut = dict(zip(every, cut_values(cfg.z, dual.cut_edges.values())))
     violation = slackness_violation(cfg.z, cfg.dual, slacks, {s: cut[s] for s in lam_sets})
     if violation is not None:
         raise InvalidConfiguration(f"complementary slackness fails: {violation}")
@@ -453,10 +464,16 @@ def validate_configuration(
                 f"equality set {sorted(s)} has boundary value {cut[s]}"
             )
         if cut[s] == ZERO:
-            # no support edge leaves s, so each support cycle at a node of s
-            # lies in s
-            cycles = [c for c in dec.odd_cycles if c[0] in s]
-            if len(cycles) != 1 or set(cycles[0]) != s:
+            # No support edge leaves s, so each support cycle at a node of s
+            # lies in s.  With each maximal inner set taken as one node (a
+            # part), a cycle inside one of them vanishes, and the spanning
+            # cycle meets every part.
+            kids = maximal_sets(t for t in lam_sets if t < s)
+            part = {v: t for t in kids for v in t}
+            parts = len(s) - sum(map(len, kids)) + len(kids)
+            images = [{part.get(v, v) for v in c} for c in dec.odd_cycles if c[0] in s]
+            images = [img for img in images if len(img) > 1]
+            if len(images) != 1 or len(images[0]) != parts:
                 raise InvalidConfiguration(
                     f"support inside {sorted(s)} is not a spanning odd cycle"
                 )
@@ -512,12 +529,13 @@ class _Workspace:
 
     `slacks` is `dual.slacks(g, costs)`, ints over `slacks.unit`, which
     the caller has at hand: the first build takes the list that validated
-    the run's input, and rescales the slacks it keeps to its own unit.
+    the run's input, and rescales the slacks it keeps to its own unit.  The
+    workspace reads no cost: its slacks are all it needs of them.
     """
 
-    def __init__(self, g, costs, lam_sets, kay_sets, z, dual, slacks):
+    def __init__(self, g, lam_sets, kay_sets, z, dual, slacks):
         self.tops = maximal_sets(lam_sets + kay_sets)
-        self.wg, self.cmap = contract_with_dual(g, costs, self.tops, dual)
+        self.wg, self.cmap = contract_with_dual(g, self.tops)
         self.kind = {}
         for s in self.tops:
             node = self.cmap.image_node_of_set(s)
@@ -748,11 +766,16 @@ def run_half_integral_procedure(
 ) -> tuple:
     """Drive a valid configuration to an optimum of the pinned-cut relaxation.
 
-    Grows alternating forests from the exposed nodes of the contracted tight
-    graph; augments along exposed-to-exposed paths, trades half-cycles for
-    blossoms and back, and adjusts duals when the forest is stuck.  Sets in
-    `laminar` whose dual hits zero are unshrunk; sets in `disjoint` stay
-    contracted and keep their boundary pinned to one.
+    The workspace contracts the maximal sets of the configuration, each
+    pinned set with the laminar sets inside it; this is the run's only
+    contraction.  The procedure grows alternating forests from the exposed
+    nodes of the contracted tight graph; augments along exposed-to-exposed
+    paths, trades half-cycles for blossoms and back, and adjusts duals when
+    the forest is stuck.  Sets in `laminar` whose dual hits zero are
+    unshrunk; sets in `disjoint` stay contracted and end with their boundary
+    pinned to one.  Whenever a step changes z at a contracted set, the
+    inside of that set, inner sets included, is rematched from the critical
+    matchings of the finder that validated the input.
 
     Returns (final ValidConfiguration, ProcedureStats).  Raises
     InvalidConfiguration on a bad input and StalledNoEpsilon when the dual
@@ -766,8 +789,10 @@ def run_half_integral_procedure(
     z = list(cfg.z)
     dual = DualSolution(cfg.dual)
 
+    pinned_nodes = frozenset().union(*kay_sets)
     stats = ProcedureStats(
-        input_laminar=len(lam_sets), input_pinned=len(kay_sets)
+        input_laminar=sum(pinned_nodes.isdisjoint(s) for s in lam_sets),
+        input_pinned=len(kay_sets),
     )
     # The finder that validated the input serves the whole run, its memo
     # already filled from the input dual.  It is asked only about top sets
@@ -798,7 +823,7 @@ def run_half_integral_procedure(
     phase_iters = 0
     prev_potential = None
 
-    ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual, finder.slacks)
+    ws = _Workspace(g, lam_sets, kay_sets, z, dual, finder.slacks)
     while True:
         exposed = ws.exposed
         potential = len(exposed) + ws.o
@@ -904,7 +929,7 @@ def run_half_integral_procedure(
         stats.unshrinks += len(unshrunk)
         if unshrunk:
             ws.write_back(dual)
-            ws = _Workspace(g, costs, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
+            ws = _Workspace(g, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
 
     ws.write_back(dual)
     stats.phase_lengths.append(phase_iters)

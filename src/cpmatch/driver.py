@@ -27,14 +27,12 @@ from .graph import (
     decompose_support,
 )
 from .combinatorial import (
-    CriticalMatchingFinder,
     ProcedureStats,
     ValidConfiguration,
-    fill_inside,
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
 )
-from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
+from .laminar import LaminarFamily, maximal_sets
 from .lp import DualSolution, WarmStart, certify_optimum, solve_extremal_dual, solve_primal
 from .rational import ONE, PerturbedCosts, ZERO, format_rat, perturb
 
@@ -78,9 +76,8 @@ class DriverState:
     x: list | None = None
     o: int | None = None
     terminal: bool = False
-    # context needed to rebuild the next combinatorial configuration
-    hp_sets: list = field(default_factory=list)
-    new_cut_info: list = field(default_factory=list)
+    # the new cuts of fam, which the next combinatorial solve pins
+    pinned: list = field(default_factory=list)
     # the last primal tableau, which the next simplex solve starts from
     warm: WarmStart = field(default_factory=WarmStart)
 
@@ -164,43 +161,32 @@ def _solve_primal_combinatorial(
     """Next relaxation optimum via the half-integral matching procedure.
 
     The first solve runs the procedure from a greedy start.  Every later
-    solve runs it once, from the previous optimum: the retained sets that a
-    new cut absorbed are contracted, the other retained cuts stay
-    inequalities, and every new cut is pinned to equality with the zero dual
-    `step` gave it.  The lifted output is accepted when it is feasible for
-    the current family and the extremal-dual program for it is feasible,
-    which certifies optimality by complementary slackness and uniqueness.
-    Returns (x, psi, stats); raises StructureViolation, with the new cuts or
-    a cut x leaves below one as witness, when that attempt is not certified.
+    solve runs it once on g, from the previous optimum and Gamma.  The new
+    cuts are pinned to equality with the zero dual `step` gave them; the
+    retained cuts stay inequalities, those a new cut absorbed included,
+    which lie inside it.  The procedure's workspace shrinks each new cut
+    and rematches its inside.  Its output is accepted when it is feasible
+    for the current family and the extremal-dual program for it is
+    feasible, which certifies optimality by complementary slackness and
+    uniqueness.  Returns (x, psi, stats); raises StructureViolation, with
+    the new cuts or a cut x leaves below one as witness, when that attempt
+    is not certified.
     """
     if state.x is None:
         out, stats = solve_bipartite_via_procedure(g, costs)
         psi = solve_extremal_dual(g, costs, fam, out.z, state.gamma)
         return out.z, psi, stats
 
-    gamma = state.gamma
-    hats = [hat for _cycle, _absorbed, hat in state.new_cut_info]
-    witness = [sorted(hat) for hat in hats]
-    contract_list = [s for _cycle, absorbed, _hat in state.new_cut_info for s in absorbed]
-    wg, cmap = contract_with_dual(g, costs, contract_list, gamma)
-    lam_w = []
-    dual_w = DualSolution()
-    contracted = set(map(frozenset, contract_list))
-    for s in state.hp_sets:
-        if s in contracted or any(s < t for t in contracted):
-            continue
-        img = cmap.image_of_nodes(s)
-        lam_w.append(img)
-        dual_w[img] = gamma.of_set(s)
-    for u in range(1, g.n + 1):
-        key_set = next((s for s in contracted if u in s), None)
-        dual_w[cmap.node_image[u]] = gamma.node(u) if key_set is None else gamma.of_set(key_set)
-    z_w = [state.x[cmap.edge_preimage[e]] for e in range(wg.m)]
+    pinned = set(state.pinned)
+    witness = [sorted(hat) for hat in state.pinned]
     cfg = ValidConfiguration(
-        laminar=lam_w, disjoint=[cmap.image_of_nodes(hat) for hat in hats], z=z_w, dual=dual_w
+        laminar=[s for s in fam.sets if s not in pinned],
+        disjoint=state.pinned,
+        z=state.x,
+        dual=state.gamma,
     )
     try:
-        out, stats = run_half_integral_procedure(wg, wg.costs(), cfg)
+        out, stats = run_half_integral_procedure(g, costs, cfg)
     except StalledNoEpsilon:
         # Either no perfect matching survives the cuts or a coupling
         # invariant broke.
@@ -209,18 +195,14 @@ def _solve_primal_combinatorial(
             "pinned-cut procedure stalled on a feasible relaxation", witness=witness
         )
 
-    z = cmap.lift_vector(out.z, g.m)
-    if contracted:
-        finder = CriticalMatchingFinder(g, fam.sets, gamma.slacks(g, costs))
-        for s in sorted_sets(contracted):
-            fill_inside(g, z, s, finder)
+    z = out.z
     # the cuts are left to solve_extremal_dual, which sums them anyway
     if not check_degree_and_cut_feasibility(z, g, ()):
         raise StructureViolation(
             "pinned-cut optimum is infeasible for the relaxation", witness=witness
         )
     try:
-        psi = solve_extremal_dual(g, costs, fam, z, gamma)
+        psi = solve_extremal_dual(g, costs, fam, z, state.gamma)
     except LPInfeasible as exc:
         raise StructureViolation(
             "pinned-cut optimum is not optimal for the relaxation", witness=witness
@@ -297,13 +279,12 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
             certify_optimum(g, costs, fam.sets, x, objective, psi, psi.cut_value)
         dual, kind = psi, "extremal"
 
-    hp_sets, new_info, hats = [], [], []
+    hp_sets, hats = [], []
     next_fam, gamma_next = fam, state.gamma
     if not terminal:
         hp = select_old_cuts(fam, psi)
         hp_sets = hp.sets
-        new_info = select_new_cuts(dec, hp)
-        hats = [hat for _cycle, _absorbed, hat in new_info]
+        hats = [hat for _cycle, _absorbed, hat in select_new_cuts(dec, hp)]
         try:
             next_fam = LaminarFamily(g.n, hp_sets + hats)
         except ValueError as exc:  # LaminarityViolation or a bad odd set
@@ -333,8 +314,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         x=x,
         o=dec.o,
         terminal=terminal,
-        hp_sets=hp_sets,
-        new_cut_info=new_info,
+        pinned=hats,
         warm=state.warm,
     )
     return next_state, record

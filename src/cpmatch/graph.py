@@ -21,7 +21,7 @@ class Graph:
     """Undirected multigraph with per-edge costs.
 
     `edges[i] = (u, v, cost)`.  Costs are integers for instances read from
-    files; contracted graphs carry exact rationals.
+    files; a contracted graph keeps each surviving edge's own cost.
     """
 
     n: int

@@ -103,10 +103,10 @@ class LinearProgram:
     """Minimization LP: one variable per add_var, rows are <=, >= or =.
 
     Every value is an int or a Rat (see `_exact`).  The first 2*`pairs`
-    variables are mirrored pairs (`add_pair`): column 2i+1 is minus column
-    2i, at the same cost, so a row gives only the coefficient of 2i
-    (`simplex_solve` checks).  A builder may fill the lists and `pairs`
-    itself, as `solve_extremal_dual` does.
+    variables are mirrored pairs: column 2i+1 is minus column 2i, at the
+    same cost, so a row gives only the coefficient of 2i (`simplex_solve`
+    checks).  The code that poses a program declares them by filling the
+    objective and `pairs` itself, as `solve_extremal_dual` does.
     """
 
     objective: list = field(default_factory=list)
@@ -116,16 +116,6 @@ class LinearProgram:
     def add_var(self, obj_coef) -> int:
         self.objective.append(_exact(obj_coef))
         return len(self.objective) - 1
-
-    def add_pair(self, obj_coef) -> int:
-        """Two variables 2i, 2i+1 at cost obj_coef whose columns are
-        opposite; returns 2i.  Pairs come before every other variable."""
-        if len(self.objective) != 2 * self.pairs:
-            raise ValueError("mirrored pairs come before every other variable")
-        cost = _exact(obj_coef)
-        self.objective += (cost, cost)
-        self.pairs += 1
-        return len(self.objective) - 2
 
     def add_row(self, coefs: dict, rel: str, rhs):
         if rel not in ("<=", ">=", "="):

@@ -304,10 +304,10 @@ class TestBrokenInvariantPath:
         from cpmatch import LaminarFamily
         from cpmatch.errors import LaminarityViolation
 
-        def crossing(self, s):
+        def crossing(self, s, owner):
             raise LaminarityViolation("forced crossing")
 
-        monkeypatch.setattr(LaminarFamily, "_insert", crossing)
+        monkeypatch.setattr(LaminarFamily, "_add", crossing)
 
     def test_laminarity_violation_in_step_exits_4_and_dumps(
         self, bowtie_file, tmp_path, capsys, crossing_cut

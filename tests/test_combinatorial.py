@@ -36,14 +36,19 @@ def finder_for(g, fam_sets, dual):
 def keeping_state(ws_class):
     """A subclass of the procedure workspace class whose instances keep
     `state`: the g, costs, lam_sets, kay_sets, z and dual they were built
-    from.  The run mutates lam_sets and z in place, so those are always its
+    from.  The workspace takes no costs, only the slacks of the dual under
+    them, so state recovers the costs: each edge's slack plus its dual
+    load.  The run mutates lam_sets and z in place, so those are always its
     current ones; the dual stays the one at build time (see current_dual),
-    and so do the slacks, the seventh argument."""
+    and so do the slacks."""
 
     class Recording(ws_class):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.state = args[:6]
+        def __init__(self, g, lam_sets, kay_sets, z, dual, slacks):
+            super().__init__(g, lam_sets, kay_sets, z, dual, slacks)
+            # an edge's slack at cost zero is minus its dual load
+            at_zero = per_edge_slacks(dual, g, [ZERO] * g.m)
+            costs = [Rat(k, slacks.unit) - z0 for k, z0 in zip(slacks, at_zero)]
+            self.state = (g, costs, lam_sets, kay_sets, z, dual)
 
     return Recording
 
@@ -426,6 +431,85 @@ def instance_graph(instance):
     return random_instance(n, density, (0, cost_hi), seed)
 
 
+class TestLaminarSetsInsidePinnedSets:
+    """The driver hands the procedure the family on g itself: the retained
+    sets a new cut absorbed are laminar sets inside that pinned set."""
+
+    @staticmethod
+    def ring():
+        """n = 10: the pinned set {1..7} holds the laminar set T = {1, 2, 3}.
+        Every edge is tight (the three leaving T cost 1, T's dual is 1, all
+        else 0), and a half-triangle covers 8, 9, 10."""
+        g = make_graph(10, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 1), (4, 5, 0), (5, 6, 0),
+                            (6, 7, 0), (3, 7, 1), (3, 5, 1), (8, 9, 0), (9, 10, 0), (8, 10, 0)])
+        dual = zero_dual(10)
+        dual[frozenset({1, 2, 3})] = ONE
+        return g, dual
+
+    def configuration(self, dual, halves, ones):
+        z = [HALF if e in halves else ONE if e in ones else ZERO for e in range(12)]
+        return ValidConfiguration(
+            laminar=[frozenset({1, 2, 3})], disjoint=[frozenset(range(1, 8))], z=z, dual=dual
+        )
+
+    def test_driver_state_runs_on_g(self):
+        from cpmatch.driver import DriverState, step
+        from instances import telescope
+
+        g = telescope(stages=3, gadgets=2)
+        pc = perturb([c for _u, _v, c in g.edges])
+        states = [DriverState(iteration=0, fam=LaminarFamily(g.n), gamma=zero_dual(g.n))]
+        while not states[-1].terminal:
+            states.append(step(states[-1], g, pc, solver="combinatorial")[0])
+        # after round 1 each new cut has absorbed a retained cut
+        state = states[2]
+        pinned = set(state.pinned)
+        laminar = [s for s in state.fam.sets if s not in pinned]
+        assert len(pinned) == 2 and all(any(t < p for t in laminar) for p in pinned)
+        cfg = ValidConfiguration(laminar, state.pinned, state.x, state.gamma)
+        out, stats = run_half_integral_procedure(g, pc.scaled, cfg)
+        assert out.z == states[3].x
+        # every laminar set lies inside a pinned set
+        assert (stats.input_laminar, stats.input_pinned) == (0, 2)
+
+    def test_spanning_cycle_through_an_inner_set_accepted(self):
+        from cpmatch.combinatorial import validate_configuration
+
+        g, dual = self.ring()
+        # the half-cycle 3-4-5-6-7 enters T at 3, and 1-2 matches the rest
+        cfg = self.configuration(dual, halves={3, 4, 5, 6, 7, 9, 10, 11}, ones={0})
+        _finder, o = validate_configuration(g, g.costs(), cfg)
+        assert o == 2
+
+    def test_cycle_that_misses_an_own_node_rejected(self):
+        from cpmatch.combinatorial import validate_configuration
+
+        g, dual = self.ring()
+        # the half-triangle 3-4-5 meets T, 4 and 5 but misses 6 and 7
+        cfg = self.configuration(dual, halves={3, 4, 8, 9, 10, 11}, ones={0, 6})
+        with pytest.raises(InvalidConfiguration, match="not a spanning odd cycle"):
+            validate_configuration(g, g.costs(), cfg)
+
+    @pytest.mark.parametrize(
+        "laminar, disjoint, message",
+        [
+            ([{3, 4, 5}], [{1, 2, 3}], "properly crosses"),
+            ([{1, 2, 3, 4, 5}], [{1, 2, 3}], "intersects"),
+            ([], [{1, 2, 3}, {1, 2, 3, 4, 5}], "intersects"),
+        ],
+    )
+    def test_set_that_meets_a_pinned_set_otherwise_rejected(self, laminar, disjoint, message):
+        from cpmatch.combinatorial import validate_configuration
+
+        g, _dual = self.ring()
+        cfg = ValidConfiguration(
+            laminar=[frozenset(s) for s in laminar], disjoint=[frozenset(s) for s in disjoint],
+            z=[ZERO] * g.m, dual=zero_dual(g.n),
+        )
+        with pytest.raises(InvalidConfiguration, match=message):
+            validate_configuration(g, g.costs(), cfg)
+
+
 class TestSharedFinder:
     """The finder that validates a procedure run's input serves the run."""
 
@@ -558,7 +642,7 @@ class TestCarriedWorkspace:
             g, costs, lam_sets, kay_sets, z, _dual = ws.state
             dual = current_dual(ws)
             slacks = per_edge_slacks(dual, g, costs)
-            fresh = real_ws(g, costs, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
+            fresh = real_ws(g, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
             assert ws.tops == fresh.tops
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
@@ -621,9 +705,9 @@ class TestCarriedWorkspace:
         real_init = comb._Workspace.__init__
         units = []
 
-        def init(ws, g, costs, lam_sets, kay_sets, z, dual, slacks):
-            real_init(ws, g, costs, lam_sets, kay_sets, z, dual, slacks)
-            rat_slacks = per_edge_slacks(dual, g, costs)
+        def init(ws, g, lam_sets, kay_sets, z, dual, slacks):
+            real_init(ws, g, lam_sets, kay_sets, z, dual, slacks)
+            rat_slacks = [Rat(k, slacks.unit) for k in slacks]
             values = [rat_slacks[e] for e in ws.cmap.edge_preimage]
             values += [dual.of_set(s) for s in ws.tops if s in lam_sets]
             assert ws.unit == 2 * math.lcm(*(int(Rat(v).denominator) for v in values))
@@ -710,9 +794,8 @@ class TestCarriedWorkspace:
         import cpmatch.combinatorial as comb
 
         g, cfg = unshrink_instance()
-        costs = g.costs()
         ws = comb._Workspace(
-            g, costs, list(cfg.laminar), [], cfg.z, cfg.dual, cfg.dual.slacks(g, costs)
+            g, list(cfg.laminar), [], cfg.z, cfg.dual, cfg.dual.slacks(g, g.costs())
         )
         assert ws.unit == 2
         bridge = ws.cmap.edge_preimage.index(8)  # 7-8

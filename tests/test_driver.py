@@ -269,11 +269,7 @@ class TestSinglePinnedAttempt:
             gamma=gamma,
             x=x_prev,
             o=2,
-            hp_sets=[],
-            new_cut_info=[
-                (TRIANGLE_LEFT, [], TRIANGLE_LEFT),
-                (TRIANGLE_RIGHT, [], TRIANGLE_RIGHT),
-            ],
+            pinned=[TRIANGLE_LEFT, TRIANGLE_RIGHT],
         )
         with pytest.raises(StructureViolation) as info:
             _solve_primal_combinatorial(bowtie, pc.scaled, fam, state)

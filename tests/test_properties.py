@@ -3,8 +3,8 @@ brute-force optimum, or reports no perfect matching exactly when there is
 none, and every trace it writes replays clean; the shared certificate
 checks, `graph.cut_values`, `graph.cost_value` and
 `lp.slackness_violation`, agree with references the tests hold; and on
-random laminar families, `laminar.maximal_sets` agrees with a reference
-and the new cuts `driver.select_new_cuts` returns are pairwise disjoint; and
+random laminar families, `laminar.maximal_sets` agrees with a reference,
+and on random set lists `LaminarFamily` with the pairwise check; and the new cuts `driver.select_new_cuts` returns are pairwise disjoint; and
 the greedy start of the bipartite relaxation is a valid configuration from
 which the procedure reaches the simplex optimum, or stalls exactly when the
 relaxation is infeasible."""
@@ -154,6 +154,57 @@ def test_maximal_sets_match_reference(sets):
     # so s is maximal exactly when the members meeting s make up s alone
     reference = [s for s in sets if s == frozenset().union(*(t for t in sets if t & s))]
     assert maximal_sets(sets) == sorted_sets(reference)
+
+
+def pairwise_family(n, sets):
+    """Reference for `LaminarFamily`: each set, in `sorted_sets` order,
+    checked against every set before it; the outcome is the family's sets
+    or the message of the first error."""
+    from cpmatch.errors import LaminarityViolation
+    from cpmatch.laminar import odd_set
+
+    kept = []
+    try:
+        for s in sorted_sets(map(frozenset, sets)):
+            s = odd_set(s, n)
+            for t in kept:
+                if s == t:
+                    raise LaminarityViolation(f"duplicate set {sorted(s)}")
+                if s & t and not (s <= t or t <= s):
+                    raise LaminarityViolation(f"{sorted(s)} properly crosses {sorted(t)}")
+            kept.append(s)
+            if len(kept) > n // 2:
+                raise LaminarityViolation(f"family exceeds n/2 = {n // 2} members")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return kept
+
+
+@st.composite
+def interval_sets(draw):
+    """n and up to 8 odd sets over 1..n, each an interval of one shuffled
+    node order: two such sets are nested, disjoint, equal or crossing."""
+    n = draw(st.integers(6, 14))
+    order = draw(st.permutations(range(1, n + 1)))
+    sets = []
+    for _ in range(draw(st.integers(0, 8))):
+        size = draw(st.sampled_from(range(3, n - 2, 2)))
+        start = draw(st.integers(0, n - size))
+        sets.append(order[start:start + size])
+    return n, sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_sets())
+def test_family_check_matches_pairwise_reference(case):
+    # the one-pass owner check accepts and rejects exactly the families the
+    # pairwise check does, with the same first error message
+    n, sets = case
+    try:
+        got = LaminarFamily(n, sets).sets
+    except ValueError as exc:
+        got = type(exc), str(exc)
+    assert got == pairwise_family(n, sets)
 
 
 @st.composite
