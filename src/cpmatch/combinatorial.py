@@ -12,11 +12,11 @@ the consistency measure, do not run in the loop; they are test oracles in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import InvalidConfiguration, StalledNoEpsilon, StructureViolation
-from .graph import Graph, cut_values, decompose_support
+from .graph import Graph, SupportDecomposition, cut_values, decompose_support
 from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
 from .lp import DualSolution, _denominators, _scaled, slackness_violation
 from .rational import HALF, ONE, Rat, ZERO, format_rat
@@ -66,32 +66,90 @@ class CriticalMatchingFinder:
 
     Sets are decided in `sorted_sets` order, children first, and each set's
     H_s and each (set, node)'s matching is memoised.  The tight flags and
-    the family tree are built on the first query.  The memo for a set s
-    stays valid while the slacks of the edges inside s do not change and no
-    family set strictly inside it is added or removed: those are its only
-    inputs.
+    the family tree are built on the first query.  H_s of a set s depends
+    only on the tight flags of the edges inside s and on the family sets
+    strictly inside it; its `boundary`, the tight edges leaving s, depends
+    only on the tight flags of the edges that cross s.
+
+    A finder given a `previous` finder on the same graph takes over, on its
+    first query, the H_s that finder decided for each family set s with the
+    same family sets strictly inside it and no edge inside s whose tight
+    flag changed; the boundary of such a set is rebuilt from the changed
+    edges that cross it, since a parent decided again reads it.  It then
+    drops `previous`.  A finder with no previous one starts with an empty
+    memo; the two decide every set alike.
     """
 
-    def __init__(self, g: Graph, fam_sets: Iterable, slacks: Sequence):
+    def __init__(
+        self, g: Graph, fam_sets: Iterable, slacks: Sequence,
+        previous: CriticalMatchingFinder | None = None,
+    ):
+        if previous is not None and previous.g is not g:
+            raise ValueError("a finder takes over only a finder on the same graph")
         self.g = g
         self._fam_sets = list(fam_sets)
         self.slacks = slacks
+        self._previous = previous
         self._tight = None  # per edge, built on the first query
-        self._children = {}  # family set -> the set of its children
+        self._children = {}  # family set -> its children
         self._decided = {}  # set -> its _Contracted
         self._memo = {}  # (set, node) -> sorted edge ids or None
 
     def _build_tree(self) -> None:
-        """The tight flags, and the children of each family set."""
+        """The tight flags, and the children of each family set; then the
+        decisions taken over from the previous finder."""
         self._tight = [not v for v in self.slacks]
         owner = {}  # node -> the largest family set so far that holds it
         for s in sorted(set(map(frozenset, self._fam_sets)), key=len):
             kids = {owner[v] for v in s if v in owner}
             if len(s) % 2 == 0 or not all(t < s for t in kids):
                 raise ValueError(f"family set {sorted(s)} is even or crosses another")
-            self._children[s] = kids
+            self._children[s] = tuple(kids)
             for v in s:
                 owner[v] = s
+        previous, self._previous = self._previous, None
+        if previous is not None and previous._decided:
+            self._take_over(previous)
+
+    def _take_over(self, previous: CriticalMatchingFinder) -> None:
+        """Take over the H_s of `previous` for each family set s whose
+        inputs are unchanged, children first, rebuilding its boundary.
+
+        One pass over the tight flags lists the changed edges.  Walking up
+        the family tree from each end of a changed edge e, the sets below
+        the least set holding both ends cross e, and that set and every set
+        above it hold e inside."""
+        children = self._children
+        parent = {t: s for s, kids in children.items() for t in kids}
+        innermost = {}  # node -> the least family set that holds it
+        for s, kids in children.items():
+            innermost.update(dict.fromkeys(s.difference(*kids), s))
+        tight, edges = self._tight, self.g.edges
+        dirty, crossing = set(), {}  # crossing: set -> changed edges leaving it
+        for e, was, now in zip(range(len(tight)), previous._tight, tight):
+            if was is now:
+                continue
+            u, v, _c = edges[e]
+            for a, b in ((u, v), (v, u)):
+                t, x = innermost.get(a), (a, b, e)
+                while t is not None and b not in t:
+                    crossing.setdefault(t, []).append(x)
+                    t = parent.get(t)
+            while t is not None and t not in dirty:
+                dirty.add(t)
+                t = parent.get(t)
+        decided, old = self._decided, previous._decided
+        for s, kids in children.items():  # smallest first
+            h = old.get(s)
+            if (h is None or s in dirty or not all(t in decided for t in kids)
+                    or {t for t in h.parts if type(t) is frozenset} != set(kids)):
+                continue
+            changes = crossing.get(s)
+            if changes:
+                boundary = [x for x in h.boundary if tight[x[2]]]
+                boundary += [x for x in changes if tight[x[2]]]
+                h = _Contracted(h.parts, h.edges, h.good, tuple(boundary))
+            decided[s] = h
 
     def _children_of(self, s) -> Iterable:
         """The maximal family sets strictly inside s."""
@@ -133,13 +191,15 @@ class CriticalMatchingFinder:
         # one part per child, keyed by its least node, and one per own node
         least = {min(t): t for t in kids}
         order = sorted(own.union(least))
-        part_of, children = {}, []
+        part_of, children, parts = {}, [], []
         for p, v in enumerate(order):
             t = least.get(v)
             if t is None:
                 part_of[v] = p
+                parts.append(v)
             else:
                 part_of.update(dict.fromkeys(t, p))
+                parts.append(t)
             children.append(t)
         tight, neighbours = self._tight, self.g.neighbours
         edge, boundary = {}, []
@@ -157,18 +217,20 @@ class CriticalMatchingFinder:
                         if edge.get(key, e) >= e:
                             edge[key] = e
         for t in kids:
-            for v, w, e in decided[t].boundary:
+            for x in decided[t].boundary:
+                v, w, e = x
                 q = part_of.get(w)
                 if q is None:
-                    boundary.append((v, w, e))
+                    boundary.append(x)
                 elif v not in bad and w not in bad and children[q] is not None:
                     # between two children, read at both: kept from the
                     # lower part's; an edge to an own node was read above
                     p = part_of[v]
                     if p < q and edge.get((p, q), e) >= e:
                         edge[p, q] = e
+        pairs = sorted(edge)
         adj = [[] for _ in children]
-        for p, q in sorted(edge):
+        for p, q in pairs:
             adj[p].append(q)
             adj[q].append(p)
         _mate, even = _max_matching(len(children), adj)
@@ -180,7 +242,12 @@ class CriticalMatchingFinder:
                 good.add(order[p])
             else:
                 good |= decided[t].good
-        return _Contracted(part_of, children, adj, edge, frozenset(good), boundary)
+        edges = []
+        for key in pairs:
+            edges += key
+            edges.append(edge[key])
+        good = s if len(good) == len(s) else frozenset(good)
+        return _Contracted(tuple(parts), tuple(edges), good, tuple(boundary))
 
     def critical_matching(self, s, u: int):
         """An F-matching on tight edges covering s minus {u}, crossing each
@@ -201,33 +268,49 @@ class CriticalMatchingFinder:
             while stack:
                 t, w = stack.pop()
                 h = self._decided[t]
-                skip = h.part_of[w]
-                if h.children[skip] is not None:
-                    stack.append((h.children[skip], w))
-                mate, _even = _max_matching(len(h.children), h.adj, skip)
+                skip = h.part(w)
+                if type(h.parts[skip]) is frozenset:
+                    stack.append((h.parts[skip], w))
+                adj, edge, flat = [[] for _ in h.parts], {}, iter(h.edges)
+                for p, q, e in zip(flat, flat, flat):
+                    adj[p].append(q)
+                    adj[q].append(p)
+                    edge[p, q] = e
+                mate, _even = _max_matching(len(h.parts), adj, skip)
                 for p, q in enumerate(mate):
                     if p < q:
-                        e = h.edge[p, q]
+                        e = edge[p, q]
                         result.append(e)
                         for x in self.g.endpoints(e):
-                            child = h.children[h.part_of[x]]
-                            if child is not None:
-                                stack.append((child, x))
+                            for child in (h.parts[p], h.parts[q]):
+                                if type(child) is frozenset and x in child:
+                                    stack.append((child, x))
             result.sort()
         self._memo[key] = result
         return result
 
 
-@dataclass
+@dataclass(slots=True)
 class _Contracted:
-    """H_s of one set s, on usable tight edges only."""
+    """H_s of one set s, on usable tight edges only, kept small: a finder
+    carried from one check to the next holds one per family set.
 
-    part_of: dict  # node of s -> its part
-    children: list  # part -> its child set, or None for a node in no child
-    adj: list  # part -> adjacent parts, ascending
-    edge: dict  # (p, q), p < q -> the lowest-id edge that joins them
-    good: frozenset  # the nodes u with a critical matching of (s, u)
-    boundary: list  # (end in s, end outside, id) per tight edge leaving s
+    `edges` is flat: p, q and the lowest edge id for each pair of parts
+    p < q that a usable edge joins, ascending by (p, q).  `boundary` holds
+    (end in s, end outside, id) for each tight edge leaving s, the same
+    tuple as in the boundary of the child it leaves, if any."""
+
+    parts: tuple  # part -> its own node (an int), or its child set
+    edges: tuple
+    good: frozenset  # the nodes u with a critical matching of (s, u): s if all
+    boundary: tuple
+
+    def part(self, v: int) -> int:
+        """The part that holds the node v of s."""
+        for p, t in enumerate(self.parts):
+            if (v in t) if type(t) is frozenset else t == v:
+                return p
+        raise ValueError(f"node {v} not in the set")
 
 
 def _max_matching(h: int, adj: Sequence, skip: int = -1) -> tuple:
@@ -398,7 +481,12 @@ class ValidConfiguration:
 
 
 def validate_configuration(
-    g: Graph, costs, cfg: ValidConfiguration, allow_exposed_nodes=False
+    g: Graph,
+    costs,
+    cfg: ValidConfiguration,
+    allow_exposed_nodes=False,
+    previous: CriticalMatchingFinder | None = None,
+    support: SupportDecomposition | None = None,
 ) -> tuple:
     """Raise InvalidConfiguration unless (A), (B), (C) hold.
 
@@ -412,9 +500,18 @@ def validate_configuration(
     single nodes: the cycle meets each of those sets and passes every other
     node of the pinned set.
 
-    Returns (finder, o).  The finder checked every set of the configuration:
-    it holds their tight edges and critical matchings under cfg.dual.  o is
-    the number of odd cycles in the support of cfg.z.
+    What a caller already has is not computed again, and every check still
+    runs on every set.  delta(S) is read from `cfg.dual.cut_edges` where it
+    lists S: it depends on S and g alone.  The finder starts from
+    `previous`, an earlier finder on g, and takes over each of its
+    decisions whose inputs, the tight edges and family sets inside the set,
+    are unchanged (see `CriticalMatchingFinder`).  `support`, when given,
+    is the decomposition of cfg.z by `decompose_support`; z is proper
+    half-integral exactly when that call returns one.
+
+    Returns (finder, support).  The finder checked every set of the
+    configuration: it holds their tight edges and critical matchings under
+    cfg.dual.  support is the decomposition of the support of cfg.z.
     """
     lam_sets = [frozenset(s) for s in cfg.laminar]
     kay_sets = [frozenset(s) for s in cfg.disjoint]
@@ -433,23 +530,25 @@ def validate_configuration(
     for s in lam_sets:
         if cfg.dual.of_set(s) <= ZERO:
             raise InvalidConfiguration(f"nonpositive dual on {sorted(s)}")
-    # delta(S) of each set is read once, for its cut and for the slacks
+    # delta(S) of each set is read at most once, for its cut and the slacks
     dual = DualSolution(cfg.dual)
-    dual.cut_edges = dict(zip(every, map(g.delta, every)))
+    dual.cut_edges = _cut_edges(g, cfg.dual, every)
     slacks = dual.slacks(g, costs)
     cut = dict(zip(every, cut_values(cfg.z, dual.cut_edges.values())))
     violation = slackness_violation(cfg.z, cfg.dual, slacks, {s: cut[s] for s in lam_sets})
     if violation is not None:
         raise InvalidConfiguration(f"complementary slackness fails: {violation}")
-    finder = CriticalMatchingFinder(g, every, slacks)
+    finder = CriticalMatchingFinder(g, every, slacks, previous)
     for s in every:
         if not is_factor_critical(finder, s):
             raise InvalidConfiguration(f"{sorted(s)} is not factor-critical")
 
-    try:
-        dec = decompose_support(cfg.z, g)
-    except ValueError:
-        raise InvalidConfiguration("z is not proper-half-integral") from None
+    dec = support
+    if dec is None:
+        try:
+            dec = decompose_support(cfg.z, g)
+        except ValueError:
+            raise InvalidConfiguration("z is not proper-half-integral") from None
     if not allow_exposed_nodes:
         covered = dec.covered(g)
         for u in range(1, g.n + 1):
@@ -477,7 +576,34 @@ def validate_configuration(
                 raise InvalidConfiguration(
                     f"support inside {sorted(s)} is not a spanning odd cycle"
                 )
-    return finder, dec.o
+    return finder, dec
+
+
+def _cut_edges(g: Graph, dual: DualSolution, sets) -> dict:
+    """delta(S) of each set S, as `dual.cut_edges` lists it or else read
+    from g."""
+    known = dual.cut_edges or {}
+    return {s: known[s] if s in known else g.delta(s) for s in sets}
+
+
+class CarriedCheck:
+    """What the output check of the last `run_half_integral_procedure` call
+    given this object leaves for the next: its finder, the z it checked,
+    and the decomposition of that z.  A driver run hands one from each
+    relaxation to the next, whose input z is that z.  The next input check
+    starts from the finder and takes the decomposition, and the carry is
+    emptied as it does, so a run holds at most one earlier finder."""
+
+    def __init__(self):
+        self.finder = None
+        self.z = None
+        self.support = None
+
+    def take(self, z) -> tuple:
+        """(finder, decomposition of z or None), emptying the carry."""
+        finder, support = self.finder, self.support if self.z is z else None
+        self.finder = self.z = self.support = None
+        return finder, support
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +889,7 @@ def run_half_integral_procedure(
     costs,
     cfg: ValidConfiguration,
     allow_exposed_nodes: bool = False,
+    carry: CarriedCheck | None = None,
 ) -> tuple:
     """Drive a valid configuration to an optimum of the pinned-cut relaxation.
 
@@ -777,17 +904,34 @@ def run_half_integral_procedure(
     inside of that set, inner sets included, is rematched from the critical
     matchings of the finder that validated the input.
 
+    Both ends of the run are checked by `validate_configuration`, and the
+    checks share what is known.  The output check starts from the input
+    check's finder: the run moves only top-level dual keys, which cross no
+    edge inside a top set, and an unshrink removes only a top set, so every
+    set keeps its tight inside and its inner family, and the output check
+    takes over every decision, rebuilding only boundaries.  With `carry`,
+    the input check starts from the finder that the last run given the
+    same carry left in it, and takes that run's decomposition when cfg.z
+    is the z it returned; this run then leaves its own output check there.
+
     Returns (final ValidConfiguration, ProcedureStats).  Raises
     InvalidConfiguration on a bad input and StalledNoEpsilon when the dual
     adjustment is unbounded (the pinned relaxation is infeasible).
     """
-    finder, o_in = validate_configuration(
-        g, costs, cfg, allow_exposed_nodes=allow_exposed_nodes
-    )
+    if carry is None:
+        carry = CarriedCheck()
     lam_sets = [frozenset(s) for s in cfg.laminar]
     kay_sets = [frozenset(s) for s in cfg.disjoint]
-    z = list(cfg.z)
+    # the run's dual lists delta(S) of every set, for both checks and for
+    # the slacks of each rebuilt workspace
     dual = DualSolution(cfg.dual)
+    dual.cut_edges = _cut_edges(g, cfg.dual, lam_sets + kay_sets)
+    # the carried finder is handed on, not kept: the input check's finder
+    # drops it once it has taken its decisions over
+    finder, dec_in = validate_configuration(
+        g, costs, replace(cfg, dual=dual), allow_exposed_nodes, *carry.take(cfg.z)
+    )
+    z = list(cfg.z)
 
     pinned_nodes = frozenset().union(*kay_sets)
     stats = ProcedureStats(
@@ -936,11 +1080,12 @@ def run_half_integral_procedure(
     out = ValidConfiguration(
         laminar=list(lam_sets), disjoint=list(kay_sets), z=z, dual=dual
     )
-    _finder, o_out = validate_configuration(g, costs, out, allow_exposed_nodes=False)
+    finder, dec_out = validate_configuration(g, costs, out, previous=finder)
     # a run with exposed nodes (the first relaxation's, from a greedy
     # matching) may form odd cycles
-    if not allow_exposed_nodes and o_out > o_in:
-        raise StructureViolation(f"odd cycle count increased: {o_in} -> {o_out}")
+    if not allow_exposed_nodes and dec_out.o > dec_in.o:
+        raise StructureViolation(f"odd cycle count increased: {dec_in.o} -> {dec_out.o}")
+    carry.finder, carry.z, carry.support = finder, z, dec_out
     return out, stats
 
 
@@ -990,15 +1135,17 @@ def greedy_start(g: Graph, costs) -> ValidConfiguration:
     return ValidConfiguration(laminar=[], disjoint=[], z=z, dual=dual)
 
 
-def solve_bipartite_via_procedure(g: Graph, costs) -> tuple:
+def solve_bipartite_via_procedure(g: Graph, costs, carry: CarriedCheck | None = None) -> tuple:
     """Solve the bipartite relaxation combinatorially from a greedy start.
 
     Starts from `greedy_start`: a feasible node dual and a matching on its
     tight edges, which leaves most nodes matched.  The procedure's
     exposed-node machinery then behaves like a primal-dual matching run
     from that warm start.  Output z is optimal by complementary slackness
-    with the final feasible dual.
+    with the final feasible dual.  `carry` is passed to the run.
     """
     if g.m == 0:
         raise StalledNoEpsilon("graph has no edges")
-    return run_half_integral_procedure(g, costs, greedy_start(g, costs), allow_exposed_nodes=True)
+    return run_half_integral_procedure(
+        g, costs, greedy_start(g, costs), allow_exposed_nodes=True, carry=carry
+    )

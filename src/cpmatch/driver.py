@@ -27,6 +27,7 @@ from .graph import (
     decompose_support,
 )
 from .combinatorial import (
+    CarriedCheck,
     ProcedureStats,
     ValidConfiguration,
     run_half_integral_procedure,
@@ -80,6 +81,9 @@ class DriverState:
     pinned: list = field(default_factory=list)
     # the last primal tableau, which the next simplex solve starts from
     warm: WarmStart = field(default_factory=WarmStart)
+    # the last procedure run's output check, which the next run's input
+    # check starts from, and x's support decomposition
+    carry: CarriedCheck = field(default_factory=CarriedCheck)
 
 
 def trace_header(g: Graph) -> dict:
@@ -165,7 +169,9 @@ def _solve_primal_combinatorial(
     cuts are pinned to equality with the zero dual `step` gave them; the
     retained cuts stay inequalities, those a new cut absorbed included,
     which lie inside it.  The procedure's workspace shrinks each new cut
-    and rematches its inside.  Its output is accepted when it is feasible
+    and rematches its inside.  Every run is given `state.carry`, so its
+    input check starts from the last run's output check (see
+    `run_half_integral_procedure`).  Its output is accepted when it is feasible
     for the current family and the extremal-dual program for it is
     feasible, which certifies optimality by complementary slackness and
     uniqueness.  Returns (x, psi, stats); raises StructureViolation, with
@@ -173,9 +179,12 @@ def _solve_primal_combinatorial(
     is not certified.
     """
     if state.x is None:
-        out, stats = solve_bipartite_via_procedure(g, costs)
-        psi = solve_extremal_dual(g, costs, fam, out.z, state.gamma)
-        return out.z, psi, stats
+        out, stats = solve_bipartite_via_procedure(g, costs, state.carry)
+        # only z is read: the run's output dual is dropped before the LP
+        z = out.z
+        del out
+        psi = solve_extremal_dual(g, costs, fam, z, state.gamma)
+        return z, psi, stats
 
     pinned = set(state.pinned)
     witness = [sorted(hat) for hat in state.pinned]
@@ -186,7 +195,7 @@ def _solve_primal_combinatorial(
         dual=state.gamma,
     )
     try:
-        out, stats = run_half_integral_procedure(g, costs, cfg)
+        out, stats = run_half_integral_procedure(g, costs, cfg, carry=state.carry)
     except StalledNoEpsilon:
         # Either no perfect matching survives the cuts or a coupling
         # invariant broke.
@@ -195,7 +204,9 @@ def _solve_primal_combinatorial(
             "pinned-cut procedure stalled on a feasible relaxation", witness=witness
         )
 
+    # only z is read: the run's output dual is dropped before the LP
     z = out.z
+    del out
     # the cuts are left to solve_extremal_dual, which sums them anyway
     if not check_degree_and_cut_feasibility(z, g, ()):
         raise StructureViolation(
@@ -249,8 +260,10 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
+    # the procedure's output check already decomposed its x
+    carry = state.carry
     try:
-        dec = decompose_support(x, g)
+        dec = carry.support if carry.z is x else decompose_support(x, g)
     except ValueError:
         raise StructureViolation(
             "intermediate optimum is not proper-half-integral",
@@ -290,6 +303,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         except ValueError as exc:  # LaminarityViolation or a bad odd set
             raise StructureViolation(f"new cut breaks the family: {exc}", witness=[sorted(h) for h in hats]) from None
         gamma_next = DualSolution(psi | dict.fromkeys(hats, ZERO))
+        gamma_next.cut_edges = psi.cut_edges
 
     nodes, sets = _record_dual(dual, g)
     record = IterationRecord(
@@ -316,6 +330,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         terminal=terminal,
         pinned=hats,
         warm=state.warm,
+        carry=carry,
     )
     return next_state, record
 

@@ -767,10 +767,12 @@ class DualSolution(dict):
 
     On an extremal dual, `cut_value` maps each family set S to x(delta(S))
     for the x it was solved for, as `solve_extremal_dual` summed it.  On
-    it and on the basis dual `solve_primal` returns, `cut_edges` maps each
-    family set S to the edge ids of delta(S) in the graph it was solved
-    on, which `slacks` and `certify_optimum` read.  Both are None on any
-    other dual."""
+    it, on the basis dual `solve_primal` returns, on the next Gamma the
+    driver builds from it and on the dual the half-integral procedure
+    returns, `cut_edges` maps each family set S to the edge ids of
+    delta(S) in the graph it was solved on, which `slacks`,
+    `certify_optimum` and the configuration checks read.  Both are None
+    on any other dual."""
 
     cut_value = None
     cut_edges = None

@@ -478,8 +478,8 @@ class TestLaminarSetsInsidePinnedSets:
         g, dual = self.ring()
         # the half-cycle 3-4-5-6-7 enters T at 3, and 1-2 matches the rest
         cfg = self.configuration(dual, halves={3, 4, 5, 6, 7, 9, 10, 11}, ones={0})
-        _finder, o = validate_configuration(g, g.costs(), cfg)
-        assert o == 2
+        _finder, dec = validate_configuration(g, g.costs(), cfg)
+        assert dec.o == 2
 
     def test_cycle_that_misses_an_own_node_rejected(self):
         from cpmatch.combinatorial import validate_configuration
@@ -525,8 +525,8 @@ class TestSharedFinder:
         real_run, real_fill = comb.run_half_integral_procedure, comb.fill_inside
 
         class CountingFinder(CriticalMatchingFinder):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 if runs:
                     runs[-1]["built"].append(self)
 
@@ -591,6 +591,36 @@ class TestSharedFinder:
             assert len(r["built"]) == 2
             assert all(finder is r["built"][0] for _s, finder in r["fills"])
 
+    def test_output_check_decides_no_set_again(self, procedure_runs, monkeypatch):
+        # a run changes no tight edge inside a set, and an unshrink only
+        # removes a top set, so the output check takes over every decision
+        # of the input check.  On this telescope each later input check
+        # takes over every retained cut from the last output check and
+        # decides only the new cuts; a run given no carry decides its sets
+        import cpmatch.combinatorial as comb
+        from collections import Counter
+
+        from cpmatch import run
+        from instances import telescope
+
+        contracts = Counter()
+        real_contract = CriticalMatchingFinder._contract
+
+        def counted(finder, s):
+            contracts[finder] += 1
+            return real_contract(finder, s)
+
+        monkeypatch.setattr(CriticalMatchingFinder, "_contract", counted)
+        run(telescope(stages=4, gadgets=2), solver="combinatorial")
+        g, cfg = unshrink_instance()
+        comb.run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert [r["stats"].unshrinks for r in procedure_runs] == [0] * 5 + [1]
+        for r in procedure_runs:
+            assert contracts[r["built"][1]] == 0
+        decided_in = [contracts[r["built"][0]] for r in procedure_runs]
+        assert decided_in == [0] + [r["stats"].input_pinned for r in procedure_runs[1:5]] + [2]
+        assert all(r["stats"].input_pinned == 2 for r in procedure_runs[1:5])
+
     @pytest.mark.parametrize(
         "instance",
         ["telescope"] + [f"random{i}" for i in range(14)],
@@ -618,6 +648,112 @@ class TestSharedFinder:
         assert out.laminar == [c]
         assert out.z == [ZERO, ONE, ZERO, ZERO, ONE, ZERO, ONE, ZERO, ONE]
         assert checked_fills == [c]
+
+
+class TestCarriedFinder:
+    """A finder started from an earlier one takes over each set whose tight
+    inside and inner family are unchanged, with its boundary rebuilt, and
+    decides the others again."""
+
+    C, D, P = frozenset({1, 2, 3}), frozenset({4, 5, 6}), frozenset(range(1, 8))
+
+    @staticmethod
+    def graph():
+        """The tight triangles C = {1, 2, 3} and D = {4, 5, 6} inside P =
+        {1..7}.  H_P has the parts C, D and 7: edge 6 (3-4) joins C and D,
+        and P reads it from C's boundary; edges 7 (1-7) and 8 (6-7) join
+        the node 7 to them."""
+        return make_graph(7, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (4, 5, 0), (5, 6, 0), (4, 6, 0),
+                              (3, 4, 0), (1, 7, 0), (6, 7, 0)])
+
+    def decided_again(self, monkeypatch):
+        contracted = []
+        real_contract = CriticalMatchingFinder._contract
+
+        def counted(finder, s):
+            contracted.append(s)
+            return real_contract(finder, s)
+
+        monkeypatch.setattr(CriticalMatchingFinder, "_contract", counted)
+        return contracted
+
+    def agree_with_fresh(self, g, family, slacks, finder):
+        fresh = CriticalMatchingFinder(g, family, slacks)
+        for s in family:
+            assert is_factor_critical(finder, s) == is_factor_critical(fresh, s)
+            for u in sorted(s):
+                assert finder.critical_matching(s, u) == fresh.critical_matching(s, u)
+
+    def test_reused_child_boundary_rebuilt(self, monkeypatch):
+        # 3-4 turns tight: it lies inside P, which is decided again, and
+        # crosses C and D, which are taken over; P reads it from C's
+        # rebuilt boundary, and H_P becomes the triangle C, D, 7
+        g, c, d, p = self.graph(), self.C, self.D, self.P
+        family = [c, d, p]
+        before = CriticalMatchingFinder(g, family, [ZERO] * 6 + [ONE, ZERO, ZERO])
+        assert is_factor_critical(before, c) and not is_factor_critical(before, p)
+        contracted = self.decided_again(monkeypatch)
+        after = CriticalMatchingFinder(g, family, [ZERO] * 9, previous=before)
+        assert is_factor_critical(after, p)
+        assert contracted == [p]
+        assert after._decided[c].parts is before._decided[c].parts
+        assert sorted(after._decided[c].boundary) == [(1, 7, 7), (3, 4, 6)]
+        assert after._previous is None
+        self.agree_with_fresh(g, family, [ZERO] * 9, after)
+
+    def test_boundary_drops_an_edge_that_leaves_the_tight_graph(self, monkeypatch):
+        # 3-4 turns non-tight: P loses its triangle
+        g, c, d, p = self.graph(), self.C, self.D, self.P
+        family = [c, d, p]
+        before = CriticalMatchingFinder(g, family, [ZERO] * 9)
+        assert is_factor_critical(before, p)
+        slacks = [ZERO] * 6 + [ONE, ZERO, ZERO]
+        contracted = self.decided_again(monkeypatch)
+        after = CriticalMatchingFinder(g, family, slacks, previous=before)
+        assert not is_factor_critical(after, p)
+        assert contracted == [p]
+        assert after._decided[c].boundary == ((1, 7, 7),)
+        self.agree_with_fresh(g, family, slacks, after)
+
+    def test_unchanged_inside_taken_over_whatever_crosses(self, monkeypatch):
+        # only 3-4 changes, and P is not in the new family: C and D are
+        # taken over and nothing is decided again
+        g, c, d, p = self.graph(), self.C, self.D, self.P
+        before = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9)
+        is_factor_critical(before, p)
+        slacks = [ZERO] * 6 + [ONE, ZERO, ZERO]
+        contracted = self.decided_again(monkeypatch)
+        after = CriticalMatchingFinder(g, [c, d], slacks, previous=before)
+        assert is_factor_critical(after, c) and is_factor_critical(after, d)
+        assert contracted == []
+        self.agree_with_fresh(g, [c, d], slacks, after)
+
+    def test_changed_inner_family_decided_again(self, monkeypatch):
+        # P loses its inner set C: the same slacks, but P is decided again
+        # and D taken over; C, added back, is new and decided too
+        g, c, d, p = self.graph(), self.C, self.D, self.P
+        before = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9)
+        is_factor_critical(before, p)
+        contracted = self.decided_again(monkeypatch)
+        after = CriticalMatchingFinder(g, [d, p], [ZERO] * 9, previous=before)
+        assert is_factor_critical(after, p)
+        assert contracted == [p]
+        again = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9, previous=after)
+        assert is_factor_critical(again, p)
+        assert contracted == [p, c, p]
+
+    def test_undecided_previous_gives_nothing(self, monkeypatch):
+        g, c, d, p = self.graph(), self.C, self.D, self.P
+        before = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9)
+        contracted = self.decided_again(monkeypatch)
+        after = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9, previous=before)
+        assert is_factor_critical(after, p)
+        assert contracted == [c, d, p]
+
+    def test_previous_on_another_graph_rejected(self):
+        before = CriticalMatchingFinder(self.graph(), [self.C], [ZERO] * 9)
+        with pytest.raises(ValueError, match="same graph"):
+            CriticalMatchingFinder(self.graph(), [self.C], [ZERO] * 9, previous=before)
 
 
 class TestCarriedWorkspace:
@@ -853,39 +989,45 @@ class TestCarriedWorkspace:
         ]
         assert stats.unshrinks == 1
 
-    def test_three_decompositions_per_run_plus_one_per_unshrink(self, monkeypatch):
-        # validating the input, building the workspace and validating the
-        # output decompose a support once each; a rebuild after an unshrink
-        # decomposes its own
+    def test_one_decomposition_per_round_plus_workspaces(self, monkeypatch):
+        # each round's output check decomposes x once, for its odd-cycle
+        # check, for step and for the next round's input check; each
+        # workspace build decomposes its own support, and so does the first
+        # round's input check, of the greedy start
         import cpmatch.combinatorial as comb
         import cpmatch.driver as drv_mod
         from cpmatch import run
         from instances import telescope
 
         calls = []
-        runs = []
+        rounds = []
         real_decompose = comb.decompose_support
-        real_run = comb.run_half_integral_procedure
+        real_step = drv_mod.step
 
         def decompose(*args):
             calls.append(args)
             return real_decompose(*args)
 
-        def wrapped(g, costs, cfg, **kwargs):
+        def step(*args, **kwargs):
             before = len(calls)
-            out, stats = real_run(g, costs, cfg, **kwargs)
-            runs.append((len(calls) - before, stats))
-            return out, stats
+            state, record = real_step(*args, **kwargs)
+            rounds.append((len(calls) - before, record.procedure["unshrinks"]))
+            return state, record
 
         monkeypatch.setattr(comb, "decompose_support", decompose)
-        monkeypatch.setattr(comb, "run_half_integral_procedure", wrapped)
-        monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
+        monkeypatch.setattr(drv_mod, "decompose_support", decompose)
+        monkeypatch.setattr(drv_mod, "step", step)
         run(telescope(stages=4, gadgets=2), solver="combinatorial")
+        assert len(rounds) == 5
+        assert [count for count, _u in rounds] == [
+            2 + unshrinks + (i == 0) for i, (_count, unshrinks) in enumerate(rounds)
+        ]
+        # a run given no carry decomposes its input as well
         g, cfg = unshrink_instance()
-        wrapped(g, g.costs(), cfg, allow_exposed_nodes=True)
-        assert any(stats.iterations > 1 for _count, stats in runs)
-        assert runs[-1][1].unshrinks == 1
-        assert [count for count, _stats in runs] == [3 + stats.unshrinks for _c, stats in runs]
+        before = len(calls)
+        _out, stats = comb.run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        assert stats.unshrinks == 1
+        assert len(calls) - before == 3 + stats.unshrinks
 
     def test_two_slack_passes_per_run_plus_one_per_unshrink(self, monkeypatch):
         # validating the input and validating the output compute the slacks

@@ -7,15 +7,22 @@ random laminar families, `laminar.maximal_sets` agrees with a reference,
 and on random set lists `LaminarFamily` with the pairwise check; and the new cuts `driver.select_new_cuts` returns are pairwise disjoint; and
 the greedy start of the bipartite relaxation is a valid configuration from
 which the procedure reaches the simplex optimum, or stalls exactly when the
-relaxation is infeasible."""
+relaxation is infeasible; and a critical-matching finder started from an
+earlier finder, after slack and family changes, answers as a fresh one."""
 
 import pytest
 from conftest import per_edge_slacks
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpmatch import LaminarFamily, brute_force_mcpm, make_graph, run, verify_trace
-from cpmatch.combinatorial import greedy_start, solve_bipartite_via_procedure, validate_configuration
+from cpmatch.combinatorial import (
+    CriticalMatchingFinder,
+    greedy_start,
+    is_factor_critical,
+    solve_bipartite_via_procedure,
+    validate_configuration,
+)
 from cpmatch.driver import SOLVER_CHOICES, select_new_cuts
 from cpmatch.errors import LPInfeasible, NoPerfectMatching, StalledNoEpsilon, StructureViolation
 from cpmatch.graph import cost_value, cut_values, decompose_support
@@ -314,3 +321,107 @@ def test_greedy_start_is_valid_and_reaches_the_simplex_optimum(case):
         return
     out, _stats = solve_bipartite_via_procedure(g, costs)
     assert out.z == x
+
+
+@st.composite
+def finder_changes(draw):
+    """(g, family, slacks, queried, next_family, next_slacks).  Up to 11
+    nodes in a shuffled order, edges along it and between random pairs,
+    most of them tight.  The family is a tree of odd intervals of the
+    order, nested and side by side.  `queried` are the sets the earlier
+    finder is asked about.  The next family drops about one set in four
+    and may add new ones.  The next slacks flip a few edges between
+    tight and non-tight, most of them edges that leave a family set inside
+    a larger one or join two family sets."""
+    n = draw(st.integers(5, 11))
+    order = draw(st.permutations(range(1, n + 1)))
+    # the square of the path along the order, factor-critical on each odd
+    # interval while its edges are tight, and random edges besides
+    planted = [(order[i], order[j]) for i in range(n) for j in (i + 1, i + 2) if j < n]
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    extra = draw(st.lists(pair, max_size=n))
+    slack = st.sampled_from([ZERO, ZERO, ZERO, ONE, Rat(1, 2)])
+    edges = [(a, b, draw(st.sampled_from([ZERO] * 7 + [ONE]))) for a, b in planted]
+    edges += [(a, b, draw(slack)) for a, b in extra]
+    edges = [edges[i] for i in draw(st.permutations(range(len(edges))))]
+    g = make_graph(n, [(a, b, 0) for a, b, _s in edges])
+    slacks = [s for _a, _b, s in edges]
+
+    def inside(a, b):
+        # odd intervals strictly inside [a, b), side by side, each with its
+        # own inner ones: an interval is (first position, end position)
+        out, pos = [], a + draw(st.integers(0, 1))
+        while True:
+            sizes = range(3, min(b - pos, b - a - 2) + 1, 2)
+            if not sizes or not draw(st.integers(0, 5)):
+                return out
+            size = draw(st.sampled_from(sizes))
+            out += [(pos, pos + size)] + inside(pos, pos + size)
+            pos += size + draw(st.integers(0, 1))
+
+    def add_intervals(family, count):
+        for _ in range(count):
+            size = draw(st.sampled_from(range(3, n + 1, 2)))
+            a = draw(st.integers(0, n - size))
+            b = a + size
+            if all(a <= c and d <= b or c <= a and b <= d or b <= c or d <= a
+                   for c, d in family) and (a, b) not in family:
+                family.append((a, b))
+        return family
+
+    # the largest odd interval, and its inner ones, sometimes without it
+    size = n - 1 + n % 2
+    a = draw(st.integers(0, n - size))
+    intervals = [(a, a + size)] + inside(a, a + size)
+    if draw(st.booleans()):
+        intervals.pop(0)
+    queried = [t for t in intervals if draw(st.integers(0, 3))]
+    kept = [t for t in intervals if draw(st.integers(0, 3))]
+    next_intervals = add_intervals(kept, draw(st.integers(0, 2)))
+    family, queried, next_family = (
+        [frozenset(order[a:b]) for a, b in sets] for sets in (intervals, queried, next_intervals)
+    )
+    # edges that leave a family set inside a larger one, and edges between
+    # two disjoint family sets, which a parent reads from their boundaries
+    inner = sorted({e for t in family for r in family if t < r
+                    for e in g.delta(t) if set(g.endpoints(e)) <= r})
+    between = [e for e, (u, v, _c) in enumerate(g.edges)
+               if any(u in t and v in r for t in family for r in family if not t & r)]
+    flipped = draw(st.sets(st.integers(0, g.m - 1), max_size=1))
+    for edges in (inner, between):
+        if edges:
+            flipped |= draw(st.sets(st.sampled_from(edges), max_size=3))
+    other = st.sampled_from([ONE, Rat(1, 2)])
+    next_slacks = [
+        (ZERO if v else draw(other)) if e in flipped else v for e, v in enumerate(slacks)
+    ]
+    return g, family, slacks, queried, next_family, next_slacks
+
+
+# The tight triangles C = {1, 2, 3} and D = {4, 5, 6} inside P = {1..7},
+# with 1-7 and 6-7 tight.  The edge 3-4 between C and D turns tight: C and
+# D are taken over, and P, decided again, reads 3-4 from C's boundary.
+_C, _D, _P = frozenset({1, 2, 3}), frozenset({4, 5, 6}), frozenset(range(1, 8))
+_STALE_BOUNDARY = (
+    make_graph(7, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (4, 5, 0), (5, 6, 0), (4, 6, 0),
+                   (3, 4, 0), (1, 7, 0), (6, 7, 0)]),
+    [_C, _D, _P], [ZERO] * 6 + [ONE, ZERO, ZERO], [_P], [_C, _D, _P], [ZERO] * 9,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(finder_changes())
+@example(_STALE_BOUNDARY)
+def test_carried_finder_answers_as_a_fresh_one(case):
+    g, family, slacks, queried, next_family, next_slacks = case
+    earlier = CriticalMatchingFinder(g, family, slacks)
+    for s in queried:
+        is_factor_critical(earlier, s)
+    carried = CriticalMatchingFinder(g, next_family, next_slacks, previous=earlier)
+    fresh = CriticalMatchingFinder(g, next_family, next_slacks)
+    for s in next_family:
+        assert is_factor_critical(carried, s) == is_factor_critical(fresh, s)
+        for u in sorted(s):
+            assert carried.critical_matching(s, u) == fresh.critical_matching(s, u)
+        # the tight edges leaving s, which a parent decided again reads
+        assert sorted(carried._decided[s].boundary) == sorted(fresh._decided[s].boundary)
