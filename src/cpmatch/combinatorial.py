@@ -12,7 +12,7 @@ the consistency measure, do not run in the loop; they are test oracles in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidConfiguration, StalledNoEpsilon, StructureViolation
@@ -418,8 +418,9 @@ def is_factor_critical(finder: CriticalMatchingFinder, s) -> bool:
     return len(finder._decide(s).good) == len(s)
 
 
-def fill_inside(g: Graph, z: list, s, finder: CriticalMatchingFinder) -> None:
-    """Rematch z inside the odd set s, in place, to agree with its boundary.
+def fill_inside(g: Graph, z: list, s, cut, finder: CriticalMatchingFinder) -> None:
+    """Rematch z inside the odd set s, in place, to agree with its boundary
+    `cut`, the edge ids of delta(s).
 
     The edges inside s are cleared and refilled from critical matchings of
     s: the full matching missing u when one 1-edge, or two half-edges, enter
@@ -429,7 +430,7 @@ def fill_inside(g: Graph, z: list, s, finder: CriticalMatchingFinder) -> None:
     matching.
     """
     ins = []
-    for e in g.delta(s):
+    for e in cut:
         if z[e] != ZERO:
             a, b, _c = g.edges[e]
             ins.append((a if a in s else b, z[e]))
@@ -501,9 +502,9 @@ def validate_configuration(
     node of the pinned set.
 
     What a caller already has is not computed again, and every check still
-    runs on every set.  delta(S) is read from `cfg.dual.cut_edges` where it
-    lists S: it depends on S and g alone.  The finder starts from
-    `previous`, an earlier finder on g, and takes over each of its
+    runs on every set.  delta(S) is read from `cfg.dual.cuts(g)`: it
+    depends on S and g alone.  The finder starts from `previous`, an
+    earlier finder on g, and takes over each of its
     decisions whose inputs, the tight edges and family sets inside the set,
     are unchanged (see `CriticalMatchingFinder`).  `support`, when given,
     is the decomposition of cfg.z by `decompose_support`; z is proper
@@ -530,11 +531,8 @@ def validate_configuration(
     for s in lam_sets:
         if cfg.dual.of_set(s) <= ZERO:
             raise InvalidConfiguration(f"nonpositive dual on {sorted(s)}")
-    # delta(S) of each set is read at most once, for its cut and the slacks
-    dual = DualSolution(cfg.dual)
-    dual.cut_edges = _cut_edges(g, cfg.dual, every)
-    slacks = dual.slacks(g, costs)
-    cut = dict(zip(every, cut_values(cfg.z, dual.cut_edges.values())))
+    slacks = cfg.dual.slacks(g, costs)
+    cut = dict(zip(every, cut_values(cfg.z, map(cfg.dual.cuts(g).__getitem__, every))))
     violation = slackness_violation(cfg.z, cfg.dual, slacks, {s: cut[s] for s in lam_sets})
     if violation is not None:
         raise InvalidConfiguration(f"complementary slackness fails: {violation}")
@@ -577,13 +575,6 @@ def validate_configuration(
                     f"support inside {sorted(s)} is not a spanning odd cycle"
                 )
     return finder, dec
-
-
-def _cut_edges(g: Graph, dual: DualSolution, sets) -> dict:
-    """delta(S) of each set S, as `dual.cut_edges` lists it or else read
-    from g."""
-    known = dual.cut_edges or {}
-    return {s: known[s] if s in known else g.delta(s) for s in sets}
 
 
 class CarriedCheck:
@@ -922,16 +913,16 @@ def run_half_integral_procedure(
         carry = CarriedCheck()
     lam_sets = [frozenset(s) for s in cfg.laminar]
     kay_sets = [frozenset(s) for s in cfg.disjoint]
-    # the run's dual lists delta(S) of every set, for both checks and for
-    # the slacks of each rebuilt workspace
-    dual = DualSolution(cfg.dual)
-    dual.cut_edges = _cut_edges(g, cfg.dual, lam_sets + kay_sets)
     # the carried finder is handed on, not kept: the input check's finder
     # drops it once it has taken its decisions over
     finder, dec_in = validate_configuration(
-        g, costs, replace(cfg, dual=dual), allow_exposed_nodes, *carry.take(cfg.z)
+        g, costs, cfg, allow_exposed_nodes, *carry.take(cfg.z)
     )
     z = list(cfg.z)
+    # the run's dual shares the map of delta(S) of cfg.dual, for the
+    # repairs, the output check and the slacks of each rebuilt workspace
+    dual = DualSolution(cfg.dual)
+    dual.cut_edges = cuts = cfg.dual.cuts(g)
 
     pinned_nodes = frozenset().union(*kay_sets)
     stats = ProcedureStats(
@@ -960,7 +951,7 @@ def run_half_integral_procedure(
         for node in touched_nodes:
             s = ws.key_of(node)
             if s is not None:
-                fill_inside(g, z, s, finder)
+                fill_inside(g, z, s, cuts[s], finder)
 
     hard_cap = 16 * (g.n + len(lam_sets) + len(kay_sets) + 4) * (g.n + 4)
     first = True

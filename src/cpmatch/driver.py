@@ -289,7 +289,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
             except LPInfeasible as exc:
                 raise StructureViolation(_NO_EXTREMAL_DUAL) from exc
         if solver != "combinatorial":
-            certify_optimum(g, costs, fam.sets, x, objective, psi, psi.cut_value)
+            certify_optimum(g, costs, fam.sets, x, objective, psi)
         dual, kind = psi, "extremal"
 
     hp_sets, hats = [], []

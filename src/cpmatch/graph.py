@@ -101,6 +101,19 @@ class Graph:
         )
 
 
+class Cuts(dict):
+    """delta(S) of each odd set S of one run on g, frozenset -> edge ids,
+    read by `Graph.delta` on its first lookup; it lives as long as the run."""
+
+    def __init__(self, g: Graph, *args):
+        super().__init__(*args)
+        self.g = g
+
+    def __missing__(self, s):
+        edges = self[s] = self.g.delta(s)
+        return edges
+
+
 def make_graph(n: int, edges: Iterable) -> Graph:
     return Graph(n=n, edges=tuple((u, v, c) for u, v, c in edges))
 

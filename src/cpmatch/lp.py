@@ -81,7 +81,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import LPInfeasible, LPUnbounded, StructureViolation
-from .graph import Graph, cost_value, cut_values, feasibility_violation, in_units
+from .graph import Cuts, Graph, cost_value, cut_values, feasibility_violation, in_units
 from .laminar import LaminarFamily, sorted_sets
 from .rational import ONE, Rat, ZERO
 
@@ -765,17 +765,19 @@ def _integral_solution(equations, unknowns) -> dict:
 class DualSolution(dict):
     """Dual values keyed by node id (int) or odd set (frozenset).
 
-    On an extremal dual, `cut_value` maps each family set S to x(delta(S))
-    for the x it was solved for, as `solve_extremal_dual` summed it.  On
-    it, on the basis dual `solve_primal` returns, on the next Gamma the
-    driver builds from it and on the dual the half-integral procedure
-    returns, `cut_edges` maps each family set S to the edge ids of
-    delta(S) in the graph it was solved on, which `slacks`,
-    `certify_optimum` and the configuration checks read.  Both are None
-    on any other dual."""
+    `cut_edges` is the run's map of delta(S) on one graph (`graph.Cuts`),
+    which every reader of a set's edges takes through `cuts`.  A driver run
+    hands one map from each dual to the next: Gamma, Psi and the duals of
+    the half-integral procedure share it, so each set is read from g once
+    per run."""
 
-    cut_value = None
     cut_edges = None
+
+    def cuts(self, g: Graph) -> Cuts:
+        """`cut_edges`, a fresh `Cuts(g)` attached first when there is none."""
+        if self.cut_edges is None:
+            self.cut_edges = Cuts(g)
+        return self.cut_edges
 
     def node(self, u: int):
         return self.get(u, ZERO)
@@ -800,7 +802,7 @@ class DualSolution(dict):
         lcm of the denominators of the dual values and of the costs that
         are not ints; the pass sums them in ints, and the dual objective
         too (`Slacks.dual_objective`), and builds no Rat.  Each nonzero set
-        key crosses the edges `cut_edges` lists for it, or else g.delta."""
+        key crosses the edges `cuts(g)` lists for it."""
         d = math.lcm(*_denominators(self.values()), *_denominators(costs))
         units = {key: _scaled(val, d) for key, val in self.items() if val}
         node = units.get
@@ -808,10 +810,10 @@ class DualSolution(dict):
                      for e, (u, v, _c) in enumerate(g.edges))
         out.unit = d
         out.dual_objective = sum(units.values())
-        cut_edges = self.cut_edges or {}
+        cuts = self.cuts(g)
         for key, k in units.items():
             if isinstance(key, frozenset):
-                for e in cut_edges.get(key) or g.delta(key):
+                for e in cuts[key]:
                     out[e] -= k
         return out
 
@@ -853,24 +855,19 @@ def slackness_violation(x: Sequence, dual: DualSolution, slacks: Sequence, cut_v
     return None
 
 
-def certify_optimum(
-    g: Graph, costs, sets: Sequence, x: Sequence, objective, dual: DualSolution, cut_value=None
-) -> None:
+def certify_optimum(g: Graph, costs, sets: Sequence, x: Sequence, objective, dual: DualSolution) -> None:
     """Raise StructureViolation unless x is an optimum of P_F (F = `sets`)
     of value `objective` and `dual` proves it: x is feasible, the dual
     objective equals `objective` (strong duality), and `slackness_violation`
     finds no breach between x and dual.  The one certificate of a relaxation
     optimum, for a basis dual and for the extremal dual Psi alike.
 
-    `cut_value` maps each set to x(delta(S)), as `solve_extremal_dual`
-    leaves it on Psi; without it, each cut is summed here, over the edges
-    `dual.cut_edges` lists for it or else g.delta.  One pass over the
+    Each cut is summed over the edges `dual.cuts(g)` lists for it, with x
+    put in int units once for the cuts and the degrees.  One pass over the
     dual's values gives both its objective and the slacks."""
-    if cut_value is None:
-        edges = dual.cut_edges or {}
-        cuts = (edges.get(s) or g.delta(s) for s in sets)
-        cut_value = dict(zip(sets, cut_values(x, cuts)))
-    violation = feasibility_violation(x, g, sets, map(cut_value.__getitem__, sets))
+    units = in_units(x)
+    cut_value = dict(zip(sets, cut_values(x, map(dual.cuts(g).__getitem__, sets), units)))
+    violation = feasibility_violation(x, g, sets, map(cut_value.__getitem__, sets), units)
     if violation is not None:
         raise StructureViolation(f"primal infeasible: {violation['reason']}", witness=violation)
     slacks = dual.slacks(g, costs)
@@ -954,7 +951,7 @@ def solve_primal(
     if fractional_dual or res.integral:
         dual = DualSolution(zip(row_keys, res.duals))
         # each cut row's coefficients are keyed by the edge ids of delta(S)
-        dual.cut_edges = {s: coefs.keys() for s, (coefs, _rel, _rhs) in zip(sets, lp.rows[g.n:])}
+        dual.cut_edges = Cuts(g, ((s, coefs.keys()) for s, (coefs, _r, _b) in zip(sets, lp.rows[g.n:])))
         if y0:
             dual.update((u, dual[u] + y0) for u in range(1, g.n + 1))
         certify_optimum(g, costs, fam.sets, res.x, objective, dual)
@@ -976,9 +973,9 @@ def solve_extremal_dual(
     Gamma, keyed in the order: singletons by node id, then tight family sets
     by (size, min element), and posed in ints in one pass over the edges.
     Psi is read off the final tableau's ints, at most one Rat per key, and
-    strong duality (sum of Psi = c.x) is checked in ints.  x(delta(S)) and
-    the edge ids of delta(S) of every family set S are left in
-    `psi.cut_value` and `psi.cut_edges`.  Raises StructureViolation, with
+    strong duality (sum of Psi = c.x) is checked in ints.  delta(S) of
+    each family set S is read from `gamma.cuts(g)`, and Psi shares that
+    map as its `cut_edges`.  Raises StructureViolation, with
     the set as witness, when x(delta(S)) < 1 for a family set S: x is not
     feasible.  On the simplex route the driver certifies x by this Psi
     (`certify_optimum`), so an LPInfeasible here is a structure violation.
@@ -987,15 +984,13 @@ def solve_extremal_dual(
     tight_sets = []
     crossed = [[] for _ in range(g.m)]  # the tight keys each edge crosses
     sets = fam.sets
-    cuts = [g.delta(s) for s in sets]
-    cut_value = {}
+    cuts = gamma.cuts(g)
     x_units = in_units(x)
-    for s, cut, value in zip(sets, cuts, cut_values(x, cuts, x_units)):
-        cut_value[s] = value
+    for s, value in zip(sets, cut_values(x, map(cuts.__getitem__, sets), x_units)):
         if value < ONE:
             raise StructureViolation("primal is below one on a cut", witness=sorted(s))
         if value == ONE:
-            for e in cut:
+            for e in cuts[s]:
                 crossed[e].append(n + len(tight_sets))
             tight_sets.append(s)
     keys = list(range(1, n + 1)) + tight_sets
@@ -1046,6 +1041,5 @@ def solve_extremal_dual(
     psi = DualSolution(zip(keys, values))
     for s in sets:
         psi.setdefault(s, ZERO)
-    psi.cut_value = cut_value
-    psi.cut_edges = dict(zip(sets, cuts))
+    psi.cut_edges = cuts
     return psi

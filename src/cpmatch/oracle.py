@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
 from .graph import (
-    Graph, cost_value, cut_values, decompose_support, feasibility_violation, in_units, make_graph,
+    Cuts, Graph, cost_value, cut_values, decompose_support, feasibility_violation, in_units, make_graph,
 )
 from .combinatorial import CriticalMatchingFinder, is_factor_critical
 from .laminar import LaminarFamily
@@ -238,6 +238,8 @@ def parse_trace(lines) -> tuple:
                 raise SchemaMismatch(
                     f"record {i}: {name} is not of type {kind.__name__}: {rec[name]!r}"
                 )
+        if rec.get("dual_kind", "extremal") not in ("extremal", "basis"):
+            raise SchemaMismatch(f"record {i}: unknown dual_kind {rec['dual_kind']!r}")
     return header, records
 
 
@@ -279,8 +281,8 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
     Each piece of work is done once: a number string is parsed once per
     call, whatever records repeat it; x is put in int units once per record
     (`in_units`), for the cut, degree, objective and integrality checks;
-    and delta(S) of an imposed set S is read once per call, for the cut
-    values and, through `dual.cut_edges`, the slacks."""
+    and delta(S) of a set S is read once per call, into one `Cuts` map, for
+    the cut values and, as each `dual.cut_edges`, the slacks."""
     header, records = parse_trace(trace_lines)
     for key, value in trace_header(g).items():
         if header.get(key) != value:
@@ -293,13 +295,7 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
         report.record(name, True)
 
     numbers = {}  # number string -> its Rat
-    cut_edges = {}  # imposed set S -> the edge ids of delta(S)
-
-    def delta(s):
-        if s not in cut_edges:
-            cut_edges[s] = g.delta(s)
-        return cut_edges[s]
-
+    cuts = Cuts(g)
     prev_o = None
     critical_skip = "no extremal dual"  # why positively_critical has not run yet
     undecomposed = None  # first iteration whose support could not be decomposed
@@ -311,7 +307,7 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
         if len(x) != g.m:
             raise SchemaMismatch(f"iteration {it}: primal length {len(x)}")
         dual = DualSolution()
-        dual.cut_edges = cut_edges
+        dual.cut_edges = cuts
         for u_str, val in rec["dual_nodes"].items():
             dual[_node(u_str, it)] = _number(val, it, "dual_nodes", numbers)
         for entry in rec["dual_sets"]:
@@ -343,7 +339,7 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
         # x in int units, and x(delta(S)) of each imposed set, read once for
         # the feasibility, objective and complementary-slackness tests
         units = in_units(x)
-        cut_value = dict(zip(imposed, cut_values(x, map(delta, imposed), units)))
+        cut_value = dict(zip(imposed, cut_values(x, map(cuts.__getitem__, imposed), units)))
         degree_violation = feasibility_violation(x, g, (), units=units)
         violation = degree_violation or next(
             ({"set": sorted(s), "reason": "cut below one"} for s in imposed if cut_value[s] < ONE),
@@ -371,17 +367,22 @@ def verify_trace(g: Graph, trace_lines) -> VerifyReport:
         if violation is not None:
             report.record("complementary_slackness", False, {"iteration": it, **violation})
 
-        if rec.get("dual_kind", "extremal") == "extremal":
-            if fam is None:
-                critical_skip = critical_skip and "cut family not laminar"
-            else:
-                critical_skip = None
-                positive = [s for s in imposed if dual.of_set(s) > ZERO]
-                if positive:
-                    finder = CriticalMatchingFinder(g, imposed, slacks)
-                    for s in positive:
-                        if not is_factor_critical(finder, s):
-                            report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
+        # positively_critical reads an extremal dual; only the final
+        # record may carry the basis dual in its place
+        if rec.get("dual_kind") == "basis":
+            if rec is not records[-1]:
+                witness = {"iteration": it, "reason": "basis dual on a non-final record"}
+                report.record("positively_critical", False, witness)
+        elif fam is None:
+            critical_skip = critical_skip and "cut family not laminar"
+        else:
+            critical_skip = None
+            positive = [s for s in imposed if dual.of_set(s) > ZERO]
+            if positive:
+                finder = CriticalMatchingFinder(g, imposed, slacks)
+                for s in positive:
+                    if not is_factor_critical(finder, s):
+                        report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
 
         # the family must be exactly the previous record's retained + added
         if want is not None and set(imposed) != want:

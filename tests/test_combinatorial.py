@@ -535,9 +535,9 @@ class TestSharedFinder:
                 super().__init__(*args)
                 runs[-1]["workspaces"].append(self)
 
-        def fill(g, z, s, finder):
+        def fill(g, z, s, cut, finder):
             runs[-1]["fills"].append((s, finder))
-            return real_fill(g, z, s, finder)
+            return real_fill(g, z, s, cut, finder)
 
         def wrapped(g, costs, cfg, **kwargs):
             runs.append({"built": [], "fills": [], "workspaces": []})
@@ -563,7 +563,7 @@ class TestSharedFinder:
         checked = []
         recorded_fill = comb.fill_inside
 
-        def fill(g, z, s, finder):
+        def fill(g, z, s, cut, finder):
             assert finder is procedure_runs[-1]["built"][0]
             ws = procedure_runs[-1]["workspaces"][-1]
             _g, costs, lam_sets, kay_sets, _z, _dual = ws.state
@@ -573,7 +573,7 @@ class TestSharedFinder:
             for u in sorted(s):
                 assert finder.critical_matching(s, u) == fresh.critical_matching(s, u)
             checked.append(s)
-            return recorded_fill(g, z, s, finder)
+            return recorded_fill(g, z, s, cut, finder)
 
         monkeypatch.setattr(comb, "fill_inside", fill)
         return checked

@@ -355,6 +355,34 @@ class TestExtremalDualCount:
         assert len(calls) == expected
 
 
+class TestCutsReadOnce:
+    def test_each_delta_read_once_per_run_and_per_replay(self, monkeypatch):
+        # the run's duals share one map of delta(S), and so do a replay's
+        # records: no set is read from the graph twice in either
+        from collections import Counter
+
+        from cpmatch.graph import Graph
+        from instances import telescope
+
+        scans = Counter()
+        real = Graph.delta
+
+        def counting(self, nodes):
+            scans[frozenset(nodes)] += 1
+            return real(self, nodes)
+
+        monkeypatch.setattr(Graph, "delta", counting)
+        g = telescope(4, 2, bridge=1000)
+        res = run(g, solver="combinatorial")
+        assert len(res.records) == 5 and scans
+        assert max(scans.values()) == 1
+        run_scans = set(scans)
+        scans.clear()
+        assert verify_trace(g, res.trace_lines()).all_ok
+        assert set(scans) == run_scans
+        assert max(scans.values()) == 1
+
+
 def assert_same_but_terminal_duals(runs_a, runs_b) -> int:
     """Two runs of each graph, as trace lines or a NoPerfectMatching
     message: equal but for a terminal record's `dual_nodes` and

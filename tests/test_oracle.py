@@ -377,6 +377,41 @@ class TestVerifyTrace:
         with pytest.raises(SchemaMismatch):
             parse_trace(lines)
 
+    def _telescope_trace(self):
+        """telescope(3, 2, bridge=1000) on the simplex route: three
+        extremal records, then the final one with the basis dual."""
+        from instances import telescope
+
+        g = telescope(3, 2, bridge=1000)
+        lines = self._trace(g)
+        assert [json.loads(line)["dual_kind"] for line in lines[1:]] == ["extremal"] * 3 + ["basis"]
+        return g, lines
+
+    @pytest.mark.parametrize("kind", [7, "Basis", None, ["basis"]], ids=["int", "case", "null", "list"])
+    def test_unknown_dual_kind_rejected(self, kind):
+        g, lines = self._telescope_trace()
+        rec = json.loads(lines[1])
+        rec["dual_kind"] = kind
+        lines[1] = json.dumps(rec, sort_keys=True)
+        with pytest.raises(SchemaMismatch, match="dual_kind"):
+            parse_trace(lines)
+        with pytest.raises(SchemaMismatch, match="dual_kind"):
+            verify_trace(g, lines)
+
+    def test_basis_dual_on_a_non_final_record_fails_critical(self):
+        # relabelled "basis", record 0's extremal dual would skip the
+        # positively_critical check: the label alone fails it
+        g, lines = self._telescope_trace()
+        rec = json.loads(lines[1])
+        rec["dual_kind"] = "basis"
+        lines[1] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(g, lines)
+        assert report.checks["positively_critical"] == (
+            False, {"iteration": 0, "reason": "basis dual on a non-final record"},
+        )
+        assert "PASS positively_critical" not in report.lines()
+        assert not report.all_ok
+
     def test_doctored_family_evolution_caught(self, bowtie):
         lines = self._trace(bowtie)
         rec = json.loads(lines[2])
