@@ -879,14 +879,15 @@ def certify_optimum(g: Graph, costs, sets: Sequence, x: Sequence, objective, dua
         raise StructureViolation(f"complementary slackness: {violation['reason']}", witness=violation)
 
 
-def build_primal(g: Graph, costs, sets: Sequence, base: LinearProgram | None = None) -> tuple:
+def build_primal(g: Graph, costs, sets: Sequence, base: LinearProgram | None = None, cuts=None) -> tuple:
     """P_F: minimize costs subject to degree equalities and cut inequalities.
 
     Returns (LinearProgram, row_keys) with one variable per edge, one
     equality row per node, then one >=1 row per set of the family F, in the
     order of `sets`.  `base` is a program this function built for the same
     g and costs and a prefix of `sets`: the new program shares its variables
-    and rows, and only the rows of the sets past that prefix are built.
+    and rows, and only the rows of the sets past that prefix are built.  Cut
+    rows read delta(S) from `cuts`, the run's `Cuts` map (a new one if None).
     """
     if base is None:
         lp = LinearProgram()
@@ -897,8 +898,9 @@ def build_primal(g: Graph, costs, sets: Sequence, base: LinearProgram | None = N
             lp.add_row({e: 1 for e in incidence[u]}, "=", 1)
     else:
         lp = LinearProgram(base.objective, list(base.rows))
+    cuts = Cuts(g) if cuts is None else cuts
     for s in sets[lp.num_rows - g.n:]:
-        lp.add_row({e: 1 for e in g.delta(s)}, ">=", 1)
+        lp.add_row({e: 1 for e in cuts[s]}, ">=", 1)
     return lp, list(range(1, g.n + 1)) + list(sets)
 
 
@@ -914,7 +916,7 @@ class WarmStart:
 
 
 def solve_primal(
-    g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = None, fractional_dual: bool = True
+    g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = None, fractional_dual: bool = True, cuts=None
 ) -> tuple:
     """Solve P_F; return (x, basis dual, objective).
 
@@ -928,6 +930,8 @@ def solve_primal(
     every set of `warm.sets` is solved from `warm.tableau`, its program
     `warm.lp` with the new sets' rows appended; any other from `dual_start`.
     The program and its final tableau are left in `warm` for the next call.
+    Cut rows read delta(S) from `cuts` (see `build_primal`), which the basis
+    dual keeps as its `cut_edges`; without one, each builds its own map.
 
     The dual start needs costs >= 0, so each cost is lowered by 2*y0, y0 =
     min(0, least cost) // 2.  Every x that meets the degree rows has x(E) =
@@ -944,14 +948,13 @@ def solve_primal(
         else:
             start = None
     y0 = int(min(0, *costs) // 2)
-    lp, row_keys = build_primal(g, [c - 2 * y0 for c in costs] if y0 else costs, sets, base)
+    lp, row_keys = build_primal(g, [c - 2 * y0 for c in costs] if y0 else costs, sets, base, cuts)
     res = simplex_solve(lp, dual_start(lp.objective) if start is None else start)
     objective = res.objective + y0 * g.n
     dual = None
     if fractional_dual or res.integral:
         dual = DualSolution(zip(row_keys, res.duals))
-        # each cut row's coefficients are keyed by the edge ids of delta(S)
-        dual.cut_edges = Cuts(g, ((s, coefs.keys()) for s, (coefs, _r, _b) in zip(sets, lp.rows[g.n:])))
+        dual.cut_edges = cuts
         if y0:
             dual.update((u, dual[u] + y0) for u in range(1, g.n + 1))
         certify_optimum(g, costs, fam.sets, res.x, objective, dual)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import GenerationFailed, NoPerfectMatching, SchemaMismatch
 from .graph import (
@@ -145,57 +146,19 @@ def random_instance(
 
 @dataclass
 class VerifyReport:
-    """Outcome of each replay check, with a minimal witness on failure."""
+    """Each check's (status, detail) by name: PASS, SKIP with the reason the
+    check did not run, or FAIL with its first witness."""
 
     checks: dict = field(default_factory=dict)
-    skipped: dict = field(default_factory=dict)  # name -> reason it did not run
-
-    def record(self, name: str, ok: bool, witness=None):
-        if name in self.checks and not self.checks[name][0]:
-            return  # keep the first witness
-        if name in self.checks and ok:
-            return
-        self.checks[name] = (ok, witness)
-
-    def skip(self, name: str, reason: str):
-        """Mark a check as not run: it prints SKIP and leaves all_ok as is."""
-        self.skipped[name] = reason
-
-    def ok(self, name: str) -> bool:
-        """True iff the check ran and passed: a skipped one is not ok."""
-        return name not in self.skipped and self.checks.get(name, (False, "missing"))[0]
 
     @property
-    def all_ok(self) -> bool:
-        return all(ok for ok, _w in self.checks.values())
+    def all_ok(self) -> bool:  # a SKIP does not count against it
+        return all(status != "FAIL" for status, _detail in self.checks.values())
 
-    def lines(self) -> list:
-        """One line per check: a failure found anywhere prints FAIL, even
-        when the check could not run on some other record."""
-        out = []
-        for name in sorted(self.checks):
-            ok, witness = self.checks[name]
-            if not ok:
-                out.append(f"FAIL {name} witness={witness}")
-            elif name in self.skipped:
-                out.append(f"SKIP {name} reason={self.skipped[name]}")
-            else:
-                out.append(f"PASS {name}")
-        return out
-
-
-CHECK_NAMES = [
-    "half_integrality",
-    "primal_feasibility",
-    "laminarity",
-    "family_size",
-    "cycle_monotonicity",
-    "cut_persistence",
-    "complementary_slackness",
-    "positively_critical",
-    "final_matching_oracle",
-    "iteration_bound",
-]
+    def lines(self) -> list:  # one line per check, by name
+        return [f"{status} {name}" if status == "PASS" else
+                f"{status} {name} {'reason' if status == 'SKIP' else 'witness'}={detail}"
+                for name, (status, detail) in sorted(self.checks.items())]
 
 
 # The JSON type of every required record field, as verify_trace reads it.
@@ -275,174 +238,205 @@ def _cut(nodes, it, field: str) -> frozenset:
     raise SchemaMismatch(f"iteration {it}: {field} has a set that is not a list of nodes: {nodes!r}")
 
 
-def verify_trace(g: Graph, trace_lines) -> VerifyReport:
-    """Replay a trace against its instance and re-check every invariant.
+# ---------------------------------------------------------------------------
+# The checks.  A record check reads a record as `_replay` gives it, a trace check the
+# trace: its `records` (`it`, `dec`, `family` and `added` alone) and its `last` record
+# or None.  A check returns its first witness or None; a need its reason, if unmet.
+NEEDS = {
+    "extremal dual": lambda g, r: None if r.kind == "extremal" else "no extremal dual",
+    "early basis dual": lambda g, r: None if r.kind == "basis" and not r.final else "no early basis dual",
+    "laminar family": lambda g, r: None if r.fam is not None else "cut family not laminar",
+    "decomposition": lambda g, r: None if r.dec is not None else f"half_integrality failed at iteration {r.it}",
+    "previous record": lambda g, r: None if r.want is not None else "no previous record",
+    "records": lambda g, t: None if t.records else "no records",
+    "every decomposition": lambda g, t: next((NEEDS["decomposition"](g, h) for h in t.records if h.dec is None), None),
+    "final perfect matching": lambda g, t: "final solution not a perfect matching" if _final_matching(g, t) else None,
+    "n <= NODE_LIMIT": lambda g, t: None if g.n <= NODE_LIMIT else f"n>{NODE_LIMIT}",
+}
 
-    Each piece of work is done once: a number string is parsed once per
-    call, whatever records repeat it; x is put in int units once per record
-    (`in_units`), for the cut, degree, objective and integrality checks;
-    and delta(S) of a set S is read once per call, into one `Cuts` map, for
-    the cut values and, as each `dual.cut_edges`, the slacks."""
+
+def _primal_feasibility(g, r):
+    below = ({"set": sorted(s), "reason": "cut below one"} for s in r.imposed if r.cut_value[s] < ONE)
+    violation = r.degree_violation or next(below, None)
+    return violation and {"iteration": r.it, **violation}
+
+
+def _cycle_monotonicity(g, r):
+    if r.dec.o != r.o:
+        return {"iteration": r.it, "reason": "o mismatch"}
+    if r.o_before is not None and r.dec.o > r.o_before:
+        return {"iteration": r.it, "o": r.dec.o, "prev": r.o_before}
+
+
+def _complementary_slackness(g, r):  # and strong duality, exactly
+    if cost_value(r.x, r.costs, r.units) != r.objective:
+        return {"iteration": r.it, "reason": "objective mismatch"}
+    if Rat(r.slacks.dual_objective, r.slacks.unit) != r.objective:
+        return {"iteration": r.it, "reason": "weak duality gap"}
+    violation = slackness_violation(r.x, r.dual, r.slacks, r.cut_value)
+    return violation and {"iteration": r.it, **violation}
+
+
+def _positively_critical(g, r):
+    positive = [s for s in r.imposed if r.dual.of_set(s) > ZERO]
+    if positive:  # the new finder takes over what the last one decided
+        r.finder = CriticalMatchingFinder(g, r.imposed, r.slacks, previous=r.finder)
+    return next(({"iteration": r.it, "set": sorted(s)} for s in positive if not is_factor_critical(r.finder, s)), None)
+
+
+def _cut_windows(g, t):
+    # if o is level from record a to record b, every cut added in records
+    # a..b-1 must be in the family imposed at record b+1
+    rs = t.records
+    for a in range(len(rs)):
+        for b in range(a + 1, len(rs) - 1):
+            if rs[b].dec.o != rs[a].dec.o:
+                break
+            missing = [s for s in set().union(*(r.added for r in rs[a:b])) if s not in rs[b + 1].family]
+            if missing:
+                return {"window": [rs[a].it, rs[b].it], "set": sorted(missing[0])}
+
+
+def _final_matching(g, t):
+    if t.last is None:
+        return {"reason": "empty trace"}
+    scale, support = t.last.units
+    if scale != 1 or any(k != 1 for k in support.values()):
+        return {"reason": "final solution not integral"}
+    if t.last.degree_violation is not None:
+        return {"reason": "final solution not a perfect matching"}
+
+
+def _final_optimum(g, t):
+    # a 0/1 x that meets every degree row is a perfect matching: the oracle finds one
+    _edges, best_cost = brute_force_mcpm(g)
+    got = sum(int(g.edges[e][2]) for e in t.last.units[1])
+    return None if Rat(got) == best_cost else {"cost": got, "optimum": str(best_cost)}
+
+
+# (name, scope, applies, needs, check), run in this order.  A check applies to
+# a record (or the trace) where the need named `applies` (if any) is met, and
+# runs there where `needs` is met too; the entries of one name make one check.
+# It prints FAIL with its first witness if it failed anywhere, PASS if it ran
+# wherever it applied and at least once, else SKIP and its first unmet need.
+CHECKS = [
+    ("half_integrality", "record", None, None, lambda g, r: None if r.dec is not None else {"iteration": r.it}),
+    ("primal_feasibility", "record", None, None, _primal_feasibility),
+    ("laminarity", "record", None, None,
+     lambda g, r: None if r.fam is not None else {"iteration": r.it, "error": r.fam_error}),
+    # |F| <= n/2 is also the bound of n + |F| <= 3n/2 LP rows
+    ("family_size", "record", None, None,
+     lambda g, r: {"iteration": r.it, "size": len(r.imposed)} if len(r.imposed) > g.n // 2 else None),
+    ("cycle_monotonicity", "record", None, "decomposition", _cycle_monotonicity),
+    # the family must be exactly the previous record's retained + added
+    ("cut_persistence", "record", "previous record", None, lambda g, r: None if r.family == r.want else
+     {"iteration": r.it, "reason": "family is not retained+added of previous record"}),
+    ("complementary_slackness", "record", None, None, _complementary_slackness),
+    # only the final record may carry the basis dual in place of Psi
+    ("positively_critical", "record", "extremal dual", "laminar family", _positively_critical),
+    ("positively_critical", "record", "early basis dual", None,
+     lambda g, r: {"iteration": r.it, "reason": "basis dual on a non-final record"}),
+    ("cut_persistence", "trace", "records", "every decomposition", _cut_windows),
+    # the bound is at least n, so a trace of at most n records needs no lcm
+    ("iteration_bound", "trace", None, None, lambda g, t: {"lp_solves": len(t.records)}
+     if len(t.records) > g.n and len(t.records) > iteration_bound(g.n) else None),
+    ("final_matching_oracle", "trace", None, None, _final_matching),
+    ("final_matching_oracle", "trace", "final perfect matching", "n <= NODE_LIMIT", _final_optimum),
+]
+
+
+class _Tally:
+    """One check over a trace: counts of where it applied and ran, first reasons, first witness."""
+
+    applied = ran = 0
+    unmet = idle = witness = None
+
+    def status(self) -> tuple:
+        if self.witness is not None:
+            return "FAIL", self.witness
+        if self.ran and self.ran == self.applied:
+            return "PASS", None
+        return "SKIP", self.unmet or self.idle or "no records"
+
+
+def _run(scope: str, tally: dict, g: Graph, r) -> None:
+    """Run each check of `scope` on r, a record or the trace, counting it in `tally`."""
+    for name, s, applies, needs, check in CHECKS:
+        if s != scope:
+            continue
+        t = tally[name]
+        idle = applies and NEEDS[applies](g, r)
+        if idle:
+            t.idle = t.idle or idle
+            continue
+        t.applied += 1
+        unmet = needs and NEEDS[needs](g, r)
+        if unmet:
+            t.unmet = t.unmet or unmet
+            continue
+        t.ran += 1
+        if t.witness is None:  # a failed check is not run again
+            t.witness = check(g, r)
+
+
+def _replay(g: Graph, costs, rec: dict, numbers: dict, cuts: Cuts, prev) -> SimpleNamespace:
+    """One record as the checks read it: parsed, with x's int units, cut values, slacks,
+    decomposition `dec` and family `fam` (None where none), and what it takes from `prev`."""
+    it = rec["iteration"]
+    x = [_number(s, it, "primal", numbers) for s in rec["primal"]]
+    if len(x) != g.m:
+        raise SchemaMismatch(f"iteration {it}: primal length {len(x)}")
+    dual = DualSolution()
+    dual.cut_edges = cuts
+    for u_str, val in rec["dual_nodes"].items():
+        dual[_node(u_str, it)] = _number(val, it, "dual_nodes", numbers)
+    for entry in rec["dual_sets"]:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise SchemaMismatch(f"iteration {it}: dual_sets entry is not [nodes, value]: {entry!r}")
+        dual[_cut(entry[0], it, "dual_sets")] = _number(entry[1], it, "dual_sets", numbers)
+    imposed, retained, added = (
+        [_cut(s, it, f) for s in rec[f]] for f in ("cuts_imposed", "cuts_retained", "cuts_added"))
+    r = SimpleNamespace(
+        it=it, x=x, dual=dual, imposed=imposed, added=added, costs=costs, family=set(imposed),
+        objective=_number(rec["objective_scaled"], it, "objective_scaled", numbers),
+        kind=rec.get("dual_kind", "extremal"), o=rec["odd_cycle_count"], units=in_units(x),
+        slacks=dual.slacks(g, costs), dec=None, fam=None, fam_error=None,
+        next_family=set(retained) | set(added), want=prev and prev.next_family,
+        o_before=prev and (prev.o_before if prev.dec is None else prev.dec.o), finder=prev and prev.finder,
+    )
+    r.cut_value = dict(zip(imposed, cut_values(x, map(cuts.__getitem__, imposed), r.units)))
+    r.degree_violation = feasibility_violation(x, g, (), units=r.units)
+    try:
+        r.dec = decompose_support(x, g)
+    except ValueError:
+        pass
+    try:
+        r.fam = LaminarFamily(g.n, imposed)
+    except ValueError as exc:  # LaminarityViolation or a bad odd set
+        r.fam_error = str(exc)
+    return r
+
+
+def verify_trace(g: Graph, trace_lines) -> VerifyReport:
+    """Replay a trace against its instance and run every check of `CHECKS`.
+
+    A number string is parsed once per call, x put in int units once per record,
+    and delta(S) read once per call, into one `Cuts` map.  SchemaMismatch on a
+    trace that does not parse or match g, or a g with no edges."""
     header, records = parse_trace(trace_lines)
     for key, value in trace_header(g).items():
         if header.get(key) != value:
             raise SchemaMismatch(f"trace header {key} does not match instance")
-
-    pc = perturb([c for _u, _v, c in g.edges])
-    costs = pc.scaled
-    report = VerifyReport()
-    for name in CHECK_NAMES:
-        report.record(name, True)
-
-    numbers = {}  # number string -> its Rat
-    cuts = Cuts(g)
-    prev_o = None
-    critical_skip = "no extremal dual"  # why positively_critical has not run yet
-    undecomposed = None  # first iteration whose support could not be decomposed
-    history = []  # (iteration, o or None, imposed_sets, added_sets)
-    want = None  # the family the next record must impose
-    for rec in records:
-        it = rec["iteration"]
-        x = [_number(s, it, "primal", numbers) for s in rec["primal"]]
-        if len(x) != g.m:
-            raise SchemaMismatch(f"iteration {it}: primal length {len(x)}")
-        dual = DualSolution()
-        dual.cut_edges = cuts
-        for u_str, val in rec["dual_nodes"].items():
-            dual[_node(u_str, it)] = _number(val, it, "dual_nodes", numbers)
-        for entry in rec["dual_sets"]:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise SchemaMismatch(f"iteration {it}: dual_sets entry is not [nodes, value]: {entry!r}")
-            dual[_cut(entry[0], it, "dual_sets")] = _number(entry[1], it, "dual_sets", numbers)
-        imposed, retained, added = (
-            [_cut(s, it, field) for s in rec[field]]
-            for field in ("cuts_imposed", "cuts_retained", "cuts_added")
-        )
-        objective = _number(rec["objective_scaled"], it, "objective_scaled", numbers)
-
-        # Every check below runs on each record, except the ones that need
-        # the support decomposition of a half-integral x.
-        try:
-            dec = decompose_support(x, g)
-        except ValueError:
-            dec = None
-            report.record("half_integrality", False, {"iteration": it})
-            if undecomposed is None:
-                undecomposed = it
-        if dec is not None:
-            if dec.o != rec["odd_cycle_count"]:
-                report.record("cycle_monotonicity", False, {"iteration": it, "reason": "o mismatch"})
-            if prev_o is not None and dec.o > prev_o:
-                report.record("cycle_monotonicity", False, {"iteration": it, "o": dec.o, "prev": prev_o})
-            prev_o = dec.o
-
-        # x in int units, and x(delta(S)) of each imposed set, read once for
-        # the feasibility, objective and complementary-slackness tests
-        units = in_units(x)
-        cut_value = dict(zip(imposed, cut_values(x, map(cuts.__getitem__, imposed), units)))
-        degree_violation = feasibility_violation(x, g, (), units=units)
-        violation = degree_violation or next(
-            ({"set": sorted(s), "reason": "cut below one"} for s in imposed if cut_value[s] < ONE),
-            None,
-        )
-        if violation is not None:
-            report.record("primal_feasibility", False, {"iteration": it, **violation})
-
-        try:
-            fam = LaminarFamily(g.n, imposed)
-        except ValueError as exc:  # LaminarityViolation or a bad odd set
-            report.record("laminarity", False, {"iteration": it, "error": str(exc)})
-            fam = None
-        # |F| <= n/2 is also the bound of n + |F| <= 3n/2 LP rows
-        if len(imposed) > g.n // 2:
-            report.record("family_size", False, {"iteration": it, "size": len(imposed)})
-
-        # complementary slackness and strong duality, exactly
-        if cost_value(x, costs, units) != objective:
-            report.record("complementary_slackness", False, {"iteration": it, "reason": "objective mismatch"})
-        slacks = dual.slacks(g, costs)
-        if Rat(slacks.dual_objective, slacks.unit) != objective:
-            report.record("complementary_slackness", False, {"iteration": it, "reason": "weak duality gap"})
-        violation = slackness_violation(x, dual, slacks, cut_value)
-        if violation is not None:
-            report.record("complementary_slackness", False, {"iteration": it, **violation})
-
-        # positively_critical reads an extremal dual; only the final
-        # record may carry the basis dual in its place
-        if rec.get("dual_kind") == "basis":
-            if rec is not records[-1]:
-                witness = {"iteration": it, "reason": "basis dual on a non-final record"}
-                report.record("positively_critical", False, witness)
-        elif fam is None:
-            critical_skip = critical_skip and "cut family not laminar"
-        else:
-            critical_skip = None
-            positive = [s for s in imposed if dual.of_set(s) > ZERO]
-            if positive:
-                finder = CriticalMatchingFinder(g, imposed, slacks)
-                for s in positive:
-                    if not is_factor_critical(finder, s):
-                        report.record("positively_critical", False, {"iteration": it, "set": sorted(s)})
-
-        # the family must be exactly the previous record's retained + added
-        if want is not None and set(imposed) != want:
-            report.record(
-                "cut_persistence",
-                False,
-                {"iteration": it, "reason": "family is not retained+added of previous record"},
-            )
-        want = set(retained) | set(added)
-        history.append((it, None if dec is None else dec.o, set(imposed), added))
-
-    # Persistence: if o is level from iteration a to b, every cut added in
-    # records a..b-1 must appear in the family imposed at record b+1.
-    # A record without o ends every window.
-    for a in range(len(history)):
-        if history[a][1] is None:
-            continue
-        for b in range(a + 1, len(history)):
-            if history[b][1] != history[a][1]:
-                break
-            if b + 1 >= len(history):
-                continue
-            union_added = set()
-            for r in range(a, b):
-                union_added.update(history[r][3])
-            missing = [s for s in union_added if s not in history[b + 1][2]]
-            if missing:
-                report.record(
-                    "cut_persistence",
-                    False,
-                    {"window": [history[a][0], history[b][0]], "set": sorted(missing[0])},
-                )
-
-    if critical_skip:
-        report.skip("positively_critical", critical_skip)
-    if undecomposed is not None:
-        for name in ("cycle_monotonicity", "cut_persistence"):
-            report.skip(name, f"half_integrality failed at iteration {undecomposed}")
-
-    if len(records) > iteration_bound(g.n):
-        report.record("iteration_bound", False, {"lp_solves": len(records)})
-
-    if records:  # units and degree_violation are the last record's
-        scale, support = units
-        if scale == 1 and all(k == 1 for k in support.values()):
-            matched = list(support)  # x is 0/1: its support, ascending
-            if degree_violation is not None:
-                report.record("final_matching_oracle", False, {"reason": "final solution not a perfect matching"})
-            elif g.n <= NODE_LIMIT:
-                try:
-                    _edges, best_cost = brute_force_mcpm(g)
-                    got = sum(int(g.edges[e][2]) for e in matched)
-                    if Rat(got) != best_cost:
-                        report.record("final_matching_oracle", False, {"cost": got, "optimum": str(best_cost)})
-                except NoPerfectMatching:
-                    report.record("final_matching_oracle", False, {"reason": "oracle found no matching"})
-            else:
-                report.skip("final_matching_oracle", f"n>{NODE_LIMIT}")
-        else:
-            report.record("final_matching_oracle", False, {"reason": "final solution not integral"})
-    else:
-        report.record("final_matching_oracle", False, {"reason": "empty trace"})
-    return report
+    if not g.m:
+        raise SchemaMismatch("instance has no edges, so no run writes a trace for it")
+    costs = perturb([c for _u, _v, c in g.edges]).scaled
+    tally = {entry[0]: _Tally() for entry in CHECKS}
+    numbers, cuts = {"0": 0}, Cuts(g)  # string -> its Rat; "0" -> int 0, whose truth test is cheap
+    trace = SimpleNamespace(records=[], last=None)
+    for i, rec in enumerate(records):
+        r = trace.last = _replay(g, costs, rec, numbers, cuts, trace.last)
+        r.final = i == len(records) - 1
+        _run("record", tally, g, r)
+        trace.records.append(SimpleNamespace(it=r.it, dec=r.dec, family=r.family, added=r.added))
+    _run("trace", tally, g, trace)
+    return VerifyReport({name: t.status() for name, t in tally.items()})

@@ -22,7 +22,7 @@ from cpmatch import (
 )
 from cpmatch.rational import Rat, ZERO, parse_rat
 
-from conftest import assert_positively_critical
+from conftest import assert_positively_critical, verify_line
 from paper_oracles import (
     consistency_delta,
     enumerate_perfect_matchings,
@@ -154,28 +154,28 @@ def test_criterion_1_oracle_optimality(sweep):
 def test_criterion_2_half_integrality(all_runs):
     total = 0
     for g, res, report in all_runs:
-        assert report.ok("half_integrality"), report.checks["half_integrality"]
+        assert verify_line(report, "half_integrality") == "PASS half_integrality"
         total += len(res.records)
     print(f"PASS criterion-2 half-integrality: {total} intermediate optima, zero violations")
 
 
 def test_criterion_3_laminarity_and_size(all_runs):
     for _g, _res, report in all_runs:
-        assert report.ok("laminarity"), report.checks["laminarity"]
-        assert report.ok("family_size"), report.checks["family_size"]
+        assert verify_line(report, "laminarity") == "PASS laminarity"
+        assert verify_line(report, "family_size") == "PASS family_size"
     print(f"PASS criterion-3 laminarity, |F| <= n/2 (so rows <= 3n/2): {len(all_runs)} runs")
 
 
 def test_criterion_4_cycle_monotonicity(all_runs):
     for _g, _res, report in all_runs:
-        assert report.ok("cycle_monotonicity"), report.checks["cycle_monotonicity"]
+        assert verify_line(report, "cycle_monotonicity") == "PASS cycle_monotonicity"
     print(f"PASS criterion-4 cycle monotonicity: {len(all_runs)} traces")
 
 
 def test_criterion_5_cut_persistence(all_runs):
     windows = 0
     for _g, res, report in all_runs:
-        assert report.ok("cut_persistence"), report.checks["cut_persistence"]
+        assert verify_line(report, "cut_persistence") == "PASS cut_persistence"
         os = [r.odd_cycle_count for r in res.records]
         windows += sum(1 for a, b in zip(os, os[1:]) if a == b and a > 0)
     assert windows >= 10, "suite must exercise nontrivial constant-o windows"
@@ -187,7 +187,7 @@ def test_criterion_6_iteration_bound(all_runs):
     for g, res, report in all_runs:
         bound = iteration_bound(g.n)
         assert res.lp_solves <= bound, f"{res.lp_solves} > {bound} at n={g.n}"
-        assert report.ok("iteration_bound")
+        assert verify_line(report, "iteration_bound") == "PASS iteration_bound"
         worst[g.n] = max(worst.get(g.n, 0), res.lp_solves)
     print(
         "PASS criterion-6 iteration bound: empirical max lp_solves "
@@ -223,7 +223,7 @@ def test_criterion_8_positively_critical_duals(all_runs):
     transform_checked = 0
     for g, res, report in all_runs:
         assert_positively_critical(report, res)
-        extremal_checked += report.ok("positively_critical")
+        extremal_checked += verify_line(report, "positively_critical") == "PASS positively_critical"
         pc = res.perturbed
         for i, rec in enumerate(res.records):
             if i == 0 or not rec.cuts_imposed:

@@ -127,7 +127,7 @@ def test_x_not_optimal(name, solver, tmp_path, capsys, monkeypatch):
     # the first round returns another proper-half-integral point of the
     # same relaxation, optimal for costs with one support edge made dear:
     # its extremal program has no feasible point
-    def other_vertex(real, g: Graph, costs, fam, warm=None, fractional_dual=True):
+    def other_vertex(real, g: Graph, costs, fam, warm=None, fractional_dual=True, cuts=None):
         x = real(g, costs, fam)[0]
         dear = 2 * sum(costs) + 1
         for e in (e for e, val in enumerate(x) if val):
@@ -207,9 +207,9 @@ def test_warm_rounds_build_what_a_cold_build_would(name, solver, monkeypatch):
         deltas[0] += 1
         return real_delta(g, nodes)
 
-    def build(g, costs, sets, base=None):
+    def build(g, costs, sets, base=None, cuts=None):
         before = deltas[0]
-        lp, keys = real_build(g, costs, sets, base)
+        lp, keys = real_build(g, costs, sets, base, cuts)
         if base is not None:
             new = len(sets) - (base.num_rows - g.n)
             assert deltas[0] - before == new

@@ -529,6 +529,24 @@ class TestVerify:
         assert any(line.startswith("FAIL positively_critical ")
                    for line in proc.stdout.splitlines())
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_edgeless_instance_exits_3(self, tmp_path, capsys, n):
+        # run() writes no trace for an instance with no edges, so verify
+        # refuses one as a schema mismatch, not with a traceback
+        import json
+
+        from cpmatch import cli as cli_mod
+        from cpmatch.driver import trace_header
+        from cpmatch.graph import make_graph
+
+        instance, trace = tmp_path / "g.txt", tmp_path / "t.jsonl"
+        instance.write_text(f"p edge {n} 0\n")
+        trace.write_text(json.dumps(trace_header(make_graph(n, [])), sort_keys=True) + "\n")
+        assert cli_mod.main(["verify", "--instance", str(instance), "--trace", str(trace)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "schema mismatch: instance has no edges, so no run writes a trace for it\n"
+
     def test_verify_garbage_trace_exits_3(self, bowtie_file, tmp_path):
         trace = tmp_path / "t.jsonl"
         trace.write_text("not json\n")

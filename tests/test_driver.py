@@ -102,7 +102,7 @@ class TestRun:
 
     def test_bowtie(self, bowtie):
         res = run(bowtie)
-        assert verify_trace(bowtie, res.trace_lines()).ok("positively_critical")
+        assert "PASS positively_critical" in verify_trace(bowtie, res.trace_lines()).lines()
         assert res.matching == [0, 5, 6]
         assert res.base_cost == 10
         assert res.perturbed_cost == rat(1347, 128)
@@ -115,7 +115,7 @@ class TestRun:
         report = verify_trace(six_cycle, res.trace_lines())
         assert len(res.records) == 1 and res.records[0].dual_kind == "basis"
         assert "SKIP positively_critical reason=no extremal dual" in report.lines()
-        assert not report.ok("positively_critical")
+        assert "PASS positively_critical" not in report.lines()
         assert res.matching == [1, 3, 5]
         assert res.base_cost == 3
         assert res.lp_solves == 1
@@ -141,7 +141,7 @@ class TestRun:
     def test_multi_round_retention_and_absorption(self):
         g = random_instance(16, 0.28, (0, 1), MULTI_ROUND_SEED)
         res = run(g, solver="cross-check")
-        assert verify_trace(g, res.trace_lines()).ok("positively_critical")
+        assert "PASS positively_critical" in verify_trace(g, res.trace_lines()).lines()
         assert res.lp_solves == 3
         os = [r.odd_cycle_count for r in res.records]
         assert os == [2, 2, 0]
@@ -167,7 +167,7 @@ class TestRun:
 
         g = telescope(stages=3, gadgets=2)
         res = run(g, solver="cross-check")
-        assert verify_trace(g, res.trace_lines()).ok("positively_critical")
+        assert "PASS positively_critical" in verify_trace(g, res.trace_lines()).lines()
         assert res.lp_solves == 4
         assert [r.odd_cycle_count for r in res.records] == [2, 2, 2, 0]
         sizes = [sorted(len(s) for s in r.cuts_imposed) for r in res.records]
@@ -237,7 +237,7 @@ class TestStep:
     def test_optimum_that_is_not_half_integral_raises(self, bowtie, monkeypatch):
         import cpmatch.driver as drv_mod
 
-        def third(g, costs, fam, warm=None, fractional_dual=True):
+        def third(g, costs, fam, warm=None, fractional_dual=True, cuts=None):
             return [rat(1, 3)] * g.m, DualSolution.zeros(g), ZERO
 
         monkeypatch.setattr(drv_mod, "solve_primal", third)
@@ -356,13 +356,12 @@ class TestExtremalDualCount:
 
 
 class TestCutsReadOnce:
-    def test_each_delta_read_once_per_run_and_per_replay(self, monkeypatch):
-        # the run's duals share one map of delta(S), and so do a replay's
-        # records: no set is read from the graph twice in either
+    @staticmethod
+    def _scans(monkeypatch):
+        """A Counter of the sets `Graph.delta` reads from now on."""
         from collections import Counter
 
         from cpmatch.graph import Graph
-        from instances import telescope
 
         scans = Counter()
         real = Graph.delta
@@ -372,6 +371,14 @@ class TestCutsReadOnce:
             return real(self, nodes)
 
         monkeypatch.setattr(Graph, "delta", counting)
+        return scans
+
+    def test_each_delta_read_once_per_run_and_per_replay(self, monkeypatch):
+        # the run's duals share one map of delta(S), and so do a replay's
+        # records: no set is read from the graph twice in either
+        from instances import telescope
+
+        scans = self._scans(monkeypatch)
         g = telescope(4, 2, bridge=1000)
         res = run(g, solver="combinatorial")
         assert len(res.records) == 5 and scans
@@ -380,6 +387,17 @@ class TestCutsReadOnce:
         scans.clear()
         assert verify_trace(g, res.trace_lines()).all_ok
         assert set(scans) == run_scans
+        assert max(scans.values()) == 1
+
+    @pytest.mark.parametrize("solver", ["simplex", "cross-check"])
+    def test_primal_rows_read_the_runs_map(self, monkeypatch, solver):
+        # each cut row of the primal program reads delta(S) from the run's
+        # map, which the extremal dual then reads again without a scan
+        from instances import telescope
+
+        scans = self._scans(monkeypatch)
+        res = run(telescope(4, 2, bridge=1000), solver=solver)
+        assert len(res.records) == 5 and scans
         assert max(scans.values()) == 1
 
 
@@ -449,8 +467,8 @@ class TestWarmStart:
         monkeypatch.setattr(
             drv_mod,
             "solve_primal",
-            lambda g, costs, fam, warm=None, fractional_dual=True: cold_primal(
-                g, costs, fam, fractional_dual=fractional_dual
+            lambda g, costs, fam, warm=None, fractional_dual=True, cuts=None: cold_primal(
+                g, costs, fam, fractional_dual=fractional_dual, cuts=cuts
             ),
         )
         starts.clear()

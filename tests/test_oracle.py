@@ -16,11 +16,13 @@ from cpmatch import (
     verify_trace,
     write_instance,
 )
+from cpmatch.driver import iteration_bound
 from cpmatch.graph import Graph
 from cpmatch.oracle import VerifyReport, parse_trace
 from cpmatch.rational import perturb
 
 import reference_oracle
+from conftest import verify_line
 from paper_oracles import brute_force_fractional_opt, enumerate_perfect_matchings
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -189,20 +191,21 @@ class TestVerifyTrace:
         assert "PASS positively_critical" not in report.lines()
         assert report.all_ok
 
-    def test_ok_is_false_for_a_skipped_check(self, six_cycle):
-        # a check that did not run is not ok, though it failed nowhere
+    def test_a_skipped_check_is_not_a_pass(self, six_cycle):
+        # a check that did not run prints SKIP, though it failed nowhere,
+        # and leaves all_ok as it is
         report = verify_trace(six_cycle, self._trace(six_cycle))
-        assert report.skipped == {"positively_critical": "no extremal dual"}
-        assert report.checks["positively_critical"] == (True, None)
-        assert not report.ok("positively_critical")
-        assert report.ok("complementary_slackness")
+        assert report.checks["positively_critical"] == ("SKIP", "no extremal dual")
+        skips = [line for line in report.lines() if line.startswith("SKIP ")]
+        assert skips == ["SKIP positively_critical reason=no extremal dual"]
+        assert verify_line(report, "complementary_slackness") == "PASS complementary_slackness"
         assert report.all_ok
-        bare = VerifyReport()
-        bare.record("laminarity", True)
-        assert bare.ok("laminarity")
-        bare.skip("laminarity", "no family")
-        assert not bare.ok("laminarity")
-        assert not bare.ok("never_recorded")
+        bare = VerifyReport({"laminarity": ("PASS", None), "family_size": ("SKIP", "no family")})
+        assert bare.lines() == ["SKIP family_size reason=no family", "PASS laminarity"]
+        assert bare.all_ok
+        bare.checks["laminarity"] = ("FAIL", {"iteration": 0})
+        assert bare.lines()[1] == "FAIL laminarity witness={'iteration': 0}"
+        assert not bare.all_ok
 
     def test_positively_critical_skipped_on_crossing_family(self, bowtie):
         # the one extremal record imposes crossing cuts, so no laminar
@@ -213,7 +216,7 @@ class TestVerifyTrace:
         rec["cuts_imposed"] = [[1, 2, 3], [3, 4, 5]]
         lines[1] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        assert not report.ok("laminarity")
+        assert verify_line(report, "laminarity").startswith("FAIL laminarity ")
         assert "SKIP positively_critical reason=cut family not laminar" in report.lines()
 
     def test_non_critical_positive_dual_set_fails(self, bowtie, tmp_path, capsys):
@@ -231,7 +234,7 @@ class TestVerifyTrace:
         rec["dual_nodes"]["1"] = format_rat(parse_rat(rec["dual_nodes"]["1"]) - 1)
         lines[2] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        assert report.checks["positively_critical"] == (False, {"iteration": 1, "set": [1, 2, 3]})
+        assert report.checks["positively_critical"] == ("FAIL", {"iteration": 1, "set": [1, 2, 3]})
 
         instance, trace = tmp_path / "bowtie.txt", tmp_path / "bowtie.jsonl"
         instance.write_text(write_instance(bowtie))
@@ -247,8 +250,8 @@ class TestVerifyTrace:
         rec["dual_nodes"]["1"] = "999"
         lines[1] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        ok, witness = report.checks["complementary_slackness"]
-        assert not ok and witness["iteration"] == 0
+        status, witness = report.checks["complementary_slackness"]
+        assert status == "FAIL" and witness["iteration"] == 0
 
     def test_half_integrality_failure_leaves_other_checks_running(self, bowtie):
         # record 0 is not half-integral and carries a corrupted extremal
@@ -288,7 +291,7 @@ class TestVerifyTrace:
         edit(rec)
         lines[1] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        assert report.checks["primal_feasibility"] == (False, witness)
+        assert report.checks["primal_feasibility"] == ("FAIL", witness)
 
     @staticmethod
     def _quarter_record(lines, quarters, set_dual):
@@ -313,8 +316,8 @@ class TestVerifyTrace:
         lines = self._trace(k6)
         lines[1] = self._quarter_record(lines, quarters, "1")
         report = verify_trace(k6, lines)
-        assert report.ok("primal_feasibility")
-        assert not report.ok("complementary_slackness")
+        assert verify_line(report, "primal_feasibility") == "PASS primal_feasibility"
+        assert verify_line(report, "complementary_slackness").startswith("FAIL complementary_slackness ")
 
     def test_cut_of_one_half_fails_feasibility(self):
         # degrees are one everywhere, but x(delta({1,2,3})) = 1/2
@@ -325,7 +328,7 @@ class TestVerifyTrace:
         lines[1] = self._quarter_record(lines, quarters, "0")
         report = verify_trace(k6, lines)
         assert report.checks["primal_feasibility"] == (
-            False, {"iteration": 0, "set": [1, 2, 3], "reason": "cut below one"},
+            "FAIL", {"iteration": 0, "set": [1, 2, 3], "reason": "cut below one"},
         )
 
     def test_fail_wins_over_skip(self, bowtie):
@@ -335,11 +338,14 @@ class TestVerifyTrace:
         rec = json.loads(lines[1])
         rec["primal"][0] = "1/3"
         lines[1] = json.dumps(rec, sort_keys=True)
+        skipped = verify_trace(bowtie, lines)
+        assert verify_line(skipped, "cut_persistence") == (
+            "SKIP cut_persistence reason=half_integrality failed at iteration 0"
+        )
         rec = json.loads(lines[2])
         rec["cuts_imposed"] = [[1, 2, 3]]
         lines[2] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        assert report.skipped["cut_persistence"] == "half_integrality failed at iteration 0"
         out = report.lines()
         assert any(line.startswith("FAIL cut_persistence ") for line in out)
         assert not any(line.startswith("SKIP cut_persistence ") for line in out)
@@ -349,7 +355,7 @@ class TestVerifyTrace:
         lines = self._trace(bowtie)
         lines[1], lines[2] = lines[2], lines[1]
         report = verify_trace(bowtie, lines)
-        assert not report.ok("cycle_monotonicity")
+        assert verify_line(report, "cycle_monotonicity").startswith("FAIL cycle_monotonicity ")
 
     def test_corrupted_primal_fails_half_integrality(self, bowtie):
         lines = self._trace(bowtie)
@@ -357,7 +363,7 @@ class TestVerifyTrace:
         rec["primal"][0] = "1/3"
         lines[1] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        assert not report.ok("half_integrality")
+        assert verify_line(report, "half_integrality").startswith("FAIL half_integrality ")
 
     def test_wrong_instance_rejected(self, bowtie, six_cycle):
         with pytest.raises(SchemaMismatch):
@@ -407,7 +413,7 @@ class TestVerifyTrace:
         lines[1] = json.dumps(rec, sort_keys=True)
         report = verify_trace(g, lines)
         assert report.checks["positively_critical"] == (
-            False, {"iteration": 0, "reason": "basis dual on a non-final record"},
+            "FAIL", {"iteration": 0, "reason": "basis dual on a non-final record"},
         )
         assert "PASS positively_critical" not in report.lines()
         assert not report.all_ok
@@ -418,7 +424,7 @@ class TestVerifyTrace:
         rec["cuts_imposed"] = [[1, 2, 3]]  # not retained+added of the previous record
         lines[2] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        assert not report.ok("cut_persistence")
+        assert verify_line(report, "cut_persistence").startswith("FAIL cut_persistence ")
 
     def test_out_of_range_cut_fails_checks(self, bowtie):
         # A cut naming node n + 1 with a positive dual fails laminarity and
@@ -429,8 +435,8 @@ class TestVerifyTrace:
         rec["dual_sets"] = [[[1, 2, 7], "1"]]
         lines[1] = json.dumps(rec, sort_keys=True)
         report = verify_trace(bowtie, lines)
-        assert not report.ok("laminarity")
-        assert not report.ok("complementary_slackness")
+        assert verify_line(report, "laminarity").startswith("FAIL laminarity ")
+        assert verify_line(report, "complementary_slackness").startswith("FAIL complementary_slackness ")
         assert not report.all_ok
 
     @pytest.mark.parametrize(
@@ -483,7 +489,7 @@ class TestVerifyTrace:
         lines[3] = json.dumps(rec, sort_keys=True)
         report = verify_trace(g, lines)
         assert report.checks["complementary_slackness"] == (
-            False, {"iteration": 2, "reason": "weak duality gap"},
+            "FAIL", {"iteration": 2, "reason": "weak duality gap"},
         )
 
     def test_corrupted_cut_in_a_later_record_fails_there(self):
@@ -495,8 +501,72 @@ class TestVerifyTrace:
         rec["dual_sets"] = [[[1, 2, 4] if s == [1, 2, 3] else s, y] for s, y in rec["dual_sets"]]
         lines[3] = json.dumps(rec, sort_keys=True)
         report = verify_trace(g, lines)
-        ok, witness = report.checks["complementary_slackness"]
-        assert not ok and witness["iteration"] == 2
+        status, witness = report.checks["complementary_slackness"]
+        assert status == "FAIL" and witness["iteration"] == 2
+
+    def test_header_only_trace_passes_no_record_check(self, bowtie):
+        # with no record, no check that reads one ran: each prints SKIP, not
+        # PASS; the record count still meets the bound, and an empty trace
+        # has no final matching
+        report = verify_trace(bowtie, self._trace(bowtie)[:1])
+        assert report.lines() == [
+            "SKIP complementary_slackness reason=no records",
+            "SKIP cut_persistence reason=no records",
+            "SKIP cycle_monotonicity reason=no records",
+            "SKIP family_size reason=no records",
+            "FAIL final_matching_oracle witness={'reason': 'empty trace'}",
+            "SKIP half_integrality reason=no records",
+            "PASS iteration_bound",
+            "SKIP laminarity reason=no records",
+            "SKIP positively_critical reason=no records",
+            "SKIP primal_feasibility reason=no records",
+        ]
+        assert not report.all_ok
+
+    def test_check_whose_needs_are_never_met_skips(self, bowtie):
+        # no record's x is half-integral: cycle_monotonicity applies to
+        # every record and runs on none, and so do the level windows of
+        # cut_persistence, though its per-record part runs on record 1
+        lines = self._trace(bowtie)
+        for i in (1, 2):
+            rec = json.loads(lines[i])
+            rec["primal"][0] = "1/3"
+            lines[i] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(bowtie, lines)
+        for name in ("cycle_monotonicity", "cut_persistence"):
+            assert verify_line(report, name) == f"SKIP {name} reason=half_integrality failed at iteration 0"
+
+    def test_positively_critical_skips_where_one_extremal_family_is_not_laminar(self):
+        # telescope(3, 2) carries three extremal records: a crossing family
+        # on the second leaves the check unrun there, so it does not PASS
+        g, lines = self._telescope_trace()
+        rec = json.loads(lines[2])
+        rec["cuts_imposed"] = rec["cuts_imposed"] + [[1, 2, 3], [3, 4, 5]]
+        lines[2] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(g, lines)
+        assert verify_line(report, "positively_critical") == (
+            "SKIP positively_critical reason=cut family not laminar"
+        )
+
+    def test_odd_cycle_count_mismatch_fails_monotonicity(self, bowtie):
+        lines = self._trace(bowtie)
+        rec = json.loads(lines[1])
+        rec["odd_cycle_count"] += 1
+        lines[1] = json.dumps(rec, sort_keys=True)
+        report = verify_trace(bowtie, lines)
+        assert verify_line(report, "cycle_monotonicity") == (
+            "FAIL cycle_monotonicity witness={'iteration': 0, 'reason': 'o mismatch'}"
+        )
+
+    def test_too_many_records_fail_iteration_bound(self, bowtie):
+        # record 0 repeated up to one record past the bound
+        lines = self._trace(bowtie)
+        bound = iteration_bound(bowtie.n)
+        lines = lines[:1] + lines[1:2] * bound + lines[2:]
+        report = verify_trace(bowtie, lines)
+        assert verify_line(report, "iteration_bound") == (
+            f"FAIL iteration_bound witness={{'lp_solves': {bound + 1}}}"
+        )
 
     def test_oracle_skipped_above_node_limit(self):
         from instances import telescope

@@ -28,7 +28,6 @@ from cpmatch.errors import LPInfeasible, NoPerfectMatching, StalledNoEpsilon, St
 from cpmatch.graph import cost_value, cut_values, decompose_support
 from cpmatch.laminar import maximal_sets, sorted_sets
 from cpmatch.lp import DualSolution, slackness_violation, solve_primal
-from cpmatch.oracle import VerifyReport
 from cpmatch.rational import ONE, Rat, ZERO, perturb
 
 
@@ -102,21 +101,20 @@ def verify_trace_slackness_loops(x, dual, slacks, imposed, cut_value, it=0):
     """Reference for `slackness_violation`: the edge and set loops that
     checked complementary slackness in `verify_trace`, verbatim, with the
     witness they record first, or None."""
-    report = VerifyReport()
+    witnesses = []
     for e, slack in enumerate(slacks):
         if slack < ZERO:
-            report.record("complementary_slackness", False, {"iteration": it, "edge": e, "reason": "dual infeasible"})
+            witnesses.append({"iteration": it, "edge": e, "reason": "dual infeasible"})
             break
         if x[e] != ZERO and slack != ZERO:
-            report.record("complementary_slackness", False, {"iteration": it, "edge": e, "reason": "support edge slack"})
+            witnesses.append({"iteration": it, "edge": e, "reason": "support edge slack"})
             break
     for s in imposed:
         if dual.of_set(s) < ZERO:
-            report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "negative cut dual"})
+            witnesses.append({"iteration": it, "set": sorted(s), "reason": "negative cut dual"})
         elif dual.of_set(s) > ZERO and cut_value[s] != ONE:
-            report.record("complementary_slackness", False, {"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
-    checked = report.checks.get("complementary_slackness")
-    return None if checked is None else checked[1]
+            witnesses.append({"iteration": it, "set": sorted(s), "reason": "positive dual, slack cut"})
+    return witnesses[0] if witnesses else None
 
 
 @settings(max_examples=400, deadline=None)
