@@ -243,12 +243,12 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     basis_dual = psi = None
     cuts = state.gamma.cuts(g)  # the run's map of delta(S)
     if solver == "simplex":
-        x, basis_dual, objective = solve_primal(g, costs, fam, state.warm, fractional_dual=False, cuts=cuts)
+        x, basis_dual, objective = solve_primal(g, costs, fam, state.warm, cuts=cuts)
     elif solver == "combinatorial":
         x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
         objective = cost_value(x, costs)
     elif solver == "cross-check":
-        x_s, basis_dual, objective = solve_primal(g, costs, fam, state.warm, fractional_dual=False, cuts=cuts)
+        x_s, basis_dual, objective = solve_primal(g, costs, fam, state.warm, cuts=cuts)
         try:
             x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
         except LPInfeasible as exc:

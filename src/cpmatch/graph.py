@@ -59,9 +59,6 @@ class Graph:
             for u, at_u in enumerate(self.incidence)
         )
 
-    def costs(self) -> list:
-        return [c for _u, _v, c in self.edges]
-
     def endpoints(self, e: int):
         u, v, _c = self.edges[e]
         return u, v

@@ -98,12 +98,9 @@ class ContractionMap:
     node_image: dict
     edge_preimage: list
 
-    def image_of_nodes(self, nodes) -> frozenset:
-        return frozenset(self.node_image[u] for u in nodes)
-
     def image_node_of_set(self, s) -> int | None:
         """The single new node a contracted set maps to, else None."""
-        img = self.image_of_nodes(s)
+        img = {self.node_image[u] for u in s}
         return next(iter(img)) if len(img) == 1 else None
 
 

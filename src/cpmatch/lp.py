@@ -134,19 +134,13 @@ class LinearProgram:
 
 class SimplexResult:
     """An optimal basis's pivot count, x, `objective`, whether every x is
-    an int (`integral`, None when not known) and `duals`, one per input
-    row, sign matching the original relation.  Each is given or computed on
-    first read: x, objective and integral by `read`, the duals by
-    `recover`.  `tableau`, the final tableau, warm-starts a program with
-    more rows."""
+    an int (`integral`) and `duals`, one per input row, sign matching the
+    original relation.  Each is computed on first read: x, objective and
+    integral by `read`, the duals by `recover`.  `tableau`, the final
+    tableau, warm-starts a program with more rows."""
 
-    def __init__(self, pivots, x=None, objective=None, duals=None, read=None, recover=None,
-                 tableau=None):
+    def __init__(self, pivots, read, recover, tableau):
         self.pivots, self.tableau, self._read, self._recover = pivots, tableau, read, recover
-        if x is not None:
-            self._primal = (x, objective, None)
-        if duals is not None:
-            self.duals = duals
 
     @cached_property
     def _primal(self) -> tuple:
@@ -638,7 +632,7 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
         dual_scale = cost_scale * det
         return [Rat(z[i] * row_scale, dual_scale) if z[i] else ZERO for i in range(nrows)]
 
-    return SimplexResult(t.pivots, read=read, recover=duals, tableau=t)
+    return SimplexResult(t.pivots, read, duals, t)
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -788,11 +782,6 @@ class DualSolution(dict):
     def set_keys(self) -> list:
         return sorted_sets(k for k in self if isinstance(k, frozenset))
 
-    def objective(self):
-        """The sum of the values: ints over one common denominator, then one Rat."""
-        d = math.lcm(*_denominators(self.values()))
-        return Rat(sum(_scaled(v, d) for v in self.values()), d)
-
     def slacks(self, g: Graph, costs) -> "Slacks":
         """The slack of every edge e = uv: costs[e] minus the duals of u and
         v and of every set key that e crosses.  This is the definition of
@@ -916,15 +905,15 @@ class WarmStart:
 
 
 def solve_primal(
-    g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = None, fractional_dual: bool = True, cuts=None
+    g: Graph, costs, fam: LaminarFamily, warm: WarmStart | None = None, cuts=None
 ) -> tuple:
     """Solve P_F; return (x, basis dual, objective).
 
-    The dual is the complementary dual recovered from the optimal basis,
-    and `certify_optimum` checks x and it.  With `fractional_dual` False,
-    that happens only for an integral x, the one optimum whose record
-    carries a basis dual: a fractional x comes back unchecked with dual
-    None, for the caller to certify with its extremal dual.
+    For an integral x, the one optimum whose record carries a basis dual,
+    the dual is the complementary dual recovered from the optimal basis,
+    and `certify_optimum` checks x and it.  A fractional x comes back
+    unchecked with dual None, for the caller to certify with its extremal
+    dual.
 
     P_F is solved by the dual simplex.  With `warm`, a family that holds
     every set of `warm.sets` is solved from `warm.tableau`, its program
@@ -952,7 +941,7 @@ def solve_primal(
     res = simplex_solve(lp, dual_start(lp.objective) if start is None else start)
     objective = res.objective + y0 * g.n
     dual = None
-    if fractional_dual or res.integral:
+    if res.integral:
         dual = DualSolution(zip(row_keys, res.duals))
         dual.cut_edges = cuts
         if y0:

@@ -266,6 +266,9 @@ def _cycle_monotonicity(g, r):
         return {"iteration": r.it, "reason": "o mismatch"}
     if r.o_before is not None and r.dec.o > r.o_before:
         return {"iteration": r.it, "o": r.dec.o, "prev": r.o_before}
+    # a run stops at the first x with no odd cycle
+    if not r.final and not r.dec.odd_cycles:
+        return {"iteration": r.it, "reason": "no odd cycle before the final record"}
 
 
 def _complementary_slackness(g, r):  # and strong duality, exactly
@@ -282,6 +285,10 @@ def _positively_critical(g, r):
     if positive:  # the new finder takes over what the last one decided
         r.finder = CriticalMatchingFinder(g, r.imposed, r.slacks, previous=r.finder)
     return next(({"iteration": r.it, "set": sorted(s)} for s in positive if not is_factor_critical(r.finder, s)), None)
+
+
+def _early_basis_dual(g, r):
+    return {"iteration": r.it, "reason": "basis dual on a non-final record"}
 
 
 def _cut_windows(g, t):
@@ -334,8 +341,7 @@ CHECKS = [
     ("complementary_slackness", "record", None, None, _complementary_slackness),
     # only the final record may carry the basis dual in place of Psi
     ("positively_critical", "record", "extremal dual", "laminar family", _positively_critical),
-    ("positively_critical", "record", "early basis dual", None,
-     lambda g, r: {"iteration": r.it, "reason": "basis dual on a non-final record"}),
+    ("positively_critical", "record", "early basis dual", None, _early_basis_dual),
     ("cut_persistence", "trace", "records", "every decomposition", _cut_windows),
     # the bound is at least n, so a trace of at most n records needs no lcm
     ("iteration_bound", "trace", None, None, lambda g, t: {"lp_solves": len(t.records)}

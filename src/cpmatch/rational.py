@@ -60,10 +60,6 @@ class PerturbedCosts:
     scale: int
     scaled: tuple
 
-    def perturbed(self, i: int):
-        """Exact perturbed cost of edge i as a rational."""
-        return Rat(self.scaled[i], self.scale)
-
     def perturbed_total(self, edge_ids):
         return Rat(sum(self.scaled[i] for i in edge_ids), self.scale)
 

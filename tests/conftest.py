@@ -1,10 +1,12 @@
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import cpmatch
-from cpmatch import LaminarFamily, make_graph
+from cpmatch import DualSolution, LaminarFamily, make_graph, solve_primal
+from cpmatch import lp as lp_mod
 from cpmatch.rational import perturb
 
 # Subprocesses the tests start (`python -m cpmatch`, `python -O`) import
@@ -65,6 +67,32 @@ def per_edge_slacks(dual, g, costs):
                 load += val
         out.append(costs[e] - load)
     return out
+
+
+def solve_primal_with_basis_dual(g, costs, fam, warm=None):
+    """`solve_primal`'s (x, dual, objective) with the basis dual of its
+    final tableau for every x, certified: solve_primal recovers and
+    certifies that dual itself only for an integral x, and returns None for
+    any other.  Then the dual is read from the solve's `SimplexResult`, one
+    value per row in row order, each node's raised by the cost shift y0 the
+    solve lowered it by (see `solve_primal`), and `certify_optimum` checks
+    x and it."""
+    results = []
+    real = lp_mod.simplex_solve
+
+    def recorded(lp, start=None):
+        results.append(real(lp, start))
+        return results[-1]
+
+    with mock.patch.object(lp_mod, "simplex_solve", recorded):
+        x, dual, obj = solve_primal(g, costs, fam, warm)
+    if dual is None:
+        sets = fam.sets if warm is None else warm.sets
+        y0 = int(min(0, *costs) // 2)
+        dual = DualSolution(zip([*range(1, g.n + 1), *sets], results[-1].duals))
+        dual.update((u, dual[u] + y0) for u in range(1, g.n + 1))
+        lp_mod.certify_optimum(g, costs, fam.sets, x, obj, dual)
+    return x, dual, obj
 
 
 def verify_line(report, name):

@@ -84,9 +84,9 @@ def make_positively_critical(
     """
     fam_sets = sorted_sets(fam.sets if hasattr(fam, "sets") else fam)
     psi = DualSolution(psi)
-    if optimal_value is not None and psi.objective() != optimal_value:
+    if optimal_value is not None and sum(psi.values(), ZERO) != optimal_value:
         raise PreconditionBroken(
-            f"dual objective {psi.objective()} != optimum {optimal_value}"
+            f"dual objective {sum(psi.values(), ZERO)} != optimum {optimal_value}"
         )
 
     def identical_inside(s):
@@ -110,7 +110,7 @@ def make_positively_critical(
             break
         maximal = [s for s in eligible if not any(s < t for t in eligible)]
         s = max(maximal, key=lambda t: (len(t), sorted(t)))
-        before = psi.objective()
+        before = sum(psi.values(), ZERO)
 
         delta = consistency_delta(pi_fc, psi, s)
         lam = ONE if delta <= ZERO else min(ONE, psi.of_set(s) / delta)
@@ -122,7 +122,7 @@ def make_positively_critical(
         psi[s] = psi.of_set(s) - delta * lam
 
         iterations += 1
-        if psi.objective() != before:
+        if sum(psi.values(), ZERO) != before:
             raise StructureViolation(
                 "dual objective changed during positively-critical step",
                 witness=sorted(s),

@@ -88,6 +88,6 @@ def solve_extremal_dual(
         if psi.setdefault(s, ZERO) < ZERO:
             raise StructureViolation("extremal dual is negative on a cut", witness=sorted(s))
 
-    if psi.objective() != cost_value(x, costs):
+    if sum(psi.values(), ZERO) != cost_value(x, costs):
         raise StructureViolation("extremal dual is not a dual optimum")
     return psi

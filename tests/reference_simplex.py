@@ -17,9 +17,11 @@ tableau situations the comparison must cover:
   clean-up, the mark of a redundant equality row.
 """
 
+from types import SimpleNamespace
+
 from cpmatch import lp as lp_mod
 from cpmatch.errors import LPInfeasible, LPUnbounded, StructureViolation
-from cpmatch.lp import LinearProgram, SimplexResult
+from cpmatch.lp import LinearProgram
 from cpmatch.rational import ONE, ZERO
 
 
@@ -88,8 +90,10 @@ def written_out(lp: LinearProgram) -> LinearProgram:
     return LinearProgram(list(lp.objective), rows)
 
 
-def simplex_solve(lp: LinearProgram, events=None) -> SimplexResult:
-    """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded."""
+def simplex_solve(lp: LinearProgram, events=None) -> SimpleNamespace:
+    """Solve min c.x st rows, x >= 0: its x, duals (one per input row, sign
+    matching the relation), objective and pivot count.  Raises LPInfeasible
+    / LPUnbounded."""
     lp = written_out(lp)
     nstruct = lp.num_vars
     nrows = lp.num_rows
@@ -195,4 +199,4 @@ def simplex_solve(lp: LinearProgram, events=None) -> SimplexResult:
             x[b] = rhs[r]
     objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), ZERO)
     duals = [flip[i] * -rc[ident_col[i]] for i in range(nrows)]
-    return SimplexResult(x=x, duals=duals, objective=objective, pivots=pivots_box[0])
+    return SimpleNamespace(x=x, duals=duals, objective=objective, pivots=pivots_box[0])

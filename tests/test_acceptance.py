@@ -17,12 +17,11 @@ from cpmatch import (
     iteration_bound,
     random_instance,
     run,
-    solve_primal,
     verify_trace,
 )
 from cpmatch.rational import Rat, ZERO, parse_rat
 
-from conftest import assert_positively_critical, verify_line
+from conftest import assert_positively_critical, solve_primal_with_basis_dual, verify_line
 from paper_oracles import (
     consistency_delta,
     enumerate_perfect_matchings,
@@ -230,7 +229,7 @@ def test_criterion_8_positively_critical_duals(all_runs):
                 continue
             fam = LaminarFamily(g.n, [frozenset(s) for s in rec.cuts_imposed])
             gamma = _reconstruct_gamma(res.records[i - 1], g)
-            _x, basis_dual, obj = solve_primal(g, pc.scaled, fam)
+            _x, basis_dual, obj = solve_primal_with_basis_dual(g, pc.scaled, fam)
             psi, iters = make_positively_critical(
                 g, pc.scaled, fam, gamma, basis_dual, optimal_value=obj
             )

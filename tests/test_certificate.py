@@ -127,7 +127,7 @@ def test_x_not_optimal(name, solver, tmp_path, capsys, monkeypatch):
     # the first round returns another proper-half-integral point of the
     # same relaxation, optimal for costs with one support edge made dear:
     # its extremal program has no feasible point
-    def other_vertex(real, g: Graph, costs, fam, warm=None, fractional_dual=True, cuts=None):
+    def other_vertex(real, g: Graph, costs, fam, warm=None, cuts=None):
         x = real(g, costs, fam)[0]
         dear = 2 * sum(costs) + 1
         for e in (e for e, val in enumerate(x) if val):

@@ -501,7 +501,7 @@ class TestVerify:
             "cuts_retained": [],
             "cuts_added": [],
             "objective_scaled": format_rat(
-                cost_value([parse_rat(v) for v in x], perturb(g.costs()).scaled)
+                cost_value([parse_rat(v) for v in x], perturb([c for _u, _v, c in g.edges]).scaled)
             ),
         }
         instance_file, trace = tmp_path / "g.txt", tmp_path / "t.jsonl"

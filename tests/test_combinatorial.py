@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cpmatch import (
@@ -30,7 +32,7 @@ def zero_dual(n):
 
 def finder_for(g, fam_sets, dual):
     """A finder for tight edges of g under dual, with g's own costs."""
-    return CriticalMatchingFinder(g, fam_sets, dual.slacks(g, g.costs()))
+    return CriticalMatchingFinder(g, fam_sets, dual.slacks(g, [c for _u, _v, c in g.edges]))
 
 
 def keeping_state(ws_class):
@@ -221,7 +223,7 @@ class TestPositivelyCritical:
             {1: rat(40), 2: rat(24), 3: rat(-8), 4: rat(3), 5: rat(3), 6: rat(-1),
              TRIANGLE_LEFT: rat(1285), TRIANGLE_RIGHT: rat(1)}
         )
-        assert psi.objective() == obj
+        assert sum(psi.values(), ZERO) == obj
         assert dual_feasible(psi, bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
         out, iters = make_positively_critical(
             bowtie, bowtie_perturbed.scaled, bowtie_family, gamma, psi, optimal_value=obj
@@ -229,7 +231,7 @@ class TestPositivelyCritical:
         assert iters == 1
         assert out.of_set(TRIANGLE_RIGHT) == ZERO
         assert out.node(4) == 4  # halfway between 3 and gamma's 5
-        assert out.objective() == obj
+        assert sum(out.values(), ZERO) == obj
         assert is_positively_critical(bowtie, bowtie_perturbed.scaled, bowtie_family, out)
 
     def test_two_sets_processed_in_deterministic_order(self, bowtie, bowtie_perturbed, bowtie_family):
@@ -242,7 +244,7 @@ class TestPositivelyCritical:
             {1: rat(40), 2: rat(24), 3: rat(-9), 4: rat(4), 5: rat(3), 6: rat(-1),
              TRIANGLE_LEFT: rat(1285), TRIANGLE_RIGHT: rat(1)}
         )
-        assert psi.objective() == obj
+        assert sum(psi.values(), ZERO) == obj
         assert dual_feasible(psi, bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
         out, iters = make_positively_critical(
             bowtie, bowtie_perturbed.scaled, bowtie_family, gamma, psi, optimal_value=obj
@@ -276,9 +278,9 @@ class TestPositivelyCritical:
         psi[t2] = rat(2)
         for u in (4, 5, 6):
             psi[u] = ZERO
-        assert psi.objective() == gamma.objective()
+        assert sum(psi.values(), ZERO) == sum(gamma.values(), ZERO)
         assert consistency_delta(gamma, psi, s) == ZERO
-        out, iters = make_positively_critical(g, g.costs(), fam, gamma, psi)
+        out, iters = make_positively_critical(g, [c for _u, _v, c in g.edges], fam, gamma, psi)
         assert iters == 1
         assert out.of_set(s) == psi.of_set(s) == rat(1)
         for key in list(range(1, 8)) + [t1, t2]:
@@ -337,7 +339,7 @@ class TestProcedure:
         from cpmatch.graph import decompose_support
 
         assert decompose_support(z, g).o == 2
-        out, stats = run_half_integral_procedure(g, g.costs(), cfg)
+        out, stats = run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg)
         assert stats.case_counts["Ib"] == 1
         # the folded cycle as decompose_support lists it, in workspace nodes
         assert [ev.get("cycle") for ev in stats.events] == [[4, 5, 6, 7, 8]]
@@ -368,9 +370,9 @@ class TestProcedure:
             z=z, dual=zero_dual(12),
         )
         with pytest.raises(InvalidConfiguration, match="not a spanning odd cycle"):
-            validate_configuration(g, g.costs(), cfg)
+            validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
         with pytest.raises(InvalidConfiguration):
-            run_half_integral_procedure(g, g.costs(), cfg)
+            run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg)
 
     def test_set_outside_the_graph_rejected(self, bowtie):
         z = [HALF] * 6 + [ZERO]
@@ -378,7 +380,7 @@ class TestProcedure:
             laminar=[], disjoint=[TRIANGLE_LEFT, frozenset({4, 5, 7})], z=z, dual=zero_dual(6)
         )
         with pytest.raises(InvalidConfiguration, match="outside 1..6"):
-            run_half_integral_procedure(bowtie, bowtie.costs(), cfg)
+            run_half_integral_procedure(bowtie, [c for _u, _v, c in bowtie.edges], cfg)
 
     def test_untight_support_rejected(self, bowtie):
         z = [ONE, ZERO, ZERO, ZERO, ZERO, ONE, ONE]
@@ -478,7 +480,7 @@ class TestLaminarSetsInsidePinnedSets:
         g, dual = self.ring()
         # the half-cycle 3-4-5-6-7 enters T at 3, and 1-2 matches the rest
         cfg = self.configuration(dual, halves={3, 4, 5, 6, 7, 9, 10, 11}, ones={0})
-        _finder, dec = validate_configuration(g, g.costs(), cfg)
+        _finder, dec = validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
         assert dec.o == 2
 
     def test_cycle_that_misses_an_own_node_rejected(self):
@@ -488,7 +490,7 @@ class TestLaminarSetsInsidePinnedSets:
         # the half-triangle 3-4-5 meets T, 4 and 5 but misses 6 and 7
         cfg = self.configuration(dual, halves={3, 4, 8, 9, 10, 11}, ones={0, 6})
         with pytest.raises(InvalidConfiguration, match="not a spanning odd cycle"):
-            validate_configuration(g, g.costs(), cfg)
+            validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
 
     @pytest.mark.parametrize(
         "laminar, disjoint, message",
@@ -507,7 +509,37 @@ class TestLaminarSetsInsidePinnedSets:
             z=[ZERO] * g.m, dual=zero_dual(g.n),
         )
         with pytest.raises(InvalidConfiguration, match=message):
-            validate_configuration(g, g.costs(), cfg)
+            validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
+
+
+@pytest.mark.parametrize(
+    "graph, laminar, disjoint, duals, z, allow_exposed, message",
+    [
+        # the laminar triangle's dual is 0
+        ("bowtie", [TRIANGLE_LEFT], [], {}, {}, False, "nonpositive dual on [1, 2, 3]"),
+        # node 1's dual -1 leaves 2-3 the one tight edge inside the pinned triangle
+        ("bowtie", [], [TRIANGLE_LEFT], {1: -ONE}, {}, False, "[1, 2, 3] is not factor-critical"),
+        # a third on each triangle edge
+        ("bowtie", [], [], {}, {e: rat(1, 3) for e in range(6)}, False,
+         "z is not proper-half-integral"),
+        # nothing covers node 1, which no pinned set holds
+        ("bowtie", [], [], {}, {}, False, "node 1 exposed outside an exposed equality set"),
+        # 5-6 and 3-7 both leave the pinned {1..5}, around the laminar {1, 2, 3}
+        ("ring", [frozenset({1, 2, 3})], [frozenset(range(1, 6))], {}, {5: ONE, 7: ONE}, True,
+         "equality set [1, 2, 3, 4, 5] has boundary value 2"),
+    ],
+    ids=["nonpositive dual", "not factor-critical", "not half-integral", "exposed node",
+         "pinned boundary"],
+)
+def test_each_configuration_check_raises(bowtie, graph, laminar, disjoint, duals, z,
+                                         allow_exposed, message):
+    from cpmatch.combinatorial import validate_configuration
+
+    g, dual = (bowtie, zero_dual(6)) if graph == "bowtie" else TestLaminarSetsInsidePinnedSets.ring()
+    dual.update(duals)
+    cfg = ValidConfiguration(laminar, disjoint, [z.get(e, ZERO) for e in range(g.m)], dual)
+    with pytest.raises(InvalidConfiguration, match=re.escape(message)):
+        validate_configuration(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=allow_exposed)
 
 
 class TestSharedFinder:
@@ -613,7 +645,7 @@ class TestSharedFinder:
         monkeypatch.setattr(CriticalMatchingFinder, "_contract", counted)
         run(telescope(stages=4, gadgets=2), solver="combinatorial")
         g, cfg = unshrink_instance()
-        comb.run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        comb.run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert [r["stats"].unshrinks for r in procedure_runs] == [0] * 5 + [1]
         for r in procedure_runs:
             assert contracts[r["built"][1]] == 0
@@ -639,7 +671,7 @@ class TestSharedFinder:
         c = UNSHRINK_C
         validated = validate_each_step(allow_exposed_nodes=True)
         out, stats = comb.run_half_integral_procedure(
-            g, g.costs(), cfg, allow_exposed_nodes=True
+            g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True
         )
         # the second and third searches start after T was unshrunk
         assert validated == [[c, UNSHRINK_T], [c], [c]]
@@ -824,7 +856,7 @@ class TestCarriedWorkspace:
 
     def test_rebuilt_after_unshrink(self, checked_workspaces):
         g, cfg = unshrink_instance()
-        _out, stats = run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        _out, stats = run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert stats.unshrinks == 1
         assert UNSHRINK_T in checked_workspaces[0].tops
         assert UNSHRINK_T not in checked_workspaces[-1].tops
@@ -854,7 +886,7 @@ class TestCarriedWorkspace:
         for instance in ["telescope"] + [f"random{i}" for i in range(14)]:
             run(instance_graph(instance), solver="combinatorial")
         g, cfg = unshrink_instance()
-        run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert len(units) > 15 and max(units) > 2
 
     def test_contracts_once_per_run_plus_once_per_unshrink(self, monkeypatch):
@@ -883,7 +915,7 @@ class TestCarriedWorkspace:
         monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
         run(telescope(stages=4, gadgets=2), solver="combinatorial")
         g, cfg = unshrink_instance()
-        wrapped(g, g.costs(), cfg, allow_exposed_nodes=True)
+        wrapped(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert any(stats.iterations > 1 for _count, stats in runs)
         assert runs[-1][1].unshrinks == 1
         assert [count for count, _stats in runs] == [1 + stats.unshrinks for _c, stats in runs]
@@ -931,7 +963,7 @@ class TestCarriedWorkspace:
 
         g, cfg = unshrink_instance()
         ws = comb._Workspace(
-            g, list(cfg.laminar), [], cfg.z, cfg.dual, cfg.dual.slacks(g, g.costs())
+            g, list(cfg.laminar), [], cfg.z, cfg.dual, cfg.dual.slacks(g, [c for _u, _v, c in g.edges])
         )
         assert ws.unit == 2
         bridge = ws.cmap.edge_preimage.index(8)  # 7-8
@@ -975,7 +1007,7 @@ class TestCarriedWorkspace:
         # the dual, z and step events of the run that unshrinks T, as the
         # procedure gave them when it still stepped the duals in Rat
         g, cfg = unshrink_instance()
-        out, stats = run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        out, stats = run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert out.dual == {
             1: ZERO, 2: ZERO, 3: ZERO, 4: rat(4), 5: rat(-4), 6: rat(5), 7: rat(5),
             8: rat(5), UNSHRINK_C: ONE, UNSHRINK_T: ZERO,
@@ -1025,7 +1057,7 @@ class TestCarriedWorkspace:
         # a run given no carry decomposes its input as well
         g, cfg = unshrink_instance()
         before = len(calls)
-        _out, stats = comb.run_half_integral_procedure(g, g.costs(), cfg, allow_exposed_nodes=True)
+        _out, stats = comb.run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert stats.unshrinks == 1
         assert len(calls) - before == 3 + stats.unshrinks
 
@@ -1058,7 +1090,7 @@ class TestCarriedWorkspace:
         monkeypatch.setattr(drv_mod, "run_half_integral_procedure", wrapped)
         run(telescope(stages=4, gadgets=2), solver="combinatorial")
         g, cfg = unshrink_instance()
-        wrapped(g, g.costs(), cfg, allow_exposed_nodes=True)
+        wrapped(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert any(stats.case_counts["II"] > 0 for _count, stats in runs)
         assert runs[-1][1].unshrinks == 1
         assert [count for count, _stats in runs] == [2 + stats.unshrinks for _c, stats in runs]
@@ -1082,11 +1114,11 @@ class TestCarriedWorkspace:
         # solve_bipartite_via_procedure would match 1-2 and 3-4 at once)
         g = make_graph(4, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 10)])
         cold = ValidConfiguration(laminar=[], disjoint=[], z=[ZERO] * g.m, dual=zero_dual(4))
-        _out, stats = run_half_integral_procedure(g, g.costs(), cold, allow_exposed_nodes=True)
+        _out, stats = run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cold, allow_exposed_nodes=True)
         assert stats.case_counts["Ic"] == 1
         monkeypatch.setattr(comb._Workspace, "set_value", sabotaged)
         with pytest.raises(StructureViolation, match="3 half-edges"):
-            run_half_integral_procedure(g, g.costs(), cold, allow_exposed_nodes=True)
+            run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cold, allow_exposed_nodes=True)
 
     def test_half_cycle_listed_as_decompose_support_lists_it(self):
         # from every start node, the walked cycle comes out in the node order

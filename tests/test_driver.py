@@ -237,7 +237,7 @@ class TestStep:
     def test_optimum_that_is_not_half_integral_raises(self, bowtie, monkeypatch):
         import cpmatch.driver as drv_mod
 
-        def third(g, costs, fam, warm=None, fractional_dual=True, cuts=None):
+        def third(g, costs, fam, warm=None, cuts=None):
             return [rat(1, 3)] * g.m, DualSolution.zeros(g), ZERO
 
         monkeypatch.setattr(drv_mod, "solve_primal", third)
@@ -467,9 +467,7 @@ class TestWarmStart:
         monkeypatch.setattr(
             drv_mod,
             "solve_primal",
-            lambda g, costs, fam, warm=None, fractional_dual=True, cuts=None: cold_primal(
-                g, costs, fam, fractional_dual=fractional_dual, cuts=cuts
-            ),
+            lambda g, costs, fam, warm=None, cuts=None: cold_primal(g, costs, fam, cuts=cuts),
         )
         starts.clear()
         cold = traces()

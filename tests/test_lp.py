@@ -26,7 +26,13 @@ from cpmatch.lp import slackness_violation
 from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
 import reference_simplex
-from conftest import TRIANGLE_LEFT, TRIANGLE_RIGHT, dual_feasible, per_edge_slacks
+from conftest import (
+    TRIANGLE_LEFT,
+    TRIANGLE_RIGHT,
+    dual_feasible,
+    per_edge_slacks,
+    solve_primal_with_basis_dual,
+)
 from test_golden import EXPECTED, GOLDEN
 from test_simplex_equivalence import RELATIONS, outcome
 
@@ -635,7 +641,7 @@ class TestDualSlacks:
             st.tuples(st.frozensets(st.integers(-2, n + 2)), value), max_size=5
         )):
             dual[s] = val
-        costs = g.costs()
+        costs = [c for _u, _v, c in g.edges]
         if data.draw(st.booleans(), label="rat costs"):
             costs = [rat(c, data.draw(st.integers(1, 4))) for c in costs]
         got = dual.slacks(g, costs)
@@ -691,11 +697,11 @@ class TestSolvePrimal:
     def test_infeasible_reports(self):
         g = make_graph(4, [(1, 2, 0), (3, 4, 0), (1, 3, 0)])
         fam = LaminarFamily(4)
-        x, dual, obj = solve_primal(g, g.costs(), fam)
+        x, dual, obj = solve_primal(g, [c for _u, _v, c in g.edges], fam)
         assert x[0] == ONE and x[1] == ONE
         g2 = make_graph(4, [(1, 2, 0), (1, 3, 0), (1, 4, 0)])
         with pytest.raises(LPInfeasible):
-            solve_primal(g2, g2.costs(), fam)
+            solve_primal(g2, [c for _u, _v, c in g2.edges], fam)
 
     def test_corrupted_dual_raises_under_optimize_flag(self):
         # python -O strips asserts; the duality check must still fire
@@ -713,7 +719,7 @@ class TestSolvePrimal:
             "lp.simplex_solve = corrupt\n"
             "g = make_graph(2, [(1, 2, 5)])\n"
             "try:\n"
-            "    lp.solve_primal(g, g.costs(), LaminarFamily(2))\n"
+            "    lp.solve_primal(g, [5], LaminarFamily(2))\n"
             "except StructureViolation as exc:\n"
             "    print('raised', exc)\n"
         )
@@ -780,7 +786,7 @@ def warm_case(draw) -> str:
             return "first solve infeasible"
         want = outcome(reference_simplex.simplex_solve, build_primal(g, costs, f2.sets)[0])
         try:
-            x, dual, obj = solve_primal(g, costs, f2, warm)
+            x, dual, obj = solve_primal_with_basis_dual(g, costs, f2, warm)
         except LPInfeasible as exc:
             assert want == ("LPInfeasible", str(exc))
             return "warm infeasible"
@@ -847,7 +853,7 @@ def dual_start_case(draw) -> set:
             warm = lp_mod.WarmStart()
     want = outcome(reference_simplex.simplex_solve, build_primal(g, costs, fam.sets)[0])
     try:
-        x, dual, obj = solve_primal(g, costs, fam, warm)
+        x, dual, obj = solve_primal_with_basis_dual(g, costs, fam, warm)
     except LPInfeasible as exc:
         assert want == ("LPInfeasible", "phase-1 optimum positive") == ("LPInfeasible", str(exc))
         return cases | {"infeasible"}
@@ -920,7 +926,7 @@ class TestExtremalDual:
              TRIANGLE_LEFT: ZERO, TRIANGLE_RIGHT: ZERO}
         )
         psi = solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
-        assert psi.objective() == obj == 1347
+        assert sum(psi.values(), ZERO) == obj == 1347
         assert [psi.node(u) for u in range(1, 7)] == [
             rat(40), rat(24), rat(-8), rat(5), rat(3), rat(-1)
         ]
@@ -950,7 +956,7 @@ class TestExtremalDual:
         gamma[TRIANGLE_LEFT] = ZERO
         gamma[TRIANGLE_RIGHT] = ZERO
         psi = solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
-        assert psi.objective() == obj
+        assert sum(psi.values(), ZERO) == obj
         assert dual_feasible(psi, bowtie, bowtie_perturbed.scaled, bowtie_family.sets)
 
     def test_edge_rows_list_every_crossing_key_in_key_order(

@@ -107,7 +107,7 @@ class TestBruteForce:
     @settings(max_examples=300, deadline=None)
     @given(oracle_graphs())
     def test_matches_reference(self, g):
-        cost_lists = [None] + ([perturb(g.costs()).scaled] if g.m else [])
+        cost_lists = [None] + ([perturb([c for _u, _v, c in g.edges]).scaled] if g.m else [])
         for costs in cost_lists:
             assert outcome(brute_force_mcpm, g, costs) == outcome(
                 reference_oracle.brute_force_mcpm, g, costs
@@ -557,6 +557,44 @@ class TestVerifyTrace:
         assert verify_line(report, "cycle_monotonicity") == (
             "FAIL cycle_monotonicity witness={'iteration': 0, 'reason': 'o mismatch'}"
         )
+
+    def test_repeated_final_record_fails_monotonicity(self):
+        # run() stops at the first x with no odd cycle, so a record before
+        # the last has one; this run's one record imposes no cut, so the
+        # repeat keeps every cut_persistence window too
+        from cpmatch import random_instance
+
+        g = random_instance(8, 0.5, (0, 9), 100)
+        lines = self._trace(g, solver="combinatorial")
+        assert len(lines) == 2 and json.loads(lines[1])["cuts_imposed"] == []
+        assert verify_trace(g, lines).all_ok
+        report = verify_trace(g, lines + lines[1:])
+        assert verify_line(report, "cycle_monotonicity") == (
+            "FAIL cycle_monotonicity witness={'iteration': 0, "
+            "'reason': 'no odd cycle before the final record'}"
+        )
+        assert [line for line in report.lines() if line.startswith("FAIL")] == [
+            verify_line(report, "cycle_monotonicity")
+        ]
+
+    @pytest.mark.parametrize(
+        "record, field, value, line",
+        [
+            (1, "objective_scaled", "0",
+             "FAIL complementary_slackness witness={'iteration': 0, 'reason': 'objective mismatch'}"),
+            (2, "primal", ["1/2"] * 6 + ["0"],
+             "FAIL final_matching_oracle witness={'reason': 'final solution not integral'}"),
+            (2, "primal", ["0"] * 7,
+             "FAIL final_matching_oracle witness={'reason': 'final solution not a perfect matching'}"),
+        ],
+        ids=["objective", "not integral", "not perfect"],
+    )
+    def test_one_field_changed_fails_with_its_witness(self, bowtie, record, field, value, line):
+        lines = self._trace(bowtie)
+        rec = json.loads(lines[record])
+        rec[field] = value
+        lines[record] = json.dumps(rec, sort_keys=True)
+        assert verify_line(verify_trace(bowtie, lines), line.split()[1]) == line
 
     def test_too_many_records_fail_iteration_bound(self, bowtie):
         # record 0 repeated up to one record past the bound

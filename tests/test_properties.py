@@ -297,7 +297,7 @@ def bipartite_relaxations(draw):
     pair = st.tuples(st.sampled_from(live), st.sampled_from(live)).filter(lambda p: p[0] != p[1])
     edges += [(u, v, draw(cost)) for u, v in draw(st.lists(pair, min_size=0 if edges else 1, max_size=3 * n))]
     g = make_graph(n, edges)
-    pc = perturb(g.costs())
+    pc = perturb([c for _u, _v, c in g.edges])
     costs = pc.scaled
     if draw(st.booleans()):
         costs = [Rat(c, pc.scale) for c in costs]

@@ -71,8 +71,8 @@ class TestPerturb:
     def test_exact_offsets(self):
         pc = perturb([7, -2, 0, 9])
         for i in range(4):
-            assert pc.perturbed(i) - pc.base[i] == rat(1, 2 ** (i + 1))
-        total_bump = sum(pc.perturbed(i) - pc.base[i] for i in range(4))
+            assert pc.perturbed_total([i]) - pc.base[i] == rat(1, 2 ** (i + 1))
+        total_bump = sum(pc.perturbed_total([i]) - pc.base[i] for i in range(4))
         assert total_bump < 1
 
     def test_scale(self):
