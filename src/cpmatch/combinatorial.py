@@ -624,7 +624,7 @@ class _Workspace:
     - every dual change since the build is an int in units of 1/`unit`.
       The build sets `unit` to twice the lcm of the denominators of the
       contracted edges' slacks and of the top laminar sets' duals, and a
-      Case II step doubles it (with every int it scales) when its epsilon
+      Case II step doubles it (and every int over it) when its epsilon
       is half a unit;
     - the current dual is the build's dual plus `moved`, which maps each
       dual key a Case II step changed to its net change, so the run's
@@ -1090,11 +1090,9 @@ def greedy_start(g: Graph, costs) -> ValidConfiguration:
     are both exposed are matched in edge order.  Then each node still
     exposed, in id order, has its dual raised by its least edge slack, and
     is matched along the first newly tight edge to an exposed neighbour.
-    The duals and slacks are ints in units of 1/(2L), L the lcm of the cost
-    denominators, so that each c_e/2 is an int.
+    The duals and slacks are ints in units of 1/2, so each c_e/2 is an int.
     """
-    d = 2 * math.lcm(*_denominators(costs))
-    c = [_scaled(v, d) for v in costs]
+    c = [2 * v for v in costs]
     y = [0] * (g.n + 1)
     for u in range(1, g.n + 1):
         y[u] = min((c[e] - y[w] if w < u else c[e] // 2 for w, e in g.neighbours[u]), default=0)
@@ -1122,7 +1120,7 @@ def greedy_start(g: Graph, costs) -> ValidConfiguration:
             if not slack[e] and exposed[w]:
                 match(e)
                 break
-    dual = DualSolution({u: Rat(y[u], d) for u in range(1, g.n + 1)})
+    dual = DualSolution({u: Rat(y[u], 2) for u in range(1, g.n + 1)})
     return ValidConfiguration(laminar=[], disjoint=[], z=z, dual=dual)
 
 

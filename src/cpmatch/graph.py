@@ -20,8 +20,8 @@ from .rational import ONE, Rat, ZERO
 class Graph:
     """Undirected multigraph with per-edge costs.
 
-    `edges[i] = (u, v, cost)`.  Costs are integers for instances read from
-    files; a contracted graph keeps each surviving edge's own cost.
+    `edges[i] = (u, v, cost)` with an int cost (`perturb` and the LPs take
+    ints only); a contracted graph keeps each surviving edge's own cost.
     """
 
     n: int
@@ -30,11 +30,13 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("negative node count")
-        for u, v, _c in self.edges:
+        for u, v, c in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge endpoint out of range: ({u},{v})")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
+            if type(c) is not int:
+                raise ValueError(f"edge ({u},{v}) has cost {c!r}, not an int")
 
     @property
     def m(self) -> int:

@@ -8,16 +8,15 @@ Psi that the traces record.  `simplex_solve(lp, start)` solves lp by a dual
 simplex from an optimal tableau with fewer rows; `solve_primal` solves every
 relaxation P_F that way.
 
-The tableau is integer-preserving (fraction-free, Bareiss 1968): the rows
-are scaled by one common denominator L and the objective by another, M,
-and each row keeps its entries as sparse ints at a lazy scale, |det B| of
-the basis at which it was last written (see `_Tableau`).  Both methods
-read only signs, the order of the true reduced costs and ratios within one
-row, which a positive row scale does not change, so the pivots are those
-of the rational tableau.  A pivot rewrites only the rows with an entry in
-its column: the primal ratio test, which reads every row's entry there,
-hands that list to `_Tableau.pivot`; the dual simplex lets the pivot walk
-the rows itself.
+The tableau is integer-preserving (fraction-free, Bareiss 1968): each row
+keeps its entries as sparse ints at a lazy scale, |det B| of the basis at
+which it was last written (see `_Tableau`).  Both methods read only signs,
+the order of the true reduced costs and ratios within one row, which a
+positive row scale does not change, so the pivots are those of the
+rational tableau.  A pivot rewrites only the rows with an entry in its
+column: the primal ratio test, which reads every row's entry there, hands
+that list to `_Tableau.pivot`; the dual simplex lets the pivot walk the
+rows itself.
 
 A program may declare mirrored pairs (`LinearProgram.pairs`): column
 2i+1 is minus column 2i at the same cost, as each key's up and down
@@ -34,36 +33,34 @@ So B^-1 is never built, and an artificial that leaves never enters again.
 
 Values become rationals only when a caller reads them (`SimplexResult`):
 x_b = rhs_r/scale_r, and the duals from the final basis.  With D =
-rc_scale = |det B|, z = D*y for the dual y of the scaled program: z_i is
-minus the reduced cost of row i's slack, plus that of its surplus, 0 while
-its artificial is basic, and for every other = row it is solved in ints
-from z.B = D*c_B over the basic structural columns (integral by Cramer's
-rule).  Each dual is z_i times L/(M*D), so strong duality and
-complementary slackness hold exactly on every solve.
+rc_scale = |det B|, z = D*y for the dual y: z_i is minus the reduced cost
+of row i's slack, plus that of its surplus, 0 while its artificial is
+basic, and for every other = row it is solved in ints from z.B = D*c_B
+over the basic structural columns (integral by Cramer's rule).  Dual i is
+z_i/D, so strong duality and complementary slackness hold exactly on
+every solve.
 
-A start is the final tableau of an optimal solve, which keeps its program
-in ints, or `dual_start`, the tableau of the program with no rows: x = 0 with the costs as reduced costs, optimal when every cost is
->= 0.  Only lp's further rows are read.  Each is written at the current
-det, reduced against the synced rows of the basic columns it has entries
-in, and enters with its slack, surplus or artificial basic, infeasible
-where the old optimum violates it.  The basis stays dual feasible, and a
+A start is the final tableau of an optimal solve, which keeps its program,
+or `dual_start`, the tableau of the program with no rows: x = 0 with the
+costs as reduced costs, optimal when every cost is >= 0.  Only lp's
+further rows are read.  Each is written at the current det, reduced
+against the synced rows of the basic columns it has entries in, and
+enters with its slack, surplus or artificial basic, infeasible where the
+old optimum violates it.  The basis stays dual feasible, and a
 dual simplex with a least-index rule (Lemke 1954; Koberstein, PhD thesis,
 Paderborn 2005) pivots through the same lazy-scale `pivot` to an optimum.
 The optimum x is unique under the cost perturbation, so the dual simplex
 reaches the x the two-phase simplex would; only the optimal basis and its
 dual may differ (see `solve_primal` for the starts it uses).
 
-LP values cross the boundary as ints.  A `LinearProgram` stores an int or
-a `Rat` as given, and both builders pose their programs in ints:
-`build_primal` has 0/+-1 coefficients, unit right-hand sides and int
-costs, and `solve_extremal_dual` appends its rows in one pass over the
-edges.  `simplex_solve` takes L and M from the denominators of the
-non-int values alone (an all-int program is read as it is); x, its
+LP values are ints.  The cost perturbation makes every cost an int, and
+`simplex_solve` raises TypeError on any other value: `build_primal` has
+0/+-1 coefficients, unit right-hand sides and int costs, and
+`solve_extremal_dual` appends its rows in one pass over the edges.  x, its
 objective and integrality are read off the ints, with a `Rat` only for a
-nonzero x_b or dual; `solve_extremal_dual` reads Psi off the ints too.
-`DualSolution.slacks` are ints over one unit, summed with the dual
-objective in the same pass, and `slackness_violation` reads only their
-signs.
+nonzero x_b or dual, and so is Psi.  `DualSolution.slacks` are ints over
+one unit, summed with the dual objective in the same pass, and
+`slackness_violation` reads only their signs.
 
 One certificate per record.  `certify_optimum` checks a relaxation optimum
 against a dual: feasibility, strong duality and complementary slackness.
@@ -78,6 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .errors import LPInfeasible, LPUnbounded, StructureViolation
@@ -89,20 +87,11 @@ from .rational import ONE, Rat, ZERO
 PIVOT_LIMIT = 100_000
 
 
-_EXACT = (int, Rat)
-
-
-def _exact(value):
-    """value as an exact LP number: an int or a Rat is kept as it is (both
-    are immutable), anything else becomes a Rat."""
-    return value if type(value) in _EXACT else Rat(value)
-
-
 @dataclass
 class LinearProgram:
     """Minimization LP: one variable per add_var, rows are <=, >= or =.
 
-    Every value is an int or a Rat (see `_exact`).  The first 2*`pairs`
+    Every value is an int (`simplex_solve` checks).  The first 2*`pairs`
     variables are mirrored pairs: column 2i+1 is minus column 2i, at the
     same cost, so a row gives only the coefficient of 2i (`simplex_solve`
     checks).  The code that poses a program declares them by filling the
@@ -110,18 +99,17 @@ class LinearProgram:
     """
 
     objective: list = field(default_factory=list)
-    rows: list = field(default_factory=list)  # (coefs: dict[var, int | Rat], rel, rhs)
+    rows: list = field(default_factory=list)  # (coefs: dict[var, int], rel, rhs)
     pairs: int = field(default=0, init=False)
 
     def add_var(self, obj_coef) -> int:
-        self.objective.append(_exact(obj_coef))
+        self.objective.append(obj_coef)
         return len(self.objective) - 1
 
     def add_row(self, coefs: dict, rel: str, rhs):
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        coefs = {k: v if type(v) in _EXACT else Rat(v) for k, v in coefs.items()}  # _exact
-        self.rows.append((coefs, rel, _exact(rhs)))
+        self.rows.append((dict(coefs), rel, rhs))
 
     @property
     def num_vars(self) -> int:
@@ -177,9 +165,8 @@ class _Tableau:
     columns are dependent.
 
     The program solved is kept for a warm start to extend and for the
-    duals: its rows in ints at row scale L, as given (`norm`), each row's
-    slack or surplus column (`aux_col`, None for an = row), the int costs
-    and the (row, cost) `scales`.
+    duals: its rows as given (`norm`), each row's slack or surplus column
+    (`aux_col`, None for an = row) and the costs.
     """
 
     def __init__(self, rows, rhs, basis, paired=0):
@@ -192,7 +179,7 @@ class _Tableau:
         self.rc = []
         self.rc_scale = 1
         self.pivots = 0
-        self.norm = self.aux_col = self.cost = self.scales = None
+        self.norm = self.aux_col = self.cost = None
 
     def synced(self, r):
         """Row r, first rewritten at the current det if it is not there.
@@ -323,25 +310,12 @@ def _primal_loop(t: _Tableau) -> bool:
 def _scaled(v, scale: int) -> int:
     """v * scale as an int; v is an int or a Rat whose denominator divides
     scale."""
-    if type(v) is int:
-        return v * scale
     return int(v.numerator) * (scale // int(v.denominator))
 
 
 def _denominators(values) -> list:
     """The denominators of the values that are not ints, as ints."""
     return [int(v.denominator) for v in values if type(v) is not int]
-
-
-def _in_ints(values) -> tuple:
-    """(scale, ints): scale is the lcm of the denominators of the values
-    that are not ints, and ints lists each value times scale; values that
-    are all ints are copied as they are."""
-    dens = _denominators(values)
-    if not dens:
-        return 1, list(values)
-    scale = math.lcm(*dens)
-    return scale, [_scaled(v, scale) for v in values]
 
 
 # A row's relation once it is negated.
@@ -383,7 +357,7 @@ def _two_phase(norm, cost, paired) -> _Tableau:
         rows.append(row)
         rhs.append(b)
     t = _Tableau(rows, rhs, basis, paired)
-    t.norm, t.aux_col = norm, aux_col
+    t.norm, t.aux_col, t.cost = norm, aux_col, cost
 
     # Phase 1: drive the artificials to zero.  A mirror's reduced cost is
     # minus its pair's.
@@ -425,12 +399,11 @@ def dual_start(objective) -> _Tableau:
     """The optimal tableau of the program with `objective` and no rows,
     every column nonbasic at 0: a start for any program with that objective
     when every cost is >= 0 (ValueError otherwise)."""
-    cost_scale, cost = _in_ints(objective)
-    if any(c < 0 for c in cost):
+    if any(c < 0 for c in objective):
         raise ValueError("a dual start needs costs >= 0")
     t = _Tableau([], [], [])
-    t.rc = list(cost)
-    t.norm, t.aux_col, t.cost, t.scales = [], [], cost, (1, cost_scale)
+    t.rc = list(objective)
+    t.norm, t.aux_col, t.cost = [], [], objective
     return t
 
 
@@ -526,12 +499,13 @@ def _dual_simplex(t: _Tableau) -> None:
 
 
 def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexResult:
-    """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded.
+    """Solve min c.x st rows, x >= 0.  Raises LPInfeasible / LPUnbounded,
+    and TypeError when the objective or a row it reads holds a value that
+    is not an int.
 
     Without `start`, by the two-phase simplex under Bland's rule.  `start`
     is the final tableau (`SimplexResult.tableau`) of an optimal solve of a
-    program with lp's objective and lp's first len(start.rows) rows, whose
-    row scale the denominators of the rows after them divide, or the
+    program with lp's objective and lp's first len(start.rows) rows, or the
     `dual_start` of lp's objective.  Only those rows are read; each enters
     with its slack, surplus or artificial basic, and the dual simplex
     restores feasibility.  start is consumed.  A program with mirrored
@@ -544,39 +518,26 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
             raise ValueError("a program with mirrored pairs is solved without a start")
         if any(k < paired and k & 1 for coefs, _rel, _rhs in lp.rows for k in coefs):
             raise ValueError("a row gives only the first column of a mirrored pair")
-    done = 0 if start is None else len(start.rows)
-    rows = lp.rows[done:]
-
-    # One scale for all rows and one for the objective make the data
-    # integral.  A per-row scale would reweight the phase-1 artificials
-    # against each other and could change Bland's path.
-    dens = [int(v.denominator) for coefs, _rel, rhs in rows
-            for v in (rhs, *coefs.values()) if type(v) is not int]
-    row_scale = math.lcm(*dens)
+    rows = lp.rows[0 if start is None else len(start.rows):]
+    values = chain(lp.objective, *((rhs, *coefs.values()) for coefs, _rel, rhs in rows))
+    bad = next((v for v in values if type(v) is not int), None)
+    if bad is not None:
+        raise TypeError(f"LP value {bad!r} is not an int")
     if start is None:
-        cost_scale, cost = _in_ints(lp.objective)
-    else:
-        (start_scale, cost_scale), cost = start.scales, start.cost
-        if len(cost) != nstruct or (done and start_scale % row_scale):
-            raise ValueError("the start tableau was solved at other scales")
-        row_scale = math.lcm(row_scale, start_scale)  # start_scale once it has rows
-    if dens or row_scale != 1:
-        rows = [({k: _scaled(v, row_scale) for k, v in coefs.items()}, rel, _scaled(b, row_scale))
-                for coefs, rel, b in rows]
-    if start is None:
-        t = _two_phase(rows, cost, paired)
+        t = _two_phase(rows, lp.objective, paired)
+    elif len(start.cost) != nstruct:
+        raise ValueError("the start tableau was solved for another objective")
     else:
         t = _extended(start, rows)
         _dual_simplex(t)
-    t.cost, t.scales = cost, (row_scale, cost_scale)
-    norm, aux_col, basis, rhs, scale, rc = t.norm, t.aux_col, t.basis, t.rhs, t.scale, t.rc
-    first_art, det = len(rc), t.rc_scale
+    norm, aux_col, cost, basis, rhs = t.norm, t.aux_col, t.cost, t.basis, t.rhs
+    scale, rc, first_art, det = t.scale, t.rc, len(t.rc), t.rc_scale
 
     def read():
         # Only a basic structural column with a nonzero right-hand side
         # gets a Rat of its own, and x is integral when each such rhs_r is
         # a multiple of its scale.  The objective sums cost_b * rhs_r per
-        # row scale in ints, then once over the lcm of those scales.
+        # row scale in ints, then once over their lcm.
         x = [ZERO] * nstruct
         by_scale = {}
         integral = True
@@ -587,15 +548,13 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
                 if v % s:
                     integral = False
         common = math.lcm(*by_scale)
-        return x, Rat(sum(a * (common // s) for s, a in by_scale.items()),
-                      common * cost_scale), integral
+        return x, Rat(sum(a * (common // s) for s, a in by_scale.items()), common), integral
 
     def duals():
-        # z = D*y for the dual y of the scaled program (rows times L, costs
-        # times M), each row as given (negated, it keeps its slack or
-        # surplus).  Rows with a slack or surplus read z off its reduced
-        # cost, rows whose artificial is basic have z = 0, and the other =
-        # rows are solved from z.B = D*c_B, one equation per basic
+        # z = D*y for the dual y, each row as given (negated, it keeps its
+        # slack or surplus).  Rows with a slack or surplus read z off its
+        # reduced cost, rows whose artificial is basic have z = 0, and the
+        # other = rows are solved from z.B = D*c_B, one equation per basic
         # structural column.  A basic mirror reads its pair's coefficients,
         # negated.
         z = {}
@@ -629,8 +588,7 @@ def simplex_solve(lp: LinearProgram, start: _Tableau | None = None) -> SimplexRe
                 [(unknowns_of[b], rhs_of[b]) for b in basic],
                 [i for i in range(nrows) if i not in z],
             ))
-        dual_scale = cost_scale * det
-        return [Rat(z[i] * row_scale, dual_scale) if z[i] else ZERO for i in range(nrows)]
+        return [Rat(z[i], det) if z[i] else ZERO for i in range(nrows)]
 
     return SimplexResult(t.pivots, read, duals, t)
 
@@ -788,14 +746,14 @@ class DualSolution(dict):
         slack in this package.
 
         Each slack is an int in units of 1/`unit` (see `Slacks`), unit the
-        lcm of the denominators of the dual values and of the costs that
-        are not ints; the pass sums them in ints, and the dual objective
-        too (`Slacks.dual_objective`), and builds no Rat.  Each nonzero set
-        key crosses the edges `cuts(g)` lists for it."""
-        d = math.lcm(*_denominators(self.values()), *_denominators(costs))
+        lcm of the denominators of the dual values (the costs are ints);
+        the pass sums them in ints, and the dual objective too
+        (`Slacks.dual_objective`), and builds no Rat.  Each nonzero set key
+        crosses the edges `cuts(g)` lists for it."""
+        d = math.lcm(*_denominators(self.values()))
         units = {key: _scaled(val, d) for key, val in self.items() if val}
         node = units.get
-        out = Slacks(_scaled(costs[e], d) - node(u, 0) - node(v, 0)
+        out = Slacks(costs[e] * d - node(u, 0) - node(v, 0)
                      for e, (u, v, _c) in enumerate(g.edges))
         out.unit = d
         out.dual_objective = sum(units.values())
@@ -988,12 +946,12 @@ def solve_extremal_dual(
     keys = list(range(1, n + 1)) + tight_sets
 
     # In ints: each deviation counts units of 1/d, d the lcm of the
-    # denominators of Gamma on the keys and of the costs, and each weight
+    # denominators of Gamma on the keys (the costs are ints), and each weight
     # 1/|S| is multiplied by the lcm of the tight-set sizes.  Both scale every
     # right-hand side, or the objective, by one positive number, so Bland's
     # rule makes the pivots it makes in true units and reaches the same Psi.
     values = [gamma.get(key, ZERO) for key in keys]
-    d = math.lcm(*_denominators(values), *_denominators(costs))
+    d = math.lcm(*_denominators(values))
     units = [_scaled(v, d) for v in values]
     sizes = math.lcm(*map(len, tight_sets))
 
@@ -1006,7 +964,7 @@ def solve_extremal_dual(
     for (u, v, _c), xe, at, c in zip(g.edges, x, crossed, costs):
         at = (u - 1, v - 1, *at) if u < v else (v - 1, u - 1, *at)
         rows.append((dict.fromkeys([2 * i for i in at], 1), "=" if xe else "<=",
-                     _scaled(c, d) - sum(map(units.__getitem__, at))))
+                     c * d - sum(map(units.__getitem__, at))))
     # Psi(S) = Gamma(S) + up - down >= 0: down - up <= Gamma(S)
     rows += [({2 * i: -1}, "<=", units[i]) for i in range(n, len(keys))]
 

@@ -4,8 +4,8 @@ All arithmetic in this package is exact.  `Rat` is an arbitrary-precision
 rational kept in lowest terms with a positive denominator: gmpy2's `mpq` when
 the optional `gmpy2` extra is installed, otherwise `fractions.Fraction`; both
 give the same values.  The simplex tableau in `lp` does not use `Rat` at all:
-it works over Python ints, takes int LP data as it is, and builds a `Rat`
-only for a nonzero result.
+it works over Python ints, takes int LP data only, and builds a `Rat` only
+for a nonzero result.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The rational program as the package posed it before it moved to ints: each
 deviation from Gamma in true units, each weight 1/|S| a `Rat`, each edge
-row's right-hand side one `Rat`, and Psi summed from Gamma in `Rat`s.  The
+row's right-hand side one `Rat`, and Psi summed from Gamma in `Rat`s.  It
+is solved in ints (`reference_simplex.in_ints`), which keeps x.  The
 package's int program scales every right-hand side and the objective by
 one positive number each, so `simplex_solve` must make the same pivots on
 both and the two must return the same Psi."""
@@ -17,6 +18,7 @@ from cpmatch.graph import Graph, cost_value, cut_values
 from cpmatch.laminar import LaminarFamily
 from cpmatch.lp import DualSolution, LinearProgram, _denominators, _scaled, simplex_solve
 from cpmatch.rational import ONE, Rat, ZERO
+from reference_simplex import in_ints
 
 
 def solve_extremal_dual(
@@ -58,7 +60,7 @@ def solve_extremal_dual(
 
     # Each edge row's right-hand side costs[e] - Gamma(keys at e) is summed
     # in units of 1/d and becomes one Rat.
-    d = math.lcm(*_denominators(gamma_restricted.values()), *_denominators(costs))
+    d = math.lcm(*_denominators(gamma_restricted.values()))
     units = {key: _scaled(val, d) for key, val in gamma_restricted.items()}
     for e, (u, v, _c) in enumerate(g.edges):
         coefs = {}
@@ -68,13 +70,13 @@ def solve_extremal_dual(
             coefs[down[key]] = -1
             load += units[key]
         rel = "=" if x[e] else "<="
-        lp.add_row(coefs, rel, Rat(_scaled(costs[e], d) - load, d))
+        lp.add_row(coefs, rel, Rat(costs[e] * d - load, d))
 
     for s in tight_sets:
         # Psi(S) = Gamma(S) + up - down must stay nonnegative
         lp.add_row({down[s]: 1, up[s]: -1}, "<=", gamma_restricted[s])
 
-    res = simplex_solve(lp)
+    res = simplex_solve(in_ints(lp))
 
     psi = DualSolution()
     for key in keys:

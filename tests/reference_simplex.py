@@ -7,7 +7,9 @@ the same x, duals, objective and pivot count, or raise the same error;
 tests/test_simplex_equivalence.py checks that.  A solve from a start (the
 dual simplex) is checked against it on x and the objective.  A program with
 mirrored pairs is solved with every pair written out as two columns
-(`written_out`).
+(`written_out`).  It takes ints or `Rat`s and computes in `Rat`s;
+`simplex_solve` takes ints only, and `in_ints` poses a program with
+rational data in ints for both.
 
 `simplex_solve(lp, events)` counts in `events` (a Counter, optional) the
 tableau situations the comparison must cover:
@@ -17,12 +19,13 @@ tableau situations the comparison must cover:
   clean-up, the mark of a redundant equality row.
 """
 
+import math
 from types import SimpleNamespace
 
 from cpmatch import lp as lp_mod
 from cpmatch.errors import LPInfeasible, LPUnbounded, StructureViolation
 from cpmatch.lp import LinearProgram
-from cpmatch.rational import ONE, ZERO
+from cpmatch.rational import ONE, Rat, ZERO
 
 
 def _pivot(rows, rhs, rc, basis, r, c):
@@ -90,6 +93,25 @@ def written_out(lp: LinearProgram) -> LinearProgram:
     return LinearProgram(list(lp.objective), rows)
 
 
+def in_ints(lp: LinearProgram) -> LinearProgram:
+    """lp in ints, as `cpmatch.lp.simplex_solve` once posed a program with
+    rational data: every row times L, the lcm of the denominators of all
+    the row values, and the objective times M, the lcm of the cost
+    denominators.  One scale for all rows weights the phase-1 artificials
+    alike, so Bland's rule makes the same pivots on both programs: x is the
+    same, the objective is M times lp's and each dual M/L times lp's."""
+    row_scale = math.lcm(*(Rat(v).denominator for coefs, _rel, rhs in lp.rows
+                           for v in (rhs, *coefs.values())))
+    cost_scale = math.lcm(*(Rat(c).denominator for c in lp.objective))
+    out = LinearProgram(
+        [int(c * cost_scale) for c in lp.objective],
+        [({k: int(v * row_scale) for k, v in coefs.items()}, rel, int(rhs * row_scale))
+         for coefs, rel, rhs in lp.rows],
+    )
+    out.pairs = lp.pairs
+    return out
+
+
 def simplex_solve(lp: LinearProgram, events=None) -> SimpleNamespace:
     """Solve min c.x st rows, x >= 0: its x, duals (one per input row, sign
     matching the relation), objective and pivot count.  Raises LPInfeasible
@@ -131,7 +153,7 @@ def simplex_solve(lp: LinearProgram, events=None) -> SimpleNamespace:
     for i, (coefs, rel, r) in enumerate(norm):
         row = [ZERO] * ncols
         for k, v in coefs.items():
-            row[k] = v
+            row[k] = Rat(v)
         if rel == "<=":
             row[aux_col[i]] = ONE
             basis.append(aux_col[i])
@@ -146,7 +168,7 @@ def simplex_solve(lp: LinearProgram, events=None) -> SimpleNamespace:
             basis.append(art_col[i])
             ident_col.append(art_col[i])
         rows.append(row)
-        rhs.append(r)
+        rhs.append(Rat(r))
 
     pivots_box = [0]
     artificials = set(art_col.values())

@@ -40,9 +40,9 @@ def keeping_state(ws_class):
     `state`: the g, costs, lam_sets, kay_sets, z and dual they were built
     from.  The workspace takes no costs, only the slacks of the dual under
     them, so state recovers the costs: each edge's slack plus its dual
-    load.  The run mutates lam_sets and z in place, so those are always its
-    current ones; the dual stays the one at build time (see current_dual),
-    and so do the slacks."""
+    load, an int.  The run mutates lam_sets and z in place, so those are
+    always its current ones; the dual stays the one at build time (see
+    current_dual), and so do the slacks."""
 
     class Recording(ws_class):
         def __init__(self, g, lam_sets, kay_sets, z, dual, slacks):
@@ -50,7 +50,8 @@ def keeping_state(ws_class):
             # an edge's slack at cost zero is minus its dual load
             at_zero = per_edge_slacks(dual, g, [ZERO] * g.m)
             costs = [Rat(k, slacks.unit) - z0 for k, z0 in zip(slacks, at_zero)]
-            self.state = (g, costs, lam_sets, kay_sets, z, dual)
+            assert all(c.denominator == 1 for c in costs)
+            self.state = (g, [int(c) for c in costs], lam_sets, kay_sets, z, dual)
 
     return Recording
 

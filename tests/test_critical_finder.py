@@ -6,12 +6,14 @@ reference search in `reference_finder.py` agree, for every node u of s, on
 whether a critical matching of (s, u) exists, and on factor-criticality.
 Every matching the finder returns is checked on its own; matchings are not
 compared for identity.  A tight K_{k+1,k}, exponential for the reference,
-is answered at once.
+is answered at once.  A family with an even set or two crossing sets is
+refused on the first query.
 """
 
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,3 +164,17 @@ def test_tight_complete_bipartite_answers_at_once():
     m = finder.critical_matching(s, 31)
     assert m is not None
     check_matching(g, s, 31, [], [ZERO] * g.m, m)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [[{1, 2, 3}, {1, 2}], [{1, 2, 3}, {3, 4, 5}]],
+    ids=["even set", "crossing sets"],
+)
+def test_a_family_that_is_not_laminar_and_odd_raises_on_the_first_query(family):
+    # the finder is built without a check; its first query lists the
+    # family's children and must refuse an even set or two crossing sets
+    g = make_graph(6, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)])
+    finder = CriticalMatchingFinder(g, map(frozenset, family), [ZERO] * g.m)
+    with pytest.raises(ValueError, match="is even or crosses another"):
+        finder.critical_matching(frozenset({1, 2, 3}), 1)

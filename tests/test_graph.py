@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from cpmatch import (
     is_proper_half_integral,
     make_graph,
     parse_instance,
+    run,
     write_instance,
 )
 from cpmatch.graph import feasibility_violation
@@ -56,6 +59,13 @@ class TestGraphBasics:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             make_graph(2, [(1, 3, 5)])
+
+    @pytest.mark.parametrize("cost", [rat(1, 2), 0.5, Rat(2)], ids=["Rat", "float", "integral Rat"])
+    def test_cost_that_is_not_an_int_rejected(self, cost):
+        # the cost perturbation and the LPs take ints only, so a run on such
+        # a graph stops at the graph, with the edge named, and not in perturb
+        with pytest.raises(ValueError, match=re.escape(f"edge (1,2) has cost {cost!r}, not an int")):
+            run(make_graph(4, [(1, 2, cost), (3, 4, 1), (1, 3, 2), (2, 4, 2)]))
 
     def test_parallel_edges_allowed(self):
         g = make_graph(2, [(1, 2, 5), (1, 2, 7)])

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from collections import Counter
 from unittest import mock
 
@@ -26,6 +28,7 @@ from cpmatch.lp import slackness_violation
 from cpmatch.rational import HALF, ONE, Rat, ZERO, perturb, rat
 
 import reference_simplex
+from reference_simplex import in_ints
 from conftest import (
     TRIANGLE_LEFT,
     TRIANGLE_RIGHT,
@@ -67,23 +70,33 @@ class TestSimplexCore:
         res = simplex_solve(lp)
         assert res.objective == -1
 
-    def test_rat_values_kept_others_wrapped(self):
-        # a Rat or an int is stored as given; any other value becomes a Rat
+    def test_values_kept_as_given_and_non_ints_raise(self):
+        # values are stored as given, and simplex_solve takes ints only: a
+        # Rat or a float in the objective, a coefficient or a right-hand
+        # side raises TypeError naming it, in a row read after a start too
         big = 3 << 70
-        lp = LinearProgram()
-        x = lp.add_var(HALF)
-        y = lp.add_var(big)
-        z = lp.add_var(0.25)
-        lp.add_row({x: HALF, y: big, z: 0.75}, ">=", ONE)
-        lp.add_row({x: 1}, "<=", 2.5)
-        coefs, _rel, rhs = lp.rows[0]
-        assert lp.objective[x] is HALF and coefs[x] is HALF and rhs is ONE
-        assert lp.objective[y] is big and coefs[y] is big
-        assert type(lp.objective[z]) is Rat and lp.objective[z] == rat(1, 4)
-        assert type(coefs[z]) is Rat and coefs[z] == rat(3, 4)
-        coefs, _rel, rhs = lp.rows[1]
-        assert type(coefs[x]) is int and coefs[x] == 1
-        assert type(rhs) is Rat and rhs == rat(5, 2)
+
+        def posed(cost, coef, rhs):
+            lp = LinearProgram()
+            x = lp.add_var(cost)
+            y = lp.add_var(big)
+            lp.add_row({x: coef, y: big}, ">=", rhs)
+            return lp
+
+        lp = posed(1, 1, 1)
+        assert lp.objective[1] is big and lp.rows[0][0][1] is big
+        assert simplex_solve(lp).x == [1, ZERO]
+        for bad in ((HALF, 1, 1), (1, HALF, 1), (1, 1, ONE), (1, 1, 2.5)):
+            lp = posed(*bad)
+            assert [lp.objective[0], lp.rows[0][0][0], lp.rows[0][2]] == list(bad)
+            value = next(v for v in bad if type(v) is not int)
+            with pytest.raises(TypeError, match=re.escape(f"LP value {value!r} is not an int")):
+                simplex_solve(lp)
+        lp = posed(1, 1, 1)
+        res = simplex_solve(lp)
+        lp.add_row({0: 1}, "<=", HALF)
+        with pytest.raises(TypeError, match="is not an int"):
+            simplex_solve(lp, res.tableau)
 
     def test_infeasible(self):
         lp = LinearProgram()
@@ -259,7 +272,7 @@ class TestLazyRowScale:
     def test_stale_rows_at_every_reading_point(self, monkeypatch):
         # min -2a - b/3 + 2c - 4d  st  b = 2/3,  4b >= -1/2,
         # 2a + 2c/3 + 3d = 0 and its negation: a redundant pair that leaves
-        # an artificial basic at zero after phase 1
+        # an artificial basic at zero after phase 1; solved in ints
         lp = LinearProgram()
         for c in (-2, rat(-1, 3), 2, -4):
             lp.add_var(c)
@@ -267,6 +280,7 @@ class TestLazyRowScale:
         lp.add_row({1: 4}, ">=", rat(-1, 2))
         lp.add_row({0: 2, 2: rat(2, 3), 3: 3}, "=", 0)
         lp.add_row({0: -2, 2: rat(-2, 3), 3: -3}, "=", 0)
+        lp = in_ints(lp)
 
         def stale(t, rows=None):
             return [
@@ -341,7 +355,7 @@ class TestDualStart:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_zero_rhs_lps_end_at_the_two_phase_optimum(self, data):
-        lp = zero_rhs_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        lp = in_ints(zero_rhs_lp(lambda lo, hi: data.draw(st.integers(lo, hi))))
         with mock.patch.object(lp_mod, "PIVOT_LIMIT", self.LIMIT):
             got = outcome(simplex_solve, lp, lp_mod.dual_start(lp.objective))
         want = outcome(reference_simplex.simplex_solve, lp)
@@ -391,7 +405,7 @@ class TestDualRecovery:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_equality_lps_match_reference(self, data):
-        lp = equality_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        lp = in_ints(equality_lp(lambda lo, hi: data.draw(st.integers(lo, hi))))
         assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
 
     def test_equality_sweep_covers_redundant_rows(self, monkeypatch):
@@ -411,7 +425,7 @@ class TestDualRecovery:
 
         monkeypatch.setattr(lp_mod, "_integral_solution", counted)
         for _ in range(400):
-            lp = equality_lp(rng.randint)
+            lp = in_ints(equality_lp(rng.randint))
             got = outcome(simplex_solve, lp)
             assert got == outcome(reference_simplex.simplex_solve, lp, seen)
             seen[got[0]] += 1
@@ -537,7 +551,7 @@ def paired_case(draw) -> set:
     the cases reached: a mirror (the second column of a pair) entering in
     phase 1 or phase 2, a mirror basic at the optimum, and an = row whose
     dual comes from the basis solve with a mirror basic."""
-    lp = paired_lp(draw)
+    lp = in_ints(paired_lp(draw))
     seen = set()
     loops = []
     primal_loop, pivot, solve_system = (
@@ -598,7 +612,7 @@ class TestMirroredPairs:
 
     def test_pairs_come_first_and_rows_give_the_first_column(self):
         # pairs are posed as solve_extremal_dual poses them
-        lp = LinearProgram([3, 3, rat(1, 2), rat(1, 2)])
+        lp = LinearProgram([6, 6, 1, 1])
         lp.pairs = 2
         lp.add_row({0: 1, 2: -1}, "<=", 4)
         # the rule is checked once per program, when it is solved
@@ -606,7 +620,7 @@ class TestMirroredPairs:
         bad.pairs = lp.pairs
         with pytest.raises(ValueError, match="first column of a mirrored pair"):
             simplex_solve(bad)
-        lp.add_var(1)
+        lp.add_var(2)
         lp.add_row({4: 1}, ">=", 1)
         assert simplex_solve(lp).x == [ZERO, ZERO, ZERO, ZERO, 1]
 
@@ -626,7 +640,8 @@ class TestDualSlacks:
         # multigraphs with parallel edges; set keys drawn like the incidence
         # test's sets (numbers -2..n+2), with zero, negative, int-valued and
         # fractional values; nodes may have no key at all.  Costs are the
-        # graph's ints or, as in a contracted graph, Rats.
+        # graph's ints or other ints: Rats with drawn denominators, scaled
+        # to ints by the lcm of those denominators.
         n = data.draw(st.integers(2, 7))
         pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
         edges = [(u, v, c) for (u, v), c in data.draw(
@@ -642,8 +657,10 @@ class TestDualSlacks:
         )):
             dual[s] = val
         costs = [c for _u, _v, c in g.edges]
-        if data.draw(st.booleans(), label="rat costs"):
-            costs = [rat(c, data.draw(st.integers(1, 4))) for c in costs]
+        if data.draw(st.booleans(), label="scaled costs"):
+            dens = [data.draw(st.integers(1, 4)) for _c in costs]
+            scale = math.lcm(*dens)
+            costs = [c * (scale // k) for c, k in zip(costs, dens)]
         got = dual.slacks(g, costs)
         assert all(type(slack) is int for slack in got)
         assert [Rat(slack, got.unit) for slack in got] == per_edge_slacks(dual, g, costs)
@@ -1050,8 +1067,9 @@ class TestExtremalTracerBoundary:
     def test_one_simplex_call_matches_the_reference(
         self, bowtie, bowtie_perturbed, bowtie_family, cuts, cells, weight
     ):
-        # weight: the lcm of the tight-set sizes, by which the int program
-        # scales the reference's objective, and so its duals
+        # weight: the lcm of the tight-set sizes, by which both int programs
+        # scale the rational weights 1/|S|, and so the rational duals; with
+        # Gamma 0 and int costs no row is scaled
         import reference_extremal
 
         fam = bowtie_family if cuts else LaminarFamily(6)
@@ -1069,11 +1087,12 @@ class TestExtremalTracerBoundary:
             with mock.patch.object(module, "simplex_solve", recorded):
                 module.solve_extremal_dual(bowtie, bowtie_perturbed.scaled, fam, x, gamma)
         ((lp, res),) = calls[lp_mod]
-        ((_ref_lp, ref),) = calls[reference_extremal]
+        ((ref_lp, ref),) = calls[reference_extremal]
         assert self.tableau_cells(lp) == cells
         assert res.pivots == ref.pivots > 0
         assert res.x == ref.x
-        assert res.duals == [weight * y for y in ref.duals]
+        assert lp.objective == ref_lp.objective and lp.objective[0] == weight
+        assert res.duals == ref.duals
 
 
 def extremal_calls(g, solver) -> list:

@@ -10,6 +10,8 @@ which the procedure reaches the simplex optimum, or stalls exactly when the
 relaxation is infeasible; and a critical-matching finder started from an
 earlier finder, after slack and family changes, answers as a fresh one."""
 
+import math
+
 import pytest
 from conftest import per_edge_slacks
 from hypothesis import example, given, settings
@@ -81,7 +83,9 @@ def certificates(draw):
     """(g, x, dual, costs, imposed): a multigraph from `multigraphs`, x with
     entries in {0, 1/2, 1, 1/3, -1/2}, node duals, up to four cut sets
     (repeats allowed) with negative, zero and positive duals, and costs set
-    so that each edge's slack under the dual is 0, 1 or -1/2."""
+    so that each edge's slack under the dual is 0, 1 or -1/2.  The costs
+    and the dual are then scaled by the lcm of the costs' denominators, so
+    the costs are ints and each slack keeps its sign."""
     g = draw(multigraphs())
     value = st.sampled_from([ZERO, ZERO, Rat(1, 2), ONE, Rat(1, 3), Rat(-1, 2)])
     x = [draw(value) for _e in range(g.m)]
@@ -94,7 +98,9 @@ def certificates(draw):
     slack = st.sampled_from([ZERO, ZERO, ZERO, ONE, Rat(-1, 2)])
     loads = per_edge_slacks(dual, g, [ZERO] * g.m)
     costs = [draw(slack) - load for load in loads]
-    return g, x, dual, costs, imposed
+    scale = math.lcm(*(int(c.denominator) for c in costs))
+    dual = DualSolution({key: val * scale for key, val in dual.items()})
+    return g, x, dual, [int(c * scale) for c in costs], imposed
 
 
 def verify_trace_slackness_loops(x, dual, slacks, imposed, cut_value, it=0):
@@ -275,12 +281,11 @@ def test_new_cuts_are_pairwise_disjoint(case):
 
 @st.composite
 def bipartite_relaxations(draw):
-    """(g, costs, int_costs): a multigraph on n <= 12 nodes, in about a
+    """(g, costs): a multigraph on n <= 12 nodes, in about a
     quarter of the draws with isolated nodes, in about two thirds with a
     matching planted on the other nodes; its integer costs are all equal in
     about a third of the draws, and may be negative.
-    int_costs are the perturbed costs, and costs are those ints or the same
-    costs as Rats over the perturbation's scale."""
+    costs are the perturbed costs."""
     n = draw(st.integers(2, 12))
     isolated = frozenset()
     if draw(st.integers(0, 3)) == 0:
@@ -297,22 +302,18 @@ def bipartite_relaxations(draw):
     pair = st.tuples(st.sampled_from(live), st.sampled_from(live)).filter(lambda p: p[0] != p[1])
     edges += [(u, v, draw(cost)) for u, v in draw(st.lists(pair, min_size=0 if edges else 1, max_size=3 * n))]
     g = make_graph(n, edges)
-    pc = perturb([c for _u, _v, c in g.edges])
-    costs = pc.scaled
-    if draw(st.booleans()):
-        costs = [Rat(c, pc.scale) for c in costs]
-    return g, costs, pc.scaled
+    return g, perturb([c for _u, _v, c in g.edges]).scaled
 
 
 @settings(max_examples=300, deadline=None)
 @given(bipartite_relaxations())
 def test_greedy_start_is_valid_and_reaches_the_simplex_optimum(case):
-    g, costs, int_costs = case
+    g, costs = case
     start = greedy_start(g, costs)
     validate_configuration(g, costs, start, allow_exposed_nodes=True)
     assert all(v in (ZERO, ONE) for v in start.z)
     try:
-        x, _dual, _obj = solve_primal(g, int_costs, LaminarFamily(g.n))
+        x, _dual, _obj = solve_primal(g, costs, LaminarFamily(g.n))
     except LPInfeasible:
         with pytest.raises(StalledNoEpsilon):
             solve_bipartite_via_procedure(g, costs)

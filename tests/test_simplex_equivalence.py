@@ -3,8 +3,9 @@
 Without a start both kernels run the two-phase simplex under Bland's rule
 (see `cpmatch.lp._primal_loop`), so on every program they must make the
 same pivots: equal x, duals, objective and pivot count, or the same error.
-The programs are random small LPs, and every LP the solver itself builds
-for the golden instances.  A solve from a start, by the dual simplex, may
+The programs are random small LPs, posed in ints by `reference_simplex.in_ints`
+as the kernel takes them, and every LP the solver itself builds for the
+golden instances.  A solve from a start, by the dual simplex, may
 end at another optimal basis: it must reach the reference's objective, or
 its error, with an x and duals that prove optimality.
 """
@@ -24,6 +25,7 @@ from cpmatch.driver import SOLVER_CHOICES
 from cpmatch.errors import LPInfeasible, LPUnbounded, NoPerfectMatching, StructureViolation
 from cpmatch.lp import LinearProgram, dual_start, simplex_solve
 from cpmatch.rational import Rat, ZERO, rat
+from reference_simplex import in_ints
 from test_golden import EXPECTED, GOLDEN
 
 RELATIONS = ("<=", ">=", "=")
@@ -65,7 +67,7 @@ def random_lp(draw) -> LinearProgram:
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_random_lps_match_reference(data):
-    lp = random_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    lp = in_ints(random_lp(lambda lo, hi: data.draw(st.integers(lo, hi))))
     assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
 
 
@@ -97,16 +99,19 @@ def int_and_rat_lps(draw) -> tuple:
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_int_and_rat_values_give_one_outcome(data):
-    # ints enter the tableau as they are and Rats through their
-    # denominators; both must give the reference's outcome, every value a Rat
+def test_int_values_match_reference_and_rat_values_raise(data):
+    # ints enter the tableau as they are and give the reference's outcome
+    # on the Rat program, every value a Rat; the kernel refuses the Rat
+    # program, naming a value
     int_lp, rat_lp = int_and_rat_lps(lambda lo, hi: data.draw(st.integers(lo, hi)))
     assert all(type(c) is int for c in int_lp.objective)
     got = outcome(simplex_solve, int_lp)
-    assert got == outcome(simplex_solve, rat_lp) == outcome(reference_simplex.simplex_solve, rat_lp)
+    assert got == outcome(reference_simplex.simplex_solve, rat_lp)
     if got[0] == "optimal":
         _tag, x, duals, objective, _pivots = got
         assert all(type(v) is Rat for v in (*x, *duals, objective))
+    with pytest.raises(TypeError, match="is not an int"):
+        simplex_solve(rat_lp)
 
 
 def dense_lp(draw) -> LinearProgram:
@@ -129,7 +134,7 @@ def dense_lp(draw) -> LinearProgram:
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_dense_lps_match_reference(data):
-    lp = dense_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    lp = in_ints(dense_lp(lambda lo, hi: data.draw(st.integers(lo, hi))))
     assert outcome(simplex_solve, lp) == outcome(reference_simplex.simplex_solve, lp)
 
 
@@ -138,8 +143,9 @@ def test_seeded_sweep_covers_every_case():
     seen = Counter()
     for _ in range(1500):
         lp = random_lp(rng.randint)
-        got = outcome(simplex_solve, lp)
-        assert got == outcome(reference_simplex.simplex_solve, lp, seen)
+        int_lp = in_ints(lp)
+        got = outcome(simplex_solve, int_lp)
+        assert got == outcome(reference_simplex.simplex_solve, int_lp, seen)
         seen[got[0]] += 1
         for coefs, rel, rhs in lp.rows:
             seen[rel] += 1
@@ -203,7 +209,7 @@ def test_dual_start_reaches_the_two_phase_optimum(data):
     # every relation, sign of right-hand side and redundant equality pair
     # of random_lp, with costs made >= 0 so that the dual start is optimal;
     # such a program is never unbounded
-    lp = nonnegative_costs(random_lp(lambda lo, hi: data.draw(st.integers(lo, hi))))
+    lp = in_ints(nonnegative_costs(random_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))))
     want = outcome(reference_simplex.simplex_solve, lp)
     assert dual_start_outcome(lp) == ((want[0], want[3]) if want[0] == "optimal" else want)
 
@@ -238,7 +244,7 @@ def test_dual_start_sweep_covers_every_case(monkeypatch):
     monkeypatch.setattr(lp_mod, "_dual_simplex", counted)
     rng = random.Random(20241)
     for _ in range(1500):
-        lp = nonnegative_costs(random_lp(rng.randint))
+        lp = in_ints(nonnegative_costs(random_lp(rng.randint)))
         want = outcome(reference_simplex.simplex_solve, lp)
         got = dual_start_outcome(lp)
         assert got == ((want[0], want[3]) if want[0] == "optimal" else want)
