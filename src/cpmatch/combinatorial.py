@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidConfiguration, StalledNoEpsilon, StructureViolation
 from .graph import Graph, SupportDecomposition, cut_values, decompose_support
-from .laminar import LaminarFamily, contract_with_dual, maximal_sets, sorted_sets
+from .laminar import LaminarFamily, contract_with_dual, sorted_sets
 from .lp import DualSolution, _denominators, _scaled, slackness_violation
 from .rational import HALF, ONE, Rat, ZERO, format_rat
 
@@ -30,17 +30,18 @@ class CriticalMatchingFinder:
     """Finds matchings on tight edges inside odd sets, respecting family
     budgets.
 
-    `fam_sets` is a laminar family of odd sets, and `slacks` is
-    `DualSolution.slacks` of the dual the edges must be tight for: an edge
-    is tight where its slack is 0.  A
-    critical matching of (s, u), for an odd set s and u in s, is a matching
-    on tight edges inside s that covers s minus {u} and crosses each family
-    set strictly inside s at most once.
+    `fam` is a `LaminarFamily`, and `slacks` is `DualSolution.slacks` of
+    the dual the edges must be tight for: an edge is tight where its slack
+    is 0.  A critical matching of (s, u), for a set s of `fam` and u in s,
+    is a matching on tight edges inside s that covers s minus {u} and
+    crosses each family set strictly inside s at most once.  A query on a
+    set outside `fam` raises ValueError.
 
     Each set s is decided on its own contracted graph H_s.  The children of
-    s are the maximal family sets strictly inside it.  H_s has one part per
-    child and one per node of s in no child, and one edge per tight edge
-    inside s that joins two parts.  Why this is exact:
+    s are the maximal family sets strictly inside it, which `fam.children`
+    lists.  H_s has one part per child and one per node of s in no child,
+    and one edge per tight edge inside s that joins two parts.  Why this is
+    exact:
     - A critical matching M of (s, u) covers every child t that misses u.
       t is odd, so an odd number of M's edges cross it: exactly one, as the
       budget is 1.  At the child that holds u an even number cross: none.
@@ -65,11 +66,11 @@ class CriticalMatchingFinder:
     every child is factor-critical and H_s is a factor-critical graph.
 
     Sets are decided in `sorted_sets` order, children first, and each set's
-    H_s and each (set, node)'s matching is memoised.  The tight flags and
-    the family tree are built on the first query.  H_s of a set s depends
-    only on the tight flags of the edges inside s and on the family sets
-    strictly inside it; its `boundary`, the tight edges leaving s, depends
-    only on the tight flags of the edges that cross s.
+    H_s and each (set, node)'s matching is memoised.  The tight flags are
+    built on the first query.  H_s of a set s depends only on the tight
+    flags of the edges inside s and on the family sets strictly inside it;
+    its `boundary`, the tight edges leaving s, depends only on the tight
+    flags of the edges that cross s.
 
     A finder given a `previous` finder on the same graph takes over, on its
     first query, the H_s that finder decided for each family set s with the
@@ -81,35 +82,18 @@ class CriticalMatchingFinder:
     """
 
     def __init__(
-        self, g: Graph, fam_sets: Iterable, slacks: Sequence,
+        self, g: Graph, fam: LaminarFamily, slacks: Sequence,
         previous: CriticalMatchingFinder | None = None,
     ):
         if previous is not None and previous.g is not g:
             raise ValueError("a finder takes over only a finder on the same graph")
         self.g = g
-        self._fam_sets = list(fam_sets)
+        self.fam = fam
         self.slacks = slacks
         self._previous = previous
         self._tight = None  # per edge, built on the first query
-        self._children = {}  # family set -> its children
         self._decided = {}  # set -> its _Contracted
         self._memo = {}  # (set, node) -> sorted edge ids or None
-
-    def _build_tree(self) -> None:
-        """The tight flags, and the children of each family set; then the
-        decisions taken over from the previous finder."""
-        self._tight = [not v for v in self.slacks]
-        owner = {}  # node -> the largest family set so far that holds it
-        for s in sorted(set(map(frozenset, self._fam_sets)), key=len):
-            kids = {owner[v] for v in s if v in owner}
-            if len(s) % 2 == 0 or not all(t < s for t in kids):
-                raise ValueError(f"family set {sorted(s)} is even or crosses another")
-            self._children[s] = tuple(kids)
-            for v in s:
-                owner[v] = s
-        previous, self._previous = self._previous, None
-        if previous is not None and previous._decided:
-            self._take_over(previous)
 
     def _take_over(self, previous: CriticalMatchingFinder) -> None:
         """Take over the H_s of `previous` for each family set s whose
@@ -119,7 +103,7 @@ class CriticalMatchingFinder:
         the family tree from each end of a changed edge e, the sets below
         the least set holding both ends cross e, and that set and every set
         above it hold e inside."""
-        children = self._children
+        children = self.fam.children
         parent = {t: s for s, kids in children.items() for t in kids}
         innermost = {}  # node -> the least family set that holds it
         for s, kids in children.items():
@@ -151,26 +135,24 @@ class CriticalMatchingFinder:
                 h = _Contracted(h.parts, h.edges, h.good, tuple(boundary))
             decided[s] = h
 
-    def _children_of(self, s) -> Iterable:
-        """The maximal family sets strictly inside s."""
-        if s in self._children:
-            return self._children[s]
-        return maximal_sets(t for t in self._children if t < s)
-
     def _decide(self, s: frozenset) -> _Contracted:
-        """H_s of the odd set s, after deciding every set inside s not yet
-        decided."""
-        if len(s) % 2 == 0:
-            raise ValueError(f"critical matchings are defined on odd sets: {sorted(s)}")
-        if self._tight is None:
-            self._build_tree()
+        """H_s of the family set s, after deciding every set inside s not
+        yet decided."""
+        children = self.fam.children
+        if s not in children:
+            raise ValueError(f"{sorted(s)} is not a set of the finder's family")
+        if self._tight is None:  # the first query: the tight flags, then the take-over
+            self._tight = [not v for v in self.slacks]
+            previous, self._previous = self._previous, None
+            if previous is not None and previous._decided:
+                self._take_over(previous)
         decided = self._decided
         if s not in decided:
             todo, stack = [], [s]
             while stack:
                 t = stack.pop()
                 todo.append(t)
-                stack.extend(c for c in self._children_of(t) if c not in decided)
+                stack.extend(c for c in children[t] if c not in decided)
             for t in sorted_sets(todo):
                 decided[t] = self._contract(t)
         return decided[s]
@@ -184,7 +166,7 @@ class CriticalMatchingFinder:
         boundaries, the tight edges with one end in the child, each kept as
         (inner end, outer end, edge id).  A node's neighbours are thus read
         once per finder, however deep the family."""
-        kids, decided = self._children_of(s), self._decided
+        kids, decided = self.fam.children[s], self._decided
         # the nodes of children that no usable edge may enter
         bad = set().union(*(t - decided[t].good for t in kids))
         own = s.difference(*kids)
@@ -491,9 +473,10 @@ def validate_configuration(
 ) -> tuple:
     """Raise InvalidConfiguration unless (A), (B), (C) hold.
 
-    The sets form one `LaminarFamily`.  A laminar set may lie strictly
-    inside a pinned set and may not meet one otherwise; two pinned sets are
-    disjoint.  `lp.slackness_violation` checks the dual and z against the
+    The sets form one `LaminarFamily`, and every pinned set is one of its
+    maximal sets: so a laminar set may lie strictly inside a pinned set and
+    may not meet one otherwise, and two pinned sets are disjoint.
+    `lp.slackness_violation` checks the dual and z against the
     laminar sets only, whose duals must be positive: the pinned sets' duals
     are free in sign.  The rest is factor-criticality and the support of z,
     with each pinned cut 0 or 1.  A pinned set with cut 0 must be spanned by
@@ -511,23 +494,22 @@ def validate_configuration(
     half-integral exactly when that call returns one.
 
     Returns (finder, support).  The finder checked every set of the
-    configuration: it holds their tight edges and critical matchings under
-    cfg.dual.  support is the decomposition of the support of cfg.z.
+    configuration: it holds their family (`finder.fam`), tight edges and
+    critical matchings under cfg.dual.  support is the decomposition of the
+    support of cfg.z.
     """
     lam_sets = [frozenset(s) for s in cfg.laminar]
     kay_sets = [frozenset(s) for s in cfg.disjoint]
     every = lam_sets + kay_sets
     try:
-        LaminarFamily(g.n, every)
+        fam = LaminarFamily(g.n, every)
     except ValueError as exc:  # LaminarityViolation or a bad odd set
         raise InvalidConfiguration(str(exc)) from None
-    lam = set(lam_sets)
+    tops = set(fam.tops)
     for s in kay_sets:
-        for t in every:
-            if t != s and s & t and not (t < s and t in lam):
-                raise InvalidConfiguration(
-                    f"equality set {sorted(s)} intersects {sorted(t)}"
-                )
+        if s not in tops:
+            top = next(t for t in fam.tops if s < t)
+            raise InvalidConfiguration(f"equality set {sorted(s)} intersects {sorted(top)}")
     for s in lam_sets:
         if cfg.dual.of_set(s) <= ZERO:
             raise InvalidConfiguration(f"nonpositive dual on {sorted(s)}")
@@ -536,7 +518,7 @@ def validate_configuration(
     violation = slackness_violation(cfg.z, cfg.dual, slacks, {s: cut[s] for s in lam_sets})
     if violation is not None:
         raise InvalidConfiguration(f"complementary slackness fails: {violation}")
-    finder = CriticalMatchingFinder(g, every, slacks, previous)
+    finder = CriticalMatchingFinder(g, fam, slacks, previous)
     for s in every:
         if not is_factor_critical(finder, s):
             raise InvalidConfiguration(f"{sorted(s)} is not factor-critical")
@@ -565,7 +547,7 @@ def validate_configuration(
             # lies in s.  With each maximal inner set taken as one node (a
             # part), a cycle inside one of them vanishes, and the spanning
             # cycle meets every part.
-            kids = maximal_sets(t for t in lam_sets if t < s)
+            kids = fam.children[s]
             part = {v: t for t in kids for v in t}
             parts = len(s) - sum(map(len, kids)) + len(kids)
             images = [{part.get(v, v) for v in c} for c in dec.odd_cycles if c[0] in s]
@@ -619,8 +601,11 @@ class _Workspace:
     """Contracted tight-edge view of the current configuration.
 
     The procedure builds one per run, and a new one only after an unshrink,
-    the one step that changes the top sets.  In between the workspace is kept
-    up to date, and these invariants hold after every step:
+    the one step that changes the top sets.  It contracts the tops of `fam`,
+    the configuration's checked `LaminarFamily` (the input check's, or after
+    an unshrink a new one), each to the node `cmap.set_node` gives it, and
+    `lam_sets` are the family's laminar sets.  In between builds the
+    workspace is kept up to date, and these invariants hold after every step:
     - every dual change since the build is an int in units of 1/`unit`.
       The build sets `unit` to twice the lcm of the denominators of the
       contracted edges' slacks and of the top laminar sets' duals, and a
@@ -650,25 +635,18 @@ class _Workspace:
     workspace reads no cost: its slacks are all it needs of them.
     """
 
-    def __init__(self, g, lam_sets, kay_sets, z, dual, slacks):
-        self.tops = maximal_sets(lam_sets + kay_sets)
-        self.wg, self.cmap = contract_with_dual(g, self.tops)
-        self.kind = {}
-        for s in self.tops:
-            node = self.cmap.image_node_of_set(s)
-            self.kind[node] = s
-        self._plain = {}
-        contracted_nodes = set(self.kind)
-        for u, img in self.cmap.node_image.items():
-            if img not in contracted_nodes:
-                self._plain[img] = u
+    def __init__(self, g, fam, lam_sets, z, dual, slacks):
+        self.wg, self.cmap = contract_with_dual(g, fam.tops)
+        self.kind = {node: s for s, node in self.cmap.set_node.items()}
+        self._plain = {img: u for u, img in self.cmap.node_image.items() if img not in self.kind}
         # The contracted edges' slacks are ints over slacks.unit.  In lowest
         # terms their denominators have the lcm slacks.unit // common, with
         # common the gcd of that unit and the slacks.
         slack = [slacks[e] for e in self.cmap.edge_preimage]
         common = math.gcd(slacks.unit, *slack)
         reduced = slacks.unit // common
-        lam_tops = [s for s in self.tops if s in lam_sets]
+        lam = set(lam_sets)
+        lam_tops = [s for s in fam.tops if s in lam]
         top_duals = [dual.of_set(s) for s in lam_tops]
         self.unit = 2 * math.lcm(reduced, *_denominators(top_duals))
         self.slack = [v // common * (self.unit // reduced) for v in slack]
@@ -958,7 +936,7 @@ def run_half_integral_procedure(
     phase_iters = 0
     prev_potential = None
 
-    ws = _Workspace(g, lam_sets, kay_sets, z, dual, finder.slacks)
+    ws = _Workspace(g, finder.fam, lam_sets, z, dual, finder.slacks)
     while True:
         exposed = ws.exposed
         potential = len(exposed) + ws.o
@@ -1064,7 +1042,8 @@ def run_half_integral_procedure(
         stats.unshrinks += len(unshrunk)
         if unshrunk:
             ws.write_back(dual)
-            ws = _Workspace(g, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
+            fam = LaminarFamily(g.n, lam_sets + kay_sets)
+            ws = _Workspace(g, fam, lam_sets, z, dual, dual.slacks(g, costs))
 
     ws.write_back(dual)
     stats.phase_lengths.append(phase_iters)

@@ -33,7 +33,7 @@ from .combinatorial import (
     run_half_integral_procedure,
     solve_bipartite_via_procedure,
 )
-from .laminar import LaminarFamily, maximal_sets
+from .laminar import LaminarFamily
 from .lp import DualSolution, WarmStart, certify_optimum, solve_extremal_dual, solve_primal
 from .rational import ONE, PerturbedCosts, ZERO, format_rat, perturb
 
@@ -137,12 +137,11 @@ def select_new_cuts(
     out even.  The unions are then disjoint, as the cycles and the maximal
     retained sets are.
     """
-    tops = maximal_sets(h_prime.sets)
     claimed = {}
     out = []
     for cycle in dec.odd_cycles:
         nodes = frozenset(cycle)
-        absorbed = [s for s in tops if s & nodes]
+        absorbed = [s for s in h_prime.tops if s & nodes]
         for s in absorbed:
             if s in claimed:
                 raise StructureViolation(

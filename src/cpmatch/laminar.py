@@ -1,13 +1,14 @@
 """Laminar families of odd node sets and their contraction.
 
-Sets are `frozenset[int]`.  A family is a flat list in `sorted_sets`
-order, built and validated once by its constructor; queries scan it
-directly (|F| <= n/2, asymptotics are irrelevant here).
+Sets are `frozenset[int]`.  A family is a list in `sorted_sets` order,
+built and validated once by its constructor, which keeps the forest that
+validation finds: each set's children, and the maximal sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import LaminarityViolation
@@ -31,28 +32,19 @@ def sorted_sets(sets) -> list:
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
-def maximal_sets(sets) -> list:
-    """The inclusion-maximal members of the laminar family `sets`, in
-    `sorted_sets` order.  Taken largest first, a set is maximal iff no
-    maximal set before it holds one of its nodes: one that did would
-    contain it."""
-    covered, tops = set(), []
-    for s in sorted(sets, key=len, reverse=True):
-        if next(iter(s)) not in covered:
-            tops.append(s)
-            covered.update(s)
-    return sorted_sets(tops)
-
-
 class LaminarFamily:
     """Immutable laminar family of odd sets over nodes 1..n.  The
     constructor adds the sets in `sorted_sets` order, each checked against
     those before it: ValueError for a set that is not an odd set,
-    LaminarityViolation for a duplicate, a crossing or over n/2 members."""
+    LaminarityViolation for a duplicate, a crossing or over n/2 members.
+
+    `children[s]` holds the maximal members strictly inside the member s,
+    and `tops` the maximal members, in `sorted_sets` order."""
 
     def __init__(self, n: int, sets: Iterable = ()):
         self.n = n
         self._sets = []
+        self.children = {}
         owner = {}  # node -> the last set added that holds it
         for s in sorted_sets(map(frozenset, sets)):
             self._add(s, owner)
@@ -60,10 +52,13 @@ class LaminarFamily:
     def _add(self, s: frozenset, owner: dict):
         """Append s.  The sets come smallest first, so the family so far is
         laminar with s iff every set that owns a node of s lies strictly
-        inside s; those owners are disjoint, so this reads O(|s|) nodes."""
+        inside s; those owners are disjoint, so this reads O(|s|) nodes,
+        and they are the children of s."""
         s = odd_set(s, self.n)
-        for t in {owner.get(v, s) for v in s}:  # s stands for "no owner"
-            if t is not s and not t < s:
+        kids = set(map(owner.get, s))
+        kids.discard(None)
+        for t in kids:
+            if not t < s:
                 # name the first set before s that it duplicates or crosses
                 for r in self._sets:
                     if s == r:
@@ -73,6 +68,7 @@ class LaminarFamily:
                             f"{sorted(s)} properly crosses {sorted(r)}"
                         )
         self._sets.append(s)
+        self.children[s] = tuple(kids)
         owner.update(dict.fromkeys(s, s))
         if len(self._sets) > self.n // 2:
             raise LaminarityViolation(
@@ -82,6 +78,11 @@ class LaminarFamily:
     @property
     def sets(self) -> list:
         return list(self._sets)
+
+    @cached_property
+    def tops(self) -> list:
+        inner = {t for kids in self.children.values() for t in kids}
+        return [s for s in self._sets if s not in inner]
 
     def __len__(self):
         return len(self._sets)
@@ -93,15 +94,12 @@ class ContractionMap:
 
     Every contracted edge has a unique original pre-image (parallel edges are
     kept distinct, so a value on a contracted edge maps back exactly).
+    `set_node` maps each contracted set to its new node.
     """
 
     node_image: dict
     edge_preimage: list
-
-    def image_node_of_set(self, s) -> int | None:
-        """The single new node a contracted set maps to, else None."""
-        img = {self.node_image[u] for u in s}
-        return next(iter(img)) if len(img) == 1 else None
+    set_node: dict
 
 
 def contract_with_dual(g: Graph, sets_to_contract) -> tuple:
@@ -153,5 +151,5 @@ def contract_with_dual(g: Graph, sets_to_contract) -> tuple:
         preimage.append(e)
 
     new_g = Graph(n=len(reps), edges=tuple(new_edges))
-    return new_g, ContractionMap(node_image=node_image, edge_preimage=preimage)
+    return new_g, ContractionMap(node_image, preimage, set_node)
 

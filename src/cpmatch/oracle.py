@@ -277,13 +277,16 @@ def _complementary_slackness(g, r):  # and strong duality, exactly
     if Rat(r.slacks.dual_objective, r.slacks.unit) != r.objective:
         return {"iteration": r.it, "reason": "weak duality gap"}
     violation = slackness_violation(r.x, r.dual, r.slacks, r.cut_value)
+    if violation is None:  # a dual on another set would certify x for a smaller polytope
+        foreign = next((s for s, y in r.dual.items() if type(s) is frozenset and y and s not in r.family), None)
+        violation = foreign and {"set": sorted(foreign), "reason": "dual on a set not imposed"}
     return violation and {"iteration": r.it, **violation}
 
 
 def _positively_critical(g, r):
     positive = [s for s in r.imposed if r.dual.of_set(s) > ZERO]
     if positive:  # the new finder takes over what the last one decided
-        r.finder = CriticalMatchingFinder(g, r.imposed, r.slacks, previous=r.finder)
+        r.finder = CriticalMatchingFinder(g, r.fam, r.slacks, previous=r.finder)
     return next(({"iteration": r.it, "set": sorted(s)} for s in positive if not is_factor_critical(r.finder, s)), None)
 
 

@@ -135,11 +135,12 @@ def make_positively_critical(
 
 
 def is_positively_critical(g, costs, fam, dual: DualSolution) -> bool:
-    fam_sets = fam.sets if hasattr(fam, "sets") else sorted_sets(fam)
-    finder = CriticalMatchingFinder(g, fam_sets, dual.slacks(g, costs))
+    """Every set of the `LaminarFamily` fam with a positive dual is
+    factor-critical on the tight edges of dual."""
+    finder = CriticalMatchingFinder(g, fam, dual.slacks(g, costs))
     return all(
         is_factor_critical(finder, s)
-        for s in fam_sets
+        for s in fam.sets
         if dual.of_set(s) > ZERO
     )
 

@@ -258,7 +258,7 @@ def test_criterion_9_consistency_spot_checks(all_runs):
             for nodes, val in rec.dual_sets:
                 psi[frozenset(nodes)] = parse_rat(val)
             x = [parse_rat(s) for s in rec.primal]
-            finder = CriticalMatchingFinder(g, fam_sets, gamma.slacks(g, pc.scaled))
+            finder = CriticalMatchingFinder(g, LaminarFamily(g.n, fam_sets), gamma.slacks(g, pc.scaled))
             for s in fam_sets:
                 tight = sum((x[e] for e in g.delta(s)), ZERO) == 1
                 if not tight:

@@ -31,8 +31,10 @@ def zero_dual(n):
 
 
 def finder_for(g, fam_sets, dual):
-    """A finder for tight edges of g under dual, with g's own costs."""
-    return CriticalMatchingFinder(g, fam_sets, dual.slacks(g, [c for _u, _v, c in g.edges]))
+    """A finder on the family of fam_sets for tight edges of g under dual,
+    with g's own costs."""
+    costs = [c for _u, _v, c in g.edges]
+    return CriticalMatchingFinder(g, LaminarFamily(g.n, fam_sets), dual.slacks(g, costs))
 
 
 def keeping_state(ws_class):
@@ -40,17 +42,19 @@ def keeping_state(ws_class):
     `state`: the g, costs, lam_sets, kay_sets, z and dual they were built
     from.  The workspace takes no costs, only the slacks of the dual under
     them, so state recovers the costs: each edge's slack plus its dual
-    load, an int.  The run mutates lam_sets and z in place, so those are
-    always its current ones; the dual stays the one at build time (see
-    current_dual), and so do the slacks."""
+    load, an int.  It takes the family and its laminar sets, so kay_sets
+    are the family's other sets.  The run mutates lam_sets and z in place,
+    so those are always its current ones; the dual stays the one at build
+    time (see current_dual), and so do the slacks."""
 
     class Recording(ws_class):
-        def __init__(self, g, lam_sets, kay_sets, z, dual, slacks):
-            super().__init__(g, lam_sets, kay_sets, z, dual, slacks)
+        def __init__(self, g, fam, lam_sets, z, dual, slacks):
+            super().__init__(g, fam, lam_sets, z, dual, slacks)
             # an edge's slack at cost zero is minus its dual load
             at_zero = per_edge_slacks(dual, g, [ZERO] * g.m)
             costs = [Rat(k, slacks.unit) - z0 for k, z0 in zip(slacks, at_zero)]
             assert all(c.denominator == 1 for c in costs)
+            kay_sets = [s for s in fam.sets if s not in lam_sets]
             self.state = (g, [int(c) for c in costs], lam_sets, kay_sets, z, dual)
 
     return Recording
@@ -94,11 +98,15 @@ def validate_each_step(monkeypatch):
     return install
 
 
+# A set S of a family is an odd set of g: |S| <= n - 3.  The graphs below
+# that query a set of all their nodes but three give those three no edge.
+
+
 class TestCriticalMatching:
     def test_tight_triangle_gives_opposite_edge(self):
-        g = make_graph(3, [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
+        g = make_graph(6, [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
         s = frozenset({1, 2, 3})
-        finder = finder_for(g, [s], zero_dual(3))
+        finder = finder_for(g, [s], zero_dual(6))
         assert finder.critical_matching(s, 1) == [1]  # edge (2,3)
         assert finder.critical_matching(s, 2) == [2]  # edge (1,3)
 
@@ -108,31 +116,31 @@ class TestCriticalMatching:
             finder_for(g, [], zero_dual(4)).critical_matching(frozenset({1, 2, 3, 4}), 1)
 
     def test_non_tight_edges_unusable(self):
-        g = make_graph(3, [(1, 2, 0), (2, 3, 5), (1, 3, 0)])
+        g = make_graph(6, [(1, 2, 0), (2, 3, 5), (1, 3, 0)])
         s = frozenset({1, 2, 3})
-        m = finder_for(g, [s], zero_dual(3)).critical_matching(s, 1)
+        m = finder_for(g, [s], zero_dual(6)).critical_matching(s, 1)
         assert m is None  # (2,3) has slack 5
 
 
 class TestFactorCritical:
     def test_tight_triangle(self):
-        g = make_graph(3, [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
+        g = make_graph(6, [(1, 2, 0), (2, 3, 0), (1, 3, 0)])
         s = frozenset({1, 2, 3})
-        assert is_factor_critical(finder_for(g, [s], zero_dual(3)), s)
+        assert is_factor_critical(finder_for(g, [s], zero_dual(6)), s)
 
     def test_path_of_three_fails(self):
-        g = make_graph(3, [(1, 2, 0), (2, 3, 0)])
+        g = make_graph(6, [(1, 2, 0), (2, 3, 0)])
         s = frozenset({1, 2, 3})
-        assert not is_factor_critical(finder_for(g, [s], zero_dual(3)), s)
+        assert not is_factor_critical(finder_for(g, [s], zero_dual(6)), s)
 
     def test_nested_set_inherits_criticality(self):
         # seven-node odd cycle with a chord closing the inner triangle
         edges = [(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0), (6, 7, 0), (7, 1, 0), (1, 3, 0)]
-        g = make_graph(7, edges)
+        g = make_graph(10, edges)
         t = frozenset({1, 2, 3})
         s = frozenset(range(1, 8))
         fam = [t, s]
-        dual = zero_dual(7)
+        dual = zero_dual(10)
         finder = finder_for(g, fam, dual)
         assert is_factor_critical(finder, s)
         assert is_factor_critical(finder, t)
@@ -145,12 +153,12 @@ class TestFactorCritical:
         t = frozenset({1, 2, 3})
         s = frozenset({1, 2, 3, 4, 5})
 
-        g_without = make_graph(5, base)
-        assert is_factor_critical(finder_for(g_without, [], zero_dual(5)), s)
-        assert not is_factor_critical(finder_for(g_without, [t], zero_dual(5)), s)
+        g_without = make_graph(8, base)
+        assert is_factor_critical(finder_for(g_without, [s], zero_dual(8)), s)
+        assert not is_factor_critical(finder_for(g_without, [t, s], zero_dual(8)), s)
 
-        g_with = make_graph(5, base + [(4, 5, 0)])
-        assert is_factor_critical(finder_for(g_with, [t], zero_dual(5)), s)
+        g_with = make_graph(8, base + [(4, 5, 0)])
+        assert is_factor_critical(finder_for(g_with, [t, s], zero_dual(8)), s)
 
 
 class TestConsistency:
@@ -496,9 +504,13 @@ class TestLaminarSetsInsidePinnedSets:
     @pytest.mark.parametrize(
         "laminar, disjoint, message",
         [
-            ([{3, 4, 5}], [{1, 2, 3}], "properly crosses"),
-            ([{1, 2, 3, 4, 5}], [{1, 2, 3}], "intersects"),
-            ([], [{1, 2, 3}, {1, 2, 3, 4, 5}], "intersects"),
+            ([{3, 4, 5}], [{1, 2, 3}], "[3, 4, 5] properly crosses [1, 2, 3]"),
+            # a pinned set must be a maximal set: the message names the one
+            # that holds it
+            ([{1, 2, 3, 4, 5}], [{1, 2, 3}], "equality set [1, 2, 3] intersects [1, 2, 3, 4, 5]"),
+            ([], [{1, 2, 3}, {1, 2, 3, 4, 5}], "equality set [1, 2, 3] intersects [1, 2, 3, 4, 5]"),
+            ([{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5, 6, 7}], [{1, 2, 3}],
+             "equality set [1, 2, 3] intersects [1, 2, 3, 4, 5, 6, 7]"),
         ],
     )
     def test_set_that_meets_a_pinned_set_otherwise_rejected(self, laminar, disjoint, message):
@@ -509,7 +521,7 @@ class TestLaminarSetsInsidePinnedSets:
             laminar=[frozenset(s) for s in laminar], disjoint=[frozenset(s) for s in disjoint],
             z=[ZERO] * g.m, dual=zero_dual(g.n),
         )
-        with pytest.raises(InvalidConfiguration, match=message):
+        with pytest.raises(InvalidConfiguration, match=re.escape(message)):
             validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
 
 
@@ -601,7 +613,7 @@ class TestSharedFinder:
             ws = procedure_runs[-1]["workspaces"][-1]
             _g, costs, lam_sets, kay_sets, _z, _dual = ws.state
             fresh = CriticalMatchingFinder(
-                g, lam_sets + kay_sets, current_dual(ws).slacks(g, costs)
+                g, LaminarFamily(g.n, lam_sets + kay_sets), current_dual(ws).slacks(g, costs)
             )
             for u in sorted(s):
                 assert finder.critical_matching(s, u) == fresh.critical_matching(s, u)
@@ -695,8 +707,8 @@ class TestCarriedFinder:
         """The tight triangles C = {1, 2, 3} and D = {4, 5, 6} inside P =
         {1..7}.  H_P has the parts C, D and 7: edge 6 (3-4) joins C and D,
         and P reads it from C's boundary; edges 7 (1-7) and 8 (6-7) join
-        the node 7 to them."""
-        return make_graph(7, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (4, 5, 0), (5, 6, 0), (4, 6, 0),
+        the node 7 to them.  Nodes 8-10 have no edge."""
+        return make_graph(10, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (4, 5, 0), (5, 6, 0), (4, 6, 0),
                               (3, 4, 0), (1, 7, 0), (6, 7, 0)])
 
     def decided_again(self, monkeypatch):
@@ -710,8 +722,12 @@ class TestCarriedFinder:
         monkeypatch.setattr(CriticalMatchingFinder, "_contract", counted)
         return contracted
 
+    @staticmethod
+    def finder(g, family, slacks, previous=None):
+        return CriticalMatchingFinder(g, LaminarFamily(g.n, family), slacks, previous)
+
     def agree_with_fresh(self, g, family, slacks, finder):
-        fresh = CriticalMatchingFinder(g, family, slacks)
+        fresh = self.finder(g, family, slacks)
         for s in family:
             assert is_factor_critical(finder, s) == is_factor_critical(fresh, s)
             for u in sorted(s):
@@ -723,10 +739,10 @@ class TestCarriedFinder:
         # rebuilt boundary, and H_P becomes the triangle C, D, 7
         g, c, d, p = self.graph(), self.C, self.D, self.P
         family = [c, d, p]
-        before = CriticalMatchingFinder(g, family, [ZERO] * 6 + [ONE, ZERO, ZERO])
+        before = self.finder(g, family, [ZERO] * 6 + [ONE, ZERO, ZERO])
         assert is_factor_critical(before, c) and not is_factor_critical(before, p)
         contracted = self.decided_again(monkeypatch)
-        after = CriticalMatchingFinder(g, family, [ZERO] * 9, previous=before)
+        after = self.finder(g, family, [ZERO] * 9, previous=before)
         assert is_factor_critical(after, p)
         assert contracted == [p]
         assert after._decided[c].parts is before._decided[c].parts
@@ -738,11 +754,11 @@ class TestCarriedFinder:
         # 3-4 turns non-tight: P loses its triangle
         g, c, d, p = self.graph(), self.C, self.D, self.P
         family = [c, d, p]
-        before = CriticalMatchingFinder(g, family, [ZERO] * 9)
+        before = self.finder(g, family, [ZERO] * 9)
         assert is_factor_critical(before, p)
         slacks = [ZERO] * 6 + [ONE, ZERO, ZERO]
         contracted = self.decided_again(monkeypatch)
-        after = CriticalMatchingFinder(g, family, slacks, previous=before)
+        after = self.finder(g, family, slacks, previous=before)
         assert not is_factor_critical(after, p)
         assert contracted == [p]
         assert after._decided[c].boundary == ((1, 7, 7),)
@@ -752,11 +768,11 @@ class TestCarriedFinder:
         # only 3-4 changes, and P is not in the new family: C and D are
         # taken over and nothing is decided again
         g, c, d, p = self.graph(), self.C, self.D, self.P
-        before = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9)
+        before = self.finder(g, [c, d, p], [ZERO] * 9)
         is_factor_critical(before, p)
         slacks = [ZERO] * 6 + [ONE, ZERO, ZERO]
         contracted = self.decided_again(monkeypatch)
-        after = CriticalMatchingFinder(g, [c, d], slacks, previous=before)
+        after = self.finder(g, [c, d], slacks, previous=before)
         assert is_factor_critical(after, c) and is_factor_critical(after, d)
         assert contracted == []
         self.agree_with_fresh(g, [c, d], slacks, after)
@@ -765,28 +781,28 @@ class TestCarriedFinder:
         # P loses its inner set C: the same slacks, but P is decided again
         # and D taken over; C, added back, is new and decided too
         g, c, d, p = self.graph(), self.C, self.D, self.P
-        before = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9)
+        before = self.finder(g, [c, d, p], [ZERO] * 9)
         is_factor_critical(before, p)
         contracted = self.decided_again(monkeypatch)
-        after = CriticalMatchingFinder(g, [d, p], [ZERO] * 9, previous=before)
+        after = self.finder(g, [d, p], [ZERO] * 9, previous=before)
         assert is_factor_critical(after, p)
         assert contracted == [p]
-        again = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9, previous=after)
+        again = self.finder(g, [c, d, p], [ZERO] * 9, previous=after)
         assert is_factor_critical(again, p)
         assert contracted == [p, c, p]
 
     def test_undecided_previous_gives_nothing(self, monkeypatch):
         g, c, d, p = self.graph(), self.C, self.D, self.P
-        before = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9)
+        before = self.finder(g, [c, d, p], [ZERO] * 9)
         contracted = self.decided_again(monkeypatch)
-        after = CriticalMatchingFinder(g, [c, d, p], [ZERO] * 9, previous=before)
+        after = self.finder(g, [c, d, p], [ZERO] * 9, previous=before)
         assert is_factor_critical(after, p)
         assert contracted == [c, d, p]
 
     def test_previous_on_another_graph_rejected(self):
-        before = CriticalMatchingFinder(self.graph(), [self.C], [ZERO] * 9)
+        before = self.finder(self.graph(), [self.C], [ZERO] * 9)
         with pytest.raises(ValueError, match="same graph"):
-            CriticalMatchingFinder(self.graph(), [self.C], [ZERO] * 9, previous=before)
+            self.finder(self.graph(), [self.C], [ZERO] * 9, previous=before)
 
 
 class TestCarriedWorkspace:
@@ -811,8 +827,9 @@ class TestCarriedWorkspace:
             g, costs, lam_sets, kay_sets, z, _dual = ws.state
             dual = current_dual(ws)
             slacks = per_edge_slacks(dual, g, costs)
-            fresh = real_ws(g, lam_sets, kay_sets, z, dual, dual.slacks(g, costs))
-            assert ws.tops == fresh.tops
+            fam = LaminarFamily(g.n, lam_sets + kay_sets)
+            fresh = real_ws(g, fam, lam_sets, z, dual, dual.slacks(g, costs))
+            assert ws.kind == fresh.kind
             assert ws.wg == fresh.wg
             assert ws.cmap.edge_preimage == fresh.cmap.edge_preimage
             assert ws.z2 == fresh.z2
@@ -823,7 +840,7 @@ class TestCarriedWorkspace:
             assert all(type(s) is int for s in ws.slack)
             assert [Rat(s, ws.unit) for s in ws.slack] == [slacks[e] for e in ws.cmap.edge_preimage]
             assert [Rat(s, fresh.unit) for s in fresh.slack] == [slacks[e] for e in ws.cmap.edge_preimage]
-            assert list(ws.set_units) == [s for s in ws.tops if s in lam_sets]
+            assert list(ws.set_units) == [s for s in fam.tops if s in lam_sets]
             for s in ws.set_units:
                 assert Rat(ws.set_dual(s), ws.unit) == dual.of_set(s)
             deg2 = [0] * (ws.wg.n + 1)
@@ -859,8 +876,8 @@ class TestCarriedWorkspace:
         g, cfg = unshrink_instance()
         _out, stats = run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=True)
         assert stats.unshrinks == 1
-        assert UNSHRINK_T in checked_workspaces[0].tops
-        assert UNSHRINK_T not in checked_workspaces[-1].tops
+        assert UNSHRINK_T in checked_workspaces[0].kind.values()
+        assert UNSHRINK_T not in checked_workspaces[-1].kind.values()
 
     def test_unit_is_twice_the_lcm_of_rational_denominators(self, monkeypatch):
         # the build takes int slacks over one unit; its own unit must still
@@ -874,11 +891,11 @@ class TestCarriedWorkspace:
         real_init = comb._Workspace.__init__
         units = []
 
-        def init(ws, g, lam_sets, kay_sets, z, dual, slacks):
-            real_init(ws, g, lam_sets, kay_sets, z, dual, slacks)
+        def init(ws, g, fam, lam_sets, z, dual, slacks):
+            real_init(ws, g, fam, lam_sets, z, dual, slacks)
             rat_slacks = [Rat(k, slacks.unit) for k in slacks]
             values = [rat_slacks[e] for e in ws.cmap.edge_preimage]
-            values += [dual.of_set(s) for s in ws.tops if s in lam_sets]
+            values += [dual.of_set(s) for s in fam.tops if s in lam_sets]
             assert ws.unit == 2 * math.lcm(*(int(Rat(v).denominator) for v in values))
             assert [Rat(k, ws.unit) for k in ws.slack] == values[:ws.wg.m]
             units.append(ws.unit)
@@ -964,13 +981,14 @@ class TestCarriedWorkspace:
 
         g, cfg = unshrink_instance()
         ws = comb._Workspace(
-            g, list(cfg.laminar), [], cfg.z, cfg.dual, cfg.dual.slacks(g, [c for _u, _v, c in g.edges])
+            g, LaminarFamily(g.n, cfg.laminar), list(cfg.laminar), cfg.z, cfg.dual,
+            cfg.dual.slacks(g, [c for _u, _v, c in g.edges]),
         )
         assert ws.unit == 2
         bridge = ws.cmap.edge_preimage.index(8)  # 7-8
         _tag, b_plus, b_minus = comb._alternating_search(ws)
         seven, eight, t = (ws.cmap.node_image[7], ws.cmap.node_image[8],
-                           ws.cmap.image_node_of_set(UNSHRINK_T))
+                           ws.cmap.set_node[UNSHRINK_T])
         assert {seven, eight} <= set(b_plus)
         assert b_minus == [t]
         ws.shift_duals(b_plus, b_minus, ws.epsilon(2))  # a step of 1/2

@@ -6,8 +6,8 @@ reference search in `reference_finder.py` agree, for every node u of s, on
 whether a critical matching of (s, u) exists, and on factor-criticality.
 Every matching the finder returns is checked on its own; matchings are not
 compared for identity.  A tight K_{k+1,k}, exponential for the reference,
-is answered at once.  A family with an even set or two crossing sets is
-refused on the first query.
+is answered at once.  A query on a set outside the finder's family is
+refused.
 """
 
 import sys
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpmatch import make_graph
+from cpmatch import LaminarFamily, make_graph
 from cpmatch.combinatorial import CriticalMatchingFinder, is_factor_critical
 from cpmatch.rational import ONE, Rat, ZERO
 from hostile import complete_bipartite
@@ -27,12 +27,12 @@ from reference_finder import BacktrackingFinder, reference_is_factor_critical
 @st.composite
 def finder_inputs(draw):
     """(g, s, family, slacks): s is nodes 1..k, k odd in 3..11, in a graph
-    with up to two more nodes.  Edges are drawn between random pairs, with
-    repeats, so parallel edges are common; about two in three are tight.
-    The family is a laminar set of odd intervals of a shuffled s, nested
-    and disjoint, sometimes with s itself."""
+    with three to five more nodes.  Edges are drawn between random pairs,
+    with repeats, so parallel edges are common; about two in three are
+    tight.  The family is a laminar set of odd intervals of a shuffled s,
+    nested and disjoint, and s itself."""
     k = draw(st.sampled_from([3, 5, 5, 7, 7, 9, 9, 11]))
-    n = k + draw(st.integers(0, 2))
+    n = k + draw(st.integers(3, 5))
     pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
     pairs = draw(st.lists(pair, min_size=k - 1, max_size=3 * k))
     g = make_graph(n, [(a, b, 0) for a, b in pairs])
@@ -47,7 +47,7 @@ def finder_inputs(draw):
         if all(t < r or r < t or not t & r for r in family):
             family.append(t)
     s = frozenset(range(1, k + 1))
-    if draw(st.booleans()):
+    if s not in family:
         family.append(s)
     return g, s, family, slacks
 
@@ -67,7 +67,7 @@ def check_matching(g, s, u, family, slacks, m):
 @given(finder_inputs(), st.booleans())
 def test_finder_agrees_with_reference(inputs, factor_critical_first):
     g, s, family, slacks = inputs
-    finder = CriticalMatchingFinder(g, family, slacks)
+    finder = CriticalMatchingFinder(g, LaminarFamily(g.n, family), slacks)
     reference = BacktrackingFinder(g, family, slacks)
     if factor_critical_first:
         assert is_factor_critical(finder, s) == reference_is_factor_critical(reference, s)
@@ -86,10 +86,11 @@ def test_usable_entry_node_rule():
     # t: (t, 1) has the tight edge (2, 3), but 2 and 3 meet no tight edge
     # inside t but that one.  An edge entering t at 2 is then unusable, so
     # (s, 5) has no critical matching although H_s has a perfect matching.
-    g = make_graph(5, [(2, 3, 0), (2, 4, 0), (1, 5, 0), (4, 5, 0)])
+    # Nodes 6-8 have no edge.
+    g = make_graph(8, [(2, 3, 0), (2, 4, 0), (1, 5, 0), (4, 5, 0)])
     t, s = frozenset({1, 2, 3}), frozenset(range(1, 6))
-    finder = CriticalMatchingFinder(g, [t], [ZERO] * g.m)
-    reference = BacktrackingFinder(g, [t], [ZERO] * g.m)
+    finder = CriticalMatchingFinder(g, LaminarFamily(g.n, [t, s]), [ZERO] * g.m)
+    reference = BacktrackingFinder(g, [t, s], [ZERO] * g.m)
     for u in sorted(s):
         assert (finder.critical_matching(s, u) is None) == (
             reference.critical_matching(s, u) is None
@@ -101,11 +102,11 @@ def test_usable_entry_node_rule():
 def test_deep_family_needs_no_recursion():
     # a chain of 300 nested odd sets around a path, decided with the
     # recursion limit 50 frames above the caller's depth: a recursion that
-    # grows with the family depth fails here
+    # grows with the family depth fails here; nodes 604-606 have no edge
     n = 603
-    g = make_graph(n, [(v, v + 1, 0) for v in range(1, n)])
+    g = make_graph(n + 3, [(v, v + 1, 0) for v in range(1, n)])
     family = [frozenset(range(301 - i, 302 + i)) for i in range(1, 301)]
-    finder = CriticalMatchingFinder(g, family, [ZERO] * g.m)
+    finder = CriticalMatchingFinder(g, LaminarFamily(g.n, family), [ZERO] * g.m)
     s = family[-1]
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -141,22 +142,22 @@ def test_deep_chain_reads_each_edge_at_one_set():
             return super().__iter__()
 
     g.__dict__["neighbours"] = tuple(Counted(entries) for entries in g.neighbours)
-    finder = CriticalMatchingFinder(g, family, [ZERO] * g.m)
+    finder = CriticalMatchingFinder(g, LaminarFamily(g.n, family), [ZERO] * g.m)
     s = family[-1]
     m = finder.critical_matching(s, min(s))
     assert m is not None and len(m) == len(s) // 2
     assert not is_factor_critical(finder, s)
     assert reads[0] <= 2 * g.m
-    # a query set outside the family reads its own nodes' neighbours
-    assert finder.critical_matching(s | {1, 2}, 1) is not None
-    assert reads[0] <= 2 * g.m
+
 
 def test_tight_complete_bipartite_answers_at_once():
     # u on the small side of a tight K_{31,30}: no critical matching, and
-    # the reference would try every partial matching first
+    # the reference would try every partial matching first.  s is an odd
+    # set of g with three more nodes, which have no edge
     g, s = complete_bipartite(30)
+    g = make_graph(g.n + 3, g.edges)
     start = time.perf_counter()
-    finder = CriticalMatchingFinder(g, [], [ZERO] * g.m)
+    finder = CriticalMatchingFinder(g, LaminarFamily(g.n, [s]), [ZERO] * g.m)
     assert finder.critical_matching(s, 1) is None
     assert not is_factor_critical(finder, s)
     assert time.perf_counter() - start < 1.0
@@ -167,14 +168,16 @@ def test_tight_complete_bipartite_answers_at_once():
 
 
 @pytest.mark.parametrize(
-    "family",
-    [[{1, 2, 3}, {1, 2}], [{1, 2, 3}, {3, 4, 5}]],
-    ids=["even set", "crossing sets"],
+    "s", [{1, 2, 3, 4}, {3, 4, 5}, {1, 2, 3, 4, 5}], ids=["even set", "crossing set", "odd superset"]
 )
-def test_a_family_that_is_not_laminar_and_odd_raises_on_the_first_query(family):
-    # the finder is built without a check; its first query lists the
-    # family's children and must refuse an even set or two crossing sets
-    g = make_graph(6, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)])
-    finder = CriticalMatchingFinder(g, map(frozenset, family), [ZERO] * g.m)
-    with pytest.raises(ValueError, match="is even or crosses another"):
-        finder.critical_matching(frozenset({1, 2, 3}), 1)
+def test_a_query_on_a_set_outside_the_family_raises(s):
+    # the finder decides a set from its children in the family, so it
+    # refuses a set that is not in it, whether it asks for a matching or
+    # for factor-criticality
+    g = make_graph(8, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)])
+    finder = CriticalMatchingFinder(g, LaminarFamily(g.n, [{1, 2, 3}]), [ZERO] * g.m)
+    with pytest.raises(ValueError, match="is not a set of the finder's family"):
+        finder.critical_matching(frozenset(s), 3)
+    with pytest.raises(ValueError, match="is not a set of the finder's family"):
+        is_factor_critical(finder, s)
+    assert finder.critical_matching(frozenset({1, 2, 3}), 1) == [1]

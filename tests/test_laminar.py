@@ -3,7 +3,7 @@ import pytest
 from cpmatch import LaminarFamily, LaminarityViolation, make_graph
 from cpmatch.driver import select_new_cuts
 from cpmatch.graph import SupportDecomposition
-from cpmatch.laminar import contract_with_dual, maximal_sets, odd_set, sorted_sets
+from cpmatch.laminar import contract_with_dual, odd_set, sorted_sets
 from cpmatch.lp import DualSolution
 from cpmatch.rational import rat
 
@@ -38,7 +38,9 @@ class TestInsertChecked:
     def test_nested_insert(self):
         fam = LaminarFamily(8, [{1, 2, 3}, {1, 2, 3, 4, 5}])
         assert len(fam) == 2
-        assert maximal_sets(fam.sets) == [frozenset({1, 2, 3, 4, 5})]
+        assert fam.tops == [frozenset({1, 2, 3, 4, 5})]
+        assert fam.children[frozenset({1, 2, 3, 4, 5})] == (frozenset({1, 2, 3}),)
+        assert fam.children[frozenset({1, 2, 3})] == ()
 
     def test_crossing_rejected(self):
         with pytest.raises(LaminarityViolation):
@@ -54,7 +56,7 @@ class TestInsertChecked:
         sets = [set(range(1, k)) for k in (4, 6, 8, 10, 12)] + [{12, 13, 14}]
         fam = LaminarFamily(n, sets)
         assert len(fam) == 6 <= n // 2
-        assert maximal_sets(fam.sets) == sorted(
+        assert fam.tops == sorted(
             [frozenset({12, 13, 14}), frozenset(range(1, 12))], key=lambda s: (len(s), sorted(s))
         )
 
@@ -109,8 +111,9 @@ class TestContraction:
         g = make_graph(8, [(1, 2, 0), (3, 4, 0), (5, 6, 1), (7, 8, 1), (1, 6, 2)])
         fam = LaminarFamily(8, [{1, 2, 3}, {1, 2, 3, 4, 5}])
         new_g, cmap = contract_with_dual(g, [s for s in fam.sets if len(s) == 5])
-        # inner set's image is a single node: it vanished from the picture
-        assert cmap.image_node_of_set(frozenset({1, 2, 3})) is not None
+        # the inner set maps to its outer set's node: it vanished from the picture
+        outer = cmap.set_node[frozenset({1, 2, 3, 4, 5})]
+        assert {cmap.node_image[u] for u in (1, 2, 3)} == {outer}
         assert new_g.n == 4
 
     def test_selected_nested_pair_rejected(self):
@@ -170,7 +173,7 @@ class TestContractionImageInvariant:
         for nodes, val in rec.dual_sets:
             dual[frozenset(nodes)] = parse_rat(val)
         fam = LaminarFamily(g.n, [frozenset(s) for s in rec.cuts_imposed])
-        maximal = set(maximal_sets(fam.sets))
+        maximal = set(fam.tops)
         new_g, cmap = contract_with_dual(g, [s for s in maximal if dual.of_set(s) > 0])
         x_img = [x[cmap.edge_preimage[e]] for e in range(new_g.m)]
         assert is_proper_half_integral(x_img, new_g)

@@ -253,6 +253,28 @@ class TestVerifyTrace:
         status, witness = report.checks["complementary_slackness"]
         assert status == "FAIL" and witness["iteration"] == 0
 
+    @pytest.mark.parametrize("solver", ["simplex", "combinatorial"])
+    def test_dual_on_a_set_not_imposed_fails_slackness(self, solver):
+        # the final record of telescope(2, 2), replayed alone as record 0
+        # with no cuts: its dual keeps the duals of the cuts it no longer
+        # imposes, which would certify x against a smaller polytope than the
+        # bipartite one (the true record 0 has two odd cycles)
+        from instances import telescope
+
+        g = telescope(2, 2, bridge=100)
+        lines = self._trace(g, solver=solver)
+        rec = json.loads(lines[-1])
+        assert [s for s, _y in rec["dual_sets"]][:3] == [[1, 2, 3], [6, 7, 8], [1, 2, 3, 4, 5]]
+        rec.update(iteration=0, cuts_imposed=[], cuts_retained=[], cuts_added=[])
+        report = verify_trace(g, [lines[0], json.dumps(rec, sort_keys=True)])
+        assert report.checks["complementary_slackness"] == (
+            "FAIL", {"iteration": 0, "set": [1, 2, 3], "reason": "dual on a set not imposed"},
+        )
+        assert [name for name, (status, _w) in report.checks.items() if status == "FAIL"] == [
+            "complementary_slackness"
+        ]
+        assert not report.all_ok
+
     def test_half_integrality_failure_leaves_other_checks_running(self, bowtie):
         # record 0 is not half-integral and carries a corrupted extremal
         # dual: the checks that need no support decomposition still run on

@@ -3,8 +3,9 @@ brute-force optimum, or reports no perfect matching exactly when there is
 none, and every trace it writes replays clean; the shared certificate
 checks, `graph.cut_values`, `graph.cost_value` and
 `lp.slackness_violation`, agree with references the tests hold; and on
-random laminar families, `laminar.maximal_sets` agrees with a reference,
-and on random set lists `LaminarFamily` with the pairwise check; and the new cuts `driver.select_new_cuts` returns are pairwise disjoint; and
+random laminar families, `LaminarFamily`'s tops and children agree with a
+reference, and on random set lists `LaminarFamily` with the pairwise check;
+and the new cuts `driver.select_new_cuts` returns are pairwise disjoint; and
 the greedy start of the bipartite relaxation is a valid configuration from
 which the procedure reaches the simplex optimum, or stalls exactly when the
 relaxation is infeasible; and a critical-matching finder started from an
@@ -28,7 +29,7 @@ from cpmatch.combinatorial import (
 from cpmatch.driver import SOLVER_CHOICES, select_new_cuts
 from cpmatch.errors import LPInfeasible, NoPerfectMatching, StalledNoEpsilon, StructureViolation
 from cpmatch.graph import cost_value, cut_values, decompose_support
-from cpmatch.laminar import maximal_sets, sorted_sets
+from cpmatch.laminar import sorted_sets
 from cpmatch.lp import DualSolution, slackness_violation, solve_primal
 from cpmatch.rational import ONE, Rat, ZERO, perturb
 
@@ -160,11 +161,20 @@ def laminar_sets(draw, n, candidates=None):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(6, 20).flatmap(laminar_sets))
-def test_maximal_sets_match_reference(sets):
+# random draws seldom nest three deep: a chain with two children at its foot
+@example([frozenset(s) for s in ({1, 2, 3}, {4, 5, 6}, range(1, 8), range(1, 10), {11, 12, 13})])
+def test_tops_and_children_match_reference(sets):
     # in a laminar family every member meeting s contains s or lies in it,
-    # so s is maximal exactly when the members meeting s make up s alone
+    # so s is maximal exactly when the members meeting s make up s alone;
+    # a family drawn for n <= 20 is one for n = 20 too
+    fam = LaminarFamily(20, sets)
     reference = [s for s in sets if s == frozenset().union(*(t for t in sets if t & s))]
-    assert maximal_sets(sets) == sorted_sets(reference)
+    assert fam.tops == sorted_sets(reference)
+    # the children of s: the members strictly inside s and inside no other
+    for s in sets:
+        inner = [t for t in sets if t < s]
+        children = [t for t in inner if not any(t < r for r in inner)]
+        assert sorted_sets(fam.children[s]) == sorted_sets(children)
 
 
 def pairwise_family(n, sets):
@@ -326,7 +336,8 @@ def test_greedy_start_is_valid_and_reaches_the_simplex_optimum(case):
 def finder_changes(draw):
     """(g, family, slacks, queried, next_family, next_slacks).  Up to 11
     nodes in a shuffled order, edges along it and between random pairs,
-    most of them tight.  The family is a tree of odd intervals of the
+    most of them tight, and three more nodes with no edge, so that the
+    largest interval is an odd set of g.  The family is a tree of odd intervals of the
     order, nested and side by side.  `queried` are the sets the earlier
     finder is asked about.  The next family drops about one set in four
     and may add new ones.  The next slacks flip a few edges between
@@ -343,7 +354,7 @@ def finder_changes(draw):
     edges = [(a, b, draw(st.sampled_from([ZERO] * 7 + [ONE]))) for a, b in planted]
     edges += [(a, b, draw(slack)) for a, b in extra]
     edges = [edges[i] for i in draw(st.permutations(range(len(edges))))]
-    g = make_graph(n, [(a, b, 0) for a, b, _s in edges])
+    g = make_graph(n + 3, [(a, b, 0) for a, b, _s in edges])
     slacks = [s for _a, _b, s in edges]
 
     def inside(a, b):
@@ -400,9 +411,10 @@ def finder_changes(draw):
 # The tight triangles C = {1, 2, 3} and D = {4, 5, 6} inside P = {1..7},
 # with 1-7 and 6-7 tight.  The edge 3-4 between C and D turns tight: C and
 # D are taken over, and P, decided again, reads 3-4 from C's boundary.
+# Nodes 8-10 have no edge.
 _C, _D, _P = frozenset({1, 2, 3}), frozenset({4, 5, 6}), frozenset(range(1, 8))
 _STALE_BOUNDARY = (
-    make_graph(7, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (4, 5, 0), (5, 6, 0), (4, 6, 0),
+    make_graph(10, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (4, 5, 0), (5, 6, 0), (4, 6, 0),
                    (3, 4, 0), (1, 7, 0), (6, 7, 0)]),
     [_C, _D, _P], [ZERO] * 6 + [ONE, ZERO, ZERO], [_P], [_C, _D, _P], [ZERO] * 9,
 )
@@ -413,11 +425,12 @@ _STALE_BOUNDARY = (
 @example(_STALE_BOUNDARY)
 def test_carried_finder_answers_as_a_fresh_one(case):
     g, family, slacks, queried, next_family, next_slacks = case
-    earlier = CriticalMatchingFinder(g, family, slacks)
+    earlier = CriticalMatchingFinder(g, LaminarFamily(g.n, family), slacks)
     for s in queried:
         is_factor_critical(earlier, s)
-    carried = CriticalMatchingFinder(g, next_family, next_slacks, previous=earlier)
-    fresh = CriticalMatchingFinder(g, next_family, next_slacks)
+    next_fam = LaminarFamily(g.n, next_family)
+    carried = CriticalMatchingFinder(g, next_fam, next_slacks, previous=earlier)
+    fresh = CriticalMatchingFinder(g, next_fam, next_slacks)
     for s in next_family:
         assert is_factor_critical(carried, s) == is_factor_critical(fresh, s)
         for u in sorted(s):
