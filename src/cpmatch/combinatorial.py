@@ -449,18 +449,24 @@ def fill_inside(g: Graph, z: list, s, cut, finder: CriticalMatchingFinder) -> No
 class ValidConfiguration:
     """State tuple of the half-integral matching procedure.
 
-    `laminar` holds the sets whose cut constraints are kept as inequalities
-    (positive dual required); `disjoint` holds the pinned sets, disjoint
-    from each other, whose cuts are pinned to equality (dual free in sign).
-    A laminar set may lie inside a pinned set.  The procedure keeps each
-    pinned set shrunk to one node, which may start exposed, with one odd
-    support cycle through it.
+    `fam` is the checked `LaminarFamily` of every imposed set.  `pinned`
+    lists the sets of `fam` whose cuts are pinned to equality (dual free in
+    sign), disjoint from each other; `laminar` is the other sets of `fam`,
+    in `fam.sets` order, whose cut constraints are kept as inequalities
+    (positive dual required).  A laminar set may lie inside a pinned set.
+    The procedure keeps each pinned set shrunk to one node, which may start
+    exposed, with one odd support cycle through it.
     """
 
-    laminar: list
-    disjoint: list
+    fam: LaminarFamily
+    pinned: list
     z: list
     dual: DualSolution
+
+    @property
+    def laminar(self) -> list:
+        pinned = set(self.pinned)
+        return [s for s in self.fam.sets if s not in pinned]
 
 
 def validate_configuration(
@@ -473,9 +479,10 @@ def validate_configuration(
 ) -> tuple:
     """Raise InvalidConfiguration unless (A), (B), (C) hold.
 
-    The sets form one `LaminarFamily`, and every pinned set is one of its
-    maximal sets: so a laminar set may lie strictly inside a pinned set and
-    may not meet one otherwise, and two pinned sets are disjoint.
+    The sets are those of `cfg.fam`, which its builder checked: this
+    builds no family.  Every pinned set must be one of its maximal sets:
+    so a laminar set may lie strictly inside a pinned set and may not meet
+    one otherwise, and two pinned sets are disjoint.
     `lp.slackness_violation` checks the dual and z against the
     laminar sets only, whose duals must be positive: the pinned sets' duals
     are free in sign.  The rest is factor-criticality and the support of z,
@@ -494,22 +501,20 @@ def validate_configuration(
     half-integral exactly when that call returns one.
 
     Returns (finder, support).  The finder checked every set of the
-    configuration: it holds their family (`finder.fam`), tight edges and
-    critical matchings under cfg.dual.  support is the decomposition of the
+    configuration: it holds `cfg.fam`, the tight edges and the critical
+    matchings under cfg.dual.  support is the decomposition of the
     support of cfg.z.
     """
-    lam_sets = [frozenset(s) for s in cfg.laminar]
-    kay_sets = [frozenset(s) for s in cfg.disjoint]
+    fam, kay_sets, lam_sets = cfg.fam, cfg.pinned, cfg.laminar
     every = lam_sets + kay_sets
-    try:
-        fam = LaminarFamily(g.n, every)
-    except ValueError as exc:  # LaminarityViolation or a bad odd set
-        raise InvalidConfiguration(str(exc)) from None
     tops = set(fam.tops)
     for s in kay_sets:
         if s not in tops:
-            top = next(t for t in fam.tops if s < t)
+            if s not in fam.children:
+                raise InvalidConfiguration(f"equality set {sorted(s)} is not a set of the family")
+            top = next(t for t in fam.tops if s <= t)  # s itself when listed twice
             raise InvalidConfiguration(f"equality set {sorted(s)} intersects {sorted(top)}")
+        tops.remove(s)
     for s in lam_sets:
         if cfg.dual.of_set(s) <= ZERO:
             raise InvalidConfiguration(f"nonpositive dual on {sorted(s)}")
@@ -602,8 +607,8 @@ class _Workspace:
 
     The procedure builds one per run, and a new one only after an unshrink,
     the one step that changes the top sets.  It contracts the tops of `fam`,
-    the configuration's checked `LaminarFamily` (the input check's, or after
-    an unshrink a new one), each to the node `cmap.set_node` gives it, and
+    the configuration's checked `LaminarFamily` (`cfg.fam`, or after an
+    unshrink the new one), each to the node `cmap.set_node` gives it, and
     `lam_sets` are the family's laminar sets.  In between builds the
     workspace is kept up to date, and these invariants hold after every step:
     - every dual change since the build is an int in units of 1/`unit`.
@@ -862,16 +867,17 @@ def run_half_integral_procedure(
 ) -> tuple:
     """Drive a valid configuration to an optimum of the pinned-cut relaxation.
 
-    The workspace contracts the maximal sets of the configuration, each
-    pinned set with the laminar sets inside it; this is the run's only
-    contraction.  The procedure grows alternating forests from the exposed
-    nodes of the contracted tight graph; augments along exposed-to-exposed
-    paths, trades half-cycles for blossoms and back, and adjusts duals when
-    the forest is stuck.  Sets in `laminar` whose dual hits zero are
-    unshrunk; sets in `disjoint` stay contracted and end with their boundary
-    pinned to one.  Whenever a step changes z at a contracted set, the
-    inside of that set, inner sets included, is rematched from the critical
-    matchings of the finder that validated the input.
+    The workspace contracts the maximal sets of `cfg.fam`, each pinned set
+    with the laminar sets inside it.  The procedure grows alternating
+    forests from the exposed nodes of the contracted tight graph; augments
+    along exposed-to-exposed paths, trades half-cycles for blossoms and
+    back, and adjusts duals when the forest is stuck.  Sets in `laminar`
+    whose dual hits zero are unshrunk, and the run builds its only family
+    there: the `LaminarFamily` of the sets left, for the next workspace.
+    Sets in `pinned` stay contracted and end with their boundary pinned to
+    one.  Whenever a step changes z at a contracted set, the inside of that
+    set, inner sets included, is rematched from the critical matchings of
+    the finder that validated the input.
 
     Both ends of the run are checked by `validate_configuration`, and the
     checks share what is known.  The output check starts from the input
@@ -882,6 +888,8 @@ def run_half_integral_procedure(
     the input check starts from the finder that the last run given the
     same carry left in it, and takes that run's decomposition when cfg.z
     is the z it returned; this run then leaves its own output check there.
+    The output configuration carries the run's current family, cfg.fam or
+    the one its last unshrink built, so neither check builds one.
 
     Returns (final ValidConfiguration, ProcedureStats).  Raises
     InvalidConfiguration on a bad input and StalledNoEpsilon when the dual
@@ -889,8 +897,6 @@ def run_half_integral_procedure(
     """
     if carry is None:
         carry = CarriedCheck()
-    lam_sets = [frozenset(s) for s in cfg.laminar]
-    kay_sets = [frozenset(s) for s in cfg.disjoint]
     # the carried finder is handed on, not kept: the input check's finder
     # drops it once it has taken its decisions over
     finder, dec_in = validate_configuration(
@@ -902,6 +908,7 @@ def run_half_integral_procedure(
     dual = DualSolution(cfg.dual)
     dual.cut_edges = cuts = cfg.dual.cuts(g)
 
+    fam, kay_sets, lam_sets = cfg.fam, cfg.pinned, cfg.laminar
     pinned_nodes = frozenset().union(*kay_sets)
     stats = ProcedureStats(
         input_laminar=sum(pinned_nodes.isdisjoint(s) for s in lam_sets),
@@ -936,7 +943,7 @@ def run_half_integral_procedure(
     phase_iters = 0
     prev_potential = None
 
-    ws = _Workspace(g, finder.fam, lam_sets, z, dual, finder.slacks)
+    ws = _Workspace(g, fam, lam_sets, z, dual, finder.slacks)
     while True:
         exposed = ws.exposed
         potential = len(exposed) + ws.o
@@ -1047,9 +1054,7 @@ def run_half_integral_procedure(
 
     ws.write_back(dual)
     stats.phase_lengths.append(phase_iters)
-    out = ValidConfiguration(
-        laminar=list(lam_sets), disjoint=list(kay_sets), z=z, dual=dual
-    )
+    out = ValidConfiguration(fam, kay_sets, z, dual)
     finder, dec_out = validate_configuration(g, costs, out, previous=finder)
     # a run with exposed nodes (the first relaxation's, from a greedy
     # matching) may form odd cycles
@@ -1100,7 +1105,7 @@ def greedy_start(g: Graph, costs) -> ValidConfiguration:
                 match(e)
                 break
     dual = DualSolution({u: Rat(y[u], 2) for u in range(1, g.n + 1)})
-    return ValidConfiguration(laminar=[], disjoint=[], z=z, dual=dual)
+    return ValidConfiguration(LaminarFamily(g.n), [], z, dual)
 
 
 def solve_bipartite_via_procedure(g: Graph, costs, carry: CarriedCheck | None = None) -> tuple:

@@ -164,8 +164,8 @@ def _solve_primal_combinatorial(
     """Next relaxation optimum via the half-integral matching procedure.
 
     The first solve runs the procedure from a greedy start.  Every later
-    solve runs it once on g, from the previous optimum and Gamma.  The new
-    cuts are pinned to equality with the zero dual `step` gave them; the
+    solve runs it once on g, from the previous optimum and Gamma, on the
+    round's checked family `fam`.  The new cuts are pinned to equality with the zero dual `step` gave them; the
     retained cuts stay inequalities, those a new cut absorbed included,
     which lie inside it.  The procedure's workspace shrinks each new cut
     and rematches its inside.  Every run is given `state.carry`, so its
@@ -185,14 +185,8 @@ def _solve_primal_combinatorial(
         psi = solve_extremal_dual(g, costs, fam, z, state.gamma)
         return z, psi, stats
 
-    pinned = set(state.pinned)
     witness = [sorted(hat) for hat in state.pinned]
-    cfg = ValidConfiguration(
-        laminar=[s for s in fam.sets if s not in pinned],
-        disjoint=state.pinned,
-        z=state.x,
-        dual=state.gamma,
-    )
+    cfg = ValidConfiguration(fam, state.pinned, state.x, state.gamma)
     try:
         out, stats = run_half_integral_procedure(g, costs, cfg, carry=state.carry)
     except StalledNoEpsilon:

@@ -30,6 +30,12 @@ def zero_dual(n):
     return DualSolution({u: ZERO for u in range(1, n + 1)})
 
 
+def configuration(n, laminar, pinned, z, dual):
+    """The configuration on the checked family of the laminar and pinned
+    sets, with the pinned sets pinned."""
+    return ValidConfiguration(LaminarFamily(n, laminar + pinned), pinned, z, dual)
+
+
 def finder_for(g, fam_sets, dual):
     """A finder on the family of fam_sets for tight edges of g under dual,
     with g's own costs."""
@@ -40,12 +46,12 @@ def finder_for(g, fam_sets, dual):
 def keeping_state(ws_class):
     """A subclass of the procedure workspace class whose instances keep
     `state`: the g, costs, lam_sets, kay_sets, z and dual they were built
-    from.  The workspace takes no costs, only the slacks of the dual under
-    them, so state recovers the costs: each edge's slack plus its dual
-    load, an int.  It takes the family and its laminar sets, so kay_sets
-    are the family's other sets.  The run mutates lam_sets and z in place,
-    so those are always its current ones; the dual stays the one at build
-    time (see current_dual), and so do the slacks."""
+    from, and `fam`, the family.  The workspace takes no costs, only the
+    slacks of the dual under them, so state recovers the costs: each edge's
+    slack plus its dual load, an int.  It takes the family and its laminar
+    sets, so kay_sets are the family's other sets.  The run mutates
+    lam_sets and z in place, so those are always its current ones; the dual
+    stays the one at build time (see current_dual), and so do the slacks."""
 
     class Recording(ws_class):
         def __init__(self, g, fam, lam_sets, z, dual, slacks):
@@ -55,6 +61,7 @@ def keeping_state(ws_class):
             costs = [Rat(k, slacks.unit) - z0 for k, z0 in zip(slacks, at_zero)]
             assert all(c.denominator == 1 for c in costs)
             kay_sets = [s for s in fam.sets if s not in lam_sets]
+            self.fam = fam
             self.state = (g, [int(c) for c in costs], lam_sets, kay_sets, z, dual)
 
     return Recording
@@ -74,8 +81,9 @@ def current_dual(ws):
 def validate_each_step(monkeypatch):
     """Validate a procedure run's live configuration before every
     alternating search: the input, then the state after each step and any
-    unshrink.  Call it with the run's allow_exposed_nodes before the run; it
-    returns the list of the laminar sets validated, one entry per search."""
+    unshrink, on the workspace's family.  Call it with the run's
+    allow_exposed_nodes before the run; it returns the list of the laminar
+    sets validated, one entry per search."""
     import cpmatch.combinatorial as comb
 
     def install(allow_exposed_nodes=False):
@@ -85,7 +93,7 @@ def validate_each_step(monkeypatch):
         def search(ws):
             g, costs, lam_sets, kay_sets, z, _dual = ws.state
             comb.validate_configuration(
-                g, costs, ValidConfiguration(lam_sets, kay_sets, z, current_dual(ws)),
+                g, costs, ValidConfiguration(ws.fam, kay_sets, z, current_dual(ws)),
                 allow_exposed_nodes=allow_exposed_nodes,
             )
             validated.append(list(lam_sets))
@@ -305,9 +313,7 @@ class TestProcedure:
         dual = zero_dual(6)
         dual[TRIANGLE_LEFT] = rat(5)
         dual[TRIANGLE_RIGHT] = rat(5)
-        cfg = ValidConfiguration(
-            laminar=[], disjoint=[TRIANGLE_LEFT, TRIANGLE_RIGHT], z=z, dual=dual
-        )
+        cfg = configuration(6, [], [TRIANGLE_LEFT, TRIANGLE_RIGHT], z, dual)
         out, stats = run_half_integral_procedure(bowtie, costs, cfg)
         assert stats.iterations == 0
         assert out.z == z
@@ -317,9 +323,7 @@ class TestProcedure:
         # bridge slack, then one augmentation along the now-tight bridge
         costs = [c for _u, _v, c in bowtie.edges]
         z = [HALF] * 6 + [ZERO]
-        cfg = ValidConfiguration(
-            laminar=[], disjoint=[TRIANGLE_LEFT, TRIANGLE_RIGHT], z=z, dual=zero_dual(6)
-        )
+        cfg = configuration(6, [], [TRIANGLE_LEFT, TRIANGLE_RIGHT], z, zero_dual(6))
         validated = validate_each_step()
         out, stats = run_half_integral_procedure(bowtie, costs, cfg)
         assert len(validated) == stats.iterations == 2
@@ -344,7 +348,7 @@ class TestProcedure:
         g = make_graph(10, edges)
         k = frozenset({1, 2, 3})
         z = [HALF, HALF, HALF, ZERO, ONE, ZERO, HALF, HALF, HALF, HALF, HALF]
-        cfg = ValidConfiguration(laminar=[], disjoint=[k], z=z, dual=zero_dual(10))
+        cfg = configuration(10, [], [k], z, zero_dual(10))
         from cpmatch.graph import decompose_support
 
         assert decompose_support(z, g).o == 2
@@ -357,11 +361,9 @@ class TestProcedure:
     def test_invalid_configuration_rejected(self, bowtie):
         costs = [c for _u, _v, c in bowtie.edges]
         z = [HALF] * 6 + [ZERO]
-        # crossing sets are not a valid family
-        cfg = ValidConfiguration(
-            laminar=[frozenset({2, 3, 4})], disjoint=[TRIANGLE_LEFT], z=z, dual=zero_dual(6)
-        )
-        with pytest.raises(InvalidConfiguration):
+        # the pinned triangle is not a set of the configuration's family
+        cfg = ValidConfiguration(LaminarFamily(6, [TRIANGLE_LEFT]), [TRIANGLE_RIGHT], z, zero_dual(6))
+        with pytest.raises(InvalidConfiguration, match=re.escape("[4, 5, 6] is not a set of the family")):
             run_half_integral_procedure(bowtie, costs, cfg)
 
     def test_exposed_set_with_several_cycles_rejected(self):
@@ -374,26 +376,15 @@ class TestProcedure:
         pinned = [(10, 11), (11, 12), (10, 12)]
         g = make_graph(12, [(u, v, 0) for u, v in tri + joins + pinned + [(9, 10)]])
         z = [HALF] * 9 + [ZERO] * 3 + [HALF] * 3 + [ZERO]
-        cfg = ValidConfiguration(
-            laminar=[], disjoint=[frozenset(range(1, 10)), frozenset({10, 11, 12})],
-            z=z, dual=zero_dual(12),
-        )
+        cfg = configuration(12, [], [frozenset(range(1, 10)), frozenset({10, 11, 12})], z, zero_dual(12))
         with pytest.raises(InvalidConfiguration, match="not a spanning odd cycle"):
             validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
         with pytest.raises(InvalidConfiguration):
             run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cfg)
 
-    def test_set_outside_the_graph_rejected(self, bowtie):
-        z = [HALF] * 6 + [ZERO]
-        cfg = ValidConfiguration(
-            laminar=[], disjoint=[TRIANGLE_LEFT, frozenset({4, 5, 7})], z=z, dual=zero_dual(6)
-        )
-        with pytest.raises(InvalidConfiguration, match="outside 1..6"):
-            run_half_integral_procedure(bowtie, [c for _u, _v, c in bowtie.edges], cfg)
-
     def test_untight_support_rejected(self, bowtie):
         z = [ONE, ZERO, ZERO, ZERO, ZERO, ONE, ONE]
-        cfg = ValidConfiguration(laminar=[], disjoint=[], z=z, dual=zero_dual(6))
+        cfg = configuration(6, [], [], z, zero_dual(6))
         with pytest.raises(InvalidConfiguration):
             # bridge edge carries value 1 but has slack 10 under zero duals
             run_half_integral_procedure(bowtie, [c for _u, _v, c in bowtie.edges], cfg)
@@ -428,7 +419,7 @@ def unshrink_instance():
     dual[c] = rat(5)
     dual[t] = rat(1)
     z = [ONE, ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE, ZERO]
-    return g, ValidConfiguration(laminar=[c, t], disjoint=[], z=z, dual=dual)
+    return g, configuration(8, [c, t], [], z, dual)
 
 
 def instance_graph(instance):
@@ -459,11 +450,12 @@ class TestLaminarSetsInsidePinnedSets:
 
     def configuration(self, dual, halves, ones):
         z = [HALF if e in halves else ONE if e in ones else ZERO for e in range(12)]
-        return ValidConfiguration(
-            laminar=[frozenset({1, 2, 3})], disjoint=[frozenset(range(1, 8))], z=z, dual=dual
-        )
+        return configuration(10, [frozenset({1, 2, 3})], [frozenset(range(1, 8))], z, dual)
 
-    def test_driver_state_runs_on_g(self):
+    @staticmethod
+    def telescope_states():
+        """telescope(3, 2), its perturbed costs and the driver's states on
+        the combinatorial route, the last one terminal."""
         from cpmatch.driver import DriverState, step
         from instances import telescope
 
@@ -472,16 +464,43 @@ class TestLaminarSetsInsidePinnedSets:
         states = [DriverState(iteration=0, fam=LaminarFamily(g.n), gamma=zero_dual(g.n))]
         while not states[-1].terminal:
             states.append(step(states[-1], g, pc, solver="combinatorial")[0])
+        return g, pc, states
+
+    def test_driver_state_runs_on_g(self):
+        g, pc, states = self.telescope_states()
         # after round 1 each new cut has absorbed a retained cut
         state = states[2]
-        pinned = set(state.pinned)
-        laminar = [s for s in state.fam.sets if s not in pinned]
+        cfg = ValidConfiguration(state.fam, state.pinned, state.x, state.gamma)
+        pinned, laminar = set(state.pinned), cfg.laminar
+        assert laminar == [s for s in state.fam.sets if s not in pinned]
         assert len(pinned) == 2 and all(any(t < p for t in laminar) for p in pinned)
-        cfg = ValidConfiguration(laminar, state.pinned, state.x, state.gamma)
         out, stats = run_half_integral_procedure(g, pc.scaled, cfg)
         assert out.z == states[3].x
         # every laminar set lies inside a pinned set
         assert (stats.input_laminar, stats.input_pinned) == (0, 2)
+
+    def test_no_family_built_inside_a_run(self, monkeypatch):
+        # both checks read the configuration's family: a run builds one
+        # only at an unshrink, for the sets left, and hands it out
+        g, pc, states = self.telescope_states()
+        state = states[2]
+        cfg = ValidConfiguration(state.fam, state.pinned, state.x, state.gamma)
+        ug, ucfg = unshrink_instance()
+        built = []
+        real_init = LaminarFamily.__init__
+
+        def init(fam, *args, **kwargs):
+            built.append(fam)
+            real_init(fam, *args, **kwargs)
+
+        monkeypatch.setattr(LaminarFamily, "__init__", init)
+        out, stats = run_half_integral_procedure(g, pc.scaled, cfg)
+        assert built == [] and stats.unshrinks == 0 and out.fam is state.fam
+        out, stats = run_half_integral_procedure(
+            ug, [c for _u, _v, c in ug.edges], ucfg, allow_exposed_nodes=True
+        )
+        assert stats.unshrinks == 1 and len(built) == 1 and out.fam is built[0]
+        assert out.laminar == [UNSHRINK_C]
 
     def test_spanning_cycle_through_an_inner_set_accepted(self):
         from cpmatch.combinatorial import validate_configuration
@@ -502,9 +521,8 @@ class TestLaminarSetsInsidePinnedSets:
             validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
 
     @pytest.mark.parametrize(
-        "laminar, disjoint, message",
+        "laminar, pinned, message",
         [
-            ([{3, 4, 5}], [{1, 2, 3}], "[3, 4, 5] properly crosses [1, 2, 3]"),
             # a pinned set must be a maximal set: the message names the one
             # that holds it
             ([{1, 2, 3, 4, 5}], [{1, 2, 3}], "equality set [1, 2, 3] intersects [1, 2, 3, 4, 5]"),
@@ -513,44 +531,52 @@ class TestLaminarSetsInsidePinnedSets:
              "equality set [1, 2, 3] intersects [1, 2, 3, 4, 5, 6, 7]"),
         ],
     )
-    def test_set_that_meets_a_pinned_set_otherwise_rejected(self, laminar, disjoint, message):
+    def test_set_that_meets_a_pinned_set_otherwise_rejected(self, laminar, pinned, message):
         from cpmatch.combinatorial import validate_configuration
 
         g, _dual = self.ring()
-        cfg = ValidConfiguration(
-            laminar=[frozenset(s) for s in laminar], disjoint=[frozenset(s) for s in disjoint],
-            z=[ZERO] * g.m, dual=zero_dual(g.n),
+        cfg = configuration(
+            g.n, [frozenset(s) for s in laminar], [frozenset(s) for s in pinned],
+            [ZERO] * g.m, zero_dual(g.n),
         )
         with pytest.raises(InvalidConfiguration, match=re.escape(message)):
             validate_configuration(g, [c for _u, _v, c in g.edges], cfg)
 
 
 @pytest.mark.parametrize(
-    "graph, laminar, disjoint, duals, z, allow_exposed, message",
+    "graph, family, pinned, duals, z, allow_exposed, message",
     [
+        # the pinned triangle is not a set of the family
+        ("bowtie", [TRIANGLE_LEFT], [TRIANGLE_RIGHT], {}, {}, False,
+         "equality set [4, 5, 6] is not a set of the family"),
+        # the pinned triangle is listed twice
+        ("bowtie", [TRIANGLE_LEFT], [TRIANGLE_LEFT, TRIANGLE_LEFT], {}, {}, False,
+         "equality set [1, 2, 3] intersects [1, 2, 3]"),
         # the laminar triangle's dual is 0
         ("bowtie", [TRIANGLE_LEFT], [], {}, {}, False, "nonpositive dual on [1, 2, 3]"),
         # node 1's dual -1 leaves 2-3 the one tight edge inside the pinned triangle
-        ("bowtie", [], [TRIANGLE_LEFT], {1: -ONE}, {}, False, "[1, 2, 3] is not factor-critical"),
+        ("bowtie", [TRIANGLE_LEFT], [TRIANGLE_LEFT], {1: -ONE}, {}, False,
+         "[1, 2, 3] is not factor-critical"),
         # a third on each triangle edge
         ("bowtie", [], [], {}, {e: rat(1, 3) for e in range(6)}, False,
          "z is not proper-half-integral"),
         # nothing covers node 1, which no pinned set holds
         ("bowtie", [], [], {}, {}, False, "node 1 exposed outside an exposed equality set"),
         # 5-6 and 3-7 both leave the pinned {1..5}, around the laminar {1, 2, 3}
-        ("ring", [frozenset({1, 2, 3})], [frozenset(range(1, 6))], {}, {5: ONE, 7: ONE}, True,
-         "equality set [1, 2, 3, 4, 5] has boundary value 2"),
+        ("ring", [frozenset({1, 2, 3}), frozenset(range(1, 6))], [frozenset(range(1, 6))], {},
+         {5: ONE, 7: ONE}, True, "equality set [1, 2, 3, 4, 5] has boundary value 2"),
     ],
-    ids=["nonpositive dual", "not factor-critical", "not half-integral", "exposed node",
-         "pinned boundary"],
+    ids=["pinned set outside the family", "pinned set listed twice", "nonpositive dual",
+         "not factor-critical", "not half-integral", "exposed node", "pinned boundary"],
 )
-def test_each_configuration_check_raises(bowtie, graph, laminar, disjoint, duals, z,
+def test_each_configuration_check_raises(bowtie, graph, family, pinned, duals, z,
                                          allow_exposed, message):
     from cpmatch.combinatorial import validate_configuration
 
     g, dual = (bowtie, zero_dual(6)) if graph == "bowtie" else TestLaminarSetsInsidePinnedSets.ring()
     dual.update(duals)
-    cfg = ValidConfiguration(laminar, disjoint, [z.get(e, ZERO) for e in range(g.m)], dual)
+    fam = LaminarFamily(g.n, family)
+    cfg = ValidConfiguration(fam, pinned, [z.get(e, ZERO) for e in range(g.m)], dual)
     with pytest.raises(InvalidConfiguration, match=re.escape(message)):
         validate_configuration(g, [c for _u, _v, c in g.edges], cfg, allow_exposed_nodes=allow_exposed)
 
@@ -981,7 +1007,7 @@ class TestCarriedWorkspace:
 
         g, cfg = unshrink_instance()
         ws = comb._Workspace(
-            g, LaminarFamily(g.n, cfg.laminar), list(cfg.laminar), cfg.z, cfg.dual,
+            g, cfg.fam, cfg.laminar, cfg.z, cfg.dual,
             cfg.dual.slacks(g, [c for _u, _v, c in g.edges]),
         )
         assert ws.unit == 2
@@ -1132,7 +1158,7 @@ class TestCarriedWorkspace:
         # the zero dual: the run opens the triangle (the greedy start of
         # solve_bipartite_via_procedure would match 1-2 and 3-4 at once)
         g = make_graph(4, [(1, 2, 0), (2, 3, 0), (1, 3, 0), (3, 4, 10)])
-        cold = ValidConfiguration(laminar=[], disjoint=[], z=[ZERO] * g.m, dual=zero_dual(4))
+        cold = configuration(4, [], [], [ZERO] * g.m, zero_dual(4))
         _out, stats = run_half_integral_procedure(g, [c for _u, _v, c in g.edges], cold, allow_exposed_nodes=True)
         assert stats.case_counts["Ic"] == 1
         monkeypatch.setattr(comb._Workspace, "set_value", sabotaged)

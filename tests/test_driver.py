@@ -249,31 +249,37 @@ class TestStep:
 
 
 class TestSinglePinnedAttempt:
-    def test_uncertified_attempt_raises_with_witness(self, bowtie):
-        # synthetic state that pins the two support cycles as equality cuts
-        # even though the family imposes nothing: the pinned output fails
-        # the optimality certificate, and no other candidate is tried
-        from cpmatch.driver import _solve_primal_combinatorial
-        from cpmatch import solve_extremal_dual
-        from cpmatch.rational import HALF
+    def test_uncertified_attempt_raises_with_witness(self, monkeypatch):
+        # a real round of telescope(3, 2) whose extremal-dual program is
+        # made infeasible once the procedure has run: the pinned output
+        # fails the optimality certificate, and no other candidate is tried
+        import cpmatch.driver as drv_mod
+        from cpmatch.errors import LPInfeasible
+        from instances import telescope
 
-        pc = perturb([c for _u, _v, c in bowtie.edges])
-        fam = LaminarFamily(6)
-        x_prev = [HALF] * 6 + [ZERO]
-        gamma = solve_extremal_dual(
-            bowtie, pc.scaled, fam, x_prev, DualSolution.zeros(bowtie)
-        )
-        state = DriverState(
-            iteration=1,
-            fam=fam,
-            gamma=gamma,
-            x=x_prev,
-            o=2,
-            pinned=[TRIANGLE_LEFT, TRIANGLE_RIGHT],
-        )
-        with pytest.raises(StructureViolation) as info:
-            _solve_primal_combinatorial(bowtie, pc.scaled, fam, state)
-        assert info.value.witness == [sorted(TRIANGLE_LEFT), sorted(TRIANGLE_RIGHT)]
+        g = telescope(stages=3, gadgets=2)
+        pc = perturb([c for _u, _v, c in g.edges])
+        state = DriverState(iteration=0, fam=LaminarFamily(g.n), gamma=DualSolution.zeros(g))
+        state, _record = step(state, g, pc, solver="combinatorial")
+        assert state.pinned
+
+        runs = []
+        real_run = drv_mod.run_half_integral_procedure
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return real_run(*args, **kwargs)
+
+        def infeasible(*args):
+            assert len(runs) == 1
+            raise LPInfeasible("extremal dual made infeasible")
+
+        monkeypatch.setattr(drv_mod, "run_half_integral_procedure", counting)
+        monkeypatch.setattr(drv_mod, "solve_extremal_dual", infeasible)
+        with pytest.raises(StructureViolation, match="not optimal for the relaxation") as info:
+            drv_mod._solve_primal_combinatorial(g, pc.scaled, state.fam, state)
+        assert info.value.witness == [sorted(hat) for hat in state.pinned]
+        assert len(runs) == 1
 
     def test_infeasible_relaxation_runs_procedure_once(self, monkeypatch):
         import cpmatch.driver as drv_mod

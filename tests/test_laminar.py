@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cpmatch import LaminarFamily, LaminarityViolation, make_graph
@@ -26,6 +28,11 @@ class TestOddSet:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             odd_set([1, 2, 3], 4)
+
+    def test_set_outside_the_graph_rejected(self):
+        # a family checks each of its sets as an odd set of the graph
+        with pytest.raises(ValueError, match=re.escape("odd set [4, 5, 7] has a node outside 1..6")):
+            LaminarFamily(6, [{4, 5, 7}])
 
 
 class TestInsertChecked:
