@@ -1,10 +1,12 @@
 """The cutting-plane loop: solve, pick duals, retain and add cuts, repeat.
 
 Each iteration solves the current relaxation (exact simplex by default, the
-half-integral matching procedure as an independent route), computes the
-extremal dual against the previous one, keeps the cuts with positive dual
-value and adds one new cut per odd support cycle, unioned with the retained
-maximal sets it meets so the family stays laminar.
+half-integral matching procedure as an independent route).  Until x is a
+matching, it computes the extremal dual against the previous one, keeps
+the cuts with positive dual value and adds one new cut per odd support
+cycle, unioned with the retained maximal sets it meets so the family stays
+laminar.  A terminal x gets an extremal dual only on the combinatorial
+route, whose record has no basis dual.
 """
 
 from __future__ import annotations
@@ -120,17 +122,28 @@ class RunResult:
         return encode_trace(trace_header(self.graph), self.records)
 
 
-def select_old_cuts(fam: LaminarFamily, pi: DualSolution) -> LaminarFamily:
-    """Retain exactly the cuts with positive extremal dual value."""
+def select_old_cuts(fam: LaminarFamily, pi: DualSolution) -> tuple:
+    """Retain exactly the cuts with positive extremal dual value.
+
+    Returns (kept, tops): the retained sets and the maximal ones among
+    them, both in `fam.sets` order.  The tops are read off fam's forest: a
+    walk down from fam's tops stops at the first retained set on each
+    path.
+    """
     kept = [s for s in fam.sets if pi.of_set(s) > ZERO]
-    return LaminarFamily(fam.n, kept)
+    keep, found, stack = set(kept), set(), list(fam.tops)
+    while stack:
+        s = stack.pop()
+        if s in keep:
+            found.add(s)
+        else:
+            stack.extend(fam.children[s])
+    return kept, [s for s in kept if s in found]
 
 
-def select_new_cuts(
-    dec: SupportDecomposition, h_prime: LaminarFamily
-) -> list:
+def select_new_cuts(dec: SupportDecomposition, tops: list) -> list:
     """One new cut per odd support cycle: the cycle's nodes unioned with the
-    maximal retained sets it intersects.
+    maximal retained sets `tops` it intersects.
 
     Returns (cycle_nodes, absorbed_sets, hat_set) triples.  Raises
     StructureViolation if a retained set meets two cycles or a union comes
@@ -141,7 +154,7 @@ def select_new_cuts(
     out = []
     for cycle in dec.odd_cycles:
         nodes = frozenset(cycle)
-        absorbed = [s for s in h_prime.tops if s & nodes]
+        absorbed = [s for s in tops if s & nodes]
         for s in absorbed:
             if s in claimed:
                 raise StructureViolation(
@@ -165,25 +178,21 @@ def _solve_primal_combinatorial(
 
     The first solve runs the procedure from a greedy start.  Every later
     solve runs it once on g, from the previous optimum and Gamma, on the
-    round's checked family `fam`.  The new cuts are pinned to equality with the zero dual `step` gave them; the
-    retained cuts stay inequalities, those a new cut absorbed included,
-    which lie inside it.  The procedure's workspace shrinks each new cut
-    and rematches its inside.  Every run is given `state.carry`, so its
-    input check starts from the last run's output check (see
-    `run_half_integral_procedure`).  Its output is accepted when it is feasible
-    for the current family and the extremal-dual program for it is
-    feasible, which certifies optimality by complementary slackness and
-    uniqueness.  Returns (x, psi, stats); raises StructureViolation, with
-    the new cuts or a cut x leaves below one as witness, when that attempt
-    is not certified.
+    round's checked family `fam`.  The new cuts are pinned to equality with
+    the zero dual `step` gave them; the retained cuts stay inequalities,
+    those a new cut absorbed included, which lie inside it.  The
+    procedure's workspace shrinks each new cut and rematches its inside.
+    Every run is given `state.carry`, so its input check starts from the
+    last run's output check (see `run_half_integral_procedure`).  Returns
+    (z, stats) and solves no LP on the way: z is certified in `step`, by
+    the extremal-dual program or, on a cross-check terminal round, by being
+    the simplex optimum.  Raises StructureViolation, with the new cuts as
+    witness, when the procedure stalls on a feasible relaxation or its z
+    misses a degree constraint.
     """
     if state.x is None:
         out, stats = solve_bipartite_via_procedure(g, costs, state.carry)
-        # only z is read: the run's output dual is dropped before the LP
-        z = out.z
-        del out
-        psi = solve_extremal_dual(g, costs, fam, z, state.gamma)
-        return z, psi, stats
+        return out.z, stats
 
     witness = [sorted(hat) for hat in state.pinned]
     cfg = ValidConfiguration(fam, state.pinned, state.x, state.gamma)
@@ -197,21 +206,13 @@ def _solve_primal_combinatorial(
             "pinned-cut procedure stalled on a feasible relaxation", witness=witness
         )
 
-    # only z is read: the run's output dual is dropped before the LP
-    z = out.z
-    del out
-    # the cuts are left to solve_extremal_dual, which sums them anyway
-    if not check_degree_and_cut_feasibility(z, g, ()):
+    # the cuts are summed in step: by solve_extremal_dual, or by the
+    # certificate of the simplex optimum a cross-checked z must equal
+    if not check_degree_and_cut_feasibility(out.z, g, ()):
         raise StructureViolation(
             "pinned-cut optimum is infeasible for the relaxation", witness=witness
         )
-    try:
-        psi = solve_extremal_dual(g, costs, fam, z, state.gamma)
-    except LPInfeasible as exc:
-        raise StructureViolation(
-            "pinned-cut optimum is not optimal for the relaxation", witness=witness
-        ) from exc
-    return z, psi, stats
+    return out.z, stats
 
 
 def _record_dual(psi: DualSolution, g: Graph) -> tuple:
@@ -220,8 +221,9 @@ def _record_dual(psi: DualSolution, g: Graph) -> tuple:
     return nodes, sets
 
 
-# A simplex optimum whose extremal-dual program has no feasible point is
-# not optimal: a broken invariant, not a missing perfect matching.
+# A first-round optimum, from the simplex or the procedure, whose
+# extremal-dual program has no feasible point is not optimal: a broken
+# invariant, not a missing perfect matching.
 _NO_EXTREMAL_DUAL = "the simplex optimum has no extremal dual"
 
 
@@ -232,20 +234,16 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
     costs = pc.scaled
     fam = state.fam
 
-    stats = None
-    basis_dual = psi = None
+    stats = basis_dual = None
     cuts = state.gamma.cuts(g)  # the run's map of delta(S)
     if solver == "simplex":
         x, basis_dual, objective = solve_primal(g, costs, fam, state.warm, cuts=cuts)
     elif solver == "combinatorial":
-        x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
+        x, stats = _solve_primal_combinatorial(g, costs, fam, state)
         objective = cost_value(x, costs)
     elif solver == "cross-check":
         x_s, basis_dual, objective = solve_primal(g, costs, fam, state.warm, cuts=cuts)
-        try:
-            x, psi, stats = _solve_primal_combinatorial(g, costs, fam, state)
-        except LPInfeasible as exc:
-            raise StructureViolation(_NO_EXTREMAL_DUAL) from exc
+        x, stats = _solve_primal_combinatorial(g, costs, fam, state)
         if x != x_s:
             diff = [e for e in range(g.m) if x[e] != x_s[e]]
             raise StructureViolation(
@@ -268,32 +266,38 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
             f"odd cycle count increased from {state.o} to {dec.o}"
         )
 
-    # A terminal iteration records the basis dual when the simplex gave one;
-    # every other iteration records the extremal dual, which certifies a
-    # simplex optimum before its record is written.  x is proper
+    # A terminal iteration records the basis dual when the simplex gave one
+    # (solve_primal has certified it, and a cross-checked z equals its x);
+    # every other iteration solves and records the extremal dual Psi, which
+    # the next family's cut selection reads.  Its program is feasible only
+    # at an optimum, which certifies the procedure's z; a simplex optimum is
+    # certified by Psi before its record is written.  x is proper
     # half-integral here, so it is integral exactly when it has no odd
     # cycle.
     terminal = not dec.odd_cycles
     if terminal and basis_dual is not None:
         dual, kind = basis_dual, "basis"
     else:
-        if psi is None:
-            try:
-                psi = solve_extremal_dual(g, costs, fam, x, state.gamma)
-            except LPInfeasible as exc:
+        try:
+            psi = solve_extremal_dual(g, costs, fam, x, state.gamma)
+        except LPInfeasible as exc:
+            if solver == "simplex" or state.x is None:
                 raise StructureViolation(_NO_EXTREMAL_DUAL) from exc
+            raise StructureViolation(
+                "pinned-cut optimum is not optimal for the relaxation",
+                witness=[sorted(hat) for hat in state.pinned],
+            ) from exc
         if solver != "combinatorial":
             certify_optimum(g, costs, fam.sets, x, objective, psi)
         dual, kind = psi, "extremal"
 
-    hp_sets, hats = [], []
+    kept, hats = [], []
     next_fam, gamma_next = fam, state.gamma
     if not terminal:
-        hp = select_old_cuts(fam, psi)
-        hp_sets = hp.sets
-        hats = [hat for _cycle, _absorbed, hat in select_new_cuts(dec, hp)]
+        kept, tops = select_old_cuts(fam, psi)
+        hats = [hat for _cycle, _absorbed, hat in select_new_cuts(dec, tops)]
         try:
-            next_fam = LaminarFamily(g.n, hp_sets + hats)
+            next_fam = LaminarFamily(g.n, kept + hats)
         except ValueError as exc:  # LaminarityViolation or a bad odd set
             raise StructureViolation(f"new cut breaks the family: {exc}", witness=[sorted(h) for h in hats]) from None
         gamma_next = DualSolution(psi | dict.fromkeys(hats, ZERO))
@@ -308,7 +312,7 @@ def step(state: DriverState, g: Graph, pc: PerturbedCosts, solver: str = "simple
         dual_sets=sets,
         dual_kind=kind,
         odd_cycle_count=dec.o,
-        cuts_retained=[sorted(s) for s in hp_sets],
+        cuts_retained=[sorted(s) for s in kept],
         cuts_added=[sorted(hat) for hat in hats],
         objective_scaled=format_rat(objective),
         terminal=terminal,

@@ -67,7 +67,12 @@ against a dual: feasibility, strong duality and complementary slackness.
 A driver record carries the basis dual only for an integral x, so only
 then does `solve_primal` recover and check it; every other simplex optimum
 is certified once, by the extremal dual Psi its record carries, on the cut
-values and edge lists `solve_extremal_dual` left on Psi.
+values and edge lists `solve_extremal_dual` left on Psi.  The driver solves
+Psi only where it is read: on every round but the last, for the next
+family's cuts, and on the last round of the combinatorial route, whose
+record carries it.  A cross-check's last round solves no extremal program:
+the procedure's output must equal the simplex x, which its basis dual has
+certified.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from cpmatch import cli, parse_instance, run
 from cpmatch.errors import StructureViolation
 from cpmatch.graph import Graph, cost_value, decompose_support
 from cpmatch.rational import ONE, ZERO
+from paper_oracles import enumerate_perfect_matchings
 from test_golden import EXPECTED, GOLDEN
 
 ROUTES = ("simplex", "cross-check")
@@ -102,9 +103,10 @@ class TestNonTerminalCertificate:
         assert len(lines) == 1
 
 
-@pytest.mark.parametrize("solver", ROUTES)
+@pytest.mark.parametrize("solver", ("simplex", "combinatorial", "cross-check"))
 def test_infeasible_extremal_program_is_a_structure_violation(solver, tmp_path, capsys, monkeypatch):
-    # on both routes the simplex has solved the relaxation: an extremal
+    # the simplex or the procedure has solved the first relaxation, and
+    # the procedure returns only a z that covers every node: an extremal
     # program with no feasible point means x is not optimal, not that the
     # graph has no perfect matching
     from cpmatch.errors import LPInfeasible
@@ -147,6 +149,31 @@ def test_x_not_optimal(name, solver, tmp_path, capsys, monkeypatch):
     else:  # the combinatorial route finds the true optimum
         assert str(exc) == "simplex and combinatorial optima differ"
     assert len(lines) == 1
+
+
+# the bowtie and the telescopes have one perfect matching each
+@pytest.mark.parametrize("name", [name for name in MULTI_ROUND if name.startswith("random_")])
+def test_cross_check_compares_the_terminal_round(name, tmp_path, capsys, monkeypatch):
+    # no extremal program is solved on the terminal round of a cross-check:
+    # a procedure that ends on another perfect matching than the simplex's
+    # must still stop the run there
+    real = drv_mod._solve_primal_combinatorial
+
+    def other_matching(g, costs, fam, state):
+        z, stats = real(g, costs, fam, state)
+        if integral(z):
+            for matching in enumerate_perfect_matchings(g):
+                other = [ONE if e in matching else ZERO for e in range(g.m)]
+                if other != z:
+                    return other, stats
+        return z, stats
+
+    monkeypatch.setattr(drv_mod, "_solve_primal_combinatorial", other_matching)
+    rounds = int(EXPECTED[name]["cross-check"]["stdout"].split("lp_solves ")[1].split()[0])
+    exc, lines = aborted_run(name, "cross-check", tmp_path, capsys)
+    assert str(exc) == "simplex and combinatorial optima differ"
+    assert exc.witness
+    assert len(lines) == rounds  # header plus every round before the terminal one
 
 
 @pytest.mark.parametrize("solver", ROUTES)

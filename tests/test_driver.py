@@ -18,7 +18,7 @@ from cpmatch import (
     select_old_cuts,
     verify_trace,
 )
-from cpmatch.driver import DriverState, IterationRecord, step
+from cpmatch.driver import SOLVER_CHOICES, DriverState, IterationRecord, step
 from cpmatch.graph import SupportDecomposition
 from cpmatch.rational import ZERO, perturb, rat
 
@@ -33,11 +33,11 @@ MULTI_ROUND_SEED = 4752199
 class TestSelectOldCuts:
     def test_all_zero_duals_empty(self, bowtie_family):
         pi = DualSolution({TRIANGLE_LEFT: ZERO, TRIANGLE_RIGHT: ZERO})
-        assert select_old_cuts(bowtie_family, pi).sets == []
+        assert select_old_cuts(bowtie_family, pi) == ([], [])
 
     def test_all_positive_keeps_family(self, bowtie_family):
         pi = DualSolution({TRIANGLE_LEFT: rat(1), TRIANGLE_RIGHT: rat(2)})
-        assert select_old_cuts(bowtie_family, pi).sets == bowtie_family.sets
+        assert select_old_cuts(bowtie_family, pi) == (bowtie_family.sets, bowtie_family.sets)
 
     def test_bowtie_round_one_retains_tie_broken_vertex(
         self, bowtie, bowtie_perturbed, bowtie_family
@@ -52,24 +52,39 @@ class TestSelectOldCuts:
              TRIANGLE_LEFT: ZERO, TRIANGLE_RIGHT: ZERO}
         )
         psi = solve_extremal_dual(bowtie, bowtie_perturbed.scaled, bowtie_family, x, gamma)
-        kept = select_old_cuts(bowtie_family, psi)
-        assert kept.sets == [TRIANGLE_LEFT]
+        kept, tops = select_old_cuts(bowtie_family, psi)
+        assert kept == tops == [TRIANGLE_LEFT]
+
+    def test_tops_are_the_maximal_kept_sets(self):
+        # every subset of a family three deep: the tops read off the
+        # family's forest are those of a family built from the kept sets
+        from itertools import combinations
+
+        family = [{1, 2, 3}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5, 6, 7},
+                  {9, 10, 11}, {9, 10, 11, 12, 13}, {15, 16, 17}]
+        fam = LaminarFamily(20, family)
+        for k in range(len(family) + 1):
+            for chosen in combinations(fam.sets, k):
+                pi = DualSolution({s: rat(1) if s in chosen else ZERO for s in fam.sets})
+                kept, tops = select_old_cuts(fam, pi)
+                assert kept == list(chosen)
+                assert tops == LaminarFamily(20, kept).tops
 
 
 class TestSelectNewCuts:
     def test_bowtie_initial_cycles(self, bowtie):
         dec = SupportDecomposition(matched_edges=[], odd_cycles=[[1, 2, 3], [4, 5, 6]])
-        info = select_new_cuts(dec, LaminarFamily(6))
+        info = select_new_cuts(dec, LaminarFamily(6).tops)
         assert [hat for _c, _a, hat in info] == [TRIANGLE_LEFT, TRIANGLE_RIGHT]
 
     def test_integral_solution_no_cuts(self):
         dec = SupportDecomposition(matched_edges=[0, 1], odd_cycles=[])
-        assert select_new_cuts(dec, LaminarFamily(6)) == []
+        assert select_new_cuts(dec, LaminarFamily(6).tops) == []
 
     def test_cycle_absorbs_intersecting_maximal_set(self):
         dec = SupportDecomposition(matched_edges=[], odd_cycles=[[1, 2, 3, 4, 5]])
         hp = LaminarFamily(12, [{5, 6, 7}, {9, 10, 11}])
-        info = select_new_cuts(dec, hp)
+        info = select_new_cuts(dec, hp.tops)
         assert [hat for _c, _a, hat in info] == [frozenset(range(1, 8))]
 
     def test_even_union_rejected(self):
@@ -79,8 +94,8 @@ class TestSelectNewCuts:
         dec2 = SupportDecomposition(matched_edges=[], odd_cycles=[[2, 3, 4]])
         hp2 = LaminarFamily(12, [{3, 4, 5}])
         with pytest.raises(StructureViolation):
-            select_new_cuts(dec2, hp2)
-        assert select_new_cuts(dec, hp)[0][2] == frozenset(range(1, 8))
+            select_new_cuts(dec2, hp2.tops)
+        assert select_new_cuts(dec, hp.tops)[0][2] == frozenset(range(1, 8))
 
     def test_set_meeting_two_cycles_rejected(self):
         dec = SupportDecomposition(
@@ -88,7 +103,7 @@ class TestSelectNewCuts:
         )
         hp = LaminarFamily(14, [{3, 4, 5, 6, 7}])
         with pytest.raises(StructureViolation):
-            select_new_cuts(dec, hp)
+            select_new_cuts(dec, hp.tops)
 
 
 class TestRun:
@@ -251,8 +266,8 @@ class TestStep:
 class TestSinglePinnedAttempt:
     def test_uncertified_attempt_raises_with_witness(self, monkeypatch):
         # a real round of telescope(3, 2) whose extremal-dual program is
-        # made infeasible once the procedure has run: the pinned output
-        # fails the optimality certificate, and no other candidate is tried
+        # made infeasible once the procedure has run: step rejects the
+        # pinned output as not optimal, and no other candidate is tried
         import cpmatch.driver as drv_mod
         from cpmatch.errors import LPInfeasible
         from instances import telescope
@@ -276,9 +291,10 @@ class TestSinglePinnedAttempt:
 
         monkeypatch.setattr(drv_mod, "run_half_integral_procedure", counting)
         monkeypatch.setattr(drv_mod, "solve_extremal_dual", infeasible)
-        with pytest.raises(StructureViolation, match="not optimal for the relaxation") as info:
-            drv_mod._solve_primal_combinatorial(g, pc.scaled, state.fam, state)
+        with pytest.raises(StructureViolation, match="^pinned-cut optimum is not optimal for the relaxation$") as info:
+            step(state, g, pc, solver="combinatorial")
         assert info.value.witness == [sorted(hat) for hat in state.pinned]
+        assert isinstance(info.value.__cause__, LPInfeasible)
         assert len(runs) == 1
 
     def test_infeasible_relaxation_runs_procedure_once(self, monkeypatch):
@@ -341,12 +357,14 @@ class TestIterationBound:
 
 
 class TestExtremalDualCount:
-    @pytest.mark.parametrize("solver", ["simplex", "combinatorial"])
+    @pytest.mark.parametrize("solver", SOLVER_CHOICES)
     def test_one_extremal_dual_per_relaxation(self, monkeypatch, solver):
-        # the terminal combinatorial iteration reuses the extremal dual its
-        # solve already certified; the simplex route computes none for it
+        # Psi is solved only where it is read: by the next round's cut
+        # selection, and on the terminal round by the combinatorial record
+        # alone.  The simplex and cross-check routes record the basis dual
+        # there, so they solve no extremal program on the terminal round.
         import cpmatch.driver as drv_mod
-        from instances import telescope
+        from test_golden import GOLDEN
 
         calls = []
         real = drv_mod.solve_extremal_dual
@@ -356,9 +374,14 @@ class TestExtremalDualCount:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(drv_mod, "solve_extremal_dual", counting)
-        res = run(telescope(stages=3, gadgets=2), solver=solver)
-        expected = res.lp_solves if solver == "combinatorial" else res.lp_solves - 1
-        assert len(calls) == expected
+        for name in ("telescope_3_2", "random_n16_seed4752199"):
+            calls.clear()
+            res = run(parse_instance((GOLDEN / f"{name}.txt").read_text()), solver=solver)
+            assert res.lp_solves > 1, name
+            expected = res.lp_solves if solver == "combinatorial" else res.lp_solves - 1
+            assert len(calls) == expected, name
+            terminal_kind = "extremal" if solver == "combinatorial" else "basis"
+            assert res.records[-1].dual_kind == terminal_kind, name
 
 
 class TestCutsReadOnce:

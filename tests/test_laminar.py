@@ -81,7 +81,7 @@ class TestMaximalSets:
     @staticmethod
     def absorbed(fam, cycle):
         dec = SupportDecomposition(matched_edges=[], odd_cycles=[cycle])
-        [(_nodes, absorbed, _hat)] = select_new_cuts(dec, fam)
+        [(_nodes, absorbed, _hat)] = select_new_cuts(dec, fam.tops)
         return absorbed
 
     def test_nested_query(self):

@@ -279,7 +279,7 @@ def supports_and_retained(draw):
 def test_new_cuts_are_pairwise_disjoint(case):
     n, dec, retained = case
     try:
-        info = select_new_cuts(dec, LaminarFamily(n, retained))
+        info = select_new_cuts(dec, LaminarFamily(n, retained).tops)
     except StructureViolation:
         return  # a retained set meets two cycles, or a union is even
     hats = [hat for _cycle, _absorbed, hat in info]
